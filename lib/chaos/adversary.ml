@@ -35,9 +35,8 @@ let forward_kind (pkt : Packet.t) =
   | Packet.Syn | Packet.Data | Packet.Probe | Packet.Term -> true
   | Packet.Syn_ack | Packet.Ack -> false
 
-(* Duplicates share the original's uid (the global counter must not be
-   perturbed) but deep-copy every mutable scheduling payload so
-   downstream in-place header rewrites cannot alias. *)
+(* Duplicates deep-copy every mutable scheduling payload so downstream
+   in-place header rewrites cannot alias. *)
 let copy_payload = function
   | Payloads.Pdq_sched (h, a) -> Payloads.Pdq_sched (Header.copy h, a)
   | Payloads.Rcp_ctrl (r, a) ->

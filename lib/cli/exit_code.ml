@@ -33,7 +33,7 @@ let describe = function
   | Timed_out ->
       "a run blew its --timeout/--max-events budget (and nothing worse \
        happened)"
-  | Run_failed -> "a supervised sweep left crashed or skipped slots"
+  | Run_failed -> "a sweep left crashed or skipped slots"
   | Violation_found ->
       "the chaos fuzzer found (and shrank) an invariant violation"
   | Usage -> "command-line usage error"

@@ -22,7 +22,7 @@ type t =
       (** A run blew its [--timeout]/[--max-events] budget (and
           nothing worse happened). *)
   | Run_failed
-      (** A supervised sweep left crashed or skipped slots. *)
+      (** A sweep left crashed or skipped slots. *)
   | Violation_found
       (** The [chaos] fuzzer found an invariant violation and emitted
           a (shrunk) reproducer. *)

@@ -68,26 +68,15 @@ type cli_opts = {
 }
 
 (* The per-attempt budget implied by --timeout/--max-events, or [None]
-   when neither is set (so the unsupervised paths stay bit-identical
-   to builds without this feature). *)
+   when neither is set. *)
 let budget_opt opts =
   match (opts.timeout, opts.max_events) with
   | None, None -> None
-  | wall, events -> Some (Sweep.budget ?wall ?events ())
+  | wall, events -> Some (Exec_opts.budget ?wall ?events ())
 
 let retry_opt opts =
   if opts.retries > 0 then Some (Sweep.retry ~attempts:(opts.retries + 1) ())
   else None
-
-(* Any supervision flag routes a --seeds sweep through the
-   fault-tolerant executor. *)
-let supervised opts =
-  budget_opt opts <> None || opts.retries > 0 || opts.keep_going
-  || opts.checkpoint <> None || opts.resume <> None
-  || opts.report_out <> None
-  (* Forensics over a sweep rides the supervisor so per-slot summaries
-     can thread into its report. *)
-  || opts.forensics_out <> None
 
 let print_result ~(scenario : Scenario.t) (r : Runner.result) =
   Printf.printf "%s: %d flows (seed %d)\n" scenario.Scenario.name
@@ -179,8 +168,8 @@ let write_forensics path report =
   output_string oc (render_forensics ~path report);
   close_out oc
 
-(* One deterministic line per slot, threaded into the supervised sweep
-   report as a note. *)
+(* One deterministic line per slot, threaded into the sweep report as a
+   note. *)
 let forensics_summary (r : Attribution.report) =
   let t = r.Attribution.totals in
   Printf.sprintf
@@ -203,82 +192,82 @@ let write_job_metrics path report =
   output_char oc '\n';
   close_out oc
 
-(* One run with the full telemetry plumbing attached. *)
-let run_single_plain scenario opts =
-  let trace_chan = Option.map open_out opts.trace_out in
+(* One run: under the validation monitors when [checking], and with
+   the job report of a jobs workload. *)
+let execute ~checking ~telemetry scenario =
+  let opts = Exec_opts.telemetry telemetry in
+  if checking then
+    let c = Scenario.run_checked ~opts scenario in
+    (c.Scenario.result, Some c, c.Scenario.job_report)
+  else if is_jobs scenario then
+    let r, report = Scenario.run_jobs ~opts scenario in
+    (r, None, Some report)
+  else (Scenario.run ~opts scenario, None, None)
+
+(* Call [run ~telemetry] with the per-run sinks the flags ask for, each
+   writing to [path] of its flag's file. The trace channel is opened
+   and closed here, so in a sweep it never leaves the worker. Returns
+   [run]'s value and the forensics report, if one was asked for. *)
+let with_sinks opts ~path run =
+  let trace_chan = Option.map (fun p -> open_out (path p)) opts.trace_out in
   let metrics =
-    match opts.metrics_out with
-    | Some _ -> Some (Pdq_telemetry.Metrics.create ())
-    | None -> None
+    Option.map (fun p -> (p, Pdq_telemetry.Metrics.create ())) opts.metrics_out
   in
-  let forensics_mem =
-    match opts.forensics_out with
-    | Some _ -> Some (Trace.memory ())
-    | None -> None
+  let forensics =
+    Option.map (fun p -> (p, Trace.memory ())) opts.forensics_out
   in
   let telemetry =
     {
       Runner.no_telemetry with
       Runner.sinks =
-        (match trace_chan with
-        | Some oc -> [ Pdq_telemetry.Trace.jsonl oc ]
-        | None -> [])
-        @ (match forensics_mem with Some mem -> [ mem ] | None -> []);
-      metrics;
+        Option.to_list (Option.map Trace.jsonl trace_chan)
+        @ Option.to_list (Option.map snd forensics);
+      metrics = Option.map snd metrics;
       metrics_every = opts.metrics_every;
     }
   in
-  let checking = opts.check || opts.check_out <> None in
-  let r, violations, job_report =
-    if checking then begin
-      let c =
-        Scenario.run_checked ~opts:(Exec_opts.telemetry telemetry) scenario
-      in
-      print_result ~scenario c.Scenario.result;
-      print_check_summary c;
-      Option.iter
-        (fun path -> write_check_out path c.Scenario.violations)
-        opts.check_out;
-      (c.Scenario.result, c.Scenario.violations, c.Scenario.job_report)
-    end
-    else if is_jobs scenario then begin
-      let r, report =
-        Scenario.run_jobs ~opts:(Exec_opts.telemetry telemetry) scenario
-      in
-      print_result ~scenario r;
-      (r, [], Some report)
-    end
-    else begin
-      let r = Scenario.run ~opts:(Exec_opts.telemetry telemetry) scenario in
-      print_result ~scenario r;
-      (r, [], None)
-    end
+  let v =
+    Fun.protect
+      ~finally:(fun () -> Option.iter close_out trace_chan)
+      (fun () -> run ~telemetry)
   in
-  (match job_report with
-  | Some report ->
+  Option.iter (fun (p, m) -> write_metrics (path p) m) metrics;
+  ( v,
+    Option.map
+      (fun (p, mem) ->
+        let report = Attribution.of_events (Trace.memory_events mem) in
+        write_forensics (path p) report;
+        report)
+      forensics )
+
+let violations_of = function
+  | Some c -> c.Scenario.violations
+  | None -> []
+
+(* One run with the full telemetry plumbing attached. *)
+let run_single_plain scenario opts =
+  let checking = opts.check || opts.check_out <> None in
+  let (r, checked, job_report), _ =
+    with_sinks opts ~path:Fun.id (fun ~telemetry ->
+        execute ~checking ~telemetry scenario)
+  in
+  let violations = violations_of checked in
+  print_result ~scenario r;
+  Option.iter print_check_summary checked;
+  Option.iter (fun path -> write_check_out path violations) opts.check_out;
+  Option.iter
+    (fun report ->
       Format.printf "%a" Job_metrics.pp report;
       Option.iter
         (fun path ->
           write_job_metrics path report;
           Printf.printf "job metrics written to %s\n" path)
-        opts.job_metrics_out
-  | None -> ());
-  (match trace_chan with
-  | Some oc ->
-      close_out oc;
-      Printf.printf "trace written to %s\n" (Option.get opts.trace_out)
-  | None -> ());
-  (match (metrics, opts.metrics_out) with
-  | Some m, Some path ->
-      write_metrics path m;
-      Printf.printf "metrics written to %s\n" path
-  | _ -> ());
-  (match (forensics_mem, opts.forensics_out) with
-  | Some mem, Some path ->
-      write_forensics path
-        (Attribution.of_events (Pdq_telemetry.Trace.memory_events mem));
-      Printf.printf "forensics report written to %s\n" path
-  | _ -> ());
+        opts.job_metrics_out)
+    job_report;
+  Option.iter (Printf.printf "trace written to %s\n") opts.trace_out;
+  Option.iter (Printf.printf "metrics written to %s\n") opts.metrics_out;
+  Option.iter (Printf.printf "forensics report written to %s\n")
+    opts.forensics_out;
   code_of ~violations r
 
 (* A single run honors --timeout/--max-events through the same
@@ -287,16 +276,17 @@ let run_single scenario opts =
   match budget_opt opts with
   | None -> run_single_plain scenario opts
   | Some b -> (
-      match Sweep.with_budget b (fun () -> run_single_plain scenario opts) with
+      match
+        Exec_opts.with_budget b (fun () -> run_single_plain scenario opts)
+      with
       | code -> code
       | exception Pdq_engine.Sim.Cancelled { reason; events } ->
           Printf.printf "%s: TIMED OUT (%s) after %d events\n"
             scenario.Scenario.name reason events;
           exit_timed_out)
 
-(* Per-seed line shared by the legacy and supervised sweep printers;
-   stdout must be identical for any --jobs value and for a resumed vs.
-   uninterrupted supervised sweep. *)
+(* Per-seed line; stdout must be identical for any --jobs value and
+   for a resumed vs. uninterrupted sweep. *)
 let print_seed_line seed (r : Runner.result) =
   Printf.printf
     "  seed %3d  mean FCT %8.3f ms  app tput %5.1f%%  %d/%d completed  %d \
@@ -306,71 +296,70 @@ let print_seed_line seed (r : Runner.result) =
     (100. *. r.Runner.application_throughput)
     r.Runner.completed (Array.length r.Runner.flows) r.Runner.aborted
 
-let print_mean ~label results =
+(* "over seeds" when all [total] seeds count, else how many did. *)
+let over_seeds n ~total =
+  if n = total then "over seeds" else Printf.sprintf "over %d ok seeds" n
+
+let print_mean ~total results =
   let n = float_of_int (List.length results) in
   let mean f = List.fold_left (fun acc r -> acc +. f r) 0. results /. n in
-  Printf.printf "%s: FCT %.3f ms | application throughput %.1f%%\n" label
+  Printf.printf "mean %s: FCT %.3f ms | application throughput %.1f%%\n"
+    (over_seeds (List.length results) ~total)
     (1e3 *. mean (fun r -> r.Runner.mean_fct))
     (100. *. mean (fun r -> r.Runner.application_throughput))
 
-(* Fault-tolerant --seeds sweep: every seed settles as a Task, crashed
-   or timed-out seeds print a deterministic cause line, the mean is
-   taken over the Ok seeds, and a resilience report summarizes the
-   damage. Ok results stream to --checkpoint; --resume re-executes
-   only the missing seeds. *)
-let run_sweep_supervised scenario opts =
-  let scenarios = List.map (Scenario.with_seed scenario) opts.seeds in
+let print_job_reports ~total reports =
+  List.iter
+    (fun (seed, report) ->
+      Printf.printf "  seed %3d  %s\n" seed (Job_metrics.summary report))
+    reports;
+  let reports = List.map snd reports in
+  let n = List.length reports in
+  let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
+  Printf.printf "jobs mean %s: JCT %.3f ms | deadline misses %d/%d\n"
+    (over_seeds n ~total)
+    (1e3
+    *. (List.fold_left
+          (fun acc (r : Job_metrics.report) -> acc +. r.Job_metrics.mean_jct)
+          0. reports
+       /. float_of_int n))
+    (sum (fun (r : Job_metrics.report) ->
+         r.Job_metrics.deadline_jobs - r.Job_metrics.deadline_met))
+    (sum (fun (r : Job_metrics.report) -> r.Job_metrics.deadline_jobs))
+
+(* A --seeds sweep on the supervised executor. Every seed settles as a
+   Task: a crashed or timed-out seed prints a deterministic cause line,
+   the mean is taken over the Ok seeds, and the sweep report lists the
+   casualties; without --keep-going the first casualty stops the sweep.
+   Sinks are per-run state, so each run writes its own per-seed files
+   (--trace-out t.jsonl with seed 7 lands in t.seed7.jsonl), while
+   t.jsonl itself records the sweep lifecycle on a wall-clock bus. Ok
+   results stream to --checkpoint; --resume re-executes only the
+   missing seeds, which are loaded, not run, so they leave no per-seed
+   files, job report or forensics note. *)
+let run_sweep scenario opts =
+  let seeds = Array.of_list opts.seeds in
+  let n = Array.length seeds in
+  let scenarios = Array.map (Scenario.with_seed scenario) seeds in
   let checking = opts.check || opts.check_out <> None in
-  (* Per-run sinks get per-seed files (metrics.csv -> metrics.seed7.csv);
-     forensic attribution additionally leaves a one-line summary per
-     slot, threaded into the sweep report below. Resumed slots are not
-     re-executed, so they produce neither. *)
-  let notes_tbl : (int, string) Hashtbl.t = Hashtbl.create 8 in
-  let notes_mu = Mutex.create () in
-  let add_note seed line =
-    Mutex.protect notes_mu (fun () ->
-        match Hashtbl.find_opt notes_tbl seed with
-        | None -> Hashtbl.replace notes_tbl seed line
-        | Some prev -> Hashtbl.replace notes_tbl seed (prev ^ " | " ^ line))
-  in
-  (* Job-workload slots leave a per-seed metrics file and a one-line
-     summary note; resumed slots (not re-executed) produce neither,
-     like the forensics files. *)
-  let note_job_report seed = function
-    | None -> ()
-    | Some report ->
-        Option.iter
-          (fun path -> write_job_metrics (seed_path path ~seed) report)
-          opts.job_metrics_out;
-        add_note seed (Job_metrics.summary report)
-  in
-  let instrumented run s =
-    let seed = s.Scenario.seed in
-    let metrics =
-      Option.map (fun _ -> Pdq_telemetry.Metrics.create ()) opts.metrics_out
+  (* Per-slot side results, set by the worker running the slot once its
+     run has returned — so only for executed Ok slots. *)
+  let violations = Array.make n [] in
+  let job_reports = Array.make n None in
+  let notes = Array.make n None in
+  let run_slot i =
+    let seed = seeds.(i) in
+    let (r, checked, job_report), forensics =
+      with_sinks opts
+        ~path:(fun p -> seed_path p ~seed)
+        (fun ~telemetry -> execute ~checking ~telemetry scenarios.(i))
     in
-    let forensics_mem =
-      Option.map (fun _ -> Trace.memory ()) opts.forensics_out
-    in
-    let telemetry =
-      {
-        Runner.no_telemetry with
-        Runner.sinks =
-          (match forensics_mem with Some mem -> [ mem ] | None -> []);
-        metrics;
-        metrics_every = opts.metrics_every;
-      }
-    in
-    let r = run ~telemetry s in
-    (match (metrics, opts.metrics_out) with
-    | Some m, Some path -> write_metrics (seed_path path ~seed) m
+    (match (job_report, opts.job_metrics_out) with
+    | Some report, Some path -> write_job_metrics (seed_path path ~seed) report
     | _ -> ());
-    (match (forensics_mem, opts.forensics_out) with
-    | Some mem, Some path ->
-        let rep = Attribution.of_events (Trace.memory_events mem) in
-        write_forensics (seed_path path ~seed) rep;
-        add_note seed (forensics_summary rep)
-    | _ -> ());
+    violations.(i) <- violations_of checked;
+    job_reports.(i) <- Option.map (fun report -> (seed, report)) job_report;
+    notes.(i) <- Option.map (fun rep -> (i, forensics_summary rep)) forensics;
     r
   in
   (* --resume keeps appending new completions to the same file unless
@@ -380,107 +369,56 @@ let run_sweep_supervised scenario opts =
     | None, Some p -> Some p
     | c, _ -> c
   in
-  (* With supervision, --trace-out captures the sweep lifecycle (slot
-     settled / retry / worker crash) on a wall-clock bus instead of a
-     per-run simulation trace. *)
   let trace_chan = Option.map open_out opts.trace_out in
-  let bus =
+  let on_event =
     Option.map
-      (fun oc -> Trace.create ~clock:Unix.gettimeofday ~sinks:[ Trace.jsonl oc ])
+      (fun oc ->
+        Sweep.emit_trace
+          (Trace.create ~clock:Unix.gettimeofday ~sinks:[ Trace.jsonl oc ]))
       trace_chan
   in
-  let on_event = Option.map (fun b ev -> Sweep.emit_trace b ev) bus in
-  let tasks, report, violations =
-    if checking then begin
-      let sup =
-        Sweep.supervise
-          ~opts:(Exec_opts.make ?jobs:opts.jobs ?budget:(budget_opt opts) ())
-          ?retry:(retry_opt opts) ~keep_going:opts.keep_going ?on_event
-          ~key:Scenario.digest
-          (instrumented (fun ~telemetry s ->
-               let c =
-                 Scenario.run_checked ~opts:(Exec_opts.telemetry telemetry) s
-               in
-               note_job_report s.Scenario.seed c.Scenario.job_report;
-               c))
-          scenarios
-      in
-      ( List.map (Task.map (fun c -> c.Scenario.result)) sup.Sweep.tasks,
-        sup.Sweep.report,
-        List.concat_map
-          (fun t ->
-            match Task.ok t with
-            | Some c -> c.Scenario.violations
-            | None -> [])
-          sup.Sweep.tasks )
-    end
-    else
-      let sup =
-        Sweep.supervise
-          ~opts:(Exec_opts.make ?jobs:opts.jobs ?budget:(budget_opt opts) ())
-          ?retry:(retry_opt opts) ~keep_going:opts.keep_going ?checkpoint
-          ?resume:opts.resume ~codec:Scenario.result_codec ?on_event
-          ~key:Scenario.digest
-          (instrumented (fun ~telemetry s ->
-               if is_jobs s then begin
-                 let r, job_report =
-                   Scenario.run_jobs ~opts:(Exec_opts.telemetry telemetry) s
-                 in
-                 note_job_report s.Scenario.seed (Some job_report);
-                 r
-               end
-               else Scenario.run ~opts:(Exec_opts.telemetry telemetry) s))
-          scenarios
-      in
-      (sup.Sweep.tasks, sup.Sweep.report, [])
+  let sup =
+    Sweep.supervise
+      ~opts:(Exec_opts.make ?jobs:opts.jobs ?budget:(budget_opt opts) ())
+      ?retry:(retry_opt opts) ~keep_going:opts.keep_going ?checkpoint
+      ?resume:opts.resume ~codec:Scenario.result_codec ?on_event
+      ~key:(fun i -> Scenario.digest scenarios.(i))
+      run_slot (List.init n Fun.id)
   in
-  let report =
-    let notes =
-      List.mapi
-        (fun i seed ->
-          Option.map (fun n -> (i, n)) (Hashtbl.find_opt notes_tbl seed))
-        opts.seeds
-      |> List.filter_map Fun.id
-    in
-    if notes = [] then report else Sweep.with_notes report ~notes
-  in
-  (match trace_chan with
-  | Some oc ->
-      close_out oc;
-      Printf.eprintf "sweep trace written to %s\n%!" (Option.get opts.trace_out)
-  | None -> ());
-  Printf.printf "%s: %d seeds\n" scenario.Scenario.name
-    (List.length opts.seeds);
-  List.iter2
-    (fun seed task ->
+  Option.iter close_out trace_chan;
+  let collect side = List.concat_map Option.to_list (Array.to_list side) in
+  let violations = List.concat (Array.to_list violations) in
+  let job_reports = collect job_reports in
+  let report = Sweep.with_notes sup.Sweep.report ~notes:(collect notes) in
+  Printf.printf "%s: %d seeds\n" scenario.Scenario.name n;
+  List.iteri
+    (fun i task ->
       match task with
-      | Task.Ok r -> print_seed_line seed r
-      | t -> Printf.printf "  seed %3d  %s\n" seed (Format.asprintf "%a" Task.pp t))
-    opts.seeds tasks;
-  let oks = List.filter_map Task.ok tasks in
-  (match oks with
-  | [] -> Printf.printf "no seeds completed\n"
-  | _ when List.length oks = List.length tasks ->
-      print_mean ~label:"mean over seeds" oks
-  | _ ->
-      print_mean
-        ~label:(Printf.sprintf "mean over %d ok seeds" (List.length oks))
-        oks);
+      | Task.Ok r -> print_seed_line seeds.(i) r
+      | t ->
+          Printf.printf "  seed %3d  %s\n" seeds.(i)
+            (Format.asprintf "%a" Task.pp t))
+    sup.Sweep.tasks;
+  let oks = List.filter_map Task.ok sup.Sweep.tasks in
+  if oks = [] then Printf.printf "no seeds completed\n"
+  else print_mean ~total:n oks;
+  if job_reports <> [] then print_job_reports ~total:n job_reports;
   if report.Sweep.slots <> [] || report.Sweep.notes <> [] then
     Format.printf "%a" Sweep.pp_report report;
   if checking then Format.printf "%a" Report.pp_list violations;
   Option.iter (fun path -> write_check_out path violations) opts.check_out;
-  (* Resume bookkeeping and wall-clock material go to stderr so stdout
-     stays diffable against an uninterrupted run. *)
-  if opts.metrics_out <> None then
-    Printf.eprintf "per-seed metrics written to %s\n%!"
-      (seed_pattern (Option.get opts.metrics_out));
-  if opts.forensics_out <> None then
-    Printf.eprintf "per-seed forensics reports written to %s\n%!"
-      (seed_pattern (Option.get opts.forensics_out));
-  if is_jobs scenario && opts.job_metrics_out <> None then
-    Printf.eprintf "per-seed job metrics written to %s\n%!"
-      (seed_pattern (Option.get opts.job_metrics_out));
+  (* File notices, resume bookkeeping and wall-clock material go to
+     stderr so stdout stays diffable across --jobs values and against
+     an uninterrupted run. *)
+  let per_seed what =
+    Option.iter (fun path ->
+        Printf.eprintf "per-seed %s written to %s\n%!" what (seed_pattern path))
+  in
+  per_seed "traces" opts.trace_out;
+  per_seed "metrics" opts.metrics_out;
+  per_seed "forensics reports" opts.forensics_out;
+  if is_jobs scenario then per_seed "job metrics" opts.job_metrics_out;
+  Option.iter (Printf.eprintf "sweep trace written to %s\n%!") opts.trace_out;
   if report.Sweep.resumed > 0 then
     Printf.eprintf "resumed %d of %d seeds from checkpoint\n%!"
       report.Sweep.resumed report.Sweep.total;
@@ -499,122 +437,6 @@ let run_sweep_supervised scenario opts =
   else if report.Sweep.failed > 0 || report.Sweep.skipped > 0 then
     exit_run_failed
   else if report.Sweep.timed_out > 0 then exit_timed_out
-  else if aborted then exit_fault_aborted
-  else 0
-
-(* A --seeds sweep: scenarios fan out over the domain pool; sinks are
-   per-run state, so the sweep reports aggregates instead. A checked
-   sweep attaches one self-contained monitor per run, which keeps the
-   fan-out domain-safe. *)
-let run_sweep scenario opts =
-  let scenarios = List.map (Scenario.with_seed scenario) opts.seeds in
-  let checking = opts.check || opts.check_out <> None in
-  (* Sinks are per-run state, so each run writes its own per-seed
-     files: --trace-out trace.jsonl with seed 7 lands in
-     trace.seed7.jsonl. Channels are opened and closed inside the
-     worker, never shared across domains. *)
-  let with_sinks run s =
-    let seed = s.Scenario.seed in
-    let trace_chan =
-      Option.map (fun p -> open_out (seed_path p ~seed)) opts.trace_out
-    in
-    let metrics =
-      Option.map (fun _ -> Pdq_telemetry.Metrics.create ()) opts.metrics_out
-    in
-    let telemetry =
-      {
-        Runner.no_telemetry with
-        Runner.sinks =
-          (match trace_chan with
-          | Some oc -> [ Pdq_telemetry.Trace.jsonl oc ]
-          | None -> []);
-        metrics;
-        metrics_every = opts.metrics_every;
-      }
-    in
-    Fun.protect
-      ~finally:(fun () -> Option.iter close_out trace_chan)
-      (fun () ->
-        let r = run ~telemetry s in
-        (match (metrics, opts.metrics_out) with
-        | Some m, Some path -> write_metrics (seed_path path ~seed) m
-        | _ -> ());
-        r)
-  in
-  let results, violations, job_reports =
-    if checking then begin
-      let checked =
-        Sweep.map ?jobs:opts.jobs
-          (with_sinks (fun ~telemetry s ->
-               Scenario.run_checked ~opts:(Exec_opts.telemetry telemetry) s))
-          scenarios
-      in
-      ( List.map (fun c -> c.Scenario.result) checked,
-        List.concat_map (fun c -> c.Scenario.violations) checked,
-        List.filter_map (fun c -> c.Scenario.job_report) checked )
-    end
-    else if is_jobs scenario then begin
-      let runs =
-        Sweep.map ?jobs:opts.jobs
-          (with_sinks (fun ~telemetry s ->
-               Scenario.run_jobs ~opts:(Exec_opts.telemetry telemetry) s))
-          scenarios
-      in
-      (List.map fst runs, [], List.map snd runs)
-    end
-    else
-      ( Sweep.map ?jobs:opts.jobs
-          (with_sinks (fun ~telemetry s ->
-               Scenario.run ~opts:(Exec_opts.telemetry telemetry) s))
-          scenarios,
-        [],
-        [] )
-  in
-  (* The domain count is an execution detail: stdout must be identical
-     for any --jobs value. *)
-  Printf.printf "%s: %d seeds\n" scenario.Scenario.name
-    (List.length opts.seeds);
-  List.iter2 print_seed_line opts.seeds results;
-  print_mean ~label:"mean over seeds" results;
-  if job_reports <> [] then begin
-    List.iter2
-      (fun seed report ->
-        Printf.printf "  seed %3d  %s\n" seed (Job_metrics.summary report))
-      opts.seeds job_reports;
-    let n = float_of_int (List.length job_reports) in
-    let sum f =
-      List.fold_left (fun acc r -> acc + f r) 0 job_reports
-    in
-    Printf.printf
-      "jobs mean over seeds: JCT %.3f ms | deadline misses %d/%d\n"
-      (1e3
-      *. (List.fold_left
-            (fun acc (r : Job_metrics.report) -> acc +. r.Job_metrics.mean_jct)
-            0. job_reports
-         /. n))
-      (sum (fun (r : Job_metrics.report) ->
-           r.Job_metrics.deadline_jobs - r.Job_metrics.deadline_met))
-      (sum (fun (r : Job_metrics.report) -> r.Job_metrics.deadline_jobs));
-    Option.iter
-      (fun path ->
-        List.iter2
-          (fun seed report -> write_job_metrics (seed_path path ~seed) report)
-          opts.seeds job_reports)
-      opts.job_metrics_out
-  end;
-  if checking then Format.printf "%a" Report.pp_list violations;
-  Option.iter (fun path -> write_check_out path violations) opts.check_out;
-  if job_reports <> [] && opts.job_metrics_out <> None then
-    Printf.eprintf "per-seed job metrics written to %s\n%!"
-      (seed_pattern (Option.get opts.job_metrics_out));
-  if opts.trace_out <> None then
-    Printf.eprintf "per-seed traces written to %s\n%!"
-      (seed_pattern (Option.get opts.trace_out));
-  if opts.metrics_out <> None then
-    Printf.eprintf "per-seed metrics written to %s\n%!"
-      (seed_pattern (Option.get opts.metrics_out));
-  let aborted = List.exists (fun (r : Runner.result) -> r.Runner.aborted > 0) results in
-  if violations <> [] then exit_invariant_violation
   else if aborted then exit_fault_aborted
   else 0
 
@@ -674,9 +496,7 @@ let run scenario opts resilience full list_workloads =
             | _ -> scenario
           in
           run_single scenario opts
-      | _ ->
-          if supervised opts then run_sweep_supervised scenario opts
-          else run_sweep scenario opts
+      | _ -> run_sweep scenario opts
     end
   in
   (match profiler with
@@ -863,9 +683,10 @@ let opts_term =
     Arg.(value & opt (some string) None
          & info [ "trace-out" ]
              ~doc:"Write the structured event trace as JSONL to $(docv). With \
-                   a plain --seeds sweep: one file per seed \
-                   (trace.seedN.jsonl); with a supervised sweep: the sweep \
-                   lifecycle events on a wall-clock bus instead"
+                   --seeds: one simulation trace per seed \
+                   (trace.seedN.jsonl), and the sweep lifecycle events \
+                   (slot settled, retry, worker crash) on a wall-clock bus \
+                   in $(docv) itself"
              ~docv:"FILE")
   in
   let metrics_out =
@@ -988,7 +809,7 @@ let opts_term =
   let report_out =
     Arg.(value & opt (some string) None
          & info [ "report-out" ]
-             ~doc:"With --seeds supervision: write the sweep resilience \
+             ~doc:"With --seeds: write the sweep resilience \
                    report (ok/resumed/failed/timed-out counts, attempts, \
                    per-slot causes, wall time) as JSON to $(docv)"
              ~docv:"FILE")
@@ -1254,7 +1075,7 @@ let chaos_term =
     let budget =
       match (timeout, max_events) with
       | None, None -> None
-      | wall, events -> Some (Sweep.budget ?wall ?events ())
+      | wall, events -> Some (Exec_opts.budget ?wall ?events ())
     in
     let opts = Exec_opts.make ?jobs ?budget () in
     Ok

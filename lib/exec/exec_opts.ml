@@ -1,9 +1,9 @@
 module Sim = Pdq_engine.Sim
 
 (* ------------------------------------------------------------------ *)
-(* Budgets. This lived in [Sweep] originally; it sits here, below both
-   [Scenario] and [Sweep], so single runs and sweeps enforce the same
-   budget type without a dependency cycle. *)
+(* Budgets. They sit here, below both [Scenario] and [Sweep], so
+   single runs and sweeps enforce the same budget type without a
+   dependency cycle. *)
 
 type budget = {
   wall : float option;

@@ -13,8 +13,7 @@
 (** {1 Run budgets}
 
     The budget type lives here — below both [Scenario] and [Sweep] —
-    so single runs and sweep attempts enforce exactly the same bounds;
-    {!Sweep} re-exports it under its historical name. *)
+    so single runs and sweep attempts enforce exactly the same bounds. *)
 
 type budget = {
   wall : float option;   (** Wall-clock seconds per attempt. *)

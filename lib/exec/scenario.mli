@@ -10,8 +10,8 @@
     results bit-for-bit identical to evaluating them sequentially.
 
     This is the preferred front door for experiments;
-    {!Pdq_transport.Runner.run} remains for callers that hand-build a
-    topology. *)
+    {!Pdq_transport.Runner.execute} remains for callers that hand-build
+    a topology. *)
 
 (** {1 Topology specifications} *)
 
@@ -224,7 +224,7 @@ val build :
     options (no telemetry attached). For a {!Jobs} workload the specs
     are only the initially runnable stages and the options carry the
     {!Pdq_apps.Job_tracker} driver that injects the rest. Exposed for
-    tests and inspection; {!run} is [Runner.run] applied to this. *)
+    tests and inspection; {!run} is [Runner.execute] applied to this. *)
 
 val build_ext :
   t ->

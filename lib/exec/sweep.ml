@@ -25,97 +25,6 @@ let default_jobs () =
   | None -> Domain.recommended_domain_count ()
 
 (* ------------------------------------------------------------------ *)
-(* Budgets: the machinery lives in [Exec_opts] (shared with single
-   runs); re-exported here under the historical names. *)
-
-type budget = Exec_opts.budget = {
-  wall : float option;
-  events : int option;
-  live : int option;
-  check_every : int;
-}
-
-let no_budget = Exec_opts.no_budget
-let budget = Exec_opts.budget
-let budget_is_empty = Exec_opts.budget_is_empty
-let with_budget_from = Exec_opts.with_budget_from
-let with_budget = Exec_opts.with_budget
-
-(* ------------------------------------------------------------------ *)
-(* Plain map (kept simple: first-error semantics replaced by an
-   aggregate Sweep_errors; the supervised executor below adds budgets,
-   retries and checkpointing on top of the same claiming loop). *)
-
-let map ?jobs ?(budget = no_budget) f xs =
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  let f x =
-    if budget_is_empty budget then f x
-    else with_budget_from budget ~start:(Unix.gettimeofday ()) (fun () -> f x)
-  in
-  let n = List.length xs in
-  let raise_errors errors =
-    match List.filter_map Fun.id errors with
-    | [] -> ()
-    | errs -> raise (Sweep_errors errs)
-  in
-  if jobs <= 1 || n <= 1 then begin
-    (* Sequential path with the same aggregate error contract as the
-       parallel one: every failing index is reported, not just the
-       first. *)
-    let results = Array.make n None in
-    let errors =
-      List.mapi
-        (fun i x ->
-          match f x with
-          | r ->
-              results.(i) <- Some r;
-              None
-          | exception e -> Some (i, e))
-        xs
-    in
-    raise_errors errors;
-    Array.to_list results |> List.map Option.get
-  end
-  else begin
-    let inputs = Array.of_list xs in
-    let results = Array.make n None in
-    let errors = Array.make n None in
-    let next = Atomic.make 0 in
-    let rec worker () =
-      let i = Atomic.fetch_and_add next 1 in
-      if i < n then begin
-        (match f inputs.(i) with
-        | r -> results.(i) <- Some r
-        | exception e -> errors.(i) <- Some (i, e));
-        worker ()
-      end
-    in
-    let spawned = List.init (min jobs n - 1) (fun _ -> Domain.spawn worker) in
-    worker ();
-    List.iter Domain.join spawned;
-    raise_errors (Array.to_list errors);
-    Array.to_list results
-    |> List.map (function
-         | Some r -> r
-         | None -> assert false (* no error ⇒ every slot was filled *))
-  end
-
-(* The sweep entry points take the unified [Exec_opts.t]; note that a
-   sweep honours [jobs] and [budget] but ignores [telemetry] — sinks
-   are per-run mutable state (see the .mli caveat). *)
-let run ?(opts = Exec_opts.default) scenarios =
-  map ?jobs:opts.Exec_opts.jobs ~budget:opts.Exec_opts.budget
-    (fun s -> Scenario.run s)
-    scenarios
-
-let average ?jobs ?budget ~seeds f =
-  match seeds with
-  | [] -> invalid_arg "Sweep.average: no seeds"
-  | _ ->
-      let vs = map ?jobs ?budget f seeds in
-      List.fold_left ( +. ) 0. vs /. float_of_int (List.length vs)
-
-(* ------------------------------------------------------------------ *)
 (* Retry policy *)
 
 type retry = {
@@ -466,7 +375,10 @@ let supervise ?(opts = Exec_opts.default) ?(retry = no_retry)
     let rec go attempt =
       Atomic.incr attempts_run;
       let att_start = Unix.gettimeofday () in
-      match with_budget_from budget ~start:att_start (fun () -> f inputs.(i)) with
+      match
+        Exec_opts.with_budget_from budget ~start:att_start (fun () ->
+            f inputs.(i))
+      with
       | r ->
           settle i (Task.Ok r);
           write_checkpoint i r;
@@ -522,10 +434,10 @@ let supervise ?(opts = Exec_opts.default) ?(retry = no_retry)
     in
     go 1
   in
-  (* Work-stealing claim loop, as in [map]; [claimed] publishes the
-     in-flight index of each worker so the supervisor can settle the
-     slot of a crashed domain. *)
-  let claimed = Array.init jobs (fun _ -> Atomic.make (-1)) in
+  (* Work-stealing claim loop; [claimed] publishes the in-flight index
+     of each worker so a crashed worker's slot can be settled. *)
+  let workers = max 1 (min jobs n) in
+  let claimed = Array.init workers (fun _ -> Atomic.make (-1)) in
   let worker w () =
     let rec loop () =
       if not (Atomic.get stop) then begin
@@ -540,49 +452,47 @@ let supervise ?(opts = Exec_opts.default) ?(retry = no_retry)
     in
     loop ()
   in
-  (if jobs <= 1 || n <= 1 then worker 0 ()
-   else begin
-     let workers = min jobs n in
-     let pool =
-       ref (List.init workers (fun w -> (w, Domain.spawn (worker w))))
-     in
-     (* Supervision loop: join every worker; a domain that died outside
-        the per-attempt catch (I/O error in a sink, resource
-        exhaustion in the runtime) has its claimed slot settled as
-        Failed, and a fresh domain replaces it while work remains. *)
-     while !pool <> [] do
-       let (w, d), rest =
-         match !pool with x :: tl -> (x, tl) | [] -> assert false
-       in
-       pool := rest;
-       match Domain.join d with
-       | () -> ()
-       | exception e ->
-           let i =
-             match Atomic.get claimed.(w) with -1 -> None | i -> Some i
-           in
-           emit
-             (Worker_crashed { worker = w; index = i; exn = Printexc.to_string e });
-           (match i with
-           | Some i when Option.is_none slots.(i) ->
-               let failure =
-                 {
-                   Task.exn = Printexc.to_string e;
-                   backtrace = "";
-                   attempts = 1;
-                   elapsed = 0.;
-                 }
-               in
-               settle i (Task.Failed failure);
-               emit (Slot_failed { index = i; key = keys.(i); failure })
-           | _ -> ());
-           Atomic.set claimed.(w) (-1);
-           if Atomic.get next < n && not (Atomic.get stop) then begin
-             emit (Worker_respawned { worker = w });
-             pool := (w, Domain.spawn (worker w)) :: !pool
-           end
-     done
-   end);
+  (* A worker that died outside the per-attempt catch (an I/O error in
+     a sink or checkpoint, an [on_event] that raised) has its claimed
+     slot settled as Failed. Returns whether unclaimed work remains, in
+     which case the caller restarts the worker. *)
+  let crashed w e =
+    let i = match Atomic.get claimed.(w) with -1 -> None | i -> Some i in
+    emit (Worker_crashed { worker = w; index = i; exn = Printexc.to_string e });
+    (match i with
+    | Some i when Option.is_none slots.(i) ->
+        let failure =
+          { Task.exn = Printexc.to_string e; backtrace = ""; attempts = 1;
+            elapsed = 0. }
+        in
+        settle i (Task.Failed failure);
+        emit (Slot_failed { index = i; key = keys.(i); failure })
+    | _ -> ());
+    Atomic.set claimed.(w) (-1);
+    let restart = Atomic.get next < n && not (Atomic.get stop) in
+    if restart then emit (Worker_respawned { worker = w });
+    restart
+  in
+  (* The calling domain is worker 0; only the other [workers - 1] are
+     spawned, so a one-worker sweep spawns nothing. *)
+  let spawn w = (w, Domain.spawn (worker w)) in
+  let pool = ref (List.init (workers - 1) (fun k -> spawn (k + 1))) in
+  let rec run_caller () =
+    match worker 0 () with
+    | () -> ()
+    | exception e -> if crashed 0 e then run_caller ()
+  in
+  run_caller ();
+  while !pool <> [] do
+    let (w, d), rest =
+      match !pool with x :: tl -> (x, tl) | [] -> assert false
+    in
+    pool := rest;
+    match Domain.join d with
+    | () -> ()
+    | exception e ->
+        if crashed w e then pool := spawn w :: !pool
+  done;
   Option.iter close_out ckpt_chan;
   let tasks =
     Array.to_list
@@ -601,3 +511,48 @@ let run_supervised ?opts ?retry ?keep_going ?checkpoint ?resume ?on_event
     ~codec:Scenario.result_codec ?on_event ~key:Scenario.digest
     (fun s -> Scenario.run s)
     scenarios
+
+(* ------------------------------------------------------------------ *)
+(* All-or-nothing execution: [supervise] with every exception caught
+   inside the attempt, so the original exception values (e.g.
+   [Sim.Cancelled] for a tripped budget) survive into [Sweep_errors]. *)
+
+let map ?jobs ?budget f xs =
+  let sup =
+    supervise
+      ~opts:(Exec_opts.make ?jobs ?budget ())
+      ~key:(fun _ -> "")
+      (fun x -> match f x with r -> Ok r | exception e -> Error e)
+      xs
+  in
+  (* A non-Ok slot means a worker died outside the attempt. *)
+  let outcomes =
+    List.map
+      (function
+        | Task.Ok r -> r
+        | t -> Error (Failure (Option.value (Task.cause t) ~default:"")))
+      sup.tasks
+  in
+  match
+    List.concat
+      (List.mapi
+         (fun i -> function Ok _ -> [] | Error e -> [ (i, e) ])
+         outcomes)
+  with
+  | [] -> List.map Result.get_ok outcomes
+  | errs -> raise (Sweep_errors errs)
+
+(* The sweep entry points take the unified [Exec_opts.t]; note that a
+   sweep honours [jobs] and [budget] but ignores [telemetry] — sinks
+   are per-run mutable state (see the .mli caveat). *)
+let run ?(opts = Exec_opts.default) scenarios =
+  map ?jobs:opts.Exec_opts.jobs ~budget:opts.Exec_opts.budget
+    (fun s -> Scenario.run s)
+    scenarios
+
+let average ?jobs ?budget ~seeds f =
+  match seeds with
+  | [] -> invalid_arg "Sweep.average: no seeds"
+  | _ ->
+      let vs = map ?jobs ?budget f seeds in
+      List.fold_left ( +. ) 0. vs /. float_of_int (List.length vs)

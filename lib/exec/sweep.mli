@@ -8,25 +8,22 @@
     domain-sharded profiler), they are bit-for-bit identical to
     sequential evaluation.
 
-    Two execution regimes share that claiming loop:
-
-    - {!map} / {!run} / {!average} — all-or-nothing: any failure
-      aborts the sweep with {!Sweep_errors} after all workers drain.
-    - {!supervise} / {!run_supervised} — fault-tolerant: every slot
-      settles as a {!Task.t} (keep-going), per-attempt budgets cancel
-      runaway simulations cooperatively, transient failures retry with
-      jittered exponential backoff, completed slots stream to a JSONL
-      checkpoint, and an interrupted sweep resumes re-running only the
-      missing slots.
+    There is one executor, {!supervise}: every slot settles as a
+    {!Task.t} (keep-going), per-attempt budgets cancel runaway
+    simulations cooperatively, transient failures retry with jittered
+    exponential backoff, completed slots stream to a JSONL checkpoint,
+    and an interrupted sweep resumes re-running only the missing
+    slots. {!map}, {!run} and {!average} are its all-or-nothing view:
+    any failure raises {!Sweep_errors} after all workers drain.
 
     Telemetry caveat: sweeps run scenarios without trace sinks or
     metrics registries — sinks are per-run mutable state and channels
     would interleave across domains. Attach telemetry to a single
-    {!Scenario.run} instead; the supervisor has its own wall-clock
-    event stream ({!event}, bridged to a trace bus by {!emit_trace}).
-    The global profiler may stay enabled during a sweep (shards merge
-    in its report); call {!Pdq_engine.Profiler.reset} only between
-    sweeps. *)
+    {!Scenario.run} instead (or open per-run sinks inside [f], as the
+    CLI does); the supervisor has its own wall-clock event stream
+    ({!event}, bridged to a trace bus by {!emit_trace}). The global
+    profiler may stay enabled during a sweep (shards merge in its
+    report); call {!Pdq_engine.Profiler.reset} only between sweeps. *)
 
 exception Sweep_errors of (int * exn) list
 (** Raised by {!map} (and {!run} / {!average}) after all workers have
@@ -37,34 +34,6 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], unless the [PDQ_JOBS]
     environment variable names a positive integer — the process-wide
     parallelism pin for CI and bench (clamped to [>= 1]). *)
-
-(** {1 Run budgets}
-
-    The budget machinery lives in {!Exec_opts} (it is shared with
-    single {!Scenario.run}s); these are re-exports under the
-    historical names, so existing [Sweep.budget ...] callers keep
-    working. *)
-
-type budget = Exec_opts.budget = {
-  wall : float option;   (** Wall-clock seconds per attempt. *)
-  events : int option;   (** Simulator events executed per attempt. *)
-  live : int option;     (** Ceiling on live queued events (heap
-                             blow-up guard). *)
-  check_every : int;     (** Cooperative check period, in events. *)
-}
-(** See {!Exec_opts.budget}. *)
-
-val no_budget : budget
-
-val budget :
-  ?wall:float -> ?events:int -> ?live:int -> ?check_every:int -> unit -> budget
-(** [check_every] defaults to 1024. *)
-
-val with_budget : budget -> (unit -> 'a) -> 'a
-(** {!Exec_opts.with_budget}: installs the budget as the calling
-    domain's default cancellation hook for the duration of the thunk.
-    Used by the CLI to give single runs the same [--timeout] semantics
-    as supervised sweeps. *)
 
 (** {1 Retry policy} *)
 
@@ -94,33 +63,6 @@ val retry :
     [\[0.5, 1.5)] drawn from an RNG seeded by (slot, attempt) — the
     schedule is deterministic and independent of the worker count. *)
 
-(** {1 All-or-nothing execution} *)
-
-val map : ?jobs:int -> ?budget:budget -> ('a -> 'b) -> 'a list -> 'b list
-(** [map ~jobs f xs] evaluates [f] over [xs] on [min jobs (length xs)]
-    domains and returns the results in input order. [jobs] defaults to
-    {!default_jobs}; [jobs <= 1] degrades to a sequential loop (no
-    domain is spawned). If any [f x] raises, {!Sweep_errors} with
-    every failing index is raised after all workers have drained — one
-    bad slot no longer hides the others' diagnoses, but partial
-    results are still discarded (use {!supervise} to keep them). An
-    optional [budget] bounds each evaluation; a tripped budget raises
-    [Sim.Cancelled] for that index, reported through {!Sweep_errors}
-    like any other failure. *)
-
-val run :
-  ?opts:Exec_opts.t -> Scenario.t list -> Pdq_transport.Runner.result list
-(** [map Scenario.run] with {!Exec_opts} carrying the worker count and
-    per-run budget. The [telemetry] field is ignored — sweeps are
-    telemetry-free (see the caveat above). *)
-
-val average :
-  ?jobs:int -> ?budget:budget -> seeds:int list -> (int -> float) -> float
-(** [average ~seeds f] is the arithmetic mean of [f seed] over
-    [seeds], evaluated in parallel. The summation order is the input
-    order, so the result is bit-for-bit independent of [jobs]. The
-    single seed-averaging loop behind every figure driver. *)
-
 (** {1 Supervisor telemetry} *)
 
 type event =
@@ -141,10 +83,12 @@ type event =
       exn : string;
     }
   | Worker_crashed of { worker : int; index : int option; exn : string }
-      (** A worker domain died outside the per-attempt catch; [index]
-          is the slot it had claimed (settled as [Failed]). *)
+      (** A worker died outside the per-attempt catch; [index] is the
+          slot it had claimed (settled as [Failed]). Worker 0 is the
+          calling domain. *)
   | Worker_respawned of { worker : int }
-      (** A replacement domain joined the pool. *)
+      (** The crashed worker restarted (a fresh domain, or the calling
+          domain re-entering its loop). *)
 
 val emit_trace : Pdq_telemetry.Trace.t -> event -> unit
 (** Forward a supervisor event to a trace bus as a
@@ -207,7 +151,7 @@ val supervise :
   ('a -> 'b) ->
   'a list ->
   'b supervised
-(** Fault-tolerant {!map}: one {!Task.t} per input, in input order.
+(** The sweep executor: one {!Task.t} per input, in input order.
 
     [opts] carries the worker count and per-attempt budget
     ({!Exec_opts}; the [telemetry] field is ignored, as everywhere in
@@ -221,10 +165,10 @@ val supervise :
       slot settles as [Timed_out] with the tripped budget's name.
     - [retry] re-runs failing attempts classified [transient], with
       deterministic jittered exponential backoff.
-    - A worker domain that dies outside the attempt wrapper is
-      detected at join: its claimed slot is settled as [Failed] and a
-      fresh domain replaces it while unclaimed work remains — one
-      poisoned slot cannot idle a pool slot forever.
+    - A worker that dies outside the attempt wrapper (the calling
+      domain, which is worker 0, included) has its claimed slot
+      settled as [Failed] and is restarted while unclaimed work
+      remains — one poisoned slot cannot idle a pool slot forever.
     - [checkpoint] streams every [Ok] slot to a JSONL file (append,
       flushed per line) keyed by [key input]; [resume] pre-settles
       slots whose key has a decodable value in an existing checkpoint
@@ -248,3 +192,35 @@ val run_supervised :
   Pdq_transport.Runner.result supervised
 (** {!supervise} over {!Scenario.run} with {!Scenario.digest} keys and
     {!Scenario.result_codec} checkpointing. *)
+
+(** {1 All-or-nothing execution} *)
+
+val map :
+  ?jobs:int -> ?budget:Exec_opts.budget -> ('a -> 'b) -> 'a list -> 'b list
+(** [map ~jobs f xs] evaluates [f] over [xs] with {!supervise} on
+    [min jobs (length xs)] workers and returns the results in input
+    order. [jobs] defaults to {!default_jobs}; [jobs <= 1] runs every
+    slot on the calling domain (no domain is spawned). If any [f x]
+    raises, {!Sweep_errors} with every failing index and its original
+    exception is raised after all workers have drained; partial
+    results are discarded (use {!supervise} to keep them). An optional
+    [budget] bounds each evaluation; a tripped budget raises
+    [Sim.Cancelled] for that index, reported through {!Sweep_errors}
+    like any other failure. *)
+
+val run :
+  ?opts:Exec_opts.t -> Scenario.t list -> Pdq_transport.Runner.result list
+(** [map Scenario.run] with {!Exec_opts} carrying the worker count and
+    per-run budget. The [telemetry] field is ignored — sweeps are
+    telemetry-free (see the caveat above). *)
+
+val average :
+  ?jobs:int ->
+  ?budget:Exec_opts.budget ->
+  seeds:int list ->
+  (int -> float) ->
+  float
+(** [average ~seeds f] is the arithmetic mean of [f seed] over
+    [seeds], evaluated in parallel. The summation order is the input
+    order, so the result is bit-for-bit independent of [jobs]. The
+    single seed-averaging loop behind every figure driver. *)

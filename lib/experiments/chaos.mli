@@ -10,21 +10,21 @@
 
 val reorder_sweep :
   ?jobs:int ->
-  ?budget:Pdq_exec.Sweep.budget ->
+  ?budget:Pdq_exec.Exec_opts.budget ->
   ?quick:bool ->
   unit ->
   Common.table
 
 val corruption_sweep :
   ?jobs:int ->
-  ?budget:Pdq_exec.Sweep.budget ->
+  ?budget:Pdq_exec.Exec_opts.budget ->
   ?quick:bool ->
   unit ->
   Common.table
 
 val run_all :
   ?jobs:int ->
-  ?budget:Pdq_exec.Sweep.budget ->
+  ?budget:Pdq_exec.Exec_opts.budget ->
   ?quick:bool ->
   Format.formatter ->
   unit ->

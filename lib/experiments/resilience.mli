@@ -14,28 +14,28 @@
 
 val loss_burst_sweep :
   ?jobs:int ->
-  ?budget:Pdq_exec.Sweep.budget ->
+  ?budget:Pdq_exec.Exec_opts.budget ->
   ?quick:bool ->
   unit ->
   Common.table * (string * (string * int) list) list
 
 val link_failure_sweep :
   ?jobs:int ->
-  ?budget:Pdq_exec.Sweep.budget ->
+  ?budget:Pdq_exec.Exec_opts.budget ->
   ?quick:bool ->
   unit ->
   Common.table * (string * (string * int) list) list
 
 val switch_reboot_sweep :
   ?jobs:int ->
-  ?budget:Pdq_exec.Sweep.budget ->
+  ?budget:Pdq_exec.Exec_opts.budget ->
   ?quick:bool ->
   unit ->
   Common.table * (string * (string * int) list) list
 
 val run_all :
   ?jobs:int ->
-  ?budget:Pdq_exec.Sweep.budget ->
+  ?budget:Pdq_exec.Exec_opts.budget ->
   ?quick:bool ->
   Format.formatter ->
   unit ->

@@ -3,7 +3,6 @@ type payload = ..
 type payload += No_payload
 
 type t = {
-  uid : int;
   flow : int;
   src : int;
   dst : int;
@@ -19,13 +18,9 @@ let mtu = 1500
 let header_bytes = 40
 let max_payload ~scheduling_header = mtu - header_bytes - scheduling_header
 
-let uid_counter = ref 0
-
 let make ~flow ~src ~dst ~kind ?(payload_bytes = 0) ?(seq = 0) ?(extra_header = 0)
     ~payload ~now () =
-  incr uid_counter;
   {
-    uid = !uid_counter;
     flow;
     src;
     dst;

@@ -20,7 +20,6 @@ type payload = ..
 type payload += No_payload
 
 type t = {
-  uid : int;          (** Unique packet id (diagnostics). *)
   flow : int;         (** Flow (or subflow) id. *)
   src : int;          (** Source host node id. *)
   dst : int;          (** Destination host node id. *)

@@ -370,4 +370,3 @@ let execute ?(options = default_options) ~topo protocol specs =
     ctx;
   }
 
-let run = execute

@@ -159,15 +159,3 @@ val execute :
     domains. Call [execute] directly only when you need to hand-build
     the topology or attach per-run telemetry state before the
     simulation starts (see [Scenario.build]). *)
-
-val run :
-  ?options:options ->
-  topo:Pdq_net.Topology.t ->
-  protocol ->
-  Context.flow_spec list ->
-  result
-  [@@ocaml.deprecated
-    "Use Pdq_exec.Scenario.run (or Runner.execute when hand-building a \
-     topology)."]
-(** @deprecated Alias of {!execute}, kept for source compatibility.
-    New code should go through {!Pdq_exec.Scenario.run}. *)

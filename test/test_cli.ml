@@ -1,6 +1,6 @@
 (* In-process tests of the pdq_sim command line: one case per exit
    status of the documented discipline (0 ok, 3 fault-aborted, 4
-   invariant violation, 5 timed-out, 6 supervised-sweep failure,
+   invariant violation, 5 timed-out, 6 sweep failure,
    124 usage error). *)
 
 let eval args = Pdq_cli.eval ~argv:(Array.of_list ("pdq_sim" :: args)) ()
@@ -159,6 +159,33 @@ let test_report_out_written () =
   Alcotest.(check bool) "JSON report written" true
     (String.length first > 0 && first.[0] = '{')
 
+(* A sweep with --trace-out writes a simulation trace per seed next to
+   the file named, and the sweep lifecycle into that file itself. *)
+let test_sweep_trace_out () =
+  let dir = Filename.temp_dir "pdq_cli_trace" "" in
+  let file name = Filename.concat dir name in
+  let non_empty name =
+    Sys.file_exists (file name)
+    && In_channel.with_open_bin (file name) In_channel.input_all <> ""
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (file f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  Alcotest.(check int) "traced sweep exits 0" (code Exit_code.Ok)
+    (eval [ "--flows"; "4"; "--seeds"; "1,2"; "--keep-going";
+            "--trace-out"; file "t.jsonl" ]);
+  Alcotest.(check bool) "seed 1 trace" true (non_empty "t.seed1.jsonl");
+  Alcotest.(check bool) "seed 2 trace" true (non_empty "t.seed2.jsonl");
+  let lifecycle =
+    In_channel.with_open_bin (file "t.jsonl") In_channel.input_lines
+  in
+  (* Lifecycle lines are {"t":...,"ev":"sweep_task",...}: one per seed. *)
+  Alcotest.(check (list string)) "one lifecycle event per seed"
+    [ "\"ev\":\"sweep_task\""; "\"ev\":\"sweep_task\"" ]
+    (List.map (fun l -> List.nth (String.split_on_char ',' l) 1) lifecycle)
+
 let suites =
   [
     ( "cli.exit_codes",
@@ -181,5 +208,6 @@ let suites =
         Alcotest.test_case "checkpoint then resume" `Quick
           test_checkpoint_resume_flow;
         Alcotest.test_case "report-out" `Quick test_report_out_written;
+        Alcotest.test_case "sweep trace-out" `Quick test_sweep_trace_out;
       ] );
   ]

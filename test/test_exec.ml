@@ -141,6 +141,29 @@ let test_map_aggregates_all_errors () =
   Alcotest.(check (list (pair int string))) "jobs:1" expected (observe 1);
   Alcotest.(check (list (pair int string))) "jobs:3" expected (observe 3)
 
+let test_map_budget_cancels () =
+  (* A tripped budget reaches the caller as the original Sim.Cancelled
+     value for every slot, on the calling domain and on spawned ones. *)
+  let s = synthetic_scenario (Runner.Pdq Config.full) in
+  let observe jobs =
+    match
+      Sweep.map ~jobs ~budget:(Exec_opts.budget ~events:200 ()) Scenario.run
+        [ s; Scenario.with_seed s 2 ]
+    with
+    | _ -> Alcotest.fail "expected Sweep_errors"
+    | exception Sweep.Sweep_errors errs ->
+        List.map
+          (fun (i, e) ->
+            ( i,
+              match e with
+              | Sim.Cancelled _ -> "cancelled"
+              | e -> Printexc.to_string e ))
+          errs
+  in
+  let expected = [ (0, "cancelled"); (1, "cancelled") ] in
+  Alcotest.(check (list (pair int string))) "jobs:1" expected (observe 1);
+  Alcotest.(check (list (pair int string))) "jobs:2" expected (observe 2)
+
 let test_default_jobs_env () =
   let restore = Sys.getenv_opt "PDQ_JOBS" in
   Fun.protect
@@ -233,7 +256,8 @@ let test_supervise_event_budget () =
   let s = synthetic_scenario (Runner.Pdq Config.full) in
   let sup =
     Sweep.supervise
-      ~opts:(Exec_opts.make ~jobs:2 ~budget:(Sweep.budget ~events:200 ()) ())
+      ~opts:
+        (Exec_opts.make ~jobs:2 ~budget:(Exec_opts.budget ~events:200 ()) ())
       ~key:Scenario.digest Scenario.run
       [ s; Scenario.with_seed s 2 ]
   in
@@ -259,7 +283,7 @@ let test_supervise_wall_budget () =
     Sweep.supervise
       ~opts:
         (Exec_opts.make ~jobs:1
-           ~budget:(Sweep.budget ~wall:0.05 ~check_every:256 ())
+           ~budget:(Exec_opts.budget ~wall:0.05 ~check_every:256 ())
            ())
       ~key:(fun () -> "runaway")
       runaway [ () ]
@@ -288,6 +312,38 @@ let test_supervise_retry () =
   | _ -> Alcotest.fail "expected one slot");
   Alcotest.(check int) "two attempts executed" 2
     sup.Sweep.report.Sweep.attempts
+
+let test_supervise_caller_crash () =
+  (* The first event emitted on the calling domain (worker 0) raises,
+     killing the caller's claim loop outside any attempt: the crash is
+     settled like a spawned worker's, every slot still settles, and the
+     exception does not escape. *)
+  let caller = Domain.self () in
+  let raised = Atomic.make false and caller_crashed = Atomic.make false in
+  let on_event = function
+    | Sweep.Worker_crashed { worker = 0; _ } -> Atomic.set caller_crashed true
+    | _ ->
+        if Domain.self () = caller && not (Atomic.exchange raised true) then
+          failwith "observer"
+  in
+  (* A spawned worker's slot waits for the caller's crash, so the
+     spawned worker cannot drain the sweep before the caller claims. *)
+  let f x =
+    while Domain.self () <> caller && not (Atomic.get raised) do
+      Domain.cpu_relax ()
+    done;
+    x * 10
+  in
+  let sup =
+    Sweep.supervise ~opts:(Exec_opts.jobs 2) ~on_event ~key:string_of_int f
+      (List.init 8 Fun.id)
+  in
+  Alcotest.(check bool) "observer raised once" true (Atomic.get raised);
+  Alcotest.(check bool) "worker 0 crash reported" true
+    (Atomic.get caller_crashed);
+  Alcotest.(check (list int)) "every slot settled Ok"
+    (List.init 8 (fun x -> x * 10))
+    (List.map Task.get_ok sup.Sweep.tasks)
 
 let supervised_ok_results sup =
   List.map
@@ -393,7 +449,7 @@ let test_acceptance_100_slots () =
     Sweep.supervise
       ~opts:
         (Exec_opts.make ~jobs:4
-           ~budget:(Sweep.budget ~wall:0.05 ~check_every:256 ())
+           ~budget:(Exec_opts.budget ~wall:0.05 ~check_every:256 ())
            ())
       ~keep_going:true ~checkpoint:path ~codec:int_codec
       ~key:string_of_int buggy inputs
@@ -462,7 +518,9 @@ let test_parsers () =
 let test_exec_opts_budget () =
   let s = synthetic_scenario (Runner.Pdq Config.full) in
   (match
-     Scenario.run ~opts:(Exec_opts.make ~budget:(Sweep.budget ~events:200 ()) ()) s
+     Scenario.run
+       ~opts:(Exec_opts.make ~budget:(Exec_opts.budget ~events:200 ()) ())
+       s
    with
   | _ -> Alcotest.fail "200-event budget should have tripped"
   | exception Sim.Cancelled { reason; _ } ->
@@ -498,6 +556,8 @@ let suites =
           test_map_preserves_order;
         Alcotest.test_case "map aggregates all errors" `Quick
           test_map_aggregates_all_errors;
+        Alcotest.test_case "map budget raises Cancelled" `Quick
+          test_map_budget_cancels;
         Alcotest.test_case "PDQ_JOBS env" `Quick test_default_jobs_env;
         Alcotest.test_case "average = manual mean" `Quick
           test_average_matches_manual;
@@ -524,5 +584,7 @@ let suites =
           test_supervised_matches_plain_run;
         Alcotest.test_case "100 slots, one crash, one hang" `Quick
           test_acceptance_100_slots;
+        Alcotest.test_case "caller worker crash settles" `Quick
+          test_supervise_caller_crash;
       ] );
   ]
