@@ -232,32 +232,6 @@ let engine_run_once ~target_events =
 
 let engine_json_path = "BENCH_engine.json"
 
-(* Minimal flat-JSON number extraction — the bench artifacts are one
-   object per file written by this binary, so a substring scan beats
-   pulling in a JSON dependency. *)
-let json_number s field =
-  let key = Printf.sprintf "\"%s\":" field in
-  let klen = String.length key and n = String.length s in
-  let rec find i =
-    if i + klen > n then None
-    else if String.sub s i klen = key then begin
-      let j = ref (i + klen) in
-      while !j < n && s.[!j] = ' ' do incr j done;
-      let st = !j in
-      while
-        !j < n
-        && match s.[!j] with
-           | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-           | _ -> false
-      do
-        incr j
-      done;
-      float_of_string_opt (String.sub s st (!j - st))
-    end
-    else find (i + 1)
-  in
-  find 0
-
 let read_file path =
   let ic = open_in_bin path in
   let s = really_input_string ic (in_channel_length ic) in
@@ -270,10 +244,11 @@ let engine_bench ?compare ~threshold () =
   let baseline =
     Option.map
       (fun path ->
-        match json_number (read_file path) "events_per_s" with
-        | Some v -> v
-        | None ->
-            Format.printf "compare: no events_per_s in %s@." path;
+        let module Json = Pdq_telemetry.Json in
+        match Json.(float (obj (parse (read_file path))) "events_per_s") with
+        | v -> v
+        | exception Json.Parse_error msg ->
+            Format.printf "compare: %s: %s@." path msg;
             exit 1)
       compare
   in

@@ -1,3 +1,5 @@
+module Json = Pdq_telemetry.Json
+
 type stage_outcome = {
   label : string;
   flows : int;
@@ -86,8 +88,10 @@ let summary r =
     r.deadline_jobs
 
 (* Hand-rolled JSON, matching the repo's no-dependency convention
-   (Metrics, Sweep reports): fixed field order, %.9g floats so values
-   round-trip, explicit nulls for absent options. *)
+   (Metrics, Sweep reports): fixed field order, explicit nulls for
+   absent options, names escaped by [Json.escape]. Floats are %.9g —
+   nine significant digits, enough for reading, not an exact round-trip
+   of the double. *)
 let buf_opt_float b = function
   | Some v -> Printf.bprintf b "%.9g" v
   | None -> Buffer.add_string b "null"
@@ -95,17 +99,6 @@ let buf_opt_float b = function
 let buf_opt_int b = function
   | Some v -> Printf.bprintf b "%d" v
   | None -> Buffer.add_string b "null"
-
-let json_escape s =
-  let b = Buffer.create (String.length s) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let to_json r =
   let b = Buffer.create 1024 in
@@ -115,7 +108,7 @@ let to_json r =
       if i > 0 then Buffer.add_string b ", ";
       Printf.bprintf b
         "{\"name\": \"%s\", \"arrival\": %.9g, \"deadline\": "
-        (json_escape j.name) j.arrival;
+        (Json.escape j.name) j.arrival;
       buf_opt_float b j.deadline;
       Buffer.add_string b ", \"jct\": ";
       buf_opt_float b j.jct;
@@ -128,7 +121,7 @@ let to_json r =
           if k > 0 then Buffer.add_string b ", ";
           Printf.bprintf b
             "{\"label\": \"%s\", \"flows\": %d, \"injected_at\": "
-            (json_escape s.label) s.flows;
+            (Json.escape s.label) s.flows;
           buf_opt_float b s.injected_at;
           Buffer.add_string b ", \"finished_at\": ";
           buf_opt_float b s.finished_at;

@@ -1,5 +1,5 @@
 module Rng = Pdq_engine.Rng
-module Plan_json = Pdq_faults.Plan_json
+module Json = Pdq_telemetry.Json
 
 type event =
   | Reorder of { a : int; b : int; p : float; hold : float }
@@ -68,31 +68,31 @@ let pp_event ppf = function
 let event_fields = function
   | Reorder { a; b; p; hold } ->
       Printf.sprintf "\"ev\":\"reorder\",\"a\":%d,\"b\":%d,\"p\":%s,\"hold\":%s"
-        a b (Plan_json.j_float p) (Plan_json.j_float hold)
+        a b (Json.j_float p) (Json.j_float hold)
   | Duplicate { a; b; p } ->
       Printf.sprintf "\"ev\":\"duplicate\",\"a\":%d,\"b\":%d,\"p\":%s" a b
-        (Plan_json.j_float p)
+        (Json.j_float p)
   | Corrupt { a; b; p } ->
       Printf.sprintf "\"ev\":\"corrupt\",\"a\":%d,\"b\":%d,\"p\":%s" a b
-        (Plan_json.j_float p)
+        (Json.j_float p)
   | Jitter { a; b; max_delay } ->
       Printf.sprintf "\"ev\":\"jitter\",\"a\":%d,\"b\":%d,\"max_delay\":%s" a b
-        (Plan_json.j_float max_delay)
+        (Json.j_float max_delay)
   | Clear { a; b } -> Printf.sprintf "\"ev\":\"clear\",\"a\":%d,\"b\":%d" a b
   | Clock_skew { switch; skew } ->
       Printf.sprintf "\"ev\":\"clock-skew\",\"switch\":%d,\"skew\":%s" switch
-        (Plan_json.j_float skew)
+        (Json.j_float skew)
 
 let to_json t =
   let item { time; event } =
-    Printf.sprintf "{\"t\":%s,%s}" (Plan_json.j_float time) (event_fields event)
+    Printf.sprintf "{\"t\":%s,%s}" (Json.j_float time) (event_fields event)
   in
   "[" ^ String.concat "," (List.map item t.events) ^ "]"
 
 let event_of_fields fields =
-  let int k = Plan_json.int fields k in
-  let flt k = Plan_json.float fields k in
-  match Plan_json.str fields "ev" with
+  let int k = Json.int fields k in
+  let flt k = Json.float fields k in
+  match Json.str fields "ev" with
   | "reorder" ->
       Reorder { a = int "a"; b = int "b"; p = flt "p"; hold = flt "hold" }
   | "duplicate" -> Duplicate { a = int "a"; b = int "b"; p = flt "p" }
@@ -101,21 +101,25 @@ let event_of_fields fields =
       Jitter { a = int "a"; b = int "b"; max_delay = flt "max_delay" }
   | "clear" -> Clear { a = int "a"; b = int "b" }
   | "clock-skew" -> Clock_skew { switch = int "switch"; skew = flt "skew" }
-  | other -> raise (Plan_json.Parse_error ("unknown adversary event " ^ other))
+  | other -> raise (Json.Parse_error ("unknown adversary event " ^ other))
 
-let of_json s =
+let of_json_value v =
   match
-    let items = Plan_json.(arr (parse s)) in
     of_events
       (List.map
          (fun item ->
-           let fields = Plan_json.obj item in
-           (Plan_json.float fields "t", event_of_fields fields))
-         items)
+           let fields = Json.obj item in
+           (Json.float fields "t", event_of_fields fields))
+         (Json.arr v))
   with
   | t -> Ok t
-  | exception Plan_json.Parse_error msg -> Error ("adversary plan: " ^ msg)
+  | exception Json.Parse_error msg -> Error ("adversary plan: " ^ msg)
   | exception Invalid_argument msg -> Error msg
+
+let of_json s =
+  match Json.parse s with
+  | v -> of_json_value v
+  | exception Json.Parse_error msg -> Error ("adversary plan: " ^ msg)
 
 (* ------------------------------------------------------------------ *)
 (* Generators. All randomness flows from the caller's rng in a fixed

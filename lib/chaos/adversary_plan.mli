@@ -63,6 +63,10 @@ val of_json : string -> (t, string) result
 (** Exact inverse of {!to_json}; strict ([Error] on anything
     malformed). *)
 
+val of_json_value : Pdq_telemetry.Json.t -> (t, string) result
+(** {!of_json} on an already-parsed document (see
+    {!Pdq_faults.Fault_plan.of_json_value}). *)
+
 val degrade :
   links:(int * int) list ->
   ?reorder:float * float ->

@@ -3,7 +3,7 @@ module Link = Pdq_net.Link
 module Topology = Pdq_net.Topology
 module Builder = Pdq_topo.Builder
 module Fault_plan = Pdq_faults.Fault_plan
-module Plan_json = Pdq_faults.Plan_json
+module Json = Pdq_telemetry.Json
 module Report = Pdq_check.Report
 module Scenario = Pdq_exec.Scenario
 module Sweep = Pdq_exec.Sweep
@@ -30,42 +30,37 @@ type case = {
 let case_to_json c =
   Printf.sprintf
     "{\"protocol\":\"%s\",\"topo\":\"%s\",\"pattern\":\"%s\",\"flows\":%d,\"mean_bytes\":%d,\"deadlines\":%b,\"seed\":%d,\"horizon\":%s,\"faults\":%s,\"adversary\":%s}"
-    (Plan_json.escape c.protocol)
-    (Plan_json.escape c.topo)
-    (Plan_json.escape c.pattern)
+    (Json.escape c.protocol)
+    (Json.escape c.topo)
+    (Json.escape c.pattern)
     c.flows c.mean_bytes c.deadlines c.seed
-    (Plan_json.j_float c.horizon)
+    (Json.j_float c.horizon)
     (Fault_plan.to_json c.faults)
     (Adversary_plan.to_json c.adversary)
 
 let case_of_json s =
   match
-    let fields = Plan_json.(obj (parse s)) in
-    let bool k =
-      match Plan_json.field fields k with
-      | Plan_json.Bool b -> b
-      | _ -> raise (Plan_json.Parse_error (k ^ ": expected bool"))
-    in
-    let plan k of_json =
-      match of_json (Plan_json.to_string (Plan_json.field fields k)) with
+    let fields = Json.(obj (parse s)) in
+    let plan k of_json_value =
+      match of_json_value (Json.field fields k) with
       | Ok p -> p
-      | Error e -> raise (Plan_json.Parse_error e)
+      | Error e -> raise (Json.Parse_error e)
     in
     {
-      protocol = Plan_json.str fields "protocol";
-      topo = Plan_json.str fields "topo";
-      pattern = Plan_json.str fields "pattern";
-      flows = Plan_json.int fields "flows";
-      mean_bytes = Plan_json.int fields "mean_bytes";
-      deadlines = bool "deadlines";
-      seed = Plan_json.int fields "seed";
-      horizon = Plan_json.float fields "horizon";
-      faults = plan "faults" Fault_plan.of_json;
-      adversary = plan "adversary" Adversary_plan.of_json;
+      protocol = Json.str fields "protocol";
+      topo = Json.str fields "topo";
+      pattern = Json.str fields "pattern";
+      flows = Json.int fields "flows";
+      mean_bytes = Json.int fields "mean_bytes";
+      deadlines = Json.bool fields "deadlines";
+      seed = Json.int fields "seed";
+      horizon = Json.float fields "horizon";
+      faults = plan "faults" Fault_plan.of_json_value;
+      adversary = plan "adversary" Adversary_plan.of_json_value;
     }
   with
   | c -> Ok c
-  | exception Plan_json.Parse_error msg -> Error ("chaos case: " ^ msg)
+  | exception Json.Parse_error msg -> Error ("chaos case: " ^ msg)
   | exception Invalid_argument msg -> Error msg
 
 let key c = Digest.to_hex (Digest.string (case_to_json c))
@@ -215,21 +210,21 @@ let verdict_codec : verdict Task.codec =
         Printf.sprintf "{\"invariant\":%s,\"detail\":\"%s\",\"violations\":%d}"
           (match v.invariant with
           | None -> "null"
-          | Some s -> "\"" ^ Plan_json.escape s ^ "\"")
-          (Plan_json.escape v.detail) v.violations);
+          | Some s -> "\"" ^ Json.escape s ^ "\"")
+          (Json.escape v.detail) v.violations);
     decode =
       (fun s ->
-        let fields = Plan_json.(obj (parse s)) in
+        let fields = Json.(obj (parse s)) in
         let invariant =
-          match Plan_json.field fields "invariant" with
-          | Plan_json.Null -> None
-          | Plan_json.Str s -> Some s
-          | _ -> raise (Plan_json.Parse_error "invariant: expected string")
+          match Json.field fields "invariant" with
+          | Json.Null -> None
+          | Json.Str s -> Some s
+          | _ -> raise (Json.Parse_error "invariant: expected string")
         in
         {
           invariant;
-          detail = Plan_json.str fields "detail";
-          violations = Plan_json.int fields "violations";
+          detail = Json.str fields "detail";
+          violations = Json.int fields "violations";
         });
   }
 

@@ -10,24 +10,10 @@ let violation ~time ~entity ~invariant detail = { time; entity; invariant; detai
 let pp ppf v =
   Format.fprintf ppf "[%.6f] %s %s: %s" v.time v.invariant v.entity v.detail
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json v =
+  let esc = Pdq_telemetry.Json.escape in
   Printf.sprintf {|{"t":%.9f,"invariant":"%s","entity":"%s","detail":"%s"}|}
-    v.time (json_escape v.invariant) (json_escape v.entity)
-    (json_escape v.detail)
+    v.time (esc v.invariant) (esc v.entity) (esc v.detail)
 
 let write_jsonl oc vs =
   List.iter

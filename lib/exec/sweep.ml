@@ -1,6 +1,7 @@
 module Sim = Pdq_engine.Sim
 module Rng = Pdq_engine.Rng
 module Trace = Pdq_telemetry.Trace
+module Json = Pdq_telemetry.Json
 
 exception Sweep_errors of (int * exn) list
 
@@ -199,15 +200,7 @@ let pp_report ppf r =
 
 let report_to_json r =
   let tagged tag (i, text) =
-    Printf.sprintf "{\"slot\":%d,\"%s\":\"%s\"}" i tag
-      (String.concat ""
-         (List.map
-            (function
-              | '"' -> "\\\"" | '\\' -> "\\\\" | '\n' -> "\\n"
-              | c when Char.code c < 0x20 ->
-                  Printf.sprintf "\\u%04x" (Char.code c)
-              | c -> String.make 1 c)
-            (List.init (String.length text) (String.get text))))
+    Printf.sprintf "{\"slot\":%d,\"%s\":\"%s\"}" i tag (Json.escape text)
   in
   Printf.sprintf
     "{\"total\":%d,\"ok\":%d,\"resumed\":%d,\"stale\":%d,\"failed\":%d,\
@@ -220,8 +213,9 @@ let report_to_json r =
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint file: one JSONL line per Ok slot, keyed by the content
-   hash of the input. Values are hex so no JSON escaping is needed and
-   a torn final line (kill -9 mid-write) simply fails to parse. *)
+   hash of the input, with the encoded value in hex. A torn final line
+   (kill -9 mid-write) fails to parse and is skipped; [supervise] starts
+   a fresh line after it before appending. *)
 
 let hex s =
   let b = Buffer.create (2 * String.length s) in
@@ -233,28 +227,28 @@ let unhex s =
   String.init (String.length s / 2) (fun i ->
       Char.chr (int_of_string ("0x" ^ String.sub s (2 * i) 2)))
 
-let json_str_field line name =
-  let pat = Printf.sprintf "\"%s\":\"" name in
-  let plen = String.length pat and llen = String.length line in
-  let rec find i =
-    if i + plen > llen then None
-    else if String.sub line i plen = pat then Some (i + plen)
-    else find (i + 1)
-  in
-  match find 0 with
-  | None -> None
-  | Some start -> (
-      match String.index_from_opt line start '"' with
-      | None -> None
-      | Some stop -> Some (String.sub line start (stop - start)))
-
 let checkpoint_line ~key ~index ~value =
-  Printf.sprintf "{\"k\":\"%s\",\"n\":%d,\"v\":\"%s\"}" key index (hex value)
+  Printf.sprintf "{\"k\":\"%s\",\"n\":%d,\"v\":\"%s\"}" (Json.escape key) index
+    (hex value)
 
 let parse_checkpoint_line line =
-  match (json_str_field line "k", json_str_field line "v") with
-  | Some k, Some v -> ( try Some (k, unhex v) with _ -> None)
-  | _ -> None
+  match
+    let fields = Json.obj (Json.parse line) in
+    (Json.str fields "k", unhex (Json.str fields "v"))
+  with
+  | entry -> Some entry
+  | exception (Json.Parse_error _ | Invalid_argument _ | Failure _) -> None
+
+(* Whether a non-empty file does not end in a newline. *)
+let torn_tail path =
+  let ic = open_in_bin path in
+  Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
+  let n = in_channel_length ic in
+  n > 0
+  && begin
+       seek_in ic (n - 1);
+       input_char ic <> '\n'
+     end
 
 let load_checkpoint path =
   let tbl = Hashtbl.create 64 in
@@ -351,7 +345,11 @@ let supervise ?(opts = Exec_opts.default) ?(retry = no_retry)
     | None -> None
     | Some path ->
         let _ = codec_or_fail "~checkpoint" in
-        Some (open_out_gen [ Open_append; Open_creat ] 0o644 path)
+        let oc = open_out_gen [ Open_append; Open_creat ] 0o644 path in
+        (* A kill -9 mid-append leaves a torn last line; start a fresh
+           one so the next entry is not glued onto the fragment. *)
+        if torn_tail path then output_char oc '\n';
+        Some oc
   in
   let write_checkpoint i r =
     match (ckpt_chan, codec) with

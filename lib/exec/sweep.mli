@@ -173,7 +173,9 @@ val supervise :
       flushed per line) keyed by [key input]; [resume] pre-settles
       slots whose key has a decodable value in an existing checkpoint
       file, so only missing/failed slots re-execute. Both require
-      [codec]; torn or malformed lines (a kill mid-write) are ignored.
+      [codec]; torn or malformed lines (a kill mid-write) are ignored,
+      and appending to a file whose last line is torn starts a new line
+      first, so the next entry stays readable.
     - [on_event] observes the slot lifecycle (calls are serialized
       across workers).
 

@@ -2,6 +2,7 @@ module Sim = Pdq_engine.Sim
 module Rng = Pdq_engine.Rng
 module Link = Pdq_net.Link
 module Topology = Pdq_net.Topology
+module Json = Pdq_telemetry.Json
 
 let k_clear = Sim.Kind.register "fault.clear"
 let k_apply = Sim.Kind.register "fault.apply"
@@ -46,7 +47,7 @@ let pp_event ppf = function
 
 (* ------------------------------------------------------------------ *)
 (* JSON codec: one object per event, exact float round-trip via
-   [Plan_json.j_float], so [of_json (to_json t)] rebuilds the plan bit
+   [Json.j_float], so [of_json (to_json t)] rebuilds the plan bit
    for bit. The chaos fuzzer leans on this to emit replayable
    reproducers. *)
 
@@ -56,31 +57,31 @@ let event_fields = function
   | Loss_burst { a; b; loss; duration } ->
       Printf.sprintf
         "\"ev\":\"loss-burst\",\"a\":%d,\"b\":%d,\"loss\":%s,\"duration\":%s" a b
-        (Plan_json.j_float loss)
-        (Plan_json.j_float duration)
+        (Json.j_float loss)
+        (Json.j_float duration)
   | Gilbert_loss { a; b; ge } ->
       Printf.sprintf
         "\"ev\":\"gilbert-loss\",\"a\":%d,\"b\":%d,\"p_gb\":%s,\"p_bg\":%s,\
          \"loss_good\":%s,\"loss_bad\":%s"
         a b
-        (Plan_json.j_float ge.Link.p_gb)
-        (Plan_json.j_float ge.Link.p_bg)
-        (Plan_json.j_float ge.Link.loss_good)
-        (Plan_json.j_float ge.Link.loss_bad)
+        (Json.j_float ge.Link.p_gb)
+        (Json.j_float ge.Link.p_bg)
+        (Json.j_float ge.Link.loss_good)
+        (Json.j_float ge.Link.loss_bad)
   | Clear_loss { a; b } ->
       Printf.sprintf "\"ev\":\"clear-loss\",\"a\":%d,\"b\":%d" a b
   | Switch_reboot n -> Printf.sprintf "\"ev\":\"switch-reboot\",\"switch\":%d" n
 
 let to_json t =
   let item { time; event } =
-    Printf.sprintf "{\"t\":%s,%s}" (Plan_json.j_float time) (event_fields event)
+    Printf.sprintf "{\"t\":%s,%s}" (Json.j_float time) (event_fields event)
   in
   "[" ^ String.concat "," (List.map item t.events) ^ "]"
 
 let event_of_fields fields =
-  let int k = Plan_json.int fields k in
-  let flt k = Plan_json.float fields k in
-  match Plan_json.str fields "ev" with
+  let int k = Json.int fields k in
+  let flt k = Json.float fields k in
+  match Json.str fields "ev" with
   | "link-down" -> Link_down { a = int "a"; b = int "b" }
   | "link-up" -> Link_up { a = int "a"; b = int "b" }
   | "loss-burst" ->
@@ -101,21 +102,25 @@ let event_of_fields fields =
         }
   | "clear-loss" -> Clear_loss { a = int "a"; b = int "b" }
   | "switch-reboot" -> Switch_reboot (int "switch")
-  | other -> raise (Plan_json.Parse_error ("unknown fault event " ^ other))
+  | other -> raise (Json.Parse_error ("unknown fault event " ^ other))
 
-let of_json s =
+let of_json_value v =
   match
-    let items = Plan_json.(arr (parse s)) in
     of_events
       (List.map
          (fun item ->
-           let fields = Plan_json.obj item in
-           (Plan_json.float fields "t", event_of_fields fields))
-         items)
+           let fields = Json.obj item in
+           (Json.float fields "t", event_of_fields fields))
+         (Json.arr v))
   with
   | t -> Ok t
-  | exception Plan_json.Parse_error msg -> Error ("fault plan: " ^ msg)
+  | exception Json.Parse_error msg -> Error ("fault plan: " ^ msg)
   | exception Invalid_argument msg -> Error msg
+
+let of_json s =
+  match Json.parse s with
+  | v -> of_json_value v
+  | exception Json.Parse_error msg -> Error ("fault plan: " ^ msg)
 
 (* ------------------------------------------------------------------ *)
 (* Topology fault targets: generators take explicit node lists, these

@@ -57,6 +57,10 @@ val of_json : string -> (t, string) result
 (** Exact inverse of {!to_json}. Strict: malformed JSON, unknown event
     names, wrong field types and negative times are all [Error]. *)
 
+val of_json_value : Pdq_telemetry.Json.t -> (t, string) result
+(** {!of_json} on an already-parsed document, for codecs that embed a
+    plan inside a larger object (the chaos reproducer). *)
+
 val switch_cables : Pdq_net.Topology.t -> (int * int) list
 (** Undirected switch-switch cables as (a, b) pairs with a < b — the
     usual link-failure targets (host access links excluded). *)

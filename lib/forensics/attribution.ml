@@ -1,4 +1,5 @@
 module Trace = Pdq_telemetry.Trace
+module Json = Pdq_telemetry.Json
 module Units = Pdq_engine.Units
 
 type components = {
@@ -329,7 +330,7 @@ let to_json r =
             (List.map
                (fun (f, c) ->
                  Printf.sprintf {|{"flow":%d,"cause":"%s"}|} f
-                   (Trace.json_escape c))
+                   (Json.escape c))
                r.aborted)));
   if r.unfinished <> [] then
     Buffer.add_string b
@@ -343,7 +344,7 @@ let to_json r =
                (fun (e : Spans.error) ->
                  Printf.sprintf {|{"flow":%d,"at":%s,"error":"%s"}|}
                    e.Spans.flow (fl e.Spans.at)
-                   (Trace.json_escape e.Spans.message))
+                   (Json.escape e.Spans.message))
                r.errors)));
   Buffer.add_string b "}";
   Buffer.contents b

@@ -1,15 +1,17 @@
-(* Minimal JSON support for the plan codecs (fault plans here, and the
-   adversary plans / chaos reproducer cases built on top of this
-   library). Emission stays hand-rolled sprintf at each call site; this
-   module supplies the exact float format plus a small recursive-descent
+(* Minimal JSON support for every artifact the simulator writes and
+   reads back: traces, metrics, reports, checkpoints, fault and
+   adversary plans, chaos reproducer cases. Emission stays hand-rolled
+   sprintf at each call site; this module supplies the one string
+   escaper and the exact float format plus a small recursive-descent
    reader that keeps number literals raw, so [float_of_string] returns
    the identical double and every codec is an exact inverse of its
    printer. Not a general-purpose JSON library: no streaming, whole
-   value in memory, integers bounded by [int]. *)
+   value in memory, integers bounded by [int], ASCII-only [\u]. *)
 
-(* Shortest decimal form that round-trips the exact double (same
-   contract as the telemetry trace codec). Inputs are finite by
-   construction, so inf/nan never appear. *)
+(* Shortest decimal form that round-trips the exact double, so an
+   offline replay of a recorded trace reproduces a live analysis byte
+   for byte. Inputs are finite by construction, so inf/nan never
+   appear. *)
 let j_float x =
   let s = Printf.sprintf "%.15g" x in
   if float_of_string s = x then s
@@ -25,8 +27,6 @@ let escape s =
       | '"' -> Buffer.add_string b "\\\""
       | '\\' -> Buffer.add_string b "\\\\"
       | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
       | c when Char.code c < 0x20 ->
           Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
@@ -44,6 +44,8 @@ type t =
 exception Parse_error of string
 
 let fail fmt = Printf.ksprintf (fun msg -> raise (Parse_error msg)) fmt
+
+let is_hex = function '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true | _ -> false
 
 let parse input =
   let n = String.length input in
@@ -85,17 +87,18 @@ let parse input =
               advance ();
               if !pos + 4 > n then fail "truncated \\u escape";
               let hex = String.sub input !pos 4 in
-              let code =
-                try int_of_string ("0x" ^ hex) with _ -> fail "bad \\u escape"
-              in
+              if not (String.for_all is_hex hex) then fail "bad \\u escape";
+              let code = int_of_string ("0x" ^ hex) in
               pos := !pos + 4;
-              (* Plans only ever escape control characters; reject
+              (* Writers only ever escape control characters; reject
                  anything needing real UTF-8 encoding rather than
                  emitting mojibake. *)
               if code > 0x7f then fail "non-ASCII \\u escape unsupported";
               Buffer.add_char b (Char.chr code);
               loop ()
           | c -> fail "bad escape \\%c" c)
+      | c when Char.code c < 0x20 ->
+          fail "unescaped control byte 0x%02x at byte %d" (Char.code c) !pos
       | c ->
           Buffer.add_char b c;
           advance ();
@@ -125,49 +128,36 @@ let parse input =
     end
     else fail "bad literal at byte %d" !pos
   in
+  (* Comma-separated [item]s after an opening bracket, up to [close]. *)
+  let seq close item =
+    advance ();
+    skip_ws ();
+    if peek () = close then begin advance (); [] end
+    else begin
+      let items = ref [] in
+      let rec elems () =
+        items := item () :: !items;
+        skip_ws ();
+        match peek () with
+        | ',' -> advance (); elems ()
+        | c when c = close -> advance ()
+        | c -> fail "expected , or %c but got %c" close c
+      in
+      elems ();
+      List.rev !items
+    end
+  in
   let rec value () =
     skip_ws ();
     match peek () with
     | '"' -> Str (scan_string ())
     | '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = '}' then begin advance (); Obj [] end
-        else begin
-          let fields = ref [] in
-          let rec pairs () =
-            skip_ws ();
-            let key = scan_string () in
-            expect ':';
-            let v = value () in
-            fields := (key, v) :: !fields;
-            skip_ws ();
-            match peek () with
-            | ',' -> advance (); pairs ()
-            | '}' -> advance ()
-            | c -> fail "expected , or } but got %c" c
-          in
-          pairs ();
-          Obj (List.rev !fields)
-        end
-    | '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = ']' then begin advance (); Arr [] end
-        else begin
-          let items = ref [] in
-          let rec elems () =
-            let v = value () in
-            items := v :: !items;
-            skip_ws ();
-            match peek () with
-            | ',' -> advance (); elems ()
-            | ']' -> advance ()
-            | c -> fail "expected , or ] but got %c" c
-          in
-          elems ();
-          Arr (List.rev !items)
-        end
+        Obj
+          (seq '}' (fun () ->
+               let key = scan_string () in
+               expect ':';
+               (key, value ())))
+    | '[' -> Arr (seq ']' value)
     | 't' -> literal "true" (Bool true)
     | 'f' -> literal "false" (Bool false)
     | 'n' -> literal "null" Null
@@ -179,44 +169,8 @@ let parse input =
   v
 
 (* ------------------------------------------------------------------ *)
-(* Typed accessors: strict, like the trace parser — a malformed or
+(* Typed accessors: strict — a malformed or
    missing field is an error, never a guess. *)
-
-(* Compact re-emission; [Num] raw literals pass through verbatim, so
-   [to_string (parse s)] preserves every number bit-exactly. *)
-let to_string v =
-  let b = Buffer.create 256 in
-  let rec emit = function
-    | Null -> Buffer.add_string b "null"
-    | Bool true -> Buffer.add_string b "true"
-    | Bool false -> Buffer.add_string b "false"
-    | Num s -> Buffer.add_string b s
-    | Str s ->
-        Buffer.add_char b '"';
-        Buffer.add_string b (escape s);
-        Buffer.add_char b '"'
-    | Arr items ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i item ->
-            if i > 0 then Buffer.add_char b ',';
-            emit item)
-          items;
-        Buffer.add_char b ']'
-    | Obj fields ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, item) ->
-            if i > 0 then Buffer.add_char b ',';
-            Buffer.add_char b '"';
-            Buffer.add_string b (escape k);
-            Buffer.add_string b "\":";
-            emit item)
-          fields;
-        Buffer.add_char b '}'
-  in
-  emit v;
-  Buffer.contents b
 
 let obj = function Obj fields -> fields | _ -> fail "expected object"
 let arr = function Arr items -> items | _ -> fail "expected array"
@@ -236,6 +190,11 @@ let num fields k =
   | Num s -> s
   | _ -> fail "field %S is not a number" k
 
+let bool fields k =
+  match field fields k with
+  | Bool b -> b
+  | _ -> fail "field %S is not a boolean" k
+
 let int fields k =
   let s = num fields k in
   match int_of_string_opt s with
@@ -248,26 +207,11 @@ let float fields k =
   | Some f -> f
   | None -> fail "field %S is not a float" k
 
-let float_opt fields k =
-  match List.assoc_opt k fields with
-  | None -> None
-  | Some (Num s) -> (
-      match float_of_string_opt s with
-      | Some f -> Some f
-      | None -> fail "field %S is not a float" k)
-  | Some _ -> fail "field %S is not a number" k
+(* Optional fields: absent is [None] (or the default), present must be
+   well-typed. *)
+let opt read fields k =
+  if List.mem_assoc k fields then Some (read fields k) else None
 
-let int_default fields k d =
-  match List.assoc_opt k fields with
-  | None -> d
-  | Some (Num s) -> (
-      match int_of_string_opt s with
-      | Some i -> i
-      | None -> fail "field %S is not an integer" k)
-  | Some _ -> fail "field %S is not a number" k
-
-let str_default fields k d =
-  match List.assoc_opt k fields with
-  | None -> d
-  | Some (Str s) -> s
-  | Some _ -> fail "field %S is not a string" k
+let int_opt = opt int
+let float_opt = opt float
+let str_default fields k d = Option.value (opt str fields k) ~default:d

@@ -175,11 +175,11 @@ let write_jsonl t chan =
     (fun (time, name, value) ->
       Printf.fprintf chan
         "{\"kind\":\"sample\",\"t\":%s,\"name\":\"%s\",\"value\":%s}\n"
-        (fl time) (Trace.json_escape name) (fl value))
+        (fl time) (Json.escape name) (fl value))
     (List.rev t.samples_rev);
   List.iter
     (fun (kind, name, value) ->
       Printf.fprintf chan "{\"kind\":\"%s\",\"name\":\"%s\",\"value\":%s}\n"
-        kind (Trace.json_escape name) (fl value))
+        kind (Json.escape name) (fl value))
     (scalar_rows t);
   flush chan

@@ -64,31 +64,9 @@ let severity_of_event = function
       | "failed" | "timed-out" | "crashed" -> Warn
       | _ -> Info)
 
-(* Floats in JSON: shortest of %.15g/%.16g/%.17g that parses back to
-   the same double. Exact round-tripping is what lets an offline
-   replay of a recorded JSONL trace reproduce a live analysis byte for
-   byte; rates and times are finite by construction, so inf/nan never
-   appear. *)
-let j_float x =
-  let s = Printf.sprintf "%.15g" x in
-  if float_of_string s = x then s
-  else
-    let s = Printf.sprintf "%.16g" x in
-    if float_of_string s = x then s else Printf.sprintf "%.17g" x
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+(* Kept as an alias for callers outside the library that render their
+   own JSON (perfbench). *)
+let json_escape = Json.escape
 
 let event_to_json ~time ev =
   let fields =
@@ -98,7 +76,7 @@ let event_to_json ~time ev =
           "\"ev\":\"flow_admitted\",\"flow\":%d,\"src\":%d,\"dst\":%d,\"size\":%d%s"
           flow src dst size
           (match deadline with
-          | Some d -> Printf.sprintf ",\"deadline\":%s" (j_float d)
+          | Some d -> Printf.sprintf ",\"deadline\":%s" (Json.j_float d)
           | None -> "")
     | Flow_started { flow } -> Printf.sprintf "\"ev\":\"flow_started\",\"flow\":%d" flow
     | Flow_established { flow } ->
@@ -110,23 +88,23 @@ let event_to_json ~time ev =
           | None -> "")
     | Flow_resumed { flow; rate } ->
         Printf.sprintf "\"ev\":\"flow_resumed\",\"flow\":%d,\"rate\":%s" flow
-          (j_float rate)
+          (Json.j_float rate)
     | Flow_rate_set { flow; rate } ->
         Printf.sprintf "\"ev\":\"flow_rate_set\",\"flow\":%d,\"rate\":%s" flow
-          (j_float rate)
+          (Json.j_float rate)
     | Flow_completed { flow; fct } ->
         Printf.sprintf "\"ev\":\"flow_completed\",\"flow\":%d,\"fct\":%s" flow
-          (j_float fct)
+          (Json.j_float fct)
     | Flow_terminated { flow } ->
         Printf.sprintf "\"ev\":\"flow_terminated\",\"flow\":%d" flow
     | Flow_aborted { flow; cause } ->
         Printf.sprintf "\"ev\":\"flow_aborted\",\"flow\":%d,\"cause\":\"%s\"" flow
-          (json_escape cause)
+          (Json.escape cause)
     | Flow_rx { flow; bytes } ->
         Printf.sprintf "\"ev\":\"flow_rx\",\"flow\":%d,\"bytes\":%d" flow bytes
     | Flow_retransmit { flow; kind } ->
         Printf.sprintf "\"ev\":\"flow_retransmit\",\"flow\":%d,\"kind\":\"%s\""
-          flow (json_escape kind)
+          flow (Json.escape kind)
     | Switch_flushed { switch } ->
         Printf.sprintf "\"ev\":\"switch_flushed\",\"switch\":%d" switch
     | Switch_rebuilt { switch } ->
@@ -135,20 +113,20 @@ let event_to_json ~time ev =
         Printf.sprintf "\"ev\":\"packet_dropped\",\"link\":%d,\"cause\":\"%s\""
           link (drop_cause_name cause)
     | Fault { desc } ->
-        Printf.sprintf "\"ev\":\"fault\",\"desc\":\"%s\"" (json_escape desc)
+        Printf.sprintf "\"ev\":\"fault\",\"desc\":\"%s\"" (Json.escape desc)
     | Adversary { target; action } ->
         Printf.sprintf "\"ev\":\"adversary\",\"target\":%d,\"action\":\"%s\""
-          target (json_escape action)
+          target (Json.escape action)
     | Sweep_task { index; key; state; attempts; elapsed; detail } ->
         Printf.sprintf
           "\"ev\":\"sweep_task\",\"slot\":%d,\"key\":\"%s\",\"state\":\"%s\",\
            \"attempts\":%d,\"elapsed\":%s%s"
-          index (json_escape key) (json_escape state) attempts
-          (j_float elapsed)
+          index (Json.escape key) (Json.escape state) attempts
+          (Json.j_float elapsed)
           (if detail = "" then ""
-           else Printf.sprintf ",\"detail\":\"%s\"" (json_escape detail))
+           else Printf.sprintf ",\"detail\":\"%s\"" (Json.escape detail))
   in
-  Printf.sprintf "{\"t\":%s,%s}" (j_float time) fields
+  Printf.sprintf "{\"t\":%s,%s}" (Json.j_float time) fields
 
 let pp_event ppf ev =
   match ev with
@@ -196,102 +174,10 @@ let pp_event ppf ev =
         (if detail = "" then "" else Printf.sprintf " detail=%s" detail)
 
 (* ------------------------------------------------------------------ *)
-(* Parsing recorded JSONL back into events (offline replay).
-
-   The scanner handles exactly the flat shape [event_to_json] emits —
-   one object of string/number fields, no nesting — and is strict
-   about it: anything else is an [Error], never a guess. Combined with
-   the round-tripping float format above, [event_of_json] is an exact
-   inverse of [event_to_json]. *)
-
-type json_field = Num of string | Str of string
-
-exception Scan_error of string
-
-let scan_fields line =
-  let n = String.length line in
-  let pos = ref 0 in
-  let fail msg = raise (Scan_error msg) in
-  let peek () = if !pos < n then line.[!pos] else fail "unexpected end" in
-  let advance () = incr pos in
-  let expect c =
-    if peek () <> c then fail (Printf.sprintf "expected %c at byte %d" c !pos);
-    advance ()
-  in
-  let scan_string () =
-    expect '"';
-    let b = Buffer.create 16 in
-    let rec loop () =
-      match peek () with
-      | '"' -> advance ()
-      | '\\' -> (
-          advance ();
-          match peek () with
-          | '"' ->
-              Buffer.add_char b '"';
-              advance ();
-              loop ()
-          | '\\' ->
-              Buffer.add_char b '\\';
-              advance ();
-              loop ()
-          | 'n' ->
-              Buffer.add_char b '\n';
-              advance ();
-              loop ()
-          | 'u' ->
-              advance ();
-              if !pos + 4 > n then fail "truncated \\u escape";
-              let hex = String.sub line !pos 4 in
-              let code =
-                try int_of_string ("0x" ^ hex)
-                with _ -> fail "bad \\u escape"
-              in
-              if code > 0xff then fail "\\u escape beyond latin-1";
-              Buffer.add_char b (Char.chr code);
-              pos := !pos + 4;
-              loop ()
-          | c -> fail (Printf.sprintf "bad escape \\%c" c))
-      | c ->
-          Buffer.add_char b c;
-          advance ();
-          loop ()
-    in
-    loop ();
-    Buffer.contents b
-  in
-  let scan_number () =
-    let start = !pos in
-    let num_char c =
-      match c with
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && num_char line.[!pos] do
-      advance ()
-    done;
-    if !pos = start then fail (Printf.sprintf "expected number at byte %d" start);
-    String.sub line start (!pos - start)
-  in
-  expect '{';
-  let fields = ref [] in
-  let rec pairs () =
-    let key = scan_string () in
-    expect ':';
-    let value =
-      if peek () = '"' then Str (scan_string ()) else Num (scan_number ())
-    in
-    fields := (key, value) :: !fields;
-    match peek () with
-    | ',' ->
-        advance ();
-        pairs ()
-    | '}' -> advance ()
-    | c -> fail (Printf.sprintf "expected , or } but found %c" c)
-  in
-  pairs ();
-  if !pos <> n then fail "trailing bytes after object";
-  List.rev !fields
+(* Parsing recorded JSONL back into events (offline replay): strict on
+   every field an event needs — anything malformed is an [Error], never
+   a guess. With the round-tripping float format, [event_of_json] is an
+   exact inverse of [event_to_json]. *)
 
 let drop_cause_of_name = function
   | "loss" -> Some Loss
@@ -301,99 +187,69 @@ let drop_cause_of_name = function
   | _ -> None
 
 let event_of_json line =
-  match scan_fields line with
-  | exception Scan_error msg -> Error msg
-  | fields -> (
-      let fail msg = raise (Scan_error msg) in
-      let str k =
-        match List.assoc_opt k fields with
-        | Some (Str s) -> s
-        | Some (Num _) -> fail (Printf.sprintf "field %S is not a string" k)
-        | None -> fail (Printf.sprintf "missing field %S" k)
-      in
-      let num k =
-        match List.assoc_opt k fields with
-        | Some (Num s) -> s
-        | Some (Str _) -> fail (Printf.sprintf "field %S is not a number" k)
-        | None -> fail (Printf.sprintf "missing field %S" k)
-      in
-      let int k =
-        let s = num k in
-        try int_of_string s
-        with _ -> fail (Printf.sprintf "field %S is not an integer" k)
-      in
-      let float k =
-        let s = num k in
-        try float_of_string s
-        with _ -> fail (Printf.sprintf "field %S is not a float" k)
-      in
-      let opt_int k =
-        if List.mem_assoc k fields then Some (int k) else None
-      in
-      let opt_float k =
-        if List.mem_assoc k fields then Some (float k) else None
-      in
-      let opt_str_default k default =
-        if List.mem_assoc k fields then str k else default
-      in
-      try
-        let time = float "t" in
-        let ev =
-          match str "ev" with
-          | "flow_admitted" ->
-              Flow_admitted
-                {
-                  flow = int "flow";
-                  src = int "src";
-                  dst = int "dst";
-                  size = int "size";
-                  deadline = opt_float "deadline";
-                }
-          | "flow_started" -> Flow_started { flow = int "flow" }
-          | "flow_established" -> Flow_established { flow = int "flow" }
-          | "flow_paused" ->
-              Flow_paused
-                {
-                  flow = int "flow";
-                  by = int "by";
-                  preempted_by = opt_int "preempted_by";
-                }
-          | "flow_resumed" ->
-              Flow_resumed { flow = int "flow"; rate = float "rate" }
-          | "flow_rate_set" ->
-              Flow_rate_set { flow = int "flow"; rate = float "rate" }
-          | "flow_completed" ->
-              Flow_completed { flow = int "flow"; fct = float "fct" }
-          | "flow_terminated" -> Flow_terminated { flow = int "flow" }
-          | "flow_aborted" ->
-              Flow_aborted { flow = int "flow"; cause = str "cause" }
-          | "flow_rx" -> Flow_rx { flow = int "flow"; bytes = int "bytes" }
-          | "flow_retransmit" ->
-              Flow_retransmit { flow = int "flow"; kind = str "kind" }
-          | "switch_flushed" -> Switch_flushed { switch = int "switch" }
-          | "switch_rebuilt" -> Switch_rebuilt { switch = int "switch" }
-          | "packet_dropped" -> (
-              match drop_cause_of_name (str "cause") with
-              | Some cause -> Packet_dropped { link = int "link"; cause }
-              | None ->
-                  fail (Printf.sprintf "unknown drop cause %S" (str "cause")))
-          | "fault" -> Fault { desc = str "desc" }
-          | "adversary" ->
-              Adversary { target = int "target"; action = str "action" }
-          | "sweep_task" ->
-              Sweep_task
-                {
-                  index = int "slot";
-                  key = str "key";
-                  state = str "state";
-                  attempts = int "attempts";
-                  elapsed = float "elapsed";
-                  detail = opt_str_default "detail" "";
-                }
-          | other -> fail (Printf.sprintf "unknown event %S" other)
-        in
-        Ok (time, ev)
-      with Scan_error msg -> Error msg)
+  match
+    let fields = Json.obj (Json.parse line) in
+    let int = Json.int fields
+    and float = Json.float fields
+    and str = Json.str fields in
+    let fail fmt =
+      Printf.ksprintf (fun msg -> raise (Json.Parse_error msg)) fmt
+    in
+    let time = float "t" in
+    let ev =
+      match str "ev" with
+      | "flow_admitted" ->
+          Flow_admitted
+            {
+              flow = int "flow";
+              src = int "src";
+              dst = int "dst";
+              size = int "size";
+              deadline = Json.float_opt fields "deadline";
+            }
+      | "flow_started" -> Flow_started { flow = int "flow" }
+      | "flow_established" -> Flow_established { flow = int "flow" }
+      | "flow_paused" ->
+          Flow_paused
+            {
+              flow = int "flow";
+              by = int "by";
+              preempted_by = Json.int_opt fields "preempted_by";
+            }
+      | "flow_resumed" -> Flow_resumed { flow = int "flow"; rate = float "rate" }
+      | "flow_rate_set" ->
+          Flow_rate_set { flow = int "flow"; rate = float "rate" }
+      | "flow_completed" ->
+          Flow_completed { flow = int "flow"; fct = float "fct" }
+      | "flow_terminated" -> Flow_terminated { flow = int "flow" }
+      | "flow_aborted" -> Flow_aborted { flow = int "flow"; cause = str "cause" }
+      | "flow_rx" -> Flow_rx { flow = int "flow"; bytes = int "bytes" }
+      | "flow_retransmit" ->
+          Flow_retransmit { flow = int "flow"; kind = str "kind" }
+      | "switch_flushed" -> Switch_flushed { switch = int "switch" }
+      | "switch_rebuilt" -> Switch_rebuilt { switch = int "switch" }
+      | "packet_dropped" -> (
+          match drop_cause_of_name (str "cause") with
+          | Some cause -> Packet_dropped { link = int "link"; cause }
+          | None -> fail "unknown drop cause %S" (str "cause"))
+      | "fault" -> Fault { desc = str "desc" }
+      | "adversary" -> Adversary { target = int "target"; action = str "action" }
+      | "sweep_task" ->
+          Sweep_task
+            {
+              index = int "slot";
+              key = str "key";
+              state = str "state";
+              attempts = int "attempts";
+              elapsed = float "elapsed";
+              detail = Json.str_default fields "detail" "";
+            }
+      | other -> fail "unknown event %S" other
+    in
+    (time, ev)
+  with
+  | ev -> Ok ev
+  | exception Json.Parse_error msg -> Error msg
 
 (* ------------------------------------------------------------------ *)
 (* Sinks *)

@@ -149,22 +149,23 @@ val events_seen : t -> int
 (** {1 Rendering} *)
 
 val json_escape : string -> string
-(** Escape a string's contents for embedding in a JSON string literal
-    (quotes, backslashes, control characters; no surrounding
-    quotes). *)
+(** Alias of {!Json.escape}, kept for [perfbench], which renders its own
+    JSON through this name. Library code calls {!Json.escape}. *)
 
 val event_to_json : time:float -> event -> string
 (** One self-contained JSON object, e.g.
     [{"t":0.0012,"ev":"flow_paused","flow":3,"by":2}]. Floats are
-    rendered with the shortest format that parses back to the same
-    double, so {!event_of_json} is an exact inverse. *)
+    rendered with {!Json.j_float}, the shortest format that parses back
+    to the same double, so {!event_of_json} is an exact inverse. *)
 
 val event_of_json : string -> (float * event, string) result
 (** Parse one line of a recorded JSONL trace back into its
-    [(time, event)] pair — the exact inverse of {!event_to_json}
-    (including float values, bit for bit). Strict: a malformed line,
-    an unknown event name, a missing or mistyped field all return
-    [Error] with a description, never a partial event. *)
+    [(time, event)] pair through {!Json.parse} — the exact inverse of
+    {!event_to_json} (including float values, bit for bit). Strict on
+    every field the event needs: a malformed line, trailing bytes, an
+    unknown event name or drop cause, a missing or mistyped field all
+    return [Error] with a description, never a partial event. Fields
+    the event does not read are ignored. *)
 
 val pp_event : Format.formatter -> event -> unit
 (** Compact [key=value] rendering used by the console sink. *)

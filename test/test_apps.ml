@@ -475,7 +475,31 @@ let test_metrics_json () =
   Alcotest.(check bool) "json mentions the job" true
     (contains json {|"name"|} && contains json "job");
   Alcotest.(check bool) "summary is one line" true
-    (not (String.contains (Job_metrics.summary report) '\n'))
+    (not (String.contains (Job_metrics.summary report) '\n'));
+  (* Names with a tab, a quote and a backslash must still give valid
+     JSON that reads back to the same names. *)
+  let name = "job\t\"1\"\\a" and label = "stage\t\\\"x\"" in
+  let stage =
+    { Job_metrics.label; flows = 2; injected_at = Some 0.; finished_at = None;
+      clean = false; cct = None }
+  in
+  let job =
+    { Job_metrics.name; arrival = 0.; deadline = None; finished_at = None;
+      jct = None; met_deadline = false; failed = true; straggler = None;
+      stages = [| stage |] }
+  in
+  let module Json = Pdq_telemetry.Json in
+  let doc = Json.parse (Job_metrics.to_json (Job_metrics.of_outcomes [| job |])) in
+  match Json.arr (Json.field (Json.obj doc) "jobs") with
+  | [ j ] -> (
+      let j = Json.obj j in
+      Alcotest.(check string) "job name reads back" name (Json.str j "name");
+      match Json.arr (Json.field j "stages") with
+      | [ s ] ->
+          Alcotest.(check string) "stage label reads back" label
+            (Json.str (Json.obj s) "label")
+      | _ -> Alcotest.fail "expected one stage")
+  | _ -> Alcotest.fail "expected one job"
 
 let suites =
   [

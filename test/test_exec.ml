@@ -412,7 +412,12 @@ let test_checkpoint_torn_line () =
   let oc = open_out_gen [ Open_append ] 0o644 path in
   output_string oc "{\"k\":\"dead";
   close_out oc;
-  let resumed = Sweep.run_supervised ~opts:(Exec_opts.jobs 1) ~resume:path scenarios in
+  (* Resume into the same file, as [--resume F] does: the re-run slot
+     is appended after the fragment and must land on a line of its own. *)
+  let resumed =
+    Sweep.run_supervised ~opts:(Exec_opts.jobs 1) ~checkpoint:path
+      ~resume:path scenarios
+  in
   Alcotest.(check int) "valid lines resumed" 2
     resumed.Sweep.report.Sweep.resumed;
   Alcotest.(check int) "missing slot re-run" 3 resumed.Sweep.report.Sweep.ok;
@@ -420,7 +425,13 @@ let test_checkpoint_torn_line () =
   List.iteri
     (fun i (a, b) ->
       check_same_result (Printf.sprintf "torn-resume slot %d" i) a b)
-    (List.combine (supervised_ok_results resumed) fresh)
+    (List.combine (supervised_ok_results resumed) fresh);
+  let again =
+    Sweep.run_supervised ~opts:(Exec_opts.jobs 1) ~resume:path scenarios
+  in
+  Alcotest.(check (pair int int))
+    "second resume: all 3 resumed, none stale" (3, 0)
+    (again.Sweep.report.Sweep.resumed, again.Sweep.report.Sweep.stale)
 
 let test_acceptance_100_slots () =
   (* The headline scenario: a 100-slot sweep with one crashing and one

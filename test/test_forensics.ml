@@ -213,6 +213,25 @@ let test_replay_strict_errors () =
       Alcotest.(check bool)
         (Printf.sprintf "error cites line 2: %s" e)
         true (contains e ":2:"));
+  (* Each of these lines is rejected with its own line number: bytes
+     after the object, a number field written as a string, and a drop
+     cause nobody emits. *)
+  List.iter
+    (fun bad ->
+      write_lines path
+        [ {|{"t":0,"ev":"flow_started","flow":1}|};
+          {|{"t":1,"ev":"flow_started","flow":2}|}; bad ];
+      match Replay.read_file path with
+      | Ok _ -> Alcotest.failf "line must be rejected: %s" bad
+      | Error e ->
+          Alcotest.(check bool)
+            (Printf.sprintf "error cites line 3: %s" e)
+            true (contains e ":3:"))
+    [
+      {|{"t":0,"ev":"flow_started","flow":1}x|};
+      {|{"t":0,"ev":"flow_started","flow":"1"}|};
+      {|{"t":0,"ev":"packet_dropped","link":1,"cause":"gremlins"}|};
+    ];
   (* Blank lines and a trailing newline are tolerated. *)
   write_lines path
     [ {|{"t":0,"ev":"flow_started","flow":1}|}; "";

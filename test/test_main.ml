@@ -6,6 +6,7 @@ let () =
        [
          Test_engine.suites;
          Test_telemetry.suites;
+         Test_json.suites;
          Test_net.suites;
          Test_core.suites;
          Test_transport.suites;
