@@ -1,12 +1,12 @@
 (* Benchmark harness: regenerates the series behind every table and
-   figure of the paper's evaluation (one target per figure), plus
-   Bechamel micro-benchmarks of the simulator hot paths.
+   figure of the paper's evaluation (one target per figure), plus the
+   engine microbenchmark and the paper-fidelity gate.
 
    Usage:
      dune exec bench/main.exe                 -- all figures, quick mode
      dune exec bench/main.exe -- --only fig3a -- one figure
      dune exec bench/main.exe -- --full       -- full sweeps (slow)
-     dune exec bench/main.exe -- --micro      -- Bechamel microbenchmarks
+     dune exec bench/main.exe -- --engine     -- engine microbenchmark
      dune exec bench/main.exe -- --fidelity   -- paper-fidelity regression
                                                 gate (exit 1 on drift)
      dune exec bench/main.exe -- --fidelity-dump -- measured values for a
@@ -67,105 +67,6 @@ let targets : (string * (quick:bool -> jobs:int option -> unit)) list =
     ("apps", fun ~quick ~jobs -> Apps.run_all ?jobs ~quick ppf ());
     ("chaos", fun ~quick ~jobs -> Chaos.run_all ?jobs ~quick ppf ());
   ]
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks of the hot paths. *)
-
-let micro () =
-  let open Bechamel in
-  let heap_bench =
-    Test.make ~name:"heap push/pop x1000"
-      (Staged.stage (fun () ->
-           let h = Pdq_engine.Heap.create () in
-           for i = 0 to 999 do
-             Pdq_engine.Heap.push h (float_of_int ((i * 7919) mod 1000)) i
-           done;
-           while Pdq_engine.Heap.pop h <> None do
-             ()
-           done))
-  in
-  let switch_bench =
-    Test.make ~name:"switch_port forward x100"
-      (Staged.stage (fun () ->
-           let port =
-             Pdq_core.Switch_port.create ~config:Pdq_core.Config.full
-               ~switch_id:1 ~link_rate:1e9 ~init_rtt:1.5e-4 ()
-           in
-           for i = 0 to 99 do
-             let h =
-               Pdq_core.Header.make ~rate:1e9
-                 ~expected_tx_time:(float_of_int (i + 1) *. 1e-4)
-                 ~rtt:1.5e-4 ()
-             in
-             Pdq_core.Switch_port.process_forward port h ~flow_id:i
-               ~now:(float_of_int i *. 1e-5)
-           done))
-  in
-  let sim_bench =
-    Test.make ~name:"pdq 2-flow bottleneck run"
-      (Staged.stage (fun () ->
-           let sim = Pdq_engine.Sim.create () in
-           let built, rx =
-             Pdq_topo.Builder.single_bottleneck ~sim ~senders:2 ()
-           in
-           let spec src =
-             {
-               Pdq_transport.Context.src;
-               dst = rx;
-               size = 50_000;
-               deadline = None;
-               start = 0.;
-             }
-           in
-           ignore
-             (Pdq_transport.Runner.execute ~topo:built.Pdq_topo.Builder.topo
-                (Pdq_transport.Runner.Pdq Pdq_core.Config.full)
-                [
-                  spec built.Pdq_topo.Builder.hosts.(0);
-                  spec built.Pdq_topo.Builder.hosts.(1);
-                ])))
-  in
-  let forensics_bench =
-    (* Record the event stream once; the benched unit is the pure
-       analysis fold (span reconstruction + attribution), not the
-       simulation producing it. *)
-    let events =
-      let mem = Pdq_telemetry.Trace.memory () in
-      let telemetry =
-        { Pdq_transport.Runner.no_telemetry with sinks = [ mem ] }
-      in
-      ignore
-        (Pdq_exec.Scenario.run
-           ~opts:(Pdq_exec.Exec_opts.telemetry telemetry)
-           (Common.aggregation_scenario ~flows:12
-              (Pdq_transport.Runner.Pdq Pdq_core.Config.full)));
-      Pdq_telemetry.Trace.memory_events mem
-    in
-    Test.make ~name:"forensics attribution, 12-flow trace"
-      (Staged.stage (fun () ->
-           ignore (Pdq_forensics.Attribution.of_events events)))
-  in
-  let benchmark test =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 1.) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    Analyze.all ols Toolkit.Instance.monotonic_clock results
-  in
-  List.iter
-    (fun test ->
-      let results = analyze (benchmark test) in
-      Hashtbl.iter
-        (fun name result ->
-          match Bechamel.Analyze.OLS.estimates result with
-          | Some [ est ] -> Format.printf "%-32s %12.1f ns/run@." name est
-          | _ -> Format.printf "%-32s (no estimate)@." name)
-        results)
-    [ heap_bench; switch_bench; sim_bench; forensics_bench ]
 
 (* Machine-readable per-target record: wall-clock seconds, simulator
    events executed (global-profiler delta over the target), resulting
@@ -307,7 +208,7 @@ let with_target_deadline timeout f =
       Fun.protect ~finally:Pdq_engine.Sim.clear_global_cancel f
 
 let () =
-  let only = ref None and full = ref false and run_micro = ref false in
+  let only = ref None and full = ref false in
   let fidelity = ref false and fidelity_dump = ref false in
   let jobs = ref None and timeout = ref None in
   let run_engine = ref false and compare_file = ref None in
@@ -322,7 +223,6 @@ let () =
       ("--timeout", Arg.Float (fun s -> timeout := Some s),
        "SEC wall-clock budget per figure target; a target that blows it \
         is marked TIMED OUT and the next one runs");
-      ("--micro", Arg.Set run_micro, " Bechamel micro-benchmarks");
       ("--engine", Arg.Set run_engine,
        " engine microbenchmark (events/s + minor words/event); writes \
         BENCH_engine.json");
@@ -351,7 +251,6 @@ let () =
   end
   else if !run_engine || !compare_file <> None then
     engine_bench ?compare:!compare_file ~threshold:!compare_threshold ()
-  else if !run_micro then micro ()
   else begin
     let quick = not !full in
     let selected =

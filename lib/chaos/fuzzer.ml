@@ -320,16 +320,25 @@ let halve_fault_event ev =
             (fun duration -> Fault_plan.Loss_burst { a; b; loss; duration })
             (h duration);
         ]
-  | Fault_plan.Gilbert_loss { a; b; ge } ->
+  | Fault_plan.Set_loss { a; b; model = Link.Bernoulli p } ->
+      List.filter_map Fun.id
+        [
+          Option.map
+            (fun p -> Fault_plan.Set_loss { a; b; model = Link.Bernoulli p })
+            (h p);
+        ]
+  | Fault_plan.Set_loss { a; b; model = Link.Gilbert ge } ->
       List.filter_map Fun.id
         [
           Option.map
             (fun loss_bad ->
-              Fault_plan.Gilbert_loss { a; b; ge = { ge with Link.loss_bad } })
+              Fault_plan.Set_loss
+                { a; b; model = Link.Gilbert { ge with Link.loss_bad } })
             (h ge.Link.loss_bad);
         ]
-  | Fault_plan.Link_down _ | Fault_plan.Link_up _ | Fault_plan.Clear_loss _
-  | Fault_plan.Switch_reboot _ ->
+  | Fault_plan.Set_loss { model = Link.No_loss; _ }
+  | Fault_plan.Link_down _ | Fault_plan.Link_up _ | Fault_plan.Switch_reboot _
+    ->
       []
 
 type shrunk = {

@@ -73,14 +73,6 @@ let refresh_ttx t =
           ~efficiency:t.efficiency
     | Estimated q -> estimated_ttx t q)
 
-let set_remaining_bytes t n =
-  t.remaining <- max 0 n;
-  refresh_ttx t
-
-let set_max_rate t r =
-  t.max_rate <- r;
-  refresh_ttx t
-
 (* M-PDQ load rebalancing: a subflow's assigned size changes as unsent
    bytes move between subflows; [acked] is the bytes already delivered
    on this subflow. *)

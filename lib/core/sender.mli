@@ -67,13 +67,6 @@ val inter_probe_interval : t -> float
 val remaining_bytes : t -> int
 (** Bytes not yet acknowledged. *)
 
-val set_remaining_bytes : t -> int -> unit
-(** Adjust the unacknowledged byte count (retransmissions, or M-PDQ
-    moving load between subflows); refreshes [T_S]. *)
-
-val set_max_rate : t -> float -> unit
-(** Lower/raise the maximal rate (M-PDQ subflows, receiver limits). *)
-
 val set_size : t -> size:int -> acked:int -> unit
 (** Change the flow's assigned size (M-PDQ moves unsent load between
     subflows); [acked] is the cumulative bytes already acknowledged on

@@ -4,7 +4,7 @@ type t = {
   link_rate : float;
   init_rtt : float;
   trace : Pdq_telemetry.Trace.t;
-  mutable rpdq : float;
+  rpdq : float;
   mutable c : float;
   flows : Flow_list.t;
   mutable rtt_avg : float;
@@ -55,7 +55,6 @@ let flush t =
 
 let switch_id t = t.switch_id
 let config t = t.config
-let set_rpdq t r = t.rpdq <- min r t.link_rate
 let rtt_avg t = t.rtt_avg
 let available_rate t = t.c
 let flow_list t = t.flows

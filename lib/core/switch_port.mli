@@ -21,8 +21,8 @@ val create :
   init_rtt:float ->
   unit ->
   t
-(** A fresh port. [link_rate] is the output line rate in bits/s; rPDQ
-    defaults to it ({!set_rpdq} overrides for multi-protocol links).
+(** A fresh port. [link_rate] is the output line rate in bits/s and
+    also rPDQ, the aggregate rate the port hands out to PDQ flows.
     [init_rtt] seeds the average-RTT estimate before any header is
     seen. [trace] (default {!Pdq_telemetry.Trace.null}) receives
     [Switch_flushed] on {!flush} and [Switch_rebuilt] when the first
@@ -30,10 +30,6 @@ val create :
 
 val switch_id : t -> int
 val config : t -> Config.t
-
-val set_rpdq : t -> float -> unit
-(** Cap the aggregate rate handed out to PDQ flows (§3.3.3 —
-    multi-protocol friendliness). *)
 
 val rtt_avg : t -> float
 (** Current average-RTT estimate (EWMA over header RTT fields). *)

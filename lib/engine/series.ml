@@ -50,8 +50,3 @@ let integrate_rate t ~width ~t_end =
   Array.init nbins (fun b ->
       let center = (float_of_int b +. 0.5) *. width in
       (center, sums.(b) /. width))
-
-let pp_tsv ppf t =
-  for i = 0 to t.size - 1 do
-    Format.fprintf ppf "%.9f\t%.9f@." t.times.(i) t.values.(i)
-  done

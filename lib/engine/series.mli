@@ -24,6 +24,3 @@ val integrate_rate : t -> width:float -> t_end:float -> (float * float) array
 (** Treat points as instantaneous event sizes (e.g. bytes transmitted at
     time t) and return per-bin sums divided by bin width — a rate
     series, e.g. bytes/sec when fed bytes. *)
-
-val pp_tsv : Format.formatter -> t -> unit
-(** Print as tab-separated [time value] rows. *)

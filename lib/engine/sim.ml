@@ -143,10 +143,6 @@ let create () =
 
 let set_profiler t p = t.profiler <- Option.map Profiler.slot p
 
-let set_cancel t ?(every = default_check_every) hook =
-  t.cancel <- cancel_of (Some (every, hook))
-
-let clear_cancel t = t.cancel <- None
 let events_executed t = t.executed
 let stop t = t.stopped <- true
 let now t = t.clock.(0)

@@ -100,12 +100,6 @@ val events_executed : t -> int
 (** Live events executed by this simulator so far (the budget
     currency of event-count limits). *)
 
-val set_cancel : t -> ?every:int -> (t -> string option) -> unit
-(** Install the cancellation hook on an existing simulator, checked
-    every [every] executed events (default 1024, clamped to [>= 1]). *)
-
-val clear_cancel : t -> unit
-
 val with_default_cancel :
   ?every:int -> (t -> string option) -> (unit -> 'a) -> 'a
 (** [with_default_cancel hook f] runs [f] with [hook] installed as the

@@ -1,7 +1,6 @@
 module Sim = Pdq_engine.Sim
 module Rng = Pdq_engine.Rng
 module Topology = Pdq_net.Topology
-module Link = Pdq_net.Link
 module Builder = Pdq_topo.Builder
 module Runner = Pdq_transport.Runner
 module Context = Pdq_transport.Context
@@ -149,11 +148,6 @@ type faults =
       plan : seed:int -> Builder.built -> Fault_plan.t;
     }
 
-type loss =
-  | No_loss
-  | Loss_on_links of { rate : float; links : int list }
-  | Loss_on_bottleneck of float
-
 type t = {
   name : string;
   topo : topo;
@@ -162,14 +156,13 @@ type t = {
   seed : int;
   horizon : float;
   stop_when_done : bool;
-  loss : loss;
   faults : faults;
   init_rtt : float;
   rto_min : float;
 }
 
 let make ?name ?(topo = default_tree) ?(seed = 1) ?(horizon = 10.)
-    ?(stop_when_done = true) ?(loss = No_loss) ?(faults = No_faults)
+    ?(stop_when_done = true) ?(faults = No_faults)
     ?(init_rtt = 2e-4) ?(rto_min = 1e-3) ~workload protocol =
   let name =
     match name with
@@ -186,7 +179,6 @@ let make ?name ?(topo = default_tree) ?(seed = 1) ?(horizon = 10.)
     seed;
     horizon;
     stop_when_done;
-    loss;
     faults;
     init_rtt;
     rto_min;
@@ -269,27 +261,6 @@ let jobs_plans ~pattern ~count ~width ~depth ~sizes ~deadlines ~rate ~seed
   in
   Job_arrivals.plans ~rng ~hosts ?rate ?floor ~count ~job ()
 
-let resolve_loss t (built : Builder.built) =
-  match t.loss with
-  | No_loss -> None
-  | Loss_on_links { rate; links } -> Some (rate, links)
-  | Loss_on_bottleneck rate -> (
-      match t.topo with
-      | Bottleneck _ ->
-          (* Node 0 is the switch; the receiver is the last host. *)
-          let hosts = built.Builder.hosts in
-          let rx = hosts.(Array.length hosts - 1) in
-          let topo = built.Builder.topo in
-          Some
-            ( rate,
-              [
-                Link.id (Topology.link_to topo ~src:0 ~dst:rx);
-                Link.id (Topology.link_to topo ~src:rx ~dst:0);
-              ] )
-      | _ ->
-          invalid_arg
-            "Scenario: Loss_on_bottleneck requires a Bottleneck topology")
-
 let resolve_faults t (built : Builder.built) =
   match t.faults with
   | No_faults -> None
@@ -349,7 +320,6 @@ let build_ext t =
       Runner.seed = t.seed;
       horizon = t.horizon;
       stop_when_done = t.stop_when_done;
-      loss = resolve_loss t built;
       faults = resolve_faults t built;
       telemetry = Runner.no_telemetry;
       driver;

@@ -150,7 +150,7 @@ type workload =
           its dependencies finish. Use {!run_jobs} (or {!run_checked})
           to get the job-level report. *)
 
-(** {1 Fault and loss specifications} *)
+(** {1 Fault specifications} *)
 
 type faults =
   | No_faults
@@ -166,15 +166,10 @@ type faults =
   | Fault_gen of {
       label : string;
       plan : seed:int -> Pdq_topo.Builder.built -> Pdq_faults.Fault_plan.t;
-    }  (** Bespoke pure plan generator. *)
-
-type loss =
-  | No_loss
-  | Loss_on_links of { rate : float; links : int list }
-      (** Bernoulli loss on the given directed link ids. *)
-  | Loss_on_bottleneck of float
-      (** Both directions of the switch↔receiver cable of a
-          {!Bottleneck} topology (Fig. 9). *)
+    }
+      (** Bespoke pure plan generator; packet loss (Fig. 9's standing
+          Bernoulli drops included) is a {!Pdq_faults.Fault_plan.Set_loss}
+          event of such a plan. *)
 
 (** {1 Scenarios} *)
 
@@ -186,7 +181,6 @@ type t = {
   seed : int;
   horizon : float;
   stop_when_done : bool;
-  loss : loss;
   faults : faults;
   init_rtt : float;
   rto_min : float;
@@ -198,7 +192,6 @@ val make :
   ?seed:int ->
   ?horizon:float ->
   ?stop_when_done:bool ->
-  ?loss:loss ->
   ?faults:faults ->
   ?init_rtt:float ->
   ?rto_min:float ->
@@ -206,7 +199,7 @@ val make :
   Pdq_transport.Runner.protocol ->
   t
 (** Defaults mirror {!Pdq_transport.Runner.default_options}: seed 1,
-    horizon 10 s, stop-when-done, no loss, no faults, 200 µs initial
+    horizon 10 s, stop-when-done, no faults, 200 µs initial
     RTT, 1 ms RTOmin; topology {!default_tree}. [name] defaults to
     ["<protocol> on <topo>"]. *)
 
@@ -220,7 +213,7 @@ val build :
   * Pdq_transport.Context.flow_spec list
   * Pdq_transport.Runner.options
 (** Materialize the scenario: construct the simulator + topology,
-    expand the workload and resolve loss/fault specs into runner
+    expand the workload and resolve the fault spec into runner
     options (no telemetry attached). For a {!Jobs} workload the specs
     are only the initially runnable stages and the options carry the
     {!Pdq_apps.Job_tracker} driver that injects the rest. Exposed for

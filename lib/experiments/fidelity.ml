@@ -61,9 +61,9 @@ let unchecked band f =
 let uniform100k = Scenario.Uniform_paper { mean_bytes = 100_000 }
 let paper_deadlines = Scenario.Exp_deadlines { mean = 0.02; floor = 3e-3 }
 
-let synthetic ?topo ?loss ~name ~pattern ~flows ?(sizes = uniform100k)
+let synthetic ?topo ~name ~pattern ~flows ?(sizes = uniform100k)
     ?(deadlines = Scenario.No_deadlines) protocol =
-  Scenario.make ~name ?topo ?loss ~horizon:5.
+  Scenario.make ~name ?topo ~horizon:5.
     ~workload:(Scenario.Synthetic { pattern; flows; sizes; deadlines })
     protocol
 
@@ -126,10 +126,8 @@ let entries () =
     checked
       (Fid.band ~id:"fig9b.pdq_fct" ~figure:"fig9b" ~metric:"mean_fct_ms"
          ~lo:3.34 ~hi:3.85)
-      (synthetic ~name:"fidelity fig9b lossy bottleneck"
-         ~topo:(Scenario.Bottleneck { senders = 6 })
-         ~loss:(Scenario.Loss_on_bottleneck 0.01) ~pattern:Scenario.Aggregation
-         ~flows:6 (Runner.Pdq Config.full))
+      (Fig9.scenario ~loss_rate:0.01 ~flows:6 ~deadlines:false
+         (Runner.Pdq Config.full))
       fct_ms;
     checked
       (Fid.band ~id:"fig10.est_fct" ~figure:"fig10" ~metric:"mean_fct_ms"

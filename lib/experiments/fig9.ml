@@ -1,17 +1,35 @@
 module Runner = Pdq_transport.Runner
 module Scenario = Pdq_exec.Scenario
 module Sweep = Pdq_exec.Sweep
+module Fault_plan = Pdq_faults.Fault_plan
+module Builder = Pdq_topo.Builder
 
 (* Query aggregation on the single-bottleneck topology of Fig. 2b with
-   loss injected on the switch<->receiver links. *)
+   standing Bernoulli loss on both directions of the switch<->receiver
+   cable: node 0 is the switch, the receiver is the last host. *)
 let scenario ~loss_rate ~flows ~deadlines protocol =
+  let bottleneck_loss ~seed:_ (built : Builder.built) =
+    let hosts = built.Builder.hosts in
+    let rx = hosts.(Array.length hosts - 1) in
+    Fault_plan.of_events
+      [
+        ( 0.,
+          Fault_plan.Set_loss
+            { a = 0; b = rx; model = Pdq_net.Link.Bernoulli loss_rate } );
+      ]
+  in
   Scenario.make
     ~name:(Printf.sprintf "lossy bottleneck %.1f%%" (loss_rate *. 100.))
     ~horizon:5.
     ~topo:(Scenario.Bottleneck { senders = max 4 flows })
-    ~loss:
-      (if loss_rate > 0. then Scenario.Loss_on_bottleneck loss_rate
-       else Scenario.No_loss)
+    ~faults:
+      (if loss_rate > 0. then
+         Scenario.Fault_gen
+           {
+             label = Printf.sprintf "%g bottleneck loss" loss_rate;
+             plan = bottleneck_loss;
+           }
+       else Scenario.No_faults)
     ~workload:
       (Scenario.Generated
          {

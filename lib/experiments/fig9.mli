@@ -7,6 +7,19 @@
     (b) deadline-unconstrained: mean FCT normalized to PDQ without
         loss. *)
 
+val scenario :
+  loss_rate:float ->
+  flows:int ->
+  deadlines:bool ->
+  Pdq_transport.Runner.protocol ->
+  Pdq_exec.Scenario.t
+(** [flows] query-aggregation flows to the last host of a
+    single-bottleneck topology, with a standing
+    {!Pdq_faults.Fault_plan.Set_loss} of [Bernoulli loss_rate] on both
+    directions of the switch-receiver cable ([loss_rate = 0.] injects
+    nothing). Deadlines follow the paper's exponential law when
+    [deadlines]. *)
+
 val fig9a : ?jobs:int -> ?quick:bool -> unit -> Common.table
 val fig9b : ?jobs:int -> ?quick:bool -> unit -> Common.table
 

@@ -198,7 +198,9 @@ let loss_burst_sweep ?jobs ?budget ?(quick = true) () =
           Fault_plan.of_events
             (List.map
                (fun (a, bb) ->
-                 (0., Fault_plan.Gilbert_loss { a; b = bb; ge = ge_of_burst burst }))
+                 ( 0.,
+                   Fault_plan.Set_loss
+                     { a; b = bb; model = Link.Gilbert (ge_of_burst burst) } ))
                (switch_cables b.Builder.topo)));
     }
   in

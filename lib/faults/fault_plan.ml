@@ -11,8 +11,7 @@ type event =
   | Link_down of { a : int; b : int }
   | Link_up of { a : int; b : int }
   | Loss_burst of { a : int; b : int; loss : float; duration : float }
-  | Gilbert_loss of { a : int; b : int; ge : Link.gilbert_elliott }
-  | Clear_loss of { a : int; b : int }
+  | Set_loss of { a : int; b : int; model : Link.loss_model }
   | Switch_reboot of int
 
 type timed = { time : float; event : event }
@@ -41,8 +40,12 @@ let pp_event ppf = function
   | Link_up { a; b } -> Format.fprintf ppf "link-up %d<->%d" a b
   | Loss_burst { a; b; loss; duration } ->
       Format.fprintf ppf "loss-burst %d<->%d p=%g for %gs" a b loss duration
-  | Gilbert_loss { a; b; _ } -> Format.fprintf ppf "gilbert-loss %d<->%d" a b
-  | Clear_loss { a; b } -> Format.fprintf ppf "clear-loss %d<->%d" a b
+  | Set_loss { a; b; model = Link.Bernoulli p } ->
+      Format.fprintf ppf "loss %d<->%d p=%g" a b p
+  | Set_loss { a; b; model = Link.Gilbert _ } ->
+      Format.fprintf ppf "gilbert-loss %d<->%d" a b
+  | Set_loss { a; b; model = Link.No_loss } ->
+      Format.fprintf ppf "clear-loss %d<->%d" a b
   | Switch_reboot n -> Format.fprintf ppf "switch-reboot %d" n
 
 (* ------------------------------------------------------------------ *)
@@ -59,7 +62,10 @@ let event_fields = function
         "\"ev\":\"loss-burst\",\"a\":%d,\"b\":%d,\"loss\":%s,\"duration\":%s" a b
         (Json.j_float loss)
         (Json.j_float duration)
-  | Gilbert_loss { a; b; ge } ->
+  | Set_loss { a; b; model = Link.Bernoulli p } ->
+      Printf.sprintf "\"ev\":\"loss\",\"a\":%d,\"b\":%d,\"loss\":%s" a b
+        (Json.j_float p)
+  | Set_loss { a; b; model = Link.Gilbert ge } ->
       Printf.sprintf
         "\"ev\":\"gilbert-loss\",\"a\":%d,\"b\":%d,\"p_gb\":%s,\"p_bg\":%s,\
          \"loss_good\":%s,\"loss_bad\":%s"
@@ -68,7 +74,7 @@ let event_fields = function
         (Json.j_float ge.Link.p_bg)
         (Json.j_float ge.Link.loss_good)
         (Json.j_float ge.Link.loss_bad)
-  | Clear_loss { a; b } ->
+  | Set_loss { a; b; model = Link.No_loss } ->
       Printf.sprintf "\"ev\":\"clear-loss\",\"a\":%d,\"b\":%d" a b
   | Switch_reboot n -> Printf.sprintf "\"ev\":\"switch-reboot\",\"switch\":%d" n
 
@@ -87,20 +93,23 @@ let event_of_fields fields =
   | "loss-burst" ->
       Loss_burst
         { a = int "a"; b = int "b"; loss = flt "loss"; duration = flt "duration" }
+  | "loss" ->
+      Set_loss { a = int "a"; b = int "b"; model = Link.Bernoulli (flt "loss") }
   | "gilbert-loss" ->
-      Gilbert_loss
+      Set_loss
         {
           a = int "a";
           b = int "b";
-          ge =
-            {
-              Link.p_gb = flt "p_gb";
-              p_bg = flt "p_bg";
-              loss_good = flt "loss_good";
-              loss_bad = flt "loss_bad";
-            };
+          model =
+            Link.Gilbert
+              {
+                Link.p_gb = flt "p_gb";
+                p_bg = flt "p_bg";
+                loss_good = flt "loss_good";
+                loss_bad = flt "loss_bad";
+              };
         }
-  | "clear-loss" -> Clear_loss { a = int "a"; b = int "b" }
+  | "clear-loss" -> Set_loss { a = int "a"; b = int "b"; model = Link.No_loss }
   | "switch-reboot" -> Switch_reboot (int "switch")
   | other -> raise (Json.Parse_error ("unknown fault event " ^ other))
 
@@ -256,13 +265,9 @@ let install ~sim ~topo ~rng ?(trace = null_trace) ~on_change ~on_reboot t =
                List.iter2
                  (fun l m -> Link.set_loss_model l m ~rng:(Rng.split ev_rng))
                  links saved))
-    | Gilbert_loss { a; b; ge } ->
+    | Set_loss { a; b; model } ->
         List.iter
-          (fun l -> Link.set_loss_model l (Link.Gilbert ge) ~rng:(Rng.split ev_rng))
-          (both_links topo ~a ~b)
-    | Clear_loss { a; b } ->
-        List.iter
-          (fun l -> Link.set_loss_model l Link.No_loss ~rng:(Rng.split ev_rng))
+          (fun l -> Link.set_loss_model l model ~rng:(Rng.split ev_rng))
           (both_links topo ~a ~b)
     | Switch_reboot n -> on_reboot n
   in

@@ -1,9 +1,9 @@
 (** Deterministic fault-schedule DSL.
 
     A fault plan is a time-ordered list of injection events — duplex
-    link failures and recoveries, loss episodes (flat Bernoulli bursts
-    or standing Gilbert–Elliott bursty channels), and switch reboots
-    that wipe per-flow scheduler soft state. Plans are pure data:
+    link failures and recoveries, loss episodes (flat Bernoulli bursts),
+    standing loss processes (Bernoulli or Gilbert–Elliott), and switch
+    reboots that wipe per-flow scheduler soft state. Plans are pure data:
     generators expand a seeded {!Pdq_engine.Rng.t} into an event trace
     (same seed + parameters ⇒ identical trace, bit for bit), and
     {!install} turns a plan into scheduled simulator events against a
@@ -22,10 +22,14 @@ type event =
   | Loss_burst of { a : int; b : int; loss : float; duration : float }
       (** Drop packets on both directions with probability [loss] for
           [duration] seconds, then restore the previous loss model. *)
-  | Gilbert_loss of { a : int; b : int; ge : Pdq_net.Link.gilbert_elliott }
-      (** Install a standing bursty (Gilbert–Elliott) loss channel. *)
-  | Clear_loss of { a : int; b : int }
-      (** Remove any loss model from the cable. *)
+  | Set_loss of { a : int; b : int; model : Pdq_net.Link.loss_model }
+      (** Install a standing loss process on both directions of the
+          cable until the next [Set_loss] on it: independent
+          [Bernoulli] drops (Fig. 9), a bursty [Gilbert] channel, or
+          [No_loss] to clear it. The only way a run gets standing
+          loss. Its JSON and printed names follow the model:
+          ["loss"] (field ["loss"] = p), ["gilbert-loss"] and
+          ["clear-loss"]. *)
   | Switch_reboot of int
       (** Crash-reboot a switch node: all its per-flow scheduling soft
           state is lost and must be rebuilt from traversing headers. *)

@@ -310,17 +310,6 @@ let reconstruct events =
   in
   { flows; errors = List.rev !errors }
 
-let pp_phase fmt = function
-  | Handshake -> Format.pp_print_string fmt "handshake"
-  | Sending -> Format.pp_print_string fmt "sending"
-  | Paused { by; preempted_by } -> (
-      match preempted_by with
-      | Some p -> Format.fprintf fmt "paused(sw %d, by flow %d)" by p
-      | None -> Format.fprintf fmt "paused(sw %d)" by)
-  | Recovery { kind; fault_induced } ->
-      Format.fprintf fmt "recovery(%s%s)" kind
-        (if fault_induced then ", fault" else "")
-
 let pp_outcome fmt = function
   | Completed { fct } -> Format.fprintf fmt "completed fct=%.6g" fct
   | Terminated -> Format.pp_print_string fmt "terminated"

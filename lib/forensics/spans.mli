@@ -58,5 +58,4 @@ val reconstruct : (float * Pdq_telemetry.Trace.event) list -> t
     excluded from [flows] and described in [errors]; spans of flows
     the trace left unfinished are closed at the last timestamp. *)
 
-val pp_phase : Format.formatter -> phase -> unit
 val pp_outcome : Format.formatter -> outcome -> unit

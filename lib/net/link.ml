@@ -121,11 +121,6 @@ let proc_delay t = t.proc_delay
 let set_receiver t f = t.receiver <- f
 let receiver t = t.receiver
 let queue_bytes t = t.queued_bytes
-let queue_packets t = Queue.length t.queue
-
-let set_loss t ~rate ~rng =
-  t.loss_model <- (if rate > 0. then Bernoulli rate else No_loss);
-  t.loss_rng <- Some rng
 
 let set_loss_model t model ~rng =
   t.loss_model <- model;
@@ -144,8 +139,7 @@ let bytes_sent t = t.bytes_sent
 let on_transmit t f = t.tap <- Some f
 let set_trace t trace = t.trace <- trace
 
-let utilization t ~since ~now =
-  ignore since;
+let utilization t ~now =
   let window = now -. t.last_window_start in
   if window <= 0. then 0.
   else begin

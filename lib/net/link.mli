@@ -6,7 +6,8 @@
     Loss injection models the lossy-channel experiments of Fig. 9
     (independent Bernoulli drops) and, for the resilience harness,
     bursty Gilbert–Elliott episodes and administrative link-down
-    status. *)
+    status. Runs install loss processes only through
+    [Pdq_faults.Fault_plan] events. *)
 
 type gilbert_elliott = {
   p_gb : float;   (** Per-packet Good→Bad transition probability. *)
@@ -69,12 +70,6 @@ val queue_bytes : t -> int
 (** Bytes currently waiting in the output queue (incl. the packet being
     serialized). *)
 
-val queue_packets : t -> int
-
-val set_loss : t -> rate:float -> rng:Pdq_engine.Rng.t -> unit
-(** Drop each arriving packet independently with probability [rate]
-    (shorthand for [set_loss_model (Bernoulli rate)]). *)
-
 val set_loss_model : t -> loss_model -> rng:Pdq_engine.Rng.t -> unit
 (** Install a loss process; resets the Gilbert–Elliott channel to the
     Good state. *)
@@ -108,9 +103,10 @@ val dropped_down : t -> int
 
 val bytes_sent : t -> int
 
-val utilization : t -> since:float -> now:float -> float
-(** Fraction of link capacity used between [since] and [now], based on
-    bytes serialized in that window (sampled cheaply; call sparingly). *)
+val utilization : t -> now:float -> float
+(** Fraction of link capacity used since the previous call (or t = 0),
+    based on bytes serialized in that window; resets the window to
+    start at [now]. *)
 
 val on_transmit : t -> (now:float -> bytes:int -> unit) -> unit
 (** Register a tap called at the end of each packet serialization —

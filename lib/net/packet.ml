@@ -31,13 +31,3 @@ let make ~flow ~src ~dst ~kind ?(payload_bytes = 0) ?(seq = 0) ?(extra_header = 
     payload;
     sent_at = now;
   }
-
-let pp_kind ppf k =
-  Format.pp_print_string ppf
-    (match k with
-    | Syn -> "SYN"
-    | Syn_ack -> "SYN-ACK"
-    | Data -> "DATA"
-    | Ack -> "ACK"
-    | Probe -> "PROBE"
-    | Term -> "TERM")

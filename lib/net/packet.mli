@@ -55,5 +55,3 @@ val make :
   t
 (** Create a packet; [wire_bytes] is computed as
     [header_bytes + extra_header + payload_bytes]. *)
-
-val pp_kind : Format.formatter -> kind -> unit

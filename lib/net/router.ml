@@ -87,6 +87,3 @@ let path_links t ~src ~dst ~choice =
     (fun i ->
       let l = Topology.link_to t.topo ~src:nodes.(i) ~dst:nodes.(i + 1) in
       Link.id l)
-
-let ecmp_width t ~src ~dst =
-  if src = dst then 0 else List.length (next_hops t ~node:src ~dst)

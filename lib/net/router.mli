@@ -30,7 +30,3 @@ val path : t -> src:int -> dst:int -> choice:int -> int array
 
 val path_links : t -> src:int -> dst:int -> choice:int -> int array
 (** The directed link ids along {!path}. *)
-
-val ecmp_width : t -> src:int -> dst:int -> int
-(** Number of distinct next hops on shortest paths at [src] towards
-    [dst] — a lower bound on the path diversity M-PDQ can exploit. *)

@@ -319,11 +319,6 @@ let abort t flow ~cause =
 
 let on_abort t f = t.abort_observer <- Some f
 
-let completed_count t =
-  List.fold_left
-    (fun n f -> if f.completed_at <> None then n + 1 else n)
-    0 t.flows_rev
-
 let on_all_complete t f = t.all_complete_cb <- Some f
 
 let record_rx t ~flow_id ~bytes =

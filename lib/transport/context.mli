@@ -103,8 +103,6 @@ val is_forward_kind : Pdq_net.Packet.kind -> bool
 val complete : t -> flow -> unit
 (** Record receiver-side completion (idempotent). *)
 
-val completed_count : t -> int
-
 val on_all_complete : t -> (unit -> unit) -> unit
 (** Callback fired when every registered flow has completed or been
     terminated (used to stop long simulations early). *)

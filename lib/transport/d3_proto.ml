@@ -19,7 +19,6 @@ type port = {
 
 type t = { ctx : Context.t; ports : port array; inner : Rate_flow.t }
 
-let fair_share t ~link = t.ports.(link).fs
 let flow_count t ~link = Hashtbl.length t.ports.(link).granted
 
 (* Interval rollover: compute next interval's fair share from this

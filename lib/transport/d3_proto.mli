@@ -16,9 +16,6 @@ type t
 val install : ctx:Context.t -> until:float -> t
 val start_flow : t -> Context.flow -> unit
 
-val fair_share : t -> link:int -> float
-(** Current fair-share component on a directed link (for tests). *)
-
 val flow_count : t -> link:int -> int
 (** Flows granted a reservation on a directed link in the current
     allocation interval (feeds the telemetry metrics prober). *)

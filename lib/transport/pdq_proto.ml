@@ -601,7 +601,4 @@ let stream_resize s size =
     ensure_sending s
   end
 
-let stream_rx_received s = Rx_buffer.received_bytes s.rx
-
-let stream_rate s = Sender.rate s.core
 let stream_terminate s = terminate s

@@ -69,11 +69,5 @@ val stream_terminated : stream -> bool
 val stream_resize : stream -> int -> unit
 (** Assign a new size (must not cut below the bytes already sent). *)
 
-val stream_rate : stream -> float
-(** Current sending rate, bits/s. *)
-
-val stream_rx_received : stream -> int
-(** Distinct bytes delivered at the stream's receiver. *)
-
 val stream_terminate : stream -> unit
 (** Early-terminate the stream (sends TERM). *)

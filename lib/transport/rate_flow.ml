@@ -48,11 +48,9 @@ let k_watchdog = Sim.Kind.register "rate.watchdog"
 let k_launch = Sim.Kind.register "rate.launch"
 
 let sender_flow s = s.flow
-let sender_rate s = s.rate
 let sender_rtt s = s.rtt
 let sender_remaining s = max 0 (s.flow.Context.spec.Context.size - s.acked)
 let sender_deadline s = s.flow.Context.deadline_abs
-let sender_now s = Context.now s.proto.ctx
 
 let now s = Context.now s.proto.ctx
 let size s = s.flow.Context.spec.Context.size

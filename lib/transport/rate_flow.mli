@@ -44,10 +44,8 @@ val start_flow : t -> Context.flow -> unit
 (** Sender accessors available to [ops] callbacks: *)
 
 val sender_flow : sender -> Context.flow
-val sender_rate : sender -> float
 val sender_rtt : sender -> float
 val sender_remaining : sender -> int
 (** Unacknowledged bytes. *)
 
 val sender_deadline : sender -> float option
-val sender_now : sender -> float

@@ -24,7 +24,6 @@ let recompute_fair p ~now:_ =
   let c_eff = Link.rate p.link -. (q_bits /. (2. *. max p.rtt_avg 1e-9)) in
   p.fair <- max min_rate (min (Link.rate p.link) (c_eff /. float_of_int n))
 
-let fair_rate t ~link = t.ports.(link).fair
 let flow_count t ~link = Hashtbl.length t.ports.(link).flows
 
 let on_forward t ~link (pkt : Packet.t) =

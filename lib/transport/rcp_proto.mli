@@ -13,9 +13,6 @@ val install : ctx:Context.t -> until:float -> t
 
 val start_flow : t -> Context.flow -> unit
 
-val fair_rate : t -> link:int -> float
-(** Current advertised fair rate on a directed link (for tests). *)
-
 val flow_count : t -> link:int -> int
 (** Active flows registered on a directed link (feeds the telemetry
     metrics prober). *)

@@ -5,7 +5,6 @@ module Link = Pdq_net.Link
 module Trace = Pdq_telemetry.Trace
 module Metrics = Pdq_telemetry.Metrics
 
-let k_check_probe = Sim.Kind.register "check.probe"
 let k_telemetry = Sim.Kind.register "telemetry.sample"
 
 type protocol =
@@ -59,7 +58,6 @@ type options = {
   seed : int;
   horizon : float;
   stop_when_done : bool;
-  loss : (float * int list) option;
   faults : Pdq_faults.Fault_plan.t option;
   telemetry : telemetry;
   driver : driver option;
@@ -72,7 +70,6 @@ let default_options =
     seed = 1;
     horizon = 10.;
     stop_when_done = true;
-    loss = None;
     faults = None;
     telemetry = no_telemetry;
     driver = None;
@@ -136,12 +133,6 @@ let execute ?(options = default_options) ~topo protocol specs =
   | Some m ->
       Context.on_abort ctx (fun ~cause ->
           Metrics.incr (Metrics.counter m (Metrics.Name.watchdog_abort cause)) ())
-  | None -> ());
-  (match options.loss with
-  | Some (rate, links) ->
-      List.iter
-        (fun l -> Link.set_loss (Topology.link topo l) ~rate ~rng:(Rng.split rng))
-        links
   | None -> ());
   (* The PDQ-family scheduler state a validation probe may inspect;
      RCP/D3/TCP ports hold no flow list, so they expose no view. *)
@@ -210,22 +201,6 @@ let execute ?(options = default_options) ~topo protocol specs =
       let f = Context.add_flow ctx spec in
       start_flow f;
       f);
-  (* Validation probe: hand every PDQ port's scheduler state to the
-     attached monitor on the telemetry grid. Like the metrics probe,
-     nothing is scheduled when no monitor is attached. *)
-  (match (options.telemetry.port_probe, port_view) with
-  | Some on_port, Some view ->
-      let every = max options.telemetry.metrics_every 1e-6 in
-      let rec probe () =
-        let time = Sim.now sim in
-        Topology.iter_links
-          (fun l -> on_port ~now:time (view ~link:(Link.id l)))
-          topo;
-        if time +. every <= options.horizon then
-          ignore (Sim.schedule_k sim k_check_probe ~delay:every probe)
-      in
-      ignore (Sim.schedule_k sim k_check_probe ~delay:0. probe)
-  | _ -> ());
   (* Fault injection. The empty plan is skipped entirely — not even an
      [Rng.split] — so a run with [faults = Some Fault_plan.empty] is
      bit-for-bit identical to one with [faults = None]. Installed after
@@ -248,38 +223,52 @@ let execute ?(options = default_options) ~topo protocol specs =
         ~on_reboot:(fun node -> Context.reboot_switch ctx ~node)
         plan
   | Some _ | None -> ());
-  (* Network-wide metrics probe: per-link utilization and queue depth,
-     per-port active/paused flow counts, sampled on a fixed grid. Only
-     scheduled when a registry is attached, so plain runs see no extra
-     simulator events. *)
-  (match options.telemetry.metrics with
-  | Some m ->
-      let every = max options.telemetry.metrics_every 1e-6 in
-      let rec probe () =
-        let time = Sim.now sim in
-        Topology.iter_links
-          (fun l ->
-            let id = Link.id l in
-            Metrics.sample m ~time ~name:(Metrics.Name.link_util id)
-              ~value:(Link.utilization l ~since:time ~now:time);
-            Metrics.sample m ~time
-              ~name:(Metrics.Name.link_queue_bytes id)
-              ~value:(float_of_int (Link.queue_bytes l));
-            match port_counts ~link:id with
-            | Some (active, paused) ->
-                Metrics.sample m ~time
-                  ~name:(Metrics.Name.port_flows_active id)
-                  ~value:(float_of_int active);
-                Metrics.sample m ~time
-                  ~name:(Metrics.Name.port_flows_paused id)
-                  ~value:(float_of_int paused)
-            | None -> ())
-          topo;
-        if time +. every <= options.horizon then
-          ignore (Sim.schedule_k sim k_telemetry ~delay:every probe)
-      in
-      ignore (Sim.schedule_k sim k_telemetry ~delay:0. probe)
-  | None -> ());
+  (* One probe grid for every observer: per-link utilization and queue
+     depth plus per-port active/paused flow counts into the metrics
+     registry, and every PDQ port's scheduler state to the validation
+     probe, in one walk over the links per tick. Nothing is scheduled
+     when neither is attached (or the protocol has no PDQ port to
+     probe), so plain runs see no extra simulator events; both
+     observers only read. *)
+  let metrics = options.telemetry.metrics in
+  let port_probe =
+    match (options.telemetry.port_probe, port_view) with
+    | Some on_port, Some view -> Some (on_port, view)
+    | _ -> None
+  in
+  if Option.is_some metrics || Option.is_some port_probe then begin
+    let every = max options.telemetry.metrics_every 1e-6 in
+    let rec tick () =
+      let time = Sim.now sim in
+      Topology.iter_links
+        (fun l ->
+          let id = Link.id l in
+          (match metrics with
+          | Some m -> (
+              Metrics.sample m ~time ~name:(Metrics.Name.link_util id)
+                ~value:(Link.utilization l ~now:time);
+              Metrics.sample m ~time
+                ~name:(Metrics.Name.link_queue_bytes id)
+                ~value:(float_of_int (Link.queue_bytes l));
+              match port_counts ~link:id with
+              | Some (active, paused) ->
+                  Metrics.sample m ~time
+                    ~name:(Metrics.Name.port_flows_active id)
+                    ~value:(float_of_int active);
+                  Metrics.sample m ~time
+                    ~name:(Metrics.Name.port_flows_paused id)
+                    ~value:(float_of_int paused)
+              | None -> ())
+          | None -> ());
+          match port_probe with
+          | Some (on_port, view) -> on_port ~now:time (view ~link:id)
+          | None -> ())
+        topo;
+      if time +. every <= options.horizon then
+        ignore (Sim.schedule_k sim k_telemetry ~delay:every tick)
+    in
+    ignore (Sim.schedule_k sim k_telemetry ~delay:0. tick)
+  end;
   let flows = List.map (Context.add_flow ctx) specs in
   List.iter start_flow flows;
   if options.stop_when_done then Context.on_all_complete ctx (fun () -> Sim.stop sim);

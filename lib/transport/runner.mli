@@ -52,8 +52,8 @@ type telemetry = {
           queue depth, per-port active/paused flow counts) plus the
           run's counters and FCT histogram. *)
   metrics_every : float;
-      (** Probe grid in simulated seconds (used by [metrics] and
-          [port_probe]). *)
+      (** Probe grid in simulated seconds. [metrics] and [port_probe]
+          share one tick that walks the links once. *)
   port_probe : (now:float -> port_view -> unit) option;
       (** Called for every PDQ port on the telemetry grid. [None] (the
           default) schedules nothing; probing never perturbs the run —
@@ -90,13 +90,11 @@ type options = {
           runs). *)
   stop_when_done : bool;
       (** Stop as soon as every flow completed or terminated. *)
-  loss : (float * int list) option;
-      (** Bernoulli loss rate applied to the given directed links
-          (Fig. 9 applies it to both directions of the bottleneck). *)
   faults : Pdq_faults.Fault_plan.t option;
-      (** Timed fault injections (link failures, loss episodes, switch
-          reboots). [None] or an empty plan leaves the run bit-for-bit
-          identical to a fault-free one. *)
+      (** Timed fault injections (link failures, loss episodes and
+          standing loss processes, switch reboots); the only source of
+          packet loss in a run. [None] or an empty plan leaves the run
+          bit-for-bit identical to a fault-free one. *)
   telemetry : telemetry;
       (** Structured tracing and metrics for the run. Replaces the old
           single-link [trace] option: bottleneck time series (Fig. 6/7)
@@ -112,7 +110,7 @@ type options = {
 }
 
 val default_options : options
-(** seed 1, horizon 10 s, stop-when-done, no loss, no telemetry,
+(** seed 1, horizon 10 s, stop-when-done, no faults, no telemetry,
     200 µs initial RTT, 1 ms RTOmin. *)
 
 type flow_result = {

@@ -38,11 +38,6 @@ and t = {
   senders : (int, sender) Hashtbl.t;
 }
 
-let sender_cwnd t ~flow =
-  match Hashtbl.find_opt t.senders flow with
-  | Some s -> s.cwnd
-  | None -> 0.
-
 let now s = Context.now s.proto.ctx
 let size s = s.flow.Context.spec.Context.size
 

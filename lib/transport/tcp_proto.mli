@@ -8,6 +8,3 @@ type t
 
 val install : ?rto_min:float -> ctx:Context.t -> unit -> t
 val start_flow : t -> Context.flow -> unit
-
-val sender_cwnd : t -> flow:int -> float
-(** Current congestion window in bytes (for tests). *)

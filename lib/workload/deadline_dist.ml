@@ -6,4 +6,3 @@ let exponential ?(floor = 3e-3) ~mean () =
 
 let sample t rng = max t.floor (Pdq_engine.Rng.exponential rng ~mean:t.mean)
 let mean t = t.mean
-let floor_value t = t.floor

@@ -10,4 +10,3 @@ val exponential : ?floor:float -> mean:float -> unit -> t
 
 val sample : t -> Pdq_engine.Rng.t -> float
 val mean : t -> float
-val floor_value : t -> float

@@ -54,12 +54,17 @@ let gen_fault_event =
         (fun a b (loss, duration) -> Fault_plan.Loss_burst { a; b; loss; duration })
         gen_node gen_node (pair gen_prob gen_span);
       map3
-        (fun a b (p_gb, p_bg, loss_good, loss_bad) ->
-          Fault_plan.Gilbert_loss
-            { a; b; ge = { Link.p_gb; p_bg; loss_good; loss_bad } })
+        (fun a b model -> Fault_plan.Set_loss { a; b; model })
         gen_node gen_node
-        (quad gen_prob gen_prob gen_prob gen_prob);
-      map2 (fun a b -> Fault_plan.Clear_loss { a; b }) gen_node gen_node;
+        (oneof
+           [
+             map (fun p -> Link.Bernoulli p) gen_prob;
+             map
+               (fun (p_gb, p_bg, loss_good, loss_bad) ->
+                 Link.Gilbert { Link.p_gb; p_bg; loss_good; loss_bad })
+               (quad gen_prob gen_prob gen_prob gen_prob);
+             return Link.No_loss;
+           ]);
       map (fun n -> Fault_plan.Switch_reboot n) gen_node;
     ]
 
@@ -90,6 +95,26 @@ let qcheck_fault_roundtrip =
       match Fault_plan.of_json (Fault_plan.to_json p) with
       | Ok p' -> Fault_plan.events p' = Fault_plan.events p
       | Error _ -> false)
+
+(* Stored plans and chaos reproducers stay valid: "gilbert-loss" and
+   "clear-loss" events parse, print and re-serialize byte for byte. *)
+let test_legacy_loss_events () =
+  let json =
+    "[{\"t\":0,\"ev\":\"gilbert-loss\",\"a\":1,\"b\":2,\"p_gb\":0.0025,\
+     \"p_bg\":0.05,\"loss_good\":0,\"loss_bad\":1},\
+     {\"t\":0.25,\"ev\":\"clear-loss\",\"a\":1,\"b\":2}]"
+  in
+  match Fault_plan.of_json json with
+  | Error e -> Alcotest.failf "of_json: %s" e
+  | Ok plan ->
+      Alcotest.(check string) "re-serializes identically" json
+        (Fault_plan.to_json plan);
+      Alcotest.(check (list string))
+        "printed names"
+        [ "gilbert-loss 1<->2"; "clear-loss 1<->2" ]
+        (List.map
+           (fun (_, ev) -> Format.asprintf "%a" Fault_plan.pp_event ev)
+           (Fault_plan.events plan))
 
 (* Cases as the fuzzer itself draws them — nested plans included —
    must survive the counterexample-artifact round trip, and the
@@ -263,6 +288,8 @@ let suites =
     ( "chaos.plan_json",
       qsuite [ qcheck_fault_roundtrip; qcheck_adversary_roundtrip ]
       @ [
+          Alcotest.test_case "legacy loss events re-serialize" `Quick
+            test_legacy_loss_events;
           Alcotest.test_case "fuzzer cases round-trip" `Quick
             test_case_roundtrip;
           Alcotest.test_case "case_of_json is strict" `Quick

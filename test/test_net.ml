@@ -76,7 +76,7 @@ let test_link_loss () =
   let link = mk_link sim in
   let got = ref 0 in
   Link.set_receiver link (fun _ -> incr got);
-  Link.set_loss link ~rate:0.5 ~rng:(Rng.create 42);
+  Link.set_loss_model link (Link.Bernoulli 0.5) ~rng:(Rng.create 42);
   for _ = 1 to 1000 do
     Link.send link (mk_packet ~now:0. ())
   done;

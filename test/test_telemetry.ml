@@ -362,6 +362,43 @@ let test_sinks_do_not_perturb () =
   Alcotest.(check bool) "but events were recorded" true
     (Trace.memory_events mem <> [])
 
+(* The metrics probe and the port probe share one tick: attaching both
+   records exactly what each records alone, and schedules no more
+   simulator events than the metrics probe alone. *)
+let test_one_probe_tick () =
+  let run ~metrics ~probe =
+    let m = Metrics.create () in
+    let views = ref [] in
+    let telemetry =
+      {
+        Runner.no_telemetry with
+        metrics = (if metrics then Some m else None);
+        metrics_every = 2e-4;
+        port_probe =
+          (if probe then Some (fun ~now v -> views := (now, v) :: !views)
+           else None);
+      }
+    in
+    let r =
+      bottleneck_run ~telemetry ~senders:3
+        ~sizes:[ 100_000; 100_000; 100_000 ] ()
+    in
+    let samples =
+      List.map
+        (fun name -> (name, Metrics.series m ~name))
+        (Metrics.series_names m)
+    in
+    (samples, List.rev !views, Sim.events_executed (Context.sim r.Runner.ctx))
+  in
+  let m_samples, _, m_events = run ~metrics:true ~probe:false in
+  let _, p_views, _ = run ~metrics:false ~probe:true in
+  let b_samples, b_views, b_events = run ~metrics:true ~probe:true in
+  Alcotest.(check bool) "metrics samples recorded" true (m_samples <> []);
+  Alcotest.(check bool) "port views recorded" true (p_views <> []);
+  Alcotest.(check bool) "same metrics samples" true (b_samples = m_samples);
+  Alcotest.(check bool) "same port views" true (b_views = p_views);
+  Alcotest.(check int) "no extra events" m_events b_events
+
 let test_metrics_probe () =
   let m = Metrics.create () in
   let r =
@@ -518,6 +555,7 @@ let suites =
         Alcotest.test_case "sinks do not perturb" `Quick
           test_sinks_do_not_perturb;
         Alcotest.test_case "metrics probe" `Quick test_metrics_probe;
+        Alcotest.test_case "one probe tick" `Quick test_one_probe_tick;
         Alcotest.test_case "all protocols emit" `Quick
           test_all_protocols_emit;
         Alcotest.test_case "profiler" `Quick test_profiler_counts;

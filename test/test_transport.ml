@@ -146,17 +146,17 @@ let test_pdq_variants_all_complete () =
 let test_pdq_resilient_to_loss () =
   let sim = Sim.create () in
   let built, rx = Builder.single_bottleneck ~sim ~senders:2 () in
-  (* Find the bottleneck (switch -> receiver) links, both directions. *)
-  let bottleneck_links =
-    let switch = 0 in
-    [
-      Pdq_net.Link.id (Topology.link_to built.Builder.topo ~src:switch ~dst:rx);
-      Pdq_net.Link.id (Topology.link_to built.Builder.topo ~src:rx ~dst:switch);
-    ]
+  (* Standing 2% Bernoulli loss on both directions of the bottleneck
+     (switch 0 <-> receiver) cable. *)
+  let loss =
+    Pdq_faults.Fault_plan.of_events
+      [
+        ( 0.,
+          Pdq_faults.Fault_plan.Set_loss
+            { a = 0; b = rx; model = Pdq_net.Link.Bernoulli 0.02 } );
+      ]
   in
-  let options =
-    { opts with Runner.loss = Some (0.02, bottleneck_links); horizon = 5. }
-  in
+  let options = { opts with Runner.faults = Some loss } in
   let r =
     Runner.execute ~options ~topo:built.Builder.topo (Runner.Pdq Config.full)
       [
@@ -164,6 +164,8 @@ let test_pdq_resilient_to_loss () =
         spec ~src:built.Builder.hosts.(1) ~dst:rx ~size:(kb 300.) ();
       ]
   in
+  Alcotest.(check bool) "loss fired" true
+    (Option.value ~default:0 (List.assoc_opt "drop.loss" r.Runner.counters) > 0);
   Alcotest.(check int) "completes despite 2% loss" 2 r.Runner.completed
 
 (* ------------------------------------------------------------------ *)
