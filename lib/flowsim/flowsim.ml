@@ -62,7 +62,7 @@ type fl = {
 let bits_of_bytes b = 8. *. float_of_int b
 
 (* PDQ criticality comparison under the chosen mode. *)
-let pdq_compare opts ~now a b =
+let pdq_compare opts a b =
   match opts.criticality with
   | Random_criticality -> compare (a.rand_crit, a.spec.fs_id) (b.rand_crit, b.spec.fs_id)
   | Size_estimation _ ->
@@ -77,7 +77,6 @@ let pdq_compare opts ~now a b =
                 ~expected_tx_time:ttx
           | None -> ttx
         in
-        ignore now;
         match f.deadline_abs with
         | Some d -> (0, d, ttx, f.spec.fs_id)
         | None -> (1, 0., ttx, f.spec.fs_id)
@@ -92,7 +91,7 @@ let infeasible f ~now =
 
 let pdq_rates opts ~now ~capacity active =
   let residual = Array.copy capacity in
-  let order = List.sort (pdq_compare opts ~now) active in
+  let order = List.sort (pdq_compare opts) active in
   List.iter
     (fun f ->
       if opts.early_termination && infeasible f ~now then begin
@@ -229,6 +228,9 @@ let run ?(dt = 1e-3) ?(init_latency = 5e-4) ?(header_overhead = 56. /. 1500.)
   let flows =
     List.map
       (fun spec ->
+        if Array.length spec.path = 0 then
+          invalid_arg
+            (Printf.sprintf "Flowsim.run: flow %d has an empty path" spec.fs_id);
         let nic =
           Array.fold_left (fun acc l -> min acc net.capacity.(l)) infinity
             spec.path
@@ -268,18 +270,21 @@ let run ?(dt = 1e-3) ?(init_latency = 5e-4) ?(header_overhead = 56. /. 1500.)
       | _ -> ()
     in
     admit ();
-    let live = List.filter (fun f -> (not f.dead) && f.done_at = None) !active in
+    (* [active] holds only live flows here: the previous step retired
+       every dead and finished one. *)
+    let live = !active in
     (match proto with
     | Pdq opts -> pdq_rates opts ~now:!t ~capacity:net.capacity live
     | Rcp -> rcp_rates ~capacity:net.capacity live
     | D3 -> d3_rates ~now:!t ~capacity:net.capacity ~fs live);
     (* Advance remaining work; interpolate completion times within the
        step. The goodput factor models header overhead. *)
+    let retired = ref false in
     List.iter
       (fun f ->
         if f.dead then begin
           decr open_flows;
-          active := List.filter (fun g -> g != f) !active
+          retired := true
         end
         else begin
           let goodput = f.rate *. goodput_factor in
@@ -291,7 +296,7 @@ let run ?(dt = 1e-3) ?(init_latency = 5e-4) ?(header_overhead = 56. /. 1500.)
               f.remaining <- 0.;
               f.done_at <- Some finish;
               decr open_flows;
-              active := List.filter (fun g -> g != f) !active
+              retired := true
             end
             else begin
               f.remaining <- f.remaining -. work;
@@ -307,6 +312,10 @@ let run ?(dt = 1e-3) ?(init_latency = 5e-4) ?(header_overhead = 56. /. 1500.)
           end
         end)
       live;
+    (* Retire once per step. The filter keeps [active]'s order, which
+       fixes RCP's per-link member order and so its float sums. *)
+    if !retired then
+      active := List.filter (fun f -> (not f.dead) && f.done_at = None) !active;
     t := !t +. dt
   done;
   let results =

@@ -1,8 +1,15 @@
+(* Hop counts to one destination [dst]: 0 at [dst], [hops.(x) + extra]
+   elsewhere, [max_int] when unreachable. A destination with its own BFS
+   has [extra] = 0. A single-homed destination whose cable is up is
+   reached only through its one neighbour, so it shares that
+   neighbour's [hops] with [extra] = 1 instead of running its own BFS. *)
+type table = { dst : int; hops : int array; extra : int }
+
 type t = {
   topo : Topology.t;
-  (* dst -> distance-to-dst for every node, computed by reverse BFS.
-     The graph is symmetric (duplex links) so forward BFS suffices. *)
-  dist_cache : (int, int array) Hashtbl.t;
+  (* dst -> its distance table, computed by reverse BFS. The graph is
+     symmetric (duplex links) so forward BFS suffices. *)
+  dist_cache : (int, table) Hashtbl.t;
 }
 
 let create topo = { topo; dist_cache = Hashtbl.create 64 }
@@ -31,16 +38,30 @@ let bfs_from t root =
   done;
   dist
 
-let dist_to t dst =
+let[@inline] dist tbl node =
+  if node = tbl.dst then 0
+  else
+    let d = tbl.hops.(node) in
+    if d = max_int then d else d + tbl.extra
+
+let multi_homed t node =
+  List.compare_length_with (Topology.links_from t.topo node) 1 > 0
+
+let rec dist_to t dst =
   match Hashtbl.find_opt t.dist_cache dst with
-  | Some d -> d
+  | Some tbl -> tbl
   | None ->
-      let d = bfs_from t dst in
-      Hashtbl.add t.dist_cache dst d;
-      d
+      let tbl =
+        match Topology.links_from t.topo dst with
+        | [ (v, link) ] when usable t link && multi_homed t v ->
+            { dst; hops = (dist_to t v).hops; extra = 1 }
+        | _ -> { dst; hops = bfs_from t dst; extra = 0 }
+      in
+      Hashtbl.add t.dist_cache dst tbl;
+      tbl
 
 let distance t ~src ~dst =
-  let d = (dist_to t dst).(src) in
+  let d = dist (dist_to t dst) src in
   if d = max_int then raise Not_found else d
 
 (* Deterministic integer mixing for ECMP choice. *)
@@ -54,23 +75,21 @@ let hash3 a b c =
   mix c;
   !h
 
-let next_hops t ~node ~dst =
-  let dist = dist_to t dst in
-  let d = dist.(node) in
-  List.filter_map
-    (fun (v, link) ->
-      if dist.(v) = d - 1 && usable t link then Some (v, link) else None)
+let next_hops t tbl node =
+  let d = dist tbl node in
+  List.filter
+    (fun (v, link) -> dist tbl v = d - 1 && usable t link)
     (Topology.links_from t.topo node)
   (* Sort for determinism: adjacency list order depends on insertion. *)
   |> List.sort compare
 
 let path t ~src ~dst ~choice =
-  let dist = dist_to t dst in
-  if dist.(src) = max_int then raise Not_found;
+  let tbl = dist_to t dst in
+  if dist tbl src = max_int then raise Not_found;
   let rec walk node acc =
     if node = dst then List.rev (node :: acc)
     else begin
-      match next_hops t ~node ~dst with
+      match next_hops t tbl node with
       | [] -> raise Not_found
       | hops ->
           let pick = hash3 choice node dst mod List.length hops in

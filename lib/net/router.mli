@@ -11,7 +11,10 @@ type t
 
 val create : Topology.t -> t
 (** Build a router over the (final) topology. Distance tables are
-    computed lazily per destination and cached. Links that are
+    computed lazily per destination and cached. A single-homed
+    destination (one cable, e.g. a fat-tree host) shares its
+    neighbour's table instead of running its own BFS, so memory and
+    set-up grow with the switches, not the hosts. Links that are
     administratively down ({!Link.is_up}) are excluded from paths. *)
 
 val invalidate : t -> unit

@@ -252,6 +252,40 @@ let test_net_of_topology () =
     (Array.length n.Flowsim.capacity);
   Array.iter (fun c -> if not (feq 1e9 c) then Alcotest.fail "1G links") n.Flowsim.capacity
 
+let protocols =
+  [ ("pdq", Flowsim.Pdq Flowsim.pdq_defaults); ("rcp", Flowsim.Rcp); ("d3", Flowsim.D3) ]
+
+let test_empty_path_rejected () =
+  List.iter
+    (fun (name, proto) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Flowsim.run: flow 7 has an empty path") (fun () ->
+          ignore
+            (run ~proto (net 1)
+               [
+                 flow ~id:0 ~path:[| 0 |] ~size:100_000 ();
+                 flow ~id:7 ~path:[||] ~size:100_000 ();
+               ])))
+    protocols
+
+(* Retiring a finished flow must not cost a pass over every active
+   flow: 4000 flows finishing in the same step allocate a few hundred
+   words each, where a per-completion filter allocates thousands. *)
+let test_retirement_allocation () =
+  let n = 4000 in
+  let network = net n in
+  let flows = List.init n (fun i -> flow ~id:i ~path:[| i |] ~size:100_000 ()) in
+  List.iter
+    (fun (name, proto) ->
+      let before = Gc.minor_words () in
+      let r = Flowsim.run network proto flows in
+      let per_flow = (Gc.minor_words () -. before) /. float_of_int n in
+      Alcotest.(check int) (name ^ " all complete") n r.Flowsim.completed;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f minor words per flow < 1000" name per_flow)
+        true (per_flow < 1000.))
+    protocols
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let suites =
@@ -273,6 +307,9 @@ let suites =
         Alcotest.test_case "aging reduces max FCT (Fig 12)" `Quick
           test_aging_reduces_max_fct;
         Alcotest.test_case "net_of_topology" `Quick test_net_of_topology;
+        Alcotest.test_case "empty path rejected" `Quick test_empty_path_rejected;
+        Alcotest.test_case "retirement allocation bound" `Quick
+          test_retirement_allocation;
       ]
       @ qsuite [ prop_pdq_capacity_respected ] );
   ]

@@ -335,6 +335,145 @@ let prop_routes_are_shortest =
       let p = Router.path router ~src ~dst ~choice:(a + b) in
       Array.length p = d + 1)
 
+(* Reference routing: one plain BFS from [dst] over links that are up,
+   whatever the destination's degree. *)
+let reference_dist topo dst =
+  let dist = Array.make (Topology.node_count topo) max_int in
+  dist.(dst) <- 0;
+  let q = Queue.create () in
+  Queue.push dst q;
+  while not (Queue.is_empty q) do
+    let u = Queue.pop q in
+    List.iter
+      (fun (v, l) ->
+        if dist.(v) = max_int && Link.is_up (Topology.link topo l) then begin
+          dist.(v) <- dist.(u) + 1;
+          Queue.push v q
+        end)
+      (Topology.links_from topo u)
+  done;
+  dist
+
+let choice_of ~src ~dst = (src * 31) + dst
+
+(* Every ordered pair of distinct [hosts] routes as the reference says:
+   same distance, and a path of that many up links, each hop one step
+   closer to [dst]. Unreachable pairs raise [Not_found]. *)
+let check_against_reference ~what topo router hosts =
+  Array.iter
+    (fun dst ->
+      let ref_d = reference_dist topo dst in
+      Array.iter
+        (fun src ->
+          if src <> dst then begin
+            let label = Printf.sprintf "%s %d->%d" what src dst in
+            let choice = choice_of ~src ~dst in
+            if ref_d.(src) = max_int then begin
+              Alcotest.check_raises (label ^ " distance") Not_found (fun () ->
+                  ignore (Router.distance router ~src ~dst));
+              Alcotest.check_raises (label ^ " path") Not_found (fun () ->
+                  ignore (Router.path_links router ~src ~dst ~choice))
+            end
+            else begin
+              Alcotest.(check int) (label ^ " distance") ref_d.(src)
+                (Router.distance router ~src ~dst);
+              let links = Router.path_links router ~src ~dst ~choice in
+              Alcotest.(check int) (label ^ " hops") ref_d.(src)
+                (Array.length links);
+              let node =
+                Array.fold_left
+                  (fun node l ->
+                    let link = Topology.link topo l in
+                    if Link.src link <> node || not (Link.is_up link) then
+                      Alcotest.failf "%s: link %d does not leave %d up" label l
+                        node;
+                    let next = Link.dst link in
+                    Alcotest.(check int) (label ^ " one step closer")
+                      (ref_d.(node) - 1) ref_d.(next);
+                    next)
+                  src links
+              in
+              Alcotest.(check int) (label ^ " ends at dst") dst node
+            end
+          end)
+        hosts)
+    hosts
+
+let all_paths router hosts =
+  Array.to_list hosts
+  |> List.concat_map (fun src ->
+         Array.to_list hosts
+         |> List.filter (fun dst -> dst <> src)
+         |> List.map (fun dst ->
+                ( (src, dst),
+                  Router.path_links router ~src ~dst ~choice:(choice_of ~src ~dst) )))
+
+(* Shared (single-homed) and own (multi-homed) distance tables agree
+   with the reference BFS, also across a failure and a repair with
+   [invalidate]. The failed host loses every cable, so on BCube, whose
+   servers forward, other pairs may reroute; elsewhere they must not. *)
+let test_route_tables_match_reference () =
+  let topologies =
+    let sim = Sim.create () in
+    [
+      ("fat-tree k=4", Builder.fat_tree ~sim ~k:4 (), true);
+      ("single-rooted tree", Builder.single_rooted_tree ~sim (), true);
+      ("single bottleneck", fst (Builder.single_bottleneck ~sim ~senders:5 ()), true);
+      ("bcube(3,1)", Builder.bcube ~sim ~n:3 ~k:1 (), false);
+      ( "jellyfish",
+        Builder.jellyfish ~sim ~rng:(Rng.create 4) ~switches:12 ~ports:8
+          ~net_ports:5 (),
+        true );
+    ]
+  in
+  List.iter
+    (fun (what, (built : Builder.built), hosts_relay_nothing) ->
+      let topo = built.Builder.topo and hosts = built.Builder.hosts in
+      let router = Router.create topo in
+      check_against_reference ~what topo router hosts;
+      let original = all_paths router hosts in
+      let h = hosts.(Array.length hosts / 2) in
+      let cables = List.map fst (Topology.links_from topo h) in
+      let set_up up =
+        List.iter (fun v -> Topology.set_link_up topo ~a:h ~b:v up) cables;
+        Router.invalidate router
+      in
+      set_up false;
+      Array.iter
+        (fun o ->
+          if o <> h then
+            List.iter
+              (fun (role, src, dst) ->
+                Alcotest.check_raises (what ^ " cut host distance as " ^ role)
+                  Not_found (fun () -> ignore (Router.distance router ~src ~dst));
+                Alcotest.check_raises (what ^ " cut host path as " ^ role)
+                  Not_found (fun () ->
+                    ignore (Router.path_links router ~src ~dst ~choice:0)))
+              [ ("source", h, o); ("destination", o, h) ])
+        hosts;
+      let others = Array.of_list (List.filter (( <> ) h) (Array.to_list hosts)) in
+      check_against_reference ~what:(what ^ " cut") topo router others;
+      if hosts_relay_nothing then
+        Alcotest.(check bool) (what ^ " other pairs unchanged") true
+          (all_paths router others
+          = List.filter (fun ((a, b), _) -> a <> h && b <> h) original);
+      set_up true;
+      Alcotest.(check bool) (what ^ " repaired paths return") true
+        (all_paths router hosts = original))
+    topologies
+
+(* Two hosts cabled to each other are both single-homed; neither can
+   borrow the other's table. *)
+let test_route_two_hosts () =
+  let topo = Topology.create ~sim:(Sim.create ()) () in
+  let a = Topology.add_host topo and b = Topology.add_host topo in
+  Topology.connect topo a b;
+  let router = Router.create topo in
+  Alcotest.(check int) "a->b" 1 (Router.distance router ~src:a ~dst:b);
+  Alcotest.(check int) "b->a" 1 (Router.distance router ~src:b ~dst:a);
+  Alcotest.(check int) "one link" 1
+    (Array.length (Router.path_links router ~src:a ~dst:b ~choice:0))
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let suites =
@@ -369,6 +508,9 @@ let suites =
         Alcotest.test_case "deterministic choice" `Quick test_route_deterministic;
         Alcotest.test_case "ecmp diversity" `Quick test_route_ecmp_diversity;
         Alcotest.test_case "path/link consistency" `Quick test_path_links_consistent;
+        Alcotest.test_case "tables match reference BFS" `Quick
+          test_route_tables_match_reference;
+        Alcotest.test_case "two cabled hosts" `Quick test_route_two_hosts;
       ]
       @ qsuite [ prop_routes_are_shortest ] );
   ]
