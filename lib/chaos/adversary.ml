@@ -151,35 +151,6 @@ let wrap ~sim ~trace ~link_id ~state ~skew ~corruptible ~rng orig pkt =
     else deliver ()
   end
 
-(* All duplex cables of the topology as (a, b) pairs with a < b, in
-   first-link-id order — the full adversary target list (unlike
-   [Fault_plan.switch_cables], host access links are included: header
-   corruption on a switch-ingress access direction and duplication or
-   reordering anywhere are all meaningful). *)
-let cables topo =
-  let seen = Hashtbl.create 32 in
-  let acc = ref [] in
-  for id = 0 to Topology.link_count topo - 1 do
-    let l = Topology.link topo id in
-    let a = min (Link.src l) (Link.dst l)
-    and b = max (Link.src l) (Link.dst l) in
-    if not (Hashtbl.mem seen (a, b)) then begin
-      Hashtbl.add seen (a, b) ();
-      acc := (a, b) :: !acc
-    end
-  done;
-  List.rev !acc
-
-let directed_links topo ~a ~b =
-  match
-    (Topology.link_to topo ~src:a ~dst:b, Topology.link_to topo ~src:b ~dst:a)
-  with
-  | l1, l2 -> [ l1; l2 ]
-  | exception Not_found ->
-      invalid_arg
-        (Printf.sprintf "Adversary.install: no cable %d<->%d in this topology"
-           a b)
-
 let install ~sim ~topo ~rng ?trace plan =
   if not (Adversary_plan.is_empty plan) then begin
     let events = Adversary_plan.events plan in
@@ -201,7 +172,7 @@ let install ~sim ~topo ~rng ?trace plan =
                 let id = Link.id l in
                 if not (Hashtbl.mem states id) then
                   Hashtbl.add states id (fresh_state ()))
-              (directed_links topo ~a ~b)
+              (Topology.cable topo ~a ~b)
         | Adversary_plan.Clock_skew { switch; _ } ->
             if not (Hashtbl.mem skews switch) then
               Hashtbl.add skews switch (ref 0.))
@@ -227,7 +198,7 @@ let install ~sim ~topo ~rng ?trace plan =
     let state_of ~a ~b =
       List.map
         (fun l -> Hashtbl.find states (Link.id l))
-        (directed_links topo ~a ~b)
+        (Topology.cable topo ~a ~b)
     in
     let apply ev =
       (match trace with

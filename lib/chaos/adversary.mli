@@ -21,11 +21,6 @@
     {!Pdq_telemetry.Trace.Adversary} event (plan activations emit
     [Fault] events) when a bus is attached. *)
 
-val cables : Pdq_net.Topology.t -> (int * int) list
-(** All duplex cables (host access links included) as (a, b) pairs
-    with [a < b], in first-link-id order — the full adversary target
-    list for plan generators. *)
-
 val install :
   sim:Pdq_engine.Sim.t ->
   topo:Pdq_net.Topology.t ->
@@ -37,4 +32,4 @@ val install :
     Call after the topology is built and before the run starts — the
     {!Pdq_exec.Scenario.run} [?prepare] hook is the sanctioned site.
     Raises [Invalid_argument] if the plan names a cable absent from
-    this topology. *)
+    this topology ({!Pdq_net.Topology.cable}). *)

@@ -9,21 +9,8 @@ type event =
   | Clear of { a : int; b : int }
   | Clock_skew of { switch : int; skew : float }
 
-type timed = { time : float; event : event }
-type t = { events : timed list }
-
-let empty = { events = [] }
-let is_empty t = t.events = []
-
-let sort events = List.stable_sort (fun a b -> compare a.time b.time) events
-
-let check_prob what p =
-  if (not (Float.is_finite p)) || p < 0. || p > 1. then
-    invalid_arg (Printf.sprintf "Adversary_plan: %s probability %g" what p)
-
-let check_nonneg what x =
-  if (not (Float.is_finite x)) || x < 0. then
-    invalid_arg (Printf.sprintf "Adversary_plan: %s %g" what x)
+let check_prob = Pdq_faults.Timed_plan.check_prob "Adversary_plan"
+let check_nonneg = Pdq_faults.Timed_plan.check_nonneg "Adversary_plan"
 
 let validate = function
   | Reorder { p; hold; _ } ->
@@ -37,18 +24,14 @@ let validate = function
       if not (Float.is_finite skew) then
         invalid_arg "Adversary_plan: non-finite clock skew"
 
-let of_events l =
-  List.iter
-    (fun (time, event) ->
-      if time < 0. || Float.is_nan time then
-        invalid_arg "Adversary_plan.of_events: negative event time";
-      validate event)
-    l;
-  { events = sort (List.map (fun (time, event) -> { time; event }) l) }
-
-let events t = List.map (fun e -> (e.time, e.event)) t.events
-let merge a b = { events = sort (a.events @ b.events) }
-let length t = List.length t.events
+let cable = function
+  | Reorder { a; b; _ }
+  | Duplicate { a; b; _ }
+  | Corrupt { a; b; _ }
+  | Jitter { a; b; _ }
+  | Clear { a; b } ->
+      Some (a, b)
+  | Clock_skew _ -> None
 
 let pp_event ppf = function
   | Reorder { a; b; p; hold } ->
@@ -62,10 +45,9 @@ let pp_event ppf = function
       Format.fprintf ppf "clock-skew switch=%d skew=%gs" switch skew
 
 (* ------------------------------------------------------------------ *)
-(* JSON codec, mirroring Fault_plan: one object per event, floats in
-   exact round-trip form. *)
+(* JSON fields of one event; the array codec is Timed_plan's. *)
 
-let event_fields = function
+let to_fields = function
   | Reorder { a; b; p; hold } ->
       Printf.sprintf "\"ev\":\"reorder\",\"a\":%d,\"b\":%d,\"p\":%s,\"hold\":%s"
         a b (Json.j_float p) (Json.j_float hold)
@@ -83,13 +65,7 @@ let event_fields = function
       Printf.sprintf "\"ev\":\"clock-skew\",\"switch\":%d,\"skew\":%s" switch
         (Json.j_float skew)
 
-let to_json t =
-  let item { time; event } =
-    Printf.sprintf "{\"t\":%s,%s}" (Json.j_float time) (event_fields event)
-  in
-  "[" ^ String.concat "," (List.map item t.events) ^ "]"
-
-let event_of_fields fields =
+let of_fields fields =
   let int k = Json.int fields k in
   let flt k = Json.float fields k in
   match Json.str fields "ev" with
@@ -103,27 +79,21 @@ let event_of_fields fields =
   | "clock-skew" -> Clock_skew { switch = int "switch"; skew = flt "skew" }
   | other -> raise (Json.Parse_error ("unknown adversary event " ^ other))
 
-let of_json_value v =
-  match
-    of_events
-      (List.map
-         (fun item ->
-           let fields = Json.obj item in
-           (Json.float fields "t", event_of_fields fields))
-         (Json.arr v))
-  with
-  | t -> Ok t
-  | exception Json.Parse_error msg -> Error ("adversary plan: " ^ msg)
-  | exception Invalid_argument msg -> Error msg
+include (
+  Pdq_faults.Timed_plan.Make (struct
+    type nonrec event = event
 
-let of_json s =
-  match Json.parse s with
-  | v -> of_json_value v
-  | exception Json.Parse_error msg -> Error ("adversary plan: " ^ msg)
+    let name = "Adversary_plan"
+    let validate = validate
+    let cable = cable
+    let to_fields = to_fields
+    let of_fields = of_fields
+  end) :
+    Pdq_faults.Timed_plan.S with type event := event)
 
 (* ------------------------------------------------------------------ *)
 (* Generators. All randomness flows from the caller's rng in a fixed
-   order, mirroring the Fault_plan discipline. *)
+   order, as in Fault_plan. *)
 
 (* Standing conditions from t=0 on every given cable — the experiment
    sweeps' workhorse (one knob per condition, no timing dimension). *)

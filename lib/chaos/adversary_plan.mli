@@ -1,5 +1,5 @@
-(** Deterministic adversarial-condition DSL, mirroring
-    {!Pdq_faults.Fault_plan}.
+(** Deterministic adversarial-condition DSL, on the same timed-plan
+    core as {!Pdq_faults.Fault_plan} ({!Pdq_faults.Timed_plan}).
 
     An adversary plan is a time-ordered list of events that enable (or
     clear) adversarial packet conditions on duplex cables — reordering,
@@ -38,34 +38,12 @@ type event =
           entering the switch appear [skew] seconds more urgent
           (negative skew: less urgent). [skew = 0.] clears it. *)
 
-type t
-(** An immutable plan: events sorted by time (stable for ties). *)
-
-val empty : t
-val is_empty : t -> bool
-
-val of_events : (float * event) list -> t
-(** Explicit plan from (time, event) pairs; sorted stably by time.
-    Raises [Invalid_argument] on negative times, probabilities outside
-    [0, 1], negative holds/delays, or non-finite parameters. *)
-
-val events : t -> (float * event) list
-val merge : t -> t -> t
-val length : t -> int
 val pp_event : Format.formatter -> event -> unit
 
-val to_json : t -> string
-(** Compact JSON array, one object per event, floats in exact
-    round-trip form: [of_json (to_json t)] rebuilds the plan bit for
-    bit. *)
-
-val of_json : string -> (t, string) result
-(** Exact inverse of {!to_json}; strict ([Error] on anything
-    malformed). *)
-
-val of_json_value : Pdq_telemetry.Json.t -> (t, string) result
-(** {!of_json} on an already-parsed document (see
-    {!Pdq_faults.Fault_plan.of_json_value}). *)
+include Pdq_faults.Timed_plan.S with type event := event
+(** {!of_events} rejects (and {!of_json} reports) probabilities
+    outside [0, 1], negative holds and delays and non-finite skews,
+    besides bad times. *)
 
 val degrade :
   links:(int * int) list ->

@@ -105,15 +105,18 @@ let pp_case ppf c =
    case's topology, so generation builds a probe instance (same seed —
    wiring-salted families stay aligned) and reads them off. *)
 
-let targets_of_case c =
+let probe_topo c =
   match scenario_of_case { c with faults = Fault_plan.empty } with
   | Error e -> invalid_arg ("Fuzzer.targets_of_case: " ^ e)
   | Ok sc ->
       let built, _, _ = Scenario.build sc in
-      let topo = built.Builder.topo in
-      ( Adversary.cables topo,
-        Fault_plan.switch_cables topo,
-        Fault_plan.switches topo )
+      built.Builder.topo
+
+let targets_of_case c =
+  let topo = probe_topo c in
+  ( Topology.cables topo,
+    Fault_plan.switch_cables topo,
+    Fault_plan.switches topo )
 
 (* ------------------------------------------------------------------ *)
 (* Case generation. All draws come from the caller's rng in a fixed
@@ -124,7 +127,7 @@ let topo_roster = [| "tree"; "bottleneck"; "fat-tree" |]
 let pattern_roster = [| "aggregation"; "permutation"; "pairs" |]
 let default_protocols = [ "pdq"; "rcp"; "d3"; "tcp" ]
 
-let generate rng ~protocols ~intensity index =
+let generate rng ~protocols ~intensity =
   if protocols = [] then invalid_arg "Fuzzer.generate: no protocols";
   let protocols = Array.of_list protocols in
   let protocol = protocols.(Rng.int rng (Array.length protocols)) in
@@ -160,7 +163,6 @@ let generate rng ~protocols ~intensity index =
     Adversary_plan.random rng ~cables ~switches ~until:horizon ~intensity
       ~count:(1 + Rng.int rng 8)
   in
-  ignore index;
   { base with faults; adversary }
 
 (* ------------------------------------------------------------------ *)
@@ -174,10 +176,22 @@ let prepare_of c built =
     Adversary.install ~sim:(Topology.sim topo) ~topo ~rng:(adversary_rng_of c)
       c.adversary
 
+(* A reproducer may name cables its topology lacks: reject it before
+   the run, on a probe instance, rather than mid-run. *)
+let check_cables c =
+  let topo = probe_topo c in
+  match
+    Fault_plan.check_cables topo c.faults;
+    Adversary_plan.check_cables topo c.adversary
+  with
+  | () -> Ok ()
+  | exception Invalid_argument msg -> Error msg
+
 let run_case ?opts c =
-  match scenario_of_case c with
-  | Error e -> Error e
-  | Ok sc -> Ok (Scenario.run_checked ?opts ~prepare:(prepare_of c) sc)
+  let ( let* ) = Result.bind in
+  let* sc = scenario_of_case c in
+  let* () = check_cables c in
+  Ok (Scenario.run_checked ?opts ~prepare:(prepare_of c) sc)
 
 let signature (checked : Scenario.checked) =
   match checked.Scenario.violations with
@@ -237,7 +251,7 @@ type campaign = {
 let cases ~runs ~seed ?(protocols = default_protocols) ?(intensity = 0.35) ()
     =
   let rng = Rng.create seed in
-  List.init runs (generate rng ~protocols ~intensity)
+  List.init runs (fun _ -> generate rng ~protocols ~intensity)
 
 let fuzz ?opts ?checkpoint ?resume ?protocols ?intensity ?on_event ~runs ~seed
     () =
@@ -272,73 +286,51 @@ let first_violation campaign =
 
 let remove_at l i = List.filteri (fun j _ -> j <> i) l
 
-(* Halved variants of one adversary event, least-aggressive first;
-   parameters below noise level stop shrinking so the loop terminates
+(* Halved variants of one event, least-aggressive first. A parameter
+   already below noise level stops shrinking, so the loop terminates
    even with a generous budget. *)
-let halve_adversary_event ev =
-  let h p = if p > 1e-4 then Some (p /. 2.) else None in
-  match (ev : Adversary_plan.event) with
-  | Adversary_plan.Reorder { a; b; p; hold } ->
-      List.filter_map Fun.id
-        [
-          Option.map
-            (fun p -> Adversary_plan.Reorder { a; b; p; hold })
-            (h p);
-          Option.map
-            (fun hold -> Adversary_plan.Reorder { a; b; p; hold })
-            (h hold);
-        ]
-  | Adversary_plan.Duplicate { a; b; p } ->
-      List.filter_map Fun.id
-        [ Option.map (fun p -> Adversary_plan.Duplicate { a; b; p }) (h p) ]
-  | Adversary_plan.Corrupt { a; b; p } ->
-      List.filter_map Fun.id
-        [ Option.map (fun p -> Adversary_plan.Corrupt { a; b; p }) (h p) ]
-  | Adversary_plan.Jitter { a; b; max_delay } ->
-      List.filter_map Fun.id
-        [
-          Option.map
-            (fun max_delay -> Adversary_plan.Jitter { a; b; max_delay })
-            (h max_delay);
-        ]
-  | Adversary_plan.Clear _ -> []
-  | Adversary_plan.Clock_skew { switch; skew } ->
+let halve p = if p > 1e-4 then [ p /. 2. ] else []
+
+let halve_adversary_event : Adversary_plan.event -> _ = function
+  | Reorder { a; b; p; hold } ->
+      List.map (fun p -> Adversary_plan.Reorder { a; b; p; hold }) (halve p)
+      @ List.map
+          (fun hold -> Adversary_plan.Reorder { a; b; p; hold })
+          (halve hold)
+  | Duplicate { a; b; p } ->
+      List.map (fun p -> Adversary_plan.Duplicate { a; b; p }) (halve p)
+  | Corrupt { a; b; p } ->
+      List.map (fun p -> Adversary_plan.Corrupt { a; b; p }) (halve p)
+  | Jitter { a; b; max_delay } ->
+      List.map
+        (fun max_delay -> Adversary_plan.Jitter { a; b; max_delay })
+        (halve max_delay)
+  | Clear _ -> []
+  | Clock_skew { switch; skew } ->
       if Float.abs skew > 1e-5 then
         [ Adversary_plan.Clock_skew { switch; skew = skew /. 2. } ]
       else []
 
-let halve_fault_event ev =
-  let h p = if p > 1e-4 then Some (p /. 2.) else None in
-  match (ev : Fault_plan.event) with
-  | Fault_plan.Loss_burst { a; b; loss; duration } ->
-      List.filter_map Fun.id
-        [
-          Option.map
-            (fun loss -> Fault_plan.Loss_burst { a; b; loss; duration })
-            (h loss);
-          Option.map
-            (fun duration -> Fault_plan.Loss_burst { a; b; loss; duration })
-            (h duration);
-        ]
-  | Fault_plan.Set_loss { a; b; model = Link.Bernoulli p } ->
-      List.filter_map Fun.id
-        [
-          Option.map
-            (fun p -> Fault_plan.Set_loss { a; b; model = Link.Bernoulli p })
-            (h p);
-        ]
-  | Fault_plan.Set_loss { a; b; model = Link.Gilbert ge } ->
-      List.filter_map Fun.id
-        [
-          Option.map
-            (fun loss_bad ->
-              Fault_plan.Set_loss
-                { a; b; model = Link.Gilbert { ge with Link.loss_bad } })
-            (h ge.Link.loss_bad);
-        ]
-  | Fault_plan.Set_loss { model = Link.No_loss; _ }
-  | Fault_plan.Link_down _ | Fault_plan.Link_up _ | Fault_plan.Switch_reboot _
-    ->
+let halve_fault_event : Fault_plan.event -> _ = function
+  | Loss_burst { a; b; loss; duration } ->
+      List.map
+        (fun loss -> Fault_plan.Loss_burst { a; b; loss; duration })
+        (halve loss)
+      @ List.map
+          (fun duration -> Fault_plan.Loss_burst { a; b; loss; duration })
+          (halve duration)
+  | Set_loss { a; b; model = Link.Bernoulli p } ->
+      List.map
+        (fun p -> Fault_plan.Set_loss { a; b; model = Link.Bernoulli p })
+        (halve p)
+  | Set_loss { a; b; model = Link.Gilbert ge } ->
+      List.map
+        (fun loss_bad ->
+          Fault_plan.Set_loss
+            { a; b; model = Link.Gilbert { ge with Link.loss_bad } })
+        (halve ge.Link.loss_bad)
+  | Set_loss { model = Link.No_loss; _ }
+  | Link_down _ | Link_up _ | Switch_reboot _ ->
       []
 
 type shrunk = {
@@ -347,6 +339,44 @@ type shrunk = {
   invariant : string;
   runs_used : int;  (** Re-executions the shrinker spent. *)
 }
+
+(* One plan of a case as the shrinker edits it. *)
+type 'e plan = {
+  get : case -> (float * 'e) list;
+  set : case -> (float * 'e) list -> case;
+  halve : 'e -> 'e list;
+}
+
+let adversary_plan =
+  {
+    get = (fun c -> Adversary_plan.events c.adversary);
+    set = (fun c evs -> { c with adversary = Adversary_plan.of_events evs });
+    halve = halve_adversary_event;
+  }
+
+let fault_plan =
+  {
+    get = (fun c -> Fault_plan.events c.faults);
+    set = (fun c evs -> { c with faults = Fault_plan.of_events evs });
+    halve = halve_fault_event;
+  }
+
+(* Every case one event removal away from [c], first event first. *)
+let removals p c =
+  let evs = p.get c in
+  List.mapi (fun i _ -> p.set c (remove_at evs i)) evs
+
+(* Every case one parameter halving away from [c], event by event. *)
+let halvings p c =
+  let evs = p.get c in
+  List.concat
+    (List.mapi
+       (fun i (t, ev) ->
+         List.map
+           (fun ev' ->
+             p.set c (List.mapi (fun j e -> if j = i then (t, ev') else e) evs))
+           (p.halve ev))
+       evs)
 
 let shrink ?opts ?(budget = 150) c0 ~invariant =
   let used = ref 0 in
@@ -362,59 +392,18 @@ let shrink ?opts ?(budget = 150) c0 ~invariant =
          | Error _ -> false
        end
   in
-  let with_adversary c evs =
-    { c with adversary = Adversary_plan.of_events evs }
-  in
-  let with_faults c evs = { c with faults = Fault_plan.of_events evs } in
-  (* Phase 1: greedy element removal, restarting from the head after
-     every successful deletion, until no single deletion reproduces. *)
-  let rec remove_pass c =
-    let aevs = Adversary_plan.events c.adversary in
-    let fevs = Fault_plan.events c.faults in
-    let try_one i =
-      if i < List.length aevs then with_adversary c (remove_at aevs i)
-      else with_faults c (remove_at fevs (i - List.length aevs))
-    in
-    let n = List.length aevs + List.length fevs in
-    let rec first i =
-      if i >= n then None
-      else
-        let c' = try_one i in
-        if reproduces c' then Some c' else first (i + 1)
-    in
-    match first 0 with Some c' -> remove_pass c' | None -> c
-  in
-  (* Phase 2: parameter halving, event by event, to fixpoint. *)
-  let rec halve_pass c =
-    let aevs = Adversary_plan.events c.adversary in
-    let fevs = Fault_plan.events c.faults in
-    let candidates =
-      List.concat
-        (List.mapi
-           (fun i (t, ev) ->
-             List.map
-               (fun ev' ->
-                 with_adversary c
-                   (List.mapi
-                      (fun j e -> if j = i then (t, ev') else e)
-                      aevs))
-               (halve_adversary_event ev))
-           aevs)
-      @ List.concat
-          (List.mapi
-             (fun i (t, ev) ->
-               List.map
-                 (fun ev' ->
-                   with_faults c
-                     (List.mapi
-                        (fun j e -> if j = i then (t, ev') else e)
-                        fevs))
-                 (halve_fault_event ev))
-             fevs)
-    in
-    match List.find_opt reproduces candidates with
-    | Some c' -> halve_pass c'
+  (* Take the first reproducing candidate and start over from it
+     until none reproduces. *)
+  let rec fixpoint candidates c =
+    match List.find_opt reproduces (candidates c) with
+    | Some c' -> fixpoint candidates c'
     | None -> c
   in
-  let minimal = halve_pass (remove_pass c0) in
+  (* Phase 1: greedy single-event removal; phase 2: parameter halving.
+     Adversary events are tried before faults. *)
+  let minimal =
+    c0
+    |> fixpoint (fun c -> removals adversary_plan c @ removals fault_plan c)
+    |> fixpoint (fun c -> halvings adversary_plan c @ halvings fault_plan c)
+  in
   { original = c0; minimal; invariant; runs_used = !used }

@@ -38,10 +38,6 @@ val key : case -> string
 (** Content hash of the JSON form — the checkpoint key (stable across
     binaries, unlike {!Pdq_exec.Scenario.digest}). *)
 
-val scenario_of_case : case -> (Pdq_exec.Scenario.t, string) result
-(** Resolve the case's names into a runnable scenario (the plans ride
-    along via [Fault_gen] and {!run_case}'s prepare hook). *)
-
 val pp_case : Format.formatter -> case -> unit
 
 val default_protocols : string list
@@ -53,18 +49,13 @@ val targets_of_case :
     as a probe instance with the case's seed): all duplex cables in
     link-id order, the switch-switch subset, and the switch nodes. *)
 
-val generate :
-  Pdq_engine.Rng.t -> protocols:string list -> intensity:float -> int -> case
-(** One random case (the [int] is the campaign index). Protocol, topo,
-    pattern, workload shape and seed are drawn first, then a fault
-    plan (30% of cases, link flaps) and an adversary plan of 1–8
-    events at the given intensity. *)
-
 val run_case :
   ?opts:Pdq_exec.Exec_opts.t -> case -> (Pdq_exec.Scenario.checked, string) result
 (** Run the case under the full validation stack: faults install via
     the scenario, the adversary via the [?prepare] hook with an rng
-    derived from the case seed. [Error] on unresolvable names. *)
+    derived from the case seed. [Error] on unresolvable names, and
+    on a plan naming a cable the case's topology lacks (checked on a
+    probe instance before the run starts). *)
 
 val signature : Pdq_exec.Scenario.checked -> string option
 (** The first violation's invariant id, or [None] for a clean run. *)
@@ -76,9 +67,6 @@ type verdict = {
   detail : string;            (** Rendered first violation. *)
   violations : int;
 }
-
-val verdict_of : Pdq_exec.Scenario.checked -> verdict
-val verdict_codec : verdict Pdq_exec.Task.codec
 
 type campaign = {
   cases : case list;
@@ -93,8 +81,10 @@ val cases :
   ?intensity:float ->
   unit ->
   case list
-(** The campaign's case list (deterministic in [seed]).
-    [intensity] defaults to [0.35]. *)
+(** The campaign's case list (deterministic in [seed]). Each case
+    draws protocol, topo, pattern, workload shape and seed first, then
+    a fault plan (30% of cases, link flaps) and an adversary plan of
+    1–8 events at [intensity] (default [0.35]). *)
 
 val fuzz :
   ?opts:Pdq_exec.Exec_opts.t ->

@@ -99,7 +99,7 @@ let sweep ?jobs ?budget ~title ~axis ~seeds ~rates ~degrade_of () =
                   scenario_of ~label:(Common.cell rate) ~flows ~window ~horizon
                     ~seed proto
                 in
-                (sc, fun topo -> degrade_of ~rate ~links:(Adversary.cables topo)))
+                (sc, fun topo -> degrade_of ~rate ~links:(Topology.cables topo)))
               seeds)
           protocols)
       rates

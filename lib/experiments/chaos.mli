@@ -8,20 +8,6 @@
     seeds. [jobs] spreads the probability × protocol × seed grid over
     the domain pool; [budget] bounds each run. *)
 
-val reorder_sweep :
-  ?jobs:int ->
-  ?budget:Pdq_exec.Exec_opts.budget ->
-  ?quick:bool ->
-  unit ->
-  Common.table
-
-val corruption_sweep :
-  ?jobs:int ->
-  ?budget:Pdq_exec.Exec_opts.budget ->
-  ?quick:bool ->
-  unit ->
-  Common.table
-
 val run_all :
   ?jobs:int ->
   ?budget:Pdq_exec.Exec_opts.budget ->

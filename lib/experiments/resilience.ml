@@ -58,9 +58,6 @@ let workload ~seed ~hosts ~receiver ~flows ~window =
         start = Rng.float rng *. window;
       })
 
-let switch_cables = Fault_plan.switch_cables
-let switches = Fault_plan.switches
-
 type outcome = { fct : float; miss_pct : float; aborts : float }
 
 (* A row of the sweep: fault intensity label, topology family, and the
@@ -201,7 +198,7 @@ let loss_burst_sweep ?jobs ?budget ?(quick = true) () =
                  ( 0.,
                    Fault_plan.Set_loss
                      { a; b = bb; model = Link.Gilbert (ge_of_burst burst) } ))
-               (switch_cables b.Builder.topo)));
+               (Fault_plan.switch_cables b.Builder.topo)));
     }
   in
   let rows_spec = clean :: List.map bursty burst_lengths in
@@ -229,7 +226,8 @@ let link_failure_sweep ?jobs ?budget ?(quick = true) () =
         (fun ~seed (b : Builder.built) ->
           Fault_plan.link_flaps
             (Rng.create (0x11AB + seed))
-            ~links:(switch_cables b.Builder.topo) ~mtbf ~mttr:0.03 ~until:0.5);
+            ~links:(Fault_plan.switch_cables b.Builder.topo)
+            ~mtbf ~mttr:0.03 ~until:0.5);
     }
   in
   let rows_spec = clean :: List.map flapping mtbfs in
@@ -257,7 +255,7 @@ let switch_reboot_sweep ?jobs ?budget ?(quick = true) () =
         (fun ~seed (b : Builder.built) ->
           Fault_plan.switch_reboots
             (Rng.create (0x5EB0 + seed))
-            ~switches:(switches b.Builder.topo) ~mtbf ~until:0.5);
+            ~switches:(Fault_plan.switches b.Builder.topo) ~mtbf ~until:0.5);
     }
   in
   let rows_spec = clean :: List.map rebooting mtbfs in
@@ -276,7 +274,8 @@ let attribution ?(mtbf = 0.1) ?(seed = 1) () =
         (fun ~seed (b : Builder.built) ->
           Fault_plan.link_flaps
             (Rng.create (0x11AB + seed))
-            ~links:(switch_cables b.Builder.topo) ~mtbf ~mttr:0.03 ~until:0.5);
+            ~links:(Fault_plan.switch_cables b.Builder.topo)
+            ~mtbf ~mttr:0.03 ~until:0.5);
     }
   in
   let s =

@@ -12,27 +12,6 @@
     pathological fault configuration cannot hang the whole driver — a
     tripped budget surfaces as {!Pdq_exec.Sweep.Sweep_errors}. *)
 
-val loss_burst_sweep :
-  ?jobs:int ->
-  ?budget:Pdq_exec.Exec_opts.budget ->
-  ?quick:bool ->
-  unit ->
-  Common.table * (string * (string * int) list) list
-
-val link_failure_sweep :
-  ?jobs:int ->
-  ?budget:Pdq_exec.Exec_opts.budget ->
-  ?quick:bool ->
-  unit ->
-  Common.table * (string * (string * int) list) list
-
-val switch_reboot_sweep :
-  ?jobs:int ->
-  ?budget:Pdq_exec.Exec_opts.budget ->
-  ?quick:bool ->
-  unit ->
-  Common.table * (string * (string * int) list) list
-
 val run_all :
   ?jobs:int ->
   ?budget:Pdq_exec.Exec_opts.budget ->

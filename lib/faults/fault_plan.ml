@@ -14,27 +14,6 @@ type event =
   | Set_loss of { a : int; b : int; model : Link.loss_model }
   | Switch_reboot of int
 
-type timed = { time : float; event : event }
-type t = { events : timed list }
-
-let empty = { events = [] }
-let is_empty t = t.events = []
-
-let sort events =
-  List.stable_sort (fun a b -> compare a.time b.time) events
-
-let of_events l =
-  List.iter
-    (fun (time, _) ->
-      if time < 0. || Float.is_nan time then
-        invalid_arg "Fault_plan.of_events: negative event time")
-    l;
-  { events = sort (List.map (fun (time, event) -> { time; event }) l) }
-
-let events t = List.map (fun e -> (e.time, e.event)) t.events
-let merge a b = { events = sort (a.events @ b.events) }
-let length t = List.length t.events
-
 let pp_event ppf = function
   | Link_down { a; b } -> Format.fprintf ppf "link-down %d<->%d" a b
   | Link_up { a; b } -> Format.fprintf ppf "link-up %d<->%d" a b
@@ -48,13 +27,30 @@ let pp_event ppf = function
       Format.fprintf ppf "clear-loss %d<->%d" a b
   | Switch_reboot n -> Format.fprintf ppf "switch-reboot %d" n
 
-(* ------------------------------------------------------------------ *)
-(* JSON codec: one object per event, exact float round-trip via
-   [Json.j_float], so [of_json (to_json t)] rebuilds the plan bit
-   for bit. The chaos fuzzer leans on this to emit replayable
-   reproducers. *)
+let check_prob = Timed_plan.check_prob "Fault_plan"
+let check_nonneg = Timed_plan.check_nonneg "Fault_plan"
 
-let event_fields = function
+let validate = function
+  | Loss_burst { loss; duration; _ } ->
+      check_prob "loss-burst" loss;
+      check_nonneg "loss-burst duration" duration
+  | Set_loss { model = Link.Bernoulli p; _ } -> check_prob "loss" p
+  | Set_loss { model = Link.Gilbert ge; _ } ->
+      check_prob "gilbert p_gb" ge.Link.p_gb;
+      check_prob "gilbert p_bg" ge.Link.p_bg;
+      check_prob "gilbert loss_good" ge.Link.loss_good;
+      check_prob "gilbert loss_bad" ge.Link.loss_bad
+  | Set_loss { model = Link.No_loss; _ }
+  | Link_down _ | Link_up _ | Switch_reboot _ ->
+      ()
+
+let cable = function
+  | Link_down { a; b } | Link_up { a; b } | Loss_burst { a; b; _ }
+  | Set_loss { a; b; _ } ->
+      Some (a, b)
+  | Switch_reboot _ -> None
+
+let to_fields = function
   | Link_down { a; b } -> Printf.sprintf "\"ev\":\"link-down\",\"a\":%d,\"b\":%d" a b
   | Link_up { a; b } -> Printf.sprintf "\"ev\":\"link-up\",\"a\":%d,\"b\":%d" a b
   | Loss_burst { a; b; loss; duration } ->
@@ -78,13 +74,7 @@ let event_fields = function
       Printf.sprintf "\"ev\":\"clear-loss\",\"a\":%d,\"b\":%d" a b
   | Switch_reboot n -> Printf.sprintf "\"ev\":\"switch-reboot\",\"switch\":%d" n
 
-let to_json t =
-  let item { time; event } =
-    Printf.sprintf "{\"t\":%s,%s}" (Json.j_float time) (event_fields event)
-  in
-  "[" ^ String.concat "," (List.map item t.events) ^ "]"
-
-let event_of_fields fields =
+let of_fields fields =
   let int k = Json.int fields k in
   let flt k = Json.float fields k in
   match Json.str fields "ev" with
@@ -113,120 +103,75 @@ let event_of_fields fields =
   | "switch-reboot" -> Switch_reboot (int "switch")
   | other -> raise (Json.Parse_error ("unknown fault event " ^ other))
 
-let of_json_value v =
-  match
-    of_events
-      (List.map
-         (fun item ->
-           let fields = Json.obj item in
-           (Json.float fields "t", event_of_fields fields))
-         (Json.arr v))
-  with
-  | t -> Ok t
-  | exception Json.Parse_error msg -> Error ("fault plan: " ^ msg)
-  | exception Invalid_argument msg -> Error msg
+include (
+  Timed_plan.Make (struct
+    type nonrec event = event
 
-let of_json s =
-  match Json.parse s with
-  | v -> of_json_value v
-  | exception Json.Parse_error msg -> Error ("fault plan: " ^ msg)
+    let name = "Fault_plan"
+    let validate = validate
+    let cable = cable
+    let to_fields = to_fields
+    let of_fields = of_fields
+  end) :
+    Timed_plan.S with type event := event)
 
 (* ------------------------------------------------------------------ *)
 (* Topology fault targets: generators take explicit node lists, these
    enumerate the usual ones. *)
 
+let is_switch topo n = Topology.kind topo n = Topology.Switch
+
 let switch_cables topo =
-  let hosts = Topology.hosts topo in
-  let is_host n = Array.exists (( = ) n) hosts in
-  let seen = Hashtbl.create 64 in
-  let cables = ref [] in
-  for i = 0 to Topology.link_count topo - 1 do
-    let l = Topology.link topo i in
-    let a = min (Link.src l) (Link.dst l)
-    and b = max (Link.src l) (Link.dst l) in
-    if (not (Hashtbl.mem seen (a, b))) && (not (is_host a)) && not (is_host b)
-    then begin
-      Hashtbl.add seen (a, b) ();
-      cables := (a, b) :: !cables
-    end
-  done;
-  List.rev !cables
+  List.filter
+    (fun (a, b) -> is_switch topo a && is_switch topo b)
+    (Topology.cables topo)
 
 let switches topo =
-  let hosts = Topology.hosts topo in
-  let is_host n = Array.exists (( = ) n) hosts in
-  List.filter
-    (fun n -> not (is_host n))
-    (List.init (Topology.node_count topo) Fun.id)
+  List.filter (is_switch topo) (List.init (Topology.node_count topo) Fun.id)
 
 (* ------------------------------------------------------------------ *)
 (* Deterministic generators: all randomness flows from the caller's
    rng, consumed in a fixed order (per target, in list order), so the
    same seed and parameters always expand to the same event trace. *)
 
-let flap ~a ~b ~down_at ~up_at =
-  if up_at < down_at then invalid_arg "Fault_plan.flap: up before down";
-  of_events [ (down_at, Link_down { a; b }); (up_at, Link_up { a; b }) ]
+(* One renewal process per target, each on its own split of [rng]:
+   draw an exponential gap (mean [mean_gap]), let [episode rng target
+   start] draw and return the episode's events and its end time, and
+   draw the next gap from there, until a gap lands at or past
+   [until]. *)
+let renewal rng ~targets ~mean_gap ~until episode =
+  let per_target target =
+    let rng = Rng.split rng in
+    let rec go start acc =
+      if start >= until then List.rev acc
+      else
+        let evs, stop = episode rng target start in
+        let next = stop +. Rng.exponential rng ~mean:mean_gap in
+        go next (List.rev_append evs acc)
+    in
+    go (Rng.exponential rng ~mean:mean_gap) []
+  in
+  of_events (List.concat_map per_target targets)
 
 let link_flaps rng ~links ~mtbf ~mttr ~until =
   if mtbf <= 0. || mttr <= 0. then
     invalid_arg "Fault_plan.link_flaps: nonpositive mtbf/mttr";
-  let per_link (a, b) =
-    let rng = Rng.split rng in
-    let acc = ref [] in
-    let t = ref (Rng.exponential rng ~mean:mtbf) in
-    let continue = ref true in
-    while !continue do
-      if !t >= until then continue := false
-      else begin
-        let down = !t in
-        let up = down +. Rng.exponential rng ~mean:mttr in
-        acc := { time = down; event = Link_down { a; b } } :: !acc;
-        acc := { time = up; event = Link_up { a; b } } :: !acc;
-        t := up +. Rng.exponential rng ~mean:mtbf
-      end
-    done;
-    List.rev !acc
-  in
-  { events = sort (List.concat_map per_link links) }
+  renewal rng ~targets:links ~mean_gap:mtbf ~until (fun rng (a, b) down ->
+      let up = down +. Rng.exponential rng ~mean:mttr in
+      ([ (down, Link_down { a; b }); (up, Link_up { a; b }) ], up))
 
 let loss_bursts rng ~links ~mean_interval ~mean_duration ~loss ~until =
   if mean_interval <= 0. || mean_duration <= 0. then
     invalid_arg "Fault_plan.loss_bursts: nonpositive interval/duration";
-  let per_link (a, b) =
-    let rng = Rng.split rng in
-    let acc = ref [] in
-    let t = ref (Rng.exponential rng ~mean:mean_interval) in
-    let continue = ref true in
-    while !continue do
-      if !t >= until then continue := false
-      else begin
-        let duration = Rng.exponential rng ~mean:mean_duration in
-        acc := { time = !t; event = Loss_burst { a; b; loss; duration } } :: !acc;
-        t := !t +. duration +. Rng.exponential rng ~mean:mean_interval
-      end
-    done;
-    List.rev !acc
-  in
-  { events = sort (List.concat_map per_link links) }
+  renewal rng ~targets:links ~mean_gap:mean_interval ~until
+    (fun rng (a, b) start ->
+      let duration = Rng.exponential rng ~mean:mean_duration in
+      ([ (start, Loss_burst { a; b; loss; duration }) ], start +. duration))
 
 let switch_reboots rng ~switches ~mtbf ~until =
   if mtbf <= 0. then invalid_arg "Fault_plan.switch_reboots: nonpositive mtbf";
-  let per_switch n =
-    let rng = Rng.split rng in
-    let acc = ref [] in
-    let t = ref (Rng.exponential rng ~mean:mtbf) in
-    let continue = ref true in
-    while !continue do
-      if !t >= until then continue := false
-      else begin
-        acc := { time = !t; event = Switch_reboot n } :: !acc;
-        t := !t +. Rng.exponential rng ~mean:mtbf
-      end
-    done;
-    List.rev !acc
-  in
-  { events = sort (List.concat_map per_switch switches) }
+  renewal rng ~targets:switches ~mean_gap:mtbf ~until (fun _ n start ->
+      ([ (start, Switch_reboot n) ], start))
 
 (* ------------------------------------------------------------------ *)
 (* Installation: turn the plan into scheduled simulator events acting
@@ -234,16 +179,12 @@ let switch_reboots rng ~switches ~mtbf ~until =
 
 let null_trace ~time:_ _ = ()
 
-let both_links topo ~a ~b =
-  [ Topology.link_to topo ~src:a ~dst:b; Topology.link_to topo ~src:b ~dst:a ]
-
 let install ~sim ~topo ~rng ?(trace = null_trace) ~on_change ~on_reboot t =
+  check_cables topo t;
   (* Split per event eagerly, in plan order, so link-level loss draws
      are independent of execution interleaving. *)
   let prepared =
-    List.map
-      (fun { time; event } -> (time, event, Rng.split rng))
-      t.events
+    List.map (fun (time, event) -> (time, event, Rng.split rng)) (events t)
   in
   let apply time event ev_rng =
     trace ~time event;
@@ -255,7 +196,7 @@ let install ~sim ~topo ~rng ?(trace = null_trace) ~on_change ~on_reboot t =
         Topology.set_link_up topo ~a ~b true;
         on_change ()
     | Loss_burst { a; b; loss; duration } ->
-        let links = both_links topo ~a ~b in
+        let links = Topology.cable topo ~a ~b in
         let saved = List.map Link.loss_model links in
         List.iter
           (fun l -> Link.set_loss_model l (Link.Bernoulli loss) ~rng:(Rng.split ev_rng))
@@ -268,7 +209,7 @@ let install ~sim ~topo ~rng ?(trace = null_trace) ~on_change ~on_reboot t =
     | Set_loss { a; b; model } ->
         List.iter
           (fun l -> Link.set_loss_model l model ~rng:(Rng.split ev_rng))
-          (both_links topo ~a ~b)
+          (Topology.cable topo ~a ~b)
     | Switch_reboot n -> on_reboot n
   in
   List.iter

@@ -7,7 +7,8 @@
     generators expand a seeded {!Pdq_engine.Rng.t} into an event trace
     (same seed + parameters ⇒ identical trace, bit for bit), and
     {!install} turns a plan into scheduled simulator events against a
-    live topology.
+    live topology. The plan core (ordering, validation, JSON codec) is
+    {!Timed_plan}'s.
 
     Layering: this library only knows the network substrate
     ([pdq_engine] + [pdq_net]). Reactions that live above it — route
@@ -34,46 +35,19 @@ type event =
       (** Crash-reboot a switch node: all its per-flow scheduling soft
           state is lost and must be rebuilt from traversing headers. *)
 
-type t
-(** An immutable plan: events sorted by time (stable for ties). *)
-
-val empty : t
-val is_empty : t -> bool
-
-val of_events : (float * event) list -> t
-(** Explicit plan from (time, event) pairs; sorted stably by time.
-    Raises [Invalid_argument] on negative times. *)
-
-val events : t -> (float * event) list
-(** The expanded, time-ordered event trace. *)
-
-val merge : t -> t -> t
-val length : t -> int
-
 val pp_event : Format.formatter -> event -> unit
 
-val to_json : t -> string
-(** Compact JSON array, one object per event, floats in exact
-    round-trip form: [of_json (to_json t)] rebuilds the plan bit for
-    bit. *)
-
-val of_json : string -> (t, string) result
-(** Exact inverse of {!to_json}. Strict: malformed JSON, unknown event
-    names, wrong field types and negative times are all [Error]. *)
-
-val of_json_value : Pdq_telemetry.Json.t -> (t, string) result
-(** {!of_json} on an already-parsed document, for codecs that embed a
-    plan inside a larger object (the chaos reproducer). *)
+include Timed_plan.S with type event := event
+(** {!of_events} rejects (and {!of_json} reports) loss and
+    Gilbert–Elliott probabilities outside [0, 1] and negative burst
+    durations, besides bad times. *)
 
 val switch_cables : Pdq_net.Topology.t -> (int * int) list
-(** Undirected switch-switch cables as (a, b) pairs with a < b — the
-    usual link-failure targets (host access links excluded). *)
+(** The switch-switch subset of {!Pdq_net.Topology.cables}, in the same
+    order — the usual link-failure targets. *)
 
 val switches : Pdq_net.Topology.t -> int list
-(** Non-host nodes — the reboot targets. *)
-
-val flap : a:int -> b:int -> down_at:float -> up_at:float -> t
-(** One failure/recovery pair on a single cable. *)
+(** Switch nodes in id order — the reboot targets. *)
 
 val link_flaps :
   Pdq_engine.Rng.t ->
@@ -119,4 +93,6 @@ val install :
     flushes the scheduler state of node [n]'s ports). [rng] feeds the
     injected loss processes; it is split per event at install time so
     traces stay deterministic. [trace] observes every applied event
-    (tests, experiment logs). *)
+    (tests, experiment logs). Raises [Invalid_argument] before
+    scheduling anything if the plan names a cable the topology lacks
+    ({!check_cables}). *)

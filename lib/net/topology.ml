@@ -107,11 +107,33 @@ let link_to t ~src ~dst =
   let id = List.assoc dst t.adj.(src) in
   t.links.(id)
 
+let cables t =
+  let seen = Hashtbl.create 64 in
+  let acc = ref [] in
+  for id = 0 to t.link_count - 1 do
+    let l = t.links.(id) in
+    let a = min (Link.src l) (Link.dst l)
+    and b = max (Link.src l) (Link.dst l) in
+    if not (Hashtbl.mem seen (a, b)) then begin
+      Hashtbl.add seen (a, b) ();
+      acc := (a, b) :: !acc
+    end
+  done;
+  List.rev !acc
+
+let cable t ~a ~b =
+  let find src dst =
+    if src < 0 || src >= t.node_count then None
+    else List.assoc_opt dst t.adj.(src)
+  in
+  match (find a b, find b a) with
+  | Some ab, Some ba -> [ t.links.(ab); t.links.(ba) ]
+  | _ -> invalid_arg (Printf.sprintf "Topology.cable: no cable %d<->%d" a b)
+
 (* Duplex administrative status: fail or restore both directions of
    the cable between two adjacent nodes. *)
 let set_link_up t ~a ~b up =
-  Link.set_up (link_to t ~src:a ~dst:b) up;
-  Link.set_up (link_to t ~src:b ~dst:a) up
+  List.iter (fun l -> Link.set_up l up) (cable t ~a ~b)
 
 let iter_links f t =
   for i = 0 to t.link_count - 1 do

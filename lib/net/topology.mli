@@ -59,9 +59,18 @@ val link_to : t -> src:int -> dst:int -> Link.t
 (** The directed link from [src] to its neighbor [dst]. Raises
     [Not_found] if they are not adjacent. *)
 
+val cables : t -> (int * int) list
+(** Every duplex cable as an (a, b) pair with [a < b], in first-link-id
+    order, host access links included. *)
+
+val cable : t -> a:int -> b:int -> Link.t list
+(** The two directed links of the duplex cable between [a] and [b],
+    [a -> b] first. Raises [Invalid_argument] naming the cable if [a]
+    and [b] are not adjacent nodes. *)
+
 val set_link_up : t -> a:int -> b:int -> bool -> unit
 (** Fail ([false]) or restore ([true]) both directions of the duplex
-    cable between adjacent nodes [a] and [b]. Raises [Not_found] if
-    they are not adjacent. *)
+    cable between adjacent nodes [a] and [b]. Raises [Invalid_argument]
+    as {!cable} does. *)
 
 val iter_links : (Link.t -> unit) -> t -> unit

@@ -116,6 +116,49 @@ let test_legacy_loss_events () =
            (fun (_, ev) -> Format.asprintf "%a" Fault_plan.pp_event ev)
            (Fault_plan.events plan))
 
+(* Adversary reproducers stay valid: every adversary event encodes,
+   parses, prints and re-serializes byte for byte. *)
+let test_adversary_json_bytes () =
+  let json =
+    "[{\"t\":0,\"ev\":\"duplicate\",\"a\":1,\"b\":2,\"p\":0.5},\
+     {\"t\":0.125,\"ev\":\"corrupt\",\"a\":2,\"b\":3,\"p\":0.1},\
+     {\"t\":0.25,\"ev\":\"jitter\",\"a\":3,\"b\":4,\"max_delay\":0.0002},\
+     {\"t\":0.25,\"ev\":\"clear\",\"a\":0,\"b\":1},\
+     {\"t\":0.5,\"ev\":\"reorder\",\"a\":0,\"b\":1,\"p\":0.25,\"hold\":0.001},\
+     {\"t\":1,\"ev\":\"clock-skew\",\"switch\":5,\"skew\":-0.0005}]"
+  in
+  let plan =
+    Adversary_plan.of_events
+      [
+        (0.5, Adversary_plan.Reorder { a = 0; b = 1; p = 0.25; hold = 1e-3 });
+        (0., Adversary_plan.Duplicate { a = 1; b = 2; p = 0.5 });
+        (0.125, Adversary_plan.Corrupt { a = 2; b = 3; p = 0.1 });
+        (0.25, Adversary_plan.Jitter { a = 3; b = 4; max_delay = 2e-4 });
+        (0.25, Adversary_plan.Clear { a = 0; b = 1 });
+        (1., Adversary_plan.Clock_skew { switch = 5; skew = -5e-4 });
+      ]
+  in
+  Alcotest.(check string) "encodes to the pinned bytes" json
+    (Adversary_plan.to_json plan);
+  match Adversary_plan.of_json json with
+  | Error e -> Alcotest.failf "of_json: %s" e
+  | Ok parsed ->
+      Alcotest.(check string) "re-serializes identically" json
+        (Adversary_plan.to_json parsed);
+      Alcotest.(check (list string))
+        "printed names"
+        [
+          "duplicate 1<->2 p=0.5";
+          "corrupt 2<->3 p=0.1";
+          "jitter 3<->4 max=0.0002s";
+          "clear 0<->1";
+          "reorder 0<->1 p=0.25 hold=0.001s";
+          "clock-skew switch=5 skew=-0.0005s";
+        ]
+        (List.map
+           (fun (_, ev) -> Format.asprintf "%a" Adversary_plan.pp_event ev)
+           (Adversary_plan.events parsed))
+
 (* Cases as the fuzzer itself draws them — nested plans included —
    must survive the counterexample-artifact round trip, and the
    checkpoint key must be a function of the JSON form alone. *)
@@ -199,6 +242,36 @@ let test_duplicate_storm_clean () =
   Alcotest.(check int) "no violations" 0
     (List.length ch.Scenario.violations);
   Alcotest.(check bool) "flows completed" true (ch.Scenario.result.Runner.completed > 0)
+
+(* Plans are checked before anything runs: a non-finite time cannot be
+   built, and a cable the case's topology lacks (the tree has no
+   0<->2) fails [run_case] with an error naming it. *)
+let test_bad_plans_rejected () =
+  Alcotest.check_raises "non-finite time rejected"
+    (Invalid_argument "Adversary_plan.of_events: non-finite event time")
+    (fun () ->
+      ignore
+        (Adversary_plan.of_events
+           [ (infinity, Adversary_plan.Clear { a = 0; b = 1 }) ]));
+  let rejects what c =
+    match Fuzzer.run_case c with
+    | Ok _ -> Alcotest.failf "%s: ran a plan on a missing cable" what
+    | Error e ->
+        Alcotest.(check string) what "Topology.cable: no cable 0<->2" e
+  in
+  rejects "fault plan"
+    {
+      base_case with
+      Fuzzer.faults =
+        Fault_plan.of_events [ (0., Fault_plan.Link_down { a = 0; b = 2 }) ];
+    };
+  rejects "adversary plan"
+    {
+      base_case with
+      Fuzzer.adversary =
+        Adversary_plan.of_events
+          [ (0., Adversary_plan.Duplicate { a = 0; b = 2; p = 0.5 }) ];
+    }
 
 (* A wrapped link whose conditions are all inactive must be
    bit-transparent: a plan holding only a [Clear] event gives the same
@@ -290,6 +363,8 @@ let suites =
       @ [
           Alcotest.test_case "legacy loss events re-serialize" `Quick
             test_legacy_loss_events;
+          Alcotest.test_case "adversary events re-serialize" `Quick
+            test_adversary_json_bytes;
           Alcotest.test_case "fuzzer cases round-trip" `Quick
             test_case_roundtrip;
           Alcotest.test_case "case_of_json is strict" `Quick
@@ -305,6 +380,8 @@ let suites =
           test_inactive_wrapper_transparent;
         Alcotest.test_case "case runs are deterministic" `Quick
           test_case_run_deterministic;
+        Alcotest.test_case "bad plans rejected before the run" `Quick
+          test_bad_plans_rejected;
       ] );
     ( "chaos.fuzzer",
       [

@@ -1,7 +1,7 @@
 (* In-process tests of the pdq_sim command line: one case per exit
-   status of the documented discipline (0 ok, 3 fault-aborted, 4
-   invariant violation, 5 timed-out, 6 sweep failure,
-   124 usage error). *)
+   status of the documented discipline (0 ok, 1 bad trace,
+   3 fault-aborted, 4 invariant violation, 5 timed-out, 6 sweep
+   failure, 124 usage error). *)
 
 let eval args = Pdq_cli.eval ~argv:(Array.of_list ("pdq_sim" :: args)) ()
 
@@ -186,6 +186,34 @@ let test_sweep_trace_out () =
     [ "\"ev\":\"sweep_task\""; "\"ev\":\"sweep_task\"" ]
     (List.map (fun l -> List.nth (String.split_on_char ',' l) 1) lifecycle)
 
+(* A reproducer the simulator cannot replay is a bad trace (exit 1),
+   whether its plan fails validation on load (a negative burst) or
+   names a cable the case's topology lacks (the tree has no 0<->2). *)
+let test_chaos_replay_bad_plan () =
+  let replay ~faults ~adversary =
+    let path = Filename.temp_file "pdq_repro" ".json" in
+    Out_channel.with_open_bin path (fun oc ->
+        Printf.fprintf oc
+          ({|{"protocol":"pdq","topo":"tree","pattern":"pairs","flows":4,|}
+          ^^ {|"mean_bytes":30000,"deadlines":false,"seed":7,"horizon":0.25,|}
+          ^^ {|"faults":[%s],"adversary":[%s]}|})
+          faults adversary);
+    let rc = eval [ "chaos"; "--replay"; path ] in
+    Sys.remove path;
+    rc
+  in
+  let bad_trace = code Exit_code.Bad_trace in
+  Alcotest.(check int) "negative burst duration exits 1" bad_trace
+    (replay
+       ~faults:
+         {|{"t":0,"ev":"loss-burst","a":0,"b":1,"loss":0.5,"duration":-1}|}
+       ~adversary:"");
+  Alcotest.(check int) "fault on a missing cable exits 1" bad_trace
+    (replay ~faults:{|{"t":0,"ev":"link-down","a":0,"b":2}|} ~adversary:"");
+  Alcotest.(check int) "adversary on a missing cable exits 1" bad_trace
+    (replay ~faults:""
+       ~adversary:{|{"t":0,"ev":"duplicate","a":0,"b":2,"p":0.5}|})
+
 let suites =
   [
     ( "cli.exit_codes",
@@ -209,5 +237,7 @@ let suites =
           test_checkpoint_resume_flow;
         Alcotest.test_case "report-out" `Quick test_report_out_written;
         Alcotest.test_case "sweep trace-out" `Quick test_sweep_trace_out;
+        Alcotest.test_case "chaos replay of a bad plan" `Quick
+          test_chaos_replay_bad_plan;
       ] );
   ]

@@ -66,6 +66,85 @@ let test_plan_of_events () =
     (Invalid_argument "Fault_plan.of_events: negative event time") (fun () ->
       ignore (Fault_plan.of_events [ (-1., Fault_plan.Switch_reboot 0) ]))
 
+(* Out-of-range parameters are rejected by [of_events] and reported
+   by [of_json], so a reproducer cannot carry a burst the simulator
+   cannot schedule or a loss rate no link can draw. *)
+let test_plan_validation () =
+  let burst loss duration =
+    Fault_plan.Loss_burst { a = 0; b = 1; loss; duration }
+  in
+  let set model = Fault_plan.Set_loss { a = 0; b = 1; model } in
+  let ge ?(p_gb = 0.1) ?(p_bg = 0.3) ?(loss_good = 0.) ?(loss_bad = 0.5) () =
+    set (Link.Gilbert { Link.p_gb; p_bg; loss_good; loss_bad })
+  in
+  let rejects msg ev =
+    Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
+        ignore (Fault_plan.of_events [ (0., ev) ]))
+  in
+  rejects "Fault_plan: loss-burst probability 2.5" (burst 2.5 0.01);
+  rejects "Fault_plan: loss-burst probability -0.1" (burst (-0.1) 0.01);
+  rejects "Fault_plan: loss-burst probability nan" (burst nan 0.01);
+  rejects "Fault_plan: loss-burst duration -1" (burst 0.5 (-1.));
+  rejects "Fault_plan: loss-burst duration inf" (burst 0.5 infinity);
+  rejects "Fault_plan: loss probability 1.5" (set (Link.Bernoulli 1.5));
+  rejects "Fault_plan: gilbert p_gb probability 2" (ge ~p_gb:2. ());
+  rejects "Fault_plan: gilbert p_bg probability -1" (ge ~p_bg:(-1.) ());
+  rejects "Fault_plan: gilbert loss_good probability inf"
+    (ge ~loss_good:infinity ());
+  rejects "Fault_plan: gilbert loss_bad probability 1.01"
+    (ge ~loss_bad:1.01 ());
+  Alcotest.(check int) "boundary values accepted" 4
+    (Fault_plan.length
+       (Fault_plan.of_events
+          [
+            (0., burst 0. 0.);
+            (0., burst 1. 0.5);
+            (0., set (Link.Bernoulli 1.));
+            (0., ge ~p_gb:0. ~p_bg:1. ~loss_good:0. ~loss_bad:1. ());
+          ]));
+  let of_json_error what json =
+    match Fault_plan.of_json json with
+    | Ok _ -> Alcotest.failf "of_json accepted %s" what
+    | Error _ -> ()
+  in
+  of_json_error "loss 2.5"
+    {|[{"t":0,"ev":"loss-burst","a":0,"b":1,"loss":2.5,"duration":0.01}]|};
+  of_json_error "duration -1"
+    {|[{"t":0,"ev":"loss-burst","a":0,"b":1,"loss":0.5,"duration":-1}]|};
+  of_json_error "loss 1.5" {|[{"t":0,"ev":"loss","a":0,"b":1,"loss":1.5}]|}
+
+(* [to_json] writes [inf] and [nan] as tokens [of_json] cannot read
+   back, so non-finite times are rejected at construction. *)
+let test_plan_non_finite_time () =
+  List.iter
+    (fun t ->
+      Alcotest.check_raises "non-finite time rejected"
+        (Invalid_argument "Fault_plan.of_events: non-finite event time")
+        (fun () ->
+          ignore (Fault_plan.of_events [ (t, Fault_plan.Switch_reboot 0) ])))
+    [ infinity; nan ]
+
+(* A plan naming an absent cable is rejected at install, before any
+   event is scheduled. *)
+let test_install_missing_cable () =
+  let sim = Sim.create () in
+  let built = Builder.single_rooted_tree ~sim () in
+  let topo = built.Builder.topo in
+  let plan =
+    Fault_plan.of_events [ (0.1, Fault_plan.Link_down { a = 0; b = 2 }) ]
+  in
+  let pending = Sim.pending sim in
+  Alcotest.check_raises "check_cables names the cable"
+    (Invalid_argument "Topology.cable: no cable 0<->2") (fun () ->
+      Fault_plan.check_cables topo plan);
+  Alcotest.check_raises "install rejects the plan"
+    (Invalid_argument "Topology.cable: no cable 0<->2") (fun () ->
+      Fault_plan.install ~sim ~topo ~rng:(Rng.create 1)
+        ~on_change:(fun () -> ())
+        ~on_reboot:(fun _ -> ())
+        plan);
+  Alcotest.(check int) "nothing scheduled" pending (Sim.pending sim)
+
 let test_plan_targets () =
   let sim = Sim.create () in
   let built = Builder.single_rooted_tree ~sim () in
@@ -339,6 +418,11 @@ let suites =
         Alcotest.test_case "generator determinism" `Quick
           test_plan_generators_deterministic;
         Alcotest.test_case "of_events ordering" `Quick test_plan_of_events;
+        Alcotest.test_case "parameter validation" `Quick test_plan_validation;
+        Alcotest.test_case "non-finite times rejected" `Quick
+          test_plan_non_finite_time;
+        Alcotest.test_case "missing cable rejected at install" `Quick
+          test_install_missing_cable;
         Alcotest.test_case "topology targets" `Quick test_plan_targets;
       ] );
     ( "faults.switch_state",
