@@ -103,12 +103,9 @@ val pipeline :
 
 (** {1 Structure} *)
 
-val pattern_flow_count : pattern -> int
-(** Upper bound on the stage's flow count ([Shuffle] colocation can
-    only remove flows). *)
-
 val flow_count : t -> int
-(** Sum of {!pattern_flow_count} over the stages. *)
+(** Sum over the stages of an upper bound on each stage's flow count
+    ([Shuffle] colocation can only remove flows). *)
 
 val levels : t -> int array
 (** Topological level of each stage: 0 for a root stage, otherwise

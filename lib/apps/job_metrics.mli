@@ -53,11 +53,6 @@ type report = {
 
 val of_outcomes : job_outcome array -> report
 
-val miss_rate : report -> float
-(** Fraction of deadline-carrying jobs that missed (failed and
-    unfinished deadline jobs count as misses); 0 when none carry a
-    deadline. *)
-
 val summary : report -> string
 (** One deterministic line. *)
 

@@ -7,13 +7,6 @@
 module Exit_code = Exit_code
 (** The exit-status discipline shared by every subcommand. *)
 
-val exit_fault_aborted : int
-(** [Exit_code.(to_int Fault_aborted)], kept for callers that want the
-    bare integer. *)
-
-val exit_invariant_violation : int
-(** [Exit_code.(to_int Invariant_violation)]. *)
-
 val eval : ?argv:string array -> unit -> int
 (** Evaluate the [pdq_sim] command (arguments default to
     [Sys.argv]) and return the process exit code without exiting.

@@ -17,9 +17,6 @@ val split : t -> t
 (** [split t] derives a new generator whose stream is independent of
     further draws from [t]. *)
 
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val float : t -> float
 (** Uniform float in [\[0, 1)]. *)
 

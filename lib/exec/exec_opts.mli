@@ -28,13 +28,9 @@ type budget = {
     small event budgets) and raises [Sim.Cancelled] when it trips.
     Costs nothing when empty, one [match] per event otherwise. *)
 
-val no_budget : budget
-
 val budget :
   ?wall:float -> ?events:int -> ?live:int -> ?check_every:int -> unit -> budget
 (** [check_every] defaults to 1024. *)
-
-val budget_is_empty : budget -> bool
 
 val with_budget : budget -> (unit -> 'a) -> 'a
 (** [with_budget b fn] installs [b] as the calling domain's default

@@ -336,17 +336,7 @@ let build t =
 (* [prepare] runs between topology construction and execution — the
    sanctioned hole where the chaos adversary interposes on the freshly
    built links before any packet moves. *)
-let run ?(opts = Exec_opts.default) ?prepare t =
-  Exec_opts.with_budget_opt opts (fun () ->
-      let telemetry =
-        Option.value opts.Exec_opts.telemetry ~default:Runner.no_telemetry
-      in
-      let built, specs, options = build t in
-      (match prepare with Some f -> f built | None -> ());
-      let options = { options with Runner.telemetry } in
-      Runner.execute ~options ~topo:built.Builder.topo t.protocol specs)
-
-let run_jobs ?(opts = Exec_opts.default) ?prepare t =
+let execute ~opts ?prepare t =
   Exec_opts.with_budget_opt opts (fun () ->
       let telemetry =
         Option.value opts.Exec_opts.telemetry ~default:Runner.no_telemetry
@@ -354,15 +344,18 @@ let run_jobs ?(opts = Exec_opts.default) ?prepare t =
       let built, specs, options, tracker = build_ext t in
       (match prepare with Some f -> f built | None -> ());
       let options = { options with Runner.telemetry } in
-      let result =
-        Runner.execute ~options ~topo:built.Builder.topo t.protocol specs
-      in
-      let report =
-        match !tracker with
-        | Some tr -> Job_tracker.report tr
-        | None -> Job_metrics.of_outcomes [||]
-      in
-      (result, report))
+      (Runner.execute ~options ~topo:built.Builder.topo t.protocol specs, tracker))
+
+let run ?(opts = Exec_opts.default) ?prepare t = fst (execute ~opts ?prepare t)
+
+let run_jobs ?(opts = Exec_opts.default) ?prepare t =
+  let result, tracker = execute ~opts ?prepare t in
+  let report =
+    match !tracker with
+    | Some tr -> Job_tracker.report tr
+    | None -> Job_metrics.of_outcomes [||]
+  in
+  (result, report)
 
 type checked = {
   result : Runner.result;

@@ -41,9 +41,6 @@ val default_tree : topo
 
 val topo_name : topo -> string
 
-val topo_names : string list
-(** The CLI topology names {!topo_of_string} accepts. *)
-
 val topo_of_string : string -> (topo, string) result
 (** Parse a CLI topology name ("tree", "bottleneck", "fat-tree",
     "bcube", "jellyfish") into the evaluation's default parameters for
@@ -219,17 +216,6 @@ val build :
     {!Pdq_apps.Job_tracker} driver that injects the rest. Exposed for
     tests and inspection; {!run} is [Runner.execute] applied to this. *)
 
-val build_ext :
-  t ->
-  Pdq_topo.Builder.built
-  * Pdq_transport.Context.flow_spec list
-  * Pdq_transport.Runner.options
-  * Pdq_apps.Job_tracker.t option ref
-(** {!build}, plus the cell the job driver fills with its tracker when
-    the runner installs it (always [None] before the run starts, and
-    for every non-{!Jobs} workload). For callers that execute the run
-    themselves but still want {!Pdq_apps.Job_tracker.report}. *)
-
 val run :
   ?opts:Exec_opts.t ->
   ?prepare:(Pdq_topo.Builder.built -> unit) ->
@@ -296,9 +282,6 @@ val result_codec : Pdq_transport.Runner.result Task.codec
     measurable field (flows, FCTs, throughput, counters, [sim_end])
     bit-for-bit; the live [ctx] is not serializable, so decoded
     results share an empty placeholder context. *)
-
-val protocol_names : string list
-(** The CLI protocol names {!protocol_of_string} accepts. *)
 
 val protocol_of_string :
   ?subflows:int -> string -> (Pdq_transport.Runner.protocol, string) result

@@ -47,9 +47,6 @@ type retry = {
                                  deterministically). *)
 }
 
-val no_retry : retry
-(** Single attempt. *)
-
 val retry :
   ?attempts:int ->
   ?base_delay:float ->
@@ -225,4 +222,5 @@ val average :
 (** [average ~seeds f] is the arithmetic mean of [f seed] over
     [seeds], evaluated in parallel. The summation order is the input
     order, so the result is bit-for-bit independent of [jobs]. The
-    single seed-averaging loop behind every figure driver. *)
+    capacity searches use it per probe; the figure tables run their
+    row × protocol × seed sweeps through [Pdq_experiments.Common.grid]. *)

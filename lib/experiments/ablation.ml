@@ -1,29 +1,32 @@
 module Runner = Pdq_transport.Runner
 module Config = Pdq_core.Config
+module Scenario = Pdq_exec.Scenario
 
 let sweep ?jobs ~title ~param_name ~configs ?(quick = true) () =
   let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3; 4 ] in
   let flows = 10 in
-  (* Two flat config × seed sweeps: one deadline-constrained for
-     application throughput, one unconstrained for FCT. *)
-  let ats =
-    Common.sweep_metric ~opts:(Pdq_exec.Exec_opts.make ?jobs ()) ~seeds
-      ~metric:(fun r -> 100. *. r.Runner.application_throughput)
-      (fun (_, config) -> Common.aggregation_scenario ~flows (Runner.Pdq config))
-      configs
-  in
-  let fcts =
-    Common.sweep_metric ~opts:(Pdq_exec.Exec_opts.make ?jobs ()) ~seeds
-      ~metric:(fun r -> r.Runner.mean_fct)
-      (fun (_, config) ->
-        Common.aggregation_scenario ~deadlines:false ~flows (Runner.Pdq config))
-      configs
+  (* One config × run × seed grid: a deadline-constrained run for
+     application throughput and an unconstrained one for FCT. *)
+  let runs =
+    [
+      (true, fun r -> 100. *. r.Runner.application_throughput);
+      (false, fun r -> r.Runner.mean_fct);
+    ]
   in
   let rows =
-    List.map2
-      (fun ((label, _), (_, at)) (_, fct) ->
-        [ label; Common.cell at; Common.cell (1e3 *. fct) ])
-      (List.combine configs ats) fcts
+    Common.grid ?jobs ~seeds ~cell:Common.mean
+      ~run:(fun (_, config) (deadlines, metric) seed ->
+        metric
+          (Scenario.run
+             (Common.aggregation_scenario ~seed ~deadlines ~flows
+                (Runner.Pdq config))))
+      configs runs
+    |> List.map2
+         (fun (label, _) cells ->
+           match cells with
+           | [ at; fct ] -> [ label; Common.cell at; Common.cell (1e3 *. fct) ]
+           | _ -> assert false)
+         configs
   in
   {
     Common.title;

@@ -1,7 +1,6 @@
 module Runner = Pdq_transport.Runner
 module Config = Pdq_core.Config
 module Scenario = Pdq_exec.Scenario
-module Sweep = Pdq_exec.Sweep
 module Exec_opts = Pdq_exec.Exec_opts
 module Trace = Pdq_telemetry.Trace
 module Job_metrics = Pdq_apps.Job_metrics
@@ -39,33 +38,6 @@ let jobs_scenario ?(pattern = Scenario.Partition_aggregate) ?(count = 2)
          })
     protocol
 
-(* Same flattening as Fig. 3: every (row, protocol, seed) triple is an
-   independent scenario, fanned out in one Sweep.map of run_jobs; the
-   per-seed job reports are then folded per cell. *)
-let cells_by_row ?jobs ~seeds ~metric ~scenario_of row_keys =
-  let keys =
-    List.concat_map
-      (fun rk -> List.map (fun (_, proto) -> (rk, proto)) protocols)
-      row_keys
-  in
-  let scenarios =
-    List.concat_map
-      (fun (rk, proto) ->
-        List.map
-          (fun seed -> Scenario.with_seed (scenario_of rk proto) seed)
-          seeds)
-      keys
-  in
-  let reports =
-    Array.of_list
-      (Sweep.map ?jobs (fun s -> snd (Scenario.run_jobs s)) scenarios)
-  in
-  let nseeds = List.length seeds in
-  List.mapi
-    (fun i _ -> metric (List.init nseeds (fun j -> reports.((i * nseeds) + j))))
-    keys
-  |> Common.chunks (List.length protocols)
-
 let mean_jct_ms reports =
   let n = float_of_int (List.length reports) in
   1e3
@@ -83,8 +55,12 @@ let miss_pct reports =
   if total = 0 then 0. else 100. *. float_of_int (total - met) /. float_of_int total
 
 let table_of ~title ~row_label ~metric ?jobs ~quick scenario_of row_keys =
-  let seeds = seeds ~quick in
-  let measured = cells_by_row ?jobs ~seeds ~metric ~scenario_of row_keys in
+  let measured =
+    Common.grid ?jobs ~seeds:(seeds ~quick) ~cell:metric
+      ~run:(fun rk (_, proto) seed ->
+        snd (Scenario.run_jobs (Scenario.with_seed (scenario_of rk proto) seed)))
+      row_keys protocols
+  in
   let rows =
     List.map2
       (fun k cells -> string_of_int k :: List.map Common.cell cells)

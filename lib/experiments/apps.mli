@@ -11,20 +11,9 @@
     grid over that many worker domains. Results are identical for any
     [jobs]. *)
 
-val fanin_table : ?jobs:int -> ?quick:bool -> unit -> Common.table
-(** Mean JCT [ms] of partition-aggregate jobs vs fan-in width. *)
-
-val depth_table : ?jobs:int -> ?quick:bool -> unit -> Common.table
-(** Mean JCT [ms] of partition-aggregate jobs vs stage depth
-    (rounds), fan-in fixed. *)
-
-val miss_table : ?jobs:int -> ?quick:bool -> unit -> Common.table
-(** Job deadline-miss rate [%] vs fan-in width. *)
-
-val straggler_table : ?width:int -> ?count:int -> ?seed:int -> unit -> Common.table
-(** One PDQ(Full) run with an in-memory trace: per job, the straggler
-    flow that finished it and that flow's FCT decomposition
-    ({!Pdq_apps.Job_forensics}). *)
-
 val run_all : ?jobs:int -> ?quick:bool -> Format.formatter -> unit -> unit
-(** Print every table above. *)
+(** Print four tables: mean JCT [ms] of partition-aggregate jobs vs
+    fan-in width and vs stage depth (fan-in fixed), the job
+    deadline-miss rate [%] vs fan-in width, and, from one PDQ(Full)
+    run with an in-memory trace, each job's straggler flow with that
+    flow's FCT decomposition ({!Pdq_apps.Job_forensics}). *)

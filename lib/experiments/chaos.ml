@@ -12,26 +12,17 @@
 
    Reported per protocol: p99 FCT over completed flows normalized to
    the same protocol's adversary-free run, and deadline-miss
-   percentage, averaged over seeds. Each (rate, protocol, seed) cell
-   is an independent scenario + plan generator pair evaluated by
-   [Sweep.map], so the whole grid parallelizes like any sweep. *)
+   percentage, averaged over seeds. Each (rate, protocol, seed) run
+   is an independent scenario + plan generator pair, so each sweep is
+   one [Common.grid]. *)
 
 module Runner = Pdq_transport.Runner
 module Builder = Pdq_topo.Builder
 module Topology = Pdq_net.Topology
 module Rng = Pdq_engine.Rng
 module Scenario = Pdq_exec.Scenario
-module Sweep = Pdq_exec.Sweep
 module Adversary = Pdq_chaos.Adversary
 module Adversary_plan = Pdq_chaos.Adversary_plan
-
-let protocols =
-  [
-    ("PDQ", Runner.Pdq Pdq_core.Config.full);
-    ("RCP", Runner.Rcp);
-    ("D3", Runner.D3);
-    ("TCP", Runner.Tcp);
-  ]
 
 (* The resilience harness's staggered-aggregation scenario shape:
    traffic spread across [window] so it overlaps the standing
@@ -70,11 +61,11 @@ let reduce results =
     miss_pct = avg (fun r -> 100. *. (1. -. r.Runner.application_throughput));
   }
 
-(* One cell: build the scenario, install the standing conditions on
+(* One run: build the scenario, install the standing conditions on
    every cable via the prepare hook, run. The adversary rng derives
-   from the cell seed, so cells are independent and shippable. *)
-let run_cell ?opts (sc, plan_of) =
-  Scenario.run ?opts
+   from the run's seed, so runs are independent and shippable. *)
+let run_cell sc plan_of =
+  Scenario.run
     ~prepare:(fun (built : Builder.built) ->
       let topo = built.Builder.topo in
       let plan = plan_of topo in
@@ -88,29 +79,14 @@ let run_cell ?opts (sc, plan_of) =
    p99 FCT and deadline-miss %. *)
 let sweep ?jobs ?budget ~title ~axis ~seeds ~rates ~degrade_of () =
   let flows = 12 and window = 0.2 and horizon = 3. in
-  let cells =
-    List.concat_map
-      (fun rate ->
-        List.concat_map
-          (fun (_, proto) ->
-            List.map
-              (fun seed ->
-                let sc =
-                  scenario_of ~label:(Common.cell rate) ~flows ~window ~horizon
-                    ~seed proto
-                in
-                (sc, fun topo -> degrade_of ~rate ~links:(Topology.cables topo)))
-              seeds)
-          protocols)
-      rates
-  in
-  let results =
-    Sweep.map ?jobs ?budget (run_cell ?opts:None) cells
-  in
   let rows_cells =
-    List.map
-      (fun per_rate -> List.map reduce (Common.chunks (List.length seeds) per_rate))
-      (Common.chunks (List.length seeds * List.length protocols) results)
+    Common.grid ?jobs ?budget ~seeds ~cell:reduce
+      ~run:(fun rate (_, proto) seed ->
+        run_cell
+          (scenario_of ~label:(Common.cell rate) ~flows ~window ~horizon ~seed
+             proto)
+          (fun topo -> degrade_of ~rate ~links:(Topology.cables topo)))
+      rates Common.baseline_protocols
   in
   let base =
     match rows_cells with
@@ -131,7 +107,7 @@ let sweep ?jobs ?budget ~title ~axis ~seeds ~rates ~degrade_of () =
     axis
     :: List.concat_map
          (fun (name, _) -> [ name ^ " p99"; name ^ " miss%" ])
-         protocols
+         Common.baseline_protocols
   in
   { Common.title; header; rows }
 

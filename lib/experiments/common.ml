@@ -10,17 +10,27 @@ module Sim = Pdq_engine.Sim
 module Scenario = Pdq_exec.Scenario
 module Sweep = Pdq_exec.Sweep
 
+let named protocols =
+  List.map (fun p -> (Runner.protocol_name p, p)) protocols
+
 let pdq_variants =
-  [
-    ("PDQ(Full)", Runner.Pdq Config.full);
-    ("PDQ(ES+ET)", Runner.Pdq Config.es_et);
-    ("PDQ(ES)", Runner.Pdq Config.es);
-    ("PDQ(Basic)", Runner.Pdq Config.basic);
-  ]
+  named (List.map (fun c -> Runner.Pdq c) Config.[ full; es_et; es; basic ])
 
-let packet_protocols =
-  pdq_variants @ [ ("D3", Runner.D3); ("RCP", Runner.Rcp); ("TCP", Runner.Tcp) ]
+let packet_protocols = pdq_variants @ named Runner.[ D3; Rcp; Tcp ]
 
+let quick_protocols =
+  named Runner.[ Pdq Config.full; Pdq Config.basic; D3; Rcp; Tcp ]
+
+let fct_protocols =
+  named Runner.[ Pdq Config.full; Pdq Config.es; Pdq Config.basic ]
+  @ [ ("RCP/D3", Runner.Rcp); ("TCP", Runner.Tcp) ]
+
+let baseline_protocols =
+  ("PDQ", Runner.Pdq Config.full) :: named Runner.[ Rcp; D3; Tcp ]
+
+(* Goodput of a 1 Gbps link under the 40-byte TCP/IP header: the
+   omniscient scheduler pays payload efficiency but no scheduling
+   header. *)
 let goodput_rate = 1e9 *. 1460. /. 1500.
 
 type agg_workload = {
@@ -126,20 +136,28 @@ let chunks k xs =
   in
   go [] xs
 
-let sweep_metric ?opts ~seeds ~metric scenario_of keys =
-  let scenarios =
-    List.concat_map
-      (fun k ->
-        List.map (fun seed -> Scenario.with_seed (scenario_of k) seed) seeds)
-      keys
+let mean xs = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
+
+let grid ?jobs ?budget ~seeds ~run ~cell rows cols =
+  let results =
+    Sweep.map ?jobs ?budget
+      (fun (row, col, seed) -> run row col seed)
+      (List.concat_map
+         (fun row ->
+           List.concat_map
+             (fun col -> List.map (fun seed -> (row, col, seed)) seeds)
+             cols)
+         rows)
+    |> Array.of_list
   in
-  let results = Array.of_list (Sweep.run ?opts scenarios) in
-  let nseeds = List.length seeds in
+  let per_cell = List.length seeds and per_row = List.length cols in
   List.mapi
-    (fun i k ->
-      let vs = List.init nseeds (fun j -> metric results.((i * nseeds) + j)) in
-      (k, List.fold_left ( +. ) 0. vs /. float_of_int nseeds))
-    keys
+    (fun i _ ->
+      List.init per_row (fun j ->
+          cell
+            (List.init per_cell (fun k ->
+                 results.((((i * per_row) + j) * per_cell) + k)))))
+    rows
 
 let search_max_flows ?(lo = 1) ?(hi = 64) ~target f =
   if f lo < target then 0

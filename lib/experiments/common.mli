@@ -1,18 +1,29 @@
 (** Shared plumbing for the per-figure experiment drivers: protocol
-    rosters, workload construction, repeated-seed averaging, binary
-    search for the paper's "number of flows at 99% application
-    throughput" metric, and tabular output. *)
+    rosters, workload construction, the row × protocol × seed sweep
+    grid, repeated-seed averaging, binary search for the paper's
+    "number of flows at 99% application throughput" metric, and
+    tabular output. *)
 
 val pdq_variants : (string * Pdq_transport.Runner.protocol) list
-(** PDQ(Full), PDQ(ES+ET), PDQ(ES), PDQ(Basic) — most complete first. *)
+(** PDQ(Full), PDQ(ES+ET), PDQ(ES), PDQ(Basic) — most complete first.
+    Every label in the lists below except ["RCP/D3"] and ["PDQ"] is
+    {!Pdq_transport.Runner.protocol_name} of its protocol. *)
 
 val packet_protocols : (string * Pdq_transport.Runner.protocol) list
 (** The full roster of Fig. 3: the PDQ variants, D3, RCP, TCP. *)
 
-val goodput_rate : float
-(** Effective goodput of a 1 Gbps link under the 40-byte TCP/IP
-    header (the omniscient scheduler pays payload efficiency but no
-    scheduling header). *)
+val quick_protocols : (string * Pdq_transport.Runner.protocol) list
+(** PDQ(Full), PDQ(Basic), D3, RCP, TCP — the trimmed roster of the
+    quick capacity searches (Figs. 3c and 4a). *)
+
+val fct_protocols : (string * Pdq_transport.Runner.protocol) list
+(** PDQ(Full), PDQ(ES), PDQ(Basic), RCP/D3, TCP — the roster of the
+    deadline-free FCT panels (Figs. 3d/e, 4b, 5b/c), where RCP and D3
+    behave alike and share one column. *)
+
+val baseline_protocols : (string * Pdq_transport.Runner.protocol) list
+(** PDQ (Full) against RCP, D3 and TCP — the roster of the chaos and
+    resilience tables. *)
 
 type agg_workload = {
   specs : Pdq_transport.Context.flow_spec list;
@@ -83,22 +94,27 @@ val optimal_aggregation_fct :
     (deadline-unconstrained case). *)
 
 val chunks : int -> 'a list -> 'a list list
-(** Split into consecutive groups of [k] (last group may be short) —
-    for slicing a flattened sweep back into table rows. *)
+(** Split into consecutive groups of [k] (last group may be short). *)
 
-val sweep_metric :
-  ?opts:Pdq_exec.Exec_opts.t ->
+val mean : float list -> float
+(** Arithmetic mean, summed in list order. *)
+
+val grid :
+  ?jobs:int ->
+  ?budget:Pdq_exec.Exec_opts.budget ->
   seeds:int list ->
-  metric:(Pdq_transport.Runner.result -> float) ->
-  ('a -> Pdq_exec.Scenario.t) ->
-  'a list ->
-  ('a * float) list
-(** Flatten [keys × seeds] into one parallel sweep and hand back, per
-    key in input order, the seed-average of [metric]. This is how the
-    figure drivers expose whole-figure parallelism instead of only the
-    2–5-way seed loop. [opts] rides through to {!Pdq_exec.Sweep.run}
-    (a tripped budget surfaces through
-    {!Pdq_exec.Sweep.Sweep_errors}). *)
+  run:('row -> 'col -> int -> 'r) ->
+  cell:('r list -> 'c) ->
+  'row list ->
+  'col list ->
+  'c list list
+(** [grid ~seeds ~run ~cell rows cols] evaluates [run row col seed]
+    for every triple in one {!Pdq_exec.Sweep.map} (row-major, seeds
+    innermost) and reduces each cell's per-seed results, in [seeds]
+    order, with [cell]: one list per row, one value per column, the
+    same for any [jobs]. [run] executes on a worker domain; [budget]
+    bounds each call, and a failure raises
+    {!Pdq_exec.Sweep.Sweep_errors}. *)
 
 val search_max_flows :
   ?lo:int ->
@@ -108,7 +124,8 @@ val search_max_flows :
   int
 (** Largest [n] in [lo..hi] whose measured application throughput is at
     least [target] (binary search assuming monotonicity, as the paper's
-    procedure does). Returns [lo - 1]... returns 0 if even [lo] fails. *)
+    procedure does). Returns 0 when [lo] fails and [hi] when [hi]
+    passes. *)
 
 type table = { title : string; header : string list; rows : string list list }
 

@@ -61,22 +61,17 @@ let fig11a ?jobs ?(quick = true) () =
   let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3; 4 ] in
   let loads = if quick then [ 0.25; 0.5; 1.0 ] else [ 0.125; 0.25; 0.5; 0.75; 1.0 ] in
   let protos = [ Runner.Pdq Pdq_core.Config.full; mpdq 3 ] in
-  let fcts =
-    Common.sweep_metric ~opts:(Pdq_exec.Exec_opts.make ?jobs ()) ~seeds
-      ~metric:(fun r -> r.Runner.mean_fct)
-      (fun (load, proto) -> load_scenario ~load ~deadlines:false proto)
-      (List.concat_map
-         (fun load -> List.map (fun p -> (load, p)) protos)
-         loads)
-    |> List.map snd
-  in
   let rows =
-    List.map2
-      (fun load row ->
-        Common.cell (100. *. load)
-        :: List.map (fun fct -> Common.cell (1e3 *. fct)) row)
-      loads
-      (Common.chunks (List.length protos) fcts)
+    Common.grid ?jobs ~seeds ~cell:Common.mean
+      ~run:(fun load proto seed ->
+        let s = load_scenario ~load ~deadlines:false proto in
+        (Scenario.run (Scenario.with_seed s seed)).Runner.mean_fct)
+      loads protos
+    |> List.map2
+         (fun load row ->
+           Common.cell (100. *. load)
+           :: List.map (fun fct -> Common.cell (1e3 *. fct)) row)
+         loads
   in
   {
     Common.title = "Fig 11a - mean FCT [ms] vs load (BCube(2,3), random perm)";

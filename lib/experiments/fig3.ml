@@ -1,26 +1,11 @@
 module Runner = Pdq_transport.Runner
 module Size_dist = Pdq_workload.Size_dist
+module Scenario = Pdq_exec.Scenario
 
 let seeds ~quick = if quick then [ 1; 2 ] else [ 1; 2; 3; 4; 5 ]
 
 let at_metric (r : Runner.result) = 100. *. r.Runner.application_throughput
 let fct_metric (r : Runner.result) = r.Runner.mean_fct
-
-(* The (a)/(b)/(d)/(e) panels are embarrassingly parallel: every
-   (row, protocol, seed) triple is an independent scenario, so they
-   flatten into one [Common.sweep_metric] call instead of nesting the
-   seed loop inside a per-cell loop. *)
-let cells_by_row ?jobs ~seeds ~metric ~protocols ~scenario_of row_keys =
-  let keys =
-    List.concat_map
-      (fun rk -> List.map (fun (_, proto) -> (rk, proto)) protocols)
-      row_keys
-  in
-  Common.sweep_metric ~opts:(Pdq_exec.Exec_opts.make ?jobs ()) ~seeds ~metric
-    (fun (rk, proto) -> scenario_of rk proto)
-    keys
-  |> List.map snd
-  |> Common.chunks (List.length protocols)
 
 (* (a): application throughput vs number of flows. *)
 let fig3a ?jobs ?(quick = true) () =
@@ -29,10 +14,10 @@ let fig3a ?jobs ?(quick = true) () =
     if quick then [ 2; 5; 10; 15; 20 ] else [ 2; 5; 10; 15; 20; 25 ]
   in
   let measured =
-    cells_by_row ?jobs ~seeds ~metric:at_metric
-      ~protocols:Common.packet_protocols
-      ~scenario_of:(fun n proto -> Common.aggregation_scenario ~flows:n proto)
-      flows_list
+    Common.grid ?jobs ~seeds ~cell:Common.mean
+      ~run:(fun n (_, proto) seed ->
+        at_metric (Scenario.run (Common.aggregation_scenario ~seed ~flows:n proto)))
+      flows_list Common.packet_protocols
   in
   let rows =
     List.map2
@@ -57,13 +42,14 @@ let fig3b ?jobs ?(quick = true) () =
     else [ 100_000; 150_000; 200_000; 250_000; 300_000; 350_000 ]
   in
   let measured =
-    cells_by_row ?jobs ~seeds ~metric:at_metric
-      ~protocols:Common.packet_protocols
-      ~scenario_of:(fun mean proto ->
-        Common.aggregation_scenario
-          ~sizes:(Size_dist.uniform_paper ~mean_bytes:mean)
-          ~flows:3 proto)
-      means
+    Common.grid ?jobs ~seeds ~cell:Common.mean
+      ~run:(fun mean (_, proto) seed ->
+        at_metric
+          (Scenario.run
+             (Common.aggregation_scenario ~seed
+                ~sizes:(Size_dist.uniform_paper ~mean_bytes:mean)
+                ~flows:3 proto)))
+      means Common.packet_protocols
   in
   let rows =
     List.map2
@@ -95,15 +81,7 @@ let fig3c ?jobs ?(quick = true) () =
   in
   let hi = if quick then 48 else 64 in
   let protos =
-    if quick then
-      [
-        List.nth Common.packet_protocols 0 (* PDQ(Full) *);
-        List.nth Common.packet_protocols 3 (* PDQ(Basic) *);
-        ("D3", Runner.D3);
-        ("RCP", Runner.Rcp);
-        ("TCP", Runner.Tcp);
-      ]
-    else Common.packet_protocols
+    if quick then Common.quick_protocols else Common.packet_protocols
   in
   let rows =
     List.map
@@ -132,28 +110,18 @@ let fig3c ?jobs ?(quick = true) () =
   }
 
 (* (d): mean FCT normalized to optimal (no deadlines). *)
-let fct_protocols =
-  [
-    List.nth Common.packet_protocols 0;
-    (* PDQ(Full) *)
-    List.nth Common.packet_protocols 2;
-    (* PDQ(ES) *)
-    List.nth Common.packet_protocols 3;
-    (* PDQ(Basic) *)
-    ("RCP/D3", Runner.Rcp);
-    ("TCP", Runner.Tcp);
-  ]
-
 let fig3d ?jobs ?(quick = true) () =
   let seeds = seeds ~quick in
   let flows_list =
     if quick then [ 1; 5; 10; 20 ] else [ 1; 5; 10; 15; 20; 25 ]
   in
   let measured =
-    cells_by_row ?jobs ~seeds ~metric:fct_metric ~protocols:fct_protocols
-      ~scenario_of:(fun n proto ->
-        Common.aggregation_scenario ~deadlines:false ~flows:n proto)
-      flows_list
+    Common.grid ?jobs ~seeds ~cell:Common.mean
+      ~run:(fun n (_, proto) seed ->
+        fct_metric
+          (Scenario.run
+             (Common.aggregation_scenario ~seed ~deadlines:false ~flows:n proto)))
+      flows_list Common.fct_protocols
   in
   let rows =
     List.map2
@@ -165,7 +133,7 @@ let fig3d ?jobs ?(quick = true) () =
   in
   {
     Common.title = "Fig 3d - mean FCT normalized to optimal vs number of flows";
-    header = "flows" :: List.map fst fct_protocols;
+    header = "flows" :: List.map fst Common.fct_protocols;
     rows;
   }
 
@@ -176,12 +144,14 @@ let fig3e ?jobs ?(quick = true) () =
     else [ 100_000; 150_000; 200_000; 250_000; 300_000; 350_000 ]
   in
   let measured =
-    cells_by_row ?jobs ~seeds ~metric:fct_metric ~protocols:fct_protocols
-      ~scenario_of:(fun mean proto ->
-        Common.aggregation_scenario ~deadlines:false
-          ~sizes:(Size_dist.uniform_paper ~mean_bytes:mean)
-          ~flows:3 proto)
-      means
+    Common.grid ?jobs ~seeds ~cell:Common.mean
+      ~run:(fun mean (_, proto) seed ->
+        fct_metric
+          (Scenario.run
+             (Common.aggregation_scenario ~seed ~deadlines:false
+                ~sizes:(Size_dist.uniform_paper ~mean_bytes:mean)
+                ~flows:3 proto)))
+      means Common.fct_protocols
   in
   let rows =
     List.map2
@@ -194,7 +164,7 @@ let fig3e ?jobs ?(quick = true) () =
   in
   {
     Common.title = "Fig 3e - mean FCT normalized to optimal vs mean flow size";
-    header = "size[KB]" :: List.map fst fct_protocols;
+    header = "size[KB]" :: List.map fst Common.fct_protocols;
     rows;
   }
 

@@ -67,15 +67,7 @@ let pattern_scenario name ~deadlines ~flows protocol =
 let fig4a ?jobs ?(quick = true) () =
   let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3; 4 ] in
   let protos =
-    if quick then
-      [
-        List.nth Common.packet_protocols 0;
-        List.nth Common.packet_protocols 3;
-        ("D3", Runner.D3);
-        ("RCP", Runner.Rcp);
-        ("TCP", Runner.Tcp);
-      ]
-    else Common.packet_protocols
+    if quick then Common.quick_protocols else Common.packet_protocols
   in
   let capacity name proto =
     Common.search_max_flows ~hi:(if quick then 36 else 64) ~target:99.
@@ -107,37 +99,21 @@ let fig4a ?jobs ?(quick = true) () =
 
 let fig4b ?jobs ?(quick = true) () =
   let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3; 4 ] in
-  let protos =
-    [
-      List.nth Common.packet_protocols 0;
-      List.nth Common.packet_protocols 2;
-      List.nth Common.packet_protocols 3;
-      ("RCP/D3", Runner.Rcp);
-      ("TCP", Runner.Tcp);
-    ]
-  in
   let flows = 12 in
-  (* One sweep over the whole pattern × protocol grid. *)
-  let fcts =
-    Common.sweep_metric ~opts:(Pdq_exec.Exec_opts.make ?jobs ()) ~seeds
-      ~metric:(fun r -> r.Runner.mean_fct)
-      (fun (name, proto) -> pattern_scenario name ~deadlines:false ~flows proto)
-      (List.concat_map
-         (fun name -> List.map (fun (_, p) -> (name, p)) protos)
-         patterns)
-    |> List.map snd
-  in
-  let nprotos = List.length protos in
   let rows =
-    List.mapi
-      (fun i name ->
-        let row = List.filteri (fun j _ -> j / nprotos = i) fcts in
-        let base = List.hd row in
-        name :: List.map (fun fct -> Common.cell (fct /. base)) row)
-      patterns
+    Common.grid ?jobs ~seeds ~cell:Common.mean
+      ~run:(fun name (_, proto) seed ->
+        let s = pattern_scenario name ~deadlines:false ~flows proto in
+        (Scenario.run (Scenario.with_seed s seed)).Runner.mean_fct)
+      patterns Common.fct_protocols
+    |> List.map2
+         (fun name row ->
+           let base = List.hd row in
+           name :: List.map (fun fct -> Common.cell (fct /. base)) row)
+         patterns
   in
   {
     Common.title = "Fig 4b - mean FCT normalized to PDQ(Full)";
-    header = "pattern" :: List.map fst protos;
+    header = "pattern" :: List.map fst Common.fct_protocols;
     rows;
   }

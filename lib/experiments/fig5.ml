@@ -1,4 +1,5 @@
 module Runner = Pdq_transport.Runner
+module Config = Pdq_core.Config
 module Context = Pdq_transport.Context
 module Pattern = Pdq_workload.Pattern
 module Size_dist = Pdq_workload.Size_dist
@@ -6,7 +7,6 @@ module Deadline_dist = Pdq_workload.Deadline_dist
 module Arrivals = Pdq_workload.Arrivals
 module Rng = Pdq_engine.Rng
 module Scenario = Pdq_exec.Scenario
-module Sweep = Pdq_exec.Sweep
 
 let short_flow_bytes = 40_000
 
@@ -63,60 +63,40 @@ let fig5a ?jobs ?(quick = true) () =
   let deadline_means = if quick then [ 0.02; 0.04 ] else [ 0.015; 0.02; 0.03; 0.04 ] in
   let protos =
     if quick then
-      [
-        List.nth Common.packet_protocols 0;
-        List.nth Common.packet_protocols 1;
-        ("D3", Runner.D3);
-        ("RCP", Runner.Rcp);
-        ("TCP", Runner.Tcp);
-      ]
+      List.map
+        (fun p -> (Runner.protocol_name p, p))
+        Runner.[ Pdq Config.full; Pdq Config.es_et; D3; Rcp; Tcp ]
     else Common.packet_protocols
   in
   let dist = Size_dist.vl2 () in
-  (* Grid search over the arrival rate (flows/s): the sequential
-     driver probed every rate anyway, so the whole
-     deadline × protocol × rate × seed grid is one flat sweep. *)
+  (* Grid search over the arrival rate (flows/s): every rate is probed,
+     so the columns are protocol × rate and a table cell keeps the
+     highest rate whose seed-averaged application throughput reaches
+     99%. *)
   let rates = [ 250.; 500.; 1000.; 2000.; 4000.; 8000. ] in
-  let grid =
+  let cols =
     List.concat_map
-      (fun dmean ->
-        List.concat_map
-          (fun (_, proto) ->
-            List.concat_map
-              (fun rate -> List.map (fun seed -> (dmean, proto, rate, seed)) seeds)
-              rates)
-          protos)
-      deadline_means
+      (fun (name, proto) -> List.map (fun rate -> (name, proto, rate)) rates)
+      protos
   in
-  let ats =
-    Sweep.map ?jobs
-      (fun (deadline_mean, proto, rate, seed) ->
+  let max_rate ats name =
+    List.fold_left2
+      (fun acc (n, _, rate) at -> if n = name && at >= 0.99 then rate else acc)
+      0. cols ats
+  in
+  let rows =
+    Common.grid ?jobs ~seeds ~cell:mean_ignoring_nan
+      ~run:(fun deadline_mean (_, proto, rate) seed ->
         let s = trace_scenario ~dist ~deadline_mean ~rate ~duration proto in
         guard
           (fun r -> r.Runner.application_throughput)
           (Scenario.run (Scenario.with_seed s seed)))
-      grid
-    |> Array.of_list
-  in
-  let nseeds = List.length seeds and nrates = List.length rates in
-  let nprotos = List.length protos in
-  let max_rate di pi =
-    List.fold_left
-      (fun acc ri ->
-        let base = (((di * nprotos) + pi) * nrates + ri) * nseeds in
-        let at =
-          mean_ignoring_nan (List.init nseeds (fun si -> ats.(base + si)))
-        in
-        if at >= 0.99 then List.nth rates ri else acc)
-      0.
-      (List.init nrates Fun.id)
-  in
-  let rows =
-    List.mapi
-      (fun di dmean ->
-        Common.cell (dmean *. 1e3)
-        :: List.mapi (fun pi _ -> Common.cell (max_rate di pi)) protos)
-      deadline_means
+      deadline_means cols
+    |> List.map2
+         (fun dmean ats ->
+           Common.cell (dmean *. 1e3)
+           :: List.map (fun (name, _) -> Common.cell (max_rate ats name)) protos)
+         deadline_means
   in
   {
     Common.title =
@@ -140,37 +120,23 @@ let norm_table ?jobs ~title ~dist ~metric ?(quick = true) () =
   let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3 ] in
   let duration = if quick then 0.05 else 0.2 in
   let rate = 1500. in
-  let protos =
-    [
-      List.nth Common.packet_protocols 0;
-      List.nth Common.packet_protocols 2;
-      List.nth Common.packet_protocols 3;
-      ("RCP/D3", Runner.Rcp);
-      ("TCP", Runner.Tcp);
-    ]
-  in
   let values =
-    Sweep.map ?jobs
-      (fun (proto, seed) ->
-        let s = trace_scenario ~dist ~deadline_mean:0.02 ~rate ~duration proto in
-        guard metric (Scenario.run (Scenario.with_seed s seed)))
-      (List.concat_map
-         (fun (_, p) -> List.map (fun seed -> (p, seed)) seeds)
-         protos)
-    |> Array.of_list
+    List.hd
+      (Common.grid ?jobs ~seeds ~cell:mean_ignoring_nan
+         ~run:(fun () (_, proto) seed ->
+           let s = trace_scenario ~dist ~deadline_mean:0.02 ~rate ~duration proto in
+           guard metric (Scenario.run (Scenario.with_seed s seed)))
+         [ () ] Common.fct_protocols)
   in
-  let nseeds = List.length seeds in
-  let value pi =
-    mean_ignoring_nan (List.init nseeds (fun si -> values.((pi * nseeds) + si)))
-  in
-  let base = value 0 in
+  let base = List.hd values in
   let rows =
-    [
-      "normalized"
-      :: List.mapi (fun pi _ -> Common.cell (value pi /. base)) protos;
-    ]
+    [ "normalized" :: List.map (fun v -> Common.cell (v /. base)) values ]
   in
-  { Common.title = title; header = "metric" :: List.map fst protos; rows }
+  {
+    Common.title = title;
+    header = "metric" :: List.map fst Common.fct_protocols;
+    rows;
+  }
 
 let fig5b ?jobs ?(quick = true) () =
   norm_table ?jobs

@@ -76,17 +76,13 @@ let fig9a ?jobs ?(quick = true) () =
 let fig9b ?jobs ?(quick = true) () =
   let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3 ] in
   let flows = 6 in
-  (* One sweep over the loss × protocol grid; row order is preserved. *)
-  let fcts =
-    Common.sweep_metric ~opts:(Pdq_exec.Exec_opts.make ?jobs ()) ~seeds
-      ~metric:(fun r -> r.Runner.mean_fct)
-      (fun (loss_rate, proto) -> scenario ~loss_rate ~flows ~deadlines:false proto)
-      (List.concat_map
-         (fun loss_rate -> List.map (fun (_, p) -> (loss_rate, p)) protocols)
-         (losses ~quick))
-    |> List.map snd
+  let per_row =
+    Common.grid ?jobs ~seeds ~cell:Common.mean
+      ~run:(fun loss_rate (_, proto) seed ->
+        let s = scenario ~loss_rate ~flows ~deadlines:false proto in
+        (Scenario.run (Scenario.with_seed s seed)).Runner.mean_fct)
+      (losses ~quick) protocols
   in
-  let per_row = Common.chunks (List.length protocols) fcts in
   let base = List.hd (List.hd per_row) in
   let rows =
     List.map2

@@ -15,8 +15,8 @@
    the same protocol's fault-free run, deadline-miss percentage, and
    watchdog aborts (dead-path give-ups), averaged over seeds.
 
-   Each (intensity, protocol, seed) cell is an independent scenario,
-   so a whole sweep is one flat [Sweep.run] over the grid. *)
+   Each (intensity, protocol, seed) run is an independent scenario,
+   so a whole sweep is one [Common.grid]. *)
 
 module Runner = Pdq_transport.Runner
 module Context = Pdq_transport.Context
@@ -28,15 +28,6 @@ module Size_dist = Pdq_workload.Size_dist
 module Deadline_dist = Pdq_workload.Deadline_dist
 module Pattern = Pdq_workload.Pattern
 module Scenario = Pdq_exec.Scenario
-module Sweep = Pdq_exec.Sweep
-
-let protocols =
-  [
-    ("PDQ", Runner.Pdq Pdq_core.Config.full);
-    ("RCP", Runner.Rcp);
-    ("D3", Runner.D3);
-    ("TCP", Runner.Tcp);
-  ]
 
 (* Aggregation workload with starts staggered across [window] so the
    traffic actually overlaps the injected faults instead of finishing
@@ -113,25 +104,17 @@ let sweep ?jobs ?budget ~title ~axis ~seeds ~flows ~window ~horizon rows_spec =
     :: List.concat_map
          (fun (name, _) ->
            [ name ^ " fct"; name ^ " miss%"; name ^ " abrt" ])
-         protocols
+         Common.baseline_protocols
   in
-  let grid =
-    List.concat_map
-      (fun row ->
-        List.concat_map
-          (fun (_, proto) ->
-            let s = scenario_of_row row ~flows ~window ~horizon proto in
-            List.map (Scenario.with_seed s) seeds)
-          protocols)
-      rows_spec
-  in
-  let results = Sweep.run ~opts:(Pdq_exec.Exec_opts.make ?jobs ?budget ()) grid in
   let cells =
-    List.map2
-      (fun row per_row ->
-        (row.label, List.map reduce_cell (Common.chunks (List.length seeds) per_row)))
-      rows_spec
-      (Common.chunks (List.length seeds * List.length protocols) results)
+    Common.grid ?jobs ?budget ~seeds ~cell:reduce_cell
+      ~run:(fun row (_, proto) seed ->
+        Scenario.run
+          (Scenario.with_seed
+             (scenario_of_row row ~flows ~window ~horizon proto)
+             seed))
+      rows_spec Common.baseline_protocols
+    |> List.map2 (fun row cells -> (row.label, cells)) rows_spec
   in
   let base =
     match cells with
@@ -159,7 +142,7 @@ let sweep ?jobs ?budget ~title ~axis ~seeds ~flows ~window ~horizon rows_spec =
     | (_, last_row) :: _ ->
         List.map2
           (fun (name, _) (_, counters) -> (name, counters))
-          protocols last_row
+          Common.baseline_protocols last_row
     | [] -> []
   in
   ({ Common.title; header; rows }, worst_counters)
@@ -281,7 +264,7 @@ let attribution ?(mtbf = 0.1) ?(seed = 1) () =
   let s =
     Scenario.with_seed
       (scenario_of_row row ~flows:16 ~window:0.2 ~horizon:3.
-         (snd (List.hd protocols)))
+         (snd (List.hd Common.baseline_protocols)))
       seed
   in
   Common.attribution_table

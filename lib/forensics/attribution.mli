@@ -24,12 +24,10 @@ type components = {
 
 val zero : components
 
-val component_sum : components -> float
-(** [handshake +. serialization +. paused +. recovery +. downtime],
-    in that order — the order against which [residual] was taken. *)
-
 val total : components -> float
-(** [component_sum c +. c.residual] — equals the measured FCT. *)
+(** [handshake +. serialization +. paused +. recovery +. downtime],
+    summed in that order (the order against which [residual] was
+    taken), plus [residual] — equals the measured FCT. *)
 
 val add : components -> components -> components
 

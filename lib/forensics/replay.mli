@@ -7,11 +7,5 @@
     [Error "path:line: why"]. Blank lines (and a trailing newline) are
     tolerated. *)
 
-val read_channel :
-  ?path:string ->
-  in_channel ->
-  ((float * Pdq_telemetry.Trace.event) list, string) result
-(** [path] only labels error messages (default ["<channel>"]). *)
-
 val read_file :
   string -> ((float * Pdq_telemetry.Trace.event) list, string) result

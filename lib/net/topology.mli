@@ -11,10 +11,6 @@ type link_params = {
   buffer_bytes : int;
 }
 
-val default_params : link_params
-(** The paper's §5.1 settings: 1 Gbps, 0.1 µs propagation, 25 µs
-    processing, 4 MByte FIFO tail-drop buffer. *)
-
 type t
 
 exception No_handler of int
@@ -34,7 +30,9 @@ val add_switch : t -> int
 (** New switch node; returns its id. *)
 
 val connect : ?params:link_params -> t -> int -> int -> unit
-(** Add a duplex link (two directed {!Link.t}) between two nodes. *)
+(** Add a duplex link (two directed {!Link.t}) between two nodes.
+    [params] defaults to the paper's §5.1 settings: 1 Gbps, 0.1 µs
+    propagation, 25 µs processing, 4 MByte FIFO tail-drop buffer. *)
 
 val node_count : t -> int
 val kind : t -> int -> node_kind

@@ -36,7 +36,6 @@ val obj : t -> (string * t) list
 val arr : t -> t list
 val field : (string * t) list -> string -> t
 val str : (string * t) list -> string -> string
-val num : (string * t) list -> string -> string
 val int : (string * t) list -> string -> int
 val float : (string * t) list -> string -> float
 val bool : (string * t) list -> string -> bool

@@ -95,9 +95,6 @@ val transmit : t -> from:int -> Pdq_net.Packet.t -> unit
     running the protocol hooks. Used both by original senders and by
     the forwarding path. *)
 
-val is_forward_kind : Pdq_net.Packet.kind -> bool
-(** SYN/DATA/PROBE/TERM travel source→destination. *)
-
 (** {2 Completion accounting} *)
 
 val complete : t -> flow -> unit

@@ -57,6 +57,24 @@ let test_search_max_flows () =
   Alcotest.(check int) "none pass -> 0" 0
     (Common.search_max_flows ~hi:64 ~target:0.99 (fun _ -> 0.))
 
+let test_grid_order () =
+  let rows = [ "a"; "b"; "c" ] and cols = [ 10; 20 ] and seeds = [ 3; 1; 2 ] in
+  let grid jobs =
+    Common.grid ~jobs ~seeds ~run:(fun r c s -> (r, c, s)) ~cell:Fun.id rows
+      cols
+  in
+  let g = grid 1 in
+  Alcotest.(check (list int)) "rows x cols" [ 2; 2; 2 ] (List.map List.length g);
+  let expected =
+    List.map
+      (fun r -> List.map (fun c -> List.map (fun s -> (r, c, s)) seeds) cols)
+      rows
+  in
+  let cells = Alcotest.(list (list (list (triple string int int)))) in
+  Alcotest.check cells "row-major, each cell's seeds in the order given"
+    expected g;
+  Alcotest.check cells "jobs:1 = jobs:2" g (grid 2)
+
 let test_optimal_bounds () =
   let at = Common.optimal_aggregation_throughput ~seeds:[ 1 ] ~flows:3 () in
   Alcotest.(check bool) "3 flows always schedulable-ish" true (at > 0.6);
@@ -123,6 +141,7 @@ let suites =
         Alcotest.test_case "aggregation workload" `Quick test_aggregation_workload;
         Alcotest.test_case "workload determinism" `Quick test_workload_deterministic;
         Alcotest.test_case "capacity search" `Quick test_search_max_flows;
+        Alcotest.test_case "grid order" `Quick test_grid_order;
         Alcotest.test_case "optimal bounds" `Quick test_optimal_bounds;
         Alcotest.test_case "PDQ tracks optimal (light load)" `Quick
           test_pdq_tracks_optimal_small;
