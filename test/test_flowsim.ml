@@ -286,6 +286,109 @@ let test_retirement_allocation () =
         true (per_flow < 1000.))
     protocols
 
+(* Golden digests: every per-flow outcome and summary field of
+   [Flowsim.run], floats in exact hex, for each solver variant on a
+   k=4 fat-tree with exponential deadlines (a quarter of the flows have
+   none) and staggered starts, at the default [dt] and at Fig 10's
+   1e-4. A change to the solvers that is meant to be output-preserving
+   must leave every digest as committed. 256 flows on 16 hosts load the
+   links enough that RCP's near-equal fair shares reach its 1e-6 stale
+   tolerance: dropping the tolerance moves the RCP digest at 1 ms. *)
+let golden_specs =
+  lazy
+    (let built = Builder.fat_tree ~sim:(Sim.create ()) ~k:4 () in
+     let hosts = built.Builder.hosts in
+     let rng = Pdq_engine.Rng.create 21 in
+     let pairs =
+       List.concat
+         (List.init 16 (fun _ ->
+              Pdq_workload.Pattern.random_permutation ~hosts ~rng))
+     in
+     let router = Pdq_net.Router.create built.Builder.topo in
+     let sizes = Pdq_workload.Size_dist.pareto ~tail_index:1.1 ~mean_bytes:100_000 () in
+     let deadlines = Pdq_workload.Deadline_dist.exponential ~mean:0.01 () in
+     let specs =
+       List.mapi
+         (fun i (p : Pdq_workload.Pattern.pair) ->
+           let path =
+             Pdq_net.Router.path_links router ~src:p.Pdq_workload.Pattern.src
+               ~dst:p.Pdq_workload.Pattern.dst ~choice:i
+           in
+           let size = Pdq_workload.Size_dist.sample sizes rng in
+           let deadline =
+             if i mod 4 = 3 then None
+             else Some (Pdq_workload.Deadline_dist.sample deadlines rng)
+           in
+           flow ?deadline ~start:(float_of_int (i mod 13) *. 2.9e-4) ~id:i ~path ~size ())
+         pairs
+     in
+     (Flowsim.net_of_topology built.Builder.topo, specs))
+
+let result_digest (r : Flowsim.result) =
+  let b = Buffer.create 4096 in
+  Array.iter
+    (fun (f : Flowsim.flow_result) ->
+      (match f.Flowsim.fct with
+      | Some x -> Printf.bprintf b "%h" x
+      | None -> Buffer.add_char b '-');
+      Printf.bprintf b ":%b%b;" f.Flowsim.met_deadline f.Flowsim.terminated)
+    r.Flowsim.flows;
+  Printf.bprintf b "|%h|%h|%h|%d" r.Flowsim.application_throughput
+    r.Flowsim.mean_fct r.Flowsim.max_fct r.Flowsim.completed;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* (name, protocol, digest at dt = 1 ms, digest at dt = 0.1 ms). *)
+let golden =
+  let pdq opts = Flowsim.Pdq opts in
+  [
+    ( "pdq",
+      pdq Flowsim.pdq_defaults,
+      "e66515b7a6ce49d2000f66fec53cead0",
+      "62a21a17ff405cdc8ae6e74dd5125ae9" );
+    ( "pdq no ET",
+      pdq { Flowsim.pdq_defaults with Flowsim.early_termination = false },
+      "76229292f3dc7c734a050472d5e49d51",
+      "3bd39c68e90aee6b604136374d997e11" );
+    ( "pdq aging",
+      pdq { Flowsim.pdq_defaults with Flowsim.aging_rate = Some 50. },
+      "4590323d577ed21abd64de2e66e290ed",
+      "fdb5e90ea9c13da29d70bf249b038c7f" );
+    ( "pdq random criticality",
+      pdq
+        {
+          Flowsim.pdq_defaults with
+          Flowsim.criticality = Flowsim.Random_criticality;
+        },
+      "5378e0de072d6020181db352160af4b7",
+      "39c2c56366df5c1d91c5d5519e692636" );
+    ( "pdq size estimation",
+      pdq
+        {
+          Flowsim.pdq_defaults with
+          Flowsim.criticality = Flowsim.Size_estimation 50_000;
+        },
+      "558a60d4862840352cfeeb9772418c9d",
+      "89414660bf63d42fc431d0a094de23f8" );
+    ( "rcp",
+      Flowsim.Rcp,
+      "dda4bdb8fe7f92f36b5c39d5cade710f",
+      "56eef05b3ebc9abb5be32ab979af7d5f" );
+    ( "d3",
+      Flowsim.D3,
+      "6a0299a5bb1de40d9286f34eeeaf29c2",
+      "f81528e06eb911287ddec42210bd33b6" );
+  ]
+
+let test_golden (name, proto, ms, tenth_ms) () =
+  let net, specs = Lazy.force golden_specs in
+  List.iter
+    (fun (dt, expect) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s at dt=%g" name dt)
+        expect
+        (result_digest (Flowsim.run ~dt ~seed:5 net proto specs)))
+    [ (1e-3, ms); (1e-4, tenth_ms) ]
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let suites =
@@ -311,5 +414,9 @@ let suites =
         Alcotest.test_case "retirement allocation bound" `Quick
           test_retirement_allocation;
       ]
+      @ List.map
+          (fun ((name, _, _, _) as g) ->
+            Alcotest.test_case ("golden digest: " ^ name) `Quick (test_golden g))
+          golden
       @ qsuite [ prop_pdq_capacity_respected ] );
   ]
