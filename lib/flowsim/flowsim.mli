@@ -11,7 +11,13 @@
       protocol provably converges to within Pmax+1 RTTs); optional
       Early Termination, flow aging (§7) and alternative criticality
       modes (§5.6).
-    - RCP: global max-min fairness (water-filling).
+    - RCP: global max-min fairness by water-filling over a lazy heap
+      of per-link fair shares. The float order of the residual updates
+      is part of the output, so it is fixed: links freeze in
+      (fair share, push sequence) order, with an entry re-pushed when
+      its link's share has grown by more than 1e-6, and a frozen
+      link's flows are visited oldest-admitted first (the reverse of the
+      solver's newest-first list of active flows).
     - D3: per-link first-come-first-reserve grants of
       [remaining/(deadline−now)] in flow arrival order plus an equal
       share of the leftover, with non-negative fair share and sender

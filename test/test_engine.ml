@@ -16,37 +16,36 @@ let check_float msg expected actual =
 (* ------------------------------------------------------------------ *)
 (* Heap *)
 
+let drain h =
+  let rec go acc = if Heap.is_empty h then List.rev acc else go (Heap.pop h :: acc) in
+  go []
+
 let test_heap_order () =
   let h = Heap.create () in
-  List.iter (fun p -> Heap.push h p p) [ 5.; 1.; 3.; 2.; 4. ];
+  List.iter (fun p -> Heap.push h (float_of_int p) p) [ 5; 1; 3; 2; 4 ];
   let out = ref [] in
-  let rec drain () =
-    match Heap.pop h with
-    | Some (p, _) ->
-        out := p :: !out;
-        drain ()
-    | None -> ()
-  in
-  drain ();
+  while not (Heap.is_empty h) do
+    let p = Heap.min_prio h in
+    let v = Heap.pop h in
+    check_float "prio matches value" (float_of_int v) p;
+    out := p :: !out
+  done;
   Alcotest.(check (list (float 1e-9)))
     "sorted ascending" [ 1.; 2.; 3.; 4.; 5. ] (List.rev !out)
 
 let test_heap_fifo_ties () =
   let h = Heap.create () in
-  List.iteri (fun i name -> Heap.push h (if i = 1 then 1. else 1.) name)
-    [ "a"; "b"; "c" ];
-  let pop () = match Heap.pop h with Some (_, v) -> v | None -> "?" in
-  let first = pop () in
-  let second = pop () in
-  let third = pop () in
-  Alcotest.(check (list string)) "insertion order on ties" [ "a"; "b"; "c" ]
-    [ first; second; third ]
+  List.iter (fun v -> Heap.push h 1. v) [ 7; 3; 5 ];
+  Alcotest.(check (list int)) "insertion order on ties" [ 7; 3; 5 ] (drain h)
 
 let test_heap_empty () =
   let h = Heap.create () in
   Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
-  Alcotest.(check bool) "pop none" true (Heap.pop h = None);
-  Alcotest.(check bool) "peek none" true (Heap.peek h = None)
+  Alcotest.check_raises "pop raises" (Invalid_argument "Heap.pop: empty heap")
+    (fun () -> ignore (Heap.pop h));
+  Alcotest.check_raises "min_prio raises"
+    (Invalid_argument "Heap.min_prio: empty heap") (fun () ->
+      ignore (Heap.min_prio h))
 
 let test_heap_growth () =
   let h = Heap.create ~capacity:2 () in
@@ -54,22 +53,33 @@ let test_heap_growth () =
     Heap.push h (float_of_int i) i
   done;
   Alcotest.(check int) "length" 1000 (Heap.length h);
-  for i = 0 to 999 do
-    match Heap.pop h with
-    | Some (_, v) -> Alcotest.(check int) "pop order" i v
-    | None -> Alcotest.fail "heap exhausted early"
-  done
+  Alcotest.(check (list int)) "pop order" (List.init 1000 Fun.id) (drain h)
 
 let test_heap_peek_stable () =
   let h = Heap.create () in
-  Heap.push h 2. "two";
-  Heap.push h 1. "one";
-  (match Heap.peek h with
-  | Some (p, v) ->
-      check_float "peek prio" 1. p;
-      Alcotest.(check string) "peek value" "one" v
-  | None -> Alcotest.fail "peek");
-  Alcotest.(check int) "peek does not remove" 2 (Heap.length h)
+  Heap.push h 2. 2;
+  Heap.push h 1. 1;
+  check_float "min_prio" 1. (Heap.min_prio h);
+  Alcotest.(check int) "min_prio does not remove" 2 (Heap.length h);
+  Alcotest.(check int) "pop" 1 (Heap.pop h)
+
+(* Entries live in flat arrays: once they have grown, pushes and pops
+   allocate nothing. The priorities are boxed up front, as a caller's
+   computed float would be at the call. *)
+let test_heap_alloc_free () =
+  let n = 10_000 in
+  let h = Heap.create ~capacity:n () in
+  let prios = List.init n (fun i -> float_of_int ((i * 7919) mod 101)) in
+  let w0 = Gc.minor_words () in
+  List.iteri (fun i p -> Heap.push h p i) prios;
+  while not (Heap.is_empty h) do
+    ignore (Heap.pop h)
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words for %d pushes and pops < 100 (got %.0f)" n
+       words)
+    true (words < 100.)
 
 (* The event core against a reference model: under arbitrary
    interleavings of schedule and cancel — including slot reuse after
@@ -120,12 +130,81 @@ let prop_heap_sorted =
     QCheck.(list (float_bound_exclusive 1000.))
     (fun prios ->
       let h = Heap.create () in
-      List.iter (fun p -> Heap.push h p p) prios;
-      let rec drain acc =
-        match Heap.pop h with Some (p, _) -> drain (p :: acc) | None -> List.rev acc
+      List.iteri (fun i p -> Heap.push h p i) prios;
+      let rec go acc =
+        if Heap.is_empty h then List.rev acc
+        else
+          let p = Heap.min_prio h in
+          ignore (Heap.pop h);
+          go (p :: acc)
       in
-      let out = drain [] in
-      out = List.sort compare prios)
+      go [] = List.sort compare prios)
+
+(* Interleaved pushes, appends and pops, with many duplicate
+   priorities, against a reference: each pop returns the earliest
+   inserted of the lowest-priority entries. A run of appends is
+   heapified before the next other operation. *)
+let prop_heap_stable_model =
+  QCheck.Test.make ~name:"heap pops in (prio, insertion) order" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 300) (pair (int_bound 3) (int_bound 4)))
+    (fun ops ->
+      let h = Heap.create ~capacity:1 () in
+      let model = ref [] and next = ref 0 and appending = ref false in
+      let popped = ref [] and expect = ref [] in
+      let add p =
+        model := (p, !next) :: !model;
+        incr next
+      in
+      List.iter
+        (fun (op, p) ->
+          let p = float_of_int p in
+          if op = 3 then begin
+            Heap.append h p !next;
+            appending := true;
+            add p
+          end
+          else begin
+            if !appending then Heap.heapify h;
+            appending := false;
+            if op <= 1 then begin
+              Heap.push h p !next;
+              add p
+            end
+            else
+              match List.sort compare !model with
+              | [] -> ()
+              | (_, v) :: _ ->
+                  model := List.filter (fun (_, i) -> i <> v) !model;
+                  expect := v :: !expect;
+                  popped := Heap.pop h :: !popped
+          end)
+        ops;
+      if !appending then Heap.heapify h;
+      let rest = List.sort compare !model |> List.map snd in
+      List.rev !popped = List.rev !expect
+      && drain h = rest)
+
+(* Filtering drops entries and nothing else: the pop sequence, also
+   with pushes after the filter, is the unfiltered one without the
+   values the filter dropped. *)
+let prop_heap_filter =
+  QCheck.Test.make ~name:"heap filter keeps the pop order" ~count:300
+    QCheck.(pair (list (int_bound 4)) (list (int_bound 4)))
+    (fun (before, after) ->
+      let a = Heap.create () and b = Heap.create () in
+      let push_all prios base =
+        List.iteri
+          (fun i p ->
+            Heap.push a (float_of_int p) (base + i);
+            Heap.push b (float_of_int p) (base + i))
+          prios
+      in
+      let keep v = v mod 3 <> 0 in
+      push_all before 0;
+      Heap.filter b keep;
+      let n = List.length before in
+      push_all after n;
+      List.filter (fun v -> v >= n || keep v) (drain a) = drain b)
 
 (* ------------------------------------------------------------------ *)
 (* Sim *)
@@ -468,8 +547,10 @@ let suites =
         Alcotest.test_case "empty behaviour" `Quick test_heap_empty;
         Alcotest.test_case "growth to 1000" `Quick test_heap_growth;
         Alcotest.test_case "peek is stable" `Quick test_heap_peek_stable;
+        Alcotest.test_case "allocation-free push and pop" `Quick
+          test_heap_alloc_free;
       ]
-      @ qsuite [ prop_heap_sorted ] );
+      @ qsuite [ prop_heap_sorted; prop_heap_stable_model; prop_heap_filter ] );
     ( "engine.sim",
       [
         Alcotest.test_case "time ordering" `Quick test_sim_ordering;
