@@ -181,8 +181,7 @@ let prop_heap_stable_model =
         ops;
       if !appending then Heap.heapify h;
       let rest = List.sort compare !model |> List.map snd in
-      List.rev !popped = List.rev !expect
-      && drain h = rest)
+      !popped = !expect && drain h = rest)
 
 (* Filtering drops entries and nothing else: the pop sequence, also
    with pushes after the filter, is the unfiltered one without the
