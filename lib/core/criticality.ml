@@ -1,18 +1,24 @@
 type key = { deadline : float option; expected_tx_time : float; flow_id : int }
 
-let compare a b =
+(* The EDF -> SJF -> id rule, over bare fields so that callers keeping
+   them in their own records compare without building a [key]. *)
+let compare_fields da (ta : float) (ia : int) db tb ib =
   let by_deadline =
-    match (a.deadline, b.deadline) with
-    | Some da, Some db -> Stdlib.compare da db
+    match (da, db) with
+    | Some (da : float), Some db -> Stdlib.compare da db
     | Some _, None -> -1
     | None, Some _ -> 1
     | None, None -> 0
   in
   if by_deadline <> 0 then by_deadline
   else begin
-    let by_ttx = Stdlib.compare a.expected_tx_time b.expected_tx_time in
-    if by_ttx <> 0 then by_ttx else Stdlib.compare a.flow_id b.flow_id
+    let by_ttx = Stdlib.compare ta tb in
+    if by_ttx <> 0 then by_ttx else Stdlib.compare ia ib
   end
+
+let compare a b =
+  compare_fields a.deadline a.expected_tx_time a.flow_id b.deadline
+    b.expected_tx_time b.flow_id
 
 let more_critical a b = compare a b < 0
 

@@ -20,6 +20,12 @@ val compare : key -> key -> int
 (** [compare a b < 0] iff flow [a] is more critical than flow [b].
     Total order: EDF, then SJF, then flow ID. *)
 
+val compare_fields :
+  float option -> float -> int -> float option -> float -> int -> int
+(** [compare_fields da ta ia db tb ib] is [compare] on the keys
+    [{deadline = da; expected_tx_time = ta; flow_id = ia}] and
+    [{deadline = db; ...}], without building them. *)
+
 val more_critical : key -> key -> bool
 (** [more_critical a b] is [compare a b < 0]. *)
 

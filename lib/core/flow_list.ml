@@ -4,20 +4,19 @@ let create () = { entries = [||]; size = 0 }
 let length t = t.size
 let is_empty t = t.size = 0
 
-let index_of t flow_id =
-  let rec scan i =
-    if i >= t.size then None
-    else if t.entries.(i).Flow_state.flow_id = flow_id then Some i
-    else scan (i + 1)
-  in
-  scan 0
+let rec index_from entries size flow_id i =
+  if i >= size then -1
+  else if entries.(i).Flow_state.flow_id = flow_id then i
+  else index_from entries size flow_id (i + 1)
 
-let find t flow_id =
-  match index_of t flow_id with
-  | None -> None
-  | Some i -> Some (i, t.entries.(i))
+let index_of t flow_id = index_from t.entries t.size flow_id 0
 
-let mem t flow_id = index_of t flow_id <> None
+let mem t flow_id = index_of t flow_id >= 0
+
+(* [compare_entries a b < 0] iff entry [a] is more critical than entry [b]. *)
+let compare_entries (a : Flow_state.t) (b : Flow_state.t) =
+  Criticality.compare_fields a.deadline a.expected_tx_time a.flow_id
+    b.deadline b.expected_tx_time b.flow_id
 
 let ensure_room t filler =
   if Array.length t.entries = 0 then t.entries <- Array.make 8 filler
@@ -30,10 +29,9 @@ let ensure_room t filler =
 (* Position at which [state] belongs so order stays sorted by
    criticality (most critical first). *)
 let insertion_point t state =
-  let key = Flow_state.key state in
   let rec scan i =
     if i >= t.size then i
-    else if Criticality.more_critical key (Flow_state.key t.entries.(i)) then i
+    else if compare_entries state t.entries.(i) < 0 then i
     else scan (i + 1)
   in
   scan 0
@@ -54,9 +52,8 @@ let remove_at t i =
   state
 
 let remove t flow_id =
-  match index_of t flow_id with
-  | None -> None
-  | Some i -> Some (remove_at t i)
+  let i = index_of t flow_id in
+  if i < 0 then None else Some (remove_at t i)
 
 let remove_least_critical t =
   if t.size = 0 then None
@@ -67,12 +64,26 @@ let remove_least_critical t =
 
 let least_critical t = if t.size = 0 then None else Some t.entries.(t.size - 1)
 
-let reposition t flow_id =
-  match index_of t flow_id with
-  | None -> None
-  | Some i ->
-      let state = remove_at t i in
-      Some (insert t state)
+(* The rest of the list is sorted and the order is strict, so the
+   entry has exactly one place: sifting it there in whichever direction
+   it moved gives the list that removing and re-inserting it would. *)
+let reposition_at t i =
+  if i < 0 || i >= t.size then
+    invalid_arg "Flow_list.reposition_at: out of bounds";
+  let e = t.entries in
+  let state = e.(i) in
+  let j = ref i in
+  while !j > 0 && compare_entries state e.(!j - 1) < 0 do
+    e.(!j) <- e.(!j - 1);
+    decr j
+  done;
+  if !j = i then
+    while !j + 1 < t.size && compare_entries e.(!j + 1) state < 0 do
+      e.(!j) <- e.(!j + 1);
+      incr j
+    done;
+  e.(!j) <- state;
+  !j
 
 let get t i =
   if i < 0 || i >= t.size then invalid_arg "Flow_list.get: out of bounds";
@@ -98,11 +109,6 @@ let total_rate t = fold (fun acc s -> acc +. s.Flow_state.rate) 0. t
 let is_sorted t =
   let ok = ref true in
   for i = 0 to t.size - 2 do
-    if
-      Criticality.compare
-        (Flow_state.key t.entries.(i))
-        (Flow_state.key t.entries.(i + 1))
-      >= 0
-    then ok := false
+    if compare_entries t.entries.(i) t.entries.(i + 1) >= 0 then ok := false
   done;
   !ok

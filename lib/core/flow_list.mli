@@ -15,9 +15,9 @@ val create : unit -> t
 val length : t -> int
 val is_empty : t -> bool
 
-val find : t -> int -> (int * Flow_state.t) option
-(** [find t flow_id] is [(index, state)] of the flow, index 0 being the
-    most critical stored flow. *)
+val index_of : t -> int -> int
+(** [index_of t flow_id] is the flow's index, 0 being the most critical
+    stored flow, or [-1] when the flow is not stored. *)
 
 val mem : t -> int -> bool
 
@@ -33,9 +33,13 @@ val remove_least_critical : t -> Flow_state.t option
 
 val least_critical : t -> Flow_state.t option
 
-val reposition : t -> int -> int option
-(** Restore order after the keyed fields of the given flow were
-    mutated; returns its new index. *)
+val reposition_at : t -> int -> int
+(** [reposition_at t i] restores order after the keyed fields
+    (deadline, expected transmission time) of the entry at index [i]
+    were mutated, by sifting that entry into place; returns its new
+    index. The result is the list that removing the entry and
+    re-inserting it would give. Raises [Invalid_argument] when [i] is
+    out of bounds. *)
 
 val get : t -> int -> Flow_state.t
 (** [get t i] is the i-th most critical stored flow. Raises

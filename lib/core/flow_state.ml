@@ -19,13 +19,6 @@ let create ?deadline ~flow_id ~expected_tx_time ~rtt ~now () =
     last_seen = now;
   }
 
-let key t =
-  {
-    Criticality.deadline = t.deadline;
-    expected_tx_time = t.expected_tx_time;
-    flow_id = t.flow_id;
-  }
-
 let is_sending t = t.rate > 0.
 
 let update_from_header t (h : Header.t) ~now =

@@ -18,9 +18,6 @@ val create :
 (** Fresh entry with [rate = 0] (a newly-stored flow starts paused,
     Algorithm 1). *)
 
-val key : t -> Criticality.key
-(** Criticality key of this entry. *)
-
 val is_sending : t -> bool
 (** [rate > 0] — the flow counts towards κ. *)
 

@@ -5,6 +5,7 @@ type t = {
   init_rtt : float;
   trace : Pdq_telemetry.Trace.t;
   rpdq : float;
+  paused_here : int option; (* [Some switch_id], shared by every pause *)
   mutable c : float;
   flows : Flow_list.t;
   mutable rtt_avg : float;
@@ -24,6 +25,7 @@ let create ?(trace = Pdq_telemetry.Trace.null) ~config ~switch_id ~link_rate
     init_rtt;
     trace;
     rpdq = link_rate;
+    paused_here = Some switch_id;
     c = link_rate;
     flows = Flow_list.create ();
     rtt_avg = init_rtt;
@@ -204,25 +206,22 @@ let fallback_rate t ~flow_id ~now =
 let fallback_flow_count t = Hashtbl.length t.fallback_seen
 
 (* Store a new flow if the list has room or the flow outranks the least
-   critical stored one; returns its index, or None when it must use the
+   critical stored one; returns its index, or -1 when it must use the
    RCP fallback. *)
 let try_store t (h : Header.t) ~flow_id ~now =
   let cap = list_capacity t in
-  let key =
-    {
-      Criticality.deadline = h.deadline;
-      expected_tx_time = h.expected_tx_time;
-      flow_id;
-    }
-  in
+  let n = Flow_list.length t.flows in
   let admissible =
-    Flow_list.length t.flows < cap
+    n < cap
+    || n = 0
     ||
-    match Flow_list.least_critical t.flows with
-    | None -> true
-    | Some worst -> Criticality.more_critical key (Flow_state.key worst)
+    let worst = Flow_list.get t.flows (n - 1) in
+    Criticality.compare_fields h.deadline h.expected_tx_time flow_id
+      worst.Flow_state.deadline worst.Flow_state.expected_tx_time
+      worst.Flow_state.flow_id
+    < 0
   in
-  if not admissible then None
+  if not admissible then -1
   else begin
     let entry =
       Flow_state.create ?deadline:h.deadline ~flow_id
@@ -236,95 +235,94 @@ let try_store t (h : Header.t) ~flow_id ~now =
           removed_self := true
       | Some _ | None -> ()
     done;
-    if !removed_self then None
-    else
-      match Flow_list.find t.flows flow_id with
-      | Some (i, _) ->
-          if t.rebuilding then begin
-            (* First flow stored since the last flush: soft state is
-               being rebuilt from traversing headers. *)
-            t.rebuilding <- false;
-            if Pdq_telemetry.Trace.active t.trace then
-              Pdq_telemetry.Trace.(
-                emit t.trace (Switch_rebuilt { switch = t.switch_id }))
-          end;
-          Some i
-      | None -> None
+    if !removed_self then -1
+    else begin
+      let i = Flow_list.index_of t.flows flow_id in
+      if i >= 0 && t.rebuilding then begin
+        (* First flow stored since the last flush: soft state is being
+           rebuilt from traversing headers. *)
+        t.rebuilding <- false;
+        if Pdq_telemetry.Trace.active t.trace then
+          Pdq_telemetry.Trace.(
+            emit t.trace (Switch_rebuilt { switch = t.switch_id }))
+      end;
+      i
+    end
   end
+
+let paused_elsewhere t (h : Header.t) =
+  match h.pause_by with Some sid -> sid <> t.switch_id | None -> false
+
+let pause t (h : Header.t) (e : Flow_state.t) ~victim_of =
+  h.pause_by <- t.paused_here;
+  h.pause_flow <- victim_of;
+  e.Flow_state.pause_by <- t.paused_here
 
 (* Algorithm 1: forward-path processing of a data/probe header. *)
 let process_forward t (h : Header.t) ~flow_id ~now =
   observe_rtt t h.rtt;
-  match h.pause_by with
-  | Some sid when sid <> t.switch_id ->
-      (* Paused by another switch: drop our state for it so its share
-         can be given to other flows. *)
-      ignore (Flow_list.remove t.flows flow_id)
-  | Some _ | None -> (
-      let located =
-        match Flow_list.find t.flows flow_id with
-        | Some (_, e) ->
-            Flow_state.update_from_header e h ~now;
-            (match Flow_list.reposition t.flows flow_id with
-            | Some i -> Some (i, e)
-            | None -> None)
-        | None -> (
-            match try_store t h ~flow_id ~now with
-            | Some i -> Some (i, Flow_list.get t.flows i)
-            | None -> None)
-      in
-      match located with
-      | None ->
-          (* Memory bound exceeded: degrade to RCP fair sharing. *)
-          h.rate <- min h.rate (fallback_rate t ~flow_id ~now);
-          if h.rate <= 0. then begin
-            h.pause_by <- Some t.switch_id;
-            h.pause_flow <- None
+  if paused_elsewhere t h then
+    (* Paused by another switch: drop our state for it so its share can
+       be given to other flows. *)
+    ignore (Flow_list.remove t.flows flow_id)
+  else begin
+    let i = Flow_list.index_of t.flows flow_id in
+    let i =
+      if i >= 0 then begin
+        Flow_state.update_from_header (Flow_list.get t.flows i) h ~now;
+        Flow_list.reposition_at t.flows i
+      end
+      else try_store t h ~flow_id ~now
+    in
+    if i < 0 then begin
+      (* Memory bound exceeded: degrade to RCP fair sharing. *)
+      h.rate <- min h.rate (fallback_rate t ~flow_id ~now);
+      if h.rate <= 0. then begin
+        h.pause_by <- t.paused_here;
+        h.pause_flow <- None
+      end
+    end
+    else begin
+      let e = Flow_list.get t.flows i in
+      Hashtbl.remove t.fallback_seen flow_id;
+      let w = min (availbw t i ~now) h.rate in
+      if w > 0. then begin
+        let sending = Flow_state.is_sending e in
+        if (not sending) && dampening_active t ~now ~flow_id then
+          (* The dampening window exists to let the last accepted flow
+             ramp up unchallenged — that flow is the one holding this
+             one back. *)
+          pause t h e
+            ~victim_of:
+              (if t.last_accepted_flow >= 0 then Some t.last_accepted_flow
+               else None)
+        else begin
+          h.pause_by <- None;
+          h.pause_flow <- None;
+          h.rate <- w;
+          if not sending then begin
+            t.last_accept <- now;
+            t.last_accepted_flow <- flow_id
           end
-      | Some (i, e) ->
-          Hashtbl.remove t.fallback_seen flow_id;
-          let w = min (availbw t i ~now) h.rate in
-          let pause ~victim_of =
-            h.pause_by <- Some t.switch_id;
-            h.pause_flow <- victim_of;
-            e.Flow_state.pause_by <- Some t.switch_id
-          in
-          if w > 0. then begin
-            let sending = Flow_state.is_sending e in
-            if (not sending) && dampening_active t ~now ~flow_id then
-              (* The dampening window exists to let the last accepted
-                 flow ramp up unchallenged — that flow is the one
-                 holding this one back. *)
-              pause
-                ~victim_of:
-                  (if t.last_accepted_flow >= 0 then Some t.last_accepted_flow
-                   else None)
-            else begin
-              h.pause_by <- None;
-              h.pause_flow <- None;
-              h.rate <- w;
-              if not sending then begin
-                t.last_accept <- now;
-                t.last_accepted_flow <- flow_id
-              end
-            end
-          end
-          else pause ~victim_of:(blocking_flow t i))
+        end
+      end
+      else pause t h e ~victim_of:(blocking_flow t i)
+    end
+  end
 
 (* Algorithm 3: reverse-path (ACK) processing. *)
 let process_reverse t (h : Header.t) ~flow_id ~now:_ =
-  (match h.pause_by with
-  | Some sid when sid <> t.switch_id -> ignore (Flow_list.remove t.flows flow_id)
-  | Some _ | None -> ());
-  if h.pause_by <> None then h.rate <- 0.;
-  match Flow_list.find t.flows flow_id with
-  | None -> ()
-  | Some (i, e) ->
-      e.Flow_state.pause_by <- h.pause_by;
-      if t.config.Config.features.Config.suppressed_probing then
-        h.inter_probe_rtts <-
-          max h.inter_probe_rtts (t.config.Config.probe_x *. float_of_int i);
-      e.Flow_state.rate <- h.rate
+  if paused_elsewhere t h then ignore (Flow_list.remove t.flows flow_id);
+  (match h.pause_by with Some _ -> h.rate <- 0. | None -> ());
+  let i = Flow_list.index_of t.flows flow_id in
+  if i >= 0 then begin
+    let e = Flow_list.get t.flows i in
+    e.Flow_state.pause_by <- h.pause_by;
+    if t.config.Config.features.Config.suppressed_probing then
+      h.inter_probe_rtts <-
+        max h.inter_probe_rtts (t.config.Config.probe_x *. float_of_int i);
+    e.Flow_state.rate <- h.rate
+  end
 
 (* Stale-entry purge: a lost TERM (or a crashed sender) would otherwise
    leave a flow occupying bandwidth in the list forever. Paused flows

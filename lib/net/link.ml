@@ -12,10 +12,20 @@ type loss_model =
 
 (* The two per-packet events every delivered packet pays — end of
    serialization and delivery after propagation — reuse two closures
-   allocated once per link. The packet travels through the [queue] /
-   [inflight] FIFOs instead of being captured: all deliveries on a link
-   share the same constant latency, so they complete in the order they
-   were scheduled and a queue carries exactly the right state. *)
+   allocated once per link. The packet is not captured: it waits in the
+   link's ring instead. All deliveries on a link share the same
+   constant latency, so they complete in the order they were scheduled,
+   and one FIFO carries exactly the right state.
+
+   The ring holds every packet the link has accepted, oldest first: the
+   first [flying] from [head] on are in propagation, the rest wait for
+   the transmitter, so a packet leaves the output queue by joining the
+   in-flight span, without moving. The ring starts with no slots, so an
+   idle link costs no buffer; it grows by doubling and once grown
+   allocates nothing. The last element of [buf] is not a slot: it holds
+   the first packet the link ever accepted, which fills every new array
+   and overwrites every delivered slot: apart from that filler, the
+   link keeps no delivered packet alive. *)
 type t = {
   sim : Pdq_engine.Sim.t;
   id : int;
@@ -25,8 +35,11 @@ type t = {
   prop_delay : float;
   proc_delay : float;
   buffer_bytes : int;
-  queue : Packet.t Queue.t;
-  inflight : Packet.t Queue.t;
+  latency : float; (* [prop_delay +. proc_delay], boxed once *)
+  mutable buf : Packet.t array;
+  mutable head : int;
+  mutable flying : int;
+  mutable held : int;
   mutable tx_done : unit -> unit;
   mutable deliver : unit -> unit;
   mutable queued_bytes : int;
@@ -48,33 +61,63 @@ type t = {
   mutable trace : Pdq_telemetry.Trace.t;
 }
 
+(* Index in [buf] of the [k]-th oldest packet held. *)
+let slot t k =
+  let i = t.head + k and cap = Array.length t.buf - 1 in
+  if i >= cap then i - cap else i
+
+(* Append [pkt] to the ring, growing it when every slot is taken. *)
+let hold t pkt =
+  let cap = Array.length t.buf - 1 in
+  if t.held >= cap then begin
+    let filler = if cap < 0 then pkt else t.buf.(cap) in
+    let buf = Array.make (max 8 (2 * cap) + 1) filler in
+    if cap > 0 then begin
+      let first = cap - t.head in
+      Array.blit t.buf t.head buf 0 first;
+      Array.blit t.buf 0 buf first t.head
+    end;
+    t.buf <- buf;
+    t.head <- 0
+  end;
+  t.buf.(slot t t.held) <- pkt;
+  t.held <- t.held + 1
+
 let noop () = ()
 let k_tx = Pdq_engine.Sim.Kind.register "link.tx"
 let k_deliver = Pdq_engine.Sim.Kind.register "link.deliver"
 
 let start_transmission t =
-  match Queue.peek_opt t.queue with
-  | None -> t.busy <- false
-  | Some pkt ->
-      t.busy <- true;
-      let tx = Pdq_engine.Units.tx_time ~bytes:pkt.Packet.wire_bytes ~rate:t.rate in
-      ignore (Pdq_engine.Sim.schedule_k t.sim k_tx ~delay:tx t.tx_done)
+  if t.flying = t.held then t.busy <- false
+  else begin
+    let bytes = t.buf.(slot t t.flying).Packet.wire_bytes in
+    t.busy <- true;
+    ignore
+      (Pdq_engine.Sim.schedule_k t.sim k_tx
+         ~delay:(Pdq_engine.Units.tx_time ~bytes ~rate:t.rate)
+         t.tx_done)
+  end
 
 let on_tx_done t =
-  let pkt = Queue.pop t.queue in
+  let pkt = t.buf.(slot t t.flying) in
+  t.flying <- t.flying + 1;
   t.queued_bytes <- t.queued_bytes - pkt.Packet.wire_bytes;
   t.bytes_sent <- t.bytes_sent + pkt.Packet.wire_bytes;
   (match t.tap with
   | Some f -> f ~now:(Pdq_engine.Sim.now t.sim) ~bytes:pkt.Packet.wire_bytes
   | None -> ());
   t.delivered <- t.delivered + 1;
-  Queue.push pkt t.inflight;
-  let latency = t.prop_delay +. t.proc_delay in
   ignore
-    (Pdq_engine.Sim.schedule_k t.sim k_deliver ~delay:latency t.deliver);
+    (Pdq_engine.Sim.schedule_k t.sim k_deliver ~delay:t.latency t.deliver);
   start_transmission t
 
-let on_deliver t = t.receiver (Queue.pop t.inflight)
+let on_deliver t =
+  let pkt = t.buf.(t.head) and cap = Array.length t.buf - 1 in
+  t.buf.(t.head) <- t.buf.(cap);
+  t.head <- (if t.head + 1 = cap then 0 else t.head + 1);
+  t.flying <- t.flying - 1;
+  t.held <- t.held - 1;
+  t.receiver pkt
 
 let create ~sim ~id ~src ~dst ~rate ~prop_delay ~proc_delay ~buffer_bytes () =
   let t = {
@@ -86,8 +129,11 @@ let create ~sim ~id ~src ~dst ~rate ~prop_delay ~proc_delay ~buffer_bytes () =
     prop_delay;
     proc_delay;
     buffer_bytes;
-    queue = Queue.create ();
-    inflight = Queue.create ();
+    latency = prop_delay +. proc_delay;
+    buf = [||];
+    head = 0;
+    flying = 0;
+    held = 0;
     tx_done = noop;
     deliver = noop;
     queued_bytes = 0;
@@ -183,7 +229,7 @@ let send t pkt =
     record_drop t Pdq_telemetry.Trace.Overflow
   end
   else begin
-    Queue.push pkt t.queue;
+    hold t pkt;
     t.queued_bytes <- t.queued_bytes + pkt.Packet.wire_bytes;
     if not t.busy then start_transmission t
   end

@@ -103,9 +103,11 @@ let link_count t = t.link_count
 let link t i = t.links.(i)
 let links_from t i = t.adj.(i)
 
-let link_to t ~src ~dst =
-  let id = List.assoc dst t.adj.(src) in
-  t.links.(id)
+let rec link_id_to (dst : int) = function
+  | [] -> raise Not_found
+  | (peer, id) :: rest -> if peer = dst then id else link_id_to dst rest
+
+let link_to t ~src ~dst = t.links.(link_id_to dst t.adj.(src))
 
 let cables t =
   let seen = Hashtbl.create 64 in

@@ -27,6 +27,11 @@ type flow = {
    cannot and are left alone. *)
 type route_origin = Ecmp of { src : int; dst : int; choice : int } | Pinned
 
+(* A pinned route with its links resolved once: [up.(i)] is the link
+   [nodes.(i) -> nodes.(i + 1)] and [down.(i)] the link back, so the
+   per-hop path indexes arrays instead of searching adjacency lists. *)
+type route = { nodes : int array; up : Link.t array; down : Link.t array }
+
 type hooks = {
   mutable on_forward : link:int -> Packet.t -> unit;
   mutable on_reverse : fwd_link:int -> Packet.t -> unit;
@@ -43,7 +48,7 @@ type t = {
   mutable flows_rev : flow list;
   mutable flow_count : int;
   mutable next_subflow_id : int;
-  routes : (int, int array) Hashtbl.t;
+  routes : (int, route) Hashtbl.t;
   route_origins : (int, route_origin) Hashtbl.t;
   hooks : hooks;
   mutable reboot_hooks : (int -> unit) list;
@@ -104,6 +109,19 @@ let record_fault t key =
   if Trace.active t.trace && fault_key key then
     Trace.emit t.trace (Trace.Fault { desc = key })
 
+(* Raises [Not_found] when two consecutive nodes are not adjacent. *)
+let resolve topo nodes =
+  let hops = max 0 (Array.length nodes - 1) in
+  {
+    nodes;
+    up =
+      Array.init hops (fun i ->
+          Topology.link_to topo ~src:nodes.(i) ~dst:nodes.(i + 1));
+    down =
+      Array.init hops (fun i ->
+          Topology.link_to topo ~src:nodes.(i + 1) ~dst:nodes.(i));
+  }
+
 let register_route t ~id ~src ~dst ~choice =
   (* A flow admitted while its endpoints are partitioned gets an empty
      route: its packets drop at the source (stale-route path) and the
@@ -116,14 +134,21 @@ let register_route t ~id ~src ~dst ~choice =
         record_fault t "fault.unroutable";
         [||]
   in
-  Hashtbl.replace t.routes id path;
+  Hashtbl.replace t.routes id (resolve t.topo path);
   Hashtbl.replace t.route_origins id (Ecmp { src; dst; choice });
   path
 
 let register_route_nodes t ~id path =
   if Array.length path < 2 then
     invalid_arg "Context.register_route_nodes: path too short";
-  Hashtbl.replace t.routes id path;
+  let route =
+    match resolve t.topo path with
+    | r -> r
+    | exception Not_found ->
+        invalid_arg
+          "Context.register_route_nodes: consecutive nodes not adjacent"
+  in
+  Hashtbl.replace t.routes id route;
   Hashtbl.replace t.route_origins id Pinned
 
 (* Topology changed (link failed or recovered): recompute every ECMP
@@ -147,7 +172,7 @@ let reroute t =
       | Pinned -> ()
       | Ecmp { src; dst; choice } -> (
           match Router.path t.router ~src ~dst ~choice with
-          | path -> Hashtbl.replace t.routes id path
+          | path -> Hashtbl.replace t.routes id (resolve t.topo path)
           | exception Not_found -> record_fault t "fault.unroutable"))
     ids
 
@@ -192,22 +217,23 @@ let fresh_subflow_id t =
   t.next_subflow_id <- id + 1;
   id
 
-let route t id =
-  match Hashtbl.find_opt t.routes id with
-  | Some p -> p
-  | None -> failwith (Printf.sprintf "Context.route: unknown flow %d" id)
+let find_route t id =
+  match Hashtbl.find t.routes id with
+  | r -> r
+  | exception Not_found ->
+      failwith (Printf.sprintf "Context.route: unknown flow %d" id)
+
+let route t id = (find_route t id).nodes
 
 let is_forward_kind = function
   | Packet.Syn | Packet.Data | Packet.Probe | Packet.Term -> true
   | Packet.Syn_ack | Packet.Ack -> false
 
-let position path node =
-  let rec scan i =
-    if i >= Array.length path then None
-    else if path.(i) = node then Some i
-    else scan (i + 1)
-  in
-  scan 0
+(* Index of [node] in [nodes] from [i] on, or -1. *)
+let rec position (nodes : int array) node i =
+  if i >= Array.length nodes then -1
+  else if nodes.(i) = node then i
+  else position nodes node (i + 1)
 
 let stale_drop t =
   record_fault t "drop.stale_route";
@@ -216,36 +242,30 @@ let stale_drop t =
       (Trace.Packet_dropped { link = -1; cause = Trace.Stale_route })
 
 let transmit t ~from (pkt : Packet.t) =
-  let path = route t pkt.Packet.flow in
-  match position path from with
-  | None ->
-      (* The flow was re-pinned (link failure) while this packet was in
-         flight on the old path: the node has no forwarding entry for
-         it any more. Drop it — the sender's retransmission machinery
-         recovers — and make the loss visible in the counters. *)
-      stale_drop t
-  | Some i ->
-      if is_forward_kind pkt.Packet.kind then begin
-        let next = path.(i + 1) in
-        let link = Topology.link_to t.topo ~src:from ~dst:next in
-        t.hooks.on_forward ~link:(Link.id link) pkt;
-        Link.send link pkt
-      end
-      else if i = 0 then
-        (* A reverse packet stranded at the (new) route's head that is
-           not the flow source: same stale-route drop. *)
-        stale_drop t
-      else begin
-        (* Reverse packets run Algorithm-3-style processing against the
-           forward-direction port at this node before heading back. *)
-        if i + 1 < Array.length path then begin
-          let fwd = Topology.link_to t.topo ~src:from ~dst:path.(i + 1) in
-          t.hooks.on_reverse ~fwd_link:(Link.id fwd) pkt
-        end;
-        let prev = path.(i - 1) in
-        let link = Topology.link_to t.topo ~src:from ~dst:prev in
-        Link.send link pkt
-      end
+  let r = find_route t pkt.Packet.flow in
+  let i = position r.nodes from 0 in
+  if i < 0 then
+    (* The flow was re-pinned (link failure) while this packet was in
+       flight on the old path: the node has no forwarding entry for it
+       any more. Drop it — the sender's retransmission machinery
+       recovers — and make the loss visible in the counters. *)
+    stale_drop t
+  else if is_forward_kind pkt.Packet.kind then begin
+    let link = r.up.(i) in
+    t.hooks.on_forward ~link:(Link.id link) pkt;
+    Link.send link pkt
+  end
+  else if i = 0 then
+    (* A reverse packet stranded at the (new) route's head that is not
+       the flow source: same stale-route drop. *)
+    stale_drop t
+  else begin
+    (* Reverse packets run Algorithm-3-style processing against the
+       forward-direction port at this node before heading back. *)
+    if i < Array.length r.up then
+      t.hooks.on_reverse ~fwd_link:(Link.id r.up.(i)) pkt;
+    Link.send r.down.(i - 1) pkt
+  end
 
 let set_hooks t ~on_forward ~on_reverse ~deliver =
   t.hooks.on_forward <- on_forward;
@@ -258,13 +278,9 @@ let set_hooks t ~on_forward ~on_reverse ~deliver =
           (* A reverse packet arriving at the flow source still needs
              processing against the source NIC's forward port. *)
           (if not (is_forward_kind pkt.Packet.kind) then begin
-             let path = route t pkt.Packet.flow in
-             if Array.length path > 1 && path.(0) = node then begin
-               let fwd =
-                 Topology.link_to t.topo ~src:node ~dst:path.(1)
-               in
-               t.hooks.on_reverse ~fwd_link:(Pdq_net.Link.id fwd) pkt
-             end
+             let r = find_route t pkt.Packet.flow in
+             if Array.length r.nodes > 1 && r.nodes.(0) = node then
+               t.hooks.on_reverse ~fwd_link:(Link.id r.up.(0)) pkt
            end);
           t.hooks.deliver ~node pkt
         end)

@@ -72,15 +72,21 @@ val fresh_subflow_id : t -> int
     subflows). *)
 
 val register_route : t -> id:int -> src:int -> dst:int -> choice:int -> int array
-(** Compute, pin and return the route for a (sub)flow id. *)
+(** Compute, pin and return the route for a (sub)flow id. The route's
+    links, in both directions, are resolved once here. When the
+    endpoints are partitioned the route is empty, tallied under
+    ["fault.unroutable"], and the flow's packets are stale-dropped. *)
 
 val register_route_nodes : t -> id:int -> int array -> unit
 (** Pin an explicit node path (source-routing, e.g. BCube
-    address-based multipath for M-PDQ subflows). Consecutive nodes must
-    be adjacent in the topology. *)
+    address-based multipath for M-PDQ subflows) and resolve its links.
+    Consecutive nodes must be adjacent in the topology: otherwise, and
+    for a path of fewer than two nodes, raises [Invalid_argument] and
+    pins nothing. *)
 
 val route : t -> int -> int array
-(** The pinned node path of a (sub)flow. *)
+(** The pinned node path of a (sub)flow. Raises [Failure] for an
+    unknown id. *)
 
 val set_hooks :
   t ->
@@ -93,7 +99,11 @@ val set_hooks :
 val transmit : t -> from:int -> Pdq_net.Packet.t -> unit
 (** Send a packet from node [from] along its flow's pinned route,
     running the protocol hooks. Used both by original senders and by
-    the forwarding path. *)
+    the forwarding path. It looks no link up: it indexes the links
+    resolved when the route was pinned (or last recomputed by
+    {!reroute}). A packet at a node off the route, and a reverse
+    packet at the route's head, is dropped and tallied under
+    ["drop.stale_route"]. *)
 
 (** {2 Completion accounting} *)
 
@@ -121,10 +131,10 @@ val on_abort : t -> (cause:string -> unit) -> unit
 
 val reroute : t -> unit
 (** Recompute every ECMP-derived pinned route against the current link
-    status (call after a link failure or recovery). Explicitly pinned
-    source routes are untouched. Flows left without a path keep their
-    stale route and are tallied under ["fault.unroutable"]; their
-    watchdogs abort them eventually. *)
+    status, resolving its links again (call after a link failure or
+    recovery). Explicitly pinned source routes are untouched. Flows
+    left without a path keep their stale route and are tallied under
+    ["fault.unroutable"]; their watchdogs abort them eventually. *)
 
 val on_switch_reboot : t -> (int -> unit) -> unit
 (** Register a hook run when a switch reboots; protocols use it to

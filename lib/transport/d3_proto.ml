@@ -104,10 +104,11 @@ let ops ctx nic_rate : Rate_flow.ops =
       (fun s pkt ->
         match pkt.Packet.payload with
         | Payloads.D3_ctrl (ctrl, _) ->
-            Debug.tracef "%.6f d3-ack flow=%d desired=%.3e alloc=%.3e"
-              (Context.now ctx)
-              (Rate_flow.sender_flow s).Context.id ctrl.Payloads.d3_desired
-              ctrl.Payloads.d3_allocated;
+            if Debug.trace_on () then
+              Debug.tracef "%.6f d3-ack flow=%d desired=%.3e alloc=%.3e"
+                (Context.now ctx)
+                (Rate_flow.sender_flow s).Context.id ctrl.Payloads.d3_desired
+                ctrl.Payloads.d3_allocated;
             Some ctrl.Payloads.d3_allocated
         | _ -> None);
     (* Quenching: kill a deadline flow once the deadline passed or the

@@ -239,9 +239,10 @@ let ensure_sending s =
 let probe_loop s () =
   s.probe_ev <- None;
   if (not s.closed) && Sender.is_paused s.core && s.syn_acked then begin
-    Debug.debugf "%.6f probe flow=%d ip=%g rtt=%g" (now s) s.sid
-      (Sender.inter_probe_interval s.core)
-      (Sender.rtt s.core);
+    if Debug.on () then
+      Debug.debugf "%.6f probe flow=%d ip=%g rtt=%g" (now s) s.sid
+        (Sender.inter_probe_interval s.core)
+        (Sender.rtt s.core);
     let hdr = Sender.make_header s.core ~t:(now s) in
     Context.transmit s.proto.ctx ~from:s.src
       (make_pkt s ~kind:Packet.Probe ~hdr ~cum_ack:0 ());
@@ -333,10 +334,11 @@ let watchdog s () =
   end
 
 let on_ack_packet s (hdr : Header.t) (ack : Payloads.ack_info) =
-  Debug.tracef "%.6f ack flow=%d rate=%g pause=%s cum=%d"
-    (Context.now s.proto.ctx) s.sid hdr.Header.rate
-    (match hdr.Header.pause_by with None -> "-" | Some i -> string_of_int i)
-    ack.Payloads.cum_ack;
+  if Debug.trace_on () then
+    Debug.tracef "%.6f ack flow=%d rate=%g pause=%s cum=%d"
+      (Context.now s.proto.ctx) s.sid hdr.Header.rate
+      (match hdr.Header.pause_by with None -> "-" | Some i -> string_of_int i)
+      ack.Payloads.cum_ack;
   if not s.closed then begin
     if not s.syn_acked then begin
       s.syn_acked <- true;

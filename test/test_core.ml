@@ -103,11 +103,10 @@ let test_flow_list_find_remove () =
   let l = Flow_list.create () in
   ignore (Flow_list.insert l (state ~id:1 ~ttx:3. ()));
   ignore (Flow_list.insert l (state ~id:2 ~ttx:1. ()));
-  (match Flow_list.find l 1 with
-  | Some (i, s) ->
-      Alcotest.(check int) "index" 1 i;
-      Alcotest.(check int) "id" 1 s.Flow_state.flow_id
-  | None -> Alcotest.fail "find");
+  let i = Flow_list.index_of l 1 in
+  Alcotest.(check int) "index" 1 i;
+  Alcotest.(check int) "id" 1 (Flow_list.get l i).Flow_state.flow_id;
+  Alcotest.(check int) "absent id" (-1) (Flow_list.index_of l 3);
   (match Flow_list.remove l 1 with
   | Some s -> Alcotest.(check int) "removed" 1 s.Flow_state.flow_id
   | None -> Alcotest.fail "remove");
@@ -121,7 +120,8 @@ let test_flow_list_reposition () =
   ignore (Flow_list.insert l s2);
   (* Flow 1 drains more slowly than expected; now less critical. *)
   s1.Flow_state.expected_tx_time <- 5.;
-  ignore (Flow_list.reposition l 1);
+  Alcotest.(check int) "new index" 1
+    (Flow_list.reposition_at l (Flow_list.index_of l 1));
   Alcotest.(check bool) "sorted after reposition" true (Flow_list.is_sorted l);
   Alcotest.(check int) "flow 2 now first" 2 (Flow_list.get l 0).Flow_state.flow_id
 
@@ -143,7 +143,7 @@ let test_flow_list_empty_probes () =
   Alcotest.(check bool) "is_empty" true (Flow_list.is_empty l);
   Alcotest.(check bool) "sorted" true (Flow_list.is_sorted l);
   Alcotest.(check bool) "least_critical" true (Flow_list.least_critical l = None);
-  Alcotest.(check bool) "find" true (Flow_list.find l 0 = None);
+  Alcotest.(check int) "index_of" (-1) (Flow_list.index_of l 0);
   Alcotest.(check bool) "remove" true (Flow_list.remove l 0 = None);
   Alcotest.(check bool) "remove_least_critical" true
     (Flow_list.remove_least_critical l = None);
@@ -164,6 +164,51 @@ let prop_flow_list_sorted =
           ignore (Flow_list.insert l (state ?deadline ~id:i ~ttx ())))
         entries;
       Flow_list.is_sorted l && Flow_list.length l = List.length entries)
+
+let key_of (s : Flow_state.t) =
+  key ?deadline:s.deadline ~ttx:s.expected_tx_time ~id:s.flow_id ()
+
+(* Mutate one entry's deadline or expected transmission time in place:
+   [reposition_at] must leave the list, and report the index, that a
+   sort of the mutated entries by [Criticality.compare] gives. *)
+let prop_flow_list_reposition_model =
+  QCheck.Test.make ~name:"reposition_at matches a sorted model" ~count:300
+    QCheck.(
+      quad
+        (list_of_size Gen.(1 -- 20) (pair (float_bound_exclusive 10.) bool))
+        small_nat
+        (pair (option (float_bound_exclusive 20.)) (float_bound_exclusive 10.))
+        bool)
+    (fun (entries, pick, (deadline', ttx'), mutate_deadline) ->
+      let l = Flow_list.create () in
+      let states =
+        List.mapi
+          (fun i (ttx, has_deadline) ->
+            let deadline = if has_deadline then Some (ttx *. 2.) else None in
+            state ?deadline ~id:i ~ttx ())
+          entries
+      in
+      List.iter (fun s -> ignore (Flow_list.insert l s)) states;
+      let n = List.length states in
+      let k = pick mod n in
+      let moved = Flow_list.get l k in
+      if mutate_deadline then moved.Flow_state.deadline <- deadline'
+      else moved.Flow_state.expected_tx_time <- ttx';
+      let i = Flow_list.reposition_at l k in
+      let model =
+        List.sort (fun a b -> Criticality.compare (key_of a) (key_of b)) states
+        |> List.map (fun s -> s.Flow_state.flow_id)
+      in
+      let got =
+        List.init (Flow_list.length l) (fun j ->
+            (Flow_list.get l j).Flow_state.flow_id)
+      in
+      got = model
+      && List.nth model i = moved.Flow_state.flow_id
+      && Flow_list.index_of l moved.Flow_state.flow_id = i
+      && Flow_list.index_of l n = -1
+      && Flow_list.index_of l (-1) = -1
+      && Flow_list.is_sorted l)
 
 (* ------------------------------------------------------------------ *)
 (* Switch_port: Algorithms 1-3 *)
@@ -234,11 +279,53 @@ let test_port_reverse_commits_rate () =
   let h = mk_header () in
   Switch_port.process_forward port h ~flow_id:1 ~now:0.;
   Switch_port.process_reverse port h ~flow_id:1 ~now:1e-4;
-  match Flow_list.find (Switch_port.flow_list port) 1 with
-  | Some (_, s) ->
-      Alcotest.(check bool) "rate committed" true (s.Flow_state.rate > 0.);
-      Alcotest.(check bool) "unpaused" true (s.Flow_state.pause_by = None)
-  | None -> Alcotest.fail "flow should be stored"
+  let l = Switch_port.flow_list port in
+  let i = Flow_list.index_of l 1 in
+  if i < 0 then Alcotest.fail "flow should be stored";
+  let s = Flow_list.get l i in
+  Alcotest.(check bool) "rate committed" true (s.Flow_state.rate > 0.);
+  Alcotest.(check bool) "unpaused" true (s.Flow_state.pause_by = None)
+
+(* The per-hop switch path on flows that are stored and sending:
+   index lookups, in-place repositioning and a shared pause cell leave
+   only the boxed float writes of the header and the port. *)
+let test_port_alloc_per_pair () =
+  let port = mk_port () in
+  let flows = 4 in
+  (* Each flow asks for a share the port can grant to all of them. *)
+  let share = gbps /. float_of_int (2 * flows) in
+  let headers =
+    Array.init flows (fun i ->
+        mk_header ~rate:share ~ttx:(float_of_int (i + 1) *. 1e-2) ())
+  in
+  let pair i now =
+    let h = headers.(i) in
+    h.Header.rate <- share;
+    h.Header.pause_by <- None;
+    Switch_port.process_forward port h ~flow_id:i ~now;
+    Switch_port.process_reverse port h ~flow_id:i ~now
+  in
+  (* Admit the flows one second apart, clear of the dampening window. *)
+  for i = 0 to flows - 1 do
+    pair i (float_of_int i)
+  done;
+  let l = Switch_port.flow_list port in
+  Alcotest.(check int) "all stored" flows (Flow_list.length l);
+  Alcotest.(check int) "all sending" flows (Flow_list.sending_count l);
+  let rounds = 10_000 / flows in
+  let now = float_of_int flows in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to rounds do
+    for i = 0 to flows - 1 do
+      pair i now
+    done
+  done;
+  let per_pair = (Gc.minor_words () -. w0) /. float_of_int (rounds * flows) in
+  Alcotest.(check int) "still sending" flows (Flow_list.sending_count l);
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per forward+reverse pair <= 16 (got %.2f)"
+       per_pair)
+    true (per_pair <= 16.)
 
 let test_port_reverse_zeroes_paused_rate () =
   let port = mk_port () in
@@ -507,7 +594,7 @@ let suites =
         Alcotest.test_case "sending count" `Quick test_flow_list_sending_count;
         Alcotest.test_case "empty-list probes" `Quick test_flow_list_empty_probes;
       ]
-      @ qsuite [ prop_flow_list_sorted ] );
+      @ qsuite [ prop_flow_list_sorted; prop_flow_list_reposition_model ] );
     ( "core.switch_port",
       [
         Alcotest.test_case "accept first flow" `Quick test_port_accepts_first_flow;
@@ -523,6 +610,8 @@ let suites =
         Alcotest.test_case "mature rate sum" `Quick test_port_mature_rate_sum;
         Alcotest.test_case "reverse commits rate" `Quick
           test_port_reverse_commits_rate;
+        Alcotest.test_case "allocation per forward+reverse pair" `Quick
+          test_port_alloc_per_pair;
         Alcotest.test_case "reverse zeroes paused rate" `Quick
           test_port_reverse_zeroes_paused_rate;
         Alcotest.test_case "early start" `Quick test_port_early_start;

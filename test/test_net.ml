@@ -48,6 +48,98 @@ let test_link_serialization_fifo () =
   Alcotest.(check (list int)) "FIFO order" [ 0; 1; 2; 3; 4 ] (List.rev !order);
   Alcotest.(check int) "all delivered" 5 (Link.delivered link)
 
+let seq_packet seq =
+  Packet.make ~flow:0 ~src:0 ~dst:1 ~kind:Packet.Data ~payload_bytes:1460 ~seq
+    ~payload:Packet.No_payload ~now:0. ()
+
+(* Bursts of uneven size, each only partly drained before the next, so
+   the link's ring wraps around and grows while wrapped. *)
+let test_link_fifo_growth_wraparound () =
+  let sim = Sim.create () in
+  let link = mk_link sim in
+  let order = ref [] in
+  Link.set_receiver link (fun p -> order := p.Packet.seq :: !order);
+  let next = ref 0 in
+  List.iter
+    (fun burst ->
+      for _ = 1 to burst do
+        Link.send link (seq_packet !next);
+        incr next
+      done;
+      (* About half the burst's serialization time. *)
+      Sim.run sim ~until:(Sim.now sim +. (float_of_int burst *. 6e-6)))
+    [ 5; 12; 3; 20; 1; 40; 7; 64; 2; 33 ];
+  Sim.run sim;
+  Alcotest.(check (list int)) "FIFO order" (List.init !next Fun.id)
+    (List.rev !order);
+  Alcotest.(check int) "all delivered" !next (Link.delivered link)
+
+(* A link keeps no delivered packet alive: only the first packet it
+   ever queued stays reachable, as the filler of its ring. *)
+let test_link_releases_delivered () =
+  let sim = Sim.create () in
+  let link = mk_link sim in
+  let got = ref 0 in
+  Link.set_receiver link (fun _ -> incr got);
+  let n = 40 in
+  let weak = Weak.create n in
+  let send i =
+    let p = seq_packet i in
+    Weak.set weak i (Some p);
+    Link.send link p
+  in
+  for i = 0 to n - 1 do
+    send i;
+    if i mod 7 = 6 then Sim.run sim
+  done;
+  Sim.run sim;
+  Gc.full_major ();
+  Alcotest.(check int) "all delivered" n !got;
+  let alive = List.filter (Weak.check weak) (List.init n Fun.id) in
+  Alcotest.(check (list int)) "only the filler is reachable" [ 0 ] alive;
+  (* The link itself must still be reachable for the check to mean
+     anything. *)
+  Alcotest.(check int) "link counters" n (Link.delivered link)
+
+(* Once its ring has grown, a link queues and delivers packets of any
+   size without allocating: the one allocation left per packet is the
+   boxed serialization delay passed to [Sim.schedule_k] (2 words). Any
+   other per-packet block costs at least 2 more words, so the bound is
+   2.5. *)
+let test_link_alloc_free () =
+  let sim = Sim.create () in
+  let link = mk_link sim in
+  let got = ref 0 in
+  Link.set_receiver link (fun _ -> incr got);
+  let burst = 32 in
+  let n = 10_000 in
+  let packets =
+    Array.init n (fun seq ->
+        Packet.make ~flow:0 ~src:0 ~dst:1 ~kind:Packet.Data
+          ~payload_bytes:(if seq mod 3 = 0 then 0 else 1460)
+          ~seq ~payload:Packet.No_payload ~now:0. ())
+  in
+  let send_bursts ~from ~upto =
+    let i = ref from in
+    while !i < upto do
+      for _ = 1 to min burst (upto - !i) do
+        Link.send link packets.(!i);
+        incr i
+      done;
+      Sim.run sim
+    done
+  in
+  send_bursts ~from:0 ~upto:(4 * burst);
+  let w0 = Gc.minor_words () in
+  send_bursts ~from:(4 * burst) ~upto:n;
+  let per_packet =
+    (Gc.minor_words () -. w0) /. float_of_int (n - (4 * burst))
+  in
+  Alcotest.(check int) "all delivered" n !got;
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per packet < 2.5 (got %.3f)" per_packet)
+    true (per_packet < 2.5)
+
 let test_link_tail_drop () =
   let sim = Sim.create () in
   (* Buffer fits only two full packets. *)
@@ -482,6 +574,12 @@ let suites =
       [
         Alcotest.test_case "delivery latency" `Quick test_link_delivery_time;
         Alcotest.test_case "FIFO serialization" `Quick test_link_serialization_fifo;
+        Alcotest.test_case "FIFO across growth and wraparound" `Quick
+          test_link_fifo_growth_wraparound;
+        Alcotest.test_case "send and deliver allocate only the tx delay"
+          `Quick test_link_alloc_free;
+        Alcotest.test_case "delivered packets are released" `Quick
+          test_link_releases_delivered;
         Alcotest.test_case "tail drop" `Quick test_link_tail_drop;
         Alcotest.test_case "queue accounting" `Quick test_link_queue_accounting;
         Alcotest.test_case "bernoulli loss" `Quick test_link_loss;

@@ -348,6 +348,25 @@ let test_determinism () =
   let a = run_once () and b = run_once () in
   Alcotest.(check bool) "identical runs" true (a = b)
 
+(* A source route is checked when it is pinned, not at its first hop. *)
+let test_non_adjacent_route_rejected () =
+  let sim = Sim.create () in
+  let built, rx = Builder.single_bottleneck ~sim ~senders:2 () in
+  let ctx =
+    Context.create ~sim ~topo:built.Builder.topo
+      ~rng:(Pdq_engine.Rng.create 0) ~init_rtt:2e-4 ()
+  in
+  let h0 = built.Builder.hosts.(0) and h1 = built.Builder.hosts.(1) in
+  let path = Context.register_route ctx ~id:0 ~src:h0 ~dst:rx ~choice:0 in
+  Context.register_route_nodes ctx ~id:1 path;
+  Alcotest.(check (array int)) "adjacent path pinned" path (Context.route ctx 1);
+  (match Context.register_route_nodes ctx ~id:2 [| h0; h1 |] with
+  | () -> Alcotest.fail "non-adjacent hosts accepted"
+  | exception Invalid_argument _ -> ());
+  match Context.route ctx 2 with
+  | _ -> Alcotest.fail "rejected route was pinned"
+  | exception Failure _ -> ()
+
 let suites =
   [
     ( "transport.single_flow",
@@ -394,5 +413,7 @@ let suites =
       [
         Alcotest.test_case "stride on tree" `Quick test_pdq_on_tree_patterns;
         Alcotest.test_case "determinism" `Quick test_determinism;
+        Alcotest.test_case "non-adjacent source route rejected" `Quick
+          test_non_adjacent_route_rejected;
       ] );
   ]
