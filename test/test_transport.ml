@@ -367,6 +367,236 @@ let test_non_adjacent_route_rejected () =
   | _ -> Alcotest.fail "rejected route was pinned"
   | exception Failure _ -> ()
 
+(* ------------------------------------------------------------------ *)
+(* Golden endpoint digests *)
+
+(* Each paced endpoint (PDQ, PDQ without Early Termination, M-PDQ, RCP,
+   D3) runs one faulted scenario on a k=4 fat-tree: 24 flows between
+   hosts 0..13 with staggered starts and deadlines on three in four of
+   them, a six-flow incast into host 13 whose 8 ms deadlines cannot
+   all be met, standing 3% loss on one edge-aggregation cable, an
+   aggregation-core cable flapping down from 2 to 7 ms, an edge and a
+   core switch rebooting, and two dead hosts. Host 15 is cut off from
+   the start, so its flow retries its SYN until it aborts; host 14 is
+   cut off at 4 ms, so the long flow into it stalls and aborts. Each
+   run hashes two things: every per-flow outcome (fct in exact hex,
+   met, terminated, aborted) plus every counter, and the full trace
+   event stream. A change to the endpoints that is meant to be
+   output-preserving must leave every digest as committed. *)
+let golden_run =
+  let runs = Hashtbl.create 8 in
+  fun protocol ->
+    let key = Runner.protocol_name protocol in
+    match Hashtbl.find_opt runs key with
+    | Some r -> r
+    | None ->
+        let sim = Sim.create () in
+        let built = Builder.fat_tree ~sim ~k:4 () in
+        let topo = built.Builder.topo and hosts = built.Builder.hosts in
+        let rng = Pdq_engine.Rng.create 23 in
+        let pick () = hosts.(Pdq_engine.Rng.int rng 14) in
+        let specs =
+          List.init 24 (fun i ->
+              let src = pick () in
+              let dst =
+                let rec other () =
+                  let d = pick () in
+                  if d = src then other () else d
+                in
+                other ()
+              in
+              let size = kb (10. +. (290. *. Pdq_engine.Rng.float rng)) in
+              let deadline =
+                if i mod 4 = 3 then None
+                else Some (2e-3 +. (18e-3 *. Pdq_engine.Rng.float rng))
+              in
+              spec ?deadline ~start:(float_of_int (i mod 7) *. 3e-4) ~src ~dst
+                ~size ())
+          @ List.init 6 (fun j ->
+                spec ~deadline:8e-3 ~start:1e-3 ~src:hosts.(j) ~dst:hosts.(13)
+                  ~size:(kb 200.) ())
+          @ [
+              spec ~src:hosts.(15) ~dst:hosts.(0) ~size:(kb 50.) ();
+              spec ~start:1e-4 ~src:hosts.(1) ~dst:hosts.(14)
+                ~size:(Units.mbyte 2.) ();
+            ]
+        in
+        let host_cable h = (h, fst (List.hd (Topology.links_from topo h))) in
+        let switch_cables = Pdq_faults.Fault_plan.switch_cables topo in
+        let edge_agg = List.hd switch_cables in
+        let agg_core = List.nth switch_cables (List.length switch_cables - 1) in
+        let edge_of_h0 = snd (host_cable hosts.(0)) in
+        let core = List.hd (Pdq_faults.Fault_plan.switches topo) in
+        let down (a, b) = Pdq_faults.Fault_plan.Link_down { a; b } in
+        let plan =
+          Pdq_faults.Fault_plan.of_events
+            [
+              ( 0.,
+                Pdq_faults.Fault_plan.Set_loss
+                  {
+                    a = fst edge_agg;
+                    b = snd edge_agg;
+                    model = Pdq_net.Link.Bernoulli 0.03;
+                  } );
+              (0., down (host_cable hosts.(15)));
+              (2e-3, down agg_core);
+              (3e-3, Pdq_faults.Fault_plan.Switch_reboot edge_of_h0);
+              (4e-3, down (host_cable hosts.(14)));
+              (5e-3, Pdq_faults.Fault_plan.Switch_reboot core);
+              ( 7e-3,
+                Pdq_faults.Fault_plan.Link_up { a = fst agg_core; b = snd agg_core }
+              );
+            ]
+        in
+        let trace = Buffer.create 65536 in
+        let sink =
+          Pdq_telemetry.Trace.callback (fun ~time ev ->
+              Buffer.add_string trace (Pdq_telemetry.Trace.event_to_json ~time ev);
+              Buffer.add_char trace '\n')
+        in
+        let options =
+          {
+            opts with
+            Runner.seed = 7;
+            horizon = 3.;
+            faults = Some plan;
+            telemetry = { Runner.no_telemetry with Runner.sinks = [ sink ] };
+          }
+        in
+        let r = Runner.execute ~options ~topo protocol specs in
+        let r = (r, Buffer.contents trace) in
+        Hashtbl.replace runs key r;
+        r
+
+let outcome_digest (r : Runner.result) =
+  let b = Buffer.create 1024 in
+  Array.iter
+    (fun (f : Runner.flow_result) ->
+      (match f.Runner.fct with
+      | Some x -> Printf.bprintf b "%h" x
+      | None -> Buffer.add_char b '-');
+      Printf.bprintf b ":%b%b%b;" f.Runner.met_deadline f.Runner.terminated
+        f.Runner.aborted)
+    r.Runner.flows;
+  List.iter (fun (k, v) -> Printf.bprintf b "|%s=%d" k v) r.Runner.counters;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* (name, protocol, outcome digest, trace digest). *)
+let golden_endpoints =
+  [
+    ( "PDQ(Full)",
+      Runner.Pdq Config.full,
+      "a296760383eb73d20cc75a8fb5a34891",
+      "9cf229e8e05b5c120c36414856e32812" );
+    ( "PDQ no ET",
+      Runner.Pdq
+        {
+          Config.full with
+          Config.features =
+            { Config.full.Config.features with Config.early_termination = false };
+        },
+      "8b944af7c21de0364e403bdc8ba8b10c",
+      "0cdaa2436dc7385f9f58fc4a2cd60c3f" );
+    ( "M-PDQ",
+      Runner.mpdq ~subflows:3 (),
+      "ce658b7f4ed6073fb9c0bb32e53ad203",
+      "0ac0d7566c801649f6a32af2b25199ea" );
+    ( "RCP",
+      Runner.Rcp,
+      "205150faa1b6f29f59330d4941ed9795",
+      "775ee2fc8c0f87a3420e144a9e1480fa" );
+    ( "D3",
+      Runner.D3,
+      "6cf0b8c69096fb81a792f1efecbb7ccc",
+      "3d6af056c09c67a6a2d2bf39736ed0d7" );
+  ]
+
+let test_golden_endpoint (name, protocol, outcome, trace) () =
+  let r, events = golden_run protocol in
+  Alcotest.(check string) (name ^ " outcome") outcome (outcome_digest r);
+  Alcotest.(check string) (name ^ " trace") trace
+    (Digest.to_hex (Digest.string events))
+
+(* The golden scenarios reach every recovery path of the endpoints, so
+   the digests pin each of them. *)
+let test_golden_paths_fire () =
+  let runs = List.map (fun (_, p, _, _) -> golden_run p) golden_endpoints in
+  let counter key =
+    List.fold_left
+      (fun acc ((r : Runner.result), _) ->
+        List.fold_left
+          (fun acc (k, v) ->
+            if k = "abort." ^ key || k = "abort.subflow." ^ key then acc + v
+            else acc)
+          acc r.Runner.counters)
+      0 runs
+  in
+  let in_trace needle =
+    List.exists
+      (fun (_, events) ->
+        let n = String.length needle and m = String.length events in
+        let rec scan i =
+          i + n <= m && (String.sub events i n = needle || scan (i + 1))
+        in
+        scan 0)
+      runs
+  in
+  let terminated protocol =
+    let r, _ = golden_run protocol in
+    Array.exists
+      (fun (f : Runner.flow_result) -> f.Runner.terminated)
+      r.Runner.flows
+  in
+  Alcotest.(check bool) "SYN retries exhausted" true (counter "syn" > 0);
+  Alcotest.(check bool) "stall abort" true (counter "stall" > 0);
+  Alcotest.(check bool) "watchdog go-back-N" true
+    (in_trace "\"kind\":\"watchdog\"");
+  Alcotest.(check bool) "fast retransmit" true (in_trace "\"kind\":\"fast\"");
+  Alcotest.(check bool) "D3 quench" true (terminated Runner.D3);
+  Alcotest.(check bool) "PDQ Early Termination" true
+    (terminated (Runner.Pdq Config.full))
+
+(* The endpoints' event kinds are perfbench metric keys
+   ([engine.kind.<name>.*]): each must stay registered and fire under
+   its name. *)
+let endpoint_kinds =
+  [
+    "pdq.send";
+    "pdq.probe";
+    "pdq.watchdog";
+    "pdq.launch";
+    "rate.send";
+    "rate.watchdog";
+    "rate.launch";
+  ]
+
+let test_endpoint_kind_names () =
+  let module Profiler = Pdq_engine.Profiler in
+  let p = Profiler.enable_global () in
+  Profiler.reset p;
+  Fun.protect ~finally:Profiler.disable_global (fun () ->
+      List.iter
+        (fun protocol ->
+          ignore
+            (run_single_bottleneck protocol (fun hosts rx ->
+                 [
+                   spec ~start:1e-4 ~src:hosts.(0) ~dst:rx ~size:(kb 200.) ();
+                   spec ~start:2e-4 ~src:hosts.(1) ~dst:rx ~size:(kb 100.) ();
+                 ])))
+        [ Runner.Pdq Config.full; Runner.Rcp ]);
+  let registered =
+    List.init (Sim.Kind.count ()) (fun i -> Sim.Kind.name (Sim.Kind.of_int i))
+  in
+  let fired = Profiler.kinds p in
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " registered") true (List.mem name registered);
+      Alcotest.(check bool) (name ^ " fired") true
+        (match List.assoc_opt name fired with
+        | Some (n, _) -> n > 0
+        | None -> false))
+    endpoint_kinds
+
 let suites =
   [
     ( "transport.single_flow",
@@ -416,4 +646,15 @@ let suites =
         Alcotest.test_case "non-adjacent source route rejected" `Quick
           test_non_adjacent_route_rejected;
       ] );
+    ( "transport.endpoint",
+      List.map
+        (fun ((name, _, _, _) as g) ->
+          Alcotest.test_case ("golden digest: " ^ name) `Quick
+            (test_golden_endpoint g))
+        golden_endpoints
+      @ [
+          Alcotest.test_case "golden scenarios reach every recovery path" `Quick
+            test_golden_paths_fire;
+          Alcotest.test_case "event kind names" `Quick test_endpoint_kind_names;
+        ] );
   ]
