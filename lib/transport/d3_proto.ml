@@ -17,7 +17,7 @@ type port = {
   mutable rtt_avg : float;
 }
 
-type t = { ctx : Context.t; ports : port array; inner : Rate_flow.t }
+type t = { ports : port array; inner : Endpoint.explicit Endpoint.t }
 
 let flow_count t ~link = Hashtbl.length t.ports.(link).granted
 
@@ -61,66 +61,51 @@ let on_forward t ~link (pkt : Packet.t) =
   | _ -> ()
 
 (* Sender-side desired rate: remaining size over time to deadline. *)
-let desired_rate s ~now =
-  match Rate_flow.sender_deadline s with
-  | None -> 0.
-  | Some d ->
+let desired_rate (s : Endpoint.explicit Endpoint.sender) ~now =
+  match s.flow with
+  | Some { Context.deadline_abs = Some d; _ } ->
       let remaining_bits =
-        Pdq_engine.Units.bytes_to_bits (Rate_flow.sender_remaining s)
+        Pdq_engine.Units.bytes_to_bits (max 0 (s.size - s.acked))
       in
       if d <= now then infinity else remaining_bits /. (d -. now)
+  | Some _ | None -> 0.
 
-let ops ctx nic_rate : Rate_flow.ops =
-  {
-    Rate_flow.extra_header = Payloads.d3_header_bytes;
-    min_rate;
-    fwd_payload =
-      (fun s _kind ->
-        let now = Context.now ctx in
-        let desired = desired_rate s ~now in
-        Payloads.D3_ctrl
-          ( {
-              Payloads.d3_desired = (if desired = infinity then nic_rate else desired);
-              d3_allocated = infinity;
-              d3_rtt = Rate_flow.sender_rtt s;
-            },
-            { Payloads.cum_ack = 0; echo_ts = now } ));
-    ack_payload =
-      (fun ~cum_ack ~echo_ts pkt ->
-        match pkt.Packet.payload with
-        | Payloads.D3_ctrl (ctrl, _) ->
-            Payloads.D3_ctrl
-              ( {
-                  Payloads.d3_desired = ctrl.Payloads.d3_desired;
-                  d3_allocated = ctrl.Payloads.d3_allocated;
-                  d3_rtt = 0.;
-                },
-                { Payloads.cum_ack; echo_ts } )
-        | _ ->
-            Payloads.D3_ctrl
-              ( { Payloads.d3_desired = 0.; d3_allocated = min_rate; d3_rtt = 0. },
-                { Payloads.cum_ack; echo_ts } ));
-    rate_of_ack =
-      (fun s pkt ->
-        match pkt.Packet.payload with
-        | Payloads.D3_ctrl (ctrl, _) ->
-            if Debug.trace_on () then
-              Debug.tracef "%.6f d3-ack flow=%d desired=%.3e alloc=%.3e"
-                (Context.now ctx)
-                (Rate_flow.sender_flow s).Context.id ctrl.Payloads.d3_desired
-                ctrl.Payloads.d3_allocated;
-            Some ctrl.Payloads.d3_allocated
-        | _ -> None);
-    (* Quenching: kill a deadline flow once the deadline passed or the
-       required rate exceeds what the NIC could ever deliver. *)
-    quench =
-      (fun s ~now ->
-        match Rate_flow.sender_deadline s with
-        | None -> false
-        | Some d ->
-            Rate_flow.sender_remaining s > 0
-            && (now >= d || desired_rate s ~now > nic_rate));
-  }
+let ops =
+  Endpoint.explicit_rate ~extra_header:Payloads.d3_header_bytes ~min_rate
+    ~payload:(fun s ->
+      let now = Endpoint.now s in
+      let desired = desired_rate s ~now in
+      Payloads.D3_ctrl
+        ( {
+            Payloads.d3_desired =
+              (if desired = infinity then s.Endpoint.ext.Endpoint.nic
+               else desired);
+            d3_allocated = infinity;
+            d3_rtt = s.Endpoint.rtt;
+          },
+          { Payloads.cum_ack = 0; echo_ts = now } ))
+    ~reply:(fun _ pkt ack ->
+      match pkt.Packet.payload with
+      | Payloads.D3_ctrl (ctrl, _) ->
+          Payloads.D3_ctrl ({ ctrl with Payloads.d3_rtt = 0. }, ack)
+      | _ -> invalid_arg "D3_proto: not a D3 packet")
+    ~grant:(fun s pkt ->
+      match pkt.Packet.payload with
+      | Payloads.D3_ctrl (ctrl, _) ->
+          if Debug.trace_on () then
+            Debug.tracef "%.6f d3-ack flow=%d desired=%.3e alloc=%.3e"
+              (Endpoint.now s) s.Endpoint.id ctrl.Payloads.d3_desired
+              ctrl.Payloads.d3_allocated;
+          Some ctrl.Payloads.d3_allocated
+      | _ -> None)
+      (* Quenching: kill a deadline flow once the deadline passed or the
+         required rate exceeds what the source NIC could ever deliver. *)
+    ~quench:(fun s ~now ->
+      match s.Endpoint.flow with
+      | Some { Context.deadline_abs = Some d; _ } ->
+          s.Endpoint.acked < s.Endpoint.size
+          && (now >= d || desired_rate s ~now > s.Endpoint.ext.Endpoint.nic)
+      | Some _ | None -> false)
 
 let install ~ctx ~until =
   let topo = Context.topo ctx in
@@ -137,18 +122,8 @@ let install ~ctx ~until =
           rtt_avg = Context.init_rtt ctx;
         })
   in
-  (* NIC rate: hosts are homogeneous in our topologies; use the first
-     host link's rate as the quench bound. *)
-  let nic_rate =
-    match Topology.hosts topo with
-    | [||] -> Pdq_engine.Units.gbps 1.
-    | hs -> (
-        match Topology.links_from topo hs.(0) with
-        | (_, l) :: _ -> Link.rate (Topology.link topo l)
-        | [] -> Pdq_engine.Units.gbps 1.)
-  in
-  let inner = Rate_flow.install ~ctx ~ops:(ops ctx nic_rate) in
-  let t = { ctx; ports; inner } in
+  let inner = Endpoint.create ctx ops in
+  let t = { ports; inner } in
   (* Crash-reboot: reservations and estimators are soft state; the
      next allocation interval rebuilds them from live requests. *)
   Context.on_switch_reboot ctx (fun node ->
@@ -166,7 +141,7 @@ let install ~ctx ~until =
   Context.set_hooks ctx
     ~on_forward:(fun ~link pkt -> on_forward t ~link pkt)
     ~on_reverse:(fun ~fwd_link:_ _ -> ())
-    ~deliver:(fun ~node pkt -> Rate_flow.deliver inner ~node pkt);
+    ~deliver:(Endpoint.deliver inner);
   let sim = Context.sim ctx in
   Array.iter
     (fun p ->
@@ -180,4 +155,4 @@ let install ~ctx ~until =
     ports;
   t
 
-let start_flow t flow = Rate_flow.start_flow t.inner flow
+let start_flow t flow = Endpoint.start_flow t.inner flow

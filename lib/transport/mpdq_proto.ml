@@ -97,13 +97,7 @@ let start_flow t (flow : Context.flow) =
   let sizes =
     Array.init k (fun j -> if j = 0 then spec.Context.size - (base * (k - 1)) else base)
   in
-  let topo = Context.topo t.ctx in
-  let nic_rate =
-    List.fold_left
-      (fun acc (_, l) -> max acc (Pdq_net.Link.rate (Pdq_net.Topology.link topo l)))
-      1e9
-      (Pdq_net.Topology.links_from topo spec.Context.src)
-  in
+  let nic_rate = Endpoint.nic_rate (Context.topo t.ctx) spec.Context.src in
   let g = { flow; streams = [||]; total_rx = 0; closed = false; nic_rate } in
   let explicit_paths =
     Option.map (fun f -> f ~src:spec.Context.src ~dst:spec.Context.dst) t.paths

@@ -1,11 +1,10 @@
-(** Packet-level PDQ transport (§3): paced senders driven by the
-    {!Pdq_core.Sender} state machine, header-echoing receivers, and
-    {!Pdq_core.Switch_port} flow/rate controllers on every directed
-    link (switch output queues and host NIC shim alike).
-
-    The module is written in terms of {e streams} so that M-PDQ can
-    reuse the exact sender/receiver machinery for its subflows; a plain
-    PDQ flow is a single stream whose completion closes the flow. *)
+(** Packet-level PDQ (§3): {!Pdq_core.Switch_port} flow and rate
+    controllers on every directed link (switch output queues and host
+    NIC shim alike), and {!Endpoint} senders driven by the
+    {!Pdq_core.Sender} state machine, which pause and probe, retransmit
+    fast on three duplicate ACKs, and echo headers capped at the
+    receiver's NIC rate. A flow is one {e stream}; M-PDQ runs several
+    per flow. *)
 
 type t
 

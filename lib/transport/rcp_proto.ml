@@ -16,7 +16,11 @@ type port = {
   mutable rtt_avg : float;
 }
 
-type t = { ctx : Context.t; ports : port array; inner : Rate_flow.t }
+type t = {
+  ctx : Context.t;
+  ports : port array;
+  inner : Endpoint.explicit Endpoint.t;
+}
 
 let recompute_fair p ~now:_ =
   let n = max 1 (Hashtbl.length p.flows) in
@@ -48,35 +52,23 @@ let on_forward t ~link (pkt : Packet.t) =
       | Packet.Syn_ack | Packet.Ack -> ())
   | _ -> ()
 
-let ops ctx : Rate_flow.ops =
-  {
-    Rate_flow.extra_header = Payloads.rcp_header_bytes;
-    min_rate;
-    fwd_payload =
-      (fun s _kind ->
-        Payloads.Rcp_ctrl
-          ( {
-              Payloads.rcp_rate = infinity;
-              rcp_rtt = Rate_flow.sender_rtt s;
-            },
-            { Payloads.cum_ack = 0; echo_ts = Context.now ctx } ));
-    ack_payload =
-      (fun ~cum_ack ~echo_ts pkt ->
-        match pkt.Packet.payload with
-        | Payloads.Rcp_ctrl (ctrl, _) ->
-            Payloads.Rcp_ctrl
-              ( { Payloads.rcp_rate = ctrl.Payloads.rcp_rate; rcp_rtt = 0. },
-                { Payloads.cum_ack; echo_ts } )
-        | _ -> Payloads.Rcp_ctrl
-                 ( { Payloads.rcp_rate = min_rate; rcp_rtt = 0. },
-                   { Payloads.cum_ack; echo_ts } ));
-    rate_of_ack =
-      (fun _s pkt ->
-        match pkt.Packet.payload with
-        | Payloads.Rcp_ctrl (ctrl, _) -> Some ctrl.Payloads.rcp_rate
-        | _ -> None);
-    quench = (fun _ ~now:_ -> false);
-  }
+let ops =
+  Endpoint.explicit_rate ~extra_header:Payloads.rcp_header_bytes ~min_rate
+    ~payload:(fun s ->
+      Payloads.Rcp_ctrl
+        ( { Payloads.rcp_rate = infinity; rcp_rtt = s.Endpoint.rtt },
+          { Payloads.cum_ack = 0; echo_ts = Endpoint.now s } ))
+    ~reply:(fun _ pkt ack ->
+      match pkt.Packet.payload with
+      | Payloads.Rcp_ctrl (ctrl, _) ->
+          Payloads.Rcp_ctrl
+            ({ Payloads.rcp_rate = ctrl.Payloads.rcp_rate; rcp_rtt = 0. }, ack)
+      | _ -> invalid_arg "Rcp_proto: not an RCP packet")
+    ~grant:(fun _ pkt ->
+      match pkt.Packet.payload with
+      | Payloads.Rcp_ctrl (ctrl, _) -> Some ctrl.Payloads.rcp_rate
+      | _ -> None)
+    ~quench:(fun _ ~now:_ -> false)
 
 (* Purge flows whose sender vanished without a TERM (packet loss): a
    generous horizon so slow flows are never evicted spuriously. *)
@@ -103,7 +95,7 @@ let install ~ctx ~until =
           rtt_avg = Context.init_rtt ctx;
         })
   in
-  let inner = Rate_flow.install ~ctx ~ops:(ops ctx) in
+  let inner = Endpoint.create ctx ops in
   let t = { ctx; ports; inner } in
   (* Crash-reboot: the per-port flow table is soft state rebuilt from
      the next packets through; reset the estimators to their initial
@@ -120,7 +112,7 @@ let install ~ctx ~until =
   Context.set_hooks ctx
     ~on_forward:(fun ~link pkt -> on_forward t ~link pkt)
     ~on_reverse:(fun ~fwd_link:_ _ -> ())
-    ~deliver:(fun ~node pkt -> Rate_flow.deliver inner ~node pkt);
+    ~deliver:(Endpoint.deliver inner);
   let sim = Context.sim ctx in
   Array.iter
     (fun p ->
@@ -136,4 +128,4 @@ let install ~ctx ~until =
     ports;
   t
 
-let start_flow t flow = Rate_flow.start_flow t.inner flow
+let start_flow t flow = Endpoint.start_flow t.inner flow
