@@ -133,6 +133,104 @@ let test_fig7_burst_shape () =
     (Printf.sprintf "utilization during burst %.3f" mean_util)
     true (mean_util > 0.85)
 
+(* Golden table digests: the rendered text of the quick tables whose
+   workloads the figure drivers build, the resilience sweep and the
+   fidelity dump. Each is rendered at one and two worker domains (fig4a,
+   the slowest, at two only) and must hash to the same committed digest,
+   so these tests pin both the values and their independence from the
+   domain count. A table's digest is the md5 of what
+   [bench/main.exe --only T] prints before its "[T done" line. An
+   intended output change refreshes the digest and says which one moved
+   and why. *)
+
+module E = Pdq_experiments
+module Scenario = Pdq_exec.Scenario
+
+let text_digest print =
+  let b = Buffer.create 4096 in
+  let ppf = Format.formatter_of_buffer b in
+  print ppf;
+  Format.pp_print_flush ppf ();
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let table (f : ?jobs:int -> ?quick:bool -> unit -> Common.table) ~jobs ppf =
+  Common.pp_table ppf (f ~jobs ~quick:true ())
+
+let golden_tables =
+  let both = [ 1; 2 ] in
+  [
+    ("fig4a", [ 2 ], table E.Fig4.fig4a, "15aed4e698c0eb71dc3b900372378cc3");
+    ("fig4b", both, table E.Fig4.fig4b, "4457c79889f241d36f8c79e1e5acd4c2");
+    ("fig8a", both, table E.Fig8.fig8a, "71e8a70d6739af5f10ce4521eae32032");
+    ("fig8b", both, table E.Fig8.fig8b, "61a21a70bcd7a0b5895e97834cbf253d");
+    ("fig8c", both, table E.Fig8.fig8c, "31b8b0cd5dd45af2c6bd69e153dca2dc");
+    ("fig8d", both, table E.Fig8.fig8d, "963870808f46abbc414823e0a139a3de");
+    ("fig8e", both, table E.Fig8.fig8e, "093598cbf2e6b653e0f175d6e5d79ac1");
+    ("fig10", both, table E.Fig10.fig10, "5638bd64adb5ddbfa63aba10af6cb9a4");
+    ("fig11a", both, table E.Fig11.fig11a, "84e9f7250504a0ca1b8c841522f476cb");
+    ( "fig11bc",
+      both,
+      table E.Fig11.fig11bc,
+      "508d155bc93094426dbe349fc59f66b0" );
+    ("fig12", both, table E.Fig12.fig12, "50a72ab56dede856172efcd94c575e6f");
+    ( "resilience",
+      both,
+      (fun ~jobs ppf -> E.Resilience.run_all ~jobs ~quick:true ppf ()),
+      "8efcd54150ae086de3fd9954b9dbef83" );
+    ( "fidelity dump",
+      both,
+      (fun ~jobs ppf -> E.Fidelity.dump ~jobs ppf),
+      "5d83f2bfbb618e7b9704a46289fccfa0" );
+  ]
+
+let test_golden_table (_, jobs_list, print, expect) () =
+  List.iter
+    (fun jobs ->
+      Alcotest.(check string)
+        (Printf.sprintf "jobs:%d" jobs)
+        expect
+        (text_digest (print ~jobs)))
+    jobs_list
+
+(* [Scenario.build]'s specs for a synthetic workload of every pattern:
+   30 flows cycle each pattern's pairs on the 12-server tree. *)
+let golden_specs =
+  [
+    ("aggregation", Scenario.Aggregation, "8c82bec2c604fa30b7e00987bdb2e4d1");
+    ("stride", Scenario.Stride 1, "0adcff7c9cbff9cfe047c6c32b2e5db2");
+    ("staggered", Scenario.Staggered 0.7, "b59d440d6149a9881d022266333140e1");
+    ( "permutation",
+      Scenario.Random_permutation,
+      "79287e3fe37a2d27d305cde9ab379ed8" );
+    ("pairs", Scenario.Random_pairs, "1f4a01d670cc4e6f722edd6389f39744");
+  ]
+
+let test_golden_specs (_, pattern, expect) () =
+  let scenario =
+    Scenario.make ~seed:7
+      ~workload:
+        (Scenario.Synthetic
+           {
+             pattern;
+             flows = 30;
+             sizes = Scenario.Uniform_paper { mean_bytes = 100_000 };
+             deadlines = Scenario.Exp_deadlines { mean = 0.02; floor = 3e-3 };
+           })
+      (Runner.Pdq Pdq_core.Config.full)
+  in
+  let _, specs, _ = Scenario.build scenario in
+  Alcotest.(check string) "specs" expect
+    (text_digest (fun ppf ->
+         List.iter
+           (fun (s : Context.flow_spec) ->
+             Format.fprintf ppf "%d %d %d %s %h@." s.Context.src s.Context.dst
+               s.Context.size
+               (match s.Context.deadline with
+               | Some d -> Printf.sprintf "%h" d
+               | None -> "-")
+               s.Context.start)
+           specs))
+
 let suites =
   [
     ( "experiments",
@@ -148,4 +246,15 @@ let suites =
         Alcotest.test_case "Fig6 dynamics shape" `Slow test_fig6_dynamics_shape;
         Alcotest.test_case "Fig7 burst shape" `Slow test_fig7_burst_shape;
       ] );
+    ( "experiments.golden",
+      List.map
+        (fun ((name, _, _, _) as g) ->
+          Alcotest.test_case ("golden table: " ^ name) `Quick
+            (test_golden_table g))
+        golden_tables
+      @ List.map
+          (fun ((name, _, _) as g) ->
+            Alcotest.test_case ("golden specs: " ^ name) `Quick
+              (test_golden_specs g))
+          golden_specs );
   ]
