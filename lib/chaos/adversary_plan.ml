@@ -135,7 +135,9 @@ let random rng ~cables ~switches ~until ~intensity ~count =
     match Rng.int rng kinds with
     | 0 ->
         let a, b = cable () in
-        Reorder { a; b; p = prob (); hold = Rng.uniform rng 1e-4 2e-3 }
+        let hold = Rng.uniform rng 1e-4 2e-3 in
+        let p = prob () in
+        Reorder { a; b; p; hold }
     | 1 ->
         let a, b = cable () in
         Duplicate { a; b; p = prob () }
@@ -153,11 +155,9 @@ let random rng ~cables ~switches ~until ~intensity ~count =
            Termination grace (Invariants.create rtt_slack): a skewed
            switch may kill a deadline flow up to |skew| early, which
            must read as clock error, not as an allocator bug. *)
-        Clock_skew
-          {
-            switch = switches.(Rng.int rng (Array.length switches));
-            skew = intensity *. Rng.uniform rng (-1e-3) 1e-3;
-          }
+        let skew = intensity *. Rng.uniform rng (-1e-3) 1e-3 in
+        let switch = switches.(Rng.int rng (Array.length switches)) in
+        Clock_skew { switch; skew }
   in
   of_events
     (List.init count (fun _ ->

@@ -199,12 +199,25 @@ let build_topo spec ~sim ~seed =
         ~rng:(Rng.create (wiring_salt + seed))
         ~switches ~ports ~net_ports ()
 
+(* Deadline, then size: the order every committed table and digest was
+   computed with. Explicit [let]s fix it; OCaml leaves the evaluation
+   order of a record's fields unspecified. *)
+let specs_of_pairs ~rng ~sizes ~deadlines ~flows pairs =
+  let pairs = Array.of_list pairs in
+  List.init flows (fun i ->
+      let p = pairs.(i mod Array.length pairs) in
+      let deadline =
+        Option.map (fun d -> Deadline_dist.sample d rng) deadlines
+      in
+      let size = Size_dist.sample sizes rng in
+      { Context.src = p.Pattern.src; dst = p.Pattern.dst; size; deadline;
+        start = 0. })
+
 (* The [pdq_sim] workload recipe: one Rng seeded with the scenario
-   seed drives pattern construction, then per-flow size and deadline
-   draws, cycling the pattern pairs to reach [flows]. *)
+   seed drives pattern construction, then each flow's deadline and
+   size draws ({!specs_of_pairs}). *)
 let synthetic_specs ~pattern ~flows ~sizes ~deadlines ~seed ~topo ~hosts =
   let rng = Rng.create seed in
-  let dist = size_dist sizes in
   let pairs =
     match pattern with
     | Aggregation -> Pattern.aggregation ~hosts ~receiver:hosts.(0) ~flows
@@ -214,22 +227,13 @@ let synthetic_specs ~pattern ~flows ~sizes ~deadlines ~seed ~topo ~hosts =
     | Random_permutation -> Pattern.random_permutation ~hosts ~rng
     | Random_pairs -> Pattern.random_pairs ~hosts ~flows ~rng
   in
-  let pairs = Array.of_list pairs in
-  let ddist =
+  let deadlines =
     match deadlines with
     | No_deadlines -> None
     | Exp_deadlines { mean; floor } ->
         Some (Deadline_dist.exponential ~floor ~mean ())
   in
-  List.init flows (fun i ->
-      let p = pairs.(i mod Array.length pairs) in
-      {
-        Context.src = p.Pattern.src;
-        dst = p.Pattern.dst;
-        size = Size_dist.sample dist rng;
-        deadline = Option.map (fun d -> Deadline_dist.sample d rng) ddist;
-        start = 0.;
-      })
+  specs_of_pairs ~rng ~sizes:(size_dist sizes) ~deadlines ~flows pairs
 
 (* The [--workload jobs] recipe: one Rng seeded with the scenario seed
    draws, per job in arrival order, its deadline, then its hosts and

@@ -46,6 +46,12 @@ val topo_of_string : string -> (topo, string) result
     "bcube", "jellyfish") into the evaluation's default parameters for
     that family. The error message lists the valid names. *)
 
+val build_topo :
+  topo -> sim:Pdq_engine.Sim.t -> seed:int -> Pdq_topo.Builder.built
+(** The network a scenario with this spec and seed runs on ([seed] only
+    wires {!Jellyfish}). Flow-level runs build theirs here too, so both
+    simulators see the same graph. *)
+
 (** {1 Workload specifications} *)
 
 type sizes =
@@ -78,6 +84,17 @@ val pattern_names : string list
 val pattern_of_string : string -> (pattern, string) result
 (** "aggregation", "stride", "staggered", "permutation", "pairs". The
     error message lists the valid names. *)
+
+val specs_of_pairs :
+  rng:Pdq_engine.Rng.t ->
+  sizes:Pdq_workload.Size_dist.t ->
+  deadlines:Pdq_workload.Deadline_dist.t option ->
+  flows:int ->
+  Pdq_workload.Pattern.pair list ->
+  Pdq_transport.Context.flow_spec list
+(** [flows] flows cycling [pairs] in order, all starting at t = 0. Each
+    flow draws from [rng] its deadline (only when [deadlines] is
+    given), then its size. *)
 
 (** {1 Application-level jobs} *)
 

@@ -5,6 +5,8 @@ module Config = Pdq_core.Config
 module Size_dist = Pdq_workload.Size_dist
 module Deadline_dist = Pdq_workload.Deadline_dist
 module Fluid = Pdq_sched.Fluid
+module Flowsim = Pdq_flowsim.Flowsim
+module Router = Pdq_net.Router
 module Rng = Pdq_engine.Rng
 module Sim = Pdq_engine.Sim
 module Scenario = Pdq_exec.Scenario
@@ -100,8 +102,9 @@ let run_aggregation ?jobs ?(seeds = default_seeds) ?(deadline_mean = 0.02)
 (* The fluid baselines only need the workload, not a packet run; the
    tree is built per seed solely for its host ids. *)
 let fluid_workload ?(deadline_mean = 0.02) ?sizes ~deadlines ~flows seed =
-  let sim = Sim.create () in
-  let built = Builder.single_rooted_tree ~sim () in
+  let built =
+    Scenario.build_topo Scenario.default_tree ~sim:(Sim.create ()) ~seed
+  in
   let hosts = built.Builder.hosts in
   aggregation_workload ~deadline_mean ?sizes ~deadlines ~seed ~hosts
     ~receiver:hosts.(0) ~flows ()
@@ -117,6 +120,24 @@ let optimal_aggregation_fct ?jobs ?(seeds = default_seeds) ?sizes ~flows () =
   Sweep.average ?jobs ~seeds (fun seed ->
       let wl = fluid_workload ?sizes ~deadlines:false ~flows seed in
       Fluid.mean_completion_time (Fluid.srpt ~rate:(goodput_rate /. 8.) wl.jobs))
+
+(* Flow i is pinned to ECMP choice i, as the packet-level router pins
+   it on the same topology. *)
+let flow_level ?dt ~topo ~seed ~specs proto =
+  let built = Scenario.build_topo topo ~sim:(Sim.create ()) ~seed in
+  let topo = built.Builder.topo in
+  let router = Router.create topo in
+  specs ~seed ~topo ~hosts:built.Builder.hosts
+  |> List.mapi (fun i (s : Context.flow_spec) ->
+         {
+           Flowsim.fs_id = i;
+           path =
+             Router.path_links router ~src:s.Context.src ~dst:s.dst ~choice:i;
+           size = s.size;
+           deadline = s.deadline;
+           start = s.start;
+         })
+  |> Flowsim.run ?dt ~seed (Flowsim.net_of_topology topo) proto
 
 let chunks k xs =
   let rec take k xs =

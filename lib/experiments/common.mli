@@ -93,6 +93,24 @@ val optimal_aggregation_fct :
 (** SRPT mean flow completion time of the omniscient scheduler
     (deadline-unconstrained case). *)
 
+val flow_level :
+  ?dt:float ->
+  topo:Pdq_exec.Scenario.topo ->
+  seed:int ->
+  specs:
+    (seed:int ->
+    topo:Pdq_net.Topology.t ->
+    hosts:int array ->
+    Pdq_transport.Context.flow_spec list) ->
+  Pdq_flowsim.Flowsim.proto ->
+  Pdq_flowsim.Flowsim.result
+(** Run [proto] in the flow-level simulator on the network
+    {!Pdq_exec.Scenario.build_topo} builds for [topo] and [seed], over
+    the flows [specs] generates: the same generator a
+    {!Pdq_exec.Scenario.Generated} workload takes, so a driver hands
+    both simulators one workload. Flow [i] takes ECMP choice [i];
+    [dt] is {!Pdq_flowsim.Flowsim.run}'s step. *)
+
 val chunks : int -> 'a list -> 'a list list
 (** Split into consecutive groups of [k] (last group may be short). *)
 

@@ -2,12 +2,7 @@ module Runner = Pdq_transport.Runner
 module Scenario = Pdq_exec.Scenario
 module Sweep = Pdq_exec.Sweep
 module Config = Pdq_core.Config
-module Builder = Pdq_topo.Builder
 module Flowsim = Pdq_flowsim.Flowsim
-module Pattern = Pdq_workload.Pattern
-module Size_dist = Pdq_workload.Size_dist
-module Rng = Pdq_engine.Rng
-module Sim = Pdq_engine.Sim
 module Fid = Pdq_check.Fidelity
 module Report = Pdq_check.Report
 
@@ -72,20 +67,6 @@ let synthetic ?topo ~name ~pattern ~flows ?(sizes = uniform100k)
    the least-critical flows from starving, so its mean FCT pins the
    comparator override path of the flow-level engine. *)
 let fig12_aging_fct_ms () =
-  let sim = Sim.create () in
-  let built = Builder.fat_tree_for_servers ~sim ~servers:64 () in
-  let rng = Rng.create (0xF12 + 1) in
-  let pairs =
-    List.concat
-      (List.init 2 (fun _ ->
-           Pattern.random_permutation ~hosts:built.Builder.hosts ~rng))
-  in
-  let specs =
-    Fig8.flowsim_specs ~built ~pairs
-      ~sizes:(Size_dist.uniform_paper ~mean_bytes:500_000)
-      ~deadline_mean:None ~seed:1
-  in
-  let net = Flowsim.net_of_topology built.Builder.topo in
   let proto =
     Flowsim.Pdq
       {
@@ -94,7 +75,7 @@ let fig12_aging_fct_ms () =
         aging_rate = Some 1.0;
       }
   in
-  1e3 *. (Flowsim.run ~seed:1 net proto specs).Flowsim.mean_fct
+  1e3 *. (Fig12.run ~servers:64 ~rounds:2 ~seed:1 proto).Flowsim.mean_fct
 
 let entries () =
   [

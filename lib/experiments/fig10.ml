@@ -1,8 +1,8 @@
-module Builder = Pdq_topo.Builder
 module Flowsim = Pdq_flowsim.Flowsim
 module Pattern = Pdq_workload.Pattern
 module Size_dist = Pdq_workload.Size_dist
-module Sim = Pdq_engine.Sim
+module Rng = Pdq_engine.Rng
+module Scenario = Pdq_exec.Scenario
 
 let schemes =
   [
@@ -24,18 +24,20 @@ let schemes =
     ("RCP", Flowsim.Rcp);
   ]
 
+(* Ten senders towards the bottleneck's receiver, the last host. *)
+let specs ~dist ~seed ~topo:_ ~hosts =
+  let receiver = hosts.(Array.length hosts - 1) in
+  Scenario.specs_of_pairs
+    ~rng:(Rng.create (0xF8 + (seed * 37)))
+    ~sizes:dist ~deadlines:None ~flows:10
+    (Pattern.aggregation ~hosts ~receiver ~flows:10)
+
+(* A finer step keeps the 10-flow schedule crisp at sub-ms scale. *)
 let mean_fct ~dist ~proto ~seed =
-  let sim = Sim.create () in
-  let built, rx = Builder.single_bottleneck ~sim ~senders:10 () in
-  let pairs =
-    Pattern.aggregation ~hosts:built.Builder.hosts ~receiver:rx ~flows:10
-  in
-  let specs =
-    Fig8.flowsim_specs ~built ~pairs ~sizes:dist ~deadline_mean:None ~seed
-  in
-  let net = Flowsim.net_of_topology built.Builder.topo in
-  (* A finer step keeps the 10-flow schedule crisp at sub-ms scale. *)
-  (Flowsim.run ~dt:1e-4 ~seed net proto specs).Flowsim.mean_fct
+  (Common.flow_level ~dt:1e-4
+     ~topo:(Scenario.Bottleneck { senders = 10 })
+     ~seed ~specs:(specs ~dist) proto)
+    .Flowsim.mean_fct
 
 let fig10 ?jobs ?(quick = true) () =
   let seeds = if quick then [ 1; 2; 3 ] else [ 1; 2; 3; 4; 5; 6; 7; 8 ] in

@@ -1,5 +1,4 @@
 module Runner = Pdq_transport.Runner
-module Context = Pdq_transport.Context
 module Builder = Pdq_topo.Builder
 module Pattern = Pdq_workload.Pattern
 module Size_dist = Pdq_workload.Size_dist
@@ -20,17 +19,12 @@ let specs_at_load ~load ~deadlines ~seed ~hosts =
   let n = Array.length hosts in
   let k = max 2 (int_of_float (float_of_int n *. load)) in
   let chosen = Array.sub (let a = Array.copy hosts in Rng.shuffle rng a; a) 0 k in
-  let ddist = Deadline_dist.exponential ~mean:0.02 () in
-  Pattern.random_permutation ~hosts:chosen ~rng
-  |> List.map (fun (p : Pattern.pair) ->
-         {
-           Context.src = p.Pattern.src;
-           dst = p.Pattern.dst;
-           size = Size_dist.sample sizes rng;
-           deadline =
-             (if deadlines then Some (Deadline_dist.sample ddist rng) else None);
-           start = 0.;
-         })
+  let pairs = Pattern.random_permutation ~hosts:chosen ~rng in
+  Scenario.specs_of_pairs ~rng ~sizes
+    ~deadlines:
+      (if deadlines then Some (Deadline_dist.exponential ~mean:0.02 ())
+       else None)
+    ~flows:(List.length pairs) pairs
 
 let load_scenario ~load ~deadlines protocol =
   Scenario.make
@@ -51,8 +45,10 @@ let load_scenario ~load ~deadlines protocol =
    the address-based parallel paths for every run (the closure is
    immutable and crosses worker domains freely). *)
 let bcube_multipath =
-  let sim = Sim.create () in
-  let built = Builder.bcube ~sim ~n:2 ~k:3 () in
+  let built =
+    Scenario.build_topo (Scenario.Bcube { n = 2; k = 3 }) ~sim:(Sim.create ())
+      ~seed:0
+  in
   fun ~src ~dst -> Builder.bcube_paths ~n:2 ~k:3 built ~src ~dst
 
 let mpdq subflows = Runner.mpdq ~subflows ~paths:bcube_multipath ()
@@ -91,16 +87,10 @@ let capacity_scenario ~flows protocol =
            specs =
              (fun ~seed ~topo:_ ~hosts ->
                let rng = Rng.create (0xF11 + (seed * 53)) in
-               let ddist = Deadline_dist.exponential ~mean:0.02 () in
-               Pattern.random_pairs ~hosts ~flows ~rng
-               |> List.map (fun (p : Pattern.pair) ->
-                      {
-                        Context.src = p.Pattern.src;
-                        dst = p.Pattern.dst;
-                        size = Size_dist.sample capacity_sizes rng;
-                        deadline = Some (Deadline_dist.sample ddist rng);
-                        start = 0.;
-                      }));
+               let pairs = Pattern.random_pairs ~hosts ~flows ~rng in
+               Scenario.specs_of_pairs ~rng ~sizes:capacity_sizes
+                 ~deadlines:(Some (Deadline_dist.exponential ~mean:0.02 ()))
+                 ~flows pairs);
          })
     protocol
 

@@ -1,28 +1,27 @@
-module Builder = Pdq_topo.Builder
 module Flowsim = Pdq_flowsim.Flowsim
 module Pattern = Pdq_workload.Pattern
 module Size_dist = Pdq_workload.Size_dist
 module Rng = Pdq_engine.Rng
-module Sim = Pdq_engine.Sim
+module Scenario = Pdq_exec.Scenario
 
 (* Heavier-than-average sizes so that without aging the least critical
    flows visibly starve behind a stream of smaller ones. *)
 let sizes = Size_dist.uniform_paper ~mean_bytes:500_000
 
-let run ~aging_rate ~seed proto_of =
-  let sim = Sim.create () in
-  let built = Builder.fat_tree_for_servers ~sim ~servers:128 () in
-  let rng = Rng.create (0xF12 + seed) in
-  let pairs =
-    List.concat
-      (List.init 4 (fun _ ->
-           Pattern.random_permutation ~hosts:built.Builder.hosts ~rng))
-  in
-  let specs =
-    Fig8.flowsim_specs ~built ~pairs ~sizes ~deadline_mean:None ~seed
-  in
-  let net = Flowsim.net_of_topology built.Builder.topo in
-  Flowsim.run ~seed net (proto_of aging_rate) specs
+let run ~servers ~rounds ~seed proto =
+  Common.flow_level
+    ~topo:(Scenario.Fat_tree_servers { servers })
+    ~seed
+    ~specs:(fun ~seed ~topo:_ ~hosts ->
+      let rng = Rng.create (0xF12 + seed) in
+      let pairs =
+        List.concat
+          (List.init rounds (fun _ -> Pattern.random_permutation ~hosts ~rng))
+      in
+      Scenario.specs_of_pairs
+        ~rng:(Rng.create (0xF8 + (seed * 37)))
+        ~sizes ~deadlines:None ~flows:(List.length pairs) pairs)
+    proto
 
 let fig12 ?jobs ?(quick = true) () =
   let rates = if quick then [ 0.; 1.; 4.; 10. ] else [ 0.; 0.5; 1.; 2.; 4.; 6.; 8.; 10. ] in
@@ -35,9 +34,10 @@ let fig12 ?jobs ?(quick = true) () =
         aging_rate = (if alpha > 0. then Some alpha else None);
       }
   in
-  let rcp = run ~aging_rate:0. ~seed (fun _ -> Flowsim.Rcp) in
+  let run = run ~servers:128 ~rounds:4 ~seed in
+  let rcp = run Flowsim.Rcp in
   let pdq_runs =
-    Pdq_exec.Sweep.map ?jobs (fun alpha -> run ~aging_rate:alpha ~seed pdq) rates
+    Pdq_exec.Sweep.map ?jobs (fun alpha -> run (pdq alpha)) rates
   in
   let rows =
     List.map2

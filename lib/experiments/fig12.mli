@@ -8,3 +8,13 @@
     RCP max/mean shown for reference. *)
 
 val fig12 : ?jobs:int -> ?quick:bool -> unit -> Common.table
+
+val run :
+  servers:int ->
+  rounds:int ->
+  seed:int ->
+  Pdq_flowsim.Flowsim.proto ->
+  Pdq_flowsim.Flowsim.result
+(** One flow-level run on the smallest fat-tree with at least [servers]
+    hosts: [rounds] random permutations of deadline-free flows, sizes
+    U[2 KB, 998 KB]. The table runs 128 servers and 4 rounds. *)

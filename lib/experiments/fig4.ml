@@ -1,5 +1,4 @@
 module Runner = Pdq_transport.Runner
-module Context = Pdq_transport.Context
 module Pattern = Pdq_workload.Pattern
 module Size_dist = Pdq_workload.Size_dist
 module Deadline_dist = Pdq_workload.Deadline_dist
@@ -36,19 +35,13 @@ let pattern_pairs name ~topo ~hosts ~rng =
 
 let specs_of_pattern name ~deadlines ~flows ~seed ~topo ~hosts =
   let rng = Rng.create (0xF16 + (seed * 131)) in
-  let sizes = Size_dist.uniform_paper ~mean_bytes:100_000 in
-  let ddist = Deadline_dist.exponential ~mean:0.02 () in
-  let pairs = Array.of_list (pattern_pairs name ~topo ~hosts ~rng) in
-  List.init flows (fun i ->
-      let p = pairs.(i mod Array.length pairs) in
-      {
-        Context.src = p.Pattern.src;
-        dst = p.Pattern.dst;
-        size = Size_dist.sample sizes rng;
-        deadline =
-          (if deadlines then Some (Deadline_dist.sample ddist rng) else None);
-        start = 0.;
-      })
+  let pairs = pattern_pairs name ~topo ~hosts ~rng in
+  Scenario.specs_of_pairs ~rng
+    ~sizes:(Size_dist.uniform_paper ~mean_bytes:100_000)
+    ~deadlines:
+      (if deadlines then Some (Deadline_dist.exponential ~mean:0.02 ())
+       else None)
+    ~flows pairs
 
 let pattern_scenario name ~deadlines ~flows protocol =
   Scenario.make

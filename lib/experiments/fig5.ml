@@ -20,15 +20,12 @@ let trace_specs ~dist ~deadline_mean ~rate ~duration ~seed ~hosts =
   List.map2
     (fun start (p : Pattern.pair) ->
       let size = Size_dist.sample dist rng in
-      {
-        Context.src = p.Pattern.src;
-        dst = p.Pattern.dst;
-        size;
-        deadline =
-          (if size < short_flow_bytes then Some (Deadline_dist.sample ddist rng)
-           else None);
-        start;
-      })
+      let deadline =
+        if size < short_flow_bytes then Some (Deadline_dist.sample ddist rng)
+        else None
+      in
+      { Context.src = p.Pattern.src; dst = p.Pattern.dst; size; deadline;
+        start })
     starts pairs
 
 let trace_scenario ~dist ~deadline_mean ~rate ~duration protocol =

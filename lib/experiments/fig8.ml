@@ -1,51 +1,12 @@
 module Runner = Pdq_transport.Runner
-module Context = Pdq_transport.Context
-module Builder = Pdq_topo.Builder
-module Router = Pdq_net.Router
 module Pattern = Pdq_workload.Pattern
 module Size_dist = Pdq_workload.Size_dist
 module Deadline_dist = Pdq_workload.Deadline_dist
 module Flowsim = Pdq_flowsim.Flowsim
 module Rng = Pdq_engine.Rng
-module Sim = Pdq_engine.Sim
 module Stats = Pdq_engine.Stats
 module Scenario = Pdq_exec.Scenario
 module Sweep = Pdq_exec.Sweep
-
-let flowsim_specs ~built ~pairs ~sizes ~deadline_mean ~seed =
-  let router = Router.create built.Builder.topo in
-  let rng = Rng.create (0xF8 + (seed * 37)) in
-  let ddist =
-    Option.map (fun mean -> Deadline_dist.exponential ~mean ()) deadline_mean
-  in
-  List.mapi
-    (fun i (p : Pattern.pair) ->
-      {
-        Flowsim.fs_id = i;
-        path =
-          Router.path_links router ~src:p.Pattern.src ~dst:p.Pattern.dst
-            ~choice:i;
-        size = Size_dist.sample sizes rng;
-        deadline = Option.map (fun d -> Deadline_dist.sample d rng) ddist;
-        start = 0.;
-      })
-    pairs
-
-let packet_specs ~pairs ~sizes ~deadline_mean ~seed =
-  let rng = Rng.create (0xF8 + (seed * 37)) in
-  let ddist =
-    Option.map (fun mean -> Deadline_dist.exponential ~mean ()) deadline_mean
-  in
-  List.map
-    (fun (p : Pattern.pair) ->
-      {
-        Context.src = p.Pattern.src;
-        dst = p.Pattern.dst;
-        size = Size_dist.sample sizes rng;
-        deadline = Option.map (fun d -> Deadline_dist.sample d rng) ddist;
-        start = 0.;
-      })
-    pairs
 
 type topo_family = Fat_tree | Bcube | Jellyfish
 
@@ -63,62 +24,38 @@ let family_topo family ~servers =
       Scenario.Jellyfish
         { switches; ports = 24; net_ports = 16; wiring_salt = 77 }
 
-(* The flow-level engine builds the same topology itself (it is not a
-   packet run, so it bypasses the scenario runner). *)
-let build family ~sim ~servers ~seed =
-  match family with
-  | Fat_tree -> Builder.fat_tree_for_servers ~sim ~servers ()
-  | Bcube ->
-      let n = max 2 (int_of_float (ceil (sqrt (float_of_int servers)))) in
-      Builder.bcube ~sim ~n ~k:1 ()
-  | Jellyfish ->
-      let switches = max 3 ((servers + 7) / 8) in
-      Builder.jellyfish ~sim ~rng:(Rng.create (77 + seed)) ~switches ~ports:24
-        ~net_ports:16 ()
+(* One workload for both simulators: [pairs] draws the pairing (random
+   permutations or random pairs) from its own rng, and a second stream
+   draws each flow's deadline and size. *)
+let workload ~deadline_mean ~pairs ~seed ~topo:_ ~hosts =
+  let pairs = pairs ~seed ~hosts in
+  Scenario.specs_of_pairs
+    ~rng:(Rng.create (0xF8 + (seed * 37)))
+    ~sizes:(Size_dist.uniform_paper ~mean_bytes:100_000)
+    ~deadlines:
+      (Option.map
+         (fun mean -> Deadline_dist.exponential ~mean ())
+         deadline_mean)
+    ~flows:(List.length pairs) pairs
 
-let sizes_100k = Size_dist.uniform_paper ~mean_bytes:100_000
+(* [per_server] random permutations, deadline-free; [salt] seeds the
+   pairing rng. *)
+let perm_workload ~per_server ~salt =
+  workload ~deadline_mean:None ~pairs:(fun ~seed ~hosts ->
+      let rng = Rng.create (salt + seed) in
+      List.concat
+        (List.init per_server (fun _ ->
+             Pattern.random_permutation ~hosts ~rng)))
 
-(* Random-permutation pairs with [per_server] flows per sender. *)
-let perm_pairs ~hosts ~per_server ~rng =
-  List.concat (List.init per_server (fun _ -> Pattern.random_permutation ~hosts ~rng))
+let packet_run family ~servers ~seed ~label ~specs proto =
+  Scenario.run
+    (Scenario.make ~name:label ~seed ~horizon:5.
+       ~topo:(family_topo family ~servers)
+       ~workload:(Scenario.Generated { label; specs })
+       proto)
 
-(* Packet-level runs go through a scenario; [pairs] abstracts the two
-   pairings this figure uses (random permutation / random pairs). *)
-let packet_scenario family ~servers ~deadline_mean ~label ~pairs proto =
-  Scenario.make ~name:label ~horizon:5.
-    ~topo:(family_topo family ~servers)
-    ~workload:
-      (Scenario.Generated
-         {
-           label;
-           specs =
-             (fun ~seed ~topo:_ ~hosts ->
-               packet_specs ~pairs:(pairs ~seed ~hosts) ~sizes:sizes_100k
-                 ~deadline_mean ~seed);
-         })
-    proto
-
-let flowlevel_fct family ~servers ~per_server ~proto ~seed =
-  let sim = Sim.create () in
-  let built = build family ~sim ~servers ~seed in
-  let rng = Rng.create (3 + seed) in
-  let pairs = perm_pairs ~hosts:built.Builder.hosts ~per_server ~rng in
-  let specs =
-    flowsim_specs ~built ~pairs ~sizes:sizes_100k ~deadline_mean:None ~seed
-  in
-  let net = Flowsim.net_of_topology built.Builder.topo in
-  let r = Flowsim.run ~seed net proto specs in
-  r.Flowsim.mean_fct
-
-let packetlevel_fct family ~servers ~per_server ~proto ~seed =
-  let scenario =
-    packet_scenario family ~servers ~deadline_mean:None
-      ~label:(Printf.sprintf "perm x%d" per_server)
-      ~pairs:(fun ~seed ~hosts ->
-        perm_pairs ~hosts ~per_server ~rng:(Rng.create (3 + seed)))
-      proto
-  in
-  (Scenario.run (Scenario.with_seed scenario seed)).Runner.mean_fct
+let flow_run family ~servers ~seed ~specs proto =
+  Common.flow_level ~topo:(family_topo family ~servers) ~seed ~specs proto
 
 (* (a) deadline-constrained capacity vs size: concurrent random-pair
    deadline flows; search the count sustaining 99% AT. Each table cell
@@ -128,27 +65,18 @@ let fig8a ?jobs ?(quick = true) () =
   let sizes_list = if quick then [ 16; 54; 128 ] else [ 16; 54; 128; 250; 432; 1024 ] in
   let pkt_cap = if quick then 54 else 128 in
   let seed = 1 in
-  let flow_cap servers flows proto_fs =
-    let sim = Sim.create () in
-    let built = build Fat_tree ~sim ~servers ~seed in
-    let rng = Rng.create (11 + seed) in
-    let pairs = Pattern.random_pairs ~hosts:built.Builder.hosts ~flows ~rng in
-    let specs =
-      flowsim_specs ~built ~pairs ~sizes:sizes_100k ~deadline_mean:(Some 0.02)
-        ~seed
-    in
-    let net = Flowsim.net_of_topology built.Builder.topo in
-    (Flowsim.run ~seed net proto_fs specs).Flowsim.application_throughput
+  let specs flows =
+    workload ~deadline_mean:(Some 0.02) ~pairs:(fun ~seed ~hosts ->
+        Pattern.random_pairs ~hosts ~flows ~rng:(Rng.create (11 + seed)))
+  in
+  let flow_cap servers flows proto =
+    (flow_run Fat_tree ~servers ~seed ~specs:(specs flows) proto)
+      .Flowsim.application_throughput
   in
   let pkt_cap_run servers flows proto =
-    let scenario =
-      packet_scenario Fat_tree ~servers ~deadline_mean:(Some 0.02)
-        ~label:(Printf.sprintf "pairs x%d" flows)
-        ~pairs:(fun ~seed ~hosts ->
-          Pattern.random_pairs ~hosts ~flows ~rng:(Rng.create (11 + seed)))
-        proto
-    in
-    (Scenario.run (Scenario.with_seed scenario seed))
+    (packet_run Fat_tree ~servers ~seed
+       ~label:(Printf.sprintf "pairs x%d" flows)
+       ~specs:(specs flows) proto)
       .Runner.application_throughput
   in
   let hi servers = max 16 (servers * 2) in
@@ -207,6 +135,8 @@ let fct_table ?jobs ~title family ?(quick = true) () =
   let pkt_cap = if quick then 64 else 144 in
   let per_server = if quick then 4 else 10 in
   let seed = 1 in
+  let specs = perm_workload ~per_server ~salt:3 in
+  let label = Printf.sprintf "perm x%d" per_server in
   let cell_thunks =
     List.concat_map
       (fun servers ->
@@ -214,11 +144,14 @@ let fct_table ?jobs ~title family ?(quick = true) () =
           if servers > pkt_cap then "-"
           else
             Common.cell
-              (1e3 *. packetlevel_fct family ~servers ~per_server ~proto ~seed)
+              (1e3
+              *. (packet_run family ~servers ~seed ~label ~specs proto)
+                   .Runner.mean_fct)
         in
         let flow proto () =
           Common.cell
-            (1e3 *. flowlevel_fct family ~servers ~per_server ~proto ~seed)
+            (1e3
+            *. (flow_run family ~servers ~seed ~specs proto).Flowsim.mean_fct)
         in
         [
           pkt (Runner.Pdq Pdq_core.Config.full);
@@ -263,24 +196,19 @@ let fig8e ?jobs ?(quick = true) () =
     [ ("Fat-tree", Fat_tree); ("BCube", Bcube); ("Jellyfish", Jellyfish) ]
   in
   let per_server = if quick then 4 else 10 in
+  let specs = perm_workload ~per_server ~salt:5 in
   let ratios (_, family) =
-    let sim = Sim.create () in
-    let built = build family ~sim ~servers:128 ~seed in
-    let rng = Rng.create (5 + seed) in
-    let pairs = perm_pairs ~hosts:built.Builder.hosts ~per_server ~rng in
-    let specs =
-      flowsim_specs ~built ~pairs ~sizes:sizes_100k ~deadline_mean:None ~seed
+    let run proto =
+      (flow_run family ~servers:128 ~seed ~specs proto).Flowsim.flows
     in
-    let net = Flowsim.net_of_topology built.Builder.topo in
-    let pdq = Flowsim.run ~seed net (Flowsim.Pdq Flowsim.pdq_defaults) specs in
-    let rcp = Flowsim.run ~seed net Flowsim.Rcp specs in
     Array.to_list
       (Array.map2
          (fun (a : Flowsim.flow_result) (b : Flowsim.flow_result) ->
            match (a.Flowsim.fct, b.Flowsim.fct) with
            | Some p, Some r when p > 0. -> Some (r /. p)
            | _ -> None)
-         pdq.Flowsim.flows rcp.Flowsim.flows)
+         (run (Flowsim.Pdq Flowsim.pdq_defaults))
+         (run Flowsim.Rcp))
     |> List.filter_map Fun.id
     |> Array.of_list
   in

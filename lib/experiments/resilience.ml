@@ -31,7 +31,8 @@ module Scenario = Pdq_exec.Scenario
 
 (* Aggregation workload with starts staggered across [window] so the
    traffic actually overlaps the injected faults instead of finishing
-   before the first event fires. *)
+   before the first event fires. Each flow draws its start, then its
+   deadline, then its size. *)
 let workload ~seed ~hosts ~receiver ~flows ~window =
   let rng = Rng.create (0xFA17 + (seed * 7919)) in
   let sizes = Size_dist.uniform_paper ~mean_bytes:100_000 in
@@ -41,13 +42,11 @@ let workload ~seed ~hosts ~receiver ~flows ~window =
   in
   List.init flows (fun i ->
       let p = pairs.(i mod Array.length pairs) in
-      {
-        Context.src = p.Pattern.src;
-        dst = p.Pattern.dst;
-        size = Size_dist.sample sizes rng;
-        deadline = Some (Deadline_dist.sample ddist rng);
-        start = Rng.float rng *. window;
-      })
+      let start = Rng.float rng *. window in
+      let deadline = Some (Deadline_dist.sample ddist rng) in
+      let size = Size_dist.sample sizes rng in
+      { Context.src = p.Pattern.src; dst = p.Pattern.dst; size; deadline;
+        start })
 
 type outcome = { fct : float; miss_pct : float; aborts : float }
 

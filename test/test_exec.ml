@@ -95,6 +95,58 @@ let test_rerun_deterministic () =
   let s = synthetic_scenario Runner.Tcp in
   check_same_result "same scenario twice" (Scenario.run s) (Scenario.run s)
 
+(* [specs_of_pairs] against the loop it stands for: cycle the pairs
+   and draw each flow's deadline, when there is one, before its size. *)
+let test_specs_of_pairs () =
+  let module Rng = Pdq_engine.Rng in
+  let module Size_dist = Pdq_workload.Size_dist in
+  let module Deadline_dist = Pdq_workload.Deadline_dist in
+  let module Pattern = Pdq_workload.Pattern in
+  let sizes = Size_dist.uniform_paper ~mean_bytes:100_000 in
+  let pairs =
+    [ { Pattern.src = 1; dst = 0 }; { Pattern.src = 2; dst = 0 };
+      { Pattern.src = 3; dst = 5 } ]
+  in
+  let by_hand deadlines flows =
+    let rng = Rng.create 17 in
+    let pairs = Array.of_list pairs in
+    let specs = ref [] in
+    for i = 0 to flows - 1 do
+      let p = pairs.(i mod Array.length pairs) in
+      let deadline =
+        match deadlines with
+        | Some d -> Some (Deadline_dist.sample d rng)
+        | None -> None
+      in
+      let size = Size_dist.sample sizes rng in
+      specs :=
+        { Context.src = p.Pattern.src; dst = p.Pattern.dst; size; deadline;
+          start = 0. }
+        :: !specs
+    done;
+    List.rev !specs
+  in
+  List.iter
+    (fun (name, deadlines) ->
+      List.iter
+        (fun flows ->
+          let helper =
+            Scenario.specs_of_pairs ~rng:(Rng.create 17) ~sizes ~deadlines
+              ~flows pairs
+          in
+          Alcotest.(check int)
+            (Printf.sprintf "%s, %d flows: count" name flows)
+            flows (List.length helper);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s, %d flows: = hand-written loop" name flows)
+            true
+            (helper = by_hand deadlines flows))
+        [ 2; 3; 8 ])
+    [
+      ("deadlines", Some (Deadline_dist.exponential ~mean:0.02 ()));
+      ("no deadlines", None);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Sweep: parallel = sequential, in input order *)
 
@@ -555,6 +607,8 @@ let suites =
           test_explicit_matches_handbuilt;
         Alcotest.test_case "rerun deterministic" `Quick
           test_rerun_deterministic;
+        Alcotest.test_case "specs_of_pairs = deadline-then-size loop" `Quick
+          test_specs_of_pairs;
         Alcotest.test_case "parsers" `Quick test_parsers;
         Alcotest.test_case "exec-opts budget + telemetry" `Quick
           test_exec_opts_budget;
