@@ -281,7 +281,9 @@ let rcp_rates ws ~capacity active =
 
 (* D3: greedy first-come-first-reserve per link in flow arrival order,
    plus the previous step's non-negative fair share. [fs] persists
-   across steps (per link). *)
+   across steps (per link). [active] is newest-admitted first, and flows
+   are admitted in [by_arrival] order with unique ids, so its reverse is
+   the arrival order. *)
 let d3_rates ws ~now ~capacity ~fs active =
   let nlinks = Array.length capacity in
   let avail = ws.residual and demand = ws.demand and counts = ws.count in
@@ -318,7 +320,7 @@ let d3_rates ws ~now ~capacity ~fs active =
           counts.(l) <- counts.(l) + 1
         done
       end)
-    (List.sort by_arrival active);
+    (List.rev active);
   (* Fair share for the next interval (non-negative, as in §5.1). *)
   for l = 0 to nlinks - 1 do
     if counts.(l) > 0 then
@@ -330,14 +332,19 @@ let run ?(dt = 1e-3) ?(init_latency = 5e-4) ?(header_overhead = 56. /. 1500.)
     ?(seed = 1) ?(horizon = 60.) net proto specs =
   let rng = Rng.create seed in
   let goodput_factor = 1. -. header_overhead in
+  let ids = Hashtbl.create (List.length specs) in
   let flows =
     List.mapi
       (fun idx spec ->
         if Array.length spec.path = 0 then
           invalid_arg
             (Printf.sprintf "Flowsim.run: flow %d has an empty path" spec.fs_id);
+        if Hashtbl.mem ids spec.fs_id then
+          invalid_arg
+            (Printf.sprintf "Flowsim.run: duplicate flow id %d" spec.fs_id);
+        Hashtbl.add ids spec.fs_id ();
         let nic =
-          Array.fold_left (fun acc l -> min acc net.capacity.(l)) infinity
+          Array.fold_left (fun acc l -> fmin acc net.capacity.(l)) infinity
             spec.path
         in
         {
@@ -459,6 +466,6 @@ let run ?(dt = 1e-3) ?(init_latency = 5e-4) ?(header_overhead = 56. /. 1500.)
     flows = results;
     application_throughput;
     mean_fct = (match fcts with [] -> 0. | _ -> List.fold_left ( +. ) 0. fcts /. float_of_int (List.length fcts));
-    max_fct = List.fold_left max 0. fcts;
+    max_fct = List.fold_left fmax 0. fcts;
     completed = List.length fcts;
   }

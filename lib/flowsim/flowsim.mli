@@ -91,4 +91,5 @@ val run :
   result
 (** Defaults: [dt] = 1 ms, [init_latency] = 0.5 ms (≈ 2 datacenter
     RTTs), [header_overhead] = 56/1500, [horizon] = 60 s. Raises
-    [Invalid_argument] if a flow has an empty path. *)
+    [Invalid_argument] if a flow has an empty path or two flows share an
+    [fs_id]. *)

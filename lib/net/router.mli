@@ -10,12 +10,17 @@
 type t
 
 val create : Topology.t -> t
-(** Build a router over the (final) topology. Distance tables are
-    computed lazily per destination and cached. A single-homed
-    destination (one cable, e.g. a fat-tree host) shares its
-    neighbour's table instead of running its own BFS, so memory and
-    set-up grow with the switches, not the hosts. Links that are
-    administratively down ({!Link.is_up}) are excluded from paths. *)
+(** Build a router over the (final) topology. [create] snapshots the
+    adjacency into flat arrays, each node's neighbours sorted by
+    (peer, link id), in O(E log d) for E directed links and degree d;
+    links added to the topology afterwards are not seen. Distance
+    tables are computed lazily per destination and cached, one BFS of
+    O(V + E) and V words each. A single-homed destination (one cable,
+    e.g. a fat-tree host) shares its neighbour's table instead of
+    running its own BFS, so memory and set-up grow with the switches,
+    not the hosts. Links that are administratively down
+    ({!Link.is_up}) are excluded from paths; their status is read live,
+    not snapshotted. *)
 
 val invalidate : t -> unit
 (** Drop every cached distance table. Call after link status changes
@@ -29,7 +34,12 @@ val distance : t -> src:int -> dst:int -> int
 
 val path : t -> src:int -> dst:int -> choice:int -> int array
 (** Node ids from [src] to [dst] inclusive, following one shortest path
-    selected by hashing [choice] at each branching point. *)
+    selected by hashing [choice] at each branching point: of the up
+    links to a neighbour one hop closer, in (peer, link id) order, the
+    walk takes the one the hash of ([choice], node, [dst]) indexes.
+    Once [dst]'s table is cached, a call costs O(sum of the degrees
+    along the path) and allocates only its result. *)
 
 val path_links : t -> src:int -> dst:int -> choice:int -> int array
-(** The directed link ids along {!path}. *)
+(** The directed link ids along {!path}: the links the walk took, so
+    none is down, parallel cables included. Same cost as {!path}. *)

@@ -268,6 +268,23 @@ let test_empty_path_rejected () =
                ])))
     protocols
 
+(* D3 takes arrival order from the order of admission, which needs
+   every flow id to be unique: a repeated id is rejected up front, under
+   every protocol. *)
+let test_duplicate_id_rejected () =
+  List.iter
+    (fun (name, proto) ->
+      Alcotest.check_raises name
+        (Invalid_argument "Flowsim.run: duplicate flow id 3") (fun () ->
+          ignore
+            (run ~proto (net 2)
+               [
+                 flow ~id:3 ~path:[| 0 |] ~size:100_000 ();
+                 flow ~id:1 ~path:[| 1 |] ~size:100_000 ();
+                 flow ~id:3 ~path:[| 1 |] ~size:100_000 ~start:0.001 ();
+               ])))
+    protocols
+
 (* Retiring a finished flow must not cost a pass over every active
    flow: 4000 flows finishing in the same step allocate a few hundred
    words each, where a per-completion filter allocates thousands. *)
@@ -411,6 +428,8 @@ let suites =
           test_aging_reduces_max_fct;
         Alcotest.test_case "net_of_topology" `Quick test_net_of_topology;
         Alcotest.test_case "empty path rejected" `Quick test_empty_path_rejected;
+        Alcotest.test_case "duplicate id rejected" `Quick
+          test_duplicate_id_rejected;
         Alcotest.test_case "retirement allocation bound" `Quick
           test_retirement_allocation;
       ]

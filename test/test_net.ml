@@ -566,6 +566,180 @@ let test_route_two_hosts () =
   Alcotest.(check int) "one link" 1
     (Array.length (Router.path_links router ~src:a ~dst:b ~choice:0))
 
+(* The router's ECMP walk as it was first written, kept as an
+   independent reference: per hop, filter the adjacency list to up links
+   one hop closer, [List.sort compare] the (peer, link) pairs, take the
+   [hash3]-th with [List.nth], then map the node path back to links with
+   [Topology.link_to]. Distances come from [reference_dist]. *)
+let list_hash3 a b c =
+  let h = ref 0x9E3779B9 in
+  let mix x =
+    h := (!h lxor (x + 0x7F4A7C15 + (!h lsl 6) + (!h lsr 2))) land max_int
+  in
+  mix a;
+  mix b;
+  mix c;
+  !h
+
+let list_walk topo ~src ~dst ~choice =
+  let dist = reference_dist topo dst in
+  if dist.(src) = max_int then raise Not_found;
+  let rec walk node acc =
+    if node = dst then List.rev (node :: acc)
+    else
+      let d = dist.(node) in
+      let hops =
+        List.filter
+          (fun (v, l) -> dist.(v) = d - 1 && Link.is_up (Topology.link topo l))
+          (Topology.links_from topo node)
+        |> List.sort compare
+      in
+      match hops with
+      | [] -> raise Not_found
+      | _ ->
+          let next, _ =
+            List.nth hops (list_hash3 choice node dst mod List.length hops)
+          in
+          walk next (node :: acc)
+  in
+  let nodes = Array.of_list (walk src []) in
+  let links =
+    Array.init
+      (Array.length nodes - 1)
+      (fun i ->
+        Link.id (Topology.link_to topo ~src:nodes.(i) ~dst:nodes.(i + 1)))
+  in
+  (nodes, links)
+
+(* Every ordered host pair, under three choices, takes exactly the
+   reference walk's nodes and links: on four topologies, then again
+   after a cable between two multi-homed nodes fails and the router is
+   invalidated. None of these topologies has parallel cables, where the
+   reference can name a down link (see the next test). *)
+let test_route_matches_list_walk () =
+  let sim = Sim.create () in
+  let topologies =
+    [
+      ("fat-tree k=4", Builder.fat_tree ~sim ~k:4 ());
+      ("single-rooted tree", Builder.single_rooted_tree ~sim ());
+      ("bcube(2,3)", Builder.bcube ~sim ~n:2 ~k:3 ());
+      ( "jellyfish",
+        Builder.jellyfish ~sim ~rng:(Rng.create 4) ~switches:12 ~ports:8
+          ~net_ports:5 () );
+    ]
+  in
+  let compare_all ~what topo router hosts =
+    Array.iter
+      (fun src ->
+        Array.iter
+          (fun dst ->
+            if src <> dst then
+              List.iter
+                (fun choice ->
+                  let label = Printf.sprintf "%s %d->%d/%d" what src dst choice in
+                  match list_walk topo ~src ~dst ~choice with
+                  | exception Not_found ->
+                      Alcotest.check_raises (label ^ " path") Not_found
+                        (fun () -> ignore (Router.path router ~src ~dst ~choice));
+                      Alcotest.check_raises (label ^ " links") Not_found
+                        (fun () ->
+                          ignore (Router.path_links router ~src ~dst ~choice))
+                  | nodes, links ->
+                      Alcotest.(check (array int)) (label ^ " path") nodes
+                        (Router.path router ~src ~dst ~choice);
+                      Alcotest.(check (array int)) (label ^ " links") links
+                        (Router.path_links router ~src ~dst ~choice))
+                [ 0; 7; choice_of ~src ~dst ])
+          hosts)
+      hosts
+  in
+  List.iter
+    (fun (what, (built : Builder.built)) ->
+      let topo = built.Builder.topo and hosts = built.Builder.hosts in
+      let router = Router.create topo in
+      compare_all ~what topo router hosts;
+      let multi_homed v = List.length (Topology.links_from topo v) > 1 in
+      let inner =
+        List.filter
+          (fun (a, b) -> multi_homed a && multi_homed b)
+          (Topology.cables topo)
+      in
+      let a, b = List.nth inner (List.length inner / 2) in
+      Topology.set_link_up topo ~a ~b false;
+      Router.invalidate router;
+      compare_all ~what:(Printf.sprintf "%s without %d<->%d" what a b) topo
+        router hosts)
+    topologies
+
+(* Two parallel cables between a switch and a host, the newer one down:
+   every route takes the older, up cable, in both directions. Mapping
+   the node path back with [Topology.link_to] would name the newest
+   link to the peer, which is down. *)
+let test_route_parallel_cable_down () =
+  let topo = Topology.create ~sim:(Sim.create ()) () in
+  let a = Topology.add_host topo in
+  let s = Topology.add_switch topo in
+  let b = Topology.add_host topo in
+  Topology.connect topo a s;
+  Topology.connect topo s b;
+  Topology.connect topo s b;
+  (* Links 2/3 are the older s<->b pair, 4/5 the newer. *)
+  Topology.set_link_up topo ~a:s ~b false;
+  Alcotest.(check bool) "newer pair down" false
+    (Link.is_up (Topology.link topo 4) || Link.is_up (Topology.link topo 5));
+  let router = Router.create topo in
+  for choice = 0 to 15 do
+    Alcotest.(check (array int)) "a->b over the up cable" [| 0; 2 |]
+      (Router.path_links router ~src:a ~dst:b ~choice);
+    Alcotest.(check (array int)) "b->a over the up cable" [| 3; 1 |]
+      (Router.path_links router ~src:b ~dst:a ~choice)
+  done
+
+(* With its tables cached, [path_links] allocates its result and
+   nothing per hop: on a k=8 fat-tree (paths of 2, 4 and 6 links), the
+   minor words of a call exceed its result array (length + header) by
+   less than 2 on average. *)
+let test_path_links_alloc () =
+  let built = Builder.fat_tree ~sim:(Sim.create ()) ~k:8 () in
+  let router = Router.create built.Builder.topo in
+  let hosts = built.Builder.hosts in
+  let n = Array.length hosts in
+  let calls = n * (n - 1) in
+  let srcs = Array.make calls 0 and dsts = Array.make calls 0 in
+  let i = ref 0 in
+  Array.iter
+    (fun src ->
+      Array.iter
+        (fun dst ->
+          if src <> dst then begin
+            srcs.(!i) <- src;
+            dsts.(!i) <- dst;
+            incr i
+          end)
+        hosts)
+    hosts;
+  let pass () =
+    let words = ref 0 in
+    for i = 0 to calls - 1 do
+      let links =
+        Router.path_links router ~src:srcs.(i) ~dst:dsts.(i) ~choice:i
+      in
+      words := !words + Array.length links + 1
+    done;
+    !words
+  in
+  ignore (pass ());
+  let w0 = Gc.minor_words () in
+  let result_words = pass () in
+  let excess =
+    (Gc.minor_words () -. w0 -. float_of_int result_words)
+    /. float_of_int calls
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words beyond the result per call < 2 (got %.3f)"
+       excess)
+    true (excess < 2.)
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let suites =
@@ -609,6 +783,12 @@ let suites =
         Alcotest.test_case "tables match reference BFS" `Quick
           test_route_tables_match_reference;
         Alcotest.test_case "two cabled hosts" `Quick test_route_two_hosts;
+        Alcotest.test_case "ECMP choice matches the list walk" `Quick
+          test_route_matches_list_walk;
+        Alcotest.test_case "parallel cable, newer one down" `Quick
+          test_route_parallel_cable_down;
+        Alcotest.test_case "warm path_links allocates only its result"
+          `Quick test_path_links_alloc;
       ]
       @ qsuite [ prop_routes_are_shortest ] );
   ]
