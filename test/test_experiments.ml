@@ -156,9 +156,15 @@ let text_digest print =
 let table (f : ?jobs:int -> ?quick:bool -> unit -> Common.table) ~jobs ppf =
   Common.pp_table ppf (f ~jobs ~quick:true ())
 
+let tables fs ~jobs ppf = List.iter (fun f -> table f ~jobs ppf) fs
+
 let golden_tables =
   let both = [ 1; 2 ] in
   [
+    ("fig3a", both, table E.Fig3.fig3a, "27bb7f1f064e44f1a1f46b98299883ad");
+    ("fig3b", both, table E.Fig3.fig3b, "49dd83c8c32517f69649bf791312729f");
+    ("fig3d", both, table E.Fig3.fig3d, "b751f31b0a935d667cbf3c8f07cc0e5f");
+    ("fig3e", both, table E.Fig3.fig3e, "8f063b8aa4365fab0dc56a8c7a569188");
     ("fig4a", [ 2 ], table E.Fig4.fig4a, "15aed4e698c0eb71dc3b900372378cc3");
     ("fig4b", both, table E.Fig4.fig4b, "4457c79889f241d36f8c79e1e5acd4c2");
     ("fig8a", both, table E.Fig8.fig8a, "71e8a70d6739af5f10ce4521eae32032");
@@ -166,6 +172,10 @@ let golden_tables =
     ("fig8c", both, table E.Fig8.fig8c, "31b8b0cd5dd45af2c6bd69e153dca2dc");
     ("fig8d", both, table E.Fig8.fig8d, "963870808f46abbc414823e0a139a3de");
     ("fig8e", both, table E.Fig8.fig8e, "093598cbf2e6b653e0f175d6e5d79ac1");
+    ( "fig9",
+      both,
+      tables [ E.Fig9.fig9a; E.Fig9.fig9b ],
+      "595ba872b20da2d96319a435ce571b4f" );
     ("fig10", both, table E.Fig10.fig10, "5638bd64adb5ddbfa63aba10af6cb9a4");
     ("fig11a", both, table E.Fig11.fig11a, "84e9f7250504a0ca1b8c841522f476cb");
     ( "fig11bc",
@@ -173,6 +183,14 @@ let golden_tables =
       table E.Fig11.fig11bc,
       "508d155bc93094426dbe349fc59f66b0" );
     ("fig12", both, table E.Fig12.fig12, "50a72ab56dede856172efcd94c575e6f");
+    ( "ablation",
+      both,
+      tables E.Ablation.[ early_start_k; probing; dampening ],
+      "c507c3fbad12d6568d82335bbbe74c95" );
+    ( "apps",
+      both,
+      (fun ~jobs ppf -> E.Apps.run_all ~jobs ~quick:true ppf ()),
+      "b1e3a25353a497743e4390029731a851" );
     ( "resilience",
       both,
       (fun ~jobs ppf -> E.Resilience.run_all ~jobs ~quick:true ppf ()),
@@ -181,6 +199,17 @@ let golden_tables =
       both,
       (fun ~jobs ppf -> E.Fidelity.dump ~jobs ppf),
       "5d83f2bfbb618e7b9704a46289fccfa0" );
+  ]
+
+(* The tables that take seconds each (fig3c ~3 s, fig5c ~1 s at one
+   domain) would grow [dune runtest] by ~7 s. They run only when
+   PDQ_GOLDEN_SLOW=1 is set, from the same test binary:
+   PDQ_GOLDEN_SLOW=1 dune exec test/test_main.exe -- test experiments.golden.slow *)
+let slow_golden_tables =
+  let both = [ 1; 2 ] in
+  [
+    ("fig3c", both, table E.Fig3.fig3c, "3d4c9db82bf69f883cb76f027927b7c8");
+    ("fig5c", both, table E.Fig5.fig5c, "27738f00f4acb0270b8c76945b449661");
   ]
 
 let test_golden_table (_, jobs_list, print, expect) () =
@@ -258,3 +287,14 @@ let suites =
               (test_golden_specs g))
           golden_specs );
   ]
+  @
+  if Sys.getenv_opt "PDQ_GOLDEN_SLOW" = Some "1" then
+    [
+      ( "experiments.golden.slow",
+        List.map
+          (fun ((name, _, _, _) as g) ->
+            Alcotest.test_case ("golden table: " ^ name) `Slow
+              (test_golden_table g))
+          slow_golden_tables );
+    ]
+  else []
