@@ -221,18 +221,6 @@ let telemetry t ~base =
               on_port t ~now v));
   }
 
-(* The directed data-path links of an experiment flow, from its pinned
-   route in the run context. *)
-let route_links ~result ~topo flow_id =
-  let nodes = Context.route result.Runner.ctx flow_id in
-  let links = ref [] in
-  for i = Array.length nodes - 2 downto 0 do
-    links :=
-      Link.id (Topology.link_to topo ~src:nodes.(i) ~dst:nodes.(i + 1))
-      :: !links
-  done;
-  !links
-
 (* Capacity conservation: replay every flow's sender-side granted-rate
    history over its pinned route and require that, per directed link,
    the sum of granted rates exceeds the line rate only in bursts no
@@ -265,9 +253,9 @@ let capacity_sweep t ~result ~topo =
             | None, None ->
                 min result.Runner.sim_end (m.last_activity +. t.stale_grace)
           in
-          let links = route_links ~result ~topo flow_id in
+          let links = Context.route result.Runner.ctx flow_id in
           let history = List.rev ((end_time, 0.) :: newest_first) in
-          List.iter
+          Array.iter
             (fun link ->
               List.iter
                 (fun (time, rate) -> add_event link (time, flow_id, rate))
@@ -360,10 +348,10 @@ let deadline_checks t ~result ~topo =
           match (m.terminated_at, m.deadline_abs) with
           | Some te, Some d ->
               let min_rate =
-                List.fold_left
+                Array.fold_left
                   (fun acc l -> min acc (Link.rate (Topology.link topo l)))
                   infinity
-                  (route_links ~result ~topo flow_id)
+                  (Context.route result.Runner.ctx flow_id)
               in
               let remaining_bits =
                 Pdq_engine.Units.bytes_to_bits (max 0 (m.size - m.rx))

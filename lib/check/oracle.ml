@@ -17,16 +17,6 @@ type t = {
 
 let default_efficiency = 1460. /. 1500.
 
-let route_links ~result ~topo flow_id =
-  let nodes = Context.route result.Runner.ctx flow_id in
-  let links = ref [] in
-  for i = Array.length nodes - 2 downto 0 do
-    links :=
-      Link.id (Topology.link_to topo ~src:nodes.(i) ~dst:nodes.(i + 1))
-      :: !links
-  done;
-  !links
-
 (* Contention-free lower bound: even alone on the network, the flow
    must push its application bits through its slowest link and cross
    every hop's propagation and processing delay once. Headers,
@@ -34,7 +24,7 @@ let route_links ~result ~topo flow_id =
    [bound <= true FCT] for every correct simulator. *)
 let guaranteed_bound ~topo ~links ~size =
   let min_rate, latency =
-    List.fold_left
+    Array.fold_left
       (fun (r, lat) id ->
         let l = Topology.link topo id in
         (min r (Link.rate l), lat +. Link.prop_delay l +. Link.proc_delay l))
@@ -45,7 +35,7 @@ let guaranteed_bound ~topo ~links ~size =
 let check ?(efficiency = default_efficiency) ?(per_flow = true) ~result ~topo
     () =
   let n = Array.length result.Runner.flows in
-  let links_of = Array.init n (fun i -> route_links ~result ~topo i) in
+  let links_of = Array.init n (Context.route result.Runner.ctx) in
   (* Per-flow guaranteed bounds and their assertions. *)
   let violations = ref [] in
   let bounds =
@@ -77,18 +67,18 @@ let check ?(efficiency = default_efficiency) ?(per_flow = true) ~result ~topo
      a distributed protocol may beat EDF for an individual flow. *)
   let usage = Hashtbl.create 32 in
   Array.iter
-    (List.iter (fun l ->
+    (Array.iter (fun l ->
          Hashtbl.replace usage l
            (1 + Option.value ~default:0 (Hashtbl.find_opt usage l))))
     links_of;
   let bottleneck i =
     let links = links_of.(i) in
     let min_rate =
-      List.fold_left
+      Array.fold_left
         (fun r l -> min r (Link.rate (Topology.link topo l)))
         infinity links
     in
-    List.fold_left
+    Array.fold_left
       (fun best l ->
         if Link.rate (Topology.link topo l) > min_rate *. (1. +. 1e-9) then
           best

@@ -37,7 +37,8 @@ let run_traced ~senders ~specs_of ~t_end ~bin =
   let hosts = built.Builder.hosts in
   let rx = hosts.(Array.length hosts - 1) in
   let bottleneck =
-    Pdq_net.Link.id (Pdq_net.Topology.link_to built.Builder.topo ~src:0 ~dst:rx)
+    Pdq_net.Link.id
+      (List.hd (Pdq_net.Topology.cable built.Builder.topo ~a:0 ~b:rx))
   in
   let mem = Trace.memory () in
   let metrics = Metrics.create () in

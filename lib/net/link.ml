@@ -164,6 +164,7 @@ let dst t = t.dst
 let rate t = t.rate
 let prop_delay t = t.prop_delay
 let proc_delay t = t.proc_delay
+let buffer_bytes t = t.buffer_bytes
 let set_receiver t f = t.receiver <- f
 let receiver t = t.receiver
 let queue_bytes t = t.queued_bytes

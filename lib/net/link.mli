@@ -51,6 +51,9 @@ val prop_delay : t -> float
 val proc_delay : t -> float
 (** Per-hop processing delay in seconds. *)
 
+val buffer_bytes : t -> int
+(** Output queue capacity in bytes (tail drop beyond it). *)
+
 val set_receiver : t -> (Packet.t -> unit) -> unit
 (** Install the delivery callback (the destination node's packet
     handler). Must be called before the first {!send}. *)

@@ -133,21 +133,16 @@ let next_entry t tbl node ~dst ~choice =
   t.closer.(hash3 choice node dst mod !count)
 
 (* Every hop lowers the distance by one, so a route from [src] has
-   exactly [dist src] links. Returns an array whose slots [first ..]
-   hold [via.(e)] for each entry [e] the walk takes, and whose slots
-   before [first] hold [src]. *)
-let route t ~src ~dst ~choice ~via ~first =
+   exactly [dist src] links. *)
+let path_links t ~src ~dst ~choice =
   let tbl = dist_to t dst in
   let d = dist tbl src in
   if d = max_int then raise Not_found;
-  let out = Array.make (first + d) src in
+  let out = Array.make d 0 in
   let node = ref src in
-  for i = first to first + d - 1 do
+  for i = 0 to d - 1 do
     let e = next_entry t tbl !node ~dst ~choice in
-    out.(i) <- via.(e);
+    out.(i) <- t.link.(e);
     node := t.peer.(e)
   done;
   out
-
-let path t ~src ~dst ~choice = route t ~src ~dst ~choice ~via:t.peer ~first:1
-let path_links t ~src ~dst ~choice = route t ~src ~dst ~choice ~via:t.link ~first:0

@@ -32,14 +32,13 @@ val distance : t -> src:int -> dst:int -> int
 (** Hop count of the shortest path. Raises [Not_found] when
     unreachable. *)
 
-val path : t -> src:int -> dst:int -> choice:int -> int array
-(** Node ids from [src] to [dst] inclusive, following one shortest path
+val path_links : t -> src:int -> dst:int -> choice:int -> int array
+(** The directed link ids of one shortest path from [src] to [dst],
     selected by hashing [choice] at each branching point: of the up
     links to a neighbour one hop closer, in (peer, link id) order, the
-    walk takes the one the hash of ([choice], node, [dst]) indexes.
-    Once [dst]'s table is cached, a call costs O(sum of the degrees
-    along the path) and allocates only its result. *)
-
-val path_links : t -> src:int -> dst:int -> choice:int -> int array
-(** The directed link ids along {!path}: the links the walk took, so
-    none is down, parallel cables included. Same cost as {!path}. *)
+    walk takes the one the hash of ([choice], node, [dst]) indexes. No
+    link on it is down, parallel cables included. The route's nodes are
+    each link's {!Link.src} and the last link's {!Link.dst}. Once
+    [dst]'s table is cached, a call costs O(sum of the degrees along
+    the path) and allocates only its result. Raises [Not_found] when
+    [dst] is unreachable. *)

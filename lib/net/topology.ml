@@ -103,11 +103,9 @@ let link_count t = t.link_count
 let link t i = t.links.(i)
 let links_from t i = t.adj.(i)
 
-let rec link_id_to (dst : int) = function
-  | [] -> raise Not_found
-  | (peer, id) :: rest -> if peer = dst then id else link_id_to dst rest
-
-let link_to t ~src ~dst = t.links.(link_id_to dst t.adj.(src))
+(* [connect] pushes a cable's two directions one after the other, so
+   link [2k] and link [2k + 1] are each other's reverse. *)
+let reverse t l = t.links.(Link.id l lxor 1)
 
 let cables t =
   let seen = Hashtbl.create 64 in
@@ -124,13 +122,12 @@ let cables t =
   List.rev !acc
 
 let cable t ~a ~b =
-  let find src dst =
-    if src < 0 || src >= t.node_count then None
-    else List.assoc_opt dst t.adj.(src)
+  let ab =
+    if a < 0 || a >= t.node_count then None else List.assoc_opt b t.adj.(a)
   in
-  match (find a b, find b a) with
-  | Some ab, Some ba -> [ t.links.(ab); t.links.(ba) ]
-  | _ -> invalid_arg (Printf.sprintf "Topology.cable: no cable %d<->%d" a b)
+  match ab with
+  | Some id -> [ t.links.(id); reverse t t.links.(id) ]
+  | None -> invalid_arg (Printf.sprintf "Topology.cable: no cable %d<->%d" a b)
 
 (* Duplex administrative status: fail or restore both directions of
    the cable between two adjacent nodes. *)

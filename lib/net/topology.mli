@@ -53,9 +53,9 @@ val link : t -> int -> Link.t
 val links_from : t -> int -> (int * int) list
 (** [(peer, link_id)] adjacency of a node. *)
 
-val link_to : t -> src:int -> dst:int -> Link.t
-(** The directed link from [src] to its neighbor [dst]. Raises
-    [Not_found] if they are not adjacent. *)
+val reverse : t -> Link.t -> Link.t
+(** The other direction of the link's cable: [src] and [dst] swapped,
+    the same rate, delays and buffer. O(1). *)
 
 val cables : t -> (int * int) list
 (** Every duplex cable as an (a, b) pair with [a < b], in first-link-id
@@ -63,8 +63,11 @@ val cables : t -> (int * int) list
 
 val cable : t -> a:int -> b:int -> Link.t list
 (** The two directed links of the duplex cable between [a] and [b],
-    [a -> b] first. Raises [Invalid_argument] naming the cable if [a]
-    and [b] are not adjacent nodes. *)
+    [a -> b] first: the one lookup from a node pair to links, for
+    fault and adversary plans and source routes, which name cables by
+    their endpoints. Of parallel cables it finds the newest. Raises
+    [Invalid_argument] naming the cable if [a] and [b] are not
+    adjacent nodes. *)
 
 val set_link_up : t -> a:int -> b:int -> bool -> unit
 (** Fail ([false]) or restore ([true]) both directions of the duplex

@@ -109,17 +109,18 @@ let record_fault t key =
   if Trace.active t.trace && fault_key key then
     Trace.emit t.trace (Trace.Fault { desc = key })
 
-(* Raises [Not_found] when two consecutive nodes are not adjacent. *)
-let resolve topo nodes =
-  let hops = max 0 (Array.length nodes - 1) in
+(* The route over directed link ids [links]; its nodes are each link's
+   source and the last link's destination. *)
+let resolve topo links =
+  let up = Array.map (Topology.link topo) links in
+  let hops = Array.length up in
   {
-    nodes;
-    up =
-      Array.init hops (fun i ->
-          Topology.link_to topo ~src:nodes.(i) ~dst:nodes.(i + 1));
-    down =
-      Array.init hops (fun i ->
-          Topology.link_to topo ~src:nodes.(i + 1) ~dst:nodes.(i));
+    nodes =
+      Array.init
+        (if hops = 0 then 0 else hops + 1)
+        (fun i -> if i < hops then Link.src up.(i) else Link.dst up.(hops - 1));
+    up;
+    down = Array.map (Topology.reverse topo) up;
   }
 
 let register_route t ~id ~src ~dst ~choice =
@@ -127,28 +128,28 @@ let register_route t ~id ~src ~dst ~choice =
      route: its packets drop at the source (stale-route path) and the
      watchdog aborts it. [reroute] fills in a real path if connectivity
      returns first. *)
-  let path =
-    match Router.path t.router ~src ~dst ~choice with
-    | p -> p
+  let links =
+    match Router.path_links t.router ~src ~dst ~choice with
+    | l -> l
     | exception Not_found ->
         record_fault t "fault.unroutable";
         [||]
   in
-  Hashtbl.replace t.routes id (resolve t.topo path);
-  Hashtbl.replace t.route_origins id (Ecmp { src; dst; choice });
-  path
+  Hashtbl.replace t.routes id (resolve t.topo links);
+  Hashtbl.replace t.route_origins id (Ecmp { src; dst; choice })
 
 let register_route_nodes t ~id path =
   if Array.length path < 2 then
     invalid_arg "Context.register_route_nodes: path too short";
-  let route =
-    match resolve t.topo path with
-    | r -> r
-    | exception Not_found ->
+  let hop i =
+    match Topology.cable t.topo ~a:path.(i) ~b:path.(i + 1) with
+    | links -> Link.id (List.hd links)
+    | exception Invalid_argument _ ->
         invalid_arg
           "Context.register_route_nodes: consecutive nodes not adjacent"
   in
-  Hashtbl.replace t.routes id route;
+  Hashtbl.replace t.routes id
+    (resolve t.topo (Array.init (Array.length path - 1) hop));
   Hashtbl.replace t.route_origins id Pinned
 
 (* Topology changed (link failed or recovered): recompute every ECMP
@@ -171,8 +172,8 @@ let reroute t =
       match Hashtbl.find t.route_origins id with
       | Pinned -> ()
       | Ecmp { src; dst; choice } -> (
-          match Router.path t.router ~src ~dst ~choice with
-          | path -> Hashtbl.replace t.routes id (resolve t.topo path)
+          match Router.path_links t.router ~src ~dst ~choice with
+          | links -> Hashtbl.replace t.routes id (resolve t.topo links)
           | exception Not_found -> record_fault t "fault.unroutable"))
     ids
 
@@ -197,7 +198,7 @@ let add_flow t spec =
   in
   t.flows_rev <- flow :: t.flows_rev;
   t.open_flows <- t.open_flows + 1;
-  ignore (register_route t ~id ~src:spec.src ~dst:spec.dst ~choice:id);
+  register_route t ~id ~src:spec.src ~dst:spec.dst ~choice:id;
   if Trace.active t.trace then
     Trace.emit t.trace
       (Trace.Flow_admitted
@@ -223,7 +224,7 @@ let find_route t id =
   | exception Not_found ->
       failwith (Printf.sprintf "Context.route: unknown flow %d" id)
 
-let route t id = (find_route t id).nodes
+let route t id = Array.map Link.id (find_route t id).up
 
 let is_forward_kind = function
   | Packet.Syn | Packet.Data | Packet.Probe | Packet.Term -> true

@@ -71,22 +71,23 @@ val fresh_subflow_id : t -> int
 (** Allocate an id outside the experiment-flow space (M-PDQ
     subflows). *)
 
-val register_route : t -> id:int -> src:int -> dst:int -> choice:int -> int array
-(** Compute, pin and return the route for a (sub)flow id. The route's
-    links, in both directions, are resolved once here. When the
+val register_route : t -> id:int -> src:int -> dst:int -> choice:int -> unit
+(** Compute and pin the ECMP route for a (sub)flow id: the links
+    {!Pdq_net.Router.path_links} walks, and for the way back each one's
+    {!Pdq_net.Topology.reverse}, resolved once here. When the
     endpoints are partitioned the route is empty, tallied under
     ["fault.unroutable"], and the flow's packets are stale-dropped. *)
 
 val register_route_nodes : t -> id:int -> int array -> unit
 (** Pin an explicit node path (source-routing, e.g. BCube
-    address-based multipath for M-PDQ subflows) and resolve its links.
-    Consecutive nodes must be adjacent in the topology: otherwise, and
-    for a path of fewer than two nodes, raises [Invalid_argument] and
-    pins nothing. *)
+    address-based multipath for M-PDQ subflows). Each hop is the
+    {!Pdq_net.Topology.cable} between its two nodes, so consecutive
+    nodes must be adjacent: otherwise, and for a path of fewer than two
+    nodes, raises [Invalid_argument] and pins nothing. *)
 
 val route : t -> int -> int array
-(** The pinned node path of a (sub)flow. Raises [Failure] for an
-    unknown id. *)
+(** The directed link ids of a (sub)flow's pinned route, source to
+    destination. Raises [Failure] for an unknown id. *)
 
 val set_hooks :
   t ->

@@ -112,10 +112,9 @@ let start_flow t (flow : Context.flow) =
             Context.register_route_nodes t.ctx ~id:sid
               (List.nth ps (j mod List.length ps))
         | Some [] | None ->
-            ignore
-              (Context.register_route t.ctx ~id:sid ~src:spec.Context.src
-                 ~dst:spec.Context.dst
-                 ~choice:((flow.Context.id * 8191) + (j * 131) + j)));
+            Context.register_route t.ctx ~id:sid ~src:spec.Context.src
+              ~dst:spec.Context.dst
+              ~choice:((flow.Context.id * 8191) + (j * 131) + j));
         Pdq_proto.start_stream ~rx_capacity:spec.Context.size t.pdq ~sid
           ~src:spec.Context.src ~dst:spec.Context.dst ~size:sizes.(j)
           ~deadline_abs:None (* ET is flow-level, handled below *)

@@ -105,8 +105,8 @@ let test_bcube_paths_valid () =
           (* Every consecutive pair must be adjacent in the topology. *)
           for i = 0 to Array.length path - 2 do
             ignore
-              (Pdq_net.Topology.link_to built.Builder.topo ~src:path.(i)
-                 ~dst:path.(i + 1))
+              (Pdq_net.Topology.cable built.Builder.topo ~a:path.(i)
+                 ~b:path.(i + 1))
           done)
         paths)
 

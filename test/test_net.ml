@@ -271,7 +271,7 @@ let test_no_handler_carries_node_id () =
   Topology.connect topo a b;
   (* [b] never got a handler: delivery must raise [No_handler b], not a
      generic failure, so the wiring bug names the culprit node. *)
-  Link.send (Topology.link_to topo ~src:a ~dst:b) (mk_packet ~now:0. ());
+  Link.send (List.hd (Topology.cable topo ~a ~b)) (mk_packet ~now:0. ());
   (match Sim.run sim with
   | () -> Alcotest.fail "expected No_handler"
   | exception Topology.No_handler id ->
@@ -279,7 +279,7 @@ let test_no_handler_carries_node_id () =
   (* Installing the handler afterwards makes delivery work. *)
   let got = ref 0 in
   Topology.set_handler topo b (fun _ -> incr got);
-  Link.send (Topology.link_to topo ~src:a ~dst:b) (mk_packet ~now:0. ());
+  Link.send (List.hd (Topology.cable topo ~a ~b)) (mk_packet ~now:0. ());
   Sim.run sim;
   Alcotest.(check int) "delivered after set_handler" 1 !got
 
@@ -358,6 +358,17 @@ let test_jellyfish () =
 (* ------------------------------------------------------------------ *)
 (* Routing *)
 
+(* The node path of [Router.path_links]: each link's source, then the
+   last link's destination. *)
+let path topo router ~src ~dst ~choice =
+  let links = Router.path_links router ~src ~dst ~choice in
+  let hops = Array.length links in
+  let link i = Topology.link topo links.(i) in
+  Array.init
+    (if hops = 0 then 0 else hops + 1)
+    (fun i ->
+      if i < hops then Link.src (link i) else Link.dst (link (hops - 1)))
+
 let test_route_shortest () =
   let sim = Sim.create () in
   let built = Builder.single_rooted_tree ~sim () in
@@ -369,7 +380,7 @@ let test_route_shortest () =
   (* Cross rack: host -> ToR -> root -> ToR -> host = 4 hops. *)
   Alcotest.(check int) "cross-rack distance" 4
     (Router.distance router ~src:h.(0) ~dst:h.(11));
-  let path = Router.path router ~src:h.(0) ~dst:h.(11) ~choice:7 in
+  let path = path built.Builder.topo router ~src:h.(0) ~dst:h.(11) ~choice:7 in
   Alcotest.(check int) "path nodes" 5 (Array.length path);
   Alcotest.(check int) "starts at src" h.(0) path.(0);
   Alcotest.(check int) "ends at dst" h.(11) path.(4)
@@ -379,8 +390,8 @@ let test_route_deterministic () =
   let built = Builder.fat_tree ~sim ~k:4 () in
   let router = Router.create built.Builder.topo in
   let h = built.Builder.hosts in
-  let p1 = Router.path router ~src:h.(0) ~dst:h.(15) ~choice:3 in
-  let p2 = Router.path router ~src:h.(0) ~dst:h.(15) ~choice:3 in
+  let p1 = path built.Builder.topo router ~src:h.(0) ~dst:h.(15) ~choice:3 in
+  let p2 = path built.Builder.topo router ~src:h.(0) ~dst:h.(15) ~choice:3 in
   Alcotest.(check bool) "same choice, same path" true (p1 = p2)
 
 let test_route_ecmp_diversity () =
@@ -390,7 +401,8 @@ let test_route_ecmp_diversity () =
   let h = built.Builder.hosts in
   let paths =
     List.init 64 (fun c ->
-        Array.to_list (Router.path router ~src:h.(0) ~dst:h.(15) ~choice:c))
+        Array.to_list
+          (path built.Builder.topo router ~src:h.(0) ~dst:h.(15) ~choice:c))
   in
   let distinct = List.length (List.sort_uniq compare paths) in
   Alcotest.(check bool)
@@ -402,10 +414,13 @@ let test_path_links_consistent () =
   let built = Builder.fat_tree ~sim ~k:4 () in
   let router = Router.create built.Builder.topo in
   let h = built.Builder.hosts in
-  let nodes = Router.path router ~src:h.(0) ~dst:h.(12) ~choice:0 in
+  let nodes = path built.Builder.topo router ~src:h.(0) ~dst:h.(12) ~choice:0 in
   let links = Router.path_links router ~src:h.(0) ~dst:h.(12) ~choice:0 in
-  Alcotest.(check int) "one link per hop" (Array.length nodes - 1)
+  Alcotest.(check int) "one link per hop"
+    (Router.distance router ~src:h.(0) ~dst:h.(12))
     (Array.length links);
+  Alcotest.(check int) "starts at src" h.(0) nodes.(0);
+  Alcotest.(check int) "ends at dst" h.(12) nodes.(Array.length nodes - 1);
   Array.iteri
     (fun i l ->
       let link = Topology.link built.Builder.topo l in
@@ -424,7 +439,7 @@ let prop_routes_are_shortest =
       let src = h.(a mod 16) and dst = h.(b mod 16) in
       QCheck.assume (src <> dst);
       let d = Router.distance router ~src ~dst in
-      let p = Router.path router ~src ~dst ~choice:(a + b) in
+      let p = path built.Builder.topo router ~src ~dst ~choice:(a + b) in
       Array.length p = d + 1)
 
 (* Reference routing: one plain BFS from [dst] over links that are up,
@@ -569,8 +584,8 @@ let test_route_two_hosts () =
 (* The router's ECMP walk as it was first written, kept as an
    independent reference: per hop, filter the adjacency list to up links
    one hop closer, [List.sort compare] the (peer, link) pairs, take the
-   [hash3]-th with [List.nth], then map the node path back to links with
-   [Topology.link_to]. Distances come from [reference_dist]. *)
+   [hash3]-th with [List.nth] and take its peer and link. Distances come
+   from [reference_dist]. *)
 let list_hash3 a b c =
   let h = ref 0x9E3779B9 in
   let mix x =
@@ -584,8 +599,9 @@ let list_hash3 a b c =
 let list_walk topo ~src ~dst ~choice =
   let dist = reference_dist topo dst in
   if dist.(src) = max_int then raise Not_found;
-  let rec walk node acc =
-    if node = dst then List.rev (node :: acc)
+  let rec walk node nodes links =
+    if node = dst then
+      (Array.of_list (List.rev (node :: nodes)), Array.of_list (List.rev links))
     else
       let d = dist.(node) in
       let hops =
@@ -597,19 +613,12 @@ let list_walk topo ~src ~dst ~choice =
       match hops with
       | [] -> raise Not_found
       | _ ->
-          let next, _ =
+          let next, link =
             List.nth hops (list_hash3 choice node dst mod List.length hops)
           in
-          walk next (node :: acc)
+          walk next (node :: nodes) (link :: links)
   in
-  let nodes = Array.of_list (walk src []) in
-  let links =
-    Array.init
-      (Array.length nodes - 1)
-      (fun i ->
-        Link.id (Topology.link_to topo ~src:nodes.(i) ~dst:nodes.(i + 1)))
-  in
-  (nodes, links)
+  walk src [] []
 
 (* Every ordered host pair, under three choices, takes exactly the
    reference walk's nodes and links: on four topologies, then again
@@ -640,13 +649,13 @@ let test_route_matches_list_walk () =
                   match list_walk topo ~src ~dst ~choice with
                   | exception Not_found ->
                       Alcotest.check_raises (label ^ " path") Not_found
-                        (fun () -> ignore (Router.path router ~src ~dst ~choice));
+                        (fun () -> ignore (path topo router ~src ~dst ~choice));
                       Alcotest.check_raises (label ^ " links") Not_found
                         (fun () ->
                           ignore (Router.path_links router ~src ~dst ~choice))
                   | nodes, links ->
                       Alcotest.(check (array int)) (label ^ " path") nodes
-                        (Router.path router ~src ~dst ~choice);
+                        (path topo router ~src ~dst ~choice);
                       Alcotest.(check (array int)) (label ^ " links") links
                         (Router.path_links router ~src ~dst ~choice))
                 [ 0; 7; choice_of ~src ~dst ])
@@ -672,9 +681,9 @@ let test_route_matches_list_walk () =
     topologies
 
 (* Two parallel cables between a switch and a host, the newer one down:
-   every route takes the older, up cable, in both directions. Mapping
-   the node path back with [Topology.link_to] would name the newest
-   link to the peer, which is down. *)
+   every route takes the older, up cable, in both directions. A lookup
+   by node pair ([Topology.cable]) would name the newest link to the
+   peer, which is down. *)
 let test_route_parallel_cable_down () =
   let topo = Topology.create ~sim:(Sim.create ()) () in
   let a = Topology.add_host topo in
@@ -694,6 +703,41 @@ let test_route_parallel_cable_down () =
     Alcotest.(check (array int)) "b->a over the up cable" [| 3; 1 |]
       (Router.path_links router ~src:b ~dst:a ~choice)
   done
+
+(* [Topology.reverse] pairs every link of every builder's topology with
+   the other direction of its cable: an involution that swaps the
+   endpoints and keeps the rate, the delays and the buffer. *)
+let test_reverse_pairs_cable_directions () =
+  let sim = Sim.create () in
+  List.iter
+    (fun (what, (built : Builder.built)) ->
+      let topo = built.Builder.topo in
+      Topology.iter_links
+        (fun l ->
+          let r = Topology.reverse topo l in
+          let label = Printf.sprintf "%s link %d" what (Link.id l) in
+          Alcotest.(check bool) (label ^ " involution") true
+            (Topology.reverse topo r == l);
+          Alcotest.(check (pair int int)) (label ^ " endpoints swapped")
+            (Link.dst l, Link.src l) (Link.src r, Link.dst r);
+          Alcotest.(check (float 0.)) (label ^ " rate") (Link.rate l)
+            (Link.rate r);
+          Alcotest.(check (float 0.)) (label ^ " propagation")
+            (Link.prop_delay l) (Link.prop_delay r);
+          Alcotest.(check (float 0.)) (label ^ " processing")
+            (Link.proc_delay l) (Link.proc_delay r);
+          Alcotest.(check int) (label ^ " buffer") (Link.buffer_bytes l)
+            (Link.buffer_bytes r))
+        topo)
+    [
+      ("fat-tree k=4", Builder.fat_tree ~sim ~k:4 ());
+      ("single-rooted tree", Builder.single_rooted_tree ~sim ());
+      ("single bottleneck", fst (Builder.single_bottleneck ~sim ~senders:5 ()));
+      ("bcube(2,3)", Builder.bcube ~sim ~n:2 ~k:3 ());
+      ( "jellyfish",
+        Builder.jellyfish ~sim ~rng:(Rng.create 4) ~switches:12 ~ports:8
+          ~net_ports:5 () );
+    ]
 
 (* With its tables cached, [path_links] allocates its result and
    nothing per hop: on a k=8 fat-tree (paths of 2, 4 and 6 links), the
@@ -773,6 +817,8 @@ let suites =
         Alcotest.test_case "bcube counts" `Quick test_bcube_counts;
         Alcotest.test_case "bcube(2,3) connectivity" `Quick test_bcube_connectivity;
         Alcotest.test_case "jellyfish" `Quick test_jellyfish;
+        Alcotest.test_case "reverse pairs a cable's directions" `Quick
+          test_reverse_pairs_cable_directions;
       ] );
     ( "net.routing",
       [

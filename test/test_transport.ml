@@ -357,15 +357,59 @@ let test_non_adjacent_route_rejected () =
       ~rng:(Pdq_engine.Rng.create 0) ~init_rtt:2e-4 ()
   in
   let h0 = built.Builder.hosts.(0) and h1 = built.Builder.hosts.(1) in
-  let path = Context.register_route ctx ~id:0 ~src:h0 ~dst:rx ~choice:0 in
-  Context.register_route_nodes ctx ~id:1 path;
-  Alcotest.(check (array int)) "adjacent path pinned" path (Context.route ctx 1);
+  Context.register_route ctx ~id:0 ~src:h0 ~dst:rx ~choice:0;
+  let links = Context.route ctx 0 in
+  let src l = Pdq_net.Link.src (Topology.link built.Builder.topo l) in
+  Context.register_route_nodes ctx ~id:1
+    (Array.append (Array.map src links) [| rx |]);
+  Alcotest.(check (array int)) "adjacent path pinned" links
+    (Context.route ctx 1);
   (match Context.register_route_nodes ctx ~id:2 [| h0; h1 |] with
   | () -> Alcotest.fail "non-adjacent hosts accepted"
   | exception Invalid_argument _ -> ());
   match Context.route ctx 2 with
   | _ -> Alcotest.fail "rejected route was pinned"
   | exception Failure _ -> ()
+
+(* Host a - switch s = host b, two s<->b cables, the newer pair down: a
+   PDQ flow each way completes over the older, up cable. Its data and
+   its ACKs cross links 2 (s->b) and 3 (b->s), and the down links 4/5
+   carry and drop nothing. *)
+let test_parallel_cable_newer_down () =
+  let topo = Topology.create ~sim:(Sim.create ()) () in
+  let a = Topology.add_host topo in
+  let s = Topology.add_switch topo in
+  let b = Topology.add_host topo in
+  Topology.connect topo a s;
+  Topology.connect topo s b;
+  Topology.connect topo s b;
+  Topology.set_link_up topo ~a:s ~b false;
+  let r =
+    Runner.execute ~options:opts ~topo (Runner.Pdq Config.full)
+      [
+        spec ~src:a ~dst:b ~size:(kb 100.) ();
+        spec ~src:b ~dst:a ~size:(kb 100.) ();
+      ]
+  in
+  Alcotest.(check int) "both completed" 2 r.Runner.completed;
+  Alcotest.(check int) "no abort" 0 r.Runner.aborted;
+  Alcotest.(check (option int)) "no stale-route drop" None
+    (List.assoc_opt "drop.stale_route" r.Runner.counters);
+  let link = Topology.link topo in
+  List.iter
+    (fun l ->
+      Alcotest.(check bool)
+        (Printf.sprintf "link %d carried packets" l)
+        true
+        (Pdq_net.Link.delivered (link l) > 0))
+    [ 2; 3 ];
+  List.iter
+    (fun l ->
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "down link %d: delivered, dropped" l)
+        (0, 0)
+        (Pdq_net.Link.delivered (link l), Pdq_net.Link.dropped (link l)))
+    [ 4; 5 ]
 
 (* ------------------------------------------------------------------ *)
 (* Golden endpoint digests *)
@@ -645,6 +689,8 @@ let suites =
         Alcotest.test_case "determinism" `Quick test_determinism;
         Alcotest.test_case "non-adjacent source route rejected" `Quick
           test_non_adjacent_route_rejected;
+        Alcotest.test_case "parallel cable, newer one down" `Quick
+          test_parallel_cable_newer_down;
       ] );
     ( "transport.endpoint",
       List.map
