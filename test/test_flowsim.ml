@@ -311,26 +311,35 @@ let test_retirement_allocation () =
    must leave every digest as committed. 256 flows on 16 hosts load the
    links enough that RCP's near-equal fair shares reach its 1e-6 stale
    tolerance: dropping the tolerance moves the RCP digest at 1 ms. *)
+(* [perms] random permutations on a k=4 fat-tree: the net, the router
+   and the (src, dst) pairs, in order. *)
+let fat_tree_pairs ~seed ~perms =
+  let built = Builder.fat_tree ~sim:(Sim.create ()) ~k:4 () in
+  let hosts = built.Builder.hosts in
+  let rng = Pdq_engine.Rng.create seed in
+  let pairs =
+    List.concat
+      (List.init perms (fun _ ->
+           Pdq_workload.Pattern.random_permutation ~hosts ~rng))
+  in
+  ( Flowsim.net_of_topology built.Builder.topo,
+    Pdq_net.Router.create built.Builder.topo,
+    pairs,
+    rng )
+
+let pair_path router (p : Pdq_workload.Pattern.pair) ~choice =
+  Pdq_net.Router.path_links router ~src:p.Pdq_workload.Pattern.src
+    ~dst:p.Pdq_workload.Pattern.dst ~choice
+
 let golden_specs =
   lazy
-    (let built = Builder.fat_tree ~sim:(Sim.create ()) ~k:4 () in
-     let hosts = built.Builder.hosts in
-     let rng = Pdq_engine.Rng.create 21 in
-     let pairs =
-       List.concat
-         (List.init 16 (fun _ ->
-              Pdq_workload.Pattern.random_permutation ~hosts ~rng))
-     in
-     let router = Pdq_net.Router.create built.Builder.topo in
+    (let net, router, pairs, rng = fat_tree_pairs ~seed:21 ~perms:16 in
      let sizes = Pdq_workload.Size_dist.pareto ~tail_index:1.1 ~mean_bytes:100_000 () in
      let deadlines = Pdq_workload.Deadline_dist.exponential ~mean:0.01 () in
      let specs =
        List.mapi
-         (fun i (p : Pdq_workload.Pattern.pair) ->
-           let path =
-             Pdq_net.Router.path_links router ~src:p.Pdq_workload.Pattern.src
-               ~dst:p.Pdq_workload.Pattern.dst ~choice:i
-           in
+         (fun i p ->
+           let path = pair_path router p ~choice:i in
            let size = Pdq_workload.Size_dist.sample sizes rng in
            let deadline =
              if i mod 4 = 3 then None
@@ -339,7 +348,30 @@ let golden_specs =
            flow ?deadline ~start:(float_of_int (i mod 13) *. 2.9e-4) ~id:i ~path ~size ())
          pairs
      in
-     (Flowsim.net_of_topology built.Builder.topo, specs))
+     (net, specs))
+
+(* A workload whose PDQ criticality keys tie: 128 flows of one size in
+   two waves of equal starts, with one of two deadlines (a third have
+   none). Until service splits them, equal-deadline flows tie on every
+   key but the id, and the ids are a permutation of the flows' order,
+   so the order rests on the [fs_id] tie-break at every step. *)
+let tie_specs =
+  lazy
+    (let net, router, pairs, _ = fat_tree_pairs ~seed:8 ~perms:8 in
+     let n = List.length pairs in
+     let specs =
+       List.mapi
+         (fun i p ->
+           let deadline =
+             match i mod 3 with 0 -> None | 1 -> Some 0.004 | _ -> Some 0.008
+           in
+           flow ?deadline
+             ~start:(if i < n / 2 then 0. else 1.5e-3)
+             ~id:(i * 37 mod n) ~path:(pair_path router p ~choice:i)
+             ~size:100_000 ())
+         pairs
+     in
+     (net, specs))
 
 let result_digest (r : Flowsim.result) =
   let b = Buffer.create 4096 in
@@ -396,8 +428,25 @@ let golden =
       "f81528e06eb911287ddec42210bd33b6" );
   ]
 
-let test_golden (name, proto, ms, tenth_ms) () =
-  let net, specs = Lazy.force golden_specs in
+(* The same variants on [tie_specs]. *)
+let golden_ties =
+  let digests =
+    [
+      ("7b23a06e61377e83ee2b78875103871c", "7080a81483dfa229c6efdee84ca0b5db");
+      ("ca8ada7fbd9f4efa21599c156c2fed08", "a4390a9651de6f32273339413c0414dc");
+      ("97e8d3022651a27a9bca7ea79c98b8c8", "8a218fe29c6278ccb5c514f4fc9c404f");
+      ("2974426f80357cce19b759e6ecd70128", "c0527e83ec3aecec8f783d3b8dbbcffc");
+      ("53c11ebaaf25b0536903b0e6f6c2d2de", "c471f1f8000ffffc24a2e5b16f858c41");
+      ("7b35fc6cf5281fb5e9db9089e3577690", "e42b0bb55fb0dbbcc621cf15f66af689");
+      ("9b17abcbe7dde72a29bff75c0bc598db", "cdd741e06a2bad7817732d22ac7cdca6");
+    ]
+  in
+  List.map2
+    (fun (name, proto, _, _) (ms, tenth_ms) -> (name, proto, ms, tenth_ms))
+    golden digests
+
+let test_golden specs (name, proto, ms, tenth_ms) () =
+  let net, specs = Lazy.force specs in
   List.iter
     (fun (dt, expect) ->
       Alcotest.(check string)
@@ -435,7 +484,13 @@ let suites =
       ]
       @ List.map
           (fun ((name, _, _, _) as g) ->
-            Alcotest.test_case ("golden digest: " ^ name) `Quick (test_golden g))
+            Alcotest.test_case ("golden digest: " ^ name) `Quick
+              (test_golden golden_specs g))
           golden
+      @ List.map
+          (fun ((name, _, _, _) as g) ->
+            Alcotest.test_case ("golden tie digest: " ^ name) `Quick
+              (test_golden tie_specs g))
+          golden_ties
       @ qsuite [ prop_pdq_capacity_respected ] );
   ]
