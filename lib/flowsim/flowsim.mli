@@ -16,8 +16,8 @@
       is part of the output, so it is fixed: links freeze in
       (fair share, push sequence) order, with an entry re-pushed when
       its link's share has grown by more than 1e-6, and a frozen
-      link's flows are visited oldest-admitted first (the reverse of the
-      solver's newest-first list of active flows).
+      link's flows are visited oldest-admitted first (the solver keeps
+      its active flows in admission order).
     - D3: per-link first-come-first-reserve grants of
       [remaining/(deadline−now)] in flow arrival order plus an equal
       share of the leftover, with non-negative fair share and sender

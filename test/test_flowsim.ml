@@ -303,6 +303,38 @@ let test_retirement_allocation () =
         true (per_flow < 1000.))
     protocols
 
+(* Per-flow state lives in unboxed arrays and a step's buffers are
+   allocated once per run, so a warm run allocates under 2 minor words
+   per flow-step (Σ fct / dt), set-up and results included. 400 flows
+   on 4 links keep ~100 flows active per link: PDQ serves one at a time
+   and keeps its order across steps, RCP and D3 share. *)
+let test_step_allocation () =
+  let dt = 1e-3 in
+  let network = net 4 in
+  let flows =
+    List.init 400 (fun i ->
+        flow ~id:i ~path:[| i mod 4 |] ~size:(100_000 + (7 * i)) ())
+  in
+  List.iter
+    (fun (name, proto) ->
+      ignore (Flowsim.run ~dt network proto flows);
+      let before = Gc.minor_words () in
+      let r = Flowsim.run ~dt network proto flows in
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check int) (name ^ " all complete") 400 r.Flowsim.completed;
+      let flow_steps =
+        Array.fold_left
+          (fun acc (fr : Flowsim.flow_result) ->
+            acc +. Option.get fr.Flowsim.fct)
+          0. r.Flowsim.flows
+        /. dt
+      in
+      let per_step = words /. flow_steps in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.2f minor words per flow-step < 2" name per_step)
+        true (per_step < 2.))
+    protocols
+
 (* Golden digests: every per-flow outcome and summary field of
    [Flowsim.run], floats in exact hex, for each solver variant on a
    k=4 fat-tree with exponential deadlines (a quarter of the flows have
@@ -481,6 +513,8 @@ let suites =
           test_duplicate_id_rejected;
         Alcotest.test_case "retirement allocation bound" `Quick
           test_retirement_allocation;
+        Alcotest.test_case "warm step allocation bound" `Quick
+          test_step_allocation;
       ]
       @ List.map
           (fun ((name, _, _, _) as g) ->
