@@ -184,6 +184,9 @@ let reboot_switch t ~node =
   List.iter (fun f -> f node) t.reboot_hooks
 
 let add_flow t spec =
+  if spec.src = spec.dst then
+    invalid_arg
+      (Printf.sprintf "Context.add_flow: flow from node %d to itself" spec.src);
   let id = t.flow_count in
   t.flow_count <- t.flow_count + 1;
   let flow =

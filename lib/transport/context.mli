@@ -62,7 +62,8 @@ val trace : t -> Pdq_telemetry.Trace.t
 
 val add_flow : t -> flow_spec -> flow
 (** Register an experiment flow; assigns the flow id and computes and
-    pins its ECMP route. *)
+    pins its ECMP route. Raises [Invalid_argument], before any state
+    changes, if the flow's [src] equals its [dst]. *)
 
 val flows : t -> flow list
 (** All registered flows, in registration order. *)

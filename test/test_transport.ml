@@ -371,6 +371,29 @@ let test_non_adjacent_route_rejected () =
   | _ -> Alcotest.fail "rejected route was pinned"
   | exception Failure _ -> ()
 
+(* A flow to its own source is rejected before it takes a flow id,
+   joins [flows] or counts as open. *)
+let test_self_flow_rejected () =
+  let sim = Sim.create () in
+  let built, rx = Builder.single_bottleneck ~sim ~senders:2 () in
+  let ctx =
+    Context.create ~sim ~topo:built.Builder.topo
+      ~rng:(Pdq_engine.Rng.create 0) ~init_rtt:2e-4 ()
+  in
+  let h0 = built.Builder.hosts.(0) in
+  let f0 = Context.add_flow ctx (spec ~src:h0 ~dst:rx ~size:(kb 10.) ()) in
+  Alcotest.check_raises "src = dst"
+    (Invalid_argument
+       (Printf.sprintf "Context.add_flow: flow from node %d to itself" h0))
+    (fun () -> ignore (Context.add_flow ctx (spec ~src:h0 ~dst:h0 ~size:(kb 10.) ())));
+  Alcotest.(check int) "flows unchanged" 1 (List.length (Context.flows ctx));
+  let all_done = ref false in
+  Context.on_all_complete ctx (fun () -> all_done := true);
+  Context.complete ctx f0;
+  Alcotest.(check bool) "no open flow left" true !all_done;
+  let f1 = Context.add_flow ctx (spec ~src:rx ~dst:h0 ~size:(kb 10.) ()) in
+  Alcotest.(check int) "next flow id" 1 f1.Context.id
+
 (* Host a - switch s = host b, two s<->b cables, the newer pair down: a
    PDQ flow each way completes over the older, up cable. Its data and
    its ACKs cross links 2 (s->b) and 3 (b->s), and the down links 4/5
@@ -691,6 +714,7 @@ let suites =
           test_non_adjacent_route_rejected;
         Alcotest.test_case "parallel cable, newer one down" `Quick
           test_parallel_cable_newer_down;
+        Alcotest.test_case "self flow rejected" `Quick test_self_flow_rejected;
       ] );
     ( "transport.endpoint",
       List.map
