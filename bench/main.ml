@@ -131,7 +131,10 @@ let engine_run_once ~target_events =
   let events = Sim.events_executed sim in
   (wall, events, minor /. float_of_int events)
 
+(* [--engine] writes the baseline file; a [--compare] run writes its
+   own file, so the baseline it is checked against is never rewritten. *)
 let engine_json_path = "BENCH_engine.json"
+let engine_run_json_path = "BENCH_engine.run.json"
 
 let read_file path =
   let ic = open_in_bin path in
@@ -140,14 +143,12 @@ let read_file path =
   s
 
 let engine_bench ?compare ~threshold () =
-  (* Read the baseline up front: the run overwrites BENCH_engine.json,
-     and comparing a file against itself would always pass. *)
   let baseline =
     Option.map
       (fun path ->
         let module Json = Pdq_telemetry.Json in
-        match Json.(float (obj (parse (read_file path))) "events_per_s") with
-        | v -> v
+        match Json.(obj (parse (read_file path))) with
+        | o -> Json.(float o "events_per_s", float o "minor_words_per_event")
         | exception Json.Parse_error msg ->
             Format.printf "compare: %s: %s@." path msg;
             exit 1)
@@ -169,23 +170,32 @@ let engine_bench ?compare ~threshold () =
   let eps, wall, events, mwpe = Option.get !best in
   Format.printf "engine: %.2fM events/s, %.3f minor words/event@."
     (eps /. 1e6) mwpe;
-  let oc = open_out engine_json_path in
+  let path =
+    if baseline = None then engine_json_path else engine_run_json_path
+  in
+  (* Words per event as written, to the file's precision. *)
+  let mwpe = float_of_string (Printf.sprintf "%.3f" mwpe) in
+  let oc = open_out path in
   Printf.fprintf oc
     "{\"target\": \"engine\", \"wall_s\": %.3f, \"events\": %d, \
      \"events_per_s\": %.0f, \"minor_words_per_event\": %.3f}\n"
     wall events eps mwpe;
   close_out oc;
-  Format.printf "wrote %s@." engine_json_path;
+  Format.printf "wrote %s@." path;
   match baseline with
   | None -> ()
-  | Some baseline ->
-      let floor = baseline /. threshold in
+  | Some (base_eps, base_mwpe) ->
+      let floor = base_eps /. threshold in
       Format.printf
         "compare: current %.2fM ev/s vs baseline %.2fM ev/s \
-         (floor %.2fM at %.2fx threshold)@."
-        (eps /. 1e6) (baseline /. 1e6) (floor /. 1e6) threshold;
+         (floor %.2fM at %.2fx threshold); %.3f vs %.3f minor words/event@."
+        (eps /. 1e6) (base_eps /. 1e6) (floor /. 1e6) threshold mwpe base_mwpe;
       if eps < floor then begin
         Format.printf "perf regression: engine below %.2fx floor@." threshold;
+        exit 1
+      end
+      else if mwpe > base_mwpe then begin
+        Format.printf "perf regression: engine allocates more than baseline@.";
         exit 1
       end
       else Format.printf "perf smoke passed@."
@@ -228,7 +238,8 @@ let () =
         BENCH_engine.json");
       ("--compare", Arg.String (fun s -> compare_file := Some s),
        "FILE compare the engine microbenchmark against a baseline JSON \
-        and exit 1 below the threshold floor (implies --engine)");
+        and exit 1 below the threshold floor or above its minor \
+        words/event (implies --engine); writes BENCH_engine.run.json");
       ("--compare-threshold",
        Arg.Float (fun t -> compare_threshold := t),
        "X allowed slowdown factor vs baseline before --compare fails \
