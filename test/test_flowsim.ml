@@ -335,16 +335,9 @@ let test_step_allocation () =
         true (per_step < 2.))
     protocols
 
-(* Golden digests: every per-flow outcome and summary field of
-   [Flowsim.run], floats in exact hex, for each solver variant on a
-   k=4 fat-tree with exponential deadlines (a quarter of the flows have
-   none) and staggered starts, at the default [dt] and at Fig 10's
-   1e-4. A change to the solvers that is meant to be output-preserving
-   must leave every digest as committed. 256 flows on 16 hosts load the
-   links enough that RCP's near-equal fair shares reach its 1e-6 stale
-   tolerance: dropping the tolerance moves the RCP digest at 1 ms. *)
-(* [perms] random permutations on a k=4 fat-tree: the net, the router
-   and the (src, dst) pairs, in order. *)
+(* [perms] random permutations on a k=4 fat-tree: the net, a router,
+   the (src, dst) pairs in order, and the rng that drew them, for the
+   caller's further draws. *)
 let fat_tree_pairs ~seed ~perms =
   let built = Builder.fat_tree ~sim:(Sim.create ()) ~k:4 () in
   let hosts = built.Builder.hosts in
@@ -363,6 +356,14 @@ let pair_path router (p : Pdq_workload.Pattern.pair) ~choice =
   Pdq_net.Router.path_links router ~src:p.Pdq_workload.Pattern.src
     ~dst:p.Pdq_workload.Pattern.dst ~choice
 
+(* Golden digests: every per-flow outcome and summary field of
+   [Flowsim.run], floats in exact hex, for each solver variant on a
+   k=4 fat-tree with exponential deadlines (a quarter of the flows have
+   none) and staggered starts, at the default [dt] and at Fig 10's
+   1e-4. A change to the solvers that is meant to be output-preserving
+   must leave every digest as committed. 256 flows on 16 hosts load the
+   links enough that RCP's near-equal fair shares reach its 1e-6 stale
+   tolerance: dropping the tolerance moves the RCP digest at 1 ms. *)
 let golden_specs =
   lazy
     (let net, router, pairs, rng = fat_tree_pairs ~seed:21 ~perms:16 in
