@@ -171,7 +171,7 @@ let engine_bench ?compare ~threshold () =
   Format.printf "engine: %.2fM events/s, %.3f minor words/event@."
     (eps /. 1e6) mwpe;
   let path =
-    if baseline = None then engine_json_path else engine_run_json_path
+    if Option.is_none baseline then engine_json_path else engine_run_json_path
   in
   (* Words per event as written, to the file's precision. *)
   let mwpe = float_of_string (Printf.sprintf "%.3f" mwpe) in
