@@ -85,8 +85,11 @@ val is_up : t -> bool
 val set_up : t -> bool -> unit
 (** Administrative status. A down link drops every offered packet
     (counted in {!dropped_down}); packets already accepted into the
-    queue keep draining — the cut is at admission. Take both directions
-    of a duplex cable down for a symmetric failure. *)
+    queue keep draining — the cut is at admission. Routing does not
+    read this status: [Router] reads the flags of
+    {!Topology.set_link_up}, which sets both directions of a duplex
+    cable here and there together. Call [set_up] directly only on a
+    link that no router routes over. *)
 
 (** Cumulative counters, for utilization and drop statistics. *)
 

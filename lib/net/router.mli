@@ -14,13 +14,18 @@ val create : Topology.t -> t
     adjacency into flat arrays, each node's neighbours sorted by
     (peer, link id), in O(E log d) for E directed links and degree d;
     links added to the topology afterwards are not seen. Distance
-    tables are computed lazily per destination and cached, one BFS of
-    O(V + E) and V words each. A single-homed destination (one cable,
-    e.g. a fat-tree host) shares its neighbour's table instead of
-    running its own BFS, so memory and set-up grow with the switches,
-    not the hosts. Links that are administratively down
-    ({!Link.is_up}) are excluded from paths; their status is read live,
-    not snapshotted. *)
+    tables are computed lazily per destination and cached. A node of
+    degree 1 (a leaf, e.g. a fat-tree host) lies on no shortest path
+    between two other nodes, so each table is one BFS over the other
+    nodes (the core) and holds one word per core node; a leaf's
+    distance is its neighbour's plus one. A leaf destination shares
+    its neighbour's table instead of running its own BFS, so memory
+    and set-up grow with the switches, not the hosts. Links that are
+    administratively down are excluded from paths. Their status comes
+    from {!Topology.link_up}, the flags that {!Topology.set_link_up}
+    writes, and is read live, not snapshotted: a down link is never on
+    a path, even one walked on a cached table. A link flipped with
+    {!Link.set_up} alone is not seen. *)
 
 val invalidate : t -> unit
 (** Drop every cached distance table. Call after link status changes

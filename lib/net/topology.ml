@@ -26,12 +26,23 @@ type t = {
   mutable nodes : node array;
   mutable node_count : int;
   mutable links : Link.t array;
+  mutable up : Bytes.t; (* by link id: '\001' while up; see [set_link_up] *)
   mutable link_count : int;
+  mutable links_down : int; (* flags of [up] that are '\000' *)
   mutable adj : (int * int) list array; (* node -> (peer, link id) *)
 }
 
 let create ~sim () =
-  { sim; nodes = [||]; node_count = 0; links = [||]; link_count = 0; adj = [||] }
+  {
+    sim;
+    nodes = [||];
+    node_count = 0;
+    links = [||];
+    up = Bytes.empty;
+    link_count = 0;
+    links_down = 0;
+    adj = [||];
+  }
 
 let sim t = t.sim
 
@@ -67,9 +78,13 @@ let push_link t link =
     let cap = max 16 (2 * t.link_count) in
     let links = Array.make cap link in
     Array.blit t.links 0 links 0 t.link_count;
-    t.links <- links
+    t.links <- links;
+    let up = Bytes.make cap '\000' in
+    Bytes.blit t.up 0 up 0 t.link_count;
+    t.up <- up
   end;
   t.links.(t.link_count) <- link;
+  Bytes.set t.up t.link_count '\001';
   t.link_count <- t.link_count + 1;
   t.link_count - 1
 
@@ -129,10 +144,22 @@ let cable t ~a ~b =
   | Some id -> [ t.links.(id); reverse t t.links.(id) ]
   | None -> invalid_arg (Printf.sprintf "Topology.cable: no cable %d<->%d" a b)
 
+let link_up t id = Bytes.get t.up id = '\001'
+let links_down t = t.links_down
+
 (* Duplex administrative status: fail or restore both directions of
-   the cable between two adjacent nodes. *)
+   the cable between two adjacent nodes, in the link (which drops what
+   it is offered while down) and in the flag the router reads. *)
 let set_link_up t ~a ~b up =
-  List.iter (fun l -> Link.set_up l up) (cable t ~a ~b)
+  List.iter
+    (fun l ->
+      Link.set_up l up;
+      let id = Link.id l in
+      if link_up t id <> up then begin
+        Bytes.set t.up id (if up then '\001' else '\000');
+        t.links_down <- (if up then t.links_down - 1 else t.links_down + 1)
+      end)
+    (cable t ~a ~b)
 
 let iter_links f t =
   for i = 0 to t.link_count - 1 do

@@ -71,7 +71,20 @@ val cable : t -> a:int -> b:int -> Link.t list
 
 val set_link_up : t -> a:int -> b:int -> bool -> unit
 (** Fail ([false]) or restore ([true]) both directions of the duplex
-    cable between adjacent nodes [a] and [b]. Raises [Invalid_argument]
-    as {!cable} does. *)
+    cable between adjacent nodes [a] and [b]. This is the one writer of
+    link status that routing sees: it sets each {!Link.t}'s status
+    (what the link admits) and the flag {!link_up} reads, together. Of
+    parallel cables it addresses only the newest, as {!cable} does.
+    Raises [Invalid_argument] as {!cable} does. *)
+
+val link_up : t -> int -> bool
+(** Status of a directed link by id, as last set by {!set_link_up};
+    [true] from {!connect} on. The flags sit in one flat array indexed
+    by link id, so [Router] reads them live without touching the
+    scattered {!Link.t} records. *)
+
+val links_down : t -> int
+(** How many directed links {!link_up} reports down. While it is 0, a
+    reader may skip the per-link flags. *)
 
 val iter_links : (Link.t -> unit) -> t -> unit

@@ -696,6 +696,9 @@ let test_route_parallel_cable_down () =
   Topology.set_link_up topo ~a:s ~b false;
   Alcotest.(check bool) "newer pair down" false
     (Link.is_up (Topology.link topo 4) || Link.is_up (Topology.link topo 5));
+  Alcotest.(check (list bool)) "flags: older pair up, newer down"
+    [ true; true; false; false ]
+    (List.map (Topology.link_up topo) [ 2; 3; 4; 5 ]);
   let router = Router.create topo in
   for choice = 0 to 15 do
     Alcotest.(check (array int)) "a->b over the up cable" [| 0; 2 |]
@@ -703,6 +706,102 @@ let test_route_parallel_cable_down () =
     Alcotest.(check (array int)) "b->a over the up cable" [| 3; 1 |]
       (Router.path_links router ~src:b ~dst:a ~choice)
   done
+
+(* Link status is read live, not snapshotted at [create]: with every
+   host pair's table cached on a k=4 fat-tree, one agg-core cable goes
+   down and the router is not invalidated. No path may then name
+   either direction of it; a walk whose only closer hop was that cable
+   may end in [Not_found]. Once the cable is back up, every path is the
+   original again. *)
+let test_route_reads_status_live () =
+  let built = Builder.fat_tree ~sim:(Sim.create ()) ~k:4 () in
+  let topo = built.Builder.topo and hosts = built.Builder.hosts in
+  let router = Router.create topo in
+  let original = all_paths router hosts in
+  let near_host v =
+    List.exists
+      (fun (p, _) -> Topology.kind topo p = Topology.Host)
+      (Topology.links_from topo v)
+  in
+  let switch v = Topology.kind topo v = Topology.Switch in
+  let a, b =
+    List.find
+      (fun (a, b) ->
+        switch a && switch b && not (near_host a || near_host b))
+      (Topology.cables topo)
+  in
+  let cut = List.map Link.id (Topology.cable topo ~a ~b) in
+  Topology.set_link_up topo ~a ~b false;
+  let routed = ref 0 in
+  Array.iter
+    (fun src ->
+      Array.iter
+        (fun dst ->
+          if src <> dst then
+            match
+              Router.path_links router ~src ~dst ~choice:(choice_of ~src ~dst)
+            with
+            | exception Not_found -> ()
+            | links ->
+                incr routed;
+                Array.iter
+                  (fun l ->
+                    if List.mem l cut then
+                      Alcotest.failf "%d->%d takes down link %d (%d<->%d)" src
+                        dst l a b)
+                  links)
+        hosts)
+    hosts;
+  Alcotest.(check bool) "most pairs still route" true
+    (!routed > List.length original / 2);
+  Topology.set_link_up topo ~a ~b true;
+  Alcotest.(check bool) "restored cable, original paths" true
+    (all_paths router hosts = original)
+
+(* The BFS leaves out nodes of degree 1, whose distances follow from
+   their neighbour's. Distances from every node to every node, hosts
+   and switches alike, match the reference BFS on a topology with
+   dangling switches, a relay switch of degree 2 and a pair of nodes
+   cabled only to each other (a leaf destination with a leaf
+   neighbour), and again after the cable of a dangling switch fails,
+   which leaves that switch a leaf with no up link. Restoring a cable
+   that is already up must not hide that failure from the BFS. *)
+let test_route_leaf_nodes_match_reference () =
+  let topo = Topology.create ~sim:(Sim.create ()) () in
+  let s0 = Topology.add_switch topo and s1 = Topology.add_switch topo in
+  let h0 = Topology.add_host topo and h1 = Topology.add_host topo in
+  let s2 = Topology.add_switch topo and h2 = Topology.add_host topo in
+  let dangling = Topology.add_switch topo and s3 = Topology.add_switch topo in
+  let relay = Topology.add_switch topo in
+  let lone_h = Topology.add_host topo and lone_s = Topology.add_switch topo in
+  List.iter
+    (fun (a, b) -> Topology.connect topo a b)
+    [
+      (s0, h0); (s0, h1); (s0, s1); (s1, s2); (s1, dangling); (s2, h2);
+      (s2, relay); (relay, s3); (lone_h, lone_s);
+    ];
+  let router = Router.create topo in
+  let n = Topology.node_count topo in
+  let check what =
+    for dst = 0 to n - 1 do
+      let ref_d = reference_dist topo dst in
+      for src = 0 to n - 1 do
+        let label = Printf.sprintf "%s %d->%d" what src dst in
+        if ref_d.(src) = max_int then
+          Alcotest.check_raises label Not_found (fun () ->
+              ignore (Router.distance router ~src ~dst))
+        else
+          Alcotest.(check int) label ref_d.(src)
+            (Router.distance router ~src ~dst)
+      done
+    done
+  in
+  check "leaf cable up";
+  Topology.set_link_up topo ~a:s1 ~b:dangling false;
+  Topology.set_link_up topo ~a:s0 ~b:s1 true;
+  Alcotest.(check int) "two directed links down" 2 (Topology.links_down topo);
+  Router.invalidate router;
+  check "leaf cable down"
 
 (* [Topology.reverse] pairs every link of every builder's topology with
    the other direction of its cable: an involution that swaps the
@@ -831,6 +930,10 @@ let suites =
         Alcotest.test_case "two cabled hosts" `Quick test_route_two_hosts;
         Alcotest.test_case "ECMP choice matches the list walk" `Quick
           test_route_matches_list_walk;
+        Alcotest.test_case "link status is read live" `Quick
+          test_route_reads_status_live;
+        Alcotest.test_case "leaf nodes match reference BFS" `Quick
+          test_route_leaf_nodes_match_reference;
         Alcotest.test_case "parallel cable, newer one down" `Quick
           test_route_parallel_cable_down;
         Alcotest.test_case "warm path_links allocates only its result"
