@@ -134,9 +134,11 @@ let test_fig7_burst_shape () =
     true (mean_util > 0.85)
 
 (* Golden table digests: the rendered text of the quick tables whose
-   workloads the figure drivers build, the resilience sweep and the
-   fidelity dump. Each is rendered at one and two worker domains (fig4a,
-   the slowest, at two only) and must hash to the same committed digest,
+   workloads the figure drivers build, the resilience sweep, the
+   fidelity dump, and the single-run tables (fig1, fig6, fig7 and the
+   forensics attributions). Each grid table is rendered at one and two
+   worker domains (fig4a, the slowest, at two only) and must hash to the
+   same committed digest,
    so these tests pin both the values and their independence from the
    domain count. A table's digest is the md5 of what
    [bench/main.exe --only T] prints before its "[T done" line. An
@@ -158,8 +160,11 @@ let table (f : ?jobs:int -> ?quick:bool -> unit -> Common.table) ~jobs ppf =
 
 let tables fs ~jobs ppf = List.iter (fun f -> table f ~jobs ppf) fs
 
+(* Tables that take no worker count, rendered once. *)
+let untimed fs ~jobs:_ ppf = List.iter (fun f -> Common.pp_table ppf (f ())) fs
+
 let golden_tables =
-  let both = [ 1; 2 ] in
+  let both = [ 1; 2 ] and one = [ 1 ] in
   [
     ("fig3a", both, table E.Fig3.fig3a, "27bb7f1f064e44f1a1f46b98299883ad");
     ("fig3b", both, table E.Fig3.fig3b, "49dd83c8c32517f69649bf791312729f");
@@ -199,10 +204,31 @@ let golden_tables =
       both,
       (fun ~jobs ppf -> E.Fidelity.dump ~jobs ppf),
       "5d83f2bfbb618e7b9704a46289fccfa0" );
+    ( "fig1",
+      one,
+      untimed [ E.Fig1.completion_table; E.Fig1.deadline_table ],
+      "30b03ed9a4ef3653a429730521e5ba6c" );
+    ( "fig6",
+      one,
+      untimed [ E.Dynamics.fig6_table ],
+      "27ac86c106d5f658c2ca0df38b6cdedc" );
+    ( "fig7",
+      one,
+      untimed [ E.Dynamics.fig7_table ],
+      "1518b4d49de27f8a833d45a51cbe7a0d" );
+    ( "forensics",
+      one,
+      untimed
+        [
+          (fun () -> E.Fig3.attribution ());
+          (fun () -> E.Fig9.attribution ());
+          (fun () -> E.Resilience.attribution ());
+        ],
+      "8cda754236b8f07c844ebac6330c4bd0" );
   ]
 
-(* The tables that take seconds each (fig3c ~3 s, fig5c ~1 s at one
-   domain) would grow [dune runtest] by ~7 s. They run only when
+(* The tables that take seconds each (fig3c ~3 s, fig5c ~1 s, fig5b
+   ~7 s at one domain) would grow [dune runtest] by ~22 s. They run only when
    PDQ_GOLDEN_SLOW=1 is set, from the same test binary:
    PDQ_GOLDEN_SLOW=1 dune exec test/test_main.exe -- test experiments.golden.slow *)
 let slow_golden_tables =
@@ -210,6 +236,7 @@ let slow_golden_tables =
   [
     ("fig3c", both, table E.Fig3.fig3c, "3d4c9db82bf69f883cb76f027927b7c8");
     ("fig5c", both, table E.Fig5.fig5c, "27738f00f4acb0270b8c76945b449661");
+    ("fig5b", both, table E.Fig5.fig5b, "c00f6fa1512174894e376e614a96734e");
   ]
 
 let test_golden_table (_, jobs_list, print, expect) () =
