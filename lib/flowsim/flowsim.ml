@@ -41,8 +41,9 @@ type net = { capacity : float array }
 let net_of_topology topo =
   {
     capacity =
-      Array.init (Pdq_net.Topology.link_count topo) (fun i ->
-          Pdq_net.Link.rate (Pdq_net.Topology.link topo i));
+      Array.init
+        (Pdq_net.Topology.link_count topo)
+        (Pdq_net.Topology.link_rate topo);
   }
 
 let bits_of_bytes b = 8. *. float_of_int b

@@ -37,29 +37,40 @@ type t = {
 
 let absent = { dst = -1; hops = [||]; extra = 0 }
 
-let by_peer_then_link (p, l) (q, m) =
-  match Int.compare p q with 0 -> Int.compare l m | c -> c
-
+(* The rows come from the link table by two counting passes: the link
+   ids ordered by destination (stable, so ascending within one), then
+   each link placed in its source's row in that order, which sorts
+   every row by (peer, link id) in O(V + E). *)
 let create topo =
-  let n = Topology.node_count topo in
-  let rows =
-    Array.init n (fun u -> List.sort by_peer_then_link (Topology.links_from topo u))
-  in
-  let start = Array.make (n + 1) 0 and widest = ref 0 in
-  for u = 0 to n - 1 do
-    let d = List.length rows.(u) in
-    start.(u + 1) <- start.(u) + d;
-    widest := max !widest d
+  let n = Topology.node_count topo and links = Topology.link_count topo in
+  let src = Array.init links (Topology.link_src topo)
+  and dst = Array.init links (Topology.link_dst topo) in
+  let next = Array.make (n + 1) 0 in
+  Array.iter (fun v -> next.(v + 1) <- next.(v + 1) + 1) dst;
+  for v = 1 to n do
+    next.(v) <- next.(v) + next.(v - 1)
   done;
-  let peer = Array.make start.(n) 0 and link = Array.make start.(n) 0 in
-  Array.iteri
-    (fun u row ->
-      List.iteri
-        (fun i (v, l) ->
-          peer.(start.(u) + i) <- v;
-          link.(start.(u) + i) <- l)
-        row)
-    rows;
+  let by_dst = Array.make links 0 in
+  for l = 0 to links - 1 do
+    let v = dst.(l) in
+    by_dst.(next.(v)) <- l;
+    next.(v) <- next.(v) + 1
+  done;
+  let start = Array.make (n + 1) 0 and widest = ref 0 in
+  Array.iter (fun u -> start.(u + 1) <- start.(u + 1) + 1) src;
+  for u = 1 to n do
+    widest := max !widest start.(u);
+    start.(u) <- start.(u) + start.(u - 1)
+  done;
+  Array.blit start 0 next 0 n;
+  let peer = Array.make links 0 and link = Array.make links 0 in
+  Array.iter
+    (fun l ->
+      let e = next.(src.(l)) in
+      peer.(e) <- dst.(l);
+      link.(e) <- l;
+      next.(src.(l)) <- e + 1)
+    by_dst;
   let rank = Array.make n (-1) and cores = ref 0 in
   for u = 0 to n - 1 do
     if start.(u + 1) - start.(u) <> 1 then begin
@@ -67,7 +78,7 @@ let create topo =
       incr cores
     end
   done;
-  let cstart = Array.make (!cores + 1) 0 and centry = Array.make start.(n) 0 in
+  let cstart = Array.make (!cores + 1) 0 and centry = Array.make links 0 in
   let m = ref 0 in
   for u = 0 to n - 1 do
     if rank.(u) >= 0 then begin
@@ -102,27 +113,63 @@ let invalidate t = Array.fill t.tables 0 (Array.length t.tables) absent
    around failures (call {!invalidate} after a status change). *)
 let[@inline] usable t e = Topology.link_up t.topo t.link.(e)
 
-(* BFS over the core rows from the core node of rank [root]. While no
+(* Level-synchronous BFS over the core rows from the core node of
+   rank [root], in whichever direction scans less (Beamer, Asanovic and
+   Patterson, SC 2012): while the frontier's rows hold fewer entries
+   than there are unreached nodes, scan the frontier's rows (top-down);
+   otherwise scan each unreached node's row for a peer on the frontier
+   (bottom-up), stopping at the first. Either way a node is reached at
+   the level after the first frontier node with an up link to it:
+   bottom-up reads the flag of the reverse of the entry's link, the
+   link top-down would read. Both give the same distances. While no
    link is down, the flags need no read per link. *)
 let bfs_from t root =
   let { cstart; cpeer; centry; queue; _ } = t in
+  let n = Array.length queue in
   let all_up = Topology.links_down t.topo = 0 in
-  let dist = Array.make (Array.length queue) max_int in
+  let dist = Array.make n max_int in
+  let reached = ref 1 and entries = ref 0 in
+  let reach v d =
+    dist.(v) <- d;
+    queue.(!reached) <- v;
+    incr reached;
+    entries := !entries + cstart.(v + 1) - cstart.(v)
+  in
   dist.(root) <- 0;
   queue.(0) <- root;
-  let head = ref 0 and tail = ref 1 in
-  while !head < !tail do
-    let u = queue.(!head) in
-    incr head;
-    let du = dist.(u) + 1 in
-    for e = cstart.(u) to cstart.(u + 1) - 1 do
-      let v = cpeer.(e) in
-      if dist.(v) = max_int && (all_up || usable t centry.(e)) then begin
-        dist.(v) <- du;
-        queue.(!tail) <- v;
-        incr tail
-      end
-    done
+  let lo = ref 0 and level = ref 0 in
+  let frontier = ref (cstart.(root + 1) - cstart.(root)) in
+  while !lo < !reached do
+    let hi = !reached and d = !level + 1 in
+    entries := 0;
+    if !frontier < n - hi then
+      for i = !lo to hi - 1 do
+        let u = queue.(i) in
+        for e = cstart.(u) to cstart.(u + 1) - 1 do
+          let v = cpeer.(e) in
+          if dist.(v) = max_int && (all_up || usable t centry.(e)) then
+            reach v d
+        done
+      done
+    else
+      for v = 0 to n - 1 do
+        if dist.(v) = max_int then begin
+          let e = ref cstart.(v) and stop = cstart.(v + 1) in
+          while !e < stop do
+            if
+              dist.(cpeer.(!e)) = !level
+              && (all_up || Topology.link_up t.topo (t.link.(centry.(!e)) lxor 1))
+            then begin
+              reach v d;
+              e := stop
+            end
+            else incr e
+          done
+        end
+      done;
+    lo := hi;
+    level := d;
+    frontier := !entries
   done;
   dist
 

@@ -11,14 +11,21 @@ type t
 
 val create : Topology.t -> t
 (** Build a router over the (final) topology. [create] snapshots the
-    adjacency into flat arrays, each node's neighbours sorted by
-    (peer, link id), in O(E log d) for E directed links and degree d;
-    links added to the topology afterwards are not seen. Distance
+    adjacency from {!Topology}'s link table into flat arrays, each
+    node's neighbours sorted by (peer, link id) by two counting passes
+    (link ids by destination, then each into its source's row), in
+    O(V + E) for V nodes and E directed links; it makes no {!Link.t}.
+    Links added to the topology afterwards are not seen. Distance
     tables are computed lazily per destination and cached. A node of
     degree 1 (a leaf, e.g. a fat-tree host) lies on no shortest path
     between two other nodes, so each table is one BFS over the other
     nodes (the core) and holds one word per core node; a leaf's
-    distance is its neighbour's plus one. A leaf destination shares
+    distance is its neighbour's plus one. The BFS is level-synchronous
+    and scans each level in whichever direction is cheaper: the
+    frontier's rows (top-down) while they hold fewer entries than
+    there are unreached nodes, else each unreached node's row until it
+    finds a peer on the frontier (bottom-up). Both give the same
+    distances. A leaf destination shares
     its neighbour's table instead of running its own BFS, so memory
     and set-up grow with the switches, not the hosts. Links that are
     administratively down are excluded from paths. Their status comes

@@ -21,15 +21,24 @@ type node = {
   mutable handler : Packet.t -> unit;
 }
 
+(* Links live in flat arrays indexed by link id. A link's [Link.t],
+   the packet-level queue and transmitter, is made the first time
+   [link] asks for it, so a flow-level run, which reads only rates and
+   the graph, makes none. Each node's outgoing links form a chain
+   through [next_out], newest first, from [first_out]. *)
 type t = {
   sim : Pdq_engine.Sim.t;
   mutable nodes : node array;
   mutable node_count : int;
-  mutable links : Link.t array;
+  mutable first_out : int array; (* by node: newest outgoing link, -1 if none *)
+  mutable src : int array; (* by link id *)
+  mutable dst : int array;
+  mutable params : link_params array;
+  mutable next_out : int array; (* the same source's next older link, or -1 *)
+  mutable links : Link.t option array; (* [None] until [link] makes it *)
   mutable up : Bytes.t; (* by link id: '\001' while up; see [set_link_up] *)
   mutable link_count : int;
   mutable links_down : int; (* flags of [up] that are '\000' *)
-  mutable adj : (int * int) list array; (* node -> (peer, link id) *)
 }
 
 let create ~sim () =
@@ -37,29 +46,36 @@ let create ~sim () =
     sim;
     nodes = [||];
     node_count = 0;
+    first_out = [||];
+    src = [||];
+    dst = [||];
+    params = [||];
+    next_out = [||];
     links = [||];
     up = Bytes.empty;
     link_count = 0;
     links_down = 0;
-    adj = [||];
   }
 
 let sim t = t.sim
 
+(* [a] grown to [cap] slots, the new ones holding [fill]. *)
+let grow a ~count ~cap fill =
+  let b = Array.make cap fill in
+  Array.blit a 0 b 0 count;
+  b
+
 let push_node t node =
-  if t.node_count = Array.length t.nodes then begin
-    let cap = max 16 (2 * t.node_count) in
-    let nodes = Array.make cap node in
-    Array.blit t.nodes 0 nodes 0 t.node_count;
-    t.nodes <- nodes;
-    let adj = Array.make cap [] in
-    Array.blit t.adj 0 adj 0 t.node_count;
-    t.adj <- adj
+  let id = t.node_count in
+  if id = Array.length t.nodes then begin
+    let cap = max 16 (2 * id) in
+    t.nodes <- grow t.nodes ~count:id ~cap node;
+    t.first_out <- grow t.first_out ~count:id ~cap (-1)
   end;
-  t.nodes.(t.node_count) <- node;
-  t.adj.(t.node_count) <- [];
-  t.node_count <- t.node_count + 1;
-  t.node_count - 1
+  t.nodes.(id) <- node;
+  t.first_out.(id) <- -1;
+  t.node_count <- id + 1;
+  id
 
 exception No_handler of int
 
@@ -73,37 +89,48 @@ let add_switch t =
   let id = t.node_count in
   push_node t { kind = Switch; rack = -1; handler = unset_handler id }
 
-let push_link t link =
-  if t.link_count = Array.length t.links then begin
-    let cap = max 16 (2 * t.link_count) in
-    let links = Array.make cap link in
-    Array.blit t.links 0 links 0 t.link_count;
-    t.links <- links;
+let push_link t params src dst =
+  let id = t.link_count in
+  if id = Array.length t.src then begin
+    let count = id and cap = max 16 (2 * id) in
+    t.src <- grow t.src ~count ~cap 0;
+    t.dst <- grow t.dst ~count ~cap 0;
+    t.params <- grow t.params ~count ~cap params;
+    t.next_out <- grow t.next_out ~count ~cap (-1);
+    t.links <- grow t.links ~count ~cap None;
     let up = Bytes.make cap '\000' in
-    Bytes.blit t.up 0 up 0 t.link_count;
+    Bytes.blit t.up 0 up 0 id;
     t.up <- up
   end;
-  t.links.(t.link_count) <- link;
-  Bytes.set t.up t.link_count '\001';
-  t.link_count <- t.link_count + 1;
-  t.link_count - 1
+  t.src.(id) <- src;
+  t.dst.(id) <- dst;
+  t.params.(id) <- params;
+  t.next_out.(id) <- t.first_out.(src);
+  t.first_out.(src) <- id;
+  Bytes.set t.up id '\001';
+  t.link_count <- id + 1
 
+let check_node t fn i =
+  if i < 0 || i >= t.node_count then
+    invalid_arg (Printf.sprintf "Topology.%s: no node %d" fn i)
+
+let check_link t fn i =
+  if i < 0 || i >= t.link_count then
+    invalid_arg (Printf.sprintf "Topology.%s: no link %d" fn i)
+
+(* [connect] pushes a cable's two directions one after the other, so
+   link [2k] and link [2k + 1] are each other's reverse. *)
 let connect ?(params = default_params) t a b =
-  let directed src dst =
-    let link =
-      Link.create ~sim:t.sim ~id:t.link_count ~src ~dst ~rate:params.rate
-        ~prop_delay:params.prop_delay ~proc_delay:params.proc_delay
-        ~buffer_bytes:params.buffer_bytes ()
-    in
-    Link.set_receiver link (fun pkt -> t.nodes.(dst).handler pkt);
-    let id = push_link t link in
-    t.adj.(src) <- (dst, id) :: t.adj.(src)
-  in
-  directed a b;
-  directed b a
+  check_node t "connect" a;
+  check_node t "connect" b;
+  push_link t params a b;
+  push_link t params b a
 
 let node_count t = t.node_count
-let kind t i = t.nodes.(i).kind
+
+let kind t i =
+  check_node t "kind" i;
+  t.nodes.(i).kind
 
 let hosts t =
   let acc = ref [] in
@@ -112,23 +139,61 @@ let hosts t =
   done;
   Array.of_list !acc
 
-let rack_of t i = t.nodes.(i).rack
-let set_handler t i f = t.nodes.(i).handler <- f
-let link_count t = t.link_count
-let link t i = t.links.(i)
-let links_from t i = t.adj.(i)
+let rack_of t i =
+  check_node t "rack_of" i;
+  t.nodes.(i).rack
 
-(* [connect] pushes a cable's two directions one after the other, so
-   link [2k] and link [2k + 1] are each other's reverse. *)
-let reverse t l = t.links.(Link.id l lxor 1)
+let set_handler t i f =
+  check_node t "set_handler" i;
+  t.nodes.(i).handler <- f
+
+let link_count t = t.link_count
+
+let link_src t i =
+  check_link t "link_src" i;
+  t.src.(i)
+
+let link_dst t i =
+  check_link t "link_dst" i;
+  t.dst.(i)
+
+let link_rate t i =
+  check_link t "link_rate" i;
+  t.params.(i).rate
+
+let link_up t i =
+  check_link t "link_up" i;
+  Bytes.get t.up i = '\001'
+
+let make_link t i =
+  let p = t.params.(i) and dst = t.dst.(i) in
+  let l =
+    Link.create ~sim:t.sim ~id:i ~src:t.src.(i) ~dst ~rate:p.rate
+      ~prop_delay:p.prop_delay ~proc_delay:p.proc_delay
+      ~buffer_bytes:p.buffer_bytes ()
+  in
+  Link.set_receiver l (fun pkt -> t.nodes.(dst).handler pkt);
+  if Bytes.get t.up i = '\000' then Link.set_up l false;
+  t.links.(i) <- Some l;
+  l
+
+let link t i =
+  check_link t "link" i;
+  match t.links.(i) with Some l -> l | None -> make_link t i
+
+(* Newest first, as the chain runs. *)
+let links_from t i =
+  check_node t "links_from" i;
+  let rec from id = if id < 0 then [] else (t.dst.(id), id) :: from t.next_out.(id) in
+  from t.first_out.(i)
+
+let reverse t l = link t (Link.id l lxor 1)
 
 let cables t =
   let seen = Hashtbl.create 64 in
   let acc = ref [] in
   for id = 0 to t.link_count - 1 do
-    let l = t.links.(id) in
-    let a = min (Link.src l) (Link.dst l)
-    and b = max (Link.src l) (Link.dst l) in
+    let a = min t.src.(id) t.dst.(id) and b = max t.src.(id) t.dst.(id) in
     if not (Hashtbl.mem seen (a, b)) then begin
       Hashtbl.add seen (a, b) ();
       acc := (a, b) :: !acc
@@ -136,32 +201,35 @@ let cables t =
   done;
   List.rev !acc
 
-let cable t ~a ~b =
-  let ab =
-    if a < 0 || a >= t.node_count then None else List.assoc_opt b t.adj.(a)
-  in
-  match ab with
-  | Some id -> [ t.links.(id); reverse t t.links.(id) ]
-  | None -> invalid_arg (Printf.sprintf "Topology.cable: no cable %d<->%d" a b)
+(* The id of the newest link [a -> b]. *)
+let cable_id t ~a ~b =
+  let rec find id = if id < 0 || t.dst.(id) = b then id else find t.next_out.(id) in
+  let id = if a < 0 || a >= t.node_count then -1 else find t.first_out.(a) in
+  if id < 0 then invalid_arg (Printf.sprintf "Topology.cable: no cable %d<->%d" a b);
+  id
 
-let link_up t id = Bytes.get t.up id = '\001'
+let cable t ~a ~b =
+  let id = cable_id t ~a ~b in
+  [ link t id; link t (id lxor 1) ]
+
 let links_down t = t.links_down
 
 (* Duplex administrative status: fail or restore both directions of
-   the cable between two adjacent nodes, in the link (which drops what
-   it is offered while down) and in the flag the router reads. *)
+   the cable between two adjacent nodes, in the flag the router reads
+   and in each direction's link, if made (which drops what it is
+   offered while down); a link made later starts from the flag. *)
 let set_link_up t ~a ~b up =
+  let id = cable_id t ~a ~b in
   List.iter
-    (fun l ->
-      Link.set_up l up;
-      let id = Link.id l in
+    (fun id ->
+      Option.iter (fun l -> Link.set_up l up) t.links.(id);
       if link_up t id <> up then begin
         Bytes.set t.up id (if up then '\001' else '\000');
         t.links_down <- (if up then t.links_down - 1 else t.links_down + 1)
       end)
-    (cable t ~a ~b)
+    [ id; id lxor 1 ]
 
 let iter_links f t =
   for i = 0 to t.link_count - 1 do
-    f t.links.(i)
+    f (link t i)
   done

@@ -1,6 +1,23 @@
 (** Mutable network topology: hosts and switches connected by duplex
     links, with per-node packet handlers installed by the transport
-    layer. *)
+    layer.
+
+    Links are kept in a flat table indexed by link id: each link's
+    endpoints, its {!link_params} (one shared record per {!connect}
+    call) and its up flag. The packet-level {!Link.t} of a link, its
+    queue and transmitter, is made the first time {!link} asks for it,
+    so code that reads only rates and the graph ({!link_rate},
+    {!link_src}, {!link_dst}, {!links_from}, [Router], the flow-level
+    simulator) makes none.
+
+    A topology belongs to one simulator and so to one domain: {!link}
+    (and every reader that goes through it: {!reverse}, {!cable},
+    {!iter_links}) may write to the topology when it makes a link, so
+    a topology must not be read from two domains at once.
+
+    Every function that takes a node or link id raises
+    [Invalid_argument] naming the function and the id when the id is
+    not below {!node_count} or {!link_count}. *)
 
 type node_kind = Host | Switch
 
@@ -30,7 +47,9 @@ val add_switch : t -> int
 (** New switch node; returns its id. *)
 
 val connect : ?params:link_params -> t -> int -> int -> unit
-(** Add a duplex link (two directed {!Link.t}) between two nodes.
+(** Add a duplex link (two directed links, ids [2k] for [a -> b] and
+    [2k + 1] for [b -> a]) between two nodes. It records the links in
+    the link table and makes no {!Link.t}.
     [params] defaults to the paper's §5.1 settings: 1 Gbps, 0.1 µs
     propagation, 25 µs processing, 4 MByte FIFO tail-drop buffer. *)
 
@@ -47,11 +66,21 @@ val set_handler : t -> int -> (Packet.t -> unit) -> unit
     packets to it. *)
 
 val link_count : t -> int
+
 val link : t -> int -> Link.t
-(** Directed link by id. *)
+(** Directed link by id. The first call for an id makes its {!Link.t},
+    delivering to the destination node's handler and with the status
+    {!link_up} reports; every later call returns that same object. *)
+
+val link_src : t -> int -> int
+val link_dst : t -> int -> int
+(** Endpoints of a directed link by id, read from the link table. *)
+
+val link_rate : t -> int -> float
+(** Rate of a directed link by id (bits/s), read from the link table. *)
 
 val links_from : t -> int -> (int * int) list
-(** [(peer, link_id)] adjacency of a node. *)
+(** [(peer, link_id)] adjacency of a node, newest link first. *)
 
 val reverse : t -> Link.t -> Link.t
 (** The other direction of the link's cable: [src] and [dst] swapped,
@@ -73,18 +102,20 @@ val set_link_up : t -> a:int -> b:int -> bool -> unit
 (** Fail ([false]) or restore ([true]) both directions of the duplex
     cable between adjacent nodes [a] and [b]. This is the one writer of
     link status that routing sees: it sets each {!Link.t}'s status
-    (what the link admits) and the flag {!link_up} reads, together. Of
+    (what the link admits, set when the link is made if it is not yet)
+    and the flag {!link_up} reads, together. Of
     parallel cables it addresses only the newest, as {!cable} does.
     Raises [Invalid_argument] as {!cable} does. *)
 
 val link_up : t -> int -> bool
 (** Status of a directed link by id, as last set by {!set_link_up};
     [true] from {!connect} on. The flags sit in one flat array indexed
-    by link id, so [Router] reads them live without touching the
-    scattered {!Link.t} records. *)
+    by link id, so [Router] reads them live without touching any
+    {!Link.t}. *)
 
 val links_down : t -> int
 (** How many directed links {!link_up} reports down. While it is 0, a
     reader may skip the per-link flags. *)
 
 val iter_links : (Link.t -> unit) -> t -> unit
+(** Every link in id order, through {!link}, so it makes them all. *)

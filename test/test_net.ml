@@ -286,6 +286,92 @@ let test_no_handler_carries_node_id () =
 (* ------------------------------------------------------------------ *)
 (* Topologies *)
 
+(* Every accessor that takes a node or link id rejects one past the
+   count (a spare slot of the grown arrays) and a negative one, instead
+   of reaching another node's or link's state. *)
+let test_out_of_range_ids () =
+  let built, _ = Builder.single_bottleneck ~sim:(Sim.create ()) ~senders:2 () in
+  let topo = built.Builder.topo in
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  let nodes = Topology.node_count topo and links = Topology.link_count topo in
+  List.iter
+    (fun i ->
+      let on what f = rejects (Printf.sprintf "%s %d" what i) (fun () -> ignore (f i)) in
+      on "kind" (Topology.kind topo);
+      on "rack_of" (Topology.rack_of topo);
+      on "links_from" (Topology.links_from topo);
+      on "set_handler" (fun i -> Topology.set_handler topo i ignore))
+    [ nodes; -1 ];
+  List.iter
+    (fun i ->
+      let on what f = rejects (Printf.sprintf "%s %d" what i) (fun () -> ignore (f i)) in
+      on "link" (Topology.link topo);
+      on "link_up" (Topology.link_up topo);
+      on "link_src" (Topology.link_src topo);
+      on "link_dst" (Topology.link_dst topo);
+      on "link_rate" (Topology.link_rate topo))
+    [ links; -1 ];
+  (* Node 0 keeps its own (unset) handler. *)
+  let peer = fst (List.hd (Topology.links_from topo 0)) in
+  Alcotest.check_raises "node 0 still unhandled" (Topology.No_handler 0)
+    (fun () ->
+      Link.send (List.hd (Topology.cable topo ~a:peer ~b:0)) (mk_packet ~now:0. ());
+      Sim.run (Topology.sim topo))
+
+(* Building the 4096-server fat-tree and reading every link's rate, as
+   the flow-level simulator does, allocates a few minor words per
+   directed link: no link object, closure or boxed float each. *)
+let test_link_table_alloc () =
+  let w0 = Gc.minor_words () in
+  let built =
+    Builder.fat_tree_for_servers ~sim:(Sim.create ()) ~servers:4096 ()
+  in
+  let net = Pdq_flowsim.Flowsim.net_of_topology built.Builder.topo in
+  let words = Gc.minor_words () -. w0 in
+  let links = Topology.link_count built.Builder.topo in
+  Alcotest.(check int) "one rate per link" links
+    (Array.length net.Pdq_flowsim.Flowsim.capacity);
+  let per_link = words /. float_of_int links in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per directed link < 10 (got %.1f)" per_link)
+    true (per_link < 10.)
+
+(* A link's [Link.t] is made on first use and kept: [link], [reverse]
+   and [cable] return the same objects. A cable set down before either
+   direction was used comes up down, and routing avoids it. *)
+let test_link_made_on_first_use () =
+  let topo = Topology.create ~sim:(Sim.create ()) () in
+  let a = Topology.add_host topo and b = Topology.add_host topo in
+  let s0 = Topology.add_switch topo and s1 = Topology.add_switch topo in
+  List.iter
+    (fun (x, y) -> Topology.connect topo x y)
+    [ (a, s0); (a, s1); (s0, b); (s1, b) ];
+  Topology.set_link_up topo ~a:s0 ~b false;
+  let l = Topology.link topo 4 in
+  Alcotest.(check bool) "same object" true (l == Topology.link topo 4);
+  Alcotest.(check bool) "reverse is link 5" true
+    (Topology.reverse topo l == Topology.link topo 5);
+  (match Topology.cable topo ~a:s0 ~b with
+  | [ ab; ba ] ->
+      Alcotest.(check bool) "cable a->b" true (ab == l);
+      Alcotest.(check bool) "cable b->a" true (ba == Topology.link topo 5)
+  | _ -> Alcotest.fail "cable: two links");
+  Alcotest.(check (pair bool bool)) "made down" (false, false)
+    (Link.is_up l, Link.is_up (Topology.link topo 5));
+  Alcotest.(check (pair int int)) "endpoints" (s0, b)
+    (Topology.link_src topo 4, Topology.link_dst topo 4);
+  let router = Router.create topo in
+  for choice = 0 to 7 do
+    Alcotest.(check (array int)) "a->b avoids s0" [| 2; 6 |]
+      (Router.path_links router ~src:a ~dst:b ~choice)
+  done;
+  Topology.set_link_up topo ~a:s0 ~b true;
+  Alcotest.(check bool) "restored" true (Link.is_up l)
+
 let test_single_bottleneck () =
   let sim = Sim.create () in
   let built, rx = Builder.single_bottleneck ~sim ~senders:3 () in
@@ -506,6 +592,22 @@ let check_against_reference ~what topo router hosts =
         hosts)
     hosts
 
+(* The distance from every node to every node, hosts and switches
+   alike, is the reference BFS's. *)
+let check_all_distances ~what topo router =
+  let n = Topology.node_count topo in
+  for dst = 0 to n - 1 do
+    let ref_d = reference_dist topo dst in
+    for src = 0 to n - 1 do
+      let label = Printf.sprintf "%s %d->%d" what src dst in
+      if ref_d.(src) = max_int then
+        Alcotest.check_raises label Not_found (fun () ->
+            ignore (Router.distance router ~src ~dst))
+      else
+        Alcotest.(check int) label ref_d.(src) (Router.distance router ~src ~dst)
+    done
+  done
+
 let all_paths router hosts =
   Array.to_list hosts
   |> List.concat_map (fun src ->
@@ -515,10 +617,52 @@ let all_paths router hosts =
                 ( (src, dst),
                   Router.path_links router ~src ~dst ~choice:(choice_of ~src ~dst) )))
 
+(* On a k=8 fat-tree the late BFS levels are wide, so they scan
+   bottom-up: an unreached node looks for a peer on the frontier. With
+   one aggregation switch's core cables going down, first one, then all
+   of them, that scan meets down links: a core behind the first cut one
+   is farther from that switch's pod, and with all of them cut the
+   switch is reachable only through its pod's edge switches, so a scan
+   that took a down link for an up one would place a node too close. Every
+   node's distance to every node, and every host pair's route, must
+   match the reference BFS each time. *)
+let check_bottom_up_levels () =
+  let built = Builder.fat_tree ~sim:(Sim.create ()) ~k:8 () in
+  let topo = built.Builder.topo and hosts = built.Builder.hosts in
+  let router = Router.create topo in
+  let check what =
+    check_all_distances ~what topo router;
+    check_against_reference ~what topo router hosts
+  in
+  check "fat-tree k=8";
+  let peers v = List.map fst (Topology.links_from topo v) in
+  let near_host v =
+    List.exists (fun p -> Topology.kind topo p = Topology.Host) (peers v)
+  in
+  let switch v = Topology.kind topo v = Topology.Switch in
+  let aggs =
+    List.filter
+      (fun v -> switch v && (not (near_host v)) && List.exists near_host (peers v))
+      (List.init (Topology.node_count topo) Fun.id)
+  in
+  let agg = List.nth aggs (List.length aggs / 2) in
+  let cores = List.filter (fun p -> not (near_host p)) (peers agg) in
+  Alcotest.(check int) "an aggregation switch has k/2 cores" 4
+    (List.length cores);
+  List.iteri
+    (fun i core ->
+      Topology.set_link_up topo ~a:agg ~b:core false;
+      Router.invalidate router;
+      if i = 0 || i = List.length cores - 1 then
+        check (Printf.sprintf "fat-tree k=8, %d of agg %d's core cables down"
+                 (i + 1) agg))
+    cores
+
 (* Shared (single-homed) and own (multi-homed) distance tables agree
    with the reference BFS, also across a failure and a repair with
    [invalidate]. The failed host loses every cable, so on BCube, whose
-   servers forward, other pairs may reroute; elsewhere they must not. *)
+   servers forward, other pairs may reroute; elsewhere they must not.
+   Then the bottom-up levels, as above. *)
 let test_route_tables_match_reference () =
   let topologies =
     let sim = Sim.create () in
@@ -567,7 +711,9 @@ let test_route_tables_match_reference () =
       set_up true;
       Alcotest.(check bool) (what ^ " repaired paths return") true
         (all_paths router hosts = original))
-    topologies
+    topologies;
+  check_bottom_up_levels ()
+
 
 (* Two hosts cabled to each other are both single-homed; neither can
    borrow the other's table. *)
@@ -621,15 +767,30 @@ let list_walk topo ~src ~dst ~choice =
   walk src [] []
 
 (* Every ordered host pair, under three choices, takes exactly the
-   reference walk's nodes and links: on four topologies, then again
-   after a cable between two multi-homed nodes fails and the router is
-   invalidated. None of these topologies has parallel cables, where the
-   reference can name a down link (see the next test). *)
+   reference walk's nodes and links: on five topologies, one with
+   parallel cables, then again after a cable between two multi-homed
+   nodes fails and the router is invalidated. *)
 let test_route_matches_list_walk () =
   let sim = Sim.create () in
+  (* A second cable beside an edge-host one and an agg-core one: ties
+     between parallel links break by link id. *)
+  let doubled =
+    let built = Builder.fat_tree ~sim ~k:4 () in
+    let topo = built.Builder.topo and h = built.Builder.hosts.(0) in
+    let peers v = List.map fst (Topology.links_from topo v) in
+    let switch v = Topology.kind topo v = Topology.Switch in
+    let near_host v = not (List.for_all switch (peers v)) in
+    let edge = List.hd (peers h) in
+    let agg = List.find switch (peers edge) in
+    let core = List.find (fun v -> not (near_host v)) (peers agg) in
+    Topology.connect topo edge h;
+    Topology.connect topo agg core;
+    built
+  in
   let topologies =
     [
       ("fat-tree k=4", Builder.fat_tree ~sim ~k:4 ());
+      ("fat-tree k=4, two cables doubled", doubled);
       ("single-rooted tree", Builder.single_rooted_tree ~sim ());
       ("bcube(2,3)", Builder.bcube ~sim ~n:2 ~k:3 ());
       ( "jellyfish",
@@ -781,21 +942,7 @@ let test_route_leaf_nodes_match_reference () =
       (s2, relay); (relay, s3); (lone_h, lone_s);
     ];
   let router = Router.create topo in
-  let n = Topology.node_count topo in
-  let check what =
-    for dst = 0 to n - 1 do
-      let ref_d = reference_dist topo dst in
-      for src = 0 to n - 1 do
-        let label = Printf.sprintf "%s %d->%d" what src dst in
-        if ref_d.(src) = max_int then
-          Alcotest.check_raises label Not_found (fun () ->
-              ignore (Router.distance router ~src ~dst))
-        else
-          Alcotest.(check int) label ref_d.(src)
-            (Router.distance router ~src ~dst)
-      done
-    done
-  in
+  let check what = check_all_distances ~what topo router in
   check "leaf cable up";
   Topology.set_link_up topo ~a:s1 ~b:dangling false;
   Topology.set_link_up topo ~a:s0 ~b:s1 true;
@@ -918,6 +1065,11 @@ let suites =
         Alcotest.test_case "jellyfish" `Quick test_jellyfish;
         Alcotest.test_case "reverse pairs a cable's directions" `Quick
           test_reverse_pairs_cable_directions;
+        Alcotest.test_case "out-of-range ids rejected" `Quick
+          test_out_of_range_ids;
+        Alcotest.test_case "link table allocation" `Quick test_link_table_alloc;
+        Alcotest.test_case "link made on first use" `Quick
+          test_link_made_on_first_use;
       ] );
     ( "net.routing",
       [
