@@ -113,6 +113,9 @@ let invalidate t = Array.fill t.tables 0 (Array.length t.tables) absent
    around failures (call {!invalidate} after a status change). *)
 let[@inline] usable t e = Topology.link_up t.topo t.link.(e)
 
+(* The same for the other direction of entry [e]'s cable. *)
+let[@inline] usable_reverse t e = Topology.link_up t.topo (t.link.(e) lxor 1)
+
 (* Level-synchronous BFS over the core rows from the core node of
    rank [root], in whichever direction scans less (Beamer, Asanovic and
    Patterson, SC 2012): while the frontier's rows hold fewer entries
@@ -158,7 +161,7 @@ let bfs_from t root =
           while !e < stop do
             if
               dist.(cpeer.(!e)) = !level
-              && (all_up || Topology.link_up t.topo (t.link.(centry.(!e)) lxor 1))
+              && (all_up || usable_reverse t centry.(!e))
             then begin
               reach v d;
               e := stop

@@ -21,18 +21,20 @@ type node = {
   mutable handler : Packet.t -> unit;
 }
 
-(* Links live in flat arrays indexed by link id. A link's [Link.t],
-   the packet-level queue and transmitter, is made the first time
-   [link] asks for it, so a flow-level run, which reads only rates and
-   the graph, makes none. Each node's outgoing links form a chain
-   through [next_out], newest first, from [first_out]. *)
+(* Links live in flat arrays indexed by link id. [connect] pushes a
+   cable's two directions one after the other, so link [2k] and link
+   [2k + 1] are each other's reverse, and a link's source is its
+   reverse's [dst]. A link's [Link.t], the packet-level queue and
+   transmitter, is made the first time [link] asks for it, so a
+   flow-level run, which reads only rates and the graph, makes none.
+   Each node's outgoing links form a chain through [next_out], newest
+   first, from [first_out]. *)
 type t = {
   sim : Pdq_engine.Sim.t;
   mutable nodes : node array;
   mutable node_count : int;
-  mutable first_out : int array; (* by node: newest outgoing link, -1 if none *)
-  mutable src : int array; (* by link id *)
-  mutable dst : int array;
+  mutable first_out : int array; (* by node: newest outgoing link, or -1 *)
+  mutable dst : int array; (* by link id *)
   mutable params : link_params array;
   mutable next_out : int array; (* the same source's next older link, or -1 *)
   mutable links : Link.t option array; (* [None] until [link] makes it *)
@@ -47,7 +49,6 @@ let create ~sim () =
     nodes = [||];
     node_count = 0;
     first_out = [||];
-    src = [||];
     dst = [||];
     params = [||];
     next_out = [||];
@@ -91,9 +92,8 @@ let add_switch t =
 
 let push_link t params src dst =
   let id = t.link_count in
-  if id = Array.length t.src then begin
+  if id = Array.length t.dst then begin
     let count = id and cap = max 16 (2 * id) in
-    t.src <- grow t.src ~count ~cap 0;
     t.dst <- grow t.dst ~count ~cap 0;
     t.params <- grow t.params ~count ~cap params;
     t.next_out <- grow t.next_out ~count ~cap (-1);
@@ -102,7 +102,6 @@ let push_link t params src dst =
     Bytes.blit t.up 0 up 0 id;
     t.up <- up
   end;
-  t.src.(id) <- src;
   t.dst.(id) <- dst;
   t.params.(id) <- params;
   t.next_out.(id) <- t.first_out.(src);
@@ -118,8 +117,6 @@ let check_link t fn i =
   if i < 0 || i >= t.link_count then
     invalid_arg (Printf.sprintf "Topology.%s: no link %d" fn i)
 
-(* [connect] pushes a cable's two directions one after the other, so
-   link [2k] and link [2k + 1] are each other's reverse. *)
 let connect ?(params = default_params) t a b =
   check_node t "connect" a;
   check_node t "connect" b;
@@ -151,7 +148,7 @@ let link_count t = t.link_count
 
 let link_src t i =
   check_link t "link_src" i;
-  t.src.(i)
+  t.dst.(i lxor 1)
 
 let link_dst t i =
   check_link t "link_dst" i;
@@ -168,7 +165,7 @@ let link_up t i =
 let make_link t i =
   let p = t.params.(i) and dst = t.dst.(i) in
   let l =
-    Link.create ~sim:t.sim ~id:i ~src:t.src.(i) ~dst ~rate:p.rate
+    Link.create ~sim:t.sim ~id:i ~src:t.dst.(i lxor 1) ~dst ~rate:p.rate
       ~prop_delay:p.prop_delay ~proc_delay:p.proc_delay
       ~buffer_bytes:p.buffer_bytes ()
   in
@@ -184,7 +181,9 @@ let link t i =
 (* Newest first, as the chain runs. *)
 let links_from t i =
   check_node t "links_from" i;
-  let rec from id = if id < 0 then [] else (t.dst.(id), id) :: from t.next_out.(id) in
+  let rec from id =
+    if id < 0 then [] else (t.dst.(id), id) :: from t.next_out.(id)
+  in
   from t.first_out.(i)
 
 let reverse t l = link t (Link.id l lxor 1)
@@ -193,7 +192,8 @@ let cables t =
   let seen = Hashtbl.create 64 in
   let acc = ref [] in
   for id = 0 to t.link_count - 1 do
-    let a = min t.src.(id) t.dst.(id) and b = max t.src.(id) t.dst.(id) in
+    let src = t.dst.(id lxor 1) in
+    let a = min src t.dst.(id) and b = max src t.dst.(id) in
     if not (Hashtbl.mem seen (a, b)) then begin
       Hashtbl.add seen (a, b) ();
       acc := (a, b) :: !acc
@@ -203,9 +203,12 @@ let cables t =
 
 (* The id of the newest link [a -> b]. *)
 let cable_id t ~a ~b =
-  let rec find id = if id < 0 || t.dst.(id) = b then id else find t.next_out.(id) in
+  let rec find id =
+    if id < 0 || t.dst.(id) = b then id else find t.next_out.(id)
+  in
   let id = if a < 0 || a >= t.node_count then -1 else find t.first_out.(a) in
-  if id < 0 then invalid_arg (Printf.sprintf "Topology.cable: no cable %d<->%d" a b);
+  if id < 0 then
+    invalid_arg (Printf.sprintf "Topology.cable: no cable %d<->%d" a b);
   id
 
 let cable t ~a ~b =

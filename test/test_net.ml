@@ -292,34 +292,34 @@ let test_no_handler_carries_node_id () =
 let test_out_of_range_ids () =
   let built, _ = Builder.single_bottleneck ~sim:(Sim.create ()) ~senders:2 () in
   let topo = built.Builder.topo in
-  let rejects what f =
-    match f () with
-    | _ -> Alcotest.failf "%s: accepted" what
+  let rejects what f i =
+    match f i with
+    | _ -> Alcotest.failf "%s %d: accepted" what i
     | exception Invalid_argument _ -> ()
   in
   let nodes = Topology.node_count topo and links = Topology.link_count topo in
   List.iter
     (fun i ->
-      let on what f = rejects (Printf.sprintf "%s %d" what i) (fun () -> ignore (f i)) in
-      on "kind" (Topology.kind topo);
-      on "rack_of" (Topology.rack_of topo);
-      on "links_from" (Topology.links_from topo);
-      on "set_handler" (fun i -> Topology.set_handler topo i ignore))
+      rejects "kind" (fun i -> ignore (Topology.kind topo i)) i;
+      rejects "rack_of" (fun i -> ignore (Topology.rack_of topo i)) i;
+      rejects "links_from" (fun i -> ignore (Topology.links_from topo i)) i;
+      rejects "set_handler" (fun i -> Topology.set_handler topo i ignore) i)
     [ nodes; -1 ];
   List.iter
     (fun i ->
-      let on what f = rejects (Printf.sprintf "%s %d" what i) (fun () -> ignore (f i)) in
-      on "link" (Topology.link topo);
-      on "link_up" (Topology.link_up topo);
-      on "link_src" (Topology.link_src topo);
-      on "link_dst" (Topology.link_dst topo);
-      on "link_rate" (Topology.link_rate topo))
+      rejects "link" (fun i -> ignore (Topology.link topo i)) i;
+      rejects "link_up" (fun i -> ignore (Topology.link_up topo i)) i;
+      rejects "link_src" (fun i -> ignore (Topology.link_src topo i)) i;
+      rejects "link_dst" (fun i -> ignore (Topology.link_dst topo i)) i;
+      rejects "link_rate" (fun i -> ignore (Topology.link_rate topo i)) i)
     [ links; -1 ];
   (* Node 0 keeps its own (unset) handler. *)
   let peer = fst (List.hd (Topology.links_from topo 0)) in
   Alcotest.check_raises "node 0 still unhandled" (Topology.No_handler 0)
     (fun () ->
-      Link.send (List.hd (Topology.cable topo ~a:peer ~b:0)) (mk_packet ~now:0. ());
+      Link.send
+        (List.hd (Topology.cable topo ~a:peer ~b:0))
+        (mk_packet ~now:0. ());
       Sim.run (Topology.sim topo))
 
 (* Building the 4096-server fat-tree and reading every link's rate, as
@@ -604,7 +604,8 @@ let check_all_distances ~what topo router =
         Alcotest.check_raises label Not_found (fun () ->
             ignore (Router.distance router ~src ~dst))
       else
-        Alcotest.(check int) label ref_d.(src) (Router.distance router ~src ~dst)
+        Alcotest.(check int) label ref_d.(src)
+          (Router.distance router ~src ~dst)
     done
   done
 
@@ -642,7 +643,8 @@ let check_bottom_up_levels () =
   let switch v = Topology.kind topo v = Topology.Switch in
   let aggs =
     List.filter
-      (fun v -> switch v && (not (near_host v)) && List.exists near_host (peers v))
+      (fun v ->
+        switch v && (not (near_host v)) && List.exists near_host (peers v))
       (List.init (Topology.node_count topo) Fun.id)
   in
   let agg = List.nth aggs (List.length aggs / 2) in
