@@ -14,6 +14,8 @@ type t = {
   mutable last_accepted_flow : int;
   mutable rebuilding : bool;
   fallback_seen : (int, float) Hashtbl.t;
+  mutable fallback_oldest : float;
+      (* At or before every last-seen time in [fallback_seen]. *)
 }
 
 let create ?(trace = Pdq_telemetry.Trace.null) ~config ~switch_id ~link_rate
@@ -34,6 +36,7 @@ let create ?(trace = Pdq_telemetry.Trace.null) ~config ~switch_id ~link_rate
     last_accepted_flow = -1;
     rebuilding = false;
     fallback_seen = Hashtbl.create 16;
+    fallback_oldest = neg_infinity;
   }
 
 (* Switch reboot: everything here is soft state (§3.3 — the flow list,
@@ -189,12 +192,20 @@ let dampening_active t ~now ~flow_id =
    tracked by last-seen time with a 2-RTT horizon. *)
 let fallback_purge t ~now =
   let horizon = 4. *. t.rtt_avg in
-  let stale =
-    Hashtbl.fold
-      (fun id seen acc -> if now -. seen > horizon then id :: acc else acc)
-      t.fallback_seen []
-  in
-  List.iter (Hashtbl.remove t.fallback_seen) stale
+  (* No entry is stale while the oldest bound is within the horizon, so
+     the scan runs only when one may be. *)
+  if now -. t.fallback_oldest > horizon then begin
+    let oldest = [| now |] in
+    Hashtbl.filter_map_inplace
+      (fun _ seen ->
+        if now -. seen > horizon then None
+        else begin
+          if seen < oldest.(0) then oldest.(0) <- seen;
+          Some seen
+        end)
+      t.fallback_seen;
+    t.fallback_oldest <- oldest.(0)
+  end
 
 let fallback_rate t ~flow_id ~now =
   Hashtbl.replace t.fallback_seen flow_id now;
@@ -284,7 +295,9 @@ let process_forward t (h : Header.t) ~flow_id ~now =
     end
     else begin
       let e = Flow_list.get t.flows i in
-      Hashtbl.remove t.fallback_seen flow_id;
+      (* Most ports never fall back: skip hashing the id then. *)
+      if Hashtbl.length t.fallback_seen > 0 then
+        Hashtbl.remove t.fallback_seen flow_id;
       let w = min (availbw t i ~now) h.rate in
       if w > 0. then begin
         let sending = Flow_state.is_sending e in

@@ -18,9 +18,28 @@
    The virtual clock lives in a one-element [float array]: a mutable
    float field in this mixed record would be boxed and every write
    would allocate, which at one write per event is the difference
-   between an allocation-free pop and 2 words of garbage each. *)
+   between an allocation-free pop and 2 words of garbage each.
+
+   Beside the heap sit a few FIFO lanes. A lane holds the events
+   scheduled with one fixed relative delay ([schedule_fixed_k]). The
+   clock never goes back and [seq] only grows, so each lane is already
+   sorted by (time, seq) and is a plain ring: pushing and popping are
+   O(1). [step] fires the (time, seq)-least of the heap root and the
+   lane heads, which is the order a single heap would give. Lane events
+   cannot be cancelled, so they take no slot and no generation. *)
 
 module Kind = Kind
+
+(* One lane: a ring of [l_len] events from [l_head] on, oldest first.
+   Capacities are powers of two. *)
+type lane = {
+  mutable l_time : float array;
+  mutable l_seq : int array;
+  mutable l_kind : int array;
+  mutable l_action : (unit -> unit) array;
+  mutable l_head : int;
+  mutable l_len : int;
+}
 
 type t = {
   clock : float array; (* length 1: current virtual time, unboxed *)
@@ -44,6 +63,11 @@ type t = {
   (* Stack of recycled slot indices. *)
   mutable free : int array;
   mutable free_top : int;
+  (* Lanes; both arrays stay empty until the first [schedule_fixed_k].
+     [lane_delay.(i)] keys [lanes.(i)]. *)
+  mutable lanes : lane array;
+  mutable lane_delay : float array;
+  mutable lane_count : int; (* events in all lanes *)
   mutable stopped : bool;
   mutable live_count : int;
   mutable executed : int;
@@ -130,6 +154,9 @@ let create () =
     s_top = 0;
     free = Array.make initial_capacity 0;
     free_top = 0;
+    lanes = [||];
+    lane_delay = [||];
+    lane_count = 0;
     stopped = false;
     live_count = 0;
     executed = 0;
@@ -320,6 +347,134 @@ let schedule ?(kind = Kind.unlabeled) t ~delay f =
   t.tscratch.(0) <- t.clock.(0) +. delay;
   do_schedule t kind f
 
+(* ------------------------------------------------------------------ *)
+(* Lanes. A delay takes the lane keyed by it, else an empty lane, which
+   is re-keyed; when every lane is busy with other delays, the event
+   goes to the heap. Any choice keeps the order exact: a lane only needs
+   all its events to share one delay. *)
+
+let max_lanes = 4
+let lane_capacity = 16
+
+let new_lane () =
+  {
+    l_time = Array.make lane_capacity 0.;
+    l_seq = Array.make lane_capacity 0;
+    l_kind = Array.make lane_capacity 0;
+    l_action = Array.make lane_capacity noop;
+    l_head = 0;
+    l_len = 0;
+  }
+
+(* Double a full lane, unrolling the ring to start at index 0. *)
+let lane_grow l =
+  let cap = Array.length l.l_seq in
+  let first = cap - l.l_head in
+  let unroll a fill =
+    let b = Array.make (2 * cap) fill in
+    Array.blit a l.l_head b 0 first;
+    Array.blit a 0 b first l.l_head;
+    b
+  in
+  l.l_time <- unroll l.l_time 0.;
+  l.l_seq <- unroll l.l_seq 0;
+  l.l_kind <- unroll l.l_kind 0;
+  l.l_action <- unroll l.l_action noop;
+  l.l_head <- 0
+
+(* Index of the lane for [delay], or -1 for the heap. *)
+let lane_for t delay =
+  let n = Array.length t.lanes in
+  let i = ref 0 in
+  while !i < n && Array.unsafe_get t.lane_delay !i <> delay do
+    incr i
+  done;
+  if !i < n then !i
+  else begin
+    let i = ref 0 in
+    while !i < n && (Array.unsafe_get t.lanes !i).l_len > 0 do
+      incr i
+    done;
+    if !i = n then -1
+    else begin
+      t.lane_delay.(!i) <- delay;
+      !i
+    end
+  end
+
+let schedule_fixed_k t kind ~delay f =
+  if not (delay >= 0.) then invalid_arg "Sim.schedule: negative delay";
+  if Array.length t.lanes = 0 then begin
+    t.lanes <- Array.init max_lanes (fun _ -> new_lane ());
+    t.lane_delay <- Array.make max_lanes 0.
+  end;
+  let i = lane_for t delay in
+  if i < 0 then begin
+    t.tscratch.(0) <- t.clock.(0) +. delay;
+    ignore (do_schedule t kind f)
+  end
+  else begin
+    let l = Array.unsafe_get t.lanes i in
+    if l.l_len = Array.length l.l_seq then lane_grow l;
+    let j = (l.l_head + l.l_len) land (Array.length l.l_seq - 1) in
+    Array.unsafe_set l.l_time j (t.clock.(0) +. delay);
+    Array.unsafe_set l.l_seq j t.next_seq;
+    Array.unsafe_set l.l_kind j (Kind.to_int kind);
+    Array.unsafe_set l.l_action j f;
+    t.next_seq <- t.next_seq + 1;
+    l.l_len <- l.l_len + 1;
+    t.lane_count <- t.lane_count + 1
+  end
+
+(* Remove lane [l]'s head, which the caller has read, and return its
+   action. *)
+let lane_pop t l =
+  let h = l.l_head in
+  let f = Array.unsafe_get l.l_action h in
+  Array.unsafe_set l.l_action h noop;
+  l.l_head <- (h + 1) land (Array.length l.l_seq - 1);
+  l.l_len <- l.l_len - 1;
+  t.lane_count <- t.lane_count - 1;
+  f
+
+let heap_src = -1
+let no_src = -2
+
+(* Where the (time, seq)-least pending event sits: [heap_src] for the
+   heap root, a lane index, or [no_src] when nothing is pending. A
+   lane's head is its minimum. *)
+let next_source t =
+  let best = ref (if t.h_size > 0 then heap_src else no_src) in
+  if t.lane_count > 0 then begin
+    let bt = ref (Array.unsafe_get t.h_time 0)
+    and bq = ref (Array.unsafe_get t.h_seq 0) in
+    for i = 0 to Array.length t.lanes - 1 do
+      let l = Array.unsafe_get t.lanes i in
+      if l.l_len > 0 then begin
+        let h = l.l_head in
+        let tm = Array.unsafe_get l.l_time h
+        and q = Array.unsafe_get l.l_seq h in
+        if !best = no_src || tm < !bt || (tm = !bt && q < !bq) then begin
+          best := i;
+          bt := tm;
+          bq := q
+        end
+      end
+    done
+  end;
+  !best
+
+(* Whether some pending event is due at or before [horizon]. *)
+let due t horizon =
+  let d = ref (t.h_size > 0 && t.h_time.(0) <= horizon) in
+  let i = ref 0 in
+  while (not !d) && !i < Array.length t.lanes do
+    let l = t.lanes.(!i) in
+    d := l.l_len > 0 && l.l_time.(l.l_head) <= horizon;
+    incr i
+  done;
+  !d
+
 let cancel t h =
   let slot = h land slot_mask and gen = h lsr slot_bits in
   if slot < t.s_top && t.s_gen.(slot) = gen then retire_slot t slot gen
@@ -328,8 +483,8 @@ let cancelled t h =
   let slot = h land slot_mask and gen = h lsr slot_bits in
   not (slot < t.s_top && t.s_gen.(slot) = gen)
 
-let pending t = t.h_size
-let live_pending t = t.live_count
+let pending t = t.h_size + t.lane_count
+let live_pending t = t.live_count + t.lane_count
 
 (* One decrement per executed event; the hook itself only runs every
    [every] events, so an installed budget costs almost nothing and an
@@ -346,19 +501,42 @@ let check_cancel t =
         | Some reason -> raise (Cancelled { reason; events = t.executed })
       end
 
+(* Run [f], an event of kind [kind], under the profiler. *)
+let fire_profiled t p f kind =
+  (* [Unix.gettimeofday] (vdso, ~40 ns) instead of [Sys.time] (a
+     [times] syscall, ~6x dearer per call): two stamps per event would
+     otherwise dominate profiled runs. *)
+  let t0 = Unix.gettimeofday () in
+  f ();
+  Profiler.record_event p ~kind:(Kind.of_int kind)
+    ~cpu:(Unix.gettimeofday () -. t0);
+  t.executed <- t.executed + 1;
+  check_cancel t
+
 let step t =
+  let src = next_source t in
   match t.profiler with
   | None ->
-      if t.h_size = 0 then false
+      if src = no_src then false
       else begin
-        let time = Array.unsafe_get t.h_time 0
-        and slot = Array.unsafe_get t.h_slot 0
-        and gen = Array.unsafe_get t.h_gen 0 in
-        heap_remove_root t;
-        Array.unsafe_set t.clock 0 time;
-        if Array.unsafe_get t.s_gen slot = gen then begin
-          let f = Array.unsafe_get t.s_action slot in
-          retire_slot t slot gen;
+        if src = heap_src then begin
+          let time = Array.unsafe_get t.h_time 0
+          and slot = Array.unsafe_get t.h_slot 0
+          and gen = Array.unsafe_get t.h_gen 0 in
+          heap_remove_root t;
+          Array.unsafe_set t.clock 0 time;
+          if Array.unsafe_get t.s_gen slot = gen then begin
+            let f = Array.unsafe_get t.s_action slot in
+            retire_slot t slot gen;
+            f ();
+            t.executed <- t.executed + 1;
+            check_cancel t
+          end
+        end
+        else begin
+          let l = Array.unsafe_get t.lanes src in
+          Array.unsafe_set t.clock 0 (Array.unsafe_get l.l_time l.l_head);
+          let f = lane_pop t l in
           f ();
           t.executed <- t.executed + 1;
           check_cancel t
@@ -368,27 +546,28 @@ let step t =
   | Some p ->
       (* Instrumented path: identical semantics, plus statistics. The
          high-water mark observes the queue before the pop. *)
-      Profiler.observe_queue p t.h_size;
-      if t.h_size = 0 then false
+      Profiler.observe_queue p (pending t);
+      if src = no_src then false
       else begin
-        let time = t.h_time.(0) and slot = t.h_slot.(0) and gen = t.h_gen.(0) in
-        heap_remove_root t;
-        Profiler.record_advance p (time -. t.clock.(0));
-        t.clock.(0) <- time;
-        if t.s_gen.(slot) = gen then begin
-          let f = t.s_action.(slot) in
-          let k = Kind.of_int t.s_kind.(slot) in
-          retire_slot t slot gen;
-          (* [Unix.gettimeofday] (vdso, ~40 ns) instead of [Sys.time]
-             (a [times] syscall, ~6x dearer per call): two stamps per
-             event would otherwise dominate profiled runs. *)
-          let t0 = Unix.gettimeofday () in
-          f ();
-          Profiler.record_event p ~kind:k ~cpu:(Unix.gettimeofday () -. t0);
-          t.executed <- t.executed + 1;
-          check_cancel t
+        if src = heap_src then begin
+          let time = t.h_time.(0) and slot = t.h_slot.(0) and gen = t.h_gen.(0) in
+          heap_remove_root t;
+          Profiler.record_advance p (time -. t.clock.(0));
+          t.clock.(0) <- time;
+          if t.s_gen.(slot) = gen then begin
+            let f = t.s_action.(slot) and kind = t.s_kind.(slot) in
+            retire_slot t slot gen;
+            fire_profiled t p f kind
+          end
+          else Profiler.record_cancelled p
         end
-        else Profiler.record_cancelled p;
+        else begin
+          let l = t.lanes.(src) in
+          let time = l.l_time.(l.l_head) and kind = l.l_kind.(l.l_head) in
+          Profiler.record_advance p (time -. t.clock.(0));
+          t.clock.(0) <- time;
+          fire_profiled t p (lane_pop t l) kind
+        end;
         true
       end
 
@@ -399,7 +578,7 @@ let run ?until t =
   | Some horizon ->
       let continue = ref true in
       while !continue && not t.stopped do
-        if t.h_size > 0 && t.h_time.(0) <= horizon then ignore (step t)
+        if due t horizon then ignore (step t)
         else begin
           t.clock.(0) <- Float.max t.clock.(0) horizon;
           continue := false

@@ -10,7 +10,13 @@
     store of event records; handles are immediate ints carrying a
     generation stamp, so scheduling and cancelling allocate nothing and
     cancellation recycles its slot instead of leaving a dead record to
-    be collected. See DESIGN.md, "Event-core internals". *)
+    be collected.
+
+    Beside the heap sit a few FIFO lanes, one per fixed relative delay
+    ({!schedule_fixed_k}). Events in a lane are already in (time, seq)
+    order, so a lane is an O(1) ring, and {!step} fires the least of
+    the heap root and the lane heads: the same order as one heap. See
+    DESIGN.md, "Event-core internals". *)
 
 module Kind = Kind
 (** Interned event-kind labels; see {!Kind.register}. Re-exported so
@@ -55,6 +61,16 @@ val schedule_k : t -> Kind.t -> delay:float -> (unit -> unit) -> handle
 val schedule_at_k : t -> Kind.t -> time:float -> (unit -> unit) -> handle
 (** {!schedule_at}, kind passed positionally (see {!schedule_k}). *)
 
+val schedule_fixed_k : t -> Kind.t -> delay:float -> (unit -> unit) -> unit
+(** [schedule_fixed_k sim kind ~delay f] runs [f] at [now sim +. delay],
+    in the same (time, seq) order as {!schedule_k}, but the event cannot
+    be cancelled. Events that share a [delay] (compared with float
+    equality) share a FIFO lane, so scheduling and firing them are
+    O(1). There are a few lanes; when all of them are busy with other
+    delays, the event goes to the heap. Use it for the delays a caller
+    repeats on every event, such as a link's latency. Raises
+    [Invalid_argument] if [delay < 0.] or is NaN. *)
+
 val cancel : t -> handle -> unit
 (** Cancel a pending event. Its slot is recycled immediately (the
     closure is released for collection); the heap node left behind is
@@ -65,7 +81,8 @@ val cancelled : t -> handle -> bool
 (** Whether the event was cancelled (or already consumed). *)
 
 val pending : t -> int
-(** Number of events still physically queued. Cancellation does not
+(** Number of events still physically queued, lane events included.
+    Cancellation does not
     remove an event's node from the heap — it only invalidates it, to
     be skipped when popped — so this count {e includes} cancelled
     placeholders. Use {!live_pending} for the number of events that

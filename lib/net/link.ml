@@ -92,10 +92,9 @@ let start_transmission t =
   else begin
     let bytes = t.buf.(slot t t.flying).Packet.wire_bytes in
     t.busy <- true;
-    ignore
-      (Pdq_engine.Sim.schedule_k t.sim k_tx
-         ~delay:(Pdq_engine.Units.tx_time ~bytes ~rate:t.rate)
-         t.tx_done)
+    Pdq_engine.Sim.schedule_fixed_k t.sim k_tx
+      ~delay:(Pdq_engine.Units.tx_time ~bytes ~rate:t.rate)
+      t.tx_done
   end
 
 let on_tx_done t =
@@ -107,8 +106,7 @@ let on_tx_done t =
   | Some f -> f ~now:(Pdq_engine.Sim.now t.sim) ~bytes:pkt.Packet.wire_bytes
   | None -> ());
   t.delivered <- t.delivered + 1;
-  ignore
-    (Pdq_engine.Sim.schedule_k t.sim k_deliver ~delay:t.latency t.deliver);
+  Pdq_engine.Sim.schedule_fixed_k t.sim k_deliver ~delay:t.latency t.deliver;
   start_transmission t
 
 let on_deliver t =

@@ -81,49 +81,130 @@ let test_heap_alloc_free () =
        words)
     true (words < 100.)
 
-(* The event core against a reference model: under arbitrary
-   interleavings of schedule and cancel — including slot reuse after
-   cancellation — surviving events must fire in exactly sorted
-   (time, schedule-order) order. *)
+(* The event core against a reference model. One program drives both:
+   heap events at absolute times, fixed-delay events over more distinct
+   delays than there are lanes, cancels of the oldest live heap event
+   (so later schedules reuse its slot), and fixed-delay events whose
+   actions schedule more fixed-delay and heap events at a later clock.
+   Times are multiples of 1/4, so heap events tie with lane heads and
+   lane heads with each other. The run stops at a horizon, then drains.
+   Both must fire the same events at the same times, in (time,
+   schedule-order) order. *)
+type backend = {
+  now : unit -> float;
+  at : time:float -> (unit -> unit) -> unit -> unit;
+      (* schedule at [time]; the result cancels the event *)
+  fixed : delay:float -> (unit -> unit) -> unit;
+  run_until : float -> unit;
+  drain : unit -> unit;
+}
+
+let sim_backend () =
+  let sim = Sim.create () in
+  let kind = Sim.Kind.register "test.fixed" in
+  {
+    now = (fun () -> Sim.now sim);
+    at =
+      (fun ~time f ->
+        let h = Sim.schedule_at sim ~time f in
+        fun () -> Sim.cancel sim h);
+    fixed = (fun ~delay f -> Sim.schedule_fixed_k sim kind ~delay f);
+    run_until = (fun until -> Sim.run ~until sim);
+    drain = (fun () -> Sim.run sim);
+  }
+
+(* One sorted list of (time, seq, live flag, action). *)
+let model_backend () =
+  let now = ref 0. and seq = ref 0 and queue = ref [] in
+  let add time f =
+    let live = ref true in
+    let e = (time, !seq, live, f) in
+    incr seq;
+    queue :=
+      List.merge
+        (fun (ta, qa, _, _) (tb, qb, _, _) -> compare (ta, qa) (tb, qb))
+        !queue [ e ];
+    live
+  in
+  let rec fire_until until =
+    match !queue with
+    | (time, _, live, f) :: rest when time <= until ->
+        queue := rest;
+        now := time;
+        if !live then f ();
+        fire_until until
+    | _ -> ()
+  in
+  {
+    now = (fun () -> !now);
+    at =
+      (fun ~time f ->
+        let live = add time f in
+        fun () -> live := false);
+    fixed = (fun ~delay f -> ignore (add (!now +. delay) f));
+    run_until =
+      (fun until ->
+        fire_until until;
+        now := Float.max !now until);
+    drain = (fun () -> fire_until infinity);
+  }
+
+let fixed_delays = [| 0.; 0.25; 0.5; 1.; 1.5; 2.; 3.; 0.75 |]
+
+let run_program backend (ops, horizon) =
+  let log = ref [] in
+  let next_id = ref 0 in
+  let fire id () = log := (id, backend.now ()) :: !log in
+  let fresh () =
+    let id = !next_id in
+    incr next_id;
+    id
+  in
+  let cancels = ref [] in
+  List.iter
+    (fun (op, a, b) ->
+      let delay = fixed_delays.(b mod Array.length fixed_delays) in
+      match op with
+      | 0 | 1 ->
+          let time = float_of_int a /. 4. in
+          cancels := backend.at ~time (fire (fresh ())) :: !cancels
+      | 2 -> backend.fixed ~delay (fire (fresh ()))
+      | 3 -> (
+          match List.rev !cancels with
+          | [] -> ()
+          | c :: rest ->
+              c ();
+              cancels := List.rev rest)
+      | _ ->
+          let id = fresh () and child = fresh () and tie = fresh () in
+          backend.fixed ~delay (fun () ->
+              fire id ();
+              backend.fixed
+                ~delay:fixed_delays.((a + b) mod Array.length fixed_delays)
+                (fire child);
+              let (_ : unit -> unit) =
+                backend.at
+                  ~time:(backend.now () +. (float_of_int (a mod 3) /. 4.))
+                  (fire tie)
+              in
+              ()))
+    ops;
+  backend.run_until horizon;
+  let at_horizon = (List.rev !log, backend.now ()) in
+  backend.drain ();
+  (at_horizon, List.rev !log, backend.now ())
+
 let prop_sim_schedule_cancel_model =
   QCheck.Test.make ~name:"sim pop order matches reference model" ~count:300
-    QCheck.(list (pair (int_bound 2) (float_bound_exclusive 100.)))
-    (fun ops ->
-      let sim = Sim.create () in
-      let fired = ref [] in
-      let model = ref [] in
-      let handles = ref [] in
-      let next_id = ref 0 in
-      List.iter
-        (fun (op, time) ->
-          if op <= 1 then begin
-            let id = !next_id in
-            incr next_id;
-            let h =
-              Sim.schedule_at sim ~time (fun () -> fired := id :: !fired)
-            in
-            handles := (id, h) :: !handles;
-            model := (time, id) :: !model
-          end
-          else
-            (* Cancel the oldest tracked handle so later schedules
-               reuse its slot. *)
-            match List.rev !handles with
-            | [] -> ()
-            | (id, h) :: _ ->
-                Sim.cancel sim h;
-                handles := List.filter (fun (i, _) -> i <> id) !handles;
-                model := List.filter (fun (_, i) -> i <> id) !model)
-        ops;
-      Sim.run sim;
-      let expect =
-        List.stable_sort
-          (fun (ta, ia) (tb, ib) ->
-            match compare ta tb with 0 -> compare ia ib | c -> c)
-          (List.rev !model)
-        |> List.map snd
-      in
-      List.rev !fired = expect)
+    QCheck.(
+      pair
+        (list_of_size
+           Gen.(0 -- 120)
+           (triple (int_bound 4) (int_bound 12) (int_bound 7)))
+        (int_bound 16))
+    (fun (ops, h) ->
+      let prog = (ops, float_of_int h /. 4.) in
+      run_program (sim_backend ()) prog = run_program (model_backend ()) prog)
 
 let prop_heap_sorted =
   QCheck.Test.make ~name:"heap pops sorted" ~count:200
@@ -346,6 +427,82 @@ let test_sim_alloc_free () =
     true
     (per_event < 2.)
 
+(* Lane events take the same allocation-free path: three fixed-delay
+   chains on three lanes and a heap timer, all with preallocated
+   closures, once the lanes have grown. *)
+let test_sim_lane_alloc_free () =
+  let sim = Sim.create () in
+  let kind = Sim.Kind.register "test.lane" in
+  let n = 50_000 in
+  let remaining = ref 0 in
+  let chain delay =
+    let tick = ref (fun () -> ()) in
+    (tick :=
+       fun () ->
+         if !remaining > 0 then begin
+           decr remaining;
+           Sim.schedule_fixed_k sim kind ~delay !tick
+         end);
+    !tick
+  in
+  let chains = [ chain 1e-6; chain 3e-6; chain 2.5e-6 ] in
+  let timer = ref (fun () -> ()) in
+  (timer :=
+     fun () -> if !remaining > 0 then ignore (Sim.schedule_k sim kind ~delay:7e-6 !timer));
+  let start () =
+    List.iter (fun f -> Sim.schedule_fixed_k sim kind ~delay:0. f) chains;
+    ignore (Sim.schedule_k sim kind ~delay:0. !timer)
+  in
+  (* Warm-up: make the lanes and grow every ring once. *)
+  remaining := 1_000;
+  start ();
+  Sim.run sim;
+  remaining := n;
+  start ();
+  let e0 = Sim.events_executed sim in
+  let w0 = Gc.minor_words () in
+  Sim.run sim;
+  let words = Gc.minor_words () -. w0 in
+  let events = Sim.events_executed sim - e0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "ran the chains (%d events)" events) true (events > n);
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per event < 0.001 (got %.4f)"
+       (words /. float_of_int events))
+    true
+    (words /. float_of_int events < 0.001)
+
+(* Lane events count as pending and live until they fire; they cannot
+   be cancelled, so the two counts differ only by heap placeholders. *)
+let test_sim_lane_pending () =
+  let sim = Sim.create () in
+  let kind = Sim.Kind.register "test.lane" in
+  let fired = ref 0 in
+  let f () = incr fired in
+  Sim.schedule_fixed_k sim kind ~delay:0.1 f;
+  Sim.schedule_fixed_k sim kind ~delay:0.1 f;
+  Sim.schedule_fixed_k sim kind ~delay:0.2 f;
+  let h = Sim.schedule sim ~delay:0.1 f in
+  Alcotest.(check int) "pending counts lanes" 4 (Sim.pending sim);
+  Alcotest.(check int) "live_pending counts lanes" 4 (Sim.live_pending sim);
+  Sim.cancel sim h;
+  Alcotest.(check int) "pending keeps placeholder" 4 (Sim.pending sim);
+  Alcotest.(check int) "live_pending drops it" 3 (Sim.live_pending sim);
+  Sim.run ~until:0.15 sim;
+  Alcotest.(check int) "two lane events fired" 2 !fired;
+  Alcotest.(check int) "one pending" 1 (Sim.pending sim);
+  Alcotest.(check int) "one live" 1 (Sim.live_pending sim);
+  Sim.run sim;
+  Alcotest.(check int) "all fired" 3 !fired;
+  Alcotest.(check int) "empty after run" 0 (Sim.pending sim);
+  Alcotest.(check int) "live empty after run" 0 (Sim.live_pending sim);
+  Alcotest.check_raises "negative delay"
+    (Invalid_argument "Sim.schedule: negative delay") (fun () ->
+      Sim.schedule_fixed_k sim kind ~delay:(-1.) f);
+  Alcotest.check_raises "NaN delay"
+    (Invalid_argument "Sim.schedule: negative delay") (fun () ->
+      Sim.schedule_fixed_k sim kind ~delay:Float.nan f)
+
 let test_sim_past_rejected () =
   let sim = Sim.create () in
   ignore (Sim.schedule sim ~delay:1. (fun () -> ()));
@@ -566,6 +723,9 @@ let suites =
         Alcotest.test_case "allocation-free schedule path" `Quick
           test_sim_alloc_free;
         Alcotest.test_case "past times rejected" `Quick test_sim_past_rejected;
+        Alcotest.test_case "allocation-free lanes" `Quick
+          test_sim_lane_alloc_free;
+        Alcotest.test_case "lane events pending" `Quick test_sim_lane_pending;
       ]
       @ qsuite [ prop_sim_schedule_cancel_model ] );
     ( "engine.rng",
