@@ -405,6 +405,34 @@ let test_port_rcp_fallback () =
   Alcotest.(check int) "list capped" 2
     (Flow_list.length (Switch_port.flow_list port))
 
+(* The RCP fallback forgets a flow once it has been silent for more than
+   4 RTTs (here 6e-4 s) and keeps every other one. *)
+let test_port_fallback_purge () =
+  let config = { Config.full with Config.max_list_size = 2; min_list_size = 1 } in
+  let port = mk_port ~config () in
+  List.iteri
+    (fun i ttx ->
+      let h = mk_header ~ttx () in
+      Switch_port.process_forward port h ~flow_id:(i + 1) ~now:0.;
+      Switch_port.process_reverse port h ~flow_id:(i + 1) ~now:1e-5)
+    [ 1.; 2. ];
+  let seen flow_id now expect =
+    Switch_port.process_forward port (mk_header ~ttx:30. ()) ~flow_id ~now;
+    Alcotest.(check int)
+      (Printf.sprintf "fallback flows after flow %d at %g" flow_id now)
+      expect
+      (Switch_port.fallback_flow_count port)
+  in
+  seen 3 1e-4 1;
+  seen 4 3e-4 2;
+  seen 3 6e-4 2;
+  seen 5 8e-4 3;
+  (* Flow 4, last seen at 3e-4, is now 7e-4 old. *)
+  seen 5 1e-3 2;
+  (* Flow 3, last seen at 6e-4, is now 7e-4 old. *)
+  seen 5 1.3e-3 1;
+  seen 4 1.4e-3 2
+
 let test_port_term_removes () =
   let port = mk_port () in
   let h = mk_header () in
@@ -621,6 +649,8 @@ let suites =
         Alcotest.test_case "rate controller drains queue" `Quick
           test_port_rate_controller_drains_queue;
         Alcotest.test_case "RCP fallback beyond M" `Quick test_port_rcp_fallback;
+        Alcotest.test_case "RCP fallback forgets silent flows" `Quick
+          test_port_fallback_purge;
         Alcotest.test_case "TERM removes state" `Quick test_port_term_removes;
         Alcotest.test_case "stale purge" `Quick test_port_stale_purge;
       ]
