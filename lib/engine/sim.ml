@@ -464,16 +464,12 @@ let next_source t =
   end;
   !best
 
-(* Whether some pending event is due at or before [horizon]. *)
-let due t horizon =
-  let d = ref (t.h_size > 0 && t.h_time.(0) <= horizon) in
-  let i = ref 0 in
-  while (not !d) && !i < Array.length t.lanes do
-    let l = t.lanes.(!i) in
-    d := l.l_len > 0 && l.l_time.(l.l_head) <= horizon;
-    incr i
-  done;
-  !d
+(* The time of the event at [src], which is not [no_src]. *)
+let source_time t src =
+  if src = heap_src then Array.unsafe_get t.h_time 0
+  else
+    let l = Array.unsafe_get t.lanes src in
+    Array.unsafe_get l.l_time l.l_head
 
 let cancel t h =
   let slot = h land slot_mask and gen = h lsr slot_bits in
@@ -513,63 +509,63 @@ let fire_profiled t p f kind =
   t.executed <- t.executed + 1;
   check_cancel t
 
-let step t =
-  let src = next_source t in
+(* Fire the event at [src], which is not [no_src]. *)
+let fire t src =
   match t.profiler with
   | None ->
-      if src = no_src then false
-      else begin
-        if src = heap_src then begin
-          let time = Array.unsafe_get t.h_time 0
-          and slot = Array.unsafe_get t.h_slot 0
-          and gen = Array.unsafe_get t.h_gen 0 in
-          heap_remove_root t;
-          Array.unsafe_set t.clock 0 time;
-          if Array.unsafe_get t.s_gen slot = gen then begin
-            let f = Array.unsafe_get t.s_action slot in
-            retire_slot t slot gen;
-            f ();
-            t.executed <- t.executed + 1;
-            check_cancel t
-          end
-        end
-        else begin
-          let l = Array.unsafe_get t.lanes src in
-          Array.unsafe_set t.clock 0 (Array.unsafe_get l.l_time l.l_head);
-          let f = lane_pop t l in
+      if src = heap_src then begin
+        let time = Array.unsafe_get t.h_time 0
+        and slot = Array.unsafe_get t.h_slot 0
+        and gen = Array.unsafe_get t.h_gen 0 in
+        heap_remove_root t;
+        Array.unsafe_set t.clock 0 time;
+        if Array.unsafe_get t.s_gen slot = gen then begin
+          let f = Array.unsafe_get t.s_action slot in
+          retire_slot t slot gen;
           f ();
           t.executed <- t.executed + 1;
           check_cancel t
-        end;
-        true
+        end
+      end
+      else begin
+        let l = Array.unsafe_get t.lanes src in
+        Array.unsafe_set t.clock 0 (Array.unsafe_get l.l_time l.l_head);
+        let f = lane_pop t l in
+        f ();
+        t.executed <- t.executed + 1;
+        check_cancel t
       end
   | Some p ->
       (* Instrumented path: identical semantics, plus statistics. The
          high-water mark observes the queue before the pop. *)
       Profiler.observe_queue p (pending t);
-      if src = no_src then false
-      else begin
-        if src = heap_src then begin
-          let time = t.h_time.(0) and slot = t.h_slot.(0) and gen = t.h_gen.(0) in
-          heap_remove_root t;
-          Profiler.record_advance p (time -. t.clock.(0));
-          t.clock.(0) <- time;
-          if t.s_gen.(slot) = gen then begin
-            let f = t.s_action.(slot) and kind = t.s_kind.(slot) in
-            retire_slot t slot gen;
-            fire_profiled t p f kind
-          end
-          else Profiler.record_cancelled p
+      if src = heap_src then begin
+        let time = t.h_time.(0) and slot = t.h_slot.(0) and gen = t.h_gen.(0) in
+        heap_remove_root t;
+        Profiler.record_advance p (time -. t.clock.(0));
+        t.clock.(0) <- time;
+        if t.s_gen.(slot) = gen then begin
+          let f = t.s_action.(slot) and kind = t.s_kind.(slot) in
+          retire_slot t slot gen;
+          fire_profiled t p f kind
         end
-        else begin
-          let l = t.lanes.(src) in
-          let time = l.l_time.(l.l_head) and kind = l.l_kind.(l.l_head) in
-          Profiler.record_advance p (time -. t.clock.(0));
-          t.clock.(0) <- time;
-          fire_profiled t p (lane_pop t l) kind
-        end;
-        true
+        else Profiler.record_cancelled p
       end
+      else begin
+        let l = t.lanes.(src) in
+        let time = l.l_time.(l.l_head) and kind = l.l_kind.(l.l_head) in
+        Profiler.record_advance p (time -. t.clock.(0));
+        t.clock.(0) <- time;
+        fire_profiled t p (lane_pop t l) kind
+      end
+
+let step t =
+  let src = next_source t in
+  if src = no_src then false
+  else begin
+    fire t src;
+    true
+  end
 
 let run ?until t =
   t.stopped <- false;
@@ -578,7 +574,8 @@ let run ?until t =
   | Some horizon ->
       let continue = ref true in
       while !continue && not t.stopped do
-        if due t horizon then ignore (step t)
+        let src = next_source t in
+        if src <> no_src && source_time t src <= horizon then fire t src
         else begin
           t.clock.(0) <- Float.max t.clock.(0) horizon;
           continue := false
