@@ -81,13 +81,61 @@ let test_heap_alloc_free () =
        words)
     true (words < 100.)
 
-(* The event core against a reference model. One program drives both:
-   heap events at absolute times, fixed-delay events over more distinct
+(* The event core against a reference model: under arbitrary
+   interleavings of schedule and cancel — including slot reuse after
+   cancellation — surviving events must fire in exactly sorted
+   (time, schedule-order) order. *)
+let prop_sim_schedule_cancel_model =
+  QCheck.Test.make ~name:"sim pop order matches reference model" ~count:300
+    QCheck.(list (pair (int_bound 2) (float_bound_exclusive 100.)))
+    (fun ops ->
+      let sim = Sim.create () in
+      let fired = ref [] in
+      let model = ref [] in
+      let handles = ref [] in
+      let next_id = ref 0 in
+      List.iter
+        (fun (op, time) ->
+          if op <= 1 then begin
+            let id = !next_id in
+            incr next_id;
+            let h =
+              Sim.schedule_at sim ~time (fun () -> fired := id :: !fired)
+            in
+            handles := (id, h) :: !handles;
+            model := (time, id) :: !model
+          end
+          else
+            (* Cancel the oldest tracked handle so later schedules
+               reuse its slot. *)
+            match List.rev !handles with
+            | [] -> ()
+            | (id, h) :: _ ->
+                Sim.cancel sim h;
+                handles := List.filter (fun (i, _) -> i <> id) !handles;
+                model := List.filter (fun (_, i) -> i <> id) !model)
+        ops;
+      Sim.run sim;
+      let expect =
+        List.stable_sort
+          (fun (ta, ia) (tb, ib) ->
+            match compare ta tb with 0 -> compare ia ib | c -> c)
+          (List.rev !model)
+        |> List.map snd
+      in
+      List.rev !fired = expect)
+
+(* Lanes against a reference model. One program drives both: heap
+   events at absolute times, fixed-delay events over more distinct
    delays than there are lanes, cancels of the oldest live heap event
    (so later schedules reuse its slot), and fixed-delay events whose
    actions schedule more fixed-delay and heap events at a later clock.
-   Times are multiples of 1/4, so heap events tie with lane heads and
-   lane heads with each other. The run stops at a horizon, then drains.
+   The first of those has the parent's delay, so a lane ring also grows
+   after its head has moved. Most heap times are multiples of 1/4, so heap events tie with lane
+   heads and lane heads with each other; the rest are thirds, which no
+   float sum lands on exactly. A quarter of the programs hold hundreds
+   of live heap events, so the heap, the slot store and the lanes grow
+   while slots are reused. The run stops at a horizon, then drains.
    Both must fire the same events at the same times, in (time,
    schedule-order) order. *)
 type backend = {
@@ -113,23 +161,25 @@ let sim_backend () =
     drain = (fun () -> Sim.run sim);
   }
 
-(* One sorted list of (time, seq, live flag, action). *)
+module Model_queue = Map.Make (struct
+  type t = float * int
+
+  let compare = compare
+end)
+
+(* A map from (time, seq) to (live flag, action). *)
 let model_backend () =
-  let now = ref 0. and seq = ref 0 and queue = ref [] in
+  let now = ref 0. and seq = ref 0 and queue = ref Model_queue.empty in
   let add time f =
     let live = ref true in
-    let e = (time, !seq, live, f) in
+    queue := Model_queue.add (time, !seq) (live, f) !queue;
     incr seq;
-    queue :=
-      List.merge
-        (fun (ta, qa, _, _) (tb, qb, _, _) -> compare (ta, qa) (tb, qb))
-        !queue [ e ];
     live
   in
   let rec fire_until until =
-    match !queue with
-    | (time, _, live, f) :: rest when time <= until ->
-        queue := rest;
+    match Model_queue.min_binding_opt !queue with
+    | Some (((time, _) as key), (live, f)) when time <= until ->
+        queue := Model_queue.remove key !queue;
         now := time;
         if !live then f ();
         fire_until until
@@ -160,28 +210,30 @@ let run_program backend (ops, horizon) =
     incr next_id;
     id
   in
-  let cancels = ref [] in
+  let cancels = Queue.create () in
   List.iter
     (fun (op, a, b) ->
       let delay = fixed_delays.(b mod Array.length fixed_delays) in
       match op with
-      | 0 | 1 ->
-          let time = float_of_int a /. 4. in
-          cancels := backend.at ~time (fire (fresh ())) :: !cancels
-      | 2 -> backend.fixed ~delay (fire (fresh ()))
-      | 3 -> (
-          match List.rev !cancels with
-          | [] -> ()
-          | c :: rest ->
-              c ();
-              cancels := List.rev rest)
+      | 0 | 1 | 2 ->
+          let time =
+            if op = 2 then float_of_int a /. 3. else float_of_int a /. 4.
+          in
+          Queue.add (backend.at ~time (fire (fresh ()))) cancels
+      | 3 -> backend.fixed ~delay (fire (fresh ()))
+      | 4 -> Option.iter (fun c -> c ()) (Queue.take_opt cancels)
       | _ ->
-          let id = fresh () and child = fresh () and tie = fresh () in
+          let id = fresh () and tie = fresh () in
+          let children = List.init (1 + (a mod 3)) (fun _ -> fresh ()) in
           backend.fixed ~delay (fun () ->
               fire id ();
-              backend.fixed
-                ~delay:fixed_delays.((a + b) mod Array.length fixed_delays)
-                (fire child);
+              List.iteri
+                (fun i child ->
+                  backend.fixed
+                    ~delay:
+                      fixed_delays.((b + (i * a)) mod Array.length fixed_delays)
+                    (fire child))
+                children;
               let (_ : unit -> unit) =
                 backend.at
                   ~time:(backend.now () +. (float_of_int (a mod 3) /. 4.))
@@ -194,14 +246,14 @@ let run_program backend (ops, horizon) =
   backend.drain ();
   (at_horizon, List.rev !log, backend.now ())
 
-let prop_sim_schedule_cancel_model =
-  QCheck.Test.make ~name:"sim pop order matches reference model" ~count:300
+let prop_sim_lanes_model =
+  QCheck.Test.make ~name:"sim lanes match reference model" ~count:300
     QCheck.(
       pair
         (list_of_size
-           Gen.(0 -- 120)
-           (triple (int_bound 4) (int_bound 12) (int_bound 7)))
-        (int_bound 16))
+           Gen.(frequency [ (3, 0 -- 120); (1, 300 -- 1500) ])
+           (triple (int_bound 5) (int_bound 400) (int_bound 7)))
+        (int_bound 400))
     (fun (ops, h) ->
       let prog = (ops, float_of_int h /. 4.) in
       run_program (sim_backend ()) prog = run_program (model_backend ()) prog)
@@ -727,7 +779,7 @@ let suites =
           test_sim_lane_alloc_free;
         Alcotest.test_case "lane events pending" `Quick test_sim_lane_pending;
       ]
-      @ qsuite [ prop_sim_schedule_cancel_model ] );
+      @ qsuite [ prop_sim_schedule_cancel_model; prop_sim_lanes_model ] );
     ( "engine.rng",
       [
         Alcotest.test_case "determinism" `Quick test_rng_determinism;
