@@ -48,7 +48,7 @@ type t = {
   mutable flows_rev : flow list;
   mutable flow_count : int;
   mutable next_subflow_id : int;
-  routes : route Flow_table.t;
+  routes : (int, route) Hashtbl.t;
   route_origins : (int, route_origin) Hashtbl.t;
   hooks : hooks;
   mutable reboot_hooks : (int -> unit) list;
@@ -59,8 +59,8 @@ type t = {
 }
 
 (* Subflow ids live far above experiment flow ids so route-table keys
-   never collide; experiment ids stay in the tables' dense range. *)
-let subflow_id_base = Flow_table.dense_limit
+   never collide. *)
+let subflow_id_base = 1_000_000
 
 let create ?(trace = Trace.null) ~sim ~topo ~rng ~init_rtt () =
   {
@@ -73,7 +73,7 @@ let create ?(trace = Trace.null) ~sim ~topo ~rng ~init_rtt () =
     flows_rev = [];
     flow_count = 0;
     next_subflow_id = subflow_id_base;
-    routes = Flow_table.create ();
+    routes = Hashtbl.create 256;
     route_origins = Hashtbl.create 256;
     reboot_hooks = [];
     tally = Pdq_engine.Stats.Tally.create ();
@@ -135,7 +135,7 @@ let register_route t ~id ~src ~dst ~choice =
         record_fault t "fault.unroutable";
         [||]
   in
-  Flow_table.replace t.routes id (resolve t.topo links);
+  Hashtbl.replace t.routes id (resolve t.topo links);
   Hashtbl.replace t.route_origins id (Ecmp { src; dst; choice })
 
 let register_route_nodes t ~id path =
@@ -148,7 +148,7 @@ let register_route_nodes t ~id path =
         invalid_arg
           "Context.register_route_nodes: consecutive nodes not adjacent"
   in
-  Flow_table.replace t.routes id
+  Hashtbl.replace t.routes id
     (resolve t.topo (Array.init (Array.length path - 1) hop));
   Hashtbl.replace t.route_origins id Pinned
 
@@ -173,7 +173,7 @@ let reroute t =
       | Pinned -> ()
       | Ecmp { src; dst; choice } -> (
           match Router.path_links t.router ~src ~dst ~choice with
-          | links -> Flow_table.replace t.routes id (resolve t.topo links)
+          | links -> Hashtbl.replace t.routes id (resolve t.topo links)
           | exception Not_found -> record_fault t "fault.unroutable"))
     ids
 
@@ -222,9 +222,10 @@ let fresh_subflow_id t =
   id
 
 let find_route t id =
-  match Flow_table.find_opt t.routes id with
-  | Some r -> r
-  | None -> failwith (Printf.sprintf "Context.route: unknown flow %d" id)
+  match Hashtbl.find t.routes id with
+  | r -> r
+  | exception Not_found ->
+      failwith (Printf.sprintf "Context.route: unknown flow %d" id)
 
 let route t id = Array.map Link.id (find_route t id).up
 

@@ -51,11 +51,11 @@ and 'x ops = {
 type 'x t = {
   context : Context.t;
   protocol : 'x ops;
-  senders : 'x sender Flow_table.t;
+  senders : (int, 'x sender) Hashtbl.t;
 }
 
 let create ctx ops =
-  { context = ctx; protocol = ops; senders = Flow_table.create () }
+  { context = ctx; protocol = ops; senders = Hashtbl.create 64 }
 
 let noop () = ()
 
@@ -288,7 +288,7 @@ let receive s (pkt : Packet.t) =
   | Packet.Term | Packet.Syn_ack | Packet.Ack -> ()
 
 let deliver ep ~node (pkt : Packet.t) =
-  match Flow_table.find_opt ep.senders pkt.Packet.flow with
+  match Hashtbl.find_opt ep.senders pkt.Packet.flow with
   | None -> ()
   | Some s -> (
       match pkt.Packet.kind with
@@ -331,7 +331,7 @@ let launch ep ~id ~src ~dst ~size ~capacity ~start ~flow ext =
       ext;
     }
   in
-  Flow_table.replace ep.senders id s;
+  Hashtbl.replace ep.senders id s;
   s.send_fn <- send_data s;
   s.watchdog_fn <- watchdog s;
   let sim = Context.sim s.ctx in

@@ -35,7 +35,7 @@ type sender = {
 and t = {
   ctx : Context.t;
   rto_min : float;
-  senders : sender Flow_table.t;
+  senders : (int, sender) Hashtbl.t;
 }
 
 let now s = Context.now s.proto.ctx
@@ -260,7 +260,7 @@ let receiver_handle t s (pkt : Packet.t) =
   | Packet.Probe | Packet.Term | Packet.Syn_ack | Packet.Ack -> ()
 
 let deliver t ~node (pkt : Packet.t) =
-  match Flow_table.find_opt t.senders pkt.Packet.flow with
+  match Hashtbl.find_opt t.senders pkt.Packet.flow with
   | None -> ()
   | Some s -> (
       match pkt.Packet.kind with
@@ -272,7 +272,7 @@ let deliver t ~node (pkt : Packet.t) =
           if node = s.flow.Context.spec.Context.src then on_ack s pkt)
 
 let install ?(rto_min = 1e-3) ~ctx () =
-  let t = { ctx; rto_min; senders = Flow_table.create () } in
+  let t = { ctx; rto_min; senders = Hashtbl.create 64 } in
   Context.set_hooks ctx
     ~on_forward:(fun ~link:_ _ -> ())
     ~on_reverse:(fun ~fwd_link:_ _ -> ())
@@ -305,7 +305,7 @@ let start_flow t (flow : Context.flow) =
     }
   in
   s.timer_fn <- (fun () -> on_timeout s);
-  Flow_table.replace t.senders flow.Context.id s;
+  Hashtbl.replace t.senders flow.Context.id s;
   let sim = Context.sim t.ctx in
   let launch () =
     (let trace = Context.trace t.ctx in

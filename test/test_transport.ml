@@ -664,24 +664,6 @@ let test_endpoint_kind_names () =
         | None -> false))
     endpoint_kinds
 
-(* Dense ids (experiment flows) and sparse ones (M-PDQ subflows, from
-   [dense_limit] up) bind and look up alike, across array growth. *)
-let test_flow_table () =
-  let module Ft = Pdq_transport.Flow_table in
-  let t = Ft.create () in
-  let sub = Ft.dense_limit + 3 in
-  List.iter (fun id -> Ft.replace t id (id * 10)) [ 0; 5; 200; sub; -1 ];
-  Ft.replace t 5 51;
-  List.iter
-    (fun (id, expect) ->
-      Alcotest.(check (option int)) (Printf.sprintf "id %d" id) expect
-        (Ft.find_opt t id))
-    [
-      (0, Some 0); (5, Some 51); (200, Some 2000); (sub, Some (sub * 10));
-      (-1, Some (-10)); (6, None); (201, None); (Ft.dense_limit - 1, None);
-      (Ft.dense_limit, None);
-    ]
-
 let suites =
   [
     ( "transport.single_flow",
@@ -733,7 +715,6 @@ let suites =
         Alcotest.test_case "parallel cable, newer one down" `Quick
           test_parallel_cable_newer_down;
         Alcotest.test_case "self flow rejected" `Quick test_self_flow_rejected;
-        Alcotest.test_case "flow table" `Quick test_flow_table;
       ] );
     ( "transport.endpoint",
       List.map
