@@ -464,13 +464,6 @@ let next_source t =
   end;
   !best
 
-(* The time of the event at [src], which is not [no_src]. *)
-let source_time t src =
-  if src = heap_src then Array.unsafe_get t.h_time 0
-  else
-    let l = Array.unsafe_get t.lanes src in
-    Array.unsafe_get l.l_time l.l_head
-
 let cancel t h =
   let slot = h land slot_mask and gen = h lsr slot_bits in
   if slot < t.s_top && t.s_gen.(slot) = gen then retire_slot t slot gen
@@ -575,7 +568,17 @@ let run ?until t =
       let continue = ref true in
       while !continue && not t.stopped do
         let src = next_source t in
-        if src <> no_src && source_time t src <= horizon then fire t src
+        (* The head time is read here, not returned by a helper: a float
+           returned from a call that is not inlined is boxed, 2 words
+           per event. *)
+        if
+          src <> no_src
+          && (if src = heap_src then Array.unsafe_get t.h_time 0
+              else
+                let l = Array.unsafe_get t.lanes src in
+                Array.unsafe_get l.l_time l.l_head)
+             <= horizon
+        then fire t src
         else begin
           t.clock.(0) <- Float.max t.clock.(0) horizon;
           continue := false

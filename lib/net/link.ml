@@ -36,6 +36,8 @@ type t = {
   proc_delay : float;
   buffer_bytes : int;
   latency : float; (* [prop_delay +. proc_delay], boxed once *)
+  mutable tx_bytes : int; (* size of the last packet sent, or -1 *)
+  mutable tx_delay : float; (* its serialization delay, boxed once *)
   mutable buf : Packet.t array;
   mutable head : int;
   mutable flying : int;
@@ -87,14 +89,19 @@ let noop () = ()
 let k_tx = Pdq_engine.Sim.Kind.register "link.tx"
 let k_deliver = Pdq_engine.Sim.Kind.register "link.deliver"
 
+(* [Units.tx_time] returns a fresh boxed float, 2 words a call. The
+   delay is computed only when a packet's size differs from the last
+   one's; otherwise the stored box is passed again. *)
 let start_transmission t =
   if t.flying = t.held then t.busy <- false
   else begin
     let bytes = t.buf.(slot t t.flying).Packet.wire_bytes in
     t.busy <- true;
-    Pdq_engine.Sim.schedule_fixed_k t.sim k_tx
-      ~delay:(Pdq_engine.Units.tx_time ~bytes ~rate:t.rate)
-      t.tx_done
+    if bytes <> t.tx_bytes then begin
+      t.tx_bytes <- bytes;
+      t.tx_delay <- Pdq_engine.Units.tx_time ~bytes ~rate:t.rate
+    end;
+    Pdq_engine.Sim.schedule_fixed_k t.sim k_tx ~delay:t.tx_delay t.tx_done
   end
 
 let on_tx_done t =
@@ -128,6 +135,8 @@ let create ~sim ~id ~src ~dst ~rate ~prop_delay ~proc_delay ~buffer_bytes () =
     proc_delay;
     buffer_bytes;
     latency = prop_delay +. proc_delay;
+    tx_bytes = -1;
+    tx_delay = 0.;
     buf = [||];
     head = 0;
     flying = 0;

@@ -1,6 +1,5 @@
-(* Tests for pdq_engine: heap, simulator, RNG, stats, series, units. *)
+(* Tests for pdq_engine: simulator, RNG, stats, series, units. *)
 
-module Heap = Pdq_engine.Heap
 module Sim = Pdq_engine.Sim
 module Rng = Pdq_engine.Rng
 module Stats = Pdq_engine.Stats
@@ -12,74 +11,6 @@ let feq ?(eps = 1e-9) a b = abs_float (a -. b) <= eps *. (1. +. abs_float a)
 let check_float msg expected actual =
   if not (feq expected actual) then
     Alcotest.failf "%s: expected %.12g, got %.12g" msg expected actual
-
-(* ------------------------------------------------------------------ *)
-(* Heap *)
-
-let drain h =
-  let rec go acc = if Heap.is_empty h then List.rev acc else go (Heap.pop h :: acc) in
-  go []
-
-let test_heap_order () =
-  let h = Heap.create () in
-  List.iter (fun p -> Heap.push h (float_of_int p) p) [ 5; 1; 3; 2; 4 ];
-  let out = ref [] in
-  while not (Heap.is_empty h) do
-    let p = Heap.min_prio h in
-    let v = Heap.pop h in
-    check_float "prio matches value" (float_of_int v) p;
-    out := p :: !out
-  done;
-  Alcotest.(check (list (float 1e-9)))
-    "sorted ascending" [ 1.; 2.; 3.; 4.; 5. ] (List.rev !out)
-
-let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  List.iter (fun v -> Heap.push h 1. v) [ 7; 3; 5 ];
-  Alcotest.(check (list int)) "insertion order on ties" [ 7; 3; 5 ] (drain h)
-
-let test_heap_empty () =
-  let h = Heap.create () in
-  Alcotest.(check bool) "is_empty" true (Heap.is_empty h);
-  Alcotest.check_raises "pop raises" (Invalid_argument "Heap.pop: empty heap")
-    (fun () -> ignore (Heap.pop h));
-  Alcotest.check_raises "min_prio raises"
-    (Invalid_argument "Heap.min_prio: empty heap") (fun () ->
-      ignore (Heap.min_prio h))
-
-let test_heap_growth () =
-  let h = Heap.create ~capacity:2 () in
-  for i = 999 downto 0 do
-    Heap.push h (float_of_int i) i
-  done;
-  Alcotest.(check int) "length" 1000 (Heap.length h);
-  Alcotest.(check (list int)) "pop order" (List.init 1000 Fun.id) (drain h)
-
-let test_heap_peek_stable () =
-  let h = Heap.create () in
-  Heap.push h 2. 2;
-  Heap.push h 1. 1;
-  check_float "min_prio" 1. (Heap.min_prio h);
-  Alcotest.(check int) "min_prio does not remove" 2 (Heap.length h);
-  Alcotest.(check int) "pop" 1 (Heap.pop h)
-
-(* Entries live in flat arrays: once they have grown, pushes and pops
-   allocate nothing. The priorities are boxed up front, as a caller's
-   computed float would be at the call. *)
-let test_heap_alloc_free () =
-  let n = 10_000 in
-  let h = Heap.create ~capacity:n () in
-  let prios = List.init n (fun i -> float_of_int ((i * 7919) mod 101)) in
-  let w0 = Gc.minor_words () in
-  List.iteri (fun i p -> Heap.push h p i) prios;
-  while not (Heap.is_empty h) do
-    ignore (Heap.pop h)
-  done;
-  let words = Gc.minor_words () -. w0 in
-  Alcotest.(check bool)
-    (Printf.sprintf "minor words for %d pushes and pops < 100 (got %.0f)" n
-       words)
-    true (words < 100.)
 
 (* The event core against a reference model: under arbitrary
    interleavings of schedule and cancel — including slot reuse after
@@ -257,86 +188,6 @@ let prop_sim_lanes_model =
     (fun (ops, h) ->
       let prog = (ops, float_of_int h /. 4.) in
       run_program (sim_backend ()) prog = run_program (model_backend ()) prog)
-
-let prop_heap_sorted =
-  QCheck.Test.make ~name:"heap pops sorted" ~count:200
-    QCheck.(list (float_bound_exclusive 1000.))
-    (fun prios ->
-      let h = Heap.create () in
-      List.iteri (fun i p -> Heap.push h p i) prios;
-      let rec go acc =
-        if Heap.is_empty h then List.rev acc
-        else
-          let p = Heap.min_prio h in
-          ignore (Heap.pop h);
-          go (p :: acc)
-      in
-      go [] = List.sort compare prios)
-
-(* Interleaved pushes, appends and pops, with many duplicate
-   priorities, against a reference: each pop returns the earliest
-   inserted of the lowest-priority entries. A run of appends is
-   heapified before the next other operation. *)
-let prop_heap_stable_model =
-  QCheck.Test.make ~name:"heap pops in (prio, insertion) order" ~count:300
-    QCheck.(list_of_size Gen.(0 -- 300) (pair (int_bound 3) (int_bound 4)))
-    (fun ops ->
-      let h = Heap.create ~capacity:1 () in
-      let model = ref [] and next = ref 0 and appending = ref false in
-      let popped = ref [] and expect = ref [] in
-      let add p =
-        model := (p, !next) :: !model;
-        incr next
-      in
-      List.iter
-        (fun (op, p) ->
-          let p = float_of_int p in
-          if op = 3 then begin
-            Heap.append h p !next;
-            appending := true;
-            add p
-          end
-          else begin
-            if !appending then Heap.heapify h;
-            appending := false;
-            if op <= 1 then begin
-              Heap.push h p !next;
-              add p
-            end
-            else
-              match List.sort compare !model with
-              | [] -> ()
-              | (_, v) :: _ ->
-                  model := List.filter (fun (_, i) -> i <> v) !model;
-                  expect := v :: !expect;
-                  popped := Heap.pop h :: !popped
-          end)
-        ops;
-      if !appending then Heap.heapify h;
-      let rest = List.sort compare !model |> List.map snd in
-      !popped = !expect && drain h = rest)
-
-(* Filtering drops entries and nothing else: the pop sequence, also
-   with pushes after the filter, is the unfiltered one without the
-   values the filter dropped. *)
-let prop_heap_filter =
-  QCheck.Test.make ~name:"heap filter keeps the pop order" ~count:300
-    QCheck.(pair (list (int_bound 4)) (list (int_bound 4)))
-    (fun (before, after) ->
-      let a = Heap.create () and b = Heap.create () in
-      let push_all prios base =
-        List.iteri
-          (fun i p ->
-            Heap.push a (float_of_int p) (base + i);
-            Heap.push b (float_of_int p) (base + i))
-          prios
-      in
-      let keep v = v mod 3 <> 0 in
-      push_all before 0;
-      Heap.filter b keep;
-      let n = List.length before in
-      push_all after n;
-      List.filter (fun v -> v >= n || keep v) (drain a) = drain b)
 
 (* ------------------------------------------------------------------ *)
 (* Sim *)
@@ -518,6 +369,39 @@ let test_sim_lane_alloc_free () =
   let events = Sim.events_executed sim - e0 in
   Alcotest.(check bool)
     (Printf.sprintf "ran the chains (%d events)" events) true (events > n);
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per event < 0.001 (got %.4f)"
+       (words /. float_of_int events))
+    true
+    (words /. float_of_int events < 0.001)
+
+(* [run ~until], the path every packet run takes, allocates nothing
+   either: endless fixed-delay chains on three lanes and a heap timer,
+   cut by a horizon. *)
+let test_sim_until_alloc_free () =
+  let sim = Sim.create () in
+  let kind = Sim.Kind.register "test.lane" in
+  let chain delay =
+    let tick = ref (fun () -> ()) in
+    (tick := fun () -> Sim.schedule_fixed_k sim kind ~delay !tick);
+    !tick
+  in
+  let timer = ref (fun () -> ()) in
+  (timer := fun () -> ignore (Sim.schedule_k sim kind ~delay:7e-6 !timer));
+  List.iter
+    (fun f -> Sim.schedule_fixed_k sim kind ~delay:0. f)
+    [ chain 1e-6; chain 3e-6; chain 2.5e-6 ];
+  ignore (Sim.schedule_k sim kind ~delay:0. !timer);
+  (* Warm-up: make the lanes and grow every ring once. *)
+  Sim.run ~until:1e-3 sim;
+  let e0 = Sim.events_executed sim in
+  let w0 = Gc.minor_words () in
+  Sim.run ~until:0.05 sim;
+  let words = Gc.minor_words () -. w0 in
+  let events = Sim.events_executed sim - e0 in
+  check_float "clock at the horizon" 0.05 (Sim.now sim);
+  Alcotest.(check bool)
+    (Printf.sprintf "ran to the horizon (%d events)" events) true (events > 50_000);
   Alcotest.(check bool)
     (Printf.sprintf "minor words per event < 0.001 (got %.4f)"
        (words /. float_of_int events))
@@ -748,17 +632,6 @@ let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let suites =
   [
-    ( "engine.heap",
-      [
-        Alcotest.test_case "ascending order" `Quick test_heap_order;
-        Alcotest.test_case "fifo on ties" `Quick test_heap_fifo_ties;
-        Alcotest.test_case "empty behaviour" `Quick test_heap_empty;
-        Alcotest.test_case "growth to 1000" `Quick test_heap_growth;
-        Alcotest.test_case "peek is stable" `Quick test_heap_peek_stable;
-        Alcotest.test_case "allocation-free push and pop" `Quick
-          test_heap_alloc_free;
-      ]
-      @ qsuite [ prop_heap_sorted; prop_heap_stable_model; prop_heap_filter ] );
     ( "engine.sim",
       [
         Alcotest.test_case "time ordering" `Quick test_sim_ordering;
@@ -778,6 +651,8 @@ let suites =
         Alcotest.test_case "allocation-free lanes" `Quick
           test_sim_lane_alloc_free;
         Alcotest.test_case "lane events pending" `Quick test_sim_lane_pending;
+        Alcotest.test_case "allocation-free run until" `Quick
+          test_sim_until_alloc_free;
       ]
       @ qsuite [ prop_sim_schedule_cancel_model; prop_sim_lanes_model ] );
     ( "engine.rng",
