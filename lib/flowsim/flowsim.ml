@@ -88,12 +88,6 @@ type workspace = {
   residual : float array; (* per link: PDQ/RCP residual, D3 available *)
   count : int array; (* per link: RCP unassigned flows, D3 flows *)
   demand : float array; (* per link: D3 requests *)
-  row : int array;
-      (* RCP members in compressed sparse rows: link [l]'s flows are
-         [members.(row.(l)) .. members.(row.(l+1) - 1)] *)
-  members : int array; (* flow [idx]s *)
-  queued : int array; (* per link: RCP heap entries *)
-  heap : Pdq_engine.Heap.t;
 }
 
 (* Infeasibility check for Early Termination / quenching. *)
@@ -239,16 +233,253 @@ let pdq_rates ws opts ~now ~capacity ~admitted =
     end
   done
 
-(* Global max-min fairness via water-filling with a lazy heap of
-   per-link fair shares. Links freeze in (share, push seq) order and
-   each link's members are visited oldest admitted first. Together they
-   fix the float order of the residual updates, so both orders are part
-   of the output. *)
-let rcp_rates ws ~capacity =
-  let module Heap = Pdq_engine.Heap in
-  let { active; n_active; paths; rate; residual; count; row; members; queued; heap; _ } =
-    ws
-  in
+(* RCP's queue of per-link fair shares. An entry is a (share, seq)
+   pair for one link; [seq] numbers the pushes since the last [clear],
+   so the pair is a total order and fixes the pop sequence.
+
+   Each link's entries form a list sorted by (share, seq), threaded
+   through a pool that [clear] empties: an entry's index in the pool is
+   its [seq]. A 4-ary indexed min-heap holds each link whose list is not
+   empty once, keyed by the list's head, so the least entry of all is
+   the head of the root link's list. A new entry has the largest [seq],
+   so it goes after every entry whose share is no greater than its own:
+   behind the tail in O(1) when its share is at least the tail's, which
+   is the common case, as water-filling shares mostly grow. The heap
+   moves only when a link's head changes or a link leaves, and [kill]
+   drops a link's whole list at once.
+
+   Keys sit unboxed in a float array. No float is passed to or returned
+   from a function that is not inlined: without flambda, the float
+   argument of [push] and the result of [min_share] would each be
+   boxed. *)
+module Share_queue = struct
+  type t = {
+    (* Entry pool: [share.(e)], and [next.(e)], the entry after [e] in
+       its link's list or -1. [used] entries are taken. *)
+    mutable share : float array;
+    mutable next : int array;
+    mutable used : int;
+    (* Per link: the first and last entry of its list; [first] is -1
+       when the list is empty. *)
+    first : int array;
+    last : int array;
+    (* The heap, [size] slots: slot [i] holds a link whose head entry
+       has share [key.(i)]; [tag.(i)] packs that entry above the link
+       ([tag_bits]), so comparing tags compares seqs. [pos] maps a link
+       back to its slot, or -1. *)
+    key : float array;
+    tag : int array;
+    pos : int array;
+    mutable size : int;
+  }
+
+  let tag_bits = 31
+  let link_mask = (1 lsl tag_bits) - 1
+
+  let create ~links ~capacity =
+    if links > link_mask then invalid_arg "Share_queue.create: too many links";
+    let capacity = max 1 capacity in
+    {
+      share = Array.make capacity 0.;
+      next = Array.make capacity 0;
+      used = 0;
+      first = Array.make links (-1);
+      last = Array.make links (-1);
+      key = Array.make links 0.;
+      tag = Array.make links 0;
+      pos = Array.make links (-1);
+      size = 0;
+    }
+
+  let is_empty q = q.size = 0
+
+  let clear q =
+    for i = 0 to q.size - 1 do
+      let l = q.tag.(i) land link_mask in
+      q.first.(l) <- -1;
+      q.pos.(l) <- -1
+    done;
+    q.size <- 0;
+    q.used <- 0
+
+  let grow q =
+    let n = Array.length q.share in
+    if 2 * n > link_mask then failwith "Share_queue: entry pool full";
+    let share = Array.make (2 * n) 0. and next = Array.make (2 * n) 0 in
+    Array.blit q.share 0 share 0 n;
+    Array.blit q.next 0 next 0 n;
+    q.share <- share;
+    q.next <- next
+
+  (* Slot [i]'s parent is [(i - 1) / 4] and its children are [4i + 1]
+     to [4i + 4]. The sifts move a hole and write the moving slot once,
+     at its final place. Every index they touch is below [size]. *)
+  let sift_up q i =
+    let key = q.key and tag = q.tag and pos = q.pos in
+    let k = Array.unsafe_get key i and g = Array.unsafe_get tag i in
+    let i = ref i and continue = ref true in
+    while !continue && !i > 0 do
+      let p = (!i - 1) / 4 in
+      let kp = Array.unsafe_get key p and gp = Array.unsafe_get tag p in
+      if k < kp || (k = kp && g < gp) then begin
+        Array.unsafe_set key !i kp;
+        Array.unsafe_set tag !i gp;
+        Array.unsafe_set pos (gp land link_mask) !i;
+        i := p
+      end
+      else continue := false
+    done;
+    Array.unsafe_set key !i k;
+    Array.unsafe_set tag !i g;
+    Array.unsafe_set pos (g land link_mask) !i
+
+  let sift_down q i =
+    let key = q.key and tag = q.tag and pos = q.pos and n = q.size in
+    let k = Array.unsafe_get key i and g = Array.unsafe_get tag i in
+    let i = ref i and continue = ref true in
+    while !continue do
+      let c0 = (4 * !i) + 1 in
+      if c0 >= n then continue := false
+      else begin
+        let c = ref c0 in
+        let kc = ref (Array.unsafe_get key c0) and gc = ref (Array.unsafe_get tag c0) in
+        for j = c0 + 1 to (if c0 + 3 < n then c0 + 3 else n - 1) do
+          let kj = Array.unsafe_get key j in
+          if kj < !kc || (kj = !kc && Array.unsafe_get tag j < !gc) then begin
+            c := j;
+            kc := kj;
+            gc := Array.unsafe_get tag j
+          end
+        done;
+        if !kc < k || (!kc = k && !gc < g) then begin
+          Array.unsafe_set key !i !kc;
+          Array.unsafe_set tag !i !gc;
+          Array.unsafe_set pos (!gc land link_mask) !i;
+          i := !c
+        end
+        else continue := false
+      end
+    done;
+    Array.unsafe_set key !i k;
+    Array.unsafe_set tag !i g;
+    Array.unsafe_set pos (g land link_mask) !i
+
+  (* Take slot [i]'s link out of the heap: the last slot fills the hole
+     and moves up or down to its place. *)
+  let remove q i =
+    let key = q.key and tag = q.tag in
+    q.pos.(tag.(i) land link_mask) <- -1;
+    let last = q.size - 1 in
+    q.size <- last;
+    if i < last then begin
+      let k = key.(last) and g = tag.(last) in
+      key.(i) <- k;
+      tag.(i) <- g;
+      let p = (i - 1) / 4 in
+      if i > 0 && (k < key.(p) || (k = key.(p) && g < tag.(p))) then
+        sift_up q i
+      else sift_down q i
+    end
+
+  (* Put entry [e], the newest, into link [l]'s list. *)
+  let insert q l e =
+    let share = q.share and next = q.next in
+    let s = share.(e) in
+    let f = q.first.(l) in
+    if f < 0 then begin
+      next.(e) <- -1;
+      q.first.(l) <- e;
+      q.last.(l) <- e;
+      let i = q.size in
+      q.size <- i + 1;
+      q.key.(i) <- s;
+      q.tag.(i) <- (e lsl tag_bits) lor l;
+      sift_up q i
+    end
+    else begin
+      let z = q.last.(l) in
+      if s >= share.(z) then begin
+        next.(e) <- -1;
+        next.(z) <- e;
+        q.last.(l) <- e
+      end
+      else if s < share.(f) then begin
+        (* A new head: the link's key falls. *)
+        next.(e) <- f;
+        q.first.(l) <- e;
+        let i = q.pos.(l) in
+        q.key.(i) <- s;
+        q.tag.(i) <- (e lsl tag_bits) lor l;
+        sift_up q i
+      end
+      else begin
+        (* After the last entry whose share is at most [s]; the tail's
+           share is above [s], so the walk stops before it. *)
+        let p = ref f in
+        while share.(next.(!p)) <= s do
+          p := next.(!p)
+        done;
+        next.(e) <- next.(!p);
+        next.(!p) <- e
+      end
+    end
+
+  let[@inline] push q l s =
+    let e = q.used in
+    if e = Array.length q.share then grow q;
+    q.share.(e) <- s;
+    q.used <- e + 1;
+    insert q l e
+
+  let empty fn = invalid_arg ("Share_queue." ^ fn ^ ": empty queue")
+
+  let[@inline] min_share q = if q.size = 0 then empty "min_share" else q.key.(0)
+  let min_link q = if q.size = 0 then empty "min_link" else q.tag.(0) land link_mask
+
+  let pop q =
+    if q.size = 0 then empty "pop";
+    let g = q.tag.(0) in
+    let l = g land link_mask in
+    let n = q.next.(g lsr tag_bits) in
+    if n < 0 then begin
+      q.first.(l) <- -1;
+      remove q 0
+    end
+    else begin
+      q.first.(l) <- n;
+      q.key.(0) <- q.share.(n);
+      q.tag.(0) <- (n lsl tag_bits) lor l;
+      sift_down q 0
+    end
+
+  let kill q l =
+    let i = q.pos.(l) in
+    if i >= 0 then begin
+      q.first.(l) <- -1;
+      remove q i
+    end
+end
+
+(* RCP's per-link state, made only on RCP runs. *)
+type rcp = {
+  row : int array;
+      (* members in compressed sparse rows: link [l]'s flows are
+         [members.(row.(l)) .. members.(row.(l+1) - 1)] *)
+  members : int array; (* flow [idx]s *)
+  queue : Share_queue.t;
+}
+
+(* Global max-min fairness via water-filling over a queue of per-link
+   fair shares. Links freeze in (share, push seq) order and each link's
+   members are visited oldest admitted first. Together they fix the
+   float order of the residual updates, so both orders are part of the
+   output. A popped share more than 1e-6 below the link's current one
+   is stale: the link is pushed again with the current share. A link
+   whose flows are all assigned leaves the queue with every entry it
+   had, which leaves the pop order of the rest unchanged. *)
+let rcp_rates ws st ~capacity =
+  let { active; n_active; paths; rate; residual; count; _ } = ws in
+  let { row; members; queue = q } = st in
   let nlinks = Array.length capacity in
   Array.blit capacity 0 residual 0 nlinks;
   Array.fill count 0 nlinks 0;
@@ -280,60 +511,42 @@ let rcp_rates ws ~capacity =
       members.(slot) <- i
     done
   done;
-  Heap.clear heap;
-  Array.fill queued 0 nlinks 0;
+  Share_queue.clear q;
   for l = 0 to nlinks - 1 do
-    if count.(l) > 0 then begin
-      Heap.append heap (residual.(l) /. float_of_int count.(l)) l;
-      queued.(l) <- 1
-    end
+    if count.(l) > 0 then
+      Share_queue.push q l (residual.(l) /. float_of_int count.(l))
   done;
-  Heap.heapify heap;
-  let push l =
-    if count.(l) > 0 then begin
-      Heap.push heap (residual.(l) /. float_of_int count.(l)) l;
-      queued.(l) <- queued.(l) + 1
+  while not (Share_queue.is_empty q) do
+    let key = Share_queue.min_share q and l = Share_queue.min_link q in
+    let fair = residual.(l) /. float_of_int count.(l) in
+    if fair > key +. 1e-6 then begin
+      Share_queue.pop q;
+      Share_queue.push q l fair
     end
-  in
-  (* An entry is dead once its link has no unassigned flow left; [count]
-     only falls, so it stays dead and would only be skipped. Once dead
-     entries are more than half the heap they are dropped, which leaves
-     the pop order of the others unchanged. *)
-  let dead = ref 0 in
-  while not (Heap.is_empty heap) do
-    let key = Heap.min_prio heap in
-    let l = Heap.pop heap in
-    queued.(l) <- queued.(l) - 1;
-    if count.(l) = 0 then decr dead
     else begin
-      let fair = residual.(l) /. float_of_int count.(l) in
-      if fair > key +. 1e-6 then
-        (* Stale entry: requeue with the current fair share. *)
-        push l
-      else
-        (* Freeze this link: all its unassigned flows are bottlenecked
-           here. *)
-        for j = row.(l) to row.(l + 1) - 1 do
-          let i = members.(j) in
-          if rate.(i) < 0. then begin
-            let r = fmax 0. fair in
-            rate.(i) <- r;
-            let path = paths.(i) in
-            for h = 0 to Array.length path - 1 do
-              let m = path.(h) in
-              count.(m) <- count.(m) - 1;
-              if count.(m) = 0 then dead := !dead + queued.(m);
-              if m <> l then begin
-                residual.(m) <- residual.(m) -. r;
-                push m
-              end
-            done
-          end
-        done
-    end;
-    if 2 * !dead > Heap.length heap then begin
-      Heap.filter heap (fun l -> count.(l) > 0);
-      dead := 0
+      (* Freeze this link: all its unassigned flows are bottlenecked
+         here, so its count falls to 0 and it leaves the queue now
+         rather than after a pop and a [kill]. *)
+      Share_queue.kill q l;
+      for j = row.(l) to row.(l + 1) - 1 do
+        let i = members.(j) in
+        if rate.(i) < 0. then begin
+          let r = fmax 0. fair in
+          rate.(i) <- r;
+          let path = paths.(i) in
+          for h = 0 to Array.length path - 1 do
+            let m = path.(h) in
+            let c = count.(m) - 1 in
+            count.(m) <- c;
+            if c = 0 then Share_queue.kill q m;
+            if m <> l then begin
+              residual.(m) <- residual.(m) -. r;
+              if c > 0 then
+                Share_queue.push q m (residual.(m) /. float_of_int c)
+            end
+          done
+        end
+      done
     end
   done;
   for j = 0 to n_active - 1 do
@@ -447,12 +660,23 @@ let workspace ~capacity ~goodput_factor ~seed proto specs =
     residual = Array.make nlinks 0.;
     count = Array.make nlinks 0;
     demand = Array.make nlinks 0.;
-    row = Array.make (nlinks + 1) 0;
-    members =
-      Array.make (Array.fold_left (fun h s -> h + Array.length s.path) 0 specs) 0;
-    queued = Array.make nlinks 0;
-    heap = Pdq_engine.Heap.create ();
   }
+
+(* The per-run state of one protocol's solver. *)
+type solver = Pdq_solver of pdq_opts | Rcp_solver of rcp | D3_solver of float array
+
+let solver ~nlinks proto specs =
+  match proto with
+  | Pdq opts -> Pdq_solver opts
+  | Rcp ->
+      let hops = Array.fold_left (fun h s -> h + Array.length s.path) 0 specs in
+      Rcp_solver
+        {
+          row = Array.make (nlinks + 1) 0;
+          members = Array.make hops 0;
+          queue = Share_queue.create ~links:nlinks ~capacity:(nlinks + hops);
+        }
+  | D3 -> D3_solver (Array.make nlinks 0.)
 
 let run ?(dt = 1e-3) ?(init_latency = 5e-4) ?(header_overhead = 56. /. 1500.)
     ?(seed = 1) ?(horizon = 60.) net proto specs =
@@ -475,7 +699,7 @@ let run ?(dt = 1e-3) ?(init_latency = 5e-4) ?(header_overhead = 56. /. 1500.)
     | Pdq { criticality = Size_estimation q; _ } -> max 1 q
     | _ -> 0
   in
-  let fs = Array.make (Array.length net.capacity) 0. in
+  let solver = solver ~nlinks:(Array.length net.capacity) proto specs in
   let t = ref (if n = 0 then 0. else specs.(pending.(0)).start) in
   let open_flows = ref n in
   while !open_flows > 0 && !t < horizon do
@@ -490,10 +714,10 @@ let run ?(dt = 1e-3) ?(init_latency = 5e-4) ?(header_overhead = 56. /. 1500.)
     done;
     (* [active] holds only live flows here: the previous step retired
        every dead and finished one. *)
-    (match proto with
-    | Pdq opts -> pdq_rates ws opts ~now:!t ~capacity:net.capacity ~admitted
-    | Rcp -> rcp_rates ws ~capacity:net.capacity
-    | D3 -> d3_rates ws ~now:!t ~capacity:net.capacity ~fs);
+    (match solver with
+    | Pdq_solver opts -> pdq_rates ws opts ~now:!t ~capacity:net.capacity ~admitted
+    | Rcp_solver st -> rcp_rates ws st ~capacity:net.capacity
+    | D3_solver fs -> d3_rates ws ~now:!t ~capacity:net.capacity ~fs);
     (* Advance remaining work; interpolate completion times within the
        step. The goodput factor models header overhead. Each flow's
        update is independent of the others. *)

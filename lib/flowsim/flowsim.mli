@@ -11,13 +11,16 @@
       protocol provably converges to within Pmax+1 RTTs); optional
       Early Termination, flow aging (§7) and alternative criticality
       modes (§5.6).
-    - RCP: global max-min fairness by water-filling over a lazy heap
-      of per-link fair shares. The float order of the residual updates
-      is part of the output, so it is fixed: links freeze in
-      (fair share, push sequence) order, with an entry re-pushed when
-      its link's share has grown by more than 1e-6, and a frozen
-      link's flows are visited oldest-admitted first (the solver keeps
-      its active flows in admission order).
+    - RCP: global max-min fairness by water-filling over a queue of
+      per-link fair shares ({!Share_queue}). The float order of the
+      residual updates is part of the output, so it is fixed: links
+      freeze in (fair share, push sequence) order, with an entry
+      re-pushed when its link's share has grown by more than 1e-6, and
+      a frozen link's flows are visited oldest-admitted first (the
+      solver keeps its active flows in admission order). A link leaves
+      the queue, every entry with it, once all its flows have a rate:
+      such entries would only be popped and skipped, so dropping them
+      leaves the pop order of the rest unchanged.
     - D3: per-link first-come-first-reserve grants of
       [remaining/(deadline−now)] in flow arrival order plus an equal
       share of the leftover, with non-negative fair share and sender
@@ -93,3 +96,46 @@ val run :
     RTTs), [header_overhead] = 56/1500, [horizon] = 60 s. Raises
     [Invalid_argument] if a flow has an empty path or two flows share an
     [fs_id]. *)
+
+(** RCP's queue of (share, seq) entries, one or more per link, popped
+    least first. [seq] counts the pushes since the last {!clear}, so
+    entries of equal share pop in push order and the set of entries
+    alone fixes the pop sequence.
+
+    Each link's entries sit in a list sorted by (share, seq), and an
+    indexed 4-ary heap holds each link with entries once, keyed by its
+    list's head: the least entry of all is the head of the root link's
+    list. A push goes behind its link's tail in O(1) unless its share
+    is below the tail's; the heap moves only when a link's head changes
+    or a link leaves. Shares must not be NaN. Exposed for its tests. *)
+module Share_queue : sig
+  type t
+
+  val create : links:int -> capacity:int -> t
+  (** An empty queue for links [0 .. links - 1], with room for
+      [capacity] entries between clears; the pool doubles when full. *)
+
+  val clear : t -> unit
+  (** Drop every entry and restart the push count. *)
+
+  val is_empty : t -> bool
+
+  val push : t -> int -> float -> unit
+  (** [push q l share] adds an entry for link [l]. *)
+
+  val min_share : t -> float
+  (** The share of the least entry. Raises [Invalid_argument] when the
+      queue is empty. *)
+
+  val min_link : t -> int
+  (** The link of the least entry. Raises [Invalid_argument] when the
+      queue is empty. *)
+
+  val pop : t -> unit
+  (** Remove the least entry. Raises [Invalid_argument] when the queue
+      is empty. *)
+
+  val kill : t -> int -> unit
+  (** [kill q l] removes every entry of link [l]; the other entries keep
+      their order. *)
+end

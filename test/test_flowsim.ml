@@ -488,6 +488,359 @@ let test_golden specs (name, proto, ms, tenth_ms) () =
         (result_digest (Flowsim.run ~dt ~seed:5 net proto specs)))
     [ (1e-3, ms); (1e-4, tenth_ms) ]
 
+(* ------------------------------------------------------------------ *)
+(* RCP against a reference model *)
+
+(* The RCP solver as it was before [Share_queue], in lists: every
+   (share, seq, link) entry stays queued until popped, and an entry
+   whose link has no unassigned flow left is popped and skipped. The
+   least entry is found by a scan. *)
+let model_rcp_rates ~capacity ~(paths : int array array) active rate =
+  let residual = Array.copy capacity in
+  let count = Array.make (Array.length capacity) 0 in
+  List.iter
+    (fun i ->
+      rate.(i) <- -1.;
+      Array.iter (fun l -> count.(l) <- count.(l) + 1) paths.(i))
+    active;
+  let entries = ref [] and seq = ref 0 in
+  let push l =
+    if count.(l) > 0 then begin
+      entries := (residual.(l) /. float_of_int count.(l), !seq, l) :: !entries;
+      incr seq
+    end
+  in
+  Array.iteri (fun l _ -> push l) capacity;
+  let before (s, q, _) (s', q', _) = s < s' || (s = s' && q < q') in
+  while !entries <> [] do
+    let key, q, l =
+      List.fold_left
+        (fun a e -> if before e a then e else a)
+        (List.hd !entries) !entries
+    in
+    entries := List.filter (fun (_, q', _) -> q' <> q) !entries;
+    if count.(l) > 0 then begin
+      let fair = residual.(l) /. float_of_int count.(l) in
+      if fair > key +. 1e-6 then push l
+      else
+        List.iter
+          (fun i ->
+            if rate.(i) < 0. && Array.mem l paths.(i) then begin
+              let r = if 0. >= fair then 0. else fair in
+              rate.(i) <- r;
+              Array.iter
+                (fun m ->
+                  count.(m) <- count.(m) - 1;
+                  if m <> l then begin
+                    residual.(m) <- residual.(m) -. r;
+                    push m
+                  end)
+                paths.(i)
+            end)
+          active
+    end
+  done;
+  List.iter (fun i -> if rate.(i) < 0. then rate.(i) <- 0.) active
+
+(* [Flowsim.run]'s step loop for RCP with its default options, over
+   [model_rcp_rates]: each flow's FCT, or [None]. *)
+let model_rcp_run ~dt (net : Flowsim.net) specs =
+  let goodput_factor = 1. -. (56. /. 1500.) in
+  let specs = Array.of_list specs in
+  let n = Array.length specs in
+  let paths = Array.map (fun (s : Flowsim.flow_spec) -> s.Flowsim.path) specs in
+  let remaining =
+    Array.map (fun (s : Flowsim.flow_spec) -> 8. *. float_of_int s.Flowsim.size) specs
+  in
+  let done_at = Array.make n Float.nan and rate = Array.make n 0. in
+  let pending =
+    ref
+      (List.stable_sort
+         (fun a b ->
+           match Float.compare specs.(a).Flowsim.start specs.(b).Flowsim.start with
+           | 0 -> Int.compare specs.(a).Flowsim.fs_id specs.(b).Flowsim.fs_id
+           | c -> c)
+         (List.init n Fun.id))
+  in
+  let active = ref [] and open_flows = ref n in
+  let t = ref (match !pending with [] -> 0. | i :: _ -> specs.(i).Flowsim.start) in
+  while !open_flows > 0 && !t < 60. do
+    let rec admit () =
+      match !pending with
+      | i :: rest when specs.(i).Flowsim.start +. 5e-4 <= !t +. 1e-12 ->
+          active := !active @ [ i ];
+          pending := rest;
+          admit ()
+      | _ -> ()
+    in
+    admit ();
+    model_rcp_rates ~capacity:net.Flowsim.capacity ~paths !active rate;
+    List.iter
+      (fun i ->
+        let goodput = rate.(i) *. goodput_factor in
+        if goodput > 0. then begin
+          let work = goodput *. dt in
+          if work >= remaining.(i) then begin
+            done_at.(i) <- !t +. (remaining.(i) /. goodput);
+            remaining.(i) <- 0.;
+            decr open_flows
+          end
+          else remaining.(i) <- remaining.(i) -. work
+        end)
+      !active;
+    active := List.filter (fun i -> Float.is_nan done_at.(i)) !active;
+    t := !t +. dt
+  done;
+  Array.mapi
+    (fun i (s : Flowsim.flow_spec) ->
+      if Float.is_nan done_at.(i) then None else Some (done_at.(i) -. s.Flowsim.start))
+    specs
+
+(* Random RCP instances: up to 8 links, most within a few ulps of
+   1 Gbps, so that fair shares tie or differ by less than the 1e-6 stale
+   tolerance and a link can freeze a hair above another's share (which
+   then falls: pushes before a list's tail). Up to 32 flows on paths of
+   1-4 distinct links in random order, a few sizes (equal completions)
+   and starts on a coarse grid (flows admitted together and at
+   staggered steps). Ids are distinct but not in list order. *)
+let rcp_instance =
+  let gen =
+    QCheck.Gen.(
+      let* nlinks = int_range 1 8 in
+      let* capacity =
+        array_repeat nlinks
+          (oneofl [ 1e9; 1e9; 1e9 +. 3e-7; 1e9 +. 6e-7; 1e9 -. 3e-7; 2e9 ])
+      in
+      let* flows =
+        list_size (int_range 1 32)
+          (triple
+             (list_size (int_range 1 4) (int_bound (nlinks - 1)))
+             (oneofl [ 50_000; 100_000; 100_000; 250_000 ])
+             (int_bound 4))
+      in
+      let* dt = oneofl [ 1e-3; 1e-4 ] in
+      let specs =
+        List.mapi
+          (fun i (links, size, start) ->
+            let path =
+              List.fold_left
+                (fun acc l -> if List.mem l acc then acc else acc @ [ l ])
+                [] links
+            in
+            flow ~id:(((i * 5) + 3) mod 101) ~path:(Array.of_list path) ~size
+              ~start:(float_of_int start *. 2.9e-4)
+              ())
+          flows
+      in
+      return ({ Flowsim.capacity }, specs, dt))
+  in
+  let print ({ Flowsim.capacity }, specs, dt) =
+    Printf.sprintf "dt=%g caps=[%s] flows=[%s]" dt
+      (String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") capacity)))
+      (String.concat "; "
+         (List.map
+            (fun (s : Flowsim.flow_spec) ->
+              Printf.sprintf "id %d path [%s] size %d start %g" s.Flowsim.fs_id
+                (String.concat ","
+                   (Array.to_list (Array.map string_of_int s.Flowsim.path)))
+                s.Flowsim.size s.Flowsim.start)
+            specs))
+  in
+  QCheck.make ~print gen
+
+let prop_rcp_model =
+  QCheck.Test.make ~name:"RCP equals the lazy-heap model bit for bit" ~count:1000
+    rcp_instance (fun (net, specs, dt) ->
+      let r = Flowsim.run ~dt net Flowsim.Rcp specs in
+      let got =
+        Array.map
+          (fun (f : Flowsim.flow_result) -> Option.map Int64.bits_of_float f.Flowsim.fct)
+          r.Flowsim.flows
+      in
+      got = Array.map (Option.map Int64.bits_of_float) (model_rcp_run ~dt net specs))
+
+(* ------------------------------------------------------------------ *)
+(* Share_queue *)
+
+module Q = Flowsim.Share_queue
+
+(* Pop every entry: (share, link) pairs, least first. *)
+let drain q =
+  let rec go acc =
+    if Q.is_empty q then List.rev acc
+    else begin
+      let e = (Q.min_share q, Q.min_link q) in
+      Q.pop q;
+      go (e :: acc)
+    end
+  in
+  go []
+
+let test_queue_order () =
+  let q = Q.create ~links:8 ~capacity:8 in
+  List.iter (fun l -> Q.push q l (float_of_int l)) [ 5; 1; 3; 2; 4 ];
+  Alcotest.(check (list (pair (float 0.) int)))
+    "ascending"
+    [ (1., 1); (2., 2); (3., 3); (4., 4); (5., 5) ]
+    (drain q)
+
+let test_queue_fifo_ties () =
+  let q = Q.create ~links:8 ~capacity:8 in
+  List.iter (fun l -> Q.push q l 1.) [ 7; 3; 5 ];
+  Q.push q 3 1.;
+  Alcotest.(check (list int)) "push order on ties" [ 7; 3; 5; 3 ]
+    (List.map snd (drain q))
+
+let test_queue_empty () =
+  let q = Q.create ~links:2 ~capacity:2 in
+  Alcotest.(check bool) "is_empty" true (Q.is_empty q);
+  Alcotest.check_raises "pop raises"
+    (Invalid_argument "Share_queue.pop: empty queue") (fun () -> Q.pop q);
+  Alcotest.check_raises "min_share raises"
+    (Invalid_argument "Share_queue.min_share: empty queue") (fun () ->
+      ignore (Q.min_share q));
+  Alcotest.check_raises "min_link raises"
+    (Invalid_argument "Share_queue.min_link: empty queue") (fun () ->
+      ignore (Q.min_link q));
+  Q.push q 1 0.5;
+  Q.kill q 1;
+  Q.kill q 0;
+  Alcotest.(check bool) "empty after kill" true (Q.is_empty q)
+
+(* 1000 entries from a pool of 2, on 10 links, in falling shares: every
+   push after a link's first goes before its head. *)
+let test_queue_growth () =
+  let q = Q.create ~links:10 ~capacity:2 in
+  for i = 999 downto 0 do
+    Q.push q (i mod 10) (float_of_int i)
+  done;
+  Alcotest.(check (list (pair (float 0.) int)))
+    "pop order"
+    (List.init 1000 (fun i -> (float_of_int i, i mod 10)))
+    (drain q)
+
+let test_queue_peek_stable () =
+  let q = Q.create ~links:4 ~capacity:4 in
+  Q.push q 2 2.;
+  Q.push q 1 1.;
+  Alcotest.(check (float 0.)) "min_share" 1. (Q.min_share q);
+  Alcotest.(check int) "min_link" 1 (Q.min_link q);
+  Alcotest.(check (float 0.)) "min_share again" 1. (Q.min_share q);
+  Alcotest.(check (list int)) "nothing removed" [ 1; 2 ] (List.map snd (drain q))
+
+(* Entries live in flat arrays: once the pool has grown, pushes, pops
+   and kills allocate nothing. The shares are boxed up front, as a
+   caller's computed float would be at the call from another module. *)
+let test_queue_alloc_free () =
+  let n = 10_000 and links = 100 in
+  let q = Q.create ~links ~capacity:n in
+  let shares = List.init n (fun i -> float_of_int ((i * 7919) mod 101)) in
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 2 do
+    Q.clear q;
+    List.iteri (fun i s -> Q.push q (i mod links) s) shares;
+    for l = 0 to (links / 2) - 1 do
+      Q.kill q (2 * l)
+    done;
+    while not (Q.is_empty q) do
+      Q.pop q
+    done
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words for %d pushes and pops < 100 (got %.0f)" (2 * n)
+       words)
+    true (words < 100.)
+
+(* The queue against a list of (share, seq, link) entries under
+   pushes with many equal shares, pops, kills and clears, from a pool
+   of one entry: each pop takes the least (share, seq), a kill drops
+   exactly the link's entries, and a clear restarts [seq]. *)
+type queue_op = Push of int * int | Pop | Kill of int | Clear
+
+let queue_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, map2 (fun l s -> Push (l, s)) (int_bound 5) (int_bound 4));
+        (3, return Pop);
+        (1, map (fun l -> Kill l) (int_bound 5));
+        (1, return Clear);
+      ])
+
+let print_queue_op = function
+  | Push (l, s) -> Printf.sprintf "push %d %d" l s
+  | Pop -> "pop"
+  | Kill l -> Printf.sprintf "kill %d" l
+  | Clear -> "clear"
+
+let queue_model ~kills =
+  QCheck.Test.make
+    ~name:
+      (if kills then "kill and clear keep the rest in order"
+       else "pops in (share, push) order")
+    ~count:300
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map print_queue_op ops))
+       QCheck.Gen.(
+         list_size (0 -- 400)
+           (if kills then queue_op
+            else
+              frequency
+                [
+                  (2, map2 (fun l s -> Push (l, s)) (int_bound 5) (int_bound 4));
+                  (1, return Pop);
+                ])))
+    (fun ops ->
+      let q = Q.create ~links:6 ~capacity:1 in
+      let model = ref [] and seq = ref 0 and ok = ref true in
+      let least () =
+        List.fold_left
+          (fun a ((s, q, _) as e) ->
+            match a with
+            | Some (s', q', _) when s' < s || (s' = s && q' < q) -> a
+            | _ -> Some e)
+          None !model
+      in
+      let check_min () =
+        match least () with
+        | None -> ok := !ok && Q.is_empty q
+        | Some (s, _, l) ->
+            ok := !ok && (not (Q.is_empty q)) && Q.min_share q = s && Q.min_link q = l
+      in
+      List.iter
+        (fun op ->
+          (match op with
+          | Push (l, s) ->
+              let s = float_of_int s in
+              Q.push q l s;
+              model := (s, !seq, l) :: !model;
+              incr seq
+          | Pop -> (
+              match least () with
+              | None -> ()
+              | Some (_, sq, _) ->
+                  check_min ();
+                  Q.pop q;
+                  model := List.filter (fun (_, q', _) -> q' <> sq) !model)
+          | Kill l ->
+              Q.kill q l;
+              model := List.filter (fun (_, _, l') -> l' <> l) !model
+          | Clear ->
+              Q.clear q;
+              model := [];
+              seq := 0);
+          check_min ())
+        ops;
+      let rest =
+        List.sort
+          (fun (s, q, _) (s', q', _) ->
+            match Float.compare s s' with 0 -> Int.compare q q' | c -> c)
+          !model
+        |> List.map (fun (s, _, l) -> (s, l))
+      in
+      !ok && drain q = rest)
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let suites =
@@ -527,5 +880,16 @@ let suites =
             Alcotest.test_case ("golden tie digest: " ^ name) `Quick
               (test_golden tie_specs g))
           golden_ties
-      @ qsuite [ prop_pdq_capacity_respected ] );
+      @ qsuite [ prop_pdq_capacity_respected; prop_rcp_model ] );
+    ( "flowsim.share_queue",
+      [
+        Alcotest.test_case "ascending order" `Quick test_queue_order;
+        Alcotest.test_case "fifo on ties" `Quick test_queue_fifo_ties;
+        Alcotest.test_case "empty behaviour" `Quick test_queue_empty;
+        Alcotest.test_case "growth to 1000" `Quick test_queue_growth;
+        Alcotest.test_case "peek is stable" `Quick test_queue_peek_stable;
+        Alcotest.test_case "allocation-free push and pop" `Quick
+          test_queue_alloc_free;
+      ]
+      @ qsuite [ queue_model ~kills:false; queue_model ~kills:true ] );
   ]
