@@ -265,8 +265,8 @@ module Share_queue = struct
     last : int array;
     (* The heap, [size] slots: slot [i] holds a link whose head entry
        has share [key.(i)]; [tag.(i)] packs that entry above the link
-       ([tag_bits]), so comparing tags compares seqs. [pos] maps a link
-       back to its slot, or -1. *)
+       ([tag_bits]; both stay far below 2^31), so comparing tags
+       compares seqs. [pos] maps a link back to its slot, or -1. *)
     key : float array;
     tag : int array;
     pos : int array;
@@ -277,7 +277,6 @@ module Share_queue = struct
   let link_mask = (1 lsl tag_bits) - 1
 
   let create ~links ~capacity =
-    if links > link_mask then invalid_arg "Share_queue.create: too many links";
     let capacity = max 1 capacity in
     {
       share = Array.make capacity 0.;
@@ -304,7 +303,6 @@ module Share_queue = struct
 
   let grow q =
     let n = Array.length q.share in
-    if 2 * n > link_mask then failwith "Share_queue: entry pool full";
     let share = Array.make (2 * n) 0. and next = Array.make (2 * n) 0 in
     Array.blit q.share 0 share 0 n;
     Array.blit q.next 0 next 0 n;

@@ -491,10 +491,10 @@ let test_golden specs (name, proto, ms, tenth_ms) () =
 (* ------------------------------------------------------------------ *)
 (* RCP against a reference model *)
 
-(* The RCP solver as it was before [Share_queue], in lists: every
-   (share, seq, link) entry stays queued until popped, and an entry
-   whose link has no unassigned flow left is popped and skipped. The
-   least entry is found by a scan. *)
+(* A reference model of RCP's water-filling over a lazy queue, in
+   lists: every (share, seq, link) entry stays queued until popped, an
+   entry whose link has no unassigned flow left is popped and skipped,
+   and the least entry is found by a scan. *)
 let model_rcp_rates ~capacity ~(paths : int array array) active rate =
   let residual = Array.copy capacity in
   let count = Array.make (Array.length capacity) 0 in
