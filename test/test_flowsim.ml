@@ -752,6 +752,14 @@ let test_queue_alloc_free () =
        words)
     true (words < 100.)
 
+let prop_queue_sorted =
+  QCheck.Test.make ~name:"pops sorted" ~count:200
+    QCheck.(list (pair (int_bound 9) (float_bound_exclusive 1000.)))
+    (fun entries ->
+      let q = Q.create ~links:10 ~capacity:1 in
+      List.iter (fun (l, s) -> Q.push q l s) entries;
+      List.map fst (drain q) = List.sort compare (List.map snd entries))
+
 (* The queue against a list of (share, seq, link) entries under
    pushes with many equal shares, pops, kills and clears, from a pool
    of one entry: each pop takes the least (share, seq), a kill drops
@@ -891,5 +899,7 @@ let suites =
         Alcotest.test_case "allocation-free push and pop" `Quick
           test_queue_alloc_free;
       ]
-      @ qsuite [ queue_model ~kills:false; queue_model ~kills:true ] );
+      @ qsuite
+          [ prop_queue_sorted; queue_model ~kills:false; queue_model ~kills:true ]
+    );
   ]
