@@ -6,7 +6,7 @@
 
    The workload is a pure generator inside the scenario, so the four
    protocol runs are independent scenarios evaluated in parallel by
-   [Sweep.run].
+   [Sweep.map Scenario.run].
 
    Run with: dune exec examples/deadline_datacenter.exe *)
 
@@ -58,7 +58,9 @@ let () =
         (Scenario.Generated { label = "VL2 Poisson mix"; specs = specs_of })
       proto
   in
-  let results = Sweep.run (List.map (fun (_, p) -> scenario p) protocols) in
+  let results =
+    Sweep.map Scenario.run (List.map (fun (_, p) -> scenario p) protocols)
+  in
   List.iter2
     (fun (name, _) (r : Runner.result) ->
       let shorts =

@@ -4,8 +4,8 @@
    away from paused subflows.
 
    One scenario per protocol variant, evaluated in parallel by
-   [Sweep.run] — the path closure captures only immutable data, so it
-   crosses domains safely.
+   [Sweep.map Scenario.run] — the path closure captures only immutable
+   data, so it crosses domains safely.
 
    Run with: dune exec examples/multipath.exe *)
 
@@ -61,7 +61,9 @@ let () =
         [ 2; 3; 4 ]
   in
   Printf.printf "BCube(2,3), random permutation, 400 KB per flow:\n\n";
-  let results = Sweep.run (List.map (fun (_, p) -> scenario p) protocols) in
+  let results =
+    Sweep.map Scenario.run (List.map (fun (_, p) -> scenario p) protocols)
+  in
   List.iter2
     (fun (name, _) (r : Runner.result) ->
       Printf.printf "  %-10s mean FCT %6.2f ms (%d/%d completed)\n" name

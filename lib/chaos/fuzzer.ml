@@ -1,4 +1,5 @@
 module Rng = Pdq_engine.Rng
+module Sim = Pdq_engine.Sim
 module Link = Pdq_net.Link
 module Topology = Pdq_net.Topology
 module Builder = Pdq_topo.Builder
@@ -8,7 +9,6 @@ module Report = Pdq_check.Report
 module Scenario = Pdq_exec.Scenario
 module Sweep = Pdq_exec.Sweep
 module Task = Pdq_exec.Task
-module Exec_opts = Pdq_exec.Exec_opts
 
 (* ------------------------------------------------------------------ *)
 (* Cases: one fuzzed run as pure data. The JSON form is the replayable
@@ -187,11 +187,11 @@ let check_cables c =
   | () -> Ok ()
   | exception Invalid_argument msg -> Error msg
 
-let run_case ?opts c =
+let run_case ?budget c =
   let ( let* ) = Result.bind in
   let* sc = scenario_of_case c in
   let* () = check_cables c in
-  Ok (Scenario.run_checked ?opts ~prepare:(prepare_of c) sc)
+  Ok (Scenario.run_checked ?budget ~prepare:(prepare_of c) sc)
 
 let signature (checked : Scenario.checked) =
   match checked.Scenario.violations with
@@ -253,17 +253,18 @@ let cases ~runs ~seed ?(protocols = default_protocols) ?(intensity = 0.35) ()
   let rng = Rng.create seed in
   List.init runs (fun _ -> generate rng ~protocols ~intensity)
 
-let fuzz ?opts ?checkpoint ?resume ?protocols ?intensity ?on_event ~runs ~seed
-    () =
+let fuzz ?jobs ?budget ?checkpoint ?resume ?protocols ?intensity ?on_event
+    ~runs ~seed () =
   let cases = cases ~runs ~seed ?protocols ?intensity () in
+  (* The supervisor already runs each attempt under [budget]. *)
   let f c =
-    match run_case ?opts c with
+    match run_case c with
     | Ok checked -> verdict_of checked
     | Error e -> failwith e
   in
   let { Sweep.tasks; report } =
-    Sweep.supervise ?opts ?checkpoint ?resume ~codec:verdict_codec ?on_event
-      ~key f cases
+    Sweep.supervise ?jobs ?budget ?checkpoint ?resume ~codec:verdict_codec
+      ?on_event ~key f cases
   in
   { cases; verdicts = tasks; report }
 
@@ -281,14 +282,14 @@ let first_violation campaign =
 (* ------------------------------------------------------------------ *)
 (* Counterexample shrinking: greedy single-event removal to fixpoint,
    then parameter halving to fixpoint, re-checking after every mutation
-   that the *same invariant* still fires. Bounded by [budget] re-runs;
-   when the budget runs out the best case so far is returned. *)
+   that the *same invariant* still fires. Bounded by [max_runs]
+   re-runs; when they run out the best case so far is returned. *)
 
 let remove_at l i = List.filteri (fun j _ -> j <> i) l
 
 (* Halved variants of one event, least-aggressive first. A parameter
    already below noise level stops shrinking, so the loop terminates
-   even with a generous budget. *)
+   even with a generous [max_runs]. *)
 let halve p = if p > 1e-4 then [ p /. 2. ] else []
 
 let halve_adversary_event : Adversary_plan.event -> _ = function
@@ -378,18 +379,18 @@ let halvings p c =
            (p.halve ev))
        evs)
 
-let shrink ?opts ?(budget = 150) c0 ~invariant =
+let shrink ?budget ?(max_runs = 150) c0 ~invariant =
   let used = ref 0 in
   let reproduces c =
-    !used < budget
+    !used < max_runs
     && begin
          incr used;
-         match run_case ?opts c with
+         match run_case ?budget c with
          | Ok checked ->
              List.exists
                (fun v -> v.Report.invariant = invariant)
                checked.Scenario.violations
-         | Error _ -> false
+         | Error _ | (exception Sim.Cancelled _) -> false
        end
   in
   (* Take the first reproducing candidate and start over from it

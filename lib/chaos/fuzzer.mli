@@ -50,12 +50,15 @@ val targets_of_case :
     link-id order, the switch-switch subset, and the switch nodes. *)
 
 val run_case :
-  ?opts:Pdq_exec.Exec_opts.t -> case -> (Pdq_exec.Scenario.checked, string) result
+  ?budget:Pdq_exec.Exec_opts.budget ->
+  case ->
+  (Pdq_exec.Scenario.checked, string) result
 (** Run the case under the full validation stack: faults install via
     the scenario, the adversary via the [?prepare] hook with an rng
     derived from the case seed. [Error] on unresolvable names, and
     on a plan naming a cable the case's topology lacks (checked on a
-    probe instance before the run starts). *)
+    probe instance before the run starts). A tripped [budget] raises
+    [Sim.Cancelled]. *)
 
 val signature : Pdq_exec.Scenario.checked -> string option
 (** The first violation's invariant id, or [None] for a clean run. *)
@@ -87,7 +90,8 @@ val cases :
     1–8 events at [intensity] (default [0.35]). *)
 
 val fuzz :
-  ?opts:Pdq_exec.Exec_opts.t ->
+  ?jobs:int ->
+  ?budget:Pdq_exec.Exec_opts.budget ->
   ?checkpoint:string ->
   ?resume:string ->
   ?protocols:string list ->
@@ -98,8 +102,8 @@ val fuzz :
   unit ->
   campaign
 (** Generate and run a campaign under {!Pdq_exec.Sweep.supervise}
-    ([opts] carries jobs and per-attempt budget; checkpoint slots are
-    keyed by {!key}). Verdicts are in case order regardless of the
+    on [jobs] workers, [budget] bounding each case (checkpoint slots
+    are keyed by {!key}). Verdicts are in case order regardless of the
     worker count. *)
 
 val first_violation : campaign -> (int * case * string) option
@@ -116,12 +120,18 @@ type shrunk = {
 }
 
 val shrink :
-  ?opts:Pdq_exec.Exec_opts.t -> ?budget:int -> case -> invariant:string -> shrunk
+  ?budget:Pdq_exec.Exec_opts.budget ->
+  ?max_runs:int ->
+  case ->
+  invariant:string ->
+  shrunk
 (** Greedy minimization holding the violation fixed: first remove plan
     events one at a time (restarting after every successful deletion)
     until no single deletion still reproduces [invariant], then halve
     event parameters (probabilities, holds, delays, skews, loss rates
-    and durations) to a fixpoint. At most [budget] (default 150)
-    re-executions; on exhaustion the best case so far is returned.
+    and durations) to a fixpoint. At most [max_runs] (default 150)
+    re-executions, each bounded by [budget]; a re-run that trips the
+    budget counts as not reproducing. When the runs are spent the best
+    case so far is returned.
     [shrink] never returns a case that fails to reproduce: every
     accepted mutation was verified. *)

@@ -69,10 +69,13 @@ type cli_opts = {
 
 (* The per-attempt budget implied by --timeout/--max-events, or [None]
    when neither is set. *)
-let budget_opt opts =
-  match (opts.timeout, opts.max_events) with
+let budget_of ~timeout ~max_events =
+  match (timeout, max_events) with
   | None, None -> None
   | wall, events -> Some (Exec_opts.budget ?wall ?events ())
+
+let budget_opt opts =
+  budget_of ~timeout:opts.timeout ~max_events:opts.max_events
 
 let retry_opt opts =
   if opts.retries > 0 then Some (Sweep.retry ~attempts:(opts.retries + 1) ())
@@ -194,15 +197,14 @@ let write_job_metrics path report =
 
 (* One run: under the validation monitors when [checking], and with
    the job report of a jobs workload. *)
-let execute ~checking ~telemetry scenario =
-  let opts = Exec_opts.telemetry telemetry in
+let execute ?budget ~checking ~telemetry scenario =
   if checking then
-    let c = Scenario.run_checked ~opts scenario in
+    let c = Scenario.run_checked ?budget ~telemetry scenario in
     (c.Scenario.result, Some c, c.Scenario.job_report)
   else if is_jobs scenario then
-    let r, report = Scenario.run_jobs ~opts scenario in
+    let r, report = Scenario.run_jobs ?budget ~telemetry scenario in
     (r, None, Some report)
-  else (Scenario.run ~opts scenario, None, None)
+  else (Scenario.run ?budget ~telemetry scenario, None, None)
 
 (* Call [run ~telemetry] with the per-run sinks the flags ask for, each
    writing to [path] of its flag's file. The trace channel is opened
@@ -244,46 +246,38 @@ let violations_of = function
   | Some c -> c.Scenario.violations
   | None -> []
 
-(* One run with the full telemetry plumbing attached. *)
-let run_single_plain scenario opts =
-  let checking = opts.check || opts.check_out <> None in
-  let (r, checked, job_report), _ =
-    with_sinks opts ~path:Fun.id (fun ~telemetry ->
-        execute ~checking ~telemetry scenario)
-  in
-  let violations = violations_of checked in
-  print_result ~scenario r;
-  Option.iter print_check_summary checked;
-  Option.iter (fun path -> write_check_out path violations) opts.check_out;
-  Option.iter
-    (fun report ->
-      Format.printf "%a" Job_metrics.pp report;
-      Option.iter
-        (fun path ->
-          write_job_metrics path report;
-          Printf.printf "job metrics written to %s\n" path)
-        opts.job_metrics_out)
-    job_report;
-  Option.iter (Printf.printf "trace written to %s\n") opts.trace_out;
-  Option.iter (Printf.printf "metrics written to %s\n") opts.metrics_out;
-  Option.iter (Printf.printf "forensics report written to %s\n")
-    opts.forensics_out;
-  code_of ~violations r
-
-(* A single run honors --timeout/--max-events through the same
-   cooperative-cancellation hook the sweep supervisor uses. *)
+(* One run with the full telemetry plumbing attached. --timeout and
+   --max-events bound it with the same budget a sweep attempt runs
+   under. *)
 let run_single scenario opts =
-  match budget_opt opts with
-  | None -> run_single_plain scenario opts
-  | Some b -> (
-      match
-        Exec_opts.with_budget b (fun () -> run_single_plain scenario opts)
-      with
-      | code -> code
-      | exception Pdq_engine.Sim.Cancelled { reason; events } ->
-          Printf.printf "%s: TIMED OUT (%s) after %d events\n"
-            scenario.Scenario.name reason events;
-          exit_timed_out)
+  let checking = opts.check || opts.check_out <> None in
+  match
+    with_sinks opts ~path:Fun.id (fun ~telemetry ->
+        execute ?budget:(budget_opt opts) ~checking ~telemetry scenario)
+  with
+  | exception Pdq_engine.Sim.Cancelled { reason; events } ->
+      Printf.printf "%s: TIMED OUT (%s) after %d events\n"
+        scenario.Scenario.name reason events;
+      exit_timed_out
+  | (r, checked, job_report), _ ->
+      let violations = violations_of checked in
+      print_result ~scenario r;
+      Option.iter print_check_summary checked;
+      Option.iter (fun path -> write_check_out path violations) opts.check_out;
+      Option.iter
+        (fun report ->
+          Format.printf "%a" Job_metrics.pp report;
+          Option.iter
+            (fun path ->
+              write_job_metrics path report;
+              Printf.printf "job metrics written to %s\n" path)
+            opts.job_metrics_out)
+        job_report;
+      Option.iter (Printf.printf "trace written to %s\n") opts.trace_out;
+      Option.iter (Printf.printf "metrics written to %s\n") opts.metrics_out;
+      Option.iter (Printf.printf "forensics report written to %s\n")
+        opts.forensics_out;
+      code_of ~violations r
 
 (* Per-seed line; stdout must be identical for any --jobs value and
    for a resumed vs. uninterrupted sweep. *)
@@ -378,8 +372,7 @@ let run_sweep scenario opts =
       trace_chan
   in
   let sup =
-    Sweep.supervise
-      ~opts:(Exec_opts.make ?jobs:opts.jobs ?budget:(budget_opt opts) ())
+    Sweep.supervise ?jobs:opts.jobs ?budget:(budget_opt opts)
       ?retry:(retry_opt opts) ~keep_going:opts.keep_going ?checkpoint
       ?resume:opts.resume ~codec:Scenario.result_codec ?on_event
       ~key:(fun i -> Scenario.digest scenarios.(i))
@@ -969,7 +962,7 @@ let write_repro path json =
   output_char oc '\n';
   close_out oc
 
-let run_chaos_replay ~opts ~path =
+let run_chaos_replay ?budget ~path () =
   let contents =
     try Ok (In_channel.with_open_bin path In_channel.input_all)
     with Sys_error msg -> Error msg
@@ -980,10 +973,13 @@ let run_chaos_replay ~opts ~path =
       exit_bad_trace
   | Ok case -> (
       Printf.printf "replaying %s\n" (Format.asprintf "%a" Fuzzer.pp_case case);
-      match Fuzzer.run_case ~opts case with
+      match Fuzzer.run_case ?budget case with
       | Error msg ->
           Printf.eprintf "pdq_sim chaos: %s\n%!" msg;
           exit_bad_trace
+      | exception Pdq_engine.Sim.Cancelled { reason; events } ->
+          Printf.printf "replay: TIMED OUT (%s) after %d events\n" reason events;
+          exit_timed_out
       | Ok checked ->
           let violations = checked.Scenario.violations in
           Format.printf "%a" Report.pp_list violations;
@@ -999,10 +995,11 @@ let run_chaos_replay ~opts ~path =
             exit_violation_found
           end)
 
-let run_chaos_fuzz ~opts ~runs ~seed ~intensity ~protocols ~shrink_budget
-    ~repro_out ~checkpoint ~resume ~report_out =
+let run_chaos_fuzz ?jobs ?budget ~runs ~seed ~intensity ~protocols
+    ~shrink_budget ~repro_out ~checkpoint ~resume ~report_out () =
   let campaign =
-    Fuzzer.fuzz ~opts ?checkpoint ?resume ~protocols ~intensity ~runs ~seed ()
+    Fuzzer.fuzz ?jobs ?budget ?checkpoint ?resume ~protocols ~intensity ~runs
+      ~seed ()
   in
   List.iteri
     (fun i (c, t) ->
@@ -1031,7 +1028,7 @@ let run_chaos_fuzz ~opts ~runs ~seed ~intensity ~protocols ~shrink_budget
       Printf.printf "chaos: violation of %S in case %d; shrinking...\n"
         invariant index;
       let shrunk =
-        Fuzzer.shrink ~opts ~budget:shrink_budget case ~invariant
+        Fuzzer.shrink ?budget ~max_runs:shrink_budget case ~invariant
       in
       let minimal = shrunk.Fuzzer.minimal in
       Printf.printf
@@ -1072,18 +1069,13 @@ let chaos_term =
           | Error e -> Error (`Msg e))
         (Ok []) protocols
     in
-    let budget =
-      match (timeout, max_events) with
-      | None, None -> None
-      | wall, events -> Some (Exec_opts.budget ?wall ?events ())
-    in
-    let opts = Exec_opts.make ?jobs ?budget () in
+    let budget = budget_of ~timeout ~max_events in
     Ok
       (match replay with
-      | Some path -> run_chaos_replay ~opts ~path
+      | Some path -> run_chaos_replay ?budget ~path ()
       | None ->
-          run_chaos_fuzz ~opts ~runs ~seed ~intensity ~protocols ~shrink_budget
-            ~repro_out ~checkpoint ~resume ~report_out)
+          run_chaos_fuzz ?jobs ?budget ~runs ~seed ~intensity ~protocols
+            ~shrink_budget ~repro_out ~checkpoint ~resume ~report_out ())
   in
   let runs =
     Arg.(value & opt int 25

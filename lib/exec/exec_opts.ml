@@ -12,8 +12,6 @@ type budget = {
   check_every : int;
 }
 
-let no_budget = { wall = None; events = None; live = None; check_every = 1024 }
-
 let budget ?wall ?events ?live ?(check_every = 1024) () =
   { wall; events; live; check_every = max 1 check_every }
 
@@ -51,20 +49,3 @@ let with_budget_from b ~start fn =
   end
 
 let with_budget b fn = with_budget_from b ~start:(Unix.gettimeofday ()) fn
-
-(* ------------------------------------------------------------------ *)
-(* The unified execution-options record. *)
-
-type t = {
-  jobs : int option;
-  budget : budget;
-  telemetry : Pdq_transport.Runner.telemetry option;
-}
-
-let default = { jobs = None; budget = no_budget; telemetry = None }
-
-let make ?jobs ?(budget = no_budget) ?telemetry () = { jobs; budget; telemetry }
-
-let jobs n = { default with jobs = Some n }
-let telemetry tel = { default with telemetry = Some tel }
-let with_budget_opt t fn = with_budget t.budget fn

@@ -337,23 +337,34 @@ let build t =
   let built, specs, options, _ = build_ext t in
   (built, specs, options)
 
-(* [prepare] runs between topology construction and execution — the
-   sanctioned hole where the chaos adversary interposes on the freshly
-   built links before any packet moves. *)
-let execute ~opts ?prepare t =
-  Exec_opts.with_budget_opt opts (fun () ->
-      let telemetry =
-        Option.value opts.Exec_opts.telemetry ~default:Runner.no_telemetry
-      in
-      let built, specs, options, tracker = build_ext t in
-      (match prepare with Some f -> f built | None -> ());
-      let options = { options with Runner.telemetry } in
-      (Runner.execute ~options ~topo:built.Builder.topo t.protocol specs, tracker))
+(* The one run path. It builds the scenario, applies [prepare],
+   attaches [monitor]'s sinks when checking, and executes, everything
+   under [budget]: the simulator reads its cancel hook when the build
+   creates it, so the budget must already be installed there. [prepare]
+   runs between topology construction and execution — the sanctioned
+   hole where the chaos adversary interposes on the freshly built links
+   before any packet moves. *)
+let execute ?(telemetry = Runner.no_telemetry) ?budget ?prepare ?monitor t =
+  let go () =
+    let built, specs, options, tracker = build_ext t in
+    Option.iter (fun f -> f built) prepare;
+    let telemetry =
+      match monitor with
+      | Some m -> Pdq_check.Invariants.telemetry m ~base:telemetry
+      | None -> telemetry
+    in
+    let topo = built.Builder.topo in
+    let options = { options with Runner.telemetry } in
+    (Runner.execute ~options ~topo t.protocol specs, topo, tracker)
+  in
+  match budget with None -> go () | Some b -> Exec_opts.with_budget b go
 
-let run ?(opts = Exec_opts.default) ?prepare t = fst (execute ~opts ?prepare t)
+let run ?telemetry ?budget ?prepare t =
+  let result, _, _ = execute ?telemetry ?budget ?prepare t in
+  result
 
-let run_jobs ?(opts = Exec_opts.default) ?prepare t =
-  let result, tracker = execute ~opts ?prepare t in
+let run_jobs ?telemetry ?budget ?prepare t =
+  let result, _, tracker = execute ?telemetry ?budget ?prepare t in
   let report =
     match !tracker with
     | Some tr -> Job_tracker.report tr
@@ -368,25 +379,9 @@ type checked = {
   job_report : Job_metrics.report option;
 }
 
-let run_checked ?(opts = Exec_opts.default) ?es_window ?capacity_slack ?prepare
-    t =
-  let telemetry =
-    Option.value opts.Exec_opts.telemetry ~default:Runner.no_telemetry
-  in
-  let built, specs, options, tracker = build_ext t in
-  (match prepare with Some f -> f built | None -> ());
-  let monitor = Pdq_check.Invariants.create ?es_window ?capacity_slack () in
-  let options =
-    {
-      options with
-      Runner.telemetry = Pdq_check.Invariants.telemetry monitor ~base:telemetry;
-    }
-  in
-  let topo = built.Builder.topo in
-  let result =
-    Exec_opts.with_budget_opt opts (fun () ->
-        Runner.execute ~options ~topo t.protocol specs)
-  in
+let run_checked ?telemetry ?budget ?prepare t =
+  let monitor = Pdq_check.Invariants.create () in
+  let result, topo, tracker = execute ?telemetry ?budget ?prepare ~monitor t in
   let job_report = Option.map Job_tracker.report !tracker in
   let violations = Pdq_check.Invariants.finalize monitor ~result ~topo in
   (* M-PDQ stripes a flow over several paths, so no single path's

@@ -6,7 +6,7 @@
     options — but holds {e no} live simulator state. {!run} builds the
     {!Pdq_engine.Sim.t}, the topology and the flow specs internally,
     which is what makes a scenario shippable to a worker domain: a
-    list of scenarios evaluated by {!Sweep.run} on [n] domains returns
+    list of scenarios evaluated by [Sweep.map run] on [n] domains returns
     results bit-for-bit identical to evaluating them sequentially.
 
     This is the preferred front door for experiments;
@@ -234,24 +234,24 @@ val build :
     tests and inspection; {!run} is [Runner.execute] applied to this. *)
 
 val run :
-  ?opts:Exec_opts.t ->
+  ?telemetry:Pdq_transport.Runner.telemetry ->
+  ?budget:Exec_opts.budget ->
   ?prepare:(Pdq_topo.Builder.built -> unit) ->
   t ->
   Pdq_transport.Runner.result
 (** Build and simulate. Deterministic: same scenario (and telemetry
     sinks, which never perturb a run) ⇒ bit-for-bit identical result,
-    on any domain. [opts] carries the run-time knobs ({!Exec_opts}):
-    [telemetry] is passed here, not stored in the scenario, because
-    sinks (channels, memory rings) are per-run mutable state; a
-    non-empty [budget] bounds the run ([Sim.Cancelled] on a trip); the
-    [jobs] field is meaningless for a single run and ignored.
-    [prepare] runs after the topology is built and before execution —
-    the sanctioned hook for layers that interpose on the fresh links
-    (the chaos adversary); like telemetry it is per-run state and not
-    part of the scenario's digest. *)
+    on any domain. [telemetry] is passed here, not stored in the
+    scenario, because sinks (channels, memory rings) are per-run
+    mutable state. A [budget] bounds the whole run, build included
+    ([Sim.Cancelled] on a trip). [prepare] runs after the topology is
+    built and before execution — the sanctioned hook for layers that
+    interpose on the fresh links (the chaos adversary); like telemetry
+    it is per-run state and not part of the scenario's digest. *)
 
 val run_jobs :
-  ?opts:Exec_opts.t ->
+  ?telemetry:Pdq_transport.Runner.telemetry ->
+  ?budget:Exec_opts.budget ->
   ?prepare:(Pdq_topo.Builder.built -> unit) ->
   t ->
   Pdq_transport.Runner.result * Pdq_apps.Job_metrics.report
@@ -274,9 +274,8 @@ type checked = {
 }
 
 val run_checked :
-  ?opts:Exec_opts.t ->
-  ?es_window:float ->
-  ?capacity_slack:float ->
+  ?telemetry:Pdq_transport.Runner.telemetry ->
+  ?budget:Exec_opts.budget ->
   ?prepare:(Pdq_topo.Builder.built -> unit) ->
   t ->
   checked
@@ -284,9 +283,9 @@ val run_checked :
     {!Pdq_check.Invariants} monitor rides the trace bus and the
     per-port probe, and the finished run is checked against the
     {!Pdq_check.Oracle} bounds. Monitoring only observes — the
-    [result] is bit-for-bit the one {!run} returns. The [opts]
-    telemetry is composed with (not replaced by) the monitor's sinks;
-    its [metrics_every] field also sets the port-probe grid. *)
+    [result] is bit-for-bit the one {!run} returns. [telemetry] is
+    composed with (not replaced by) the monitor's sinks; its
+    [metrics_every] field also sets the port-probe grid. *)
 
 val digest : t -> string
 (** Content hash of the scenario (seed included) keying its slot in a

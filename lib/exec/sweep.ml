@@ -270,11 +270,13 @@ let load_checkpoint path =
 
 type 'b supervised = { tasks : 'b Task.t list; report : report }
 
-let supervise ?(opts = Exec_opts.default) ?(retry = no_retry)
-    ?(keep_going = true) ?checkpoint ?resume ?codec ?on_event ~key f xs =
-  let budget = opts.Exec_opts.budget in
-  let jobs =
-    match opts.Exec_opts.jobs with Some j -> j | None -> default_jobs ()
+let supervise ?jobs ?budget ?(retry = no_retry) ?(keep_going = true)
+    ?checkpoint ?resume ?codec ?on_event ~key f xs =
+  let jobs = match jobs with Some j -> j | None -> default_jobs () in
+  let run_attempt x ~start =
+    match budget with
+    | Some b -> Exec_opts.with_budget_from b ~start (fun () -> f x)
+    | None -> f x
   in
   let n = List.length xs in
   let inputs = Array.of_list xs in
@@ -372,11 +374,7 @@ let supervise ?(opts = Exec_opts.default) ?(retry = no_retry)
     let t0 = Unix.gettimeofday () in
     let rec go attempt =
       Atomic.incr attempts_run;
-      let att_start = Unix.gettimeofday () in
-      match
-        Exec_opts.with_budget_from budget ~start:att_start (fun () ->
-            f inputs.(i))
-      with
+      match run_attempt inputs.(i) ~start:(Unix.gettimeofday ()) with
       | r ->
           settle i (Task.Ok r);
           write_checkpoint i r;
@@ -503,13 +501,6 @@ let supervise ?(opts = Exec_opts.default) ?(retry = no_retry)
   in
   { tasks; report }
 
-let run_supervised ?opts ?retry ?keep_going ?checkpoint ?resume ?on_event
-    scenarios =
-  supervise ?opts ?retry ?keep_going ?checkpoint ?resume
-    ~codec:Scenario.result_codec ?on_event ~key:Scenario.digest
-    (fun s -> Scenario.run s)
-    scenarios
-
 (* ------------------------------------------------------------------ *)
 (* All-or-nothing execution: [supervise] with every exception caught
    inside the attempt, so the original exception values (e.g.
@@ -517,8 +508,7 @@ let run_supervised ?opts ?retry ?keep_going ?checkpoint ?resume ?on_event
 
 let map ?jobs ?budget f xs =
   let sup =
-    supervise
-      ~opts:(Exec_opts.make ?jobs ?budget ())
+    supervise ?jobs ?budget
       ~key:(fun _ -> "")
       (fun x -> match f x with r -> Ok r | exception e -> Error e)
       xs
@@ -539,14 +529,6 @@ let map ?jobs ?budget f xs =
   with
   | [] -> List.map Result.get_ok outcomes
   | errs -> raise (Sweep_errors errs)
-
-(* The sweep entry points take the unified [Exec_opts.t]; note that a
-   sweep honours [jobs] and [budget] but ignores [telemetry] — sinks
-   are per-run mutable state (see the .mli caveat). *)
-let run ?(opts = Exec_opts.default) scenarios =
-  map ?jobs:opts.Exec_opts.jobs ~budget:opts.Exec_opts.budget
-    (fun s -> Scenario.run s)
-    scenarios
 
 let average ?jobs ?budget ~seeds f =
   match seeds with

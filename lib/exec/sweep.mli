@@ -13,8 +13,11 @@
     simulations cooperatively, transient failures retry with jittered
     exponential backoff, completed slots stream to a JSONL checkpoint,
     and an interrupted sweep resumes re-running only the missing
-    slots. {!map}, {!run} and {!average} are its all-or-nothing view:
-    any failure raises {!Sweep_errors} after all workers drain.
+    slots. {!map} and {!average} are its all-or-nothing view: any
+    failure raises {!Sweep_errors} after all workers drain. A scenario
+    sweep is [map Scenario.run], or, supervised and checkpointed,
+    [supervise ~key:Scenario.digest ~codec:Scenario.result_codec
+    Scenario.run].
 
     Telemetry caveat: sweeps run scenarios without trace sinks or
     metrics registries — sinks are per-run mutable state and channels
@@ -26,7 +29,7 @@
     report); call {!Pdq_engine.Profiler.reset} only between sweeps. *)
 
 exception Sweep_errors of (int * exn) list
-(** Raised by {!map} (and {!run} / {!average}) after all workers have
+(** Raised by {!map} (and {!average}) after all workers have
     drained, listing {e every} failing input index with its exception,
     in input order. *)
 
@@ -137,7 +140,8 @@ val report_to_json : report -> string
 type 'b supervised = { tasks : 'b Task.t list; report : report }
 
 val supervise :
-  ?opts:Exec_opts.t ->
+  ?jobs:int ->
+  ?budget:Exec_opts.budget ->
   ?retry:retry ->
   ?keep_going:bool ->
   ?checkpoint:string ->
@@ -150,9 +154,8 @@ val supervise :
   'b supervised
 (** The sweep executor: one {!Task.t} per input, in input order.
 
-    [opts] carries the worker count and per-attempt budget
-    ({!Exec_opts}; the [telemetry] field is ignored, as everywhere in
-    [Sweep]).
+    [jobs] workers share the slots ([min jobs (length xs)];
+    {!default_jobs} when absent); [budget] bounds each attempt.
 
     - A crash settles its slot as [Failed] (exception, backtrace,
       attempts, elapsed); with [keep_going] (default [true]) the sweep
@@ -180,18 +183,6 @@ val supervise :
     see {!Scenario.digest}); [f] must be deterministic for resume to
     be bit-identical to an uninterrupted run. *)
 
-val run_supervised :
-  ?opts:Exec_opts.t ->
-  ?retry:retry ->
-  ?keep_going:bool ->
-  ?checkpoint:string ->
-  ?resume:string ->
-  ?on_event:(event -> unit) ->
-  Scenario.t list ->
-  Pdq_transport.Runner.result supervised
-(** {!supervise} over {!Scenario.run} with {!Scenario.digest} keys and
-    {!Scenario.result_codec} checkpointing. *)
-
 (** {1 All-or-nothing execution} *)
 
 val map :
@@ -206,12 +197,6 @@ val map :
     [budget] bounds each evaluation; a tripped budget raises
     [Sim.Cancelled] for that index, reported through {!Sweep_errors}
     like any other failure. *)
-
-val run :
-  ?opts:Exec_opts.t -> Scenario.t list -> Pdq_transport.Runner.result list
-(** [map Scenario.run] with {!Exec_opts} carrying the worker count and
-    per-run budget. The [telemetry] field is ignored — sweeps are
-    telemetry-free (see the caveat above). *)
 
 val average :
   ?jobs:int ->

@@ -1,7 +1,6 @@
 module Runner = Pdq_transport.Runner
 module Config = Pdq_core.Config
 module Scenario = Pdq_exec.Scenario
-module Exec_opts = Pdq_exec.Exec_opts
 module Trace = Pdq_telemetry.Trace
 module Job_metrics = Pdq_apps.Job_metrics
 module Job_forensics = Pdq_apps.Job_forensics
@@ -102,9 +101,7 @@ let straggler_table ?(width = 4) ?(count = 2) ?(seed = 1) () =
   let scenario =
     Scenario.with_seed (jobs_scenario ~count ~width (Runner.Pdq Config.full)) seed
   in
-  let _, report =
-    Scenario.run_jobs ~opts:(Exec_opts.telemetry telemetry) scenario
-  in
+  let _, report = Scenario.run_jobs ~telemetry scenario in
   let stragglers =
     Job_forensics.stragglers ~events:(Trace.memory_events mem) report
   in

@@ -229,7 +229,7 @@ let cell v =
 let attribution_report scenario =
   let mem = Pdq_telemetry.Trace.memory () in
   let telemetry = { Runner.no_telemetry with Runner.sinks = [ mem ] } in
-  ignore (Scenario.run ~opts:(Pdq_exec.Exec_opts.telemetry telemetry) scenario);
+  ignore (Scenario.run ~telemetry scenario);
   Pdq_forensics.Attribution.of_events (Pdq_telemetry.Trace.memory_events mem)
 
 let attribution_table ~title (r : Pdq_forensics.Attribution.report) =

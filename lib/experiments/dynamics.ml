@@ -15,10 +15,8 @@ type trace = {
 
 (* All three time series come out of the generic telemetry: per-flow
    goodput from the [Flow_rx] events of a memory sink, utilization and
-   queue depth from the metrics probe of the bottleneck link.
-   Telemetry sinks are per-run mutable state, so they attach via
-   [Scenario.build] + [Runner.execute] rather than living in the
-   scenario. *)
+   queue depth from the metrics probe of the bottleneck link, whose id
+   [prepare] reads off the freshly built topology. *)
 let run_traced ~senders ~specs_of ~t_end ~bin =
   let scenario =
     Scenario.make ~name:"traced bottleneck" ~horizon:(t_end +. 1.)
@@ -33,31 +31,26 @@ let run_traced ~senders ~specs_of ~t_end ~bin =
            })
       (Runner.Pdq Pdq_core.Config.full)
   in
-  let built, specs, options = Scenario.build scenario in
-  let hosts = built.Builder.hosts in
-  let rx = hosts.(Array.length hosts - 1) in
-  let bottleneck =
-    Pdq_net.Link.id
-      (List.hd (Pdq_net.Topology.cable built.Builder.topo ~a:0 ~b:rx))
+  let bottleneck = ref 0 in
+  let prepare (built : Builder.built) =
+    let hosts = built.Builder.hosts in
+    let rx = hosts.(Array.length hosts - 1) in
+    bottleneck :=
+      Pdq_net.Link.id
+        (List.hd (Pdq_net.Topology.cable built.Builder.topo ~a:0 ~b:rx))
   in
   let mem = Trace.memory () in
   let metrics = Metrics.create () in
-  let options =
+  let telemetry =
     {
-      options with
-      Runner.telemetry =
-        {
-          Runner.no_telemetry with
-          Runner.sinks = [ mem ];
-          metrics = Some metrics;
-          metrics_every = bin /. 4.;
-        };
+      Runner.no_telemetry with
+      Runner.sinks = [ mem ];
+      metrics = Some metrics;
+      metrics_every = bin /. 4.;
     }
   in
-  let r =
-    Runner.execute ~options ~topo:built.Builder.topo scenario.Scenario.protocol
-      specs
-  in
+  let r = Scenario.run ~telemetry ~prepare scenario in
+  let bottleneck = !bottleneck in
   let per_flow_tbl : (int, Series.t) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun (time, ev) ->

@@ -152,8 +152,9 @@ val execute :
     This is the low-level machinery under {!Pdq_exec.Scenario.run} —
     the single blessed entry point for experiments. Describe the
     experiment as a {!Pdq_exec.Scenario.t} and call [Scenario.run]
-    (or [Sweep.run] for a batch across domains): scenarios are pure
-    data, so they can be stored, printed and fanned out to worker
-    domains. Call [execute] directly only when you need to hand-build
-    the topology or attach per-run telemetry state before the
-    simulation starts (see [Scenario.build]). *)
+    (or [Sweep.map Scenario.run] for a batch across domains):
+    scenarios are pure data, so they can be stored, printed and fanned
+    out to worker domains. Per-run telemetry and a hook on the built
+    topology go to [Scenario.run] as [?telemetry] and [?prepare]. Call
+    [execute] directly only to hand-build the topology (see
+    [Scenario.build]). *)

@@ -10,7 +10,6 @@ module Runner = Pdq_transport.Runner
 module Context = Pdq_transport.Context
 module Scenario = Pdq_exec.Scenario
 module Sweep = Pdq_exec.Sweep
-module Exec_opts = Pdq_exec.Exec_opts
 module Trace = Pdq_telemetry.Trace
 module Size_dist = Pdq_workload.Size_dist
 module Job = Pdq_apps.Job
@@ -312,8 +311,7 @@ let test_two_stage_injection_order () =
   let mem = Trace.memory () in
   let telemetry = { Runner.no_telemetry with Runner.sinks = [ mem ] } in
   let result, report =
-    Scenario.run_jobs
-      ~opts:(Exec_opts.telemetry telemetry)
+    Scenario.run_jobs ~telemetry
       (jobs_scenario ~width:4 (Runner.Pdq Pdq_core.Config.full))
   in
   Alcotest.(check int) "4 requests + 4 responses" 8

@@ -333,7 +333,7 @@ let test_canary_found_shrunk_replayed () =
   match Fuzzer.first_violation campaign with
   | None -> Alcotest.fail "fuzzer missed the seeded allocator bug"
   | Some (_, case, invariant) ->
-      let s = Fuzzer.shrink ~budget:60 case ~invariant in
+      let s = Fuzzer.shrink ~max_runs:60 case ~invariant in
       Alcotest.(check string) "shrink holds the violation fixed" invariant
         s.Fuzzer.invariant;
       Alcotest.(check bool) "shrinker stayed in budget" true

@@ -214,6 +214,22 @@ let test_chaos_replay_bad_plan () =
     (replay ~faults:""
        ~adversary:{|{"t":0,"ev":"duplicate","a":0,"b":2,"p":0.5}|})
 
+(* A replayed reproducer runs under --max-events like a single run: the
+   budget trips before the violation shows, and the replay exits 5. *)
+let test_chaos_replay_timed_out () =
+  let path = Filename.temp_file "pdq_repro" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc
+        ({|{"protocol":"pdq-broken","topo":"bottleneck","pattern":"aggregation",|}
+        ^ {|"flows":14,"mean_bytes":180000,"deadlines":false,"seed":130849,|}
+        ^ {|"horizon":0.3418076078500474,"faults":[],"adversary":[]}|}));
+  Alcotest.(check int) "unbounded replay finds the violation"
+    (code Exit_code.Violation_found)
+    (eval [ "chaos"; "--replay"; path ]);
+  Alcotest.(check int) "--max-events 100 exits 5" (code Exit_code.Timed_out)
+    (eval [ "chaos"; "--replay"; path; "--max-events"; "100" ])
+
 let suites =
   [
     ( "cli.exit_codes",
@@ -239,5 +255,7 @@ let suites =
         Alcotest.test_case "sweep trace-out" `Quick test_sweep_trace_out;
         Alcotest.test_case "chaos replay of a bad plan" `Quick
           test_chaos_replay_bad_plan;
+        Alcotest.test_case "chaos replay timed out" `Quick
+          test_chaos_replay_timed_out;
       ] );
   ]

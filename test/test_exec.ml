@@ -159,8 +159,8 @@ let mixed_scenarios =
     [ Runner.Pdq Config.full; Runner.Rcp; Runner.Tcp ]
 
 let test_sweep_matches_sequential () =
-  let seq = Sweep.run ~opts:(Exec_opts.jobs 1) mixed_scenarios in
-  let par = Sweep.run ~opts:(Exec_opts.jobs 4) mixed_scenarios in
+  let seq = Sweep.map ~jobs:1 Scenario.run mixed_scenarios in
+  let par = Sweep.map ~jobs:4 Scenario.run mixed_scenarios in
   Alcotest.(check int) "same length" (List.length seq) (List.length par);
   List.iteri
     (fun i (a, b) ->
@@ -245,8 +245,8 @@ let test_sweep_with_profiler_enabled () =
   (* The global profiler must tolerate runs on worker domains: enable,
      sweep, report, reset — no crash, and the sweep output unchanged. *)
   let p = Pdq_engine.Profiler.enable_global () in
-  let expected = Sweep.run ~opts:(Exec_opts.jobs 1) mixed_scenarios in
-  let got = Sweep.run ~opts:(Exec_opts.jobs 4) mixed_scenarios in
+  let expected = Sweep.map ~jobs:1 Scenario.run mixed_scenarios in
+  let got = Sweep.map ~jobs:4 Scenario.run mixed_scenarios in
   ignore (Format.asprintf "%a" Pdq_engine.Profiler.pp_report p);
   Pdq_engine.Profiler.reset p;
   Pdq_engine.Profiler.disable_global ();
@@ -266,7 +266,7 @@ let test_supervise_keep_going () =
   let f x = if x = 3 then failwith "boom" else x * 10 in
   let observe jobs =
     let sup =
-      Sweep.supervise ~opts:(Exec_opts.jobs jobs) ~key:string_of_int f
+      Sweep.supervise ~jobs ~key:string_of_int f
         (List.init 6 Fun.id)
     in
     ( List.map task_shape sup.Sweep.tasks,
@@ -292,7 +292,7 @@ let test_supervise_stop_early () =
     if x = 2 then failwith "boom" else x
   in
   let sup =
-    Sweep.supervise ~opts:(Exec_opts.jobs 1) ~keep_going:false ~key:string_of_int f
+    Sweep.supervise ~jobs:1 ~keep_going:false ~key:string_of_int f
       (List.init 6 Fun.id)
   in
   Alcotest.(check (list string))
@@ -307,9 +307,7 @@ let test_supervise_event_budget () =
      off mid-run and the slot settles Timed_out naming the budget. *)
   let s = synthetic_scenario (Runner.Pdq Config.full) in
   let sup =
-    Sweep.supervise
-      ~opts:
-        (Exec_opts.make ~jobs:2 ~budget:(Exec_opts.budget ~events:200 ()) ())
+    Sweep.supervise ~jobs:2 ~budget:(Exec_opts.budget ~events:200 ())
       ~key:Scenario.digest Scenario.run
       [ s; Scenario.with_seed s 2 ]
   in
@@ -332,11 +330,8 @@ let test_supervise_wall_budget () =
     Sim.run sim
   in
   let sup =
-    Sweep.supervise
-      ~opts:
-        (Exec_opts.make ~jobs:1
-           ~budget:(Exec_opts.budget ~wall:0.05 ~check_every:256 ())
-           ())
+    Sweep.supervise ~jobs:1
+      ~budget:(Exec_opts.budget ~wall:0.05 ~check_every:256 ())
       ~key:(fun () -> "runaway")
       runaway [ () ]
   in
@@ -353,7 +348,7 @@ let test_supervise_retry () =
     if Atomic.fetch_and_add tries 1 = 0 then failwith "flaky" else 42
   in
   let sup =
-    Sweep.supervise ~opts:(Exec_opts.jobs 1)
+    Sweep.supervise ~jobs:1
       ~retry:(Sweep.retry ~attempts:3 ~base_delay:1e-3 ())
       ~key:(fun () -> "flaky")
       f [ () ]
@@ -387,7 +382,7 @@ let test_supervise_caller_crash () =
     x * 10
   in
   let sup =
-    Sweep.supervise ~opts:(Exec_opts.jobs 2) ~on_event ~key:string_of_int f
+    Sweep.supervise ~jobs:2 ~on_event ~key:string_of_int f
       (List.init 8 Fun.id)
   in
   Alcotest.(check bool) "observer raised once" true (Atomic.get raised);
@@ -396,6 +391,12 @@ let test_supervise_caller_crash () =
   Alcotest.(check (list int)) "every slot settled Ok"
     (List.init 8 (fun x -> x * 10))
     (List.map Task.get_ok sup.Sweep.tasks)
+
+(* A checkpointable scenario sweep: scenario digests as slot keys, the
+   result codec for the checkpoint file. *)
+let supervise_scenarios ?checkpoint ?resume ~jobs scenarios =
+  Sweep.supervise ~jobs ?checkpoint ?resume ~codec:Scenario.result_codec
+    ~key:Scenario.digest Scenario.run scenarios
 
 let supervised_ok_results sup =
   List.map
@@ -419,7 +420,7 @@ let test_checkpoint_resume () =
     if s.Scenario.seed > 2 then failwith "injected" else Scenario.run s
   in
   let first =
-    Sweep.supervise ~opts:(Exec_opts.jobs 2) ~checkpoint:path ~codec:Scenario.result_codec
+    Sweep.supervise ~jobs:2 ~checkpoint:path ~codec:Scenario.result_codec
       ~key:Scenario.digest crashy scenarios
   in
   Alcotest.(check (pair int int))
@@ -429,11 +430,11 @@ let test_checkpoint_resume () =
      and the merged results are bit-identical to an uninterrupted
      sequential sweep. *)
   let resumed =
-    Sweep.run_supervised ~opts:(Exec_opts.jobs 2) ~checkpoint:path ~resume:path scenarios
+    supervise_scenarios ~jobs:2 ~checkpoint:path ~resume:path scenarios
   in
   Alcotest.(check int) "2 slots resumed" 2 resumed.Sweep.report.Sweep.resumed;
   Alcotest.(check int) "all ok after resume" 4 resumed.Sweep.report.Sweep.ok;
-  let fresh = Sweep.run ~opts:(Exec_opts.jobs 1) scenarios in
+  let fresh = Sweep.map ~jobs:1 Scenario.run scenarios in
   List.iteri
     (fun i (a, b) ->
       check_same_result (Printf.sprintf "resumed slot %d = fresh" i) a b;
@@ -455,7 +456,7 @@ let test_checkpoint_torn_line () =
   let path = Filename.temp_file "pdq_ck_torn" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let first =
-    Sweep.run_supervised ~opts:(Exec_opts.jobs 1) ~checkpoint:path
+    supervise_scenarios ~jobs:1 ~checkpoint:path
       (List.filteri (fun i _ -> i < 2) scenarios)
   in
   Alcotest.(check int) "two checkpointed" 2 first.Sweep.report.Sweep.ok;
@@ -467,19 +468,18 @@ let test_checkpoint_torn_line () =
   (* Resume into the same file, as [--resume F] does: the re-run slot
      is appended after the fragment and must land on a line of its own. *)
   let resumed =
-    Sweep.run_supervised ~opts:(Exec_opts.jobs 1) ~checkpoint:path
-      ~resume:path scenarios
+    supervise_scenarios ~jobs:1 ~checkpoint:path ~resume:path scenarios
   in
   Alcotest.(check int) "valid lines resumed" 2
     resumed.Sweep.report.Sweep.resumed;
   Alcotest.(check int) "missing slot re-run" 3 resumed.Sweep.report.Sweep.ok;
-  let fresh = Sweep.run ~opts:(Exec_opts.jobs 1) scenarios in
+  let fresh = Sweep.map ~jobs:1 Scenario.run scenarios in
   List.iteri
     (fun i (a, b) ->
       check_same_result (Printf.sprintf "torn-resume slot %d" i) a b)
     (List.combine (supervised_ok_results resumed) fresh);
   let again =
-    Sweep.run_supervised ~opts:(Exec_opts.jobs 1) ~resume:path scenarios
+    supervise_scenarios ~jobs:1 ~resume:path scenarios
   in
   Alcotest.(check (pair int int))
     "second resume: all 3 resumed, none stale" (3, 0)
@@ -509,11 +509,8 @@ let test_acceptance_100_slots () =
   let path = Filename.temp_file "pdq_accept" ".jsonl" in
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let first =
-    Sweep.supervise
-      ~opts:
-        (Exec_opts.make ~jobs:4
-           ~budget:(Exec_opts.budget ~wall:0.05 ~check_every:256 ())
-           ())
+    Sweep.supervise ~jobs:4
+      ~budget:(Exec_opts.budget ~wall:0.05 ~check_every:256 ())
       ~keep_going:true ~checkpoint:path ~codec:int_codec
       ~key:string_of_int buggy inputs
   in
@@ -527,7 +524,7 @@ let test_acceptance_100_slots () =
       Alcotest.fail
         (Printf.sprintf "slot 13 %s, slot 57 %s" (Task.state a) (Task.state b)));
   let resumed =
-    Sweep.supervise ~opts:(Exec_opts.jobs 4) ~checkpoint:path ~resume:path ~codec:int_codec
+    Sweep.supervise ~jobs:4 ~checkpoint:path ~resume:path ~codec:int_codec
       ~key:string_of_int honest inputs
   in
   Alcotest.(check int) "only the casualties re-ran" 98
@@ -538,9 +535,9 @@ let test_acceptance_100_slots () =
 
 let test_supervised_matches_plain_run () =
   (* The supervisor must not perturb results: a fully-Ok supervised
-     sweep is bit-identical to Sweep.run, at any jobs count. *)
-  let sup = Sweep.run_supervised ~opts:(Exec_opts.jobs 4) mixed_scenarios in
-  let plain = Sweep.run ~opts:(Exec_opts.jobs 1) mixed_scenarios in
+     sweep is bit-identical to [Sweep.map], at any jobs count. *)
+  let sup = supervise_scenarios ~jobs:4 mixed_scenarios in
+  let plain = Sweep.map ~jobs:1 Scenario.run mixed_scenarios in
   Alcotest.(check int) "all ok"
     (List.length mixed_scenarios)
     sup.Sweep.report.Sweep.ok;
@@ -575,25 +572,26 @@ let test_parsers () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "bad pattern must be an Error")
 
-(* The unified options record: a budget passed through [?opts] must
-   bound a single [Scenario.run] exactly like a sweep attempt, and the
-   telemetry field must not perturb the result. *)
+(* A budget passed to a single run bounds it exactly like a sweep
+   attempt, on every single-run entry point: it is installed before the
+   build creates the simulator, which reads its cancel hook there.
+   Telemetry sinks must not perturb the result. *)
 let test_exec_opts_budget () =
   let s = synthetic_scenario (Runner.Pdq Config.full) in
-  (match
-     Scenario.run
-       ~opts:(Exec_opts.make ~budget:(Exec_opts.budget ~events:200 ()) ())
-       s
-   with
-  | _ -> Alcotest.fail "200-event budget should have tripped"
-  | exception Sim.Cancelled { reason; _ } ->
-      Alcotest.(check bool) "reason names events" true
-        (String.length reason >= 6 && String.sub reason 0 6 = "events"));
+  let budget = Exec_opts.budget ~events:200 () in
+  let cancelled name run =
+    match run () with
+    | () -> Alcotest.failf "%s: 200-event budget should have tripped" name
+    | exception Sim.Cancelled { reason; _ } ->
+        Alcotest.(check string) (name ^ ": reason") "events>200" reason
+  in
+  cancelled "run" (fun () -> ignore (Scenario.run ~budget s));
+  cancelled "run_jobs" (fun () -> ignore (Scenario.run_jobs ~budget s));
+  cancelled "run_checked" (fun () -> ignore (Scenario.run_checked ~budget s));
   let mem = Pdq_telemetry.Trace.memory () in
   let telemetry = { Runner.no_telemetry with Runner.sinks = [ mem ] } in
-  let with_tel = Scenario.run ~opts:(Exec_opts.telemetry telemetry) s in
-  check_same_result "telemetry in opts does not perturb" (Scenario.run s)
-    with_tel;
+  let with_tel = Scenario.run ~telemetry s in
+  check_same_result "telemetry does not perturb" (Scenario.run s) with_tel;
   Alcotest.(check bool) "sinks saw events" true
     (Pdq_telemetry.Trace.memory_events mem <> [])
 

@@ -174,10 +174,7 @@ let test_live_vs_replay_identical () =
   let telemetry =
     { Runner.no_telemetry with Runner.sinks = [ mem; Trace.jsonl oc ] }
   in
-  ignore
-    (Scenario.run
-       ~opts:(Pdq_exec.Exec_opts.telemetry telemetry)
-       two_flow_scenario);
+  ignore (Scenario.run ~telemetry two_flow_scenario);
   close_out oc;
   let live = Attribution.of_events (Trace.memory_events mem) in
   let replayed =
@@ -374,9 +371,8 @@ let test_sweep_task_through_jsonl () =
     Trace.create ~clock:Unix.gettimeofday ~sinks:[ Trace.jsonl oc ]
   in
   let sup =
-    Sweep.run_supervised ~opts:(Pdq_exec.Exec_opts.jobs 2)
-      ~on_event:(Sweep.emit_trace bus)
-      scenarios
+    Sweep.supervise ~jobs:2 ~on_event:(Sweep.emit_trace bus)
+      ~key:Scenario.digest Scenario.run scenarios
   in
   close_out oc;
   Alcotest.(check int) "both slots ok" 2 sup.Sweep.report.Sweep.ok;
@@ -410,7 +406,7 @@ let test_metrics_csv_quoting () =
   with_temp_file ".csv" @@ fun path ->
   let m = Metrics.create () in
   Metrics.incr (Metrics.counter m {|odd,"name|}) ();
-  Metrics.set_gauge (Metrics.gauge m "plain.name") 2.5;
+  Metrics.incr (Metrics.counter m "plain.name") ~by:2 ();
   let oc = open_out path in
   Metrics.write_csv m oc;
   close_out oc;
@@ -425,7 +421,7 @@ let test_metrics_csv_quoting () =
   Alcotest.(check bool) "delimiter-carrying name is quoted and doubled" true
     (List.mem {|counter,,"odd,""name",1|} lines);
   Alcotest.(check bool) "plain names stay bare" true
-    (List.mem "gauge,,plain.name,2.5" lines)
+    (List.mem "counter,,plain.name,2" lines)
 
 let suites =
   [
