@@ -152,7 +152,7 @@ let random rng ~cables ~switches ~until ~intensity ~count =
         Clear { a; b }
     | _ ->
         (* |skew| stays under the invariant monitor's 2 ms Early
-           Termination grace (Invariants.create rtt_slack): a skewed
+           Termination grace ([rtt_slack] in invariants.ml): a skewed
            switch may kill a deadline flow up to |skew| early, which
            must read as clock error, not as an allocator bug. *)
         let skew = intensity *. Rng.uniform rng (-1e-3) 1e-3 in

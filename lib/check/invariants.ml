@@ -19,12 +19,20 @@ type fmeta = {
   mutable rates : (float * float) list;
 }
 
+(* Tolerances. [es_window]: longest tolerated sender-side link
+   oversubscription burst. [capacity_slack]: relative headroom over the
+   line rate before a burst counts. [rtt_slack]: grace applied to the
+   Early Termination feasibility test. [stale_grace]: how long an
+   incomplete flow's last granted rate keeps counting against link
+   capacity after its last rx/rate event. [max_violations] caps the
+   report list. *)
+let es_window = 0.05
+let capacity_slack = 0.02
+let rtt_slack = 2e-3
+let stale_grace = 5e-3
+let max_violations = 200
+
 type t = {
-  es_window : float;
-  capacity_slack : float;
-  rtt_slack : float;
-  stale_grace : float;
-  max_violations : int;
   streak_limit : int;
   flows : (int, fmeta) Hashtbl.t;
   mutable streaming : Report.violation list; (* newest first *)
@@ -35,14 +43,8 @@ type t = {
   rate_streak : (int, int) Hashtbl.t;   (* link -> consecutive over-rate probes *)
 }
 
-let create ?(es_window = 0.05) ?(capacity_slack = 0.02) ?(rtt_slack = 2e-3)
-    ?(stale_grace = 5e-3) ?(max_violations = 200) () =
+let create () =
   {
-    es_window;
-    capacity_slack;
-    rtt_slack;
-    stale_grace;
-    max_violations;
     streak_limit = 3;
     flows = Hashtbl.create 64;
     streaming = [];
@@ -54,7 +56,7 @@ let create ?(es_window = 0.05) ?(capacity_slack = 0.02) ?(rtt_slack = 2e-3)
   }
 
 let add_violation t v =
-  if t.count < t.max_violations then begin
+  if t.count < max_violations then begin
     t.streaming <- v :: t.streaming;
     t.count <- t.count + 1
   end
@@ -63,7 +65,7 @@ let add_violation t v =
     t.streaming <-
       Report.violation ~time:v.Report.time ~entity:"monitor" ~invariant:"meta"
         (Printf.sprintf "violation cap (%d) reached; further reports dropped"
-           t.max_violations)
+           max_violations)
       :: t.streaming
   end
 
@@ -166,7 +168,7 @@ let on_port t ~now (v : Runner.port_view) =
      beyond the paper's Early Start allowance must fit the line rate.
      Grants go stale for ~an RTT between headers, so require the excess
      to persist across [streak_limit] consecutive probes. *)
-  if v.Runner.mature_rate_sum > v.Runner.line_rate *. (1. +. t.capacity_slack)
+  if v.Runner.mature_rate_sum > v.Runner.line_rate *. (1. +. capacity_slack)
   then begin
     let streak =
       1 + Option.value ~default:0 (Hashtbl.find_opt t.rate_streak v.Runner.pv_link)
@@ -251,7 +253,7 @@ let capacity_sweep t ~result ~topo =
             | Some c, _ -> c
             | None, Some te -> te
             | None, None ->
-                min result.Runner.sim_end (m.last_activity +. t.stale_grace)
+                min result.Runner.sim_end (m.last_activity +. stale_grace)
           in
           let links = Context.route result.Runner.ctx flow_id in
           let history = List.rev ((end_time, 0.) :: newest_first) in
@@ -265,7 +267,7 @@ let capacity_sweep t ~result ~topo =
   Hashtbl.iter
     (fun link events ->
       let rate = Link.rate (Topology.link topo link) in
-      let threshold = rate *. (1. +. t.capacity_slack) in
+      let threshold = rate *. (1. +. capacity_slack) in
       let sorted =
         List.stable_sort
           (fun (a, _, _) (b, _, _) -> Float.compare a b)
@@ -277,7 +279,7 @@ let capacity_sweep t ~result ~topo =
       let peak = ref 0. in
       let close now =
         match !over_since with
-        | Some t0 when now -. t0 > t.es_window ->
+        | Some t0 when now -. t0 > es_window ->
             add_violation t
               (Report.violation ~time:t0
                  ~entity:(Printf.sprintf "link %d" link)
@@ -285,7 +287,7 @@ let capacity_sweep t ~result ~topo =
                  (Printf.sprintf
                     "granted rates sum to %.3g > capacity %.3g for %.4gs \
                      (Early Start window %.4gs)"
-                    !peak rate (now -. t0) t.es_window));
+                    !peak rate (now -. t0) es_window));
             over_since := None
         | _ -> over_since := None
       in
@@ -313,7 +315,7 @@ let capacity_sweep t ~result ~topo =
      deadline flow must not have had enough time left to drain its
      remaining bytes at the route's full goodput rate. The sender's ET
      rule works from [remaining / (line rate × efficiency)] plus a
-     paused-flow grace of one min-RTT, so [rtt_slack] (default 2 ms)
+     paused-flow grace of one min-RTT, so [rtt_slack] (2 ms)
      absorbs both the RTT term and rate quantization. *)
 let deadline_checks t ~result ~topo =
   Array.iteri
@@ -357,13 +359,13 @@ let deadline_checks t ~result ~topo =
                 Pdq_engine.Units.bytes_to_bits (max 0 (m.size - m.rx))
               in
               let drain = remaining_bits /. max (min_rate *. 0.97) 1. in
-              if te +. drain +. t.rtt_slack <= d then
+              if te +. drain +. rtt_slack <= d then
                 add_violation t
                   (Report.violation ~time:te ~entity ~invariant:"deadline"
                      (Printf.sprintf
                         "early-terminated but feasible: %.6g + drain %.6g \
                          + slack %.4g <= deadline %.6g"
-                        te drain t.rtt_slack d))
+                        te drain rtt_slack d))
           | _ -> ()))
     result.Runner.flows
 

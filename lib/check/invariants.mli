@@ -27,27 +27,21 @@
 
 type t
 
-val create :
-  ?es_window:float ->
-  ?capacity_slack:float ->
-  ?rtt_slack:float ->
-  ?stale_grace:float ->
-  ?max_violations:int ->
-  unit ->
-  t
-(** [es_window] (default 50 ms) — longest tolerated sender-side link
-    oversubscription burst. This is deliberately coarse: Early Start
-    over-commits for ~2 RTTs, and under heavy congestion senders hold
-    stale grants for a further congested RTT (several ms) until the
-    pausing ACK crosses the queues, so the sweep is a gross
-    conservation bound; the tight allocator check is the switch-side
-    [mature_rate_sum] probe, which sees grants with no sender lag. [capacity_slack] (default 2%) — relative headroom over
-    the line rate before a burst counts. [rtt_slack] (default 2 ms) —
-    grace applied to the Early Termination feasibility test.
-    [stale_grace] (default 5 ms) — how long an incomplete flow's last
-    granted rate keeps counting against link capacity after its last
-    rx/rate event (a stalled sender holds a lease it no longer uses).
-    [max_violations] (default 200) caps the report list. *)
+val create : unit -> t
+(** A fresh monitor. Its tolerances are fixed: Early Start bursts may
+    oversubscribe a link for up to 50 ms ([es_window]). This is
+    deliberately coarse: Early Start over-commits for ~2 RTTs, and
+    under heavy congestion senders hold stale grants for a further
+    congested RTT (several ms) until the pausing ACK crosses the
+    queues, so the sweep is a gross conservation bound; the tight
+    allocator check is the switch-side [mature_rate_sum] probe, which
+    sees grants with no sender lag. A burst counts only beyond 2% over
+    the line rate ([capacity_slack]). Early Termination gets 2 ms of
+    grace in its feasibility test ([rtt_slack]). An incomplete flow's
+    last granted rate keeps counting against link capacity for 5 ms
+    after its last rx/rate event ([stale_grace]), since a stalled
+    sender holds a lease it no longer uses. At most 200 violations are
+    reported ([max_violations]). *)
 
 val sink : t -> Pdq_telemetry.Trace.sink
 (** Trace-bus sink feeding the monitor's streaming checks. *)
