@@ -2,7 +2,6 @@ type serie = { mutable points_rev : (float * float) list; mutable n : int }
 
 type t = {
   counters : (string, int ref) Hashtbl.t;
-  gauges : (string, float ref) Hashtbl.t;
   hists : (string, float list ref) Hashtbl.t;
   series_tbl : (string, serie) Hashtbl.t;
   (* Sample emission order across all series, for chronological export
@@ -13,7 +12,6 @@ type t = {
 let create () =
   {
     counters = Hashtbl.create 32;
-    gauges = Hashtbl.create 32;
     hists = Hashtbl.create 8;
     series_tbl = Hashtbl.create 64;
     samples_rev = [];
@@ -40,19 +38,6 @@ let counter t name =
 
 let incr c ?(by = 1) () = c := !c + by
 let counter_value c = !c
-
-type gauge = float ref
-
-let gauge t name =
-  match Hashtbl.find_opt t.gauges name with
-  | Some r -> r
-  | None ->
-      let r = ref 0. in
-      Hashtbl.add t.gauges name r;
-      r
-
-let set_gauge g v = g := v
-let gauge_value g = !g
 
 type histogram = float list ref
 
@@ -116,11 +101,6 @@ let scalar_rows t =
   let counter_rows =
     List.map (fun (k, v) -> ("counter", k, float_of_int v)) (counters t)
   in
-  let gauge_rows =
-    Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.gauges []
-    |> List.sort compare
-    |> List.map (fun (k, v) -> ("gauge", k, v))
-  in
   let hist_rows =
     Hashtbl.fold (fun k h acc -> (k, h) :: acc) t.hists []
     |> List.sort compare
@@ -137,7 +117,7 @@ let scalar_rows t =
                  ("hist.max", k, max_v);
                ])
   in
-  counter_rows @ gauge_rows @ hist_rows
+  counter_rows @ hist_rows
 
 (* RFC 4180: a field containing commas, quotes or newlines is wrapped
    in double quotes with embedded quotes doubled. Instrument names are

@@ -1,10 +1,9 @@
 (** Network-wide metrics registry.
 
     Subsumes the ad-hoc string {!Pdq_engine.Stats.Tally}: instruments
-    are created once (typed handles — a counter cannot be set, a gauge
-    cannot be incremented), and periodic probes append time-series
-    samples on a configurable grid. Everything is exportable as CSV or
-    JSONL for plotting.
+    are created once (typed handles), and periodic probes append
+    time-series samples on a configurable grid. Everything is
+    exportable as CSV or JSONL for plotting.
 
     Registries are plain data: no simulator events, no randomness, so
     a registry can be attached to a run without perturbing it. *)
@@ -53,12 +52,6 @@ val counter : t -> string -> counter
 val incr : counter -> ?by:int -> unit -> unit
 val counter_value : counter -> int
 
-type gauge
-
-val gauge : t -> string -> gauge
-val set_gauge : gauge -> float -> unit
-val gauge_value : gauge -> float
-
 type histogram
 
 val histogram : t -> string -> histogram
@@ -91,10 +84,10 @@ val counters : t -> (string * int) list
 
 val write_csv : t -> out_channel -> unit
 (** [kind,time,name,value] rows: every time-series point (kind
-    [sample], in time order), then counters (kind [counter]), gauges
-    (kind [gauge]) and histogram summaries (kind [hist.*]) with an
-    empty time column, sorted by name. Names containing commas,
-    quotes or newlines are RFC 4180-quoted. *)
+    [sample], in time order), then counters (kind [counter]) and
+    histogram summaries (kind [hist.*]) with an empty time column,
+    sorted by name. Names containing commas, quotes or newlines are
+    RFC 4180-quoted. *)
 
 val write_jsonl : t -> out_channel -> unit
 (** The same data as {!write_csv}, one JSON object per line. *)

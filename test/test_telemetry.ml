@@ -162,10 +162,6 @@ let test_metrics_instruments () =
   Alcotest.(check int) "counter" 5 (Metrics.counter_value c);
   Alcotest.(check int) "same handle by name" 5
     (Metrics.counter_value (Metrics.counter m "drops"));
-  let g = Metrics.gauge m "depth" in
-  Metrics.set_gauge g 2.5;
-  Metrics.set_gauge g 1.5;
-  check_float "gauge holds last" 1.5 (Metrics.gauge_value g);
   let h = Metrics.histogram m "fct" in
   Alcotest.(check bool) "empty histogram" true
     (Metrics.histogram_summary h = None);
