@@ -91,9 +91,10 @@ let write_bench_json ~name ~wall ~events =
    generation-counter cancel path and slot reuse exactly the way
    transport watchdogs do. All closures are preallocated before the
    clock starts, so the measured loop is the engine alone: schedule,
-   cancel, sift, pop. Reported as best-of-3 events/s plus the
-   GC minor-words-per-event figure that guards the allocation-free
-   claim. *)
+   cancel, sift, pop. Reported as best-of-5 events per second of
+   process CPU time, which a busy host disturbs less than wall time,
+   plus the GC minor-words-per-event figure that guards the
+   allocation-free claim. *)
 let k_bench_tick = Pdq_engine.Sim.Kind.register "bench.tick"
 let k_bench_aux = Pdq_engine.Sim.Kind.register "bench.aux"
 
@@ -123,13 +124,17 @@ let engine_run_once ~target_events =
          ~delay:(1e-5 +. (1e-7 *. float_of_int i))
          ticks.(i))
   done;
+  let cpu_time () =
+    let t = Unix.times () in
+    t.Unix.tms_utime +. t.Unix.tms_stime
+  in
   let minor0 = Gc.minor_words () in
-  let t0 = Unix.gettimeofday () in
+  let t0 = cpu_time () in
   Sim.run sim;
-  let wall = Unix.gettimeofday () -. t0 in
+  let cpu = cpu_time () -. t0 in
   let minor = Gc.minor_words () -. minor0 in
   let events = Sim.events_executed sim in
-  (wall, events, minor /. float_of_int events)
+  (cpu, events, minor /. float_of_int events)
 
 (* [--engine] writes the baseline file; a [--compare] run writes its
    own file, so the baseline it is checked against is never rewritten. *)
@@ -155,19 +160,19 @@ let engine_bench ?compare ~threshold () =
       compare
   in
   let target_events = 2_000_000 in
-  Format.printf "engine microbenchmark (%d events, best of 3)@."
+  Format.printf "engine microbenchmark (%d events, best of 5, CPU time)@."
     target_events;
   let best = ref None in
-  for _run = 1 to 3 do
-    let wall, events, mwpe = engine_run_once ~target_events in
-    let eps = float_of_int events /. wall in
+  for _run = 1 to 5 do
+    let cpu, events, mwpe = engine_run_once ~target_events in
+    let eps = float_of_int events /. cpu in
     Format.printf "  %.3fs  %d events  %.2fM ev/s  %.3f minor words/event@."
-      wall events (eps /. 1e6) mwpe;
+      cpu events (eps /. 1e6) mwpe;
     match !best with
     | Some (e, _, _, _) when e >= eps -> ()
-    | _ -> best := Some (eps, wall, events, mwpe)
+    | _ -> best := Some (eps, cpu, events, mwpe)
   done;
-  let eps, wall, events, mwpe = Option.get !best in
+  let eps, cpu, events, mwpe = Option.get !best in
   Format.printf "engine: %.2fM events/s, %.3f minor words/event@."
     (eps /. 1e6) mwpe;
   let path =
@@ -177,9 +182,9 @@ let engine_bench ?compare ~threshold () =
   let mwpe = float_of_string (Printf.sprintf "%.3f" mwpe) in
   let oc = open_out path in
   Printf.fprintf oc
-    "{\"target\": \"engine\", \"wall_s\": %.3f, \"events\": %d, \
+    "{\"target\": \"engine\", \"cpu_s\": %.3f, \"events\": %d, \
      \"events_per_s\": %.0f, \"minor_words_per_event\": %.3f}\n"
-    wall events eps mwpe;
+    cpu events eps mwpe;
   close_out oc;
   Format.printf "wrote %s@." path;
   match baseline with
