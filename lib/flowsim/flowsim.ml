@@ -59,8 +59,10 @@ let fmax (a : float) b = if a >= b then a else b
    bits of goodput. *)
 type workspace = {
   specs : flow_spec array;
-  id : int array; (* [fs_id] *)
-  paths : int array array;
+  pstart : int array;
+  plink : int array;
+      (* every path once, in compressed sparse rows: flow [i]'s links
+         are [plink.(pstart.(i)) .. plink.(pstart.(i + 1) - 1)] *)
   nic : float array; (* min capacity along the path: max possible rate *)
   remaining : float array; (* goodput bits *)
   rate : float array;
@@ -69,25 +71,9 @@ type workspace = {
   deadline_abs : float array; (* read only where [has_deadline] *)
   has_deadline : bool array;
   dead : bool array; (* early-terminated / quenched *)
-  est_level : int array; (* size-estimation criticality level *)
-  (* PDQ's sort key, compared in this order and then by [id]. Perfect:
-     class 0 with a deadline and 1 without, the deadline (0 without one)
-     and the aged ttx. Random_criticality: (0, 0, the random priority).
-     Size_estimation: (est_level, 0, 0). *)
-  key_class : int array;
-  key_deadline : float array;
-  key_ttx : float array;
   active : int array; (* live [idx]s in admission order, oldest first *)
   mutable n_active : int;
-  order : int array;
-      (* PDQ: the previous step's flows most critical first, kept across
-         steps; [order.(0 .. n_order - 1)] *)
-  mutable n_order : int;
-  changed : int array; (* PDQ: flows to re-sort this step *)
-  tmp : int array; (* merge sort scratch *)
   residual : float array; (* per link: PDQ/RCP residual, D3 available *)
-  count : int array; (* per link: RCP unassigned flows, D3 flows *)
-  demand : float array; (* per link: D3 requests *)
 }
 
 (* Infeasibility check for Early Termination / quenching. *)
@@ -97,54 +83,90 @@ let[@inline] infeasible ws i ~now =
   let d = ws.deadline_abs.(i) in
   now >= d || now +. (ws.remaining.(i) /. ws.nic.(i)) > d
 
+(* PDQ's per-run state. Its sort key is compared in this order and then
+   by [id]. Perfect: class 0 with a deadline and 1 without, the deadline
+   (0 without one) and the aged ttx. Random_criticality: (0, 0, the
+   random priority). Size_estimation: (level, 0, 0). *)
+type pdq = {
+  opts : pdq_opts;
+  id : int array; (* [fs_id] *)
+  key_class : int array;
+  key_deadline : float array;
+  key_ttx : float array;
+  order : int array;
+      (* the previous step's flows most critical first, kept across
+         steps; [order.(0 .. n_order - 1)] *)
+  mutable n_order : int;
+  changed : int array; (* flows to re-sort this step *)
+  tmp : int array; (* merge sort scratch *)
+}
+
+let pdq_state ws opts ~seed =
+  let n = Array.length ws.specs and rng = Rng.create seed in
+  let perfect = opts.criticality = Perfect and d i = ws.has_deadline.(i) in
+  {
+    opts;
+    id = Array.map (fun s -> s.fs_id) ws.specs;
+    key_class = Array.init n (fun i -> if perfect && not (d i) then 1 else 0);
+    key_deadline = Array.init n (fun i -> if perfect && d i then ws.deadline_abs.(i) else 0.);
+    key_ttx =
+      Array.init n (fun _ ->
+          if opts.criticality = Random_criticality then Rng.float rng else Float.nan);
+    order = Array.make n 0;
+    n_order = 0;
+    changed = Array.make n 0;
+    tmp = Array.make n 0;
+  }
+
 (* PDQ's criticality order. [Float.compare] orders floats, NaN
    included, as the polymorphic [compare] does; the unique id makes it
    total. *)
-let by_key ws i j =
-  match Int.compare ws.key_class.(i) ws.key_class.(j) with
+let by_key p i j =
+  match Int.compare p.key_class.(i) p.key_class.(j) with
   | 0 -> (
-      match Float.compare ws.key_deadline.(i) ws.key_deadline.(j) with
+      match Float.compare p.key_deadline.(i) p.key_deadline.(j) with
       | 0 -> (
-          match Float.compare ws.key_ttx.(i) ws.key_ttx.(j) with
-          | 0 -> Int.compare ws.id.(i) ws.id.(j)
+          match Float.compare p.key_ttx.(i) p.key_ttx.(j) with
+          | 0 -> Int.compare p.id.(i) p.id.(j)
           | c -> c)
       | c -> c)
   | c -> c
 
 (* Recompute the moving part of flow [i]'s key; true if it changed. *)
-let refresh_key ws opts i =
-  match opts.criticality with
+let refresh_key ws p i =
+  match p.opts.criticality with
   | Random_criticality -> false
-  | Size_estimation _ ->
-      let l = ws.est_level.(i) in
-      l <> ws.key_class.(i)
+  | Size_estimation q ->
+      (* Whole quanta sent, as of the last step that moved [remaining]. *)
+      let l = (ws.specs.(i).size - int_of_float (ws.remaining.(i) /. 8.)) / max 1 q in
+      l <> p.key_class.(i)
       && begin
-           ws.key_class.(i) <- l;
+           p.key_class.(i) <- l;
            true
          end
   | Perfect ->
       let ttx = ws.remaining.(i) /. ws.nic.(i) in
       let ttx =
-        match opts.aging_rate with
+        match p.opts.aging_rate with
         | Some alpha ->
             Pdq_core.Criticality.aged_tx_time ~aging_rate:alpha
               ~wait:ws.waited.(i) ~expected_tx_time:ttx
         | None -> ttx
       in
-      Float.compare ttx ws.key_ttx.(i) <> 0
+      Float.compare ttx p.key_ttx.(i) <> 0
       && begin
-           ws.key_ttx.(i) <- ttx;
+           p.key_ttx.(i) <- ttx;
            true
          end
 
 (* Merge the sorted runs [dst.(lo .. mid - 1)] and [src.(0 .. n - 1)]
    into [dst.(lo .. mid + n - 1)], from the back: once [src] is placed,
    the rest of the first run already is. *)
-let merge ws dst ~lo ~mid src n =
+let merge p dst ~lo ~mid src n =
   let i = ref (mid - 1) and j = ref (n - 1) in
   while !j >= 0 do
     let k = !i + !j + 1 in
-    if !i >= lo && by_key ws dst.(!i) src.(!j) > 0 then begin
+    if !i >= lo && by_key p dst.(!i) src.(!j) > 0 then begin
       dst.(k) <- dst.(!i);
       decr i
     end
@@ -154,14 +176,14 @@ let merge ws dst ~lo ~mid src n =
     end
   done
 
-(* Merge sort of [a.(lo .. hi - 1)] by [by_key], with [ws.tmp] as
+(* Merge sort of [a.(lo .. hi - 1)] by [by_key], with [p.tmp] as
    scratch. *)
-let rec sort ws a lo hi =
+let rec sort p a lo hi =
   if hi - lo <= 8 then
     for k = lo + 1 to hi - 1 do
       let x = a.(k) in
       let j = ref (k - 1) in
-      while !j >= lo && by_key ws a.(!j) x > 0 do
+      while !j >= lo && by_key p a.(!j) x > 0 do
         a.(!j + 1) <- a.(!j);
         decr j
       done;
@@ -169,11 +191,11 @@ let rec sort ws a lo hi =
     done
   else begin
     let mid = (lo + hi) / 2 in
-    sort ws a lo mid;
-    sort ws a mid hi;
-    if by_key ws a.(mid - 1) a.(mid) > 0 then begin
-      Array.blit a mid ws.tmp 0 (hi - mid);
-      merge ws a ~lo ~mid ws.tmp (hi - mid)
+    sort p a lo mid;
+    sort p a mid hi;
+    if by_key p a.(mid - 1) a.(mid) > 0 then begin
+      Array.blit a mid p.tmp 0 (hi - mid);
+      merge p a ~lo ~mid p.tmp (hi - mid)
     end
   end
 
@@ -182,13 +204,13 @@ let rec sort ws a lo hi =
    the flows admitted since [active.(admitted)] are sorted, then the two
    runs are merged. [by_key] is total, so this is the order a fresh sort
    gives. With aging every paused key moves, so it is one full sort. *)
-let pdq_order ws opts ~admitted =
-  let { order; changed; _ } = ws in
+let pdq_order ws p ~admitted =
+  let { order; changed; _ } = p in
   let kept = ref 0 and moved = ref 0 in
-  for j = 0 to ws.n_order - 1 do
+  for j = 0 to p.n_order - 1 do
     let i = order.(j) in
     if (not ws.dead.(i)) && Float.is_nan ws.done_at.(i) then
-      if refresh_key ws opts i then begin
+      if refresh_key ws p i then begin
         changed.(!moved) <- i;
         incr moved
       end
@@ -199,35 +221,35 @@ let pdq_order ws opts ~admitted =
   done;
   for j = admitted to ws.n_active - 1 do
     let i = ws.active.(j) in
-    ignore (refresh_key ws opts i : bool);
+    ignore (refresh_key ws p i : bool);
     changed.(!moved) <- i;
     incr moved
   done;
-  sort ws changed 0 !moved;
-  merge ws order ~lo:0 ~mid:!kept changed !moved;
-  ws.n_order <- !kept + !moved
+  sort p changed 0 !moved;
+  merge p order ~lo:0 ~mid:!kept changed !moved;
+  p.n_order <- !kept + !moved
 
-let pdq_rates ws opts ~now ~capacity ~admitted =
-  let residual = ws.residual in
+let pdq_rates ws p ~now ~capacity ~admitted =
+  let { residual; pstart; plink; _ } = ws in
   Array.blit capacity 0 residual 0 (Array.length capacity);
-  pdq_order ws opts ~admitted;
-  for j = 0 to ws.n_order - 1 do
-    let i = ws.order.(j) in
-    if opts.early_termination && infeasible ws i ~now then begin
+  pdq_order ws p ~admitted;
+  for j = 0 to p.n_order - 1 do
+    let i = p.order.(j) in
+    if p.opts.early_termination && infeasible ws i ~now then begin
       ws.dead.(i) <- true;
       ws.rate.(i) <- 0.
     end
     else begin
-      let path = ws.paths.(i) in
+      let a = pstart.(i) and b = pstart.(i + 1) - 1 in
       let r = ref ws.nic.(i) in
-      for h = 0 to Array.length path - 1 do
-        r := fmin !r residual.(path.(h))
+      for h = a to b do
+        r := fmin !r residual.(plink.(h))
       done;
       let r = fmax 0. !r in
       ws.rate.(i) <- r;
       if r > 0. then
-        for h = 0 to Array.length path - 1 do
-          let l = path.(h) in
+        for h = a to b do
+          let l = plink.(h) in
           residual.(l) <- residual.(l) -. r
         done
     end
@@ -237,232 +259,227 @@ let pdq_rates ws opts ~now ~capacity ~admitted =
    pair for one link; [seq] numbers the pushes since the last [clear],
    so the pair is a total order and fixes the pop sequence.
 
-   Each link's entries form a list sorted by (share, seq), threaded
-   through a pool that [clear] empties: an entry's index in the pool is
-   its [seq]. A 4-ary indexed min-heap holds each link whose list is not
-   empty once, keyed by the list's head, so the least entry of all is
-   the head of the root link's list. A new entry has the largest [seq],
-   so it goes after every entry whose share is no greater than its own:
-   behind the tail in O(1) when its share is at least the tail's, which
-   is the common case, as water-filling shares mostly grow. The heap
-   moves only when a link's head changes or a link leaves, and [kill]
-   drops a link's whole list at once.
+   Water-filling makes many entries but few distinct shares, so each
+   distinct share has a bucket: a FIFO of its entries, threaded through
+   a pool in which an entry's index is its seq. Pushes come in seq
+   order, so each FIFO is in seq order, and a binary min-heap of the
+   buckets with entries, keyed by share without ties, has the least
+   entry of all at the head of its root. A push finds its bucket in an
+   open-addressing table hashed on the share's bits, with −0 stored as
+   +0 (they compare equal, so they are one share). A bucket stays in the
+   table until [clear]; a push to an emptied one puts it back in the
+   heap.
 
-   Keys sit unboxed in a float array. No float is passed to or returned
-   from a function that is not inlined: without flambda, the float
-   argument of [push] and the result of [min_share] would each be
-   boxed. *)
+   [kill] is lazy: it marks the link with the count of pushes ever made,
+   and an entry is live iff its push came at or after its link's mark.
+   Dead entries are dropped as they reach the root's head, which is kept
+   live, so the heap is empty iff no entry is live.
+
+   No float is passed to or returned from a function that is not
+   inlined: without flambda, the float argument of [push] and the result
+   of [min_share] would each be boxed. *)
 module Share_queue = struct
   type t = {
-    (* Entry pool: [share.(e)], and [next.(e)], the entry after [e] in
-       its link's list or -1. [used] entries are taken. *)
-    mutable share : float array;
+    (* Entry [e] is link [link.(e)]'s, followed in its FIFO by [next.(e)]
+       or -1; [used] entries are taken, after [base] pushes before the
+       last [clear]. *)
+    mutable link : int array;
     mutable next : int array;
     mutable used : int;
-    (* Per link: the first and last entry of its list; [first] is -1
-       when the list is empty. *)
-    first : int array;
-    last : int array;
-    (* The heap, [size] slots: slot [i] holds a link whose head entry
-       has share [key.(i)]; [tag.(i)] packs that entry above the link
-       ([tag_bits]; both stay far below 2^31), so comparing tags
-       compares seqs. [pos] maps a link back to its slot, or -1. *)
-    key : float array;
-    tag : int array;
-    pos : int array;
+    mutable base : int;
+    mark : int array; (* per link: entry [e] is live iff [base + e >= mark] *)
+    (* Bucket [b < n_buckets] holds share [value.(b)] and the FIFO from
+       [head.(b)] (-1 when empty, and then out of the heap) to
+       [tail.(b)]. [value.(n_buckets)] passes [push]'s share on. *)
+    mutable value : float array;
+    mutable head : int array;
+    mutable tail : int array;
+    mutable n_buckets : int;
+    (* Linear probing, a bucket or -1 per slot, [1 lsl (63 - shift)]
+       slots: twice the bucket room, which starts at no more than 1024
+       (a step at 4096 servers pushes a few hundred distinct shares). *)
+    mutable table : int array;
+    mutable shift : int;
+    mutable heap : int array; (* buckets, [size] of them *)
     mutable size : int;
   }
 
-  let tag_bits = 31
-  let link_mask = (1 lsl tag_bits) - 1
+  let table_for q room =
+    let bits = ref 1 in
+    while 1 lsl !bits < 2 * room do
+      incr bits
+    done;
+    q.table <- Array.make (1 lsl !bits) (-1);
+    q.shift <- 63 - !bits
 
   let create ~links ~capacity =
     let capacity = max 1 capacity in
-    {
-      share = Array.make capacity 0.;
-      next = Array.make capacity 0;
-      used = 0;
-      first = Array.make links (-1);
-      last = Array.make links (-1);
-      key = Array.make links 0.;
-      tag = Array.make links 0;
-      pos = Array.make links (-1);
-      size = 0;
-    }
+    let room = min capacity 1024 in
+    let q =
+      {
+        link = Array.make capacity 0;
+        next = Array.make capacity 0;
+        used = 0;
+        base = 0;
+        mark = Array.make links 0;
+        value = Array.make (room + 1) 0.;
+        head = Array.make room (-1);
+        tail = Array.make room 0;
+        n_buckets = 0;
+        table = [||];
+        shift = 0;
+        heap = Array.make room 0;
+        size = 0;
+      }
+    in
+    table_for q room;
+    q
 
   let is_empty q = q.size = 0
 
-  let clear q =
-    for i = 0 to q.size - 1 do
-      let l = q.tag.(i) land link_mask in
-      q.first.(l) <- -1;
-      q.pos.(l) <- -1
+  (* The slot of share [s]: its bucket's, or the free one it would take.
+     Fibonacci hashing of the bits: the product's top bits. *)
+  let[@inline] probe q (s : float) =
+    let h = ref ((Int64.to_int (Int64.bits_of_float s) * 0x2545F4914F6CDD1D) lsr q.shift) in
+    while q.table.(!h) >= 0 && q.value.(q.table.(!h)) <> s do
+      h := (!h + 1) land (Array.length q.table - 1)
     done;
-    q.size <- 0;
-    q.used <- 0
+    !h
 
-  let grow q =
-    let n = Array.length q.share in
-    let share = Array.make (2 * n) 0. and next = Array.make (2 * n) 0 in
-    Array.blit q.share 0 share 0 n;
-    Array.blit q.next 0 next 0 n;
-    q.share <- share;
-    q.next <- next
+  (* Buckets leave the table newest first, so each one's probe path is
+     as it was when the bucket went in. *)
+  let clear q =
+    for b = q.n_buckets - 1 downto 0 do
+      q.table.(probe q q.value.(b)) <- -1
+    done;
+    q.base <- q.base + q.used;
+    q.used <- 0;
+    q.n_buckets <- 0;
+    q.size <- 0
 
-  (* Slot [i]'s parent is [(i - 1) / 4] and its children are [4i + 1]
-     to [4i + 4]. The sifts move a hole and write the moving slot once,
-     at its final place. Every index they touch is below [size]. *)
-  let sift_up q i =
-    let key = q.key and tag = q.tag and pos = q.pos in
-    let k = Array.unsafe_get key i and g = Array.unsafe_get tag i in
-    let i = ref i and continue = ref true in
-    while !continue && !i > 0 do
-      let p = (!i - 1) / 4 in
-      let kp = Array.unsafe_get key p and gp = Array.unsafe_get tag p in
-      if k < kp || (k = kp && g < gp) then begin
-        Array.unsafe_set key !i kp;
-        Array.unsafe_set tag !i gp;
-        Array.unsafe_set pos (gp land link_mask) !i;
-        i := p
+  let resize a n x =
+    let b = Array.make n x in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  let grow_buckets q =
+    let room = 2 * Array.length q.head in
+    q.value <- resize q.value (room + 1) 0.;
+    q.head <- resize q.head room (-1);
+    q.tail <- resize q.tail room 0;
+    q.heap <- resize q.heap room 0;
+    table_for q room;
+    for b = 0 to q.n_buckets - 1 do
+      q.table.(probe q q.value.(b)) <- b
+    done
+
+  (* The sifts move a hole and write the moving bucket once, at its
+     final place. *)
+  let heap_add q b =
+    let { heap; value; _ } = q in
+    let i = ref q.size in
+    q.size <- !i + 1;
+    while !i > 0 && value.(b) < value.(heap.((!i - 1) / 2)) do
+      heap.(!i) <- heap.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    heap.(!i) <- b
+
+  let heap_remove_root q =
+    let { heap; value; _ } = q in
+    let n = q.size - 1 in
+    q.size <- n;
+    let b = heap.(n) and i = ref 0 and continue = ref true in
+    while !continue do
+      let c = (2 * !i) + 1 in
+      let c = if c + 1 < n && value.(heap.(c + 1)) < value.(heap.(c)) then c + 1 else c in
+      if c < n && value.(heap.(c)) < value.(b) then begin
+        heap.(!i) <- heap.(c);
+        i := c
       end
       else continue := false
     done;
-    Array.unsafe_set key !i k;
-    Array.unsafe_set tag !i g;
-    Array.unsafe_set pos (g land link_mask) !i
+    heap.(!i) <- b
 
-  let sift_down q i =
-    let key = q.key and tag = q.tag and pos = q.pos and n = q.size in
-    let k = Array.unsafe_get key i and g = Array.unsafe_get tag i in
-    let i = ref i and continue = ref true in
+  (* Keep the root's head live: drop dead heads, and the buckets they
+     empty. *)
+  let settle q =
+    let continue = ref (q.size > 0) in
     while !continue do
-      let c0 = (4 * !i) + 1 in
-      if c0 >= n then continue := false
-      else begin
-        let c = ref c0 in
-        let kc = ref (Array.unsafe_get key c0) and gc = ref (Array.unsafe_get tag c0) in
-        for j = c0 + 1 to (if c0 + 3 < n then c0 + 3 else n - 1) do
-          let kj = Array.unsafe_get key j in
-          if kj < !kc || (kj = !kc && Array.unsafe_get tag j < !gc) then begin
-            c := j;
-            kc := kj;
-            gc := Array.unsafe_get tag j
-          end
-        done;
-        if !kc < k || (!kc = k && !gc < g) then begin
-          Array.unsafe_set key !i !kc;
-          Array.unsafe_set tag !i !gc;
-          Array.unsafe_set pos (!gc land link_mask) !i;
-          i := !c
-        end
-        else continue := false
+      let b = q.heap.(0) in
+      let e = q.head.(b) in
+      if e < 0 then begin
+        heap_remove_root q;
+        continue := q.size > 0
       end
-    done;
-    Array.unsafe_set key !i k;
-    Array.unsafe_set tag !i g;
-    Array.unsafe_set pos (g land link_mask) !i
+      else if q.base + e < q.mark.(q.link.(e)) then q.head.(b) <- q.next.(e)
+      else continue := false
+    done
 
-  (* Take slot [i]'s link out of the heap: the last slot fills the hole
-     and moves up or down to its place. *)
-  let remove q i =
-    let key = q.key and tag = q.tag in
-    q.pos.(tag.(i) land link_mask) <- -1;
-    let last = q.size - 1 in
-    q.size <- last;
-    if i < last then begin
-      let k = key.(last) and g = tag.(last) in
-      key.(i) <- k;
-      tag.(i) <- g;
-      let p = (i - 1) / 4 in
-      if i > 0 && (k < key.(p) || (k = key.(p) && g < tag.(p))) then
-        sift_up q i
-      else sift_down q i
-    end
-
-  (* Put entry [e], the newest, into link [l]'s list. *)
-  let insert q l e =
-    let share = q.share and next = q.next in
-    let s = share.(e) in
-    let f = q.first.(l) in
-    if f < 0 then begin
-      next.(e) <- -1;
-      q.first.(l) <- e;
-      q.last.(l) <- e;
-      let i = q.size in
-      q.size <- i + 1;
-      q.key.(i) <- s;
-      q.tag.(i) <- (e lsl tag_bits) lor l;
-      sift_up q i
-    end
-    else begin
-      let z = q.last.(l) in
-      if s >= share.(z) then begin
-        next.(e) <- -1;
-        next.(z) <- e;
-        q.last.(l) <- e
-      end
-      else if s < share.(f) then begin
-        (* A new head: the link's key falls. *)
-        next.(e) <- f;
-        q.first.(l) <- e;
-        let i = q.pos.(l) in
-        q.key.(i) <- s;
-        q.tag.(i) <- (e lsl tag_bits) lor l;
-        sift_up q i
-      end
+  (* Add the newest entry, link [l]'s, with share [value.(n_buckets)]. *)
+  let insert q l =
+    let e = q.used in
+    if e = Array.length q.link then begin
+      q.link <- resize q.link (2 * e) 0;
+      q.next <- resize q.next (2 * e) 0
+    end;
+    q.used <- e + 1;
+    q.link.(e) <- l;
+    q.next.(e) <- -1;
+    let s = q.value.(q.n_buckets) in
+    let s = if s = 0. then 0. else s in
+    let h = probe q s in
+    let b =
+      if q.table.(h) >= 0 then q.table.(h)
       else begin
-        (* After the last entry whose share is at most [s]; the tail's
-           share is above [s], so the walk stops before it. *)
-        let p = ref f in
-        while share.(next.(!p)) <= s do
-          p := next.(!p)
-        done;
-        next.(e) <- next.(!p);
-        next.(!p) <- e
+        let b = q.n_buckets in
+        q.n_buckets <- b + 1;
+        q.value.(b) <- s;
+        q.table.(h) <- b;
+        q.head.(b) <- -1;
+        b
       end
+    in
+    if q.head.(b) < 0 then begin
+      q.head.(b) <- e;
+      heap_add q b
     end
+    else q.next.(q.tail.(b)) <- e;
+    q.tail.(b) <- e
 
   let[@inline] push q l s =
-    let e = q.used in
-    if e = Array.length q.share then grow q;
-    q.share.(e) <- s;
-    q.used <- e + 1;
-    insert q l e
+    if q.n_buckets = Array.length q.head then grow_buckets q;
+    q.value.(q.n_buckets) <- s;
+    insert q l
 
   let empty fn = invalid_arg ("Share_queue." ^ fn ^ ": empty queue")
 
-  let[@inline] min_share q = if q.size = 0 then empty "min_share" else q.key.(0)
-  let min_link q = if q.size = 0 then empty "min_link" else q.tag.(0) land link_mask
+  let[@inline] min_share q =
+    if q.size = 0 then empty "min_share" else q.value.(q.heap.(0))
+
+  let min_link q =
+    if q.size = 0 then empty "min_link" else q.link.(q.head.(q.heap.(0)))
 
   let pop q =
     if q.size = 0 then empty "pop";
-    let g = q.tag.(0) in
-    let l = g land link_mask in
-    let n = q.next.(g lsr tag_bits) in
-    if n < 0 then begin
-      q.first.(l) <- -1;
-      remove q 0
-    end
-    else begin
-      q.first.(l) <- n;
-      q.key.(0) <- q.share.(n);
-      q.tag.(0) <- (n lsl tag_bits) lor l;
-      sift_down q 0
-    end
+    let b = q.heap.(0) in
+    q.head.(b) <- q.next.(q.head.(b));
+    settle q
 
   let kill q l =
-    let i = q.pos.(l) in
-    if i >= 0 then begin
-      q.first.(l) <- -1;
-      remove q i
-    end
+    q.mark.(l) <- q.base + q.used;
+    settle q
 end
 
 (* RCP's per-link state, made only on RCP runs. *)
 type rcp = {
+  count : int array; (* unassigned flows; 0 between steps *)
+  live : int array; (* links with flows, ascending: [live.(0 .. n_live - 1)] *)
+  mutable n_live : int;
   row : int array;
-      (* members in compressed sparse rows: link [l]'s flows are
-         [members.(row.(l)) .. members.(row.(l+1) - 1)] *)
+  row_end : int array;
+      (* members in compressed sparse rows over the live links: link
+         [l]'s flows are [members.(row.(l)) .. members.(row_end.(l) - 1)] *)
   members : int array; (* flow [idx]s *)
   queue : Share_queue.t;
 }
@@ -472,68 +489,88 @@ type rcp = {
    members are visited oldest admitted first. Together they fix the
    float order of the residual updates, so both orders are part of the
    output. A popped share more than 1e-6 below the link's current one
-   is stale: the link is pushed again with the current share. A link
-   whose flows are all assigned leaves the queue with every entry it
-   had, which leaves the pop order of the rest unchanged. *)
-let rcp_rates ws st ~capacity =
-  let { active; n_active; paths; rate; residual; count; _ } = ws in
-  let { row; members; queue = q } = st in
-  let nlinks = Array.length capacity in
-  Array.blit capacity 0 residual 0 nlinks;
-  Array.fill count 0 nlinks 0;
+   is stale. A link whose flows are all assigned leaves the queue with
+   every entry it had, which leaves the pop order of the rest unchanged.
+   Every pass runs over the live links only: a link's first flow in the
+   count pass resets its residual. *)
+let rcp_rates ws st ~capacity ~admitted =
+  let { active; n_active; pstart; plink; rate; residual; _ } = ws in
+  let { count; live; row; row_end; members; queue = q; _ } = st in
   for j = 0 to n_active - 1 do
     let i = active.(j) in
     rate.(i) <- -1.;
-    let path = paths.(i) in
-    for h = 0 to Array.length path - 1 do
-      let l = path.(h) in
-      count.(l) <- count.(l) + 1
+    for h = pstart.(i) to pstart.(i + 1) - 1 do
+      let l = plink.(h) in
+      let c = count.(l) in
+      if c = 0 then residual.(l) <- capacity.(l);
+      count.(l) <- c + 1
     done
   done;
+  (* The live links, ascending, so the first pushes go in link order.
+     A step that admits no flow has a subset of the last step's flows,
+     so its links are a subset of the last step's live list. *)
+  let n_live = ref 0 and scan = admitted < n_active in
+  for k = 0 to (if scan then Array.length capacity else st.n_live) - 1 do
+    let l = if scan then k else live.(k) in
+    if count.(l) > 0 then begin
+      live.(!n_live) <- l;
+      incr n_live
+    end
+  done;
+  let n_live = !n_live in
+  st.n_live <- n_live;
   (* Each row is filled back to front from the newest flow, so it lists
      its flows oldest first: [row.(l)] starts at the end of link [l]'s
      row and steps down to its start. *)
   let ends = ref 0 in
-  for l = 0 to nlinks - 1 do
+  for k = 0 to n_live - 1 do
+    let l = live.(k) in
     ends := !ends + count.(l);
-    row.(l) <- !ends
+    row.(l) <- !ends;
+    row_end.(l) <- !ends
   done;
-  row.(nlinks) <- !ends;
   for j = n_active - 1 downto 0 do
     let i = active.(j) in
-    let path = paths.(i) in
-    for h = 0 to Array.length path - 1 do
-      let l = path.(h) in
+    for h = pstart.(i) to pstart.(i + 1) - 1 do
+      let l = plink.(h) in
       let slot = row.(l) - 1 in
       row.(l) <- slot;
       members.(slot) <- i
     done
   done;
   Share_queue.clear q;
-  for l = 0 to nlinks - 1 do
-    if count.(l) > 0 then
-      Share_queue.push q l (residual.(l) /. float_of_int count.(l))
+  for k = 0 to n_live - 1 do
+    let l = live.(k) in
+    Share_queue.push q l (residual.(l) /. float_of_int count.(l))
   done;
   while not (Share_queue.is_empty q) do
     let key = Share_queue.min_share q and l = Share_queue.min_link q in
     let fair = residual.(l) /. float_of_int count.(l) in
-    if fair > key +. 1e-6 then begin
-      Share_queue.pop q;
-      Share_queue.push q l fair
-    end
+    if fair > key +. 1e-6 then
+      (* Stale: drop it, and push nothing. Every change to a link that
+         still has unassigned flows is followed by a push of its new
+         [residual / count], so [l]'s newest entry already holds [fair],
+         the same float, under a smaller seq than a re-push would get.
+         A re-push would sort right after that entry, behind only
+         entries of share [fair], so it could freeze [l] only if [l]
+         were still unfrozen and no longer stale once those had popped.
+         But each of them freezes at most [fair] + 1e-6, below [l]'s
+         share, and taking a flow of less than the mean rate off [l]
+         raises [l]'s share (up to rounding, which neither the RCP model
+         property nor the goldens have shown to matter). *)
+      Share_queue.pop q
     else begin
       (* Freeze this link: all its unassigned flows are bottlenecked
          here, so its count falls to 0 and it leaves the queue now
          rather than after a pop and a [kill]. *)
       Share_queue.kill q l;
-      for j = row.(l) to row.(l + 1) - 1 do
+      for j = row.(l) to row_end.(l) - 1 do
         let i = members.(j) in
         if rate.(i) < 0. then begin
           let r = fmax 0. fair in
           rate.(i) <- r;
-          let path = paths.(i) in
-          for h = 0 to Array.length path - 1 do
-            let m = path.(h) in
+          for h = pstart.(i) to pstart.(i + 1) - 1 do
+            let m = plink.(h) in
             let c = count.(m) - 1 in
             count.(m) <- c;
             if c = 0 then Share_queue.kill q m;
@@ -547,21 +584,37 @@ let rcp_rates ws st ~capacity =
       done
     end
   done;
+  for k = 0 to n_live - 1 do
+    count.(live.(k)) <- 0
+  done;
   for j = 0 to n_active - 1 do
     let i = active.(j) in
     if rate.(i) < 0. then rate.(i) <- 0.
   done
 
+(* D3's per-link state, made only on D3 runs. *)
+type d3 = {
+  fs : float array; (* the fair share from the previous step's totals *)
+  demand : float array; (* requests, this step's from the link's first flow on *)
+  flows : int array; (* flows, likewise *)
+  stamp : int array; (* the last step that a flow crossed the link, or -1 *)
+  mutable step : int;
+}
+
 (* D3: greedy first-come-first-reserve per link in flow arrival order,
-   plus the previous step's non-negative fair share. [fs] persists
-   across steps (per link). Flows are admitted in arrival order (start,
-   then the unique id), so [active] is in arrival order. *)
-let d3_rates ws ~now ~capacity ~fs =
-  let nlinks = Array.length capacity in
-  let avail = ws.residual and demand = ws.demand and counts = ws.count in
-  Array.blit capacity 0 avail 0 nlinks;
-  Array.fill demand 0 nlinks 0.;
-  Array.fill counts 0 nlinks 0;
+   plus the previous step's non-negative fair share. Flows are admitted
+   in arrival order (start, then the unique id), so [active] is in
+   arrival order. Only the links that flows cross are touched: a link's
+   first flow of the step sets its fair share (§5.1: (capacity −
+   demand) / flows, from the previous step's totals, or the capacity if
+   no flow crossed it then; 0 on the first step) and resets its
+   totals. *)
+let d3_rates ws st ~now ~capacity =
+  let { pstart; plink; _ } = ws in
+  let { fs; demand; flows; stamp; _ } = st in
+  let avail = ws.residual in
+  let step = st.step + 1 in
+  st.step <- step;
   for j = 0 to ws.n_active - 1 do
     let i = ws.active.(j) in
     if infeasible ws i ~now then begin
@@ -576,128 +629,142 @@ let d3_rates ws ~now ~capacity ~fs =
           let d = ws.deadline_abs.(i) in
           if d > now then ws.remaining.(i) /. (d -. now) else ws.nic.(i)
       in
-      let path = ws.paths.(i) in
+      let a = pstart.(i) and b = pstart.(i + 1) - 1 in
       let alloc = ref ws.nic.(i) in
-      for h = 0 to Array.length path - 1 do
-        let l = path.(h) in
+      for h = a to b do
+        let l = plink.(h) in
+        if stamp.(l) <> step then begin
+          fs.(l) <-
+            (if stamp.(l) = step - 1 then
+               fmax 0. ((capacity.(l) -. demand.(l)) /. float_of_int flows.(l))
+             else if step = 1 then 0.
+             else capacity.(l));
+          stamp.(l) <- step;
+          avail.(l) <- capacity.(l);
+          demand.(l) <- 0.;
+          flows.(l) <- 0
+        end;
         alloc := fmin !alloc (fmin (request +. fs.(l)) avail.(l))
       done;
       let alloc = fmax 0. !alloc in
       ws.rate.(i) <- alloc;
-      for h = 0 to Array.length path - 1 do
-        let l = path.(h) in
+      for h = a to b do
+        let l = plink.(h) in
         avail.(l) <- avail.(l) -. alloc;
         demand.(l) <- demand.(l) +. request;
-        counts.(l) <- counts.(l) + 1
+        flows.(l) <- flows.(l) + 1
       done
     end
-  done;
-  (* Fair share for the next interval (non-negative, as in §5.1). *)
-  for l = 0 to nlinks - 1 do
-    if counts.(l) > 0 then
-      fs.(l) <- fmax 0. ((capacity.(l) -. demand.(l)) /. float_of_int counts.(l))
-    else fs.(l) <- capacity.(l)
   done
 
-let workspace ~capacity ~goodput_factor ~seed proto specs =
+(* The per-flow arrays, in one pass over the specs after one that finds
+   the id range and the hop total. A repeated id is found with a byte
+   per id when the ids span at most 4 per flow, and a table
+   otherwise. *)
+let workspace ~capacity ~goodput_factor specs =
   let n = Array.length specs and nlinks = Array.length capacity in
-  let ids = Hashtbl.create n in
+  let lo = ref max_int and hi = ref min_int and hops = ref 0 in
   Array.iter
-    (fun spec ->
-      if Array.length spec.path = 0 then
-        invalid_arg
-          (Printf.sprintf "Flowsim.run: flow %d has an empty path" spec.fs_id);
-      if Hashtbl.mem ids spec.fs_id then
-        invalid_arg (Printf.sprintf "Flowsim.run: duplicate flow id %d" spec.fs_id);
-      Hashtbl.add ids spec.fs_id ())
+    (fun s ->
+      lo := min !lo s.fs_id;
+      hi := max !hi s.fs_id;
+      hops := !hops + Array.length s.path)
     specs;
-  let has_deadline = Array.map (fun s -> Option.is_some s.deadline) specs in
-  let deadline_abs =
-    Array.map
-      (fun s -> match s.deadline with Some d -> s.start +. d | None -> 0.)
-      specs
+  let lo = !lo and span = !hi - !lo in
+  let seen =
+    if span >= 0 && span <= 4 * n then
+      let map = Bytes.make (span + 1) '\000' in
+      fun id -> Bytes.get map (id - lo) = '\001' || (Bytes.set map (id - lo) '\001'; false)
+    else
+      let ids = Hashtbl.create n in
+      fun id -> Hashtbl.mem ids id || (Hashtbl.add ids id (); false)
   in
-  let rng = Rng.create seed in
-  let criticality = match proto with Pdq o -> o.criticality | _ -> Perfect in
-  let key_ttx =
-    Array.init n (fun _ ->
-        match criticality with
-        | Random_criticality -> Rng.float rng
-        | Perfect | Size_estimation _ -> Float.nan)
-  in
-  let perfect = criticality = Perfect in
+  let pstart = Array.make (n + 1) 0 and plink = Array.make !hops 0 in
+  let nic = Array.make n 0. and remaining = Array.make n 0. in
+  let deadline_abs = Array.make n 0. and has_deadline = Array.make n false in
+  Array.iteri
+    (fun i s ->
+      if Array.length s.path = 0 then
+        invalid_arg
+          (Printf.sprintf "Flowsim.run: flow %d has an empty path" s.fs_id);
+      if seen s.fs_id then
+        invalid_arg (Printf.sprintf "Flowsim.run: duplicate flow id %d" s.fs_id);
+      let h = pstart.(i) in
+      let m = ref infinity in
+      Array.iteri
+        (fun k l ->
+          plink.(h + k) <- l;
+          m := fmin !m capacity.(l))
+        s.path;
+      pstart.(i + 1) <- h + Array.length s.path;
+      nic.(i) <- !m *. goodput_factor;
+      remaining.(i) <- bits_of_bytes s.size;
+      match s.deadline with
+      | Some d ->
+          has_deadline.(i) <- true;
+          deadline_abs.(i) <- s.start +. d
+      | None -> ())
+    specs;
   {
     specs;
-    id = Array.map (fun s -> s.fs_id) specs;
-    paths = Array.map (fun s -> s.path) specs;
-    nic =
-      Array.map
-        (fun s ->
-          Array.fold_left (fun acc l -> fmin acc capacity.(l)) infinity s.path
-          *. goodput_factor)
-        specs;
-    remaining = Array.map (fun s -> bits_of_bytes s.size) specs;
+    pstart;
+    plink;
+    nic;
+    remaining;
     rate = Array.make n 0.;
     waited = Array.make n 0.;
     done_at = Array.make n Float.nan;
     deadline_abs;
     has_deadline;
     dead = Array.make n false;
-    est_level = Array.make n 0;
-    key_class =
-      Array.map (fun d -> if perfect && not d then 1 else 0) has_deadline;
-    key_deadline =
-      Array.mapi (fun i d -> if perfect && d then deadline_abs.(i) else 0.) has_deadline;
-    key_ttx;
     active = Array.make n 0;
     n_active = 0;
-    order = Array.make n 0;
-    n_order = 0;
-    changed = Array.make n 0;
-    tmp = Array.make n 0;
     residual = Array.make nlinks 0.;
-    count = Array.make nlinks 0;
-    demand = Array.make nlinks 0.;
   }
 
 (* The per-run state of one protocol's solver. *)
-type solver = Pdq_solver of pdq_opts | Rcp_solver of rcp | D3_solver of float array
+type solver = Pdq_solver of pdq | Rcp_solver of rcp | D3_solver of d3
 
-let solver ~nlinks proto specs =
+let solver ws ~nlinks ~seed proto =
   match proto with
-  | Pdq opts -> Pdq_solver opts
+  | Pdq opts -> Pdq_solver (pdq_state ws opts ~seed)
   | Rcp ->
-      let hops = Array.fold_left (fun h s -> h + Array.length s.path) 0 specs in
+      let hops = Array.length ws.plink in
       Rcp_solver
         {
-          row = Array.make (nlinks + 1) 0;
+          count = Array.make nlinks 0;
+          live = Array.make nlinks 0;
+          n_live = 0;
+          row = Array.make nlinks 0;
+          row_end = Array.make nlinks 0;
           members = Array.make hops 0;
           queue = Share_queue.create ~links:nlinks ~capacity:(nlinks + hops);
         }
-  | D3 -> D3_solver (Array.make nlinks 0.)
+  | D3 ->
+      let make x = Array.make nlinks x in
+      D3_solver
+        { fs = make 0.; demand = make 0.; flows = make 0; stamp = make (-1); step = 0 }
+
+(* Admission order: by start, then the unique id. *)
+let admission a b =
+  match Float.compare a.start b.start with 0 -> Int.compare a.fs_id b.fs_id | c -> c
 
 let run ?(dt = 1e-3) ?(init_latency = 5e-4) ?(header_overhead = 56. /. 1500.)
     ?(seed = 1) ?(horizon = 60.) net proto specs =
   let goodput_factor = 1. -. header_overhead in
   let specs = Array.of_list specs in
   let n = Array.length specs in
-  let ws = workspace ~capacity:net.capacity ~goodput_factor ~seed proto specs in
+  let ws = workspace ~capacity:net.capacity ~goodput_factor specs in
   let { active; remaining; rate; waited; done_at; dead; _ } = ws in
-  (* Admission order: by start, then the unique id. *)
   let pending = Array.init n Fun.id in
-  Array.stable_sort
-    (fun a b ->
-      match Float.compare specs.(a).start specs.(b).start with
-      | 0 -> Int.compare specs.(a).fs_id specs.(b).fs_id
-      | c -> c)
-    pending;
+  let in_order = ref true in
+  for i = 1 to n - 1 do
+    if admission specs.(i - 1) specs.(i) > 0 then in_order := false
+  done;
+  if not !in_order then
+    Array.stable_sort (fun a b -> admission specs.(a) specs.(b)) pending;
   let next = ref 0 in
-  let quantum =
-    match proto with
-    | Pdq { criticality = Size_estimation q; _ } -> max 1 q
-    | _ -> 0
-  in
-  let solver = solver ~nlinks:(Array.length net.capacity) proto specs in
+  let solver = solver ws ~nlinks:(Array.length net.capacity) ~seed proto in
   let t = ref (if n = 0 then 0. else specs.(pending.(0)).start) in
   let open_flows = ref n in
   while !open_flows > 0 && !t < horizon do
@@ -713,9 +780,9 @@ let run ?(dt = 1e-3) ?(init_latency = 5e-4) ?(header_overhead = 56. /. 1500.)
     (* [active] holds only live flows here: the previous step retired
        every dead and finished one. *)
     (match solver with
-    | Pdq_solver opts -> pdq_rates ws opts ~now:!t ~capacity:net.capacity ~admitted
-    | Rcp_solver st -> rcp_rates ws st ~capacity:net.capacity
-    | D3_solver fs -> d3_rates ws ~now:!t ~capacity:net.capacity ~fs);
+    | Pdq_solver p -> pdq_rates ws p ~now:!t ~capacity:net.capacity ~admitted
+    | Rcp_solver st -> rcp_rates ws st ~capacity:net.capacity ~admitted
+    | D3_solver st -> d3_rates ws st ~now:!t ~capacity:net.capacity);
     (* Advance remaining work; interpolate completion times within the
        step. The goodput factor models header overhead. Each flow's
        update is independent of the others. *)
@@ -737,12 +804,7 @@ let run ?(dt = 1e-3) ?(init_latency = 5e-4) ?(header_overhead = 56. /. 1500.)
             decr open_flows;
             retired := true
           end
-          else begin
-            remaining.(i) <- remaining.(i) -. work;
-            if quantum > 0 then
-              ws.est_level.(i) <-
-                (specs.(i).size - int_of_float (remaining.(i) /. 8.)) / quantum
-          end
+          else remaining.(i) <- remaining.(i) -. work
         end
       end
     done;

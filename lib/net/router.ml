@@ -222,9 +222,10 @@ let[@inline] mix h x =
 
 let hash3 a b c = mix (mix (mix 0x9E3779B9 a) b) c
 
-(* Adds entry [e] to the [count] candidates if its link is up. *)
-let[@inline] keep t count e =
-  if usable t e then begin
+(* Adds entry [e] to the [count] candidates if its link is up; [all_up]
+   says no link is down, which spares the flag read. *)
+let[@inline] keep t ~all_up count e =
+  if all_up || usable t e then begin
     t.closer.(count) <- e;
     count + 1
   end
@@ -233,22 +234,32 @@ let[@inline] keep t count e =
 (* The ECMP next hop of [node], [d] hops from [dst]: among its entries
    whose link is up and whose peer is one hop closer, the [hash3 choice
    node dst mod count]-th in (peer, link) order. A leaf's one entry is
-   the only candidate; one hop out, the closer peer is [dst] itself;
-   further out it is a core node, so only the core row is scanned.
-   Raises [Not_found] when there is none (a link went down since the
-   table was computed). *)
-
+   the only candidate; one hop out, the closer peer is [dst] itself,
+   whose entries a binary search finds in the sorted row; further out
+   it is a core node, so only the core row is scanned. Raises
+   [Not_found] when there is none (a link went down since the table was
+   computed). *)
 let next_entry t tbl node d ~dst ~choice =
+  let all_up = Topology.links_down t.topo = 0 in
   let count = ref 0 in
   let r = t.rank.(node) in
-  if r < 0 then count := keep t !count t.start.(node)
-  else if d = 1 then
-    for e = t.start.(node) to t.start.(node + 1) - 1 do
-      if t.peer.(e) = dst then count := keep t !count e
+  if r < 0 then count := keep t ~all_up !count t.start.(node)
+  else if d = 1 then begin
+    let lo = ref t.start.(node) and hi = ref t.start.(node + 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if t.peer.(mid) < dst then lo := mid + 1 else hi := mid
+    done;
+    let e = ref !lo and stop = t.start.(node + 1) in
+    while !e < stop && t.peer.(!e) = dst do
+      count := keep t ~all_up !count !e;
+      incr e
     done
+  end
   else
     for e = t.cstart.(r) to t.cstart.(r + 1) - 1 do
-      if hop tbl t.cpeer.(e) = d - 1 then count := keep t !count t.centry.(e)
+      if hop tbl t.cpeer.(e) = d - 1 then
+        count := keep t ~all_up !count t.centry.(e)
     done;
   if !count = 0 then raise Not_found;
   t.closer.(hash3 choice node dst mod !count)
