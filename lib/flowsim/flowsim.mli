@@ -14,17 +14,20 @@
     - RCP: global max-min fairness by water-filling over a queue of
       per-link fair shares ({!Share_queue}). The float order of the
       residual updates is part of the output, so it is fixed: links
-      freeze in (fair share, push sequence) order, with an entry
-      re-pushed when its link's share has grown by more than 1e-6, and
-      a frozen link's flows are visited oldest-admitted first (the
-      solver keeps its active flows in admission order). A link leaves
-      the queue, every entry with it, once all its flows have a rate:
-      such entries would only be popped and skipped, so dropping them
-      leaves the pop order of the rest unchanged.
+      freeze in (fair share, push sequence) order, a popped entry more
+      than 1e-6 below its link's current share is dropped as stale
+      (the link's newest entry already holds that share), and a frozen
+      link's flows are visited oldest-admitted first (the solver keeps
+      its active flows in admission order). A link leaves the queue,
+      every entry with it, once all its flows have a rate: such entries
+      would only be popped and skipped, so dropping them leaves the pop
+      order of the rest unchanged. Each step works over the links its
+      flows cross, not the whole network.
     - D3: per-link first-come-first-reserve grants of
       [remaining/(deadline−now)] in flow arrival order plus an equal
       share of the leftover, with non-negative fair share and sender
-      quenching. Equals RCP when no flow has a deadline.
+      quenching. Equals RCP when no flow has a deadline. Like RCP, each
+      step touches only the links its flows cross.
 
     Protocol inefficiencies are modelled as in the paper: a flow
     initialization latency before a new flow transmits, and a constant
@@ -102,18 +105,20 @@ val run :
     entries of equal share pop in push order and the set of entries
     alone fixes the pop sequence.
 
-    Each link's entries sit in a list sorted by (share, seq), and an
-    indexed 4-ary heap holds each link with entries once, keyed by its
-    list's head: the least entry of all is the head of the root link's
-    list. A push goes behind its link's tail in O(1) unless its share
-    is below the tail's; the heap moves only when a link's head changes
-    or a link leaves. Shares must not be NaN. Exposed for its tests. *)
+    Entries are grouped by distinct share: one FIFO per share, which is
+    in seq order as pushes come in seq order, and a binary heap of the
+    shares with entries. A push finds its share's FIFO through a hash
+    table on the share's bits; +0 and −0 are one share, stored as +0.
+    {!kill} is lazy: a per-link mark makes the link's earlier entries
+    dead, and they are dropped when they reach the front. Shares must
+    not be NaN. Exposed for its tests. *)
 module Share_queue : sig
   type t
 
   val create : links:int -> capacity:int -> t
   (** An empty queue for links [0 .. links - 1], with room for
-      [capacity] entries between clears; the pool doubles when full. *)
+      [capacity] entries between clears and for up to
+      [min capacity 1024] distinct shares; each doubles when full. *)
 
   val clear : t -> unit
   (** Drop every entry and restart the push count. *)

@@ -488,6 +488,69 @@ let test_golden specs (name, proto, ms, tenth_ms) () =
         (result_digest (Flowsim.run ~dt ~seed:5 net proto specs)))
     [ (1e-3, ms); (1e-4, tenth_ms) ]
 
+(* The repeat check takes a byte per id when the ids span at most 4 per
+   flow, and a hash table otherwise (sparse, negative or extreme ids,
+   whose span overflows): both name the first spec whose id came
+   before, under every protocol. *)
+let test_duplicate_id_maps () =
+  let specs ids =
+    List.mapi (fun i id -> flow ~id ~path:[| i mod 2 |] ~size:100_000 ()) ids
+  in
+  List.iter
+    (fun (name, proto) ->
+      List.iter
+        (fun (kind, ids, repeat) ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s, %s ids" name kind)
+            (Invalid_argument (Printf.sprintf "Flowsim.run: duplicate flow id %d" repeat))
+            (fun () -> ignore (run ~proto (net 2) (specs ids))))
+        [
+          ("dense", [ 3; 1; 0; 2; 1; 3 ], 1);
+          ("dense negative", [ -3; -1; -4; -2; -1; -3 ], -1);
+          ("sparse", [ 3_000_003; -1; 0; 77; -1; 3_000_003 ], -1);
+          ("extreme", [ max_int; 0; min_int; 5; min_int; max_int ], min_int);
+        ])
+    protocols
+
+(* Results are per spec, whatever order the specs come in: specs already
+   in admission order (start, then id), which skip the sort, and the
+   same specs shuffled give the same outcome for every flow. [mean_fct]
+   sums in spec order, so only it may differ, in the last bits. Random
+   criticality draws its priorities in spec order, so it is left out. *)
+let test_spec_order () =
+  let net, specs = Lazy.force golden_specs in
+  let admission (a : Flowsim.flow_spec) (b : Flowsim.flow_spec) =
+    match Float.compare a.Flowsim.start b.Flowsim.start with
+    | 0 -> Int.compare a.Flowsim.fs_id b.Flowsim.fs_id
+    | c -> c
+  in
+  let in_order = List.stable_sort admission specs in
+  let shuffled = Array.of_list specs in
+  Pdq_engine.Rng.shuffle (Pdq_engine.Rng.create 3) shuffled;
+  let by_id (r : Flowsim.result) =
+    Array.to_list r.Flowsim.flows
+    |> List.map (fun (f : Flowsim.flow_result) ->
+           ( f.Flowsim.spec.Flowsim.fs_id,
+             Option.map Int64.bits_of_float f.Flowsim.fct,
+             f.Flowsim.met_deadline,
+             f.Flowsim.terminated ))
+    |> List.sort compare
+  in
+  List.iter
+    (fun (name, proto, _, _) ->
+      if name <> "pdq random criticality" then begin
+        let a = Flowsim.run ~seed:5 net proto in_order
+        and b = Flowsim.run ~seed:5 net proto (Array.to_list shuffled) in
+        Alcotest.(check bool) (name ^ ": every flow") true (by_id a = by_id b);
+        Alcotest.(check int) (name ^ ": completed") a.Flowsim.completed b.Flowsim.completed;
+        Alcotest.(check (float 0.)) (name ^ ": throughput")
+          a.Flowsim.application_throughput b.Flowsim.application_throughput;
+        Alcotest.(check (float 0.)) (name ^ ": max fct") a.Flowsim.max_fct b.Flowsim.max_fct;
+        Alcotest.(check (float 1e-15)) (name ^ ": mean fct") a.Flowsim.mean_fct
+          b.Flowsim.mean_fct
+      end)
+    golden
+
 (* ------------------------------------------------------------------ *)
 (* RCP against a reference model *)
 
@@ -660,6 +723,193 @@ let prop_rcp_model =
       got = Array.map (Option.map Int64.bits_of_float) (model_rcp_run ~dt net specs))
 
 (* ------------------------------------------------------------------ *)
+(* D3 against a reference model *)
+
+let fmin (a : float) b = if a <= b then a else b
+let fmax (a : float) b = if a >= b then a else b
+
+(* [Flowsim.run]'s step loop for D3 with default options but
+   [init_latency], with one
+   full-network pass a step in lists: every link's reservation state
+   starts from its capacity, the flows reserve in admission order
+   (quenching the infeasible ones), and every link's fair share for the
+   next step is recomputed, the capacity where no flow crossed it. Each
+   flow's (FCT bits, terminated). *)
+let model_d3_run ~dt ~init_latency (net : Flowsim.net) specs =
+  let capacity = net.Flowsim.capacity in
+  let nlinks = Array.length capacity in
+  let goodput_factor = 1. -. (56. /. 1500.) in
+  let specs = Array.of_list specs in
+  let n = Array.length specs in
+  let paths = Array.map (fun (s : Flowsim.flow_spec) -> s.Flowsim.path) specs in
+  let nic =
+    Array.map
+      (fun p -> Array.fold_left (fun a l -> fmin a capacity.(l)) infinity p *. goodput_factor)
+      paths
+  in
+  let deadline =
+    Array.map
+      (fun (s : Flowsim.flow_spec) ->
+        Option.map (fun d -> s.Flowsim.start +. d) s.Flowsim.deadline)
+      specs
+  in
+  let remaining =
+    Array.map (fun (s : Flowsim.flow_spec) -> 8. *. float_of_int s.Flowsim.size) specs
+  in
+  let done_at = Array.make n Float.nan and rate = Array.make n 0. in
+  let dead = Array.make n false and fs = Array.make nlinks 0. in
+  let pending =
+    ref
+      (List.stable_sort
+         (fun a b ->
+           match Float.compare specs.(a).Flowsim.start specs.(b).Flowsim.start with
+           | 0 -> Int.compare specs.(a).Flowsim.fs_id specs.(b).Flowsim.fs_id
+           | c -> c)
+         (List.init n Fun.id))
+  in
+  let active = ref [] and open_flows = ref n in
+  let t = ref (match !pending with [] -> 0. | i :: _ -> specs.(i).Flowsim.start) in
+  while !open_flows > 0 && !t < 60. do
+    let now = !t in
+    let rec admit () =
+      match !pending with
+      | i :: rest when specs.(i).Flowsim.start +. init_latency <= now +. 1e-12 ->
+          active := !active @ [ i ];
+          pending := rest;
+          admit ()
+      | _ -> ()
+    in
+    admit ();
+    let avail = Array.copy capacity in
+    let demand = Array.make nlinks 0. and flows = Array.make nlinks 0 in
+    List.iter
+      (fun i ->
+        let infeasible =
+          match deadline.(i) with
+          | None -> false
+          | Some d -> now >= d || now +. (remaining.(i) /. nic.(i)) > d
+        in
+        if infeasible then begin
+          dead.(i) <- true;
+          rate.(i) <- 0.
+        end
+        else begin
+          let request =
+            match deadline.(i) with
+            | None -> 0.
+            | Some d -> if d > now then remaining.(i) /. (d -. now) else nic.(i)
+          in
+          let alloc =
+            Array.fold_left
+              (fun a l -> fmin a (fmin (request +. fs.(l)) avail.(l)))
+              nic.(i) paths.(i)
+          in
+          let alloc = fmax 0. alloc in
+          rate.(i) <- alloc;
+          Array.iter
+            (fun l ->
+              avail.(l) <- avail.(l) -. alloc;
+              demand.(l) <- demand.(l) +. request;
+              flows.(l) <- flows.(l) + 1)
+            paths.(i)
+        end)
+      !active;
+    Array.iteri
+      (fun l c ->
+        fs.(l) <-
+          (if flows.(l) > 0 then fmax 0. ((c -. demand.(l)) /. float_of_int flows.(l))
+           else c))
+      capacity;
+    List.iter
+      (fun i ->
+        if dead.(i) then decr open_flows
+        else
+          let goodput = rate.(i) *. goodput_factor in
+          if goodput > 0. then begin
+            let work = goodput *. dt in
+            if work >= remaining.(i) then begin
+              done_at.(i) <- now +. (remaining.(i) /. goodput);
+              remaining.(i) <- 0.;
+              decr open_flows
+            end
+            else remaining.(i) <- remaining.(i) -. work
+          end)
+      !active;
+    active := List.filter (fun i -> (not dead.(i)) && Float.is_nan done_at.(i)) !active;
+    t := now +. dt
+  done;
+  Array.mapi
+    (fun i (s : Flowsim.flow_spec) ->
+      ( (if Float.is_nan done_at.(i) then None
+         else Some (Int64.bits_of_float (done_at.(i) -. s.Flowsim.start))),
+        dead.(i) ))
+    specs
+
+(* Random D3 instances: up to 8 links at one of a few capacities, up to
+   24 flows on paths of 1-4 distinct links, starts spread over ~20 ms in
+   2.3 ms steps (so links fall idle and carry flows again, and a step
+   can admit none), and a deadline on most flows: loose, tight enough to
+   reserve most of a link, or too tight to meet (quenched). With no init
+   latency, the first step already has flows. Ids are distinct but not
+   in list order. *)
+let d3_instance =
+  let gen =
+    QCheck.Gen.(
+      let* nlinks = int_range 1 8 in
+      let* capacity = array_repeat nlinks (oneofl [ 1e9; 1e9; 1e9 +. 3e-7; 2e9; 5e8 ]) in
+      let* flows =
+        list_size (int_range 1 24)
+          (quad
+             (list_size (int_range 1 4) (int_bound (nlinks - 1)))
+             (oneofl [ 20_000; 50_000; 100_000; 250_000 ])
+             (int_bound 8)
+             (oneofl [ None; Some 2e-4; Some 1.5e-3; Some 4e-3; Some 2e-2; Some 2e-2 ]))
+      in
+      let* dt = oneofl [ 1e-3; 1e-4 ] in
+      let* init_latency = oneofl [ 5e-4; 5e-4; 0. ] in
+      let specs =
+        List.mapi
+          (fun i (links, size, start, deadline) ->
+            let path =
+              List.fold_left
+                (fun acc l -> if List.mem l acc then acc else acc @ [ l ])
+                [] links
+            in
+            flow ?deadline ~id:(((i * 7) + 2) mod 97) ~path:(Array.of_list path) ~size
+              ~start:(float_of_int start *. 2.3e-3)
+              ())
+          flows
+      in
+      return ({ Flowsim.capacity }, specs, dt, init_latency))
+  in
+  let print ({ Flowsim.capacity }, specs, dt, init_latency) =
+    Printf.sprintf "dt=%g init_latency=%g caps=[%s] flows=[%s]" dt init_latency
+      (String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") capacity)))
+      (String.concat "; "
+         (List.map
+            (fun (s : Flowsim.flow_spec) ->
+              Printf.sprintf "id %d path [%s] size %d start %g deadline %s" s.Flowsim.fs_id
+                (String.concat ","
+                   (Array.to_list (Array.map string_of_int s.Flowsim.path)))
+                s.Flowsim.size s.Flowsim.start
+                (match s.Flowsim.deadline with Some d -> Printf.sprintf "%g" d | None -> "-"))
+            specs))
+  in
+  QCheck.make ~print gen
+
+let prop_d3_model =
+  QCheck.Test.make ~name:"D3 equals the full-network model bit for bit" ~count:1000
+    d3_instance (fun (net, specs, dt, init_latency) ->
+      let r = Flowsim.run ~dt ~init_latency net Flowsim.D3 specs in
+      let got =
+        Array.map
+          (fun (f : Flowsim.flow_result) ->
+            (Option.map Int64.bits_of_float f.Flowsim.fct, f.Flowsim.terminated))
+          r.Flowsim.flows
+      in
+      got = model_d3_run ~dt ~init_latency net specs)
+
+(* ------------------------------------------------------------------ *)
 (* Share_queue *)
 
 module Q = Flowsim.Share_queue
@@ -727,6 +977,67 @@ let test_queue_peek_stable () =
   Alcotest.(check int) "min_link" 1 (Q.min_link q);
   Alcotest.(check (float 0.)) "min_share again" 1. (Q.min_share q);
   Alcotest.(check (list int)) "nothing removed" [ 1; 2 ] (List.map snd (drain q))
+
+(* +0 and −0 compare equal, so they are one share: their entries pop
+   together in push order, and the share reads +0. *)
+let test_queue_signed_zero () =
+  let q = Q.create ~links:8 ~capacity:8 in
+  List.iter (fun (l, s) -> Q.push q l s) [ (1, -0.); (2, 0.); (3, 1.); (4, -0.); (5, -1.) ];
+  Q.pop q;
+  Alcotest.(check bool) "min_share is +0" false (Float.sign_bit (Q.min_share q));
+  Alcotest.(check (list int)) "links" [ 1; 2; 4; 3 ] (List.map snd (drain q))
+
+(* Hundreds of distinct shares from a queue made for one entry, so the
+   pool, the share table and the heap of shares all grow, with kills
+   and pops between the pushes, over three rounds with a clear between:
+   every pop takes the least live (share, seq), and what is left drains
+   in that order. *)
+let test_queue_many_shares () =
+  let q = Q.create ~links:50 ~capacity:1 in
+  for round = 0 to 2 do
+    Q.clear q;
+    let model = ref [] in
+    let least () =
+      List.fold_left
+        (fun a ((s, sq, _) as e) ->
+          match a with
+          | Some (s', sq', _) when s' < s || (s' = s && sq' < sq) -> a
+          | _ -> Some e)
+        None !model
+    in
+    for i = 0 to 1999 do
+      let l = ((i * 7) + round) mod 50 in
+      let s = float_of_int ((i * 7919 * (round + 1)) mod 701) /. 8. in
+      Q.push q l s;
+      model := (s, i, l) :: !model;
+      if i mod 37 = 36 then begin
+        let k = (i + round) mod 50 in
+        Q.kill q k;
+        model := List.filter (fun (_, _, l') -> l' <> k) !model
+      end;
+      if i mod 101 = 100 then
+        match least () with
+        | Some (s, sq, l) ->
+            Alcotest.(check (pair (float 0.) int))
+              (Printf.sprintf "round %d, pop after push %d" round i)
+              (s, l)
+              (Q.min_share q, Q.min_link q);
+            Q.pop q;
+            model := List.filter (fun (_, sq', _) -> sq' <> sq) !model
+        | None -> ()
+    done;
+    let rest =
+      List.sort (fun (s, sq, _) (s', sq', _) -> compare (s, sq) (s', sq')) !model
+      |> List.map (fun (s, _, l) -> (s, l))
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "round %d: hundreds of shares left" round)
+      true
+      (List.length (List.sort_uniq compare (List.map fst rest)) > 500);
+    Alcotest.(check (list (pair (float 0.) int)))
+      (Printf.sprintf "round %d: drain" round)
+      rest (drain q)
+  done
 
 (* Entries live in flat arrays: once the pool has grown, pushes, pops
    and kills allocate nothing. The shares are boxed up front, as a
@@ -873,6 +1184,9 @@ let suites =
         Alcotest.test_case "empty path rejected" `Quick test_empty_path_rejected;
         Alcotest.test_case "duplicate id rejected" `Quick
           test_duplicate_id_rejected;
+        Alcotest.test_case "duplicate id: byte map and table" `Quick
+          test_duplicate_id_maps;
+        Alcotest.test_case "spec order does not matter" `Quick test_spec_order;
         Alcotest.test_case "retirement allocation bound" `Quick
           test_retirement_allocation;
         Alcotest.test_case "warm step allocation bound" `Quick
@@ -888,7 +1202,7 @@ let suites =
             Alcotest.test_case ("golden tie digest: " ^ name) `Quick
               (test_golden tie_specs g))
           golden_ties
-      @ qsuite [ prop_pdq_capacity_respected; prop_rcp_model ] );
+      @ qsuite [ prop_pdq_capacity_respected; prop_rcp_model; prop_d3_model ] );
     ( "flowsim.share_queue",
       [
         Alcotest.test_case "ascending order" `Quick test_queue_order;
@@ -896,6 +1210,9 @@ let suites =
         Alcotest.test_case "empty behaviour" `Quick test_queue_empty;
         Alcotest.test_case "growth to 1000" `Quick test_queue_growth;
         Alcotest.test_case "peek is stable" `Quick test_queue_peek_stable;
+        Alcotest.test_case "+0 and -0 are one share" `Quick test_queue_signed_zero;
+        Alcotest.test_case "hundreds of shares, kills and clears" `Quick
+          test_queue_many_shares;
         Alcotest.test_case "allocation-free push and pop" `Quick
           test_queue_alloc_free;
       ]
