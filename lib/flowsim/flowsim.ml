@@ -547,16 +547,16 @@ let rcp_rates ws st ~capacity ~admitted =
     let key = Share_queue.min_share q and l = Share_queue.min_link q in
     let fair = residual.(l) /. float_of_int count.(l) in
     if fair > key +. 1e-6 then
-      (* Stale: drop it, and push nothing. Every change to a link that
-         still has unassigned flows is followed by a push of its new
-         [residual / count], so [l]'s newest entry already holds [fair],
-         the same float, under a smaller seq than a re-push would get.
-         A re-push would sort right after that entry, behind only
-         entries of share [fair], so it could freeze [l] only if [l]
-         were still unfrozen and no longer stale once those had popped.
-         But each of them freezes at most [fair] + 1e-6, below [l]'s
-         share, and taking a flow of less than the mean rate off [l]
-         raises [l]'s share (up to rounding, which neither the RCP model
+      (* Stale: drop it without a re-push. Each change to a link with
+         unassigned flows is followed by a push of its new
+         [residual / count], so [l]'s newest entry N already holds
+         [fair], the same float, with a smaller seq than a re-push R
+         would get: R would pop after N, with only entries of share
+         [fair] between them. If N freezes [l], R dies with it. If N is
+         stale, [l]'s share then exceeds [fair] + 1e-6, and the entries
+         between freeze links at no more than that, so the flows they
+         take off [l] run below [l]'s mean and raise its share: R would
+         be stale too (up to rounding, which neither the RCP model
          property nor the goldens have shown to matter). *)
       Share_queue.pop q
     else begin

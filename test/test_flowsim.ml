@@ -270,19 +270,31 @@ let test_empty_path_rejected () =
 
 (* D3 takes arrival order from the order of admission, which needs
    every flow id to be unique: a repeated id is rejected up front, under
-   every protocol. *)
+   every protocol, naming the first spec whose id came before. The check
+   takes a byte per id when the ids span at most 4 per flow, and a hash
+   table otherwise (sparse, negative or extreme ids, whose span
+   overflows). *)
 let test_duplicate_id_rejected () =
+  let specs ids =
+    List.mapi
+      (fun i id -> flow ~id ~path:[| i mod 2 |] ~size:100_000 ~start:(float_of_int i *. 1e-3) ())
+      ids
+  in
   List.iter
     (fun (name, proto) ->
-      Alcotest.check_raises name
-        (Invalid_argument "Flowsim.run: duplicate flow id 3") (fun () ->
-          ignore
-            (run ~proto (net 2)
-               [
-                 flow ~id:3 ~path:[| 0 |] ~size:100_000 ();
-                 flow ~id:1 ~path:[| 1 |] ~size:100_000 ();
-                 flow ~id:3 ~path:[| 1 |] ~size:100_000 ~start:0.001 ();
-               ])))
+      List.iter
+        (fun (kind, ids, repeat) ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s, %s ids" name kind)
+            (Invalid_argument (Printf.sprintf "Flowsim.run: duplicate flow id %d" repeat))
+            (fun () -> ignore (run ~proto (net 2) (specs ids))))
+        [
+          ("few", [ 3; 1; 3 ], 3);
+          ("dense", [ 3; 1; 0; 2; 1; 3 ], 1);
+          ("dense negative", [ -3; -1; -4; -2; -1; -3 ], -1);
+          ("sparse", [ 3_000_003; -1; 0; 77; -1; 3_000_003 ], -1);
+          ("extreme", [ max_int; 0; min_int; 5; min_int; max_int ], min_int);
+        ])
     protocols
 
 (* Retiring a finished flow must not cost a pass over every active
@@ -487,30 +499,6 @@ let test_golden specs (name, proto, ms, tenth_ms) () =
         expect
         (result_digest (Flowsim.run ~dt ~seed:5 net proto specs)))
     [ (1e-3, ms); (1e-4, tenth_ms) ]
-
-(* The repeat check takes a byte per id when the ids span at most 4 per
-   flow, and a hash table otherwise (sparse, negative or extreme ids,
-   whose span overflows): both name the first spec whose id came
-   before, under every protocol. *)
-let test_duplicate_id_maps () =
-  let specs ids =
-    List.mapi (fun i id -> flow ~id ~path:[| i mod 2 |] ~size:100_000 ()) ids
-  in
-  List.iter
-    (fun (name, proto) ->
-      List.iter
-        (fun (kind, ids, repeat) ->
-          Alcotest.check_raises
-            (Printf.sprintf "%s, %s ids" name kind)
-            (Invalid_argument (Printf.sprintf "Flowsim.run: duplicate flow id %d" repeat))
-            (fun () -> ignore (run ~proto (net 2) (specs ids))))
-        [
-          ("dense", [ 3; 1; 0; 2; 1; 3 ], 1);
-          ("dense negative", [ -3; -1; -4; -2; -1; -3 ], -1);
-          ("sparse", [ 3_000_003; -1; 0; 77; -1; 3_000_003 ], -1);
-          ("extreme", [ max_int; 0; min_int; 5; min_int; max_int ], min_int);
-        ])
-    protocols
 
 (* Results are per spec, whatever order the specs come in: specs already
    in admission order (start, then id), which skip the sort, and the
@@ -1184,8 +1172,6 @@ let suites =
         Alcotest.test_case "empty path rejected" `Quick test_empty_path_rejected;
         Alcotest.test_case "duplicate id rejected" `Quick
           test_duplicate_id_rejected;
-        Alcotest.test_case "duplicate id: byte map and table" `Quick
-          test_duplicate_id_maps;
         Alcotest.test_case "spec order does not matter" `Quick test_spec_order;
         Alcotest.test_case "retirement allocation bound" `Quick
           test_retirement_allocation;
