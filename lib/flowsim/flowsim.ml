@@ -595,8 +595,8 @@ let rcp_rates ws st ~capacity ~admitted =
 (* D3's per-link state, made only on D3 runs. *)
 type d3 = {
   fs : float array; (* the fair share from the previous step's totals *)
-  demand : float array; (* requests, this step's from the link's first flow on *)
-  flows : int array; (* flows, likewise *)
+  demand : float array; (* this step's requests; the link's first flow resets it *)
+  flows : int array; (* this step's flows; likewise *)
   stamp : int array; (* the last step that a flow crossed the link, or -1 *)
   mutable step : int;
 }
