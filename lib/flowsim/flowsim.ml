@@ -594,27 +594,22 @@ let rcp_rates ws st ~capacity ~admitted =
 
 (* D3's per-link state, made only on D3 runs. *)
 type d3 = {
-  fs : float array; (* the fair share from the previous step's totals *)
-  demand : float array; (* this step's requests; the link's first flow resets it *)
-  flows : int array; (* this step's flows; likewise *)
-  stamp : int array; (* the last step that a flow crossed the link, or -1 *)
-  mutable step : int;
+  fs : float array; (* the fair share, kept across steps *)
+  demand : float array;
+  count : int array;
 }
 
 (* D3: greedy first-come-first-reserve per link in flow arrival order,
-   plus the previous step's non-negative fair share. Flows are admitted
-   in arrival order (start, then the unique id), so [active] is in
-   arrival order. Only the links that flows cross are touched: a link's
-   first flow of the step sets its fair share (§5.1: (capacity −
-   demand) / flows, from the previous step's totals, or the capacity if
-   no flow crossed it then; 0 on the first step) and resets its
-   totals. *)
-let d3_rates ws st ~now ~capacity =
+   plus the previous step's non-negative fair share. [fs] persists
+   across steps (per link). Flows are admitted in arrival order (start,
+   then the unique id), so [active] is in arrival order. *)
+let d3_rates ws { fs; demand; count } ~now ~capacity =
   let { pstart; plink; _ } = ws in
-  let { fs; demand; flows; stamp; _ } = st in
+  let nlinks = Array.length capacity in
   let avail = ws.residual in
-  let step = st.step + 1 in
-  st.step <- step;
+  Array.blit capacity 0 avail 0 nlinks;
+  Array.fill demand 0 nlinks 0.;
+  Array.fill count 0 nlinks 0;
   for j = 0 to ws.n_active - 1 do
     let i = ws.active.(j) in
     if infeasible ws i ~now then begin
@@ -633,17 +628,6 @@ let d3_rates ws st ~now ~capacity =
       let alloc = ref ws.nic.(i) in
       for h = a to b do
         let l = plink.(h) in
-        if stamp.(l) <> step then begin
-          fs.(l) <-
-            (if stamp.(l) = step - 1 then
-               fmax 0. ((capacity.(l) -. demand.(l)) /. float_of_int flows.(l))
-             else if step = 1 then 0.
-             else capacity.(l));
-          stamp.(l) <- step;
-          avail.(l) <- capacity.(l);
-          demand.(l) <- 0.;
-          flows.(l) <- 0
-        end;
         alloc := fmin !alloc (fmin (request +. fs.(l)) avail.(l))
       done;
       let alloc = fmax 0. !alloc in
@@ -652,34 +636,24 @@ let d3_rates ws st ~now ~capacity =
         let l = plink.(h) in
         avail.(l) <- avail.(l) -. alloc;
         demand.(l) <- demand.(l) +. request;
-        flows.(l) <- flows.(l) + 1
+        count.(l) <- count.(l) + 1
       done
     end
+  done;
+  (* Fair share for the next interval (non-negative, as in §5.1). *)
+  for l = 0 to nlinks - 1 do
+    if count.(l) > 0 then
+      fs.(l) <- fmax 0. ((capacity.(l) -. demand.(l)) /. float_of_int count.(l))
+    else fs.(l) <- capacity.(l)
   done
 
-(* The per-flow arrays, in one pass over the specs after one that finds
-   the id range and the hop total. A repeated id is found with a byte
-   per id when the ids span at most 4 per flow, and a table
-   otherwise. *)
+(* The per-flow arrays, in one pass over the specs after one that
+   totals the hops. *)
 let workspace ~capacity ~goodput_factor specs =
   let n = Array.length specs and nlinks = Array.length capacity in
-  let lo = ref max_int and hi = ref min_int and hops = ref 0 in
-  Array.iter
-    (fun s ->
-      lo := min !lo s.fs_id;
-      hi := max !hi s.fs_id;
-      hops := !hops + Array.length s.path)
-    specs;
-  let lo = !lo and span = !hi - !lo in
-  let seen =
-    if span >= 0 && span <= 4 * n then
-      let map = Bytes.make (span + 1) '\000' in
-      fun id -> Bytes.get map (id - lo) = '\001' || (Bytes.set map (id - lo) '\001'; false)
-    else
-      let ids = Hashtbl.create n in
-      fun id -> Hashtbl.mem ids id || (Hashtbl.add ids id (); false)
-  in
-  let pstart = Array.make (n + 1) 0 and plink = Array.make !hops 0 in
+  let hops = Array.fold_left (fun h s -> h + Array.length s.path) 0 specs in
+  let ids = Hashtbl.create n in
+  let pstart = Array.make (n + 1) 0 and plink = Array.make hops 0 in
   let nic = Array.make n 0. and remaining = Array.make n 0. in
   let deadline_abs = Array.make n 0. and has_deadline = Array.make n false in
   Array.iteri
@@ -687,8 +661,9 @@ let workspace ~capacity ~goodput_factor specs =
       if Array.length s.path = 0 then
         invalid_arg
           (Printf.sprintf "Flowsim.run: flow %d has an empty path" s.fs_id);
-      if seen s.fs_id then
+      if Hashtbl.mem ids s.fs_id then
         invalid_arg (Printf.sprintf "Flowsim.run: duplicate flow id %d" s.fs_id);
+      Hashtbl.add ids s.fs_id ();
       let h = pstart.(i) in
       let m = ref infinity in
       Array.iteri
@@ -741,9 +716,12 @@ let solver ws ~nlinks ~seed proto =
           queue = Share_queue.create ~links:nlinks ~capacity:(nlinks + hops);
         }
   | D3 ->
-      let make x = Array.make nlinks x in
       D3_solver
-        { fs = make 0.; demand = make 0.; flows = make 0; stamp = make (-1); step = 0 }
+        {
+          fs = Array.make nlinks 0.;
+          demand = Array.make nlinks 0.;
+          count = Array.make nlinks 0;
+        }
 
 (* Admission order: by start, then the unique id. *)
 let admission a b =
@@ -757,12 +735,7 @@ let run ?(dt = 1e-3) ?(init_latency = 5e-4) ?(header_overhead = 56. /. 1500.)
   let ws = workspace ~capacity:net.capacity ~goodput_factor specs in
   let { active; remaining; rate; waited; done_at; dead; _ } = ws in
   let pending = Array.init n Fun.id in
-  let in_order = ref true in
-  for i = 1 to n - 1 do
-    if admission specs.(i - 1) specs.(i) > 0 then in_order := false
-  done;
-  if not !in_order then
-    Array.stable_sort (fun a b -> admission specs.(a) specs.(b)) pending;
+  Array.stable_sort (fun a b -> admission specs.(a) specs.(b)) pending;
   let next = ref 0 in
   let solver = solver ws ~nlinks:(Array.length net.capacity) ~seed proto in
   let t = ref (if n = 0 then 0. else specs.(pending.(0)).start) in

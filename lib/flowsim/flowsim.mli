@@ -16,7 +16,10 @@
       residual updates is part of the output, so it is fixed: links
       freeze in (fair share, push sequence) order, a popped entry more
       than 1e-6 below its link's current share is dropped as stale
-      (the link's newest entry already holds that share), and a frozen
+      without a re-push (the link's newest entry already holds that
+      share; the argument is exact only up to rounding, and the RCP
+      model property, whose model still re-pushes, and the golden
+      digests pin the output), and a frozen
       link's flows are visited oldest-admitted first (the solver keeps
       its active flows in admission order). A link leaves the queue,
       every entry with it, once all its flows have a rate: such entries
@@ -26,8 +29,7 @@
     - D3: per-link first-come-first-reserve grants of
       [remaining/(deadline−now)] in flow arrival order plus an equal
       share of the leftover, with non-negative fair share and sender
-      quenching. Equals RCP when no flow has a deadline. Like RCP, each
-      step touches only the links its flows cross.
+      quenching. Equals RCP when no flow has a deadline.
 
     Protocol inefficiencies are modelled as in the paper: a flow
     initialization latency before a new flow transmits, and a constant
