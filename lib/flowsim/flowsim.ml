@@ -73,7 +73,7 @@ type workspace = {
   dead : bool array; (* early-terminated / quenched *)
   active : int array; (* live [idx]s in admission order, oldest first *)
   mutable n_active : int;
-  residual : float array; (* per link: PDQ/RCP residual, D3 available *)
+  residual : float array; (* per link: PDQ's and RCP's residual *)
 }
 
 (* Infeasibility check for Early Termination / quenching. *)
@@ -592,24 +592,21 @@ let rcp_rates ws st ~capacity ~admitted =
     if rate.(i) < 0. then rate.(i) <- 0.
   done
 
-(* D3's per-link state, made only on D3 runs. *)
+(* D3's per-link state, made only on D3 runs. Between steps, [avail],
+   [demand] and [count] hold the capacity, 0 and 0. *)
 type d3 = {
   fs : float array; (* the fair share, kept across steps *)
+  avail : float array;
   demand : float array;
   count : int array;
 }
 
 (* D3: greedy first-come-first-reserve per link in flow arrival order,
-   plus the previous step's non-negative fair share. [fs] persists
-   across steps (per link). Flows are admitted in arrival order (start,
-   then the unique id), so [active] is in arrival order. *)
-let d3_rates ws { fs; demand; count } ~now ~capacity =
+   plus the previous step's non-negative fair share. Flows are admitted
+   in arrival order (start, then the unique id), so [active] is in
+   arrival order. *)
+let d3_rates ws { fs; avail; demand; count } ~now ~capacity =
   let { pstart; plink; _ } = ws in
-  let nlinks = Array.length capacity in
-  let avail = ws.residual in
-  Array.blit capacity 0 avail 0 nlinks;
-  Array.fill demand 0 nlinks 0.;
-  Array.fill count 0 nlinks 0;
   for j = 0 to ws.n_active - 1 do
     let i = ws.active.(j) in
     if infeasible ws i ~now then begin
@@ -640,10 +637,17 @@ let d3_rates ws { fs; demand; count } ~now ~capacity =
       done
     end
   done;
-  (* Fair share for the next interval (non-negative, as in §5.1). *)
-  for l = 0 to nlinks - 1 do
-    if count.(l) > 0 then
-      fs.(l) <- fmax 0. ((capacity.(l) -. demand.(l)) /. float_of_int count.(l))
+  (* Fair share for the next interval (non-negative, as in §5.1), and
+     the totals back to their rest values. A link no flow crossed still
+     holds them. *)
+  for l = 0 to Array.length capacity - 1 do
+    let c = count.(l) in
+    if c > 0 then begin
+      fs.(l) <- fmax 0. ((capacity.(l) -. demand.(l)) /. float_of_int c);
+      avail.(l) <- capacity.(l);
+      demand.(l) <- 0.;
+      count.(l) <- 0
+    end
     else fs.(l) <- capacity.(l)
   done
 
@@ -700,7 +704,8 @@ let workspace ~capacity ~goodput_factor specs =
 (* The per-run state of one protocol's solver. *)
 type solver = Pdq_solver of pdq | Rcp_solver of rcp | D3_solver of d3
 
-let solver ws ~nlinks ~seed proto =
+let solver ws ~capacity ~seed proto =
+  let nlinks = Array.length capacity in
   match proto with
   | Pdq opts -> Pdq_solver (pdq_state ws opts ~seed)
   | Rcp ->
@@ -719,6 +724,7 @@ let solver ws ~nlinks ~seed proto =
       D3_solver
         {
           fs = Array.make nlinks 0.;
+          avail = Array.copy capacity;
           demand = Array.make nlinks 0.;
           count = Array.make nlinks 0;
         }
@@ -735,9 +741,16 @@ let run ?(dt = 1e-3) ?(init_latency = 5e-4) ?(header_overhead = 56. /. 1500.)
   let ws = workspace ~capacity:net.capacity ~goodput_factor specs in
   let { active; remaining; rate; waited; done_at; dead; _ } = ws in
   let pending = Array.init n Fun.id in
-  Array.stable_sort (fun a b -> admission specs.(a) specs.(b)) pending;
+  (* Specs usually come in admission order already; one pass checks
+     that and spares the sort. *)
+  let in_order = ref true in
+  for i = 1 to n - 1 do
+    if admission specs.(i - 1) specs.(i) > 0 then in_order := false
+  done;
+  if not !in_order then
+    Array.stable_sort (fun a b -> admission specs.(a) specs.(b)) pending;
   let next = ref 0 in
-  let solver = solver ws ~nlinks:(Array.length net.capacity) ~seed proto in
+  let solver = solver ws ~capacity:net.capacity ~seed proto in
   let t = ref (if n = 0 then 0. else specs.(pending.(0)).start) in
   let open_flows = ref n in
   while !open_flows > 0 && !t < horizon do

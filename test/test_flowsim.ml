@@ -489,8 +489,8 @@ let test_golden specs (name, proto, ms, tenth_ms) () =
     [ (1e-3, ms); (1e-4, tenth_ms) ]
 
 (* Results are per spec, whatever order the specs come in: specs already
-   in admission order (start, then id) and the same specs shuffled give
-   the same outcome for every flow. [mean_fct]
+   in admission order (start, then id), which skip the sort, and the
+   same specs shuffled give the same outcome for every flow. [mean_fct]
    sums in spec order, so only it may differ, in the last bits. Random
    criticality draws its priorities in spec order, so it is left out. *)
 let test_spec_order () =
