@@ -200,6 +200,10 @@ let golden_tables =
       both,
       (fun ~jobs ppf -> E.Resilience.run_all ~jobs ~quick:true ppf ()),
       "8efcd54150ae086de3fd9954b9dbef83" );
+    ( "chaos",
+      both,
+      (fun ~jobs ppf -> E.Chaos.run_all ~jobs ~quick:true ppf ()),
+      "6f25533d44d4bb01a63f32b412312f2d" );
     ( "fidelity dump",
       both,
       (fun ~jobs ppf -> E.Fidelity.dump ~jobs ppf),
