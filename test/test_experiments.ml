@@ -232,7 +232,8 @@ let golden_tables =
   ]
 
 (* The tables that take seconds each (fig3c ~3 s, fig5c ~1 s, fig5b
-   ~7 s at one domain) would grow [dune runtest] by ~22 s. They run only when
+   ~7 s and fig5a ~21 s at one domain) would grow [dune runtest] by
+   ~55 s. They run only when
    PDQ_GOLDEN_SLOW=1 is set, from the same test binary:
    PDQ_GOLDEN_SLOW=1 dune exec test/test_main.exe -- test experiments.golden.slow *)
 let slow_golden_tables =
@@ -241,6 +242,7 @@ let slow_golden_tables =
     ("fig3c", both, table E.Fig3.fig3c, "3d4c9db82bf69f883cb76f027927b7c8");
     ("fig5c", both, table E.Fig5.fig5c, "27738f00f4acb0270b8c76945b449661");
     ("fig5b", both, table E.Fig5.fig5b, "c00f6fa1512174894e376e614a96734e");
+    ("fig5a", both, table E.Fig5.fig5a, "c65ff9d80d7660551a95097edb8baf91");
   ]
 
 let test_golden_table (_, jobs_list, print, expect) () =
