@@ -65,12 +65,10 @@ let make ?deadline ~name stages =
 let chain stages =
   List.mapi (fun i s -> if i = 0 then s else { s with deps = [ i - 1 ] }) stages
 
-let partition_aggregate ?deadline ?request_sizes ?(rounds = 1) ~name ~workers
-    ~response_sizes () =
+let partition_aggregate ?deadline ?(rounds = 1) ~name ~workers ~response_sizes
+    () =
   if rounds < 1 then invalid_arg "Job.partition_aggregate: rounds < 1";
-  let request_sizes =
-    match request_sizes with Some s -> s | None -> Size_dist.fixed 2_000
-  in
+  let request_sizes = Size_dist.fixed 2_000 in
   let round r =
     [
       stage

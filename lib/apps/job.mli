@@ -67,15 +67,14 @@ val make : ?deadline:float -> name:string -> stage list -> t
 
 val partition_aggregate :
   ?deadline:float ->
-  ?request_sizes:Pdq_workload.Size_dist.t ->
   ?rounds:int ->
   name:string ->
   workers:int ->
   response_sizes:Pdq_workload.Size_dist.t ->
   unit ->
   t
-(** [rounds] (default 1) repetitions of request fan-out (default
-    2 KB fixed-size requests) followed by response fan-in, each round
+(** [rounds] (default 1) repetitions of request fan-out (2 KB
+    fixed-size requests) followed by response fan-in, each round
     depending on the previous — the canonical two-stage
     partition-aggregate query at [rounds = 1]. *)
 

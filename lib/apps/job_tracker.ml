@@ -62,7 +62,7 @@ let initial_specs plans =
                        ~start:plan.Job_plan.arrival))))
     plans
 
-let create ?(first_id = 0) ~spawn plans =
+let create ~spawn plans =
   let t =
     {
       jobs =
@@ -101,7 +101,7 @@ let create ?(first_id = 0) ~spawn plans =
     }
   in
   (* Mirror the id assignment the runner performs on initial_specs. *)
-  let next = ref first_id in
+  let next = ref 0 in
   Array.iteri
     (fun ji j ->
       let _, initial = initial_layout j.plan in

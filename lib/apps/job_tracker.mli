@@ -8,8 +8,8 @@
     the moment its last dependency finishes. Because terminal trace
     events are emitted {e before} the flow is counted closed
     ({!Pdq_transport.Context}), the injection keeps the open-flow
-    count positive and a [stop_when_done] run can never stop between
-    stages of an unfinished job.
+    count positive and the run, which stops once every flow is closed,
+    can never stop between stages of an unfinished job.
 
     A stage that finishes unclean (a flow terminated or aborted
     instead of completing) fails its job: downstream stages are never
@@ -30,17 +30,13 @@ val initial_specs : Job_plan.t list -> Pdq_transport.Context.flow_spec list
 (** The flows the runner must register at build time: every initially
     runnable stage of every plan (in plan order, stages in index
     order), starting at the job's arrival time. These are exactly the
-    flows {!create} expects to own ids [first_id ..
-    first_id + n - 1] in this order. *)
+    flows {!create} expects to own ids [0 .. n - 1] in this order: the
+    job flows are the run's whole spec list. *)
 
 val create :
-  ?first_id:int ->
   spawn:(Pdq_transport.Context.flow_spec -> Pdq_transport.Context.flow) ->
   Job_plan.t list ->
   t
-(** [first_id] (default 0) is the flow id the runner will assign to
-    the first spec of {!initial_specs} — 0 when the job flows are the
-    run's whole spec list. *)
 
 val sink : t -> Pdq_telemetry.Trace.sink
 (** The bus tap driving stage detection and injection. *)

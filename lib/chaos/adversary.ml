@@ -5,7 +5,6 @@ module Packet = Pdq_net.Packet
 module Topology = Pdq_net.Topology
 module Payloads = Pdq_transport.Payloads
 module Header = Pdq_core.Header
-module Trace = Pdq_telemetry.Trace
 
 let k_deliver = Sim.Kind.register "chaos.deliver"
 let k_apply = Sim.Kind.register "chaos.apply"
@@ -51,10 +50,10 @@ let copy_packet (pkt : Packet.t) =
 
 (* Corrupt one scheduling field in place — garbage a wire bit-flip
    could plausibly produce, bounded so float arithmetic stays finite.
-   Returns the action label, or None when the payload carries no
-   scheduling state (the whether-draw is already consumed; the
-   field draws below only happen on corruptible payloads, which is a
-   deterministic function of the packet).
+   A payload without scheduling state is left alone (the whether-draw
+   is already consumed; the field draws below only happen on
+   corruptible payloads, which is a deterministic function of the
+   packet).
 
    Only fields a correct switch re-derives every RTT are touched:
    the PDQ rate request and pause attribution (allocations are
@@ -71,20 +70,14 @@ let corrupt_payload rng (pkt : Packet.t) =
   match pkt.Packet.payload with
   | Payloads.Pdq_sched (h, _) -> (
       match Rng.int rng 2 with
-      | 0 ->
-          h.Header.rate <- Rng.uniform rng 0. 2e9;
-          Some "corrupt.rate"
+      | 0 -> h.Header.rate <- Rng.uniform rng 0. 2e9
       | _ ->
-          (h.Header.pause_by <-
-             (match h.Header.pause_by with None -> Some 0 | Some _ -> None));
-          Some "corrupt.pause")
-  | Payloads.Rcp_ctrl (r, _) ->
-      r.Payloads.rcp_rate <- Rng.uniform rng 0. 2e9;
-      Some "corrupt.rate"
+          h.Header.pause_by <-
+            (match h.Header.pause_by with None -> Some 0 | Some _ -> None))
+  | Payloads.Rcp_ctrl (r, _) -> r.Payloads.rcp_rate <- Rng.uniform rng 0. 2e9
   | Payloads.D3_ctrl (d, _) ->
-      d.Payloads.d3_allocated <- Rng.uniform rng 0. 2e9;
-      Some "corrupt.alloc"
-  | _ -> None
+      d.Payloads.d3_allocated <- Rng.uniform rng 0. 2e9
+  | _ -> ()
 
 (* Clock skew: deadlines in PDQ headers entering the skewed switch
    appear [skew] seconds more urgent. The header is replaced by a
@@ -96,21 +89,13 @@ let skew_packet (pkt : Packet.t) ~skew =
   | Payloads.Pdq_sched (h, a) when h.Header.deadline <> None ->
       let deadline = Option.map (fun d -> d -. skew) h.Header.deadline in
       let h' = { (Header.copy h) with Header.deadline } in
-      pkt.Packet.payload <- Payloads.Pdq_sched (h', a);
-      true
-  | _ -> false
-
-let emit trace ~target ~action =
-  match trace with
-  | Some bus when Trace.active bus ->
-      Trace.emit bus (Trace.Adversary { target; action })
+      pkt.Packet.payload <- Payloads.Pdq_sched (h', a)
   | _ -> ()
 
-let wrap ~sim ~trace ~link_id ~state ~skew ~corruptible ~rng orig pkt =
+let wrap ~sim ~state ~skew ~corruptible ~rng orig pkt =
   (match skew with
-  | Some (switch, sref) when !sref <> 0. && forward_kind pkt ->
-      if skew_packet pkt ~skew:!sref then
-        emit trace ~target:switch ~action:"clock-skew"
+  | Some sref when !sref <> 0. && forward_kind pkt ->
+      skew_packet pkt ~skew:!sref
   | _ -> ());
   if not (forward_kind pkt) then orig pkt
   else begin
@@ -122,10 +107,7 @@ let wrap ~sim ~trace ~link_id ~state ~skew ~corruptible ~rng orig pkt =
        the last switch→receiver hop would be echoed to the sender
        unsanitized and read as an allocator over-grant. *)
     (match state.corrupt with
-    | Some p when corruptible && Rng.bool rng p -> (
-        match corrupt_payload rng pkt with
-        | Some action -> emit trace ~target:link_id ~action
-        | None -> ())
+    | Some p when corruptible && Rng.bool rng p -> corrupt_payload rng pkt
     | _ -> ());
     let dup =
       match state.duplicate with Some p -> Rng.bool rng p | None -> false
@@ -140,8 +122,6 @@ let wrap ~sim ~trace ~link_id ~state ~skew ~corruptible ~rng orig pkt =
       | Some max_delay -> Rng.uniform rng 0. max_delay
       | None -> 0.
     in
-    if dup then emit trace ~target:link_id ~action:"duplicate";
-    if held > 0. then emit trace ~target:link_id ~action:"reorder";
     let deliver () =
       orig pkt;
       if dup then orig (copy_packet pkt)
@@ -151,7 +131,7 @@ let wrap ~sim ~trace ~link_id ~state ~skew ~corruptible ~rng orig pkt =
     else deliver ()
   end
 
-let install ~sim ~topo ~rng ?trace plan =
+let install ~sim ~topo ~rng plan =
   if not (Adversary_plan.is_empty plan) then begin
     let events = Adversary_plan.events plan in
     (* Wrap every link the plan can touch, in link-id order, one rng
@@ -180,10 +160,7 @@ let install ~sim ~topo ~rng ?trace plan =
     for id = 0 to Topology.link_count topo - 1 do
       let l = Topology.link topo id in
       let state = Hashtbl.find_opt states id in
-      let skew =
-        let dst = Link.dst l in
-        Option.map (fun r -> (dst, r)) (Hashtbl.find_opt skews dst)
-      in
+      let skew = Hashtbl.find_opt skews (Link.dst l) in
       match (state, skew) with
       | None, None -> ()
       | state, skew ->
@@ -192,8 +169,7 @@ let install ~sim ~topo ~rng ?trace plan =
           let link_rng = Rng.split rng in
           let orig = Link.receiver l in
           Link.set_receiver l
-            (wrap ~sim ~trace ~link_id:id ~state ~skew ~corruptible
-               ~rng:link_rng orig)
+            (wrap ~sim ~state ~skew ~corruptible ~rng:link_rng orig)
     done;
     let state_of ~a ~b =
       List.map
@@ -201,15 +177,6 @@ let install ~sim ~topo ~rng ?trace plan =
         (Topology.cable topo ~a ~b)
     in
     let apply ev =
-      (match trace with
-      | Some bus when Trace.active bus ->
-          Trace.emit bus
-            (Trace.Fault
-               {
-                 desc =
-                   Format.asprintf "adversary %a" Adversary_plan.pp_event ev;
-               })
-      | _ -> ());
       match ev with
       | Adversary_plan.Reorder { a; b; p; hold } ->
           List.iter (fun s -> s.reorder <- Some (p, hold)) (state_of ~a ~b)

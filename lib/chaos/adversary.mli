@@ -17,15 +17,12 @@
     non-empty plan splits one per-link rng per wrapped link in link-id
     order at install time, and per-packet draws then follow the
     simulator's deterministic packet arrival order — the same seed is
-    bit-identical on any worker domain. Every applied action emits a
-    {!Pdq_telemetry.Trace.Adversary} event (plan activations emit
-    [Fault] events) when a bus is attached. *)
+    bit-identical on any worker domain. *)
 
 val install :
   sim:Pdq_engine.Sim.t ->
   topo:Pdq_net.Topology.t ->
   rng:Pdq_engine.Rng.t ->
-  ?trace:Pdq_telemetry.Trace.t ->
   Adversary_plan.t ->
   unit
 (** Wrap the targeted links and schedule the plan's condition changes.

@@ -97,21 +97,15 @@ include (
 
 (* Standing conditions from t=0 on every given cable — the experiment
    sweeps' workhorse (one knob per condition, no timing dimension). *)
-let degrade ~links ?reorder ?duplicate ?corrupt ?jitter () =
+let degrade ~links ?reorder ?corrupt () =
   let per_link (a, b) =
     List.concat
       [
         (match reorder with
         | Some (p, hold) when p > 0. -> [ (0., Reorder { a; b; p; hold }) ]
         | _ -> []);
-        (match duplicate with
-        | Some p when p > 0. -> [ (0., Duplicate { a; b; p }) ]
-        | _ -> []);
         (match corrupt with
         | Some p when p > 0. -> [ (0., Corrupt { a; b; p }) ]
-        | _ -> []);
-        (match jitter with
-        | Some m when m > 0. -> [ (0., Jitter { a; b; max_delay = m }) ]
         | _ -> []);
       ]
   in

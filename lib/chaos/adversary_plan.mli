@@ -48,14 +48,12 @@ include Pdq_faults.Timed_plan.S with type event := event
 val degrade :
   links:(int * int) list ->
   ?reorder:float * float ->
-  ?duplicate:float ->
   ?corrupt:float ->
-  ?jitter:float ->
   unit ->
   t
 (** Standing conditions from t=0 on every given cable: [reorder] is
-    (probability, hold); [duplicate]/[corrupt] are probabilities;
-    [jitter] is the max extra delay. Zero-valued knobs emit nothing, so
+    (probability, hold); [corrupt] is a probability. Zero-valued knobs
+    emit nothing, so
     [degrade ~links ()] is {!empty}. The degradation-curve experiments
     use this. *)
 

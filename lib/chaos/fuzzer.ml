@@ -253,8 +253,8 @@ let cases ~runs ~seed ?(protocols = default_protocols) ?(intensity = 0.35) ()
   let rng = Rng.create seed in
   List.init runs (fun _ -> generate rng ~protocols ~intensity)
 
-let fuzz ?jobs ?budget ?checkpoint ?resume ?protocols ?intensity ?on_event
-    ~runs ~seed () =
+let fuzz ?jobs ?budget ?checkpoint ?resume ?protocols ?intensity ~runs ~seed
+    () =
   let cases = cases ~runs ~seed ?protocols ?intensity () in
   (* The supervisor already runs each attempt under [budget]. *)
   let f c =
@@ -263,8 +263,8 @@ let fuzz ?jobs ?budget ?checkpoint ?resume ?protocols ?intensity ?on_event
     | Error e -> failwith e
   in
   let { Sweep.tasks; report } =
-    Sweep.supervise ?jobs ?budget ?checkpoint ?resume ~codec:verdict_codec
-      ?on_event ~key f cases
+    Sweep.supervise ?jobs ?budget ?checkpoint ?resume ~codec:verdict_codec ~key
+      f cases
   in
   { cases; verdicts = tasks; report }
 

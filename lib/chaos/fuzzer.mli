@@ -96,7 +96,6 @@ val fuzz :
   ?resume:string ->
   ?protocols:string list ->
   ?intensity:float ->
-  ?on_event:(Pdq_exec.Sweep.event -> unit) ->
   runs:int ->
   seed:int ->
   unit ->

@@ -15,7 +15,9 @@ type t = {
   gap : float;
 }
 
-let default_efficiency = 1460. /. 1500.
+(* Goodput per line-rate bit: 1460 payload bytes in a 1500-byte
+   packet. *)
+let efficiency = 1460. /. 1500.
 
 (* Contention-free lower bound: even alone on the network, the flow
    must push its application bits through its slowest link and cross
@@ -32,8 +34,7 @@ let guaranteed_bound ~topo ~links ~size =
   in
   (Pdq_engine.Units.bytes_to_bits size /. max min_rate 1.) +. latency
 
-let check ?(efficiency = default_efficiency) ?(per_flow = true) ~result ~topo
-    () =
+let check ~per_flow ~result ~topo () =
   let n = Array.length result.Runner.flows in
   let links_of = Array.init n (Context.route result.Runner.ctx) in
   (* Per-flow guaranteed bounds and their assertions. *)

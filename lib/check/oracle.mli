@@ -37,15 +37,14 @@ type t = {
 }
 
 val check :
-  ?efficiency:float ->
-  ?per_flow:bool ->
+  per_flow:bool ->
   result:Pdq_transport.Runner.result ->
   topo:Pdq_net.Topology.t ->
   unit ->
   t
-(** [efficiency] (default 1460/1500) converts line rate to goodput for
-    the aggregate references; the per-flow guaranteed bound always uses
-    the raw line rate so it stays a true lower bound. [per_flow]
-    (default true) controls the per-flow assertions — disable it for
+(** The aggregate references take goodput as 1460/1500 of the line
+    rate; the per-flow guaranteed bound always uses the raw line rate
+    so it stays a true lower bound. [per_flow] controls the per-flow
+    assertions — disable it for
     multipath protocols (M-PDQ), whose striped subflows legitimately
     beat any single path's bound. *)

@@ -77,10 +77,6 @@ let budget_of ~timeout ~max_events =
 let budget_opt opts =
   budget_of ~timeout:opts.timeout ~max_events:opts.max_events
 
-let retry_opt opts =
-  if opts.retries > 0 then Some (Sweep.retry ~attempts:(opts.retries + 1) ())
-  else None
-
 let print_result ~(scenario : Scenario.t) (r : Runner.result) =
   Printf.printf "%s: %d flows (seed %d)\n" scenario.Scenario.name
     (Array.length r.Runner.flows)
@@ -373,7 +369,7 @@ let run_sweep scenario opts =
   in
   let sup =
     Sweep.supervise ?jobs:opts.jobs ?budget:(budget_opt opts)
-      ?retry:(retry_opt opts) ~keep_going:opts.keep_going ?checkpoint
+      ~attempts:(opts.retries + 1) ~keep_going:opts.keep_going ?checkpoint
       ?resume:opts.resume ~codec:Scenario.result_codec ?on_event
       ~key:(fun i -> Scenario.digest scenarios.(i))
       run_slot (List.init n Fun.id)

@@ -9,12 +9,8 @@ type t = {
   k_early_start : float;
   probe_x : float;
   dampening : float;
-  kappa_multiplier : int;
   min_list_size : int;
   max_list_size : int;
-  rate_update_rtts : float;
-  default_inter_probe_rtts : float;
-  rtt_ewma : float;
   queue_allowance_bytes : int;
 }
 
@@ -25,12 +21,8 @@ let full =
     k_early_start = 2.;
     probe_x = 0.2;
     dampening = 20e-6;
-    kappa_multiplier = 2;
     min_list_size = 8;
     max_list_size = 10_000;
-    rate_update_rtts = 2.;
-    default_inter_probe_rtts = 1.;
-    rtt_ewma = 0.125;
     queue_allowance_bytes = 1500;
   }
 

@@ -26,23 +26,12 @@ type t = {
   dampening : float;
       (** Seconds after accepting a paused flow during which no other
           paused flow is accepted (§3.3.2, Dampening). *)
-  kappa_multiplier : int;
-      (** The switch stores the [kappa_multiplier × κ] most critical
-          flows, κ = number of sending flows. Paper: 2. *)
   min_list_size : int;
       (** Lower bound on the flow-list capacity so a link can always
           remember at least a couple of waiting flows. *)
   max_list_size : int;
       (** Hard memory bound [M] on stored flows; beyond it the switch
           falls back to RCP-style fair sharing (§3.3.1). *)
-  rate_update_rtts : float;
-      (** Rate-controller update period, in average RTTs. Paper: 2. *)
-  default_inter_probe_rtts : float;
-      (** Inter-probe interval for paused senders when suppressed
-          probing does not lengthen it, in RTTs. *)
-  rtt_ewma : float;
-      (** Exponential-decay weight for the switch's average-RTT
-          estimate. *)
   queue_allowance_bytes : int;
       (** Queue bytes the rate controller tolerates before throttling —
           one MTU by default (the packet in service is not

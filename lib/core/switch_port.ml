@@ -65,10 +65,12 @@ let available_rate t = t.c
 let flow_list t = t.flows
 let kappa t = Flow_list.sending_count t.flows
 
+(* Exponential-decay weight of the average-RTT estimate. *)
+let rtt_ewma = 0.125
+
 let observe_rtt t rtt =
   if rtt > 0. then begin
-    let w = t.config.Config.rtt_ewma in
-    t.rtt_avg <- ((1. -. w) *. t.rtt_avg) +. (w *. rtt);
+    t.rtt_avg <- ((1. -. rtt_ewma) *. t.rtt_avg) +. (rtt_ewma *. rtt);
     if rtt < t.rtt_min then t.rtt_min <- rtt
   end
 
@@ -78,7 +80,7 @@ let observe_rtt t rtt =
 let list_capacity t =
   let kappa = Flow_list.sending_count t.flows in
   min t.config.Config.max_list_size
-    (max t.config.Config.min_list_size (t.config.Config.kappa_multiplier * kappa))
+    (max t.config.Config.min_list_size (2 * kappa))
 
 (* Algorithm 2. Early Start: more critical flows that will finish within
    K RTTs do not count against the available bandwidth, up to an
@@ -136,14 +138,15 @@ let blocking_flow t j =
    misconfigured allocator must not get to excuse itself. *)
 let spec_early_start_rtts = 4.
 
-let mature_rate_sum ?(k_spec = spec_early_start_rtts) t =
+let mature_rate_sum t =
   let rtt = max t.rtt_avg 1e-9 in
   let x = ref 0. and sum = ref 0. in
   Flow_list.iteri
     (fun _ (e : Flow_state.t) ->
       if Flow_state.is_sending e then begin
         let ttx_rtts = e.Flow_state.expected_tx_time /. rtt in
-        if ttx_rtts < k_spec && !x < k_spec then x := !x +. ttx_rtts
+        if ttx_rtts < spec_early_start_rtts && !x < spec_early_start_rtts
+        then x := !x +. ttx_rtts
         else sum := !sum +. e.Flow_state.rate
       end)
     t.flows;
@@ -367,7 +370,8 @@ let update_rate_controller t ~queue_bytes ~now =
      weaken the drain exactly when it is needed. *)
   t.c <- max 0. (t.rpdq -. (q_bits /. (2. *. max t.rtt_min 1e-9)))
 
-let rate_update_interval t = t.config.Config.rate_update_rtts *. t.rtt_avg
+(* The rate controller updates every 2 average RTTs (§3.3.1). *)
+let rate_update_interval t = 2. *. t.rtt_avg
 
 let remove_flow t flow_id ~now:_ =
   ignore (Flow_list.remove t.flows flow_id);

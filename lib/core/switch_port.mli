@@ -48,18 +48,17 @@ val paused_count : t -> int
 (** Number of stored flows currently paused (rate = 0). *)
 
 val list_capacity : t -> int
-(** Current flow-list capacity: the [2κ] bound of §3.3.1
-    ([kappa_multiplier × κ], floored at [min_list_size]) capped by the
-    hard memory bound [M]. The validation monitors assert
+(** Current flow-list capacity: the [2κ] bound of §3.3.1 (floored at
+    [min_list_size]) capped by the hard memory bound [M]. The validation monitors assert
     [length (flow_list t) <= list_capacity t] at every probe tick. *)
 
-val mature_rate_sum : ?k_spec:float -> t -> float
+val mature_rate_sum : t -> float
 (** Sum of granted rates over sending flows {e beyond} the Early Start
     allowance: walking the list in criticality order, flows within
-    [k_spec] average RTTs of completion are excused while their
-    cumulative transmission time stays under [k_spec] RTTs (the §3.3.2
-    budget, checked against the paper's constant — default 4 RTTs, a
-    generous 2× the paper's K — {e not} the configured
+    4 average RTTs of completion are excused while their cumulative
+    transmission time stays under 4 RTTs (the §3.3.2 budget, checked
+    against a constant — a generous 2× the paper's K — {e not} the
+    configured
     [k_early_start], so a broken allocator cannot excuse itself). A
     correct port keeps this at or below the line rate; the validation
     monitors flag sustained excess. *)

@@ -3,7 +3,7 @@
     An event kind is a small label ("link.tx", "pdq.watchdog", …)
     grouping events in profiler reports. Kinds are registered once —
     typically in a [let] at module init — and the resulting id is
-    passed to {!Sim.schedule}, so the hot scheduling path carries an
+    passed to {!Sim.schedule_k}, so the hot scheduling path carries an
     immediate int instead of hashing a string per event, and profiler
     shards can index flat arrays by id. *)
 
@@ -19,7 +19,7 @@ val name : t -> string
 (** The label this id was registered under. *)
 
 val unlabeled : t
-(** The id events scheduled without [?kind] report under
+(** The id events scheduled without a kind report under
     (["(unlabeled)"]). *)
 
 val count : unit -> int

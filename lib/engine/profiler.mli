@@ -5,7 +5,7 @@
     events executed, cancelled events popped (dead-node overhead),
     the event-queue high-water mark, simulated seconds advanced,
     wall-clock seconds spent inside event actions (total and per
-    interned event kind — see the [?kind] argument of {!Sim.schedule}),
+    interned event kind — see {!Sim.schedule_k}),
     and the resulting CPU-per-simulated-second ratio. Per-kind statistics are
     flat arrays indexed by {!Kind} id, so the record path hashes
     nothing.
@@ -80,7 +80,7 @@ val cpu_seconds : t -> float
 
 val kinds : t -> (string * (int * float)) list
 (** Per event kind: (count, CPU seconds), sorted by CPU descending.
-    Events scheduled without [?kind] report as ["(unlabeled)"]. *)
+    Events scheduled without a kind report as ["(unlabeled)"]. *)
 
 val pp_report : Format.formatter -> t -> unit
 (** Human-readable multi-line report. *)

@@ -69,7 +69,6 @@ type t = {
   mutable lane_delay : float array;
   mutable lane_count : int; (* events in all lanes *)
   mutable stopped : bool;
-  mutable live_count : int;
   mutable executed : int;
   mutable profiler : Profiler.slot option;
       (* This domain's shard of the attached profiler; recording into
@@ -119,13 +118,13 @@ let dls_default : (int * (t -> string option)) option Domain.DLS.key =
 let global_default : (int * (t -> string option)) option Atomic.t =
   Atomic.make None
 
-let with_default_cancel ?(every = default_check_every) hook fn =
+let with_default_cancel ~every hook fn =
   let prev = Domain.DLS.get dls_default in
   Domain.DLS.set dls_default (Some (every, hook));
   Fun.protect ~finally:(fun () -> Domain.DLS.set dls_default prev) fn
 
-let set_global_cancel ?(every = default_check_every) hook =
-  Atomic.set global_default (Some (every, hook))
+let set_global_cancel hook =
+  Atomic.set global_default (Some (default_check_every, hook))
 
 let clear_global_cancel () = Atomic.set global_default None
 
@@ -158,7 +157,6 @@ let create () =
     lane_delay = [||];
     lane_count = 0;
     stopped = false;
-    live_count = 0;
     executed = 0;
     profiler = Option.map Profiler.slot (Profiler.global ());
     cancel =
@@ -212,8 +210,7 @@ let retire_slot t slot gen =
   t.s_gen.(slot) <- (gen + 1) land gen_mask;
   t.s_action.(slot) <- noop;
   t.free.(t.free_top) <- slot;
-  t.free_top <- t.free_top + 1;
-  t.live_count <- t.live_count - 1
+  t.free_top <- t.free_top + 1
 
 (* ------------------------------------------------------------------ *)
 (* Heap maintenance. Min on (time, seq): seq is the global scheduling
@@ -274,7 +271,6 @@ let do_schedule t kind f =
   Array.unsafe_set hq !i seq;
   Array.unsafe_set hs !i slot;
   Array.unsafe_set hg !i gen;
-  t.live_count <- t.live_count + 1;
   slot lor (gen lsl slot_bits)
 
 (* Remove the root: move the last node into a hole sifted down from the
@@ -324,11 +320,10 @@ let heap_remove_root t =
 (* ------------------------------------------------------------------ *)
 
 (* [_k] variants take the kind positionally: a [~kind] optional
-   argument makes every labeled call site allocate a [Some] cell
+   argument would make every labeled call site allocate a [Some] cell
    (non-flambda builds cannot eliminate it), which is exactly the
-   per-event garbage this core exists to avoid. Hot paths call these;
-   the [?kind] wrappers below remain for casual callers, costing
-   nothing when the label is omitted. *)
+   per-event garbage this core exists to avoid. Labeled events go
+   through these; the plain variants below schedule unlabeled ones. *)
 let schedule_at_k t kind ~time f =
   t.tscratch.(0) <- time;
   do_schedule t kind f
@@ -338,14 +333,8 @@ let schedule_k t kind ~delay f =
   t.tscratch.(0) <- t.clock.(0) +. delay;
   do_schedule t kind f
 
-let schedule_at ?(kind = Kind.unlabeled) t ~time f =
-  t.tscratch.(0) <- time;
-  do_schedule t kind f
-
-let schedule ?(kind = Kind.unlabeled) t ~delay f =
-  if delay < 0. then invalid_arg "Sim.schedule: negative delay";
-  t.tscratch.(0) <- t.clock.(0) +. delay;
-  do_schedule t kind f
+let schedule_at t ~time f = schedule_at_k t Kind.unlabeled ~time f
+let schedule t ~delay f = schedule_k t Kind.unlabeled ~delay f
 
 (* ------------------------------------------------------------------ *)
 (* Lanes. A delay takes the lane keyed by it, else an empty lane, which
@@ -473,7 +462,6 @@ let cancelled t h =
   not (slot < t.s_top && t.s_gen.(slot) = gen)
 
 let pending t = t.h_size + t.lane_count
-let live_pending t = t.live_count + t.lane_count
 
 (* One decrement per executed event; the hook itself only runs every
    [every] events, so an installed budget costs almost nothing and an

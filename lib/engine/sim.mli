@@ -38,13 +38,12 @@ val create : unit -> t
 val now : t -> float
 (** Current virtual time, in seconds. *)
 
-val schedule : ?kind:Kind.t -> t -> delay:float -> (unit -> unit) -> handle
+val schedule : t -> delay:float -> (unit -> unit) -> handle
 (** [schedule sim ~delay f] runs [f] at time [now sim +. delay].
-    Raises [Invalid_argument] if [delay < 0.]. [kind] is an interned
-    label ({!Kind.register}, e.g. "link.tx") grouping the event in
-    profiler reports; it does not affect execution. *)
+    Raises [Invalid_argument] if [delay < 0.]. The event is unlabeled;
+    {!schedule_k} labels one. *)
 
-val schedule_at : ?kind:Kind.t -> t -> time:float -> (unit -> unit) -> handle
+val schedule_at : t -> time:float -> (unit -> unit) -> handle
 (** [schedule_at sim ~time f] runs [f] at absolute [time]. Scheduling
     at exactly [now sim] is allowed — the event fires after everything
     already scheduled at that instant (ties break by sequence order).
@@ -52,11 +51,13 @@ val schedule_at : ?kind:Kind.t -> t -> time:float -> (unit -> unit) -> handle
     past. *)
 
 val schedule_k : t -> Kind.t -> delay:float -> (unit -> unit) -> handle
-(** [schedule_k sim kind ~delay f] is {!schedule} with the kind passed
-    positionally. Passing a labeled optional argument allocates a
-    [Some] cell per call (non-flambda builds cannot eliminate it);
-    this variant keeps the labeled scheduling path allocation-free, so
-    the per-event hot paths (links, ports, watchdogs) use it. *)
+(** [schedule_k sim kind ~delay f] is {!schedule} for an event labeled
+    [kind], an interned label ({!Kind.register}, e.g. "link.tx") that
+    groups the event in profiler reports and does not affect
+    execution. The kind is passed positionally: an optional argument
+    would allocate a [Some] cell per call (non-flambda builds cannot
+    eliminate it), and the per-event hot paths (links, ports,
+    watchdogs) schedule through here. *)
 
 val schedule_at_k : t -> Kind.t -> time:float -> (unit -> unit) -> handle
 (** {!schedule_at}, kind passed positionally (see {!schedule_k}). *)
@@ -85,14 +86,7 @@ val pending : t -> int
     Cancellation does not
     remove an event's node from the heap — it only invalidates it, to
     be skipped when popped — so this count {e includes} cancelled
-    placeholders. Use {!live_pending} for the number of events that
-    will actually run. *)
-
-val live_pending : t -> int
-(** Events queued and still live (i.e. {!pending} minus cancelled
-    placeholders awaiting their no-op pop). This is the right notion
-    of "work left"; the gap between the two is dead-heap overhead,
-    which the profiler reports as cancelled pops. *)
+    placeholders; the profiler reports them as cancelled pops. *)
 
 val set_profiler : t -> Profiler.t option -> unit
 (** Attach or detach a profiler (recording goes to the calling
@@ -118,19 +112,19 @@ val events_executed : t -> int
     currency of event-count limits). *)
 
 val with_default_cancel :
-  ?every:int -> (t -> string option) -> (unit -> 'a) -> 'a
-(** [with_default_cancel hook f] runs [f] with [hook] installed as the
+  every:int -> (t -> string option) -> (unit -> 'a) -> 'a
+(** [with_default_cancel ~every hook f] runs [f] with [hook] installed as the
     {e calling domain's} default: every simulator {!create}d by this
     domain during [f] starts with the hook attached. This is how a
     sweep worker imposes a per-attempt budget on the simulators a
     scenario builds internally. Restores the previous default on exit,
     also on exception. *)
 
-val set_global_cancel : ?every:int -> (t -> string option) -> unit
+val set_global_cancel : (t -> string option) -> unit
 (** Process-wide default hook, attached to every subsequently created
     simulator on {e any} domain that has no domain-local default — a
     whole-process deadline for multi-domain sweeps (bench
-    [--timeout]). *)
+    [--timeout]). It is asked every 1024 events. *)
 
 val clear_global_cancel : unit -> unit
 

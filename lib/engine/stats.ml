@@ -70,10 +70,10 @@ module Tally = struct
 
   let create () = Hashtbl.create 16
 
-  let incr ?(by = 1) t key =
+  let incr t key =
     match Hashtbl.find_opt t key with
-    | Some r -> r := !r + by
-    | None -> Hashtbl.add t key (ref by)
+    | Some r -> Stdlib.incr r
+    | None -> Hashtbl.add t key (ref 1)
 
   let count t key =
     match Hashtbl.find_opt t key with Some r -> !r | None -> 0

@@ -41,7 +41,9 @@ module Tally : sig
   type t
 
   val create : unit -> t
-  val incr : ?by:int -> t -> string -> unit
+  val incr : t -> string -> unit
+  (** Add one to the key's count. *)
+
   val count : t -> string -> int
   (** 0 for a key never incremented. *)
 

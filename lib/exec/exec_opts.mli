@@ -10,19 +10,14 @@
 type budget = {
   wall : float option;   (** Wall-clock seconds per attempt. *)
   events : int option;   (** Simulator events executed per attempt. *)
-  live : int option;     (** Ceiling on live queued events (heap
-                             blow-up guard). *)
-  check_every : int;     (** Cooperative check period, in events. *)
 }
 (** Per-attempt budget, enforced via {!Pdq_engine.Sim} cooperative
     cancellation: every simulator created while an attempt runs checks
-    the budget every [check_every] events (tightened automatically for
-    small event budgets) and raises [Sim.Cancelled] when it trips.
-    Costs nothing when empty, one [match] per event otherwise. *)
+    the budget every 1024 events (more often for small event budgets)
+    and raises [Sim.Cancelled] when it trips. Costs nothing when
+    empty, one [match] per event otherwise. *)
 
-val budget :
-  ?wall:float -> ?events:int -> ?live:int -> ?check_every:int -> unit -> budget
-(** [check_every] defaults to 1024. *)
+val budget : ?wall:float -> ?events:int -> unit -> budget
 
 val with_budget : budget -> (unit -> 'a) -> 'a
 (** [with_budget b fn] installs [b] as the calling domain's default

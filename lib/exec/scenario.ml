@@ -155,15 +155,11 @@ type t = {
   workload : workload;
   seed : int;
   horizon : float;
-  stop_when_done : bool;
   faults : faults;
-  init_rtt : float;
-  rto_min : float;
 }
 
 let make ?name ?(topo = default_tree) ?(seed = 1) ?(horizon = 10.)
-    ?(stop_when_done = true) ?(faults = No_faults)
-    ?(init_rtt = 2e-4) ?(rto_min = 1e-3) ~workload protocol =
+    ?(faults = No_faults) ~workload protocol =
   let name =
     match name with
     | Some n -> n
@@ -171,18 +167,7 @@ let make ?name ?(topo = default_tree) ?(seed = 1) ?(horizon = 10.)
         Printf.sprintf "%s on %s" (Runner.protocol_name protocol)
           (topo_name topo)
   in
-  {
-    name;
-    topo;
-    protocol;
-    workload;
-    seed;
-    horizon;
-    stop_when_done;
-    faults;
-    init_rtt;
-    rto_min;
-  }
+  { name; topo; protocol; workload; seed; horizon; faults }
 
 let with_seed t seed = { t with seed }
 
@@ -323,12 +308,9 @@ let build_ext t =
     {
       Runner.seed = t.seed;
       horizon = t.horizon;
-      stop_when_done = t.stop_when_done;
       faults = resolve_faults t built;
       telemetry = Runner.no_telemetry;
       driver;
-      init_rtt = t.init_rtt;
-      rto_min = t.rto_min;
     }
   in
   (built, specs, options, tracker)
@@ -363,8 +345,8 @@ let run ?telemetry ?budget ?prepare t =
   let result, _, _ = execute ?telemetry ?budget ?prepare t in
   result
 
-let run_jobs ?telemetry ?budget ?prepare t =
-  let result, _, tracker = execute ?telemetry ?budget ?prepare t in
+let run_jobs ?telemetry ?budget t =
+  let result, _, tracker = execute ?telemetry ?budget t in
   let report =
     match !tracker with
     | Some tr -> Job_tracker.report tr
@@ -454,10 +436,7 @@ let digest t =
             Runner.protocol_name t.protocol,
             workload_desc t.workload,
             t.seed,
-            t.horizon,
-            t.stop_when_done,
-            t.init_rtt,
-            t.rto_min )
+            t.horizon )
           []
   in
   Digest.to_hex (Digest.string bytes)
@@ -471,7 +450,7 @@ let placeholder_ctx =
   lazy
     (let sim = Sim.create () in
      let topo = Topology.create ~sim () in
-     Context.create ~sim ~topo ~rng:(Rng.create 0) ~init_rtt:2e-4 ())
+     Context.create ~sim ~topo ~rng:(Rng.create 0) ())
 
 let result_codec =
   let encode (r : Runner.result) =

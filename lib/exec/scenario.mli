@@ -194,10 +194,7 @@ type t = {
   workload : workload;
   seed : int;
   horizon : float;
-  stop_when_done : bool;
   faults : faults;
-  init_rtt : float;
-  rto_min : float;
 }
 
 val make :
@@ -205,16 +202,12 @@ val make :
   ?topo:topo ->
   ?seed:int ->
   ?horizon:float ->
-  ?stop_when_done:bool ->
   ?faults:faults ->
-  ?init_rtt:float ->
-  ?rto_min:float ->
   workload:workload ->
   Pdq_transport.Runner.protocol ->
   t
 (** Defaults mirror {!Pdq_transport.Runner.default_options}: seed 1,
-    horizon 10 s, stop-when-done, no faults, 200 µs initial
-    RTT, 1 ms RTOmin; topology {!default_tree}. [name] defaults to
+    horizon 10 s, no faults; topology {!default_tree}. [name] defaults to
     ["<protocol> on <topo>"]. *)
 
 val with_seed : t -> int -> t
@@ -252,7 +245,6 @@ val run :
 val run_jobs :
   ?telemetry:Pdq_transport.Runner.telemetry ->
   ?budget:Exec_opts.budget ->
-  ?prepare:(Pdq_topo.Builder.built -> unit) ->
   t ->
   Pdq_transport.Runner.result * Pdq_apps.Job_metrics.report
 (** {!run}, also returning the job-level report. The result is

@@ -26,27 +26,14 @@ let default_jobs () =
   | None -> Domain.recommended_domain_count ()
 
 (* ------------------------------------------------------------------ *)
-(* Retry policy *)
+(* Retry backoff *)
 
-type retry = {
-  attempts : int;
-  base_delay : float;
-  max_delay : float;
-  transient : exn -> bool;
-}
-
-let no_retry =
-  { attempts = 1; base_delay = 0.05; max_delay = 2.; transient = (fun _ -> true) }
-
-let retry ?(attempts = 1) ?(base_delay = 0.05) ?(max_delay = 2.)
-    ?(transient = fun _ -> true) () =
-  { attempts = max 1 attempts; base_delay; max_delay; transient }
-
-(* Jittered exponential backoff, deterministically seeded per (slot,
-   attempt) so retry schedules do not depend on the worker count. *)
-let backoff_delay retry ~index ~attempt =
-  let exp = retry.base_delay *. (2. ** float_of_int (attempt - 1)) in
-  let capped = Float.min retry.max_delay exp in
+(* Jittered exponential backoff from 50 ms, capped at 2 s,
+   deterministically seeded per (slot, attempt) so retry schedules do
+   not depend on the worker count. *)
+let backoff_delay ~index ~attempt =
+  let exp = 0.05 *. (2. ** float_of_int (attempt - 1)) in
+  let capped = Float.min 2. exp in
   let rng = Rng.create (0xB0FF + (index * 7919) + attempt) in
   capped *. (0.5 +. Rng.float rng)
 
@@ -270,7 +257,7 @@ let load_checkpoint path =
 
 type 'b supervised = { tasks : 'b Task.t list; report : report }
 
-let supervise ?jobs ?budget ?(retry = no_retry) ?(keep_going = true)
+let supervise ?jobs ?budget ?(attempts = 1) ?(keep_going = true)
     ?checkpoint ?resume ?codec ?on_event ~key f xs =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let run_attempt x ~start =
@@ -401,8 +388,8 @@ let supervise ?jobs ?budget ?(retry = no_retry) ?(keep_going = true)
           emit (Slot_timed_out { index = i; key = keys.(i); timeout })
       | exception e ->
           let backtrace = Printexc.get_backtrace () in
-          if attempt < retry.attempts && retry.transient e then begin
-            let delay = backoff_delay retry ~index:i ~attempt in
+          if attempt < attempts then begin
+            let delay = backoff_delay ~index:i ~attempt in
             emit
               (Slot_retry
                  {
@@ -530,9 +517,9 @@ let map ?jobs ?budget f xs =
   | [] -> List.map Result.get_ok outcomes
   | errs -> raise (Sweep_errors errs)
 
-let average ?jobs ?budget ~seeds f =
+let average ?jobs ~seeds f =
   match seeds with
   | [] -> invalid_arg "Sweep.average: no seeds"
   | _ ->
-      let vs = map ?jobs ?budget f seeds in
+      let vs = map ?jobs f seeds in
       List.fold_left ( +. ) 0. vs /. float_of_int (List.length vs)

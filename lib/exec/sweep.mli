@@ -10,7 +10,7 @@
 
     There is one executor, {!supervise}: every slot settles as a
     {!Task.t} (keep-going), per-attempt budgets cancel runaway
-    simulations cooperatively, transient failures retry with jittered
+    simulations cooperatively, failed attempts retry with jittered
     exponential backoff, completed slots stream to a JSONL checkpoint,
     and an interrupted sweep resumes re-running only the missing
     slots. {!map} and {!average} are its all-or-nothing view: any
@@ -37,31 +37,6 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], unless the [PDQ_JOBS]
     environment variable names a positive integer — the process-wide
     parallelism pin for CI and bench (clamped to [>= 1]). *)
-
-(** {1 Retry policy} *)
-
-type retry = {
-  attempts : int;            (** Max attempts per slot ([>= 1]; 1 =
-                                 no retry). *)
-  base_delay : float;        (** Backoff base, seconds. *)
-  max_delay : float;         (** Backoff cap, seconds. *)
-  transient : exn -> bool;   (** Only matching failures are retried
-                                 (timeouts never are — budgets trip
-                                 deterministically). *)
-}
-
-val retry :
-  ?attempts:int ->
-  ?base_delay:float ->
-  ?max_delay:float ->
-  ?transient:(exn -> bool) ->
-  unit ->
-  retry
-(** Defaults: 1 attempt, 50 ms base, 2 s cap, every exception
-    transient. The backoff delay for attempt [k] is
-    [min max_delay (base_delay * 2^(k-1))] jittered by a factor in
-    [\[0.5, 1.5)] drawn from an RNG seeded by (slot, attempt) — the
-    schedule is deterministic and independent of the worker count. *)
 
 (** {1 Supervisor telemetry} *)
 
@@ -142,7 +117,7 @@ type 'b supervised = { tasks : 'b Task.t list; report : report }
 val supervise :
   ?jobs:int ->
   ?budget:Exec_opts.budget ->
-  ?retry:retry ->
+  ?attempts:int ->
   ?keep_going:bool ->
   ?checkpoint:string ->
   ?resume:string ->
@@ -163,8 +138,13 @@ val supervise :
       settle as [Skipped].
     - The budget cancels an attempt cooperatively mid-simulation; the
       slot settles as [Timed_out] with the tripped budget's name.
-    - [retry] re-runs failing attempts classified [transient], with
-      deterministic jittered exponential backoff.
+    - A slot whose attempt raises is re-run, up to [attempts] attempts
+      in all (default 1: no retry); a timed-out attempt is not, as
+      budgets trip deterministically. The backoff before attempt
+      [k + 1] is [min 2 (0.05 * 2^(k-1))] seconds jittered by a factor
+      in [\[0.5, 1.5)] drawn from an RNG seeded by (slot, attempt), so
+      the schedule is deterministic and independent of the worker
+      count.
     - A worker that dies outside the attempt wrapper (the calling
       domain, which is worker 0, included) has its claimed slot
       settled as [Failed] and is restarted while unclaimed work
@@ -200,7 +180,6 @@ val map :
 
 val average :
   ?jobs:int ->
-  ?budget:Exec_opts.budget ->
   seeds:int list ->
   (int -> float) ->
   float

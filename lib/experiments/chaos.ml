@@ -77,10 +77,10 @@ let run_cell sc plan_of =
 (* Generic degradation sweep: rows = condition probabilities (first
    row 0, the normalization base), columns = per-protocol normalized
    p99 FCT and deadline-miss %. *)
-let sweep ?jobs ?budget ~title ~axis ~seeds ~rates ~degrade_of () =
+let sweep ?jobs ~title ~axis ~seeds ~rates ~degrade_of () =
   let flows = 12 and window = 0.2 and horizon = 3. in
   let rows_cells =
-    Common.grid ?jobs ?budget ~seeds ~cell:reduce
+    Common.grid ?jobs ~seeds ~cell:reduce
       ~run:(fun rate (_, proto) seed ->
         run_cell
           (scenario_of ~label:(Common.cell rate) ~flows ~window ~horizon ~seed
@@ -111,10 +111,10 @@ let sweep ?jobs ?budget ~title ~axis ~seeds ~rates ~degrade_of () =
   in
   { Common.title; header; rows }
 
-let reorder_sweep ?jobs ?budget ?(quick = true) () =
+let reorder_sweep ?jobs ?(quick = true) () =
   let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3 ] in
   let rates = if quick then [ 0.; 0.05 ] else [ 0.; 0.01; 0.05; 0.2 ] in
-  sweep ?jobs ?budget
+  sweep ?jobs
     ~title:
       "Chaos - packet reordering (1 ms hold) vs per-packet probability; p99 \
        FCT normalized to the adversary-free run"
@@ -123,10 +123,10 @@ let reorder_sweep ?jobs ?budget ?(quick = true) () =
       Adversary_plan.degrade ~links ~reorder:(rate, 1e-3) ())
     ()
 
-let corruption_sweep ?jobs ?budget ?(quick = true) () =
+let corruption_sweep ?jobs ?(quick = true) () =
   let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3 ] in
   let rates = if quick then [ 0.; 0.05 ] else [ 0.; 0.01; 0.05; 0.2 ] in
-  sweep ?jobs ?budget
+  sweep ?jobs
     ~title:
       "Chaos - scheduling-header corruption vs per-packet probability; p99 \
        FCT normalized to the adversary-free run"
@@ -135,6 +135,6 @@ let corruption_sweep ?jobs ?budget ?(quick = true) () =
       Adversary_plan.degrade ~links ~corrupt:rate ())
     ()
 
-let run_all ?jobs ?budget ?(quick = true) ppf () =
-  Common.pp_table ppf (reorder_sweep ?jobs ?budget ~quick ());
-  Common.pp_table ppf (corruption_sweep ?jobs ?budget ~quick ())
+let run_all ?jobs ?(quick = true) ppf () =
+  Common.pp_table ppf (reorder_sweep ?jobs ~quick ());
+  Common.pp_table ppf (corruption_sweep ?jobs ~quick ())

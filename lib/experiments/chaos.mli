@@ -6,11 +6,10 @@
     FCT over completed flows normalized to the same protocol's
     adversary-free run, and deadline-miss percentage, averaged over
     seeds. [jobs] spreads the probability × protocol × seed grid over
-    the domain pool; [budget] bounds each run. *)
+    the domain pool. *)
 
 val run_all :
   ?jobs:int ->
-  ?budget:Pdq_exec.Exec_opts.budget ->
   ?quick:bool ->
   Format.formatter ->
   unit ->

@@ -92,10 +92,8 @@ let aggregation_scenario ?(deadline_mean = 0.02) ?sizes ?(deadlines = true)
     protocol
 
 let run_aggregation ?jobs ?(seeds = default_seeds) ?(deadline_mean = 0.02)
-    ?sizes ?(deadlines = true) ~flows protocol metric =
-  let scenario =
-    aggregation_scenario ~deadline_mean ?sizes ~deadlines ~flows protocol
-  in
+    ~flows protocol metric =
+  let scenario = aggregation_scenario ~deadline_mean ~flows protocol in
   Sweep.average ?jobs ~seeds (fun seed ->
       metric (Scenario.run (Scenario.with_seed scenario seed)))
 
@@ -116,8 +114,8 @@ let optimal_aggregation_throughput ?jobs ?(seeds = default_seeds)
       (* Fluid job sizes are bytes: rate in bytes/second. *)
       Fluid.optimal_deadline_throughput ~rate:(goodput_rate /. 8.) wl.jobs)
 
-let optimal_aggregation_fct ?jobs ?(seeds = default_seeds) ?sizes ~flows () =
-  Sweep.average ?jobs ~seeds (fun seed ->
+let optimal_aggregation_fct ?(seeds = default_seeds) ?sizes ~flows () =
+  Sweep.average ~seeds (fun seed ->
       let wl = fluid_workload ?sizes ~deadlines:false ~flows seed in
       Fluid.mean_completion_time (Fluid.srpt ~rate:(goodput_rate /. 8.) wl.jobs))
 
@@ -180,7 +178,8 @@ let grid ?jobs ?budget ~seeds ~run ~cell rows cols =
                  results.((((i * per_row) + j) * per_cell) + k)))))
     rows
 
-let search_max_flows ?(lo = 1) ?(hi = 64) ~target f =
+let search_max_flows ~hi ~target f =
+  let lo = 1 in
   if f lo < target then 0
   else begin
     (* Invariant: f lo >= target; answer in [lo, hi]. *)

@@ -63,14 +63,13 @@ val run_aggregation :
   ?jobs:int ->
   ?seeds:int list ->
   ?deadline_mean:float ->
-  ?sizes:Pdq_workload.Size_dist.t ->
-  ?deadlines:bool ->
   flows:int ->
   Pdq_transport.Runner.protocol ->
   (Pdq_transport.Runner.result -> float) ->
   float
-(** Run {!aggregation_scenario} and average the extracted metric over
-    the seeds (default [1;2;3]), on [jobs] domains. *)
+(** Run {!aggregation_scenario} (default sizes, with deadlines) and
+    average the extracted metric over the seeds (default [1;2;3]), on
+    [jobs] domains. *)
 
 val optimal_aggregation_throughput :
   ?jobs:int ->
@@ -84,7 +83,6 @@ val optimal_aggregation_throughput :
     the same workloads. *)
 
 val optimal_aggregation_fct :
-  ?jobs:int ->
   ?seeds:int list ->
   ?sizes:Pdq_workload.Size_dist.t ->
   flows:int ->
@@ -134,15 +132,10 @@ val grid :
     bounds each call, and a failure raises
     {!Pdq_exec.Sweep.Sweep_errors}. *)
 
-val search_max_flows :
-  ?lo:int ->
-  ?hi:int ->
-  target:float ->
-  (int -> float) ->
-  int
-(** Largest [n] in [lo..hi] whose measured application throughput is at
+val search_max_flows : hi:int -> target:float -> (int -> float) -> int
+(** Largest [n] in [1..hi] whose measured application throughput is at
     least [target] (binary search assuming monotonicity, as the paper's
-    procedure does). Returns 0 when [lo] fails and [hi] when [hi]
+    procedure does). Returns 0 when 1 fails and [hi] when [hi]
     passes. *)
 
 type table = { title : string; header : string list; rows : string list list }

@@ -16,8 +16,11 @@ type trace = {
 (* All three time series come out of the generic telemetry: per-flow
    goodput from the [Flow_rx] events of a memory sink, utilization and
    queue depth from the metrics probe of the bottleneck link, whose id
-   [prepare] reads off the freshly built topology. *)
-let run_traced ~senders ~specs_of ~t_end ~bin =
+   [prepare] reads off the freshly built topology. Every series is
+   binned at [bin]. *)
+let bin = 1e-3
+
+let run_traced ~senders ~specs_of ~t_end =
   let scenario =
     Scenario.make ~name:"traced bottleneck" ~horizon:(t_end +. 1.)
       ~topo:(Scenario.Bottleneck { senders })
@@ -104,8 +107,8 @@ let run_traced ~senders ~specs_of ~t_end ~bin =
    all starting at t = 0. The perturbation is a few packets wide so the
    criticality order is robust against the slivers of bandwidth that
    paused flows pick up while the rate controller oscillates. *)
-let fig6 ?(bin = 1e-3) () =
-  run_traced ~senders:5 ~t_end:0.05 ~bin ~specs_of:(fun hosts rx ->
+let fig6 () =
+  run_traced ~senders:5 ~t_end:0.05 ~specs_of:(fun hosts rx ->
       List.init 5 (fun i ->
           {
             Context.src = hosts.(i);
@@ -116,8 +119,8 @@ let fig6 ?(bin = 1e-3) () =
           }))
 
 (* Fig 7: a long-lived flow plus 50 short 20KB flows at t = 10 ms. *)
-let fig7 ?(bin = 1e-3) () =
-  run_traced ~senders:51 ~t_end:0.05 ~bin ~specs_of:(fun hosts rx ->
+let fig7 () =
+  run_traced ~senders:51 ~t_end:0.05 ~specs_of:(fun hosts rx ->
       {
         Context.src = hosts.(0);
         dst = rx;

@@ -19,8 +19,9 @@ type trace = {
   completions : (int * float) list;  (** Flow id, completion time. *)
 }
 
-val fig6 : ?bin:float -> unit -> trace
-val fig7 : ?bin:float -> unit -> trace
+val fig6 : unit -> trace
+val fig7 : unit -> trace
+(** Series are binned at 1 ms. *)
 
 val fig6_table : unit -> Common.table
 val fig7_table : unit -> Common.table

@@ -171,7 +171,8 @@ let fig3e ?jobs ?(quick = true) () =
 (* Forensic companion to (a)/(d): instead of one scalar per cell, show
    where PDQ(Full)'s completion time actually went on the canonical
    aggregation scenario — serialization vs. preemption pauses. *)
-let attribution ?(flows = 6) ?(seed = 1) () =
+let attribution () =
+  let flows = 6 and seed = 1 in
   let scenario =
     Common.aggregation_scenario ~seed ~flows (snd (List.hd Common.pdq_variants))
   in

@@ -20,8 +20,8 @@ val fig3c : ?jobs:int -> ?quick:bool -> unit -> Common.table
 val fig3d : ?jobs:int -> ?quick:bool -> unit -> Common.table
 val fig3e : ?jobs:int -> ?quick:bool -> unit -> Common.table
 
-val attribution : ?flows:int -> ?seed:int -> unit -> Common.table
+val attribution : unit -> Common.table
 (** Per-flow FCT attribution (via {!Common.attribution_report}) of one
     PDQ(Full) run of the Fig. 3 aggregation scenario — the forensic
     view behind panels (a)/(d): most of a preempted flow's FCT should
-    sit in the [paused] column. Defaults: 6 flows, seed 1. *)
+    sit in the [paused] column. 6 flows, seed 1. *)

@@ -99,7 +99,8 @@ let fig9b ?jobs ?(quick = true) () =
 
 (* Forensic companion: under injected loss the [recov] column should
    absorb the FCT inflation that fig9b only shows as a ratio. *)
-let attribution ?(loss_rate = 0.01) ?(flows = 6) ?(seed = 1) () =
+let attribution () =
+  let loss_rate = 0.01 and flows = 6 and seed = 1 in
   let s =
     Scenario.with_seed
       (scenario ~loss_rate ~flows ~deadlines:false (snd (List.hd protocols)))

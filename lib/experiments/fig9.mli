@@ -23,8 +23,7 @@ val scenario :
 val fig9a : ?jobs:int -> ?quick:bool -> unit -> Common.table
 val fig9b : ?jobs:int -> ?quick:bool -> unit -> Common.table
 
-val attribution :
-  ?loss_rate:float -> ?flows:int -> ?seed:int -> unit -> Common.table
+val attribution : unit -> Common.table
 (** Per-flow FCT attribution of one PDQ run of the lossy-bottleneck
     scenario: the loss-recovery component isolates what fig9b reports
-    only as an FCT ratio. Defaults: 1% loss, 6 flows, seed 1. *)
+    only as an FCT ratio. 1% loss, 6 flows, seed 1. *)

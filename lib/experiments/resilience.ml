@@ -247,7 +247,8 @@ let switch_reboot_sweep ?jobs ?budget ?(quick = true) () =
 (* Forensic view of the link-flapping axis: the [down] column shows
    fault-induced downtime directly instead of inferring it from FCT
    inflation against the clean row. *)
-let attribution ?(mtbf = 0.1) ?(seed = 1) () =
+let attribution () =
+  let mtbf = 0.1 and seed = 1 in
   let row =
     {
       label = Printf.sprintf "flaps mtbf=%s" (Common.cell mtbf);

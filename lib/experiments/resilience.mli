@@ -22,7 +22,7 @@ val run_all :
 (** Run all three sweeps and print their tables, the per-cause counter
     summary, and the {!attribution} drill-down table. *)
 
-val attribution : ?mtbf:float -> ?seed:int -> unit -> Common.table
-(** Per-flow FCT attribution of one PDQ run under the reboot sweep's
-    fault plan: the downtime column shows the fault-induced share
-    directly. Defaults: switch MTBF 0.05 s, seed 1. *)
+val attribution : unit -> Common.table
+(** Per-flow FCT attribution of one PDQ run under link flapping on a
+    k=4 fat-tree: the downtime column shows the fault-induced share
+    directly. Link MTBF 0.1 s, MTTR 30 ms, seed 1. *)

@@ -733,8 +733,11 @@ let solver ws ~capacity ~seed proto =
 let admission a b =
   match Float.compare a.start b.start with 0 -> Int.compare a.fs_id b.fs_id | c -> c
 
-let run ?(dt = 1e-3) ?(init_latency = 5e-4) ?(header_overhead = 56. /. 1500.)
-    ?(seed = 1) ?(horizon = 60.) net proto specs =
+(* Header bytes per 1500-byte packet, and the simulated-time stop. *)
+let header_overhead = 56. /. 1500.
+let horizon = 60.
+
+let run ?(dt = 1e-3) ?(init_latency = 5e-4) ?(seed = 1) net proto specs =
   let goodput_factor = 1. -. header_overhead in
   let specs = Array.of_list specs in
   let n = Array.length specs in

@@ -90,15 +90,14 @@ val net_of_topology : Pdq_net.Topology.t -> net
 val run :
   ?dt:float ->
   ?init_latency:float ->
-  ?header_overhead:float ->
   ?seed:int ->
-  ?horizon:float ->
   net ->
   proto ->
   flow_spec list ->
   result
 (** Defaults: [dt] = 1 ms, [init_latency] = 0.5 ms (≈ 2 datacenter
-    RTTs), [header_overhead] = 56/1500, [horizon] = 60 s. Raises
+    RTTs). Goodput is the rate less 56/1500 of header overhead; the run
+    stops at 60 s of simulated time if flows are still open. Raises
     [Invalid_argument] if a flow has an empty path or two flows share an
     [fs_id]. *)
 

@@ -155,7 +155,7 @@ let reconstruct events =
       last_t := max !last_t t;
       match ev with
       | Trace.Sweep_task _ | Trace.Switch_flushed _ | Trace.Switch_rebuilt _
-      | Trace.Packet_dropped _ | Trace.Fault _ | Trace.Adversary _ ->
+      | Trace.Packet_dropped _ | Trace.Fault _ ->
           ()
       | Trace.Flow_admitted { flow; size; deadline; _ } ->
           let a = get flow in

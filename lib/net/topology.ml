@@ -1,19 +1,10 @@
 type node_kind = Host | Switch
 
-type link_params = {
-  rate : float;
-  prop_delay : float;
-  proc_delay : float;
-  buffer_bytes : int;
-}
-
-let default_params =
-  {
-    rate = Pdq_engine.Units.gbps 1.;
-    prop_delay = Pdq_engine.Units.us 0.1;
-    proc_delay = Pdq_engine.Units.us 25.;
-    buffer_bytes = Pdq_engine.Units.mbyte 4.;
-  }
+(* Every link has the paper's §5.1 settings. *)
+let rate = Pdq_engine.Units.gbps 1.
+let prop_delay = Pdq_engine.Units.us 0.1
+let proc_delay = Pdq_engine.Units.us 25.
+let buffer_bytes = Pdq_engine.Units.mbyte 4.
 
 type node = {
   kind : node_kind;
@@ -35,7 +26,6 @@ type t = {
   mutable node_count : int;
   mutable first_out : int array; (* by node: newest outgoing link, or -1 *)
   mutable dst : int array; (* by link id *)
-  mutable params : link_params array;
   mutable next_out : int array; (* the same source's next older link, or -1 *)
   mutable links : Link.t option array; (* [None] until [link] makes it *)
   mutable up : Bytes.t; (* by link id: '\001' while up; see [set_link_up] *)
@@ -50,7 +40,6 @@ let create ~sim () =
     node_count = 0;
     first_out = [||];
     dst = [||];
-    params = [||];
     next_out = [||];
     links = [||];
     up = Bytes.empty;
@@ -90,12 +79,11 @@ let add_switch t =
   let id = t.node_count in
   push_node t { kind = Switch; rack = -1; handler = unset_handler id }
 
-let push_link t params src dst =
+let push_link t src dst =
   let id = t.link_count in
   if id = Array.length t.dst then begin
     let count = id and cap = max 16 (2 * id) in
     t.dst <- grow t.dst ~count ~cap 0;
-    t.params <- grow t.params ~count ~cap params;
     t.next_out <- grow t.next_out ~count ~cap (-1);
     t.links <- grow t.links ~count ~cap None;
     let up = Bytes.make cap '\000' in
@@ -103,7 +91,6 @@ let push_link t params src dst =
     t.up <- up
   end;
   t.dst.(id) <- dst;
-  t.params.(id) <- params;
   t.next_out.(id) <- t.first_out.(src);
   t.first_out.(src) <- id;
   Bytes.set t.up id '\001';
@@ -117,11 +104,11 @@ let check_link t fn i =
   if i < 0 || i >= t.link_count then
     invalid_arg (Printf.sprintf "Topology.%s: no link %d" fn i)
 
-let connect ?(params = default_params) t a b =
+let connect t a b =
   check_node t "connect" a;
   check_node t "connect" b;
-  push_link t params a b;
-  push_link t params b a
+  push_link t a b;
+  push_link t b a
 
 let node_count t = t.node_count
 
@@ -156,18 +143,17 @@ let link_dst t i =
 
 let link_rate t i =
   check_link t "link_rate" i;
-  t.params.(i).rate
+  rate
 
 let link_up t i =
   check_link t "link_up" i;
   Bytes.get t.up i = '\001'
 
 let make_link t i =
-  let p = t.params.(i) and dst = t.dst.(i) in
+  let dst = t.dst.(i) in
   let l =
-    Link.create ~sim:t.sim ~id:i ~src:t.dst.(i lxor 1) ~dst ~rate:p.rate
-      ~prop_delay:p.prop_delay ~proc_delay:p.proc_delay
-      ~buffer_bytes:p.buffer_bytes ()
+    Link.create ~sim:t.sim ~id:i ~src:t.dst.(i lxor 1) ~dst ~rate ~prop_delay
+      ~proc_delay ~buffer_bytes ()
   in
   Link.set_receiver l (fun pkt -> t.nodes.(dst).handler pkt);
   if Bytes.get t.up i = '\000' then Link.set_up l false;

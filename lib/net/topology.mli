@@ -3,8 +3,9 @@
     layer.
 
     Links are kept in a flat table indexed by link id: each link's
-    endpoints, its {!link_params} (one shared record per {!connect}
-    call) and its up flag. The packet-level {!Link.t} of a link, its
+    endpoints and its up flag. Every link has the paper's §5.1
+    settings: 1 Gbps, 0.1 µs propagation, 25 µs processing and a
+    4 MByte FIFO tail-drop buffer. The packet-level {!Link.t} of a link, its
     queue and transmitter, is made the first time {!link} asks for it,
     so code that reads only rates and the graph ({!link_rate},
     {!link_src}, {!link_dst}, {!links_from}, [Router], the flow-level
@@ -20,13 +21,6 @@
     not below {!node_count} or {!link_count}. *)
 
 type node_kind = Host | Switch
-
-type link_params = {
-  rate : float;         (** bits/s. *)
-  prop_delay : float;   (** seconds. *)
-  proc_delay : float;   (** seconds. *)
-  buffer_bytes : int;
-}
 
 type t
 
@@ -46,12 +40,10 @@ val add_host : ?rack:int -> t -> int
 val add_switch : t -> int
 (** New switch node; returns its id. *)
 
-val connect : ?params:link_params -> t -> int -> int -> unit
+val connect : t -> int -> int -> unit
 (** Add a duplex link (two directed links, ids [2k] for [a -> b] and
-    [2k + 1] for [b -> a]) between two nodes. It records the links in
-    the link table and makes no {!Link.t}.
-    [params] defaults to the paper's §5.1 settings: 1 Gbps, 0.1 µs
-    propagation, 25 µs processing, 4 MByte FIFO tail-drop buffer. *)
+    [2k + 1] for [b -> a]) between two nodes, with the §5.1 settings.
+    It records the links in the link table and makes no {!Link.t}. *)
 
 val node_count : t -> int
 val kind : t -> int -> node_kind
@@ -77,7 +69,7 @@ val link_dst : t -> int -> int
 (** Endpoints of a directed link by id, read from the link table. *)
 
 val link_rate : t -> int -> float
-(** Rate of a directed link by id (bits/s), read from the link table. *)
+(** Rate of a directed link by id (bits/s): 1 Gbps, as every link's. *)
 
 val links_from : t -> int -> (int * int) list
 (** [(peer, link_id)] adjacency of a node, newest link first. *)

@@ -39,7 +39,6 @@ type event =
   | Switch_rebuilt of { switch : int }
   | Packet_dropped of { link : int; cause : drop_cause }
   | Fault of { desc : string }
-  | Adversary of { target : int; action : string }
   | Sweep_task of {
       index : int;
       key : string;
@@ -58,7 +57,6 @@ let severity_of_event = function
     ->
       Info
   | Flow_aborted _ | Switch_flushed _ | Packet_dropped _ | Fault _ -> Warn
-  | Adversary _ -> Debug
   | Sweep_task { state; _ } -> (
       match state with
       | "failed" | "timed-out" | "crashed" -> Warn
@@ -114,9 +112,6 @@ let event_to_json ~time ev =
           link (drop_cause_name cause)
     | Fault { desc } ->
         Printf.sprintf "\"ev\":\"fault\",\"desc\":\"%s\"" (Json.escape desc)
-    | Adversary { target; action } ->
-        Printf.sprintf "\"ev\":\"adversary\",\"target\":%d,\"action\":\"%s\""
-          target (Json.escape action)
     | Sweep_task { index; key; state; attempts; elapsed; detail } ->
         Printf.sprintf
           "\"ev\":\"sweep_task\",\"slot\":%d,\"key\":\"%s\",\"state\":\"%s\",\
@@ -166,8 +161,6 @@ let pp_event ppf ev =
       Format.fprintf ppf "packet_dropped link=%d cause=%s" link
         (drop_cause_name cause)
   | Fault { desc } -> Format.fprintf ppf "fault %s" desc
-  | Adversary { target; action } ->
-      Format.fprintf ppf "adversary target=%d action=%s" target action
   | Sweep_task { index; key; state; attempts; detail; _ } ->
       Format.fprintf ppf "sweep_task slot=%d key=%s state=%s attempts=%d%s"
         index key state attempts
@@ -233,7 +226,6 @@ let event_of_json line =
           | Some cause -> Packet_dropped { link = int "link"; cause }
           | None -> fail "unknown drop cause %S" (str "cause"))
       | "fault" -> Fault { desc = str "desc" }
-      | "adversary" -> Adversary { target = int "target"; action = str "action" }
       | "sweep_task" ->
           Sweep_task
             {
@@ -254,22 +246,16 @@ let event_of_json line =
 (* ------------------------------------------------------------------ *)
 (* Sinks *)
 
-type memory_ring = {
-  capacity : int option;
-  mutable items_rev : (float * event) list;
-  mutable count : int;
-}
-
 type sink =
-  | Memory of memory_ring
+  | Memory of (float * event) list ref (* newest first *)
   | Jsonl of out_channel
   | Console of { min_severity : severity; chan : out_channel }
   | Callback of (time:float -> event -> unit)
 
-let memory ?capacity () = Memory { capacity; items_rev = []; count = 0 }
+let memory () = Memory (ref [])
 
 let memory_events = function
-  | Memory r -> List.rev r.items_rev
+  | Memory r -> List.rev !r
   | Jsonl _ | Console _ | Callback _ ->
       invalid_arg "Trace.memory_events: not a memory sink"
 
@@ -277,24 +263,9 @@ let jsonl chan = Jsonl chan
 let console ?(min_severity = Debug) chan = Console { min_severity; chan }
 let callback f = Callback f
 
-let drop_oldest r =
-  (* The ring is kept as a reversed list; trimming the oldest entry is
-     O(n) but only runs when a bounded ring overflows, which tests keep
-     small. *)
-  match List.rev r.items_rev with
-  | [] -> ()
-  | _ :: rest -> r.items_rev <- List.rev rest
-
 let sink_emit sink ~time ev =
   match sink with
-  | Memory r ->
-      r.items_rev <- (time, ev) :: r.items_rev;
-      r.count <- r.count + 1;
-      (match r.capacity with
-      | Some cap when r.count > cap ->
-          drop_oldest r;
-          r.count <- cap
-      | Some _ | None -> ())
+  | Memory r -> r := (time, ev) :: !r
   | Jsonl chan ->
       output_string chan (event_to_json ~time ev);
       output_char chan '\n';

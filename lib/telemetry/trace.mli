@@ -76,11 +76,6 @@ type event =
       (** Injected fault or fault-handling side effect (reroute
           failure, stale route, reboot), named by its tally key or
           plan-event description. *)
-  | Adversary of { target : int; action : string }
-      (** The chaos adversary layer acted on a packet: [target] is the
-          directed link id for packet actions (reorder / duplicate /
-          corrupt / jitter) or the switch id for clock skew; [action]
-          names what was done. *)
   | Sweep_task of {
       index : int;
       key : string;
@@ -101,9 +96,8 @@ val severity_of_event : event -> severity
 
 type sink
 
-val memory : ?capacity:int -> unit -> sink
-(** In-memory ring sink for tests: keeps the last [capacity] events
-    (default: unbounded). *)
+val memory : unit -> sink
+(** In-memory sink for tests and benchmarks: keeps every event. *)
 
 val memory_events : sink -> (float * event) list
 (** Recorded (time, event) pairs, oldest first. Raises

@@ -2,32 +2,32 @@ module Topology = Pdq_net.Topology
 
 type built = { topo : Topology.t; hosts : int array }
 
-let single_bottleneck ?params ~sim ~senders () =
+let single_bottleneck ~sim ~senders () =
   let topo = Topology.create ~sim () in
   let sw = Topology.add_switch topo in
   let tx = Array.init senders (fun _ -> Topology.add_host topo) in
-  Array.iter (fun h -> Topology.connect ?params topo h sw) tx;
+  Array.iter (fun h -> Topology.connect topo h sw) tx;
   let rx = Topology.add_host topo in
-  Topology.connect ?params topo sw rx;
+  Topology.connect topo sw rx;
   let hosts = Array.append tx [| rx |] in
   ({ topo; hosts }, rx)
 
-let single_rooted_tree ?params ?(tors = 4) ?(hosts_per_tor = 3) ~sim () =
+let single_rooted_tree ?(tors = 4) ?(hosts_per_tor = 3) ~sim () =
   let topo = Topology.create ~sim () in
   let root = Topology.add_switch topo in
   let hosts = ref [] in
   for rack = 0 to tors - 1 do
     let tor = Topology.add_switch topo in
-    Topology.connect ?params topo root tor;
+    Topology.connect topo root tor;
     for _ = 1 to hosts_per_tor do
       let h = Topology.add_host ~rack topo in
-      Topology.connect ?params topo tor h;
+      Topology.connect topo tor h;
       hosts := h :: !hosts
     done
   done;
   { topo; hosts = Array.of_list (List.rev !hosts) }
 
-let fat_tree ?params ~sim ~k () =
+let fat_tree ~sim ~k () =
   if k < 2 || k mod 2 <> 0 then invalid_arg "Builder.fat_tree: k must be even";
   let topo = Topology.create ~sim () in
   let half = k / 2 in
@@ -38,13 +38,13 @@ let fat_tree ?params ~sim ~k () =
     let edges = Array.init half (fun _ -> Topology.add_switch topo) in
     (* Aggregation <-> edge full bipartite inside the pod. *)
     Array.iter
-      (fun agg -> Array.iter (fun edge -> Topology.connect ?params topo agg edge) edges)
+      (fun agg -> Array.iter (fun edge -> Topology.connect topo agg edge) edges)
       aggs;
     (* Aggregation i connects to cores [i*half .. i*half+half-1]. *)
     Array.iteri
       (fun i agg ->
         for j = 0 to half - 1 do
-          Topology.connect ?params topo agg cores.((i * half) + j)
+          Topology.connect topo agg cores.((i * half) + j)
         done)
       aggs;
     (* half hosts per edge switch. *)
@@ -53,18 +53,18 @@ let fat_tree ?params ~sim ~k () =
         let rack = (pod * half) + e in
         for _ = 1 to half do
           let h = Topology.add_host ~rack topo in
-          Topology.connect ?params topo edge h;
+          Topology.connect topo edge h;
           hosts := h :: !hosts
         done)
       edges
   done;
   { topo; hosts = Array.of_list (List.rev !hosts) }
 
-let fat_tree_for_servers ?params ~sim ~servers () =
+let fat_tree_for_servers ~sim ~servers () =
   let rec find k = if k * k * k / 4 >= servers then k else find (k + 2) in
-  fat_tree ?params ~sim ~k:(find 2) ()
+  fat_tree ~sim ~k:(find 2) ()
 
-let bcube ?params ~sim ~n ~k () =
+let bcube ~sim ~n ~k () =
   if n < 2 then invalid_arg "Builder.bcube: need n >= 2";
   let num_hosts = int_of_float (float_of_int n ** float_of_int (k + 1)) in
   let topo = Topology.create ~sim () in
@@ -80,7 +80,7 @@ let bcube ?params ~sim ~n ~k () =
       let low = s mod stride and high = s / stride in
       for digit = 0 to n - 1 do
         let host = (high * stride * n) + (digit * stride) + low in
-        Topology.connect ?params topo sw hosts.(host)
+        Topology.connect topo sw hosts.(host)
       done
     done
   done;
@@ -120,7 +120,7 @@ let bcube_paths ~n ~k built ~src ~dst =
   done;
   List.rev !paths
 
-let jellyfish ?params ~sim ~rng ~switches ~ports ~net_ports () =
+let jellyfish ~sim ~rng ~switches ~ports ~net_ports () =
   if net_ports >= ports then
     invalid_arg "Builder.jellyfish: net_ports must be < ports";
   let topo = Topology.create ~sim () in
@@ -133,7 +133,7 @@ let jellyfish ?params ~sim ~rng ~switches ~ports ~net_ports () =
     Hashtbl.replace edges (edge_key a b) ();
     free.(a) <- free.(a) - 1;
     free.(b) <- free.(b) - 1;
-    Topology.connect ?params topo sws.(a) sws.(b)
+    Topology.connect topo sws.(a) sws.(b)
   in
   (* Random regular graph: repeatedly join two random switches with free
      ports; when stuck, the Jellyfish incremental fix-up would rewire an
@@ -164,7 +164,7 @@ let jellyfish ?params ~sim ~rng ~switches ~ports ~net_ports () =
     (fun rack sw ->
       for _ = 1 to hosts_per_switch do
         let h = Topology.add_host ~rack topo in
-        Topology.connect ?params topo sw h;
+        Topology.connect topo sw h;
         hosts := h :: !hosts
       done)
     sws;

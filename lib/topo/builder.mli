@@ -9,7 +9,6 @@ type built = {
 }
 
 val single_bottleneck :
-  ?params:Pdq_net.Topology.link_params ->
   sim:Pdq_engine.Sim.t ->
   senders:int ->
   unit ->
@@ -19,7 +18,6 @@ val single_bottleneck :
     switch→receiver link. *)
 
 val single_rooted_tree :
-  ?params:Pdq_net.Topology.link_params ->
   ?tors:int ->
   ?hosts_per_tor:int ->
   sim:Pdq_engine.Sim.t ->
@@ -30,7 +28,6 @@ val single_rooted_tree :
     all links 1 Gbps. Hosts carry their ToR index as rack id. *)
 
 val fat_tree :
-  ?params:Pdq_net.Topology.link_params ->
   sim:Pdq_engine.Sim.t ->
   k:int ->
   unit ->
@@ -40,7 +37,6 @@ val fat_tree :
     switch index. *)
 
 val fat_tree_for_servers :
-  ?params:Pdq_net.Topology.link_params ->
   sim:Pdq_engine.Sim.t ->
   servers:int ->
   unit ->
@@ -48,7 +44,6 @@ val fat_tree_for_servers :
 (** Smallest even-k fat-tree with at least [servers] hosts. *)
 
 val bcube :
-  ?params:Pdq_net.Topology.link_params ->
   sim:Pdq_engine.Sim.t ->
   n:int ->
   k:int ->
@@ -70,7 +65,6 @@ val bcube_paths :
     with the same [n]/[k]. *)
 
 val jellyfish :
-  ?params:Pdq_net.Topology.link_params ->
   sim:Pdq_engine.Sim.t ->
   rng:Pdq_engine.Rng.t ->
   switches:int ->

@@ -43,7 +43,6 @@ type t = {
   topo : Topology.t;
   router : Router.t;
   rng : Pdq_engine.Rng.t;
-  init_rtt : float;
   trace : Trace.t;
   mutable flows_rev : flow list;
   mutable flow_count : int;
@@ -62,13 +61,12 @@ type t = {
    never collide. *)
 let subflow_id_base = 1_000_000
 
-let create ?(trace = Trace.null) ~sim ~topo ~rng ~init_rtt () =
+let create ?(trace = Trace.null) ~sim ~topo ~rng () =
   {
     sim;
     topo;
     router = Router.create topo;
     rng;
-    init_rtt;
     trace;
     flows_rev = [];
     flow_count = 0;
@@ -92,7 +90,7 @@ let sim t = t.sim
 let topo t = t.topo
 let router t = t.router
 let rng t = t.rng
-let init_rtt t = t.init_rtt
+let init_rtt = 2e-4
 let now t = Sim.now t.sim
 
 let tally t = t.tally

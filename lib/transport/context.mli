@@ -40,7 +40,6 @@ val create :
   sim:Pdq_engine.Sim.t ->
   topo:Pdq_net.Topology.t ->
   rng:Pdq_engine.Rng.t ->
-  init_rtt:float ->
   unit ->
   t
 (** [trace] (default {!Pdq_telemetry.Trace.null}) is the run's event
@@ -53,7 +52,11 @@ val sim : t -> Pdq_engine.Sim.t
 val topo : t -> Pdq_net.Topology.t
 val router : t -> Pdq_net.Router.t
 val rng : t -> Pdq_engine.Rng.t
-val init_rtt : t -> float
+
+val init_rtt : float
+(** 200 µs: the RTT every endpoint and switch estimator starts from
+    before its first sample. *)
+
 val now : t -> float
 
 val trace : t -> Pdq_telemetry.Trace.t

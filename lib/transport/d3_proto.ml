@@ -119,7 +119,7 @@ let install ~ctx ~until =
           demand_acc = 0.;
           n_acc = 0;
           granted = Hashtbl.create 16;
-          rtt_avg = Context.init_rtt ctx;
+          rtt_avg = Context.init_rtt;
         })
   in
   let inner = Endpoint.create ctx ops in
@@ -135,7 +135,7 @@ let install ~ctx ~until =
             p.avail <- Link.rate p.link;
             p.demand_acc <- 0.;
             p.n_acc <- 0;
-            p.rtt_avg <- Context.init_rtt ctx
+            p.rtt_avg <- Context.init_rtt
           end)
         ports);
   Context.set_hooks ctx

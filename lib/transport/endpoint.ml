@@ -307,7 +307,7 @@ let launch ep ~id ~src ~dst ~size ~capacity ~start ~flow ext =
       flow;
       size;
       rate = 0.;
-      rtt = Context.init_rtt ep.context;
+      rtt = Context.init_rtt;
       next_seq = 0;
       sent_hi = 0;
       acked = 0;

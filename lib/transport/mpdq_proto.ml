@@ -15,21 +15,17 @@ type t = {
   ctx : Context.t;
   pdq : Pdq_proto.t;
   subflows : int;
-  rebalance_period : float;
   paths : (src:int -> dst:int -> int array list) option;
 }
 
 let pdq t = t.pdq
 
-let install ~config ~ctx ~until ~subflows ?(rebalance_rtts = 4.) ?paths () =
+(* The load-shift period: 4 initial RTT estimates. *)
+let rebalance_period = 4. *. Context.init_rtt
+
+let install ~config ~ctx ~until ~subflows ?paths () =
   if subflows < 1 then invalid_arg "Mpdq_proto.install: subflows < 1";
-  {
-    ctx;
-    pdq = Pdq_proto.install ~config ~ctx ~until ();
-    subflows;
-    rebalance_period = rebalance_rtts *. Context.init_rtt ctx;
-    paths;
-  }
+  { ctx; pdq = Pdq_proto.install ~config ~ctx ~until (); subflows; paths }
 
 let group_terminate t g =
   if not g.closed then begin
@@ -132,11 +128,11 @@ let start_flow t (flow : Context.flow) =
       if group_infeasible g ~now:(Sim.now sim) then group_terminate t g
       else begin
         rebalance g;
-        ignore (Sim.schedule_k sim k_rebalance ~delay:t.rebalance_period loop)
+        ignore (Sim.schedule_k sim k_rebalance ~delay:rebalance_period loop)
       end
     end
   in
   ignore
     (Sim.schedule_at_k sim k_rebalance
-       ~time:(max (Sim.now sim) (spec.Context.start +. t.rebalance_period))
+       ~time:(max (Sim.now sim) (spec.Context.start +. rebalance_period))
        loop)

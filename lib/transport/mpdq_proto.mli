@@ -13,12 +13,10 @@ val install :
   ctx:Context.t ->
   until:float ->
   subflows:int ->
-  ?rebalance_rtts:float ->
   ?paths:(src:int -> dst:int -> int array list) ->
   unit ->
   t
-(** [rebalance_rtts] (default 4) is the load-shift period in units of
-    the initial RTT estimate. [paths] supplies explicit parallel node
+(** Subflow load shifts every 4 initial RTT estimates. [paths] supplies explicit parallel node
     paths per host pair (BCube address-based routing); without it,
     subflows rely on ECMP hashing over shortest paths. *)
 

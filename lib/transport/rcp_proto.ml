@@ -92,7 +92,7 @@ let install ~ctx ~until =
           link;
           flows = Hashtbl.create 16;
           fair = Link.rate link;
-          rtt_avg = Context.init_rtt ctx;
+          rtt_avg = Context.init_rtt;
         })
   in
   let inner = Endpoint.create ctx ops in
@@ -106,7 +106,7 @@ let install ~ctx ~until =
           if Link.src p.link = node then begin
             Hashtbl.reset p.flows;
             p.fair <- Link.rate p.link;
-            p.rtt_avg <- Context.init_rtt ctx
+            p.rtt_avg <- Context.init_rtt
           end)
         ports);
   Context.set_hooks ctx

@@ -57,24 +57,18 @@ type driver =
 type options = {
   seed : int;
   horizon : float;
-  stop_when_done : bool;
   faults : Pdq_faults.Fault_plan.t option;
   telemetry : telemetry;
   driver : driver option;
-  init_rtt : float;
-  rto_min : float;
 }
 
 let default_options =
   {
     seed = 1;
     horizon = 10.;
-    stop_when_done = true;
     faults = None;
     telemetry = no_telemetry;
     driver = None;
-    init_rtt = 2e-4;
-    rto_min = 1e-3;
   }
 
 type flow_result = {
@@ -125,7 +119,7 @@ let execute ?(options = default_options) ~topo protocol specs =
   let trace = Trace.create ~clock:(fun () -> Sim.now sim) ~sinks in
   if Trace.active trace then
     Topology.iter_links (fun l -> Link.set_trace l trace) topo;
-  let ctx = Context.create ~trace ~sim ~topo ~rng ~init_rtt:options.init_rtt () in
+  let ctx = Context.create ~trace ~sim ~topo ~rng () in
   (* Live per-cause watchdog-abort counters: incremented the moment a
      sender gives up, not just folded from the tally at the end, so a
      chaos run can assert on them mid-flight by stable name. *)
@@ -189,7 +183,7 @@ let execute ?(options = default_options) ~topo protocol specs =
           (fun ~link -> Some (D3_proto.flow_count p ~link, 0)),
           None )
     | Tcp ->
-        let p = Tcp_proto.install ~rto_min:options.rto_min ~ctx () in
+        let p = Tcp_proto.install ~ctx () in
         (Tcp_proto.start_flow p, (fun ~link:_ -> None), None)
   in
   (* Arm the driver's spawn hook: registration pins the route and
@@ -271,7 +265,7 @@ let execute ?(options = default_options) ~topo protocol specs =
   end;
   let flows = List.map (Context.add_flow ctx) specs in
   List.iter start_flow flows;
-  if options.stop_when_done then Context.on_all_complete ctx (fun () -> Sim.stop sim);
+  Context.on_all_complete ctx (fun () -> Sim.stop sim);
   Sim.run ~until:options.horizon sim;
   let results =
     List.map

@@ -77,8 +77,8 @@ type driver =
     immediately when [spec.start <= now]. Spawned flows join
     {!result.flows} like build-time ones. Because terminal flow
     events are emitted before the flow is counted closed, spawning
-    from the terminal event of the last open flow keeps a
-    [stop_when_done] run alive. [spawn] must only be called from sink
+    from the terminal event of the last open flow keeps the run
+    alive. [spawn] must only be called from sink
     callbacks (i.e. while the simulation is running), must not be
     called after the run returns, and — like any sink — must not
     consume the run's randomness. *)
@@ -87,9 +87,8 @@ type options = {
   seed : int;
   horizon : float;
       (** Hard simulated-time stop (safety net for never-finishing
-          runs). *)
-  stop_when_done : bool;
-      (** Stop as soon as every flow completed or terminated. *)
+          runs). The run stops earlier, as soon as every flow completed
+          or terminated. *)
   faults : Pdq_faults.Fault_plan.t option;
       (** Timed fault injections (link failures, loss episodes and
           standing loss processes, switch reboots); the only source of
@@ -105,13 +104,11 @@ type options = {
           [None] (the default) spawns nothing: the flow set is fixed at
           build time and the run is bit-for-bit identical to one
           without the hook. *)
-  init_rtt : float;  (** Seed for RTT estimators. *)
-  rto_min : float;   (** TCP minimum RTO. *)
 }
+(** RTT estimators start at 200 µs, and TCP's minimum RTO is 1 ms. *)
 
 val default_options : options
-(** seed 1, horizon 10 s, stop-when-done, no faults, no telemetry,
-    200 µs initial RTT, 1 ms RTOmin. *)
+(** seed 1, horizon 10 s, no faults, no telemetry, no driver. *)
 
 type flow_result = {
   spec : Context.flow_spec;

@@ -4,6 +4,10 @@ module Packet = Pdq_net.Packet
 let mss = Packet.max_payload ~scheduling_header:0
 
 let noop () = ()
+
+(* Minimum retransmission timeout, small to mitigate incast. *)
+let rto_min = 1e-3
+
 let k_timer = Pdq_engine.Sim.Kind.register "tcp.timer"
 let k_launch = Pdq_engine.Sim.Kind.register "tcp.launch"
 
@@ -34,7 +38,6 @@ type sender = {
 
 and t = {
   ctx : Context.t;
-  rto_min : float;
   senders : (int, sender) Hashtbl.t;
 }
 
@@ -157,7 +160,7 @@ let update_rtt s sample =
     s.rttvar <- (0.75 *. s.rttvar) +. (0.25 *. abs_float (s.srtt -. sample));
     s.srtt <- (0.875 *. s.srtt) +. (0.125 *. sample)
   end;
-  s.rto <- max s.proto.rto_min (s.srtt +. (4. *. s.rttvar))
+  s.rto <- max rto_min (s.srtt +. (4. *. s.rttvar))
 
 let finish s =
   if not s.closed then begin
@@ -271,8 +274,8 @@ let deliver t ~node (pkt : Packet.t) =
       | Packet.Ack ->
           if node = s.flow.Context.spec.Context.src then on_ack s pkt)
 
-let install ?(rto_min = 1e-3) ~ctx () =
-  let t = { ctx; rto_min; senders = Hashtbl.create 64 } in
+let install ~ctx () =
+  let t = { ctx; senders = Hashtbl.create 64 } in
   Context.set_hooks ctx
     ~on_forward:(fun ~link:_ _ -> ())
     ~on_reverse:(fun ~fwd_link:_ _ -> ())
@@ -293,7 +296,7 @@ let start_flow t (flow : Context.flow) =
       recover_point = 0;
       srtt = 0.;
       rttvar = 0.;
-      rto = max t.rto_min (3. *. Context.init_rtt t.ctx);
+      rto = max rto_min (3. *. Context.init_rtt);
       backoff = 1.;
       retries = 0;
       syn_acked = false;

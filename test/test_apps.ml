@@ -184,7 +184,7 @@ let tracker_fixture ~workers =
   let built = Builder.single_rooted_tree ~sim () in
   let ctx =
     Context.create ~sim ~topo:built.Builder.topo ~rng:(Rng.create 0)
-      ~init_rtt:2e-4 ()
+      ()
   in
   let job =
     Job.partition_aggregate ~deadline:0.5 ~name:"pa" ~workers

@@ -235,7 +235,11 @@ let test_duplicate_storm_clean () =
   let c =
     {
       base_case with
-      Fuzzer.adversary = Adversary_plan.degrade ~links:cables ~duplicate:0.5 ();
+      Fuzzer.adversary =
+        Adversary_plan.of_events
+          (List.map
+             (fun (a, b) -> (0., Adversary_plan.Duplicate { a; b; p = 0.5 }))
+             cables);
     }
   in
   let ch = run_ok c in

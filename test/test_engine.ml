@@ -245,24 +245,6 @@ let test_sim_stop () =
   Sim.run ~until:100. sim;
   Alcotest.(check int) "stopped after three" 3 !count
 
-let test_sim_live_pending () =
-  let sim = Sim.create () in
-  let h1 = Sim.schedule sim ~delay:0.1 (fun () -> ()) in
-  let _h2 = Sim.schedule sim ~delay:0.2 (fun () -> ()) in
-  let _h3 = Sim.schedule sim ~delay:0.3 (fun () -> ()) in
-  Alcotest.(check int) "pending counts all" 3 (Sim.pending sim);
-  Alcotest.(check int) "live_pending counts all" 3 (Sim.live_pending sim);
-  Sim.cancel sim h1;
-  (* The cancelled placeholder stays on the heap until popped: pending
-     still sees it, live_pending does not. *)
-  Alcotest.(check int) "pending keeps placeholder" 3 (Sim.pending sim);
-  Alcotest.(check int) "live_pending drops placeholder" 2 (Sim.live_pending sim);
-  Sim.cancel sim h1;
-  Alcotest.(check int) "double cancel counted once" 2 (Sim.live_pending sim);
-  Sim.run sim;
-  Alcotest.(check int) "empty after run" 0 (Sim.pending sim);
-  Alcotest.(check int) "live empty after run" 0 (Sim.live_pending sim)
-
 (* Regression: scheduling at exactly the current instant is legal and
    fires after everything already queued at that time (ties break by
    sequence order). *)
@@ -408,8 +390,8 @@ let test_sim_until_alloc_free () =
     true
     (words /. float_of_int events < 0.001)
 
-(* Lane events count as pending and live until they fire; they cannot
-   be cancelled, so the two counts differ only by heap placeholders. *)
+(* Lane events count as pending until they fire; a cancelled heap
+   event stays counted as a placeholder until it is popped. *)
 let test_sim_lane_pending () =
   let sim = Sim.create () in
   let kind = Sim.Kind.register "test.lane" in
@@ -420,18 +402,14 @@ let test_sim_lane_pending () =
   Sim.schedule_fixed_k sim kind ~delay:0.2 f;
   let h = Sim.schedule sim ~delay:0.1 f in
   Alcotest.(check int) "pending counts lanes" 4 (Sim.pending sim);
-  Alcotest.(check int) "live_pending counts lanes" 4 (Sim.live_pending sim);
   Sim.cancel sim h;
   Alcotest.(check int) "pending keeps placeholder" 4 (Sim.pending sim);
-  Alcotest.(check int) "live_pending drops it" 3 (Sim.live_pending sim);
   Sim.run ~until:0.15 sim;
   Alcotest.(check int) "two lane events fired" 2 !fired;
   Alcotest.(check int) "one pending" 1 (Sim.pending sim);
-  Alcotest.(check int) "one live" 1 (Sim.live_pending sim);
   Sim.run sim;
   Alcotest.(check int) "all fired" 3 !fired;
   Alcotest.(check int) "empty after run" 0 (Sim.pending sim);
-  Alcotest.(check int) "live empty after run" 0 (Sim.live_pending sim);
   Alcotest.check_raises "negative delay"
     (Invalid_argument "Sim.schedule: negative delay") (fun () ->
       Sim.schedule_fixed_k sim kind ~delay:(-1.) f);
@@ -556,15 +534,16 @@ let test_stats_single_sample () =
   check_float "cdf below" 0. (Stats.cdf_at c 7.);
   check_float "cdf at sample" 1. (Stats.cdf_at c 7.5)
 
-let test_stats_tally_negative () =
+let test_stats_tally_counts () =
   let t = Stats.Tally.create () in
+  Stats.Tally.incr t "y";
   Stats.Tally.incr t "x";
-  Stats.Tally.incr ~by:5 t "x";
-  Stats.Tally.incr ~by:(-2) t "x";
-  Alcotest.(check int) "net count" 4 (Stats.Tally.count t "x");
-  Stats.Tally.incr ~by:(-3) t "y";
-  Alcotest.(check int) "fresh key from negative" (-3) (Stats.Tally.count t "y");
-  Alcotest.(check int) "total sums signed" 1 (Stats.Tally.total t)
+  Stats.Tally.incr t "x";
+  Alcotest.(check int) "count" 2 (Stats.Tally.count t "x");
+  Alcotest.(check int) "never incremented" 0 (Stats.Tally.count t "z");
+  Alcotest.(check (list (pair string int)))
+    "sorted by key" [ ("x", 2); ("y", 1) ] (Stats.Tally.to_list t);
+  Alcotest.(check int) "total" 3 (Stats.Tally.total t)
 
 let test_stats_counter_empty () =
   let c = Stats.Counter.create () in
@@ -639,8 +618,6 @@ let suites =
         Alcotest.test_case "run until" `Quick test_sim_until;
         Alcotest.test_case "nested scheduling" `Quick test_sim_nested_schedule;
         Alcotest.test_case "stop" `Quick test_sim_stop;
-        Alcotest.test_case "live vs physical pending" `Quick
-          test_sim_live_pending;
         Alcotest.test_case "schedule at now" `Quick test_sim_schedule_at_now;
         Alcotest.test_case "slot reuse after cancel" `Quick
           test_sim_slot_reuse;
@@ -672,8 +649,7 @@ let suites =
         Alcotest.test_case "fraction" `Quick test_stats_fraction;
         Alcotest.test_case "counter" `Quick test_stats_counter;
         Alcotest.test_case "single sample" `Quick test_stats_single_sample;
-        Alcotest.test_case "tally negative deltas" `Quick
-          test_stats_tally_negative;
+        Alcotest.test_case "tally counts" `Quick test_stats_tally_counts;
         Alcotest.test_case "counter empty stream" `Quick
           test_stats_counter_empty;
       ]

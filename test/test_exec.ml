@@ -331,7 +331,7 @@ let test_supervise_wall_budget () =
   in
   let sup =
     Sweep.supervise ~jobs:1
-      ~budget:(Exec_opts.budget ~wall:0.05 ~check_every:256 ())
+      ~budget:(Exec_opts.budget ~wall:0.05 ())
       ~key:(fun () -> "runaway")
       runaway [ () ]
   in
@@ -349,7 +349,7 @@ let test_supervise_retry () =
   in
   let sup =
     Sweep.supervise ~jobs:1
-      ~retry:(Sweep.retry ~attempts:3 ~base_delay:1e-3 ())
+      ~attempts:3
       ~key:(fun () -> "flaky")
       f [ () ]
   in
@@ -510,7 +510,7 @@ let test_acceptance_100_slots () =
   Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
   let first =
     Sweep.supervise ~jobs:4
-      ~budget:(Exec_opts.budget ~wall:0.05 ~check_every:256 ())
+      ~budget:(Exec_opts.budget ~wall:0.05 ())
       ~keep_going:true ~checkpoint:path ~codec:int_codec
       ~key:string_of_int buggy inputs
   in

@@ -337,8 +337,6 @@ let gen_event =
       (let* link = pos and* cause = cause in
        return (Trace.Packet_dropped { link; cause }));
       map (fun desc -> Trace.Fault { desc }) str;
-      (let* target = pos and* action = str in
-       return (Trace.Adversary { target; action }));
       (let* index = pos and* key = str and* state = str and* attempts = pos
        and* elapsed = fin and* detail = str in
        return (Trace.Sweep_task { index; key; state; attempts; elapsed; detail }));

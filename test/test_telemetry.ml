@@ -69,7 +69,7 @@ let test_null_bus () =
 
 let test_memory_ring () =
   let clock = ref 0. in
-  let mem = Trace.memory ~capacity:3 () in
+  let mem = Trace.memory () in
   let bus = Trace.create ~clock:(fun () -> !clock) ~sinks:[ mem ] in
   Alcotest.(check bool) "active" true (Trace.active bus);
   for i = 1 to 5 do
@@ -78,12 +78,12 @@ let test_memory_ring () =
   done;
   Alcotest.(check int) "emitted 5" 5 (Trace.events_seen bus);
   let evs = Trace.memory_events mem in
-  Alcotest.(check int) "ring keeps 3" 3 (List.length evs);
+  Alcotest.(check int) "keeps all 5" 5 (List.length evs);
   (match evs with
   | (t, Trace.Flow_started { flow }) :: _ ->
-      check_float "oldest kept is #3" 3. t;
-      Alcotest.(check int) "flow id" 3 flow
-  | _ -> Alcotest.fail "unexpected ring contents");
+      check_float "oldest first" 1. t;
+      Alcotest.(check int) "flow id" 1 flow
+  | _ -> Alcotest.fail "unexpected memory contents");
   Alcotest.check_raises "jsonl sink has no memory"
     (Invalid_argument "Trace.memory_events: not a memory sink") (fun () ->
       ignore (Trace.memory_events (Trace.jsonl stdout)))
@@ -279,7 +279,6 @@ let tag = function
      part of the compact control-plane projection. *)
   | Trace.Flow_established _ | Trace.Flow_retransmit _ -> None
   | Trace.Fault _ -> Some "fault"
-  | Trace.Adversary _ -> Some "adversary"
   (* Supervisor lifecycle events ride a wall-clock bus, never a
      simulation trace. *)
   | Trace.Sweep_task _ -> None

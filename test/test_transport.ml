@@ -354,7 +354,7 @@ let test_non_adjacent_route_rejected () =
   let built, rx = Builder.single_bottleneck ~sim ~senders:2 () in
   let ctx =
     Context.create ~sim ~topo:built.Builder.topo
-      ~rng:(Pdq_engine.Rng.create 0) ~init_rtt:2e-4 ()
+      ~rng:(Pdq_engine.Rng.create 0) ()
   in
   let h0 = built.Builder.hosts.(0) and h1 = built.Builder.hosts.(1) in
   Context.register_route ctx ~id:0 ~src:h0 ~dst:rx ~choice:0;
@@ -378,7 +378,7 @@ let test_self_flow_rejected () =
   let built, rx = Builder.single_bottleneck ~sim ~senders:2 () in
   let ctx =
     Context.create ~sim ~topo:built.Builder.topo
-      ~rng:(Pdq_engine.Rng.create 0) ~init_rtt:2e-4 ()
+      ~rng:(Pdq_engine.Rng.create 0) ()
   in
   let h0 = built.Builder.hosts.(0) in
   let f0 = Context.add_flow ctx (spec ~src:h0 ~dst:rx ~size:(kb 10.) ()) in
