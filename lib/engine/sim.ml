@@ -478,67 +478,56 @@ let check_cancel t =
         | Some reason -> raise (Cancelled { reason; events = t.executed })
       end
 
-(* Run [f], an event of kind [kind], under the profiler. *)
-let fire_profiled t p f kind =
-  (* [Unix.gettimeofday] (vdso, ~40 ns) instead of [Sys.time] (a
-     [times] syscall, ~6x dearer per call): two stamps per event would
-     otherwise dominate profiled runs. *)
-  let t0 = Unix.gettimeofday () in
-  f ();
-  Profiler.record_event p ~kind:(Kind.of_int kind)
-    ~cpu:(Unix.gettimeofday () -. t0);
+(* Run [f], an event of kind [kind], timing it when a profiler is
+   attached. *)
+let run_event t prof f kind =
+  (match prof with
+  | None -> f ()
+  | Some p ->
+      (* [Unix.gettimeofday] (vdso, ~40 ns) instead of [Sys.time] (a
+         [times] syscall, ~6x dearer per call): two stamps per event
+         would otherwise dominate profiled runs. *)
+      let t0 = Unix.gettimeofday () in
+      f ();
+      Profiler.record_event p ~kind:(Kind.of_int kind)
+        ~cpu:(Unix.gettimeofday () -. t0));
   t.executed <- t.executed + 1;
   check_cancel t
 
-(* Fire the event at [src], which is not [no_src]. *)
+(* Fire the event at [src], which is not [no_src]. The profiler work
+   (queue high-water mark before the pop, time advanced, cancelled
+   pops, per-kind time) runs only when one is attached. [time] stays an
+   unboxed local: it is boxed, if at all, only on the profiled call. *)
 let fire t src =
-  match t.profiler with
-  | None ->
-      if src = heap_src then begin
-        let time = Array.unsafe_get t.h_time 0
-        and slot = Array.unsafe_get t.h_slot 0
-        and gen = Array.unsafe_get t.h_gen 0 in
-        heap_remove_root t;
-        Array.unsafe_set t.clock 0 time;
-        if Array.unsafe_get t.s_gen slot = gen then begin
-          let f = Array.unsafe_get t.s_action slot in
-          retire_slot t slot gen;
-          f ();
-          t.executed <- t.executed + 1;
-          check_cancel t
-        end
-      end
-      else begin
-        let l = Array.unsafe_get t.lanes src in
-        Array.unsafe_set t.clock 0 (Array.unsafe_get l.l_time l.l_head);
-        let f = lane_pop t l in
-        f ();
-        t.executed <- t.executed + 1;
-        check_cancel t
-      end
-  | Some p ->
-      (* Instrumented path: identical semantics, plus statistics. The
-         high-water mark observes the queue before the pop. *)
-      Profiler.observe_queue p (pending t);
-      if src = heap_src then begin
-        let time = t.h_time.(0) and slot = t.h_slot.(0) and gen = t.h_gen.(0) in
-        heap_remove_root t;
-        Profiler.record_advance p (time -. t.clock.(0));
-        t.clock.(0) <- time;
-        if t.s_gen.(slot) = gen then begin
-          let f = t.s_action.(slot) and kind = t.s_kind.(slot) in
-          retire_slot t slot gen;
-          fire_profiled t p f kind
-        end
-        else Profiler.record_cancelled p
-      end
-      else begin
-        let l = t.lanes.(src) in
-        let time = l.l_time.(l.l_head) and kind = l.l_kind.(l.l_head) in
-        Profiler.record_advance p (time -. t.clock.(0));
-        t.clock.(0) <- time;
-        fire_profiled t p (lane_pop t l) kind
-      end
+  let prof = t.profiler in
+  (match prof with Some p -> Profiler.observe_queue p (pending t) | None -> ());
+  if src = heap_src then begin
+    let time = Array.unsafe_get t.h_time 0
+    and slot = Array.unsafe_get t.h_slot 0
+    and gen = Array.unsafe_get t.h_gen 0 in
+    heap_remove_root t;
+    (match prof with
+    | Some p -> Profiler.record_advance p (time -. Array.unsafe_get t.clock 0)
+    | None -> ());
+    Array.unsafe_set t.clock 0 time;
+    if Array.unsafe_get t.s_gen slot = gen then begin
+      let f = Array.unsafe_get t.s_action slot
+      and kind = Array.unsafe_get t.s_kind slot in
+      retire_slot t slot gen;
+      run_event t prof f kind
+    end
+    else match prof with Some p -> Profiler.record_cancelled p | None -> ()
+  end
+  else begin
+    let l = Array.unsafe_get t.lanes src in
+    let h = l.l_head in
+    let time = Array.unsafe_get l.l_time h and kind = Array.unsafe_get l.l_kind h in
+    (match prof with
+    | Some p -> Profiler.record_advance p (time -. Array.unsafe_get t.clock 0)
+    | None -> ());
+    Array.unsafe_set t.clock 0 time;
+    run_event t prof (lane_pop t l) kind
+  end
 
 let step t =
   let src = next_source t in
