@@ -53,9 +53,8 @@ val degrade :
   t
 (** Standing conditions from t=0 on every given cable: [reorder] is
     (probability, hold); [corrupt] is a probability. Zero-valued knobs
-    emit nothing, so
-    [degrade ~links ()] is {!empty}. The degradation-curve experiments
-    use this. *)
+    emit nothing, so [degrade ~links ()] is {!empty}. The
+    degradation-curve experiments use this. *)
 
 val random :
   Pdq_engine.Rng.t ->

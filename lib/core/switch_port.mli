@@ -49,8 +49,9 @@ val paused_count : t -> int
 
 val list_capacity : t -> int
 (** Current flow-list capacity: the [2κ] bound of §3.3.1 (floored at
-    [min_list_size]) capped by the hard memory bound [M]. The validation monitors assert
-    [length (flow_list t) <= list_capacity t] at every probe tick. *)
+    [min_list_size]) capped by the hard memory bound [M]. The
+    validation monitors assert [length (flow_list t) <= list_capacity t]
+    at every probe tick. *)
 
 val mature_rate_sum : t -> float
 (** Sum of granted rates over sending flows {e beyond} the Early Start

@@ -104,7 +104,7 @@ let () =
              reason events)
     | _ -> None)
 
-let default_check_every = 1024
+let check_every = 1024
 
 (* Default cancellation hooks for simulators that have not been created
    yet: a supervisor installs a per-attempt budget here and every
@@ -124,7 +124,7 @@ let with_default_cancel ~every hook fn =
   Fun.protect ~finally:(fun () -> Domain.DLS.set dls_default prev) fn
 
 let set_global_cancel hook =
-  Atomic.set global_default (Some (default_check_every, hook))
+  Atomic.set global_default (Some (check_every, hook))
 
 let clear_global_cancel () = Atomic.set global_default None
 

@@ -111,11 +111,16 @@ val events_executed : t -> int
 (** Live events executed by this simulator so far (the budget
     currency of event-count limits). *)
 
+val check_every : int
+(** 1024: how many events a cancellation hook normally lets pass
+    between checks. *)
+
 val with_default_cancel :
   every:int -> (t -> string option) -> (unit -> 'a) -> 'a
-(** [with_default_cancel ~every hook f] runs [f] with [hook] installed as the
-    {e calling domain's} default: every simulator {!create}d by this
-    domain during [f] starts with the hook attached. This is how a
+(** [with_default_cancel ~every hook f] runs [f] with [hook], asked
+    every [every] events, installed as the {e calling domain's}
+    default: every simulator {!create}d by this domain during [f]
+    starts with the hook attached. This is how a
     sweep worker imposes a per-attempt budget on the simulators a
     scenario builds internally. Restores the previous default on exit,
     also on exception. *)
@@ -124,7 +129,7 @@ val set_global_cancel : (t -> string option) -> unit
 (** Process-wide default hook, attached to every subsequently created
     simulator on {e any} domain that has no domain-local default — a
     whole-process deadline for multi-domain sweeps (bench
-    [--timeout]). It is asked every 1024 events. *)
+    [--timeout]). It is asked every {!check_every} events. *)
 
 val clear_global_cancel : unit -> unit
 

@@ -8,7 +8,6 @@ module Sim = Pdq_engine.Sim
 type budget = { wall : float option; events : int option }
 
 let budget ?wall ?events () = { wall; events }
-let check_every = 1024
 
 (* Run [fn] with the budget installed as the calling domain's default
    cancellation hook, so every simulator the attempt creates enforces
@@ -31,8 +30,8 @@ let with_budget_from b ~start fn =
        grid or they would only trip at the first grid point. *)
     let every =
       match b.events with
-      | Some m -> max 1 (min check_every ((m / 4) + 1))
-      | None -> check_every
+      | Some m -> max 1 (min Sim.check_every ((m / 4) + 1))
+      | None -> Sim.check_every
     in
     Sim.with_default_cancel ~every hook fn
   end

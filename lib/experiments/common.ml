@@ -179,11 +179,10 @@ let grid ?jobs ?budget ~seeds ~run ~cell rows cols =
     rows
 
 let search_max_flows ~hi ~target f =
-  let lo = 1 in
-  if f lo < target then 0
+  if f 1 < target then 0
   else begin
     (* Invariant: f lo >= target; answer in [lo, hi]. *)
-    let lo = ref lo and hi = ref hi in
+    let lo = ref 1 and hi = ref hi in
     (* If even hi passes, report hi. *)
     if f !hi >= target then !hi
     else begin

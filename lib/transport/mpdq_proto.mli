@@ -16,9 +16,10 @@ val install :
   ?paths:(src:int -> dst:int -> int array list) ->
   unit ->
   t
-(** Subflow load shifts every 4 initial RTT estimates. [paths] supplies explicit parallel node
-    paths per host pair (BCube address-based routing); without it,
-    subflows rely on ECMP hashing over shortest paths. *)
+(** Subflow load shifts every 4 initial RTT estimates. [paths]
+    supplies explicit parallel node paths per host pair (BCube
+    address-based routing); without it, subflows rely on ECMP hashing
+    over shortest paths. *)
 
 val start_flow : t -> Context.flow -> unit
 

@@ -194,7 +194,7 @@ let install ?(size_info = Sender.Known) ~config ~ctx ~until () =
         let link = Topology.link topo i in
         Switch_port.create ~trace:(Context.trace ctx) ~config
           ~switch_id:(Link.src link) ~link_rate:(Link.rate link)
-          ~init_rtt:(Context.init_rtt) ())
+          ~init_rtt:Context.init_rtt ())
   in
   let endpoint = Endpoint.create ctx (ops config) in
   let t = { ctx; cfg = config; size_info; ports; endpoint } in
@@ -236,7 +236,7 @@ let launch_stream ?rx_capacity t ~sid ~src ~dst ~size ~deadline_abs ~start ~on_r
       ~efficiency:(float_of_int max_payload /. float_of_int Packet.mtu)
       ~size_info:t.size_info ~trace:(Context.trace t.ctx) ~flow_id:sid
       ~size_bytes:size ~max_rate:(Endpoint.nic_rate topo src)
-      ~init_rtt:(Context.init_rtt) ()
+      ~init_rtt:Context.init_rtt ()
   in
   let s =
     Endpoint.launch t.endpoint ~id:sid ~src ~dst ~size
