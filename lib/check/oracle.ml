@@ -16,7 +16,10 @@ type t = {
 }
 
 (* Goodput per line-rate bit: 1460 payload bytes in a 1500-byte
-   packet. *)
+   packet. This is TCP's payload, the largest of any protocol here
+   (RCP, D3 and PDQ packets carry 1452, 1448 and 1444 bytes, their
+   scheduling headers taken out), so a bound computed with it stays a
+   lower bound for every protocol. *)
 let efficiency = 1460. /. 1500.
 
 (* Contention-free lower bound: even alone on the network, the flow

@@ -4,7 +4,6 @@ type t = {
   flow_id : int;
   mutable size_bytes : int;
   deadline : float option;
-  efficiency : float;
   size_info : size_info;
   trace : Pdq_telemetry.Trace.t;
   mutable max_rate : float;
@@ -17,7 +16,14 @@ type t = {
   mutable remaining : int;
 }
 
-let ttx_of ~remaining ~max_rate ~efficiency =
+(* Goodput per line-rate bit of a full PDQ data packet: its payload
+   (MTU less IP/TCP and scheduling headers) over its MTU. *)
+let efficiency =
+  let module Packet = Pdq_net.Packet in
+  float_of_int (Packet.max_payload ~scheduling_header:Header.wire_bytes)
+  /. float_of_int Packet.mtu
+
+let ttx_of ~remaining ~max_rate =
   Pdq_engine.Units.bytes_to_bits remaining /. max (max_rate *. efficiency) 1.
 
 (* Without flow-size knowledge (§5.6), the advertised criticality is
@@ -26,9 +32,9 @@ let ttx_of ~remaining ~max_rate ~efficiency =
 let estimated_ttx t quantum =
   let sent = max 0 (t.size_bytes - t.remaining) in
   let estimate = ((sent / max 1 quantum) + 1) * quantum in
-  ttx_of ~remaining:estimate ~max_rate:t.max_rate ~efficiency:t.efficiency
+  ttx_of ~remaining:estimate ~max_rate:t.max_rate
 
-let create ?deadline ?(efficiency = 1.) ?(size_info = Known)
+let create ?deadline ?(size_info = Known)
     ?(trace = Pdq_telemetry.Trace.null) ~flow_id ~size_bytes ~max_rate
     ~init_rtt () =
   let t =
@@ -36,13 +42,12 @@ let create ?deadline ?(efficiency = 1.) ?(size_info = Known)
       flow_id;
       size_bytes;
       deadline;
-      efficiency;
       size_info;
       trace;
       max_rate;
       rate = 0.;
       paused_by = None;
-      expected_tx_time = ttx_of ~remaining:size_bytes ~max_rate ~efficiency;
+      expected_tx_time = ttx_of ~remaining:size_bytes ~max_rate;
       inter_probe_rtts = 1.;
       rtt = init_rtt;
       rtt_min = init_rtt;
@@ -70,7 +75,6 @@ let refresh_ttx t =
     (match t.size_info with
     | Known ->
         ttx_of ~remaining:t.remaining ~max_rate:t.max_rate
-          ~efficiency:t.efficiency
     | Estimated q -> estimated_ttx t q)
 
 (* M-PDQ load rebalancing: a subflow's assigned size changes as unsent

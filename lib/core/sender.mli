@@ -21,7 +21,6 @@ type size_info =
 
 val create :
   ?deadline:float ->
-  ?efficiency:float ->
   ?size_info:size_info ->
   ?trace:Pdq_telemetry.Trace.t ->
   flow_id:int ->
@@ -31,12 +30,13 @@ val create :
   unit ->
   t
 (** [max_rate] is the sender's maximal rate [R_S^max] (NIC line rate,
-    possibly lowered by application limits). [efficiency] (default 1.)
-    is the goodput fraction of the wire rate — payload bytes per MTU —
-    so that [T_S] honestly reflects header overhead and Early
-    Termination does not serve flows that will miss by microseconds.
-    [init_rtt] seeds [RTT_S] before the first measurement. [T_S]
-    starts at size / (max rate × efficiency). [trace] (default
+    possibly lowered by application limits). [T_S] divides by the
+    goodput of that rate — [max_rate] times 1444/1500, the payload
+    bytes of a full PDQ data packet per MTU — so that it honestly
+    reflects header overhead and Early Termination does not serve
+    flows that will miss by microseconds. [init_rtt] seeds [RTT_S]
+    before the first measurement. [T_S] starts at size / (max rate ×
+    1444/1500). [trace] (default
     {!Pdq_telemetry.Trace.null}) receives [Flow_paused] /
     [Flow_resumed] / [Flow_rate_set] events as ACK feedback moves the
     sender between states. *)

@@ -232,10 +232,8 @@ let launch_stream ?rx_capacity t ~sid ~src ~dst ~size ~deadline_abs ~start ~on_r
     ~on_event ~parent =
   let topo = Context.topo t.ctx in
   let core =
-    Sender.create ?deadline:deadline_abs
-      ~efficiency:(float_of_int max_payload /. float_of_int Packet.mtu)
-      ~size_info:t.size_info ~trace:(Context.trace t.ctx) ~flow_id:sid
-      ~size_bytes:size ~max_rate:(Endpoint.nic_rate topo src)
+    Sender.create ?deadline:deadline_abs ~size_info:t.size_info
+      ~trace:(Context.trace t.ctx) ~flow_id:sid ~size_bytes:size ~max_rate:(Endpoint.nic_rate topo src)
       ~init_rtt:Context.init_rtt ()
   in
   let s =

@@ -475,8 +475,10 @@ let test_sender_initial_state () =
   let s = mk_sender () in
   Alcotest.(check bool) "starts paused" true (Sender.is_paused s);
   Alcotest.(check int) "remaining" 100_000 (Sender.remaining_bytes s);
-  (* T_S = size / max rate = 800 us. *)
-  if not (feq 8e-4 (Sender.expected_tx_time s)) then Alcotest.fail "T_S"
+  (* T_S = size / (max rate x 1444/1500) = 800 x 1500/1444 us: the
+     rate counts only a full packet's payload bytes. *)
+  if not (feq (8e-4 *. 1500. /. 1444.) (Sender.expected_tx_time s)) then
+    Alcotest.fail "T_S"
 
 let test_sender_header_carries_max_rate () =
   let s = mk_sender () in
