@@ -1,10 +1,11 @@
 (* Benchmark harness: regenerates the series behind every table and
-   figure of the paper's evaluation (one target per figure), plus the
-   engine microbenchmark and the paper-fidelity gate.
+   figure of the paper's evaluation (one target per entry of
+   Pdq_experiments.Registry), plus the engine microbenchmark and the
+   paper-fidelity gate.
 
    Usage:
-     dune exec bench/main.exe                 -- all figures, quick mode
-     dune exec bench/main.exe -- --only fig3a -- one figure
+     dune exec bench/main.exe                 -- every target, quick mode
+     dune exec bench/main.exe -- --only fig3a -- one target
      dune exec bench/main.exe -- --full       -- full sweeps (slow)
      dune exec bench/main.exe -- --engine     -- engine microbenchmark
      dune exec bench/main.exe -- --fidelity   -- paper-fidelity regression
@@ -12,61 +13,16 @@
      dune exec bench/main.exe -- --fidelity-dump -- measured values for a
                                                 band refresh
 
+   Exit status: 2 for an unknown --only name; 1 when a target fails or
+   times out (the targets after it still run).
+
    Every figure target additionally writes BENCH_<target>.json (wall
    time, simulator events, events/s, peak heap) next to the cwd for
    machine-readable perf tracking; the files are gitignored. *)
 
-module E = Pdq_experiments
-open E
+open Pdq_experiments
 
 let ppf = Format.std_formatter
-
-let targets : (string * (quick:bool -> jobs:int option -> unit)) list =
-  [
-    ( "fig1",
-      fun ~quick:_ ~jobs:_ ->
-        Common.pp_table ppf (Fig1.completion_table ());
-        Common.pp_table ppf (Fig1.deadline_table ()) );
-    ("fig3a", fun ~quick ~jobs -> Common.pp_table ppf (Fig3.fig3a ?jobs ~quick ()));
-    ("fig3b", fun ~quick ~jobs -> Common.pp_table ppf (Fig3.fig3b ?jobs ~quick ()));
-    ("fig3c", fun ~quick ~jobs -> Common.pp_table ppf (Fig3.fig3c ?jobs ~quick ()));
-    ("fig3d", fun ~quick ~jobs -> Common.pp_table ppf (Fig3.fig3d ?jobs ~quick ()));
-    ("fig3e", fun ~quick ~jobs -> Common.pp_table ppf (Fig3.fig3e ?jobs ~quick ()));
-    ("fig4a", fun ~quick ~jobs -> Common.pp_table ppf (Fig4.fig4a ?jobs ~quick ()));
-    ("fig4b", fun ~quick ~jobs -> Common.pp_table ppf (Fig4.fig4b ?jobs ~quick ()));
-    ("fig5a", fun ~quick ~jobs -> Common.pp_table ppf (Fig5.fig5a ?jobs ~quick ()));
-    ("fig5b", fun ~quick ~jobs -> Common.pp_table ppf (Fig5.fig5b ?jobs ~quick ()));
-    ("fig5c", fun ~quick ~jobs -> Common.pp_table ppf (Fig5.fig5c ?jobs ~quick ()));
-    ( "fig6",
-      fun ~quick:_ ~jobs:_ -> Common.pp_table ppf (Dynamics.fig6_table ()) );
-    ( "fig7",
-      fun ~quick:_ ~jobs:_ -> Common.pp_table ppf (Dynamics.fig7_table ()) );
-    ("fig8a", fun ~quick ~jobs -> Common.pp_table ppf (Fig8.fig8a ?jobs ~quick ()));
-    ("fig8b", fun ~quick ~jobs -> Common.pp_table ppf (Fig8.fig8b ?jobs ~quick ()));
-    ("fig8c", fun ~quick ~jobs -> Common.pp_table ppf (Fig8.fig8c ?jobs ~quick ()));
-    ("fig8d", fun ~quick ~jobs -> Common.pp_table ppf (Fig8.fig8d ?jobs ~quick ()));
-    ("fig8e", fun ~quick ~jobs -> Common.pp_table ppf (Fig8.fig8e ?jobs ~quick ()));
-    ( "fig9",
-      fun ~quick ~jobs ->
-        Common.pp_table ppf (Fig9.fig9a ?jobs ~quick ());
-        Common.pp_table ppf (Fig9.fig9b ?jobs ~quick ()) );
-    ("fig10", fun ~quick ~jobs -> Common.pp_table ppf (Fig10.fig10 ?jobs ~quick ()));
-    ("fig11a", fun ~quick ~jobs -> Common.pp_table ppf (Fig11.fig11a ?jobs ~quick ()));
-    ("fig11bc", fun ~quick ~jobs -> Common.pp_table ppf (Fig11.fig11bc ?jobs ~quick ()));
-    ("fig12", fun ~quick ~jobs -> Common.pp_table ppf (Fig12.fig12 ?jobs ~quick ()));
-    ( "ablation",
-      fun ~quick ~jobs ->
-        Common.pp_table ppf (Ablation.early_start_k ?jobs ~quick ());
-        Common.pp_table ppf (Ablation.probing ?jobs ~quick ());
-        Common.pp_table ppf (Ablation.dampening ?jobs ~quick ()) );
-    ( "forensics",
-      fun ~quick:_ ~jobs:_ ->
-        Common.pp_table ppf (Fig3.attribution ());
-        Common.pp_table ppf (Fig9.attribution ());
-        Common.pp_table ppf (Resilience.attribution ()) );
-    ("apps", fun ~quick ~jobs -> Apps.run_all ?jobs ~quick ppf ());
-    ("chaos", fun ~quick ~jobs -> Chaos.run_all ?jobs ~quick ppf ());
-  ]
 
 (* Machine-readable per-target record: wall-clock seconds, simulator
    events executed (global-profiler delta over the target), resulting
@@ -153,7 +109,11 @@ let engine_bench ?compare ~threshold () =
       (fun path ->
         let module Json = Pdq_telemetry.Json in
         match Json.(obj (parse (read_file path))) with
-        | o -> Json.(float o "events_per_s", float o "minor_words_per_event")
+        | o ->
+            Json.
+              ( float o "events_per_s",
+                float o "minor_words_per_event",
+                int o "events" )
         | exception Json.Parse_error msg ->
             Format.printf "compare: %s: %s@." path msg;
             exit 1)
@@ -189,13 +149,20 @@ let engine_bench ?compare ~threshold () =
   Format.printf "wrote %s@." path;
   match baseline with
   | None -> ()
-  | Some (base_eps, base_mwpe) ->
+  | Some (base_eps, base_mwpe, base_events) ->
       let floor = base_eps /. threshold in
       Format.printf
         "compare: current %.2fM ev/s vs baseline %.2fM ev/s \
          (floor %.2fM at %.2fx threshold); %.3f vs %.3f minor words/event@."
         (eps /. 1e6) (base_eps /. 1e6) (floor /. 1e6) threshold mwpe base_mwpe;
-      if eps < floor then begin
+      (* The program is deterministic: another event count means the
+         engine now runs a different schedule, whatever its speed. *)
+      if events <> base_events then begin
+        Format.printf "engine ran %d events; the baseline ran %d@." events
+          base_events;
+        exit 1
+      end
+      else if eps < floor then begin
         Format.printf "perf regression: engine below %.2fx floor@." threshold;
         exit 1
       end
@@ -243,8 +210,9 @@ let () =
         BENCH_engine.json");
       ("--compare", Arg.String (fun s -> compare_file := Some s),
        "FILE compare the engine microbenchmark against a baseline JSON \
-        and exit 1 below the threshold floor or above its minor \
-        words/event (implies --engine); writes BENCH_engine.run.json");
+        and exit 1 below the threshold floor, above its minor \
+        words/event or off its event count (implies --engine); writes \
+        BENCH_engine.run.json");
       ("--compare-threshold",
        Arg.Float (fun t -> compare_threshold := t),
        "X allowed slowdown factor vs baseline before --compare fails \
@@ -271,42 +239,48 @@ let () =
     let quick = not !full in
     let selected =
       match !only with
-      | None -> targets
-      | Some name -> List.filter (fun (n, _) -> n = name) targets
+      | None -> Registry.all
+      | Some name -> (
+          match Registry.find name with
+          | Some entry -> [ entry ]
+          | None ->
+              Format.printf "unknown target; available:@.";
+              List.iter
+                (fun (e : Registry.entry) -> Format.printf "  %s@." e.name)
+                Registry.all;
+              exit 2)
     in
-    if selected = [] then begin
-      Format.printf "unknown target; available:@.";
-      List.iter (fun (n, _) -> Format.printf "  %s@." n) targets
-    end
-    else begin
-      (* Per-target simulator profile: every Sim.t the figure code
-         creates attaches to the global profiler; reset between targets
-         so each report covers one figure. *)
-      let profiler = Pdq_engine.Profiler.enable_global () in
-      List.iter
-        (fun (name, f) ->
-          Pdq_engine.Profiler.reset profiler;
-          let t0 = Unix.gettimeofday () in
-          (match
-             with_target_deadline !timeout (fun () -> f ~quick ~jobs:!jobs)
-           with
-          | () ->
-              let wall = Unix.gettimeofday () -. t0 in
-              Format.printf "[%s done in %.1fs]@.%a@.@." name wall
-                Pdq_engine.Profiler.pp_report profiler;
-              write_bench_json ~name ~wall
-                ~events:(Pdq_engine.Profiler.events_executed profiler)
-          | exception e ->
-              (* A deadline surfaces as Sim.Cancelled, possibly wrapped
-                 in Sweep_errors by a parallel figure sweep. *)
-              let wall = Unix.gettimeofday () -. t0 in
-              Format.printf "[%s %s after %.1fs: %s]@.@." name
-                (match e with
-                | Pdq_engine.Sim.Cancelled _
-                | Pdq_exec.Sweep.Sweep_errors _ ->
-                    "TIMED OUT"
-                | _ -> "FAILED")
-                wall (Printexc.to_string e)))
-        selected
-    end
+    (* Per-target simulator profile: every Sim.t the figure code
+       creates attaches to the global profiler; reset between targets
+       so each report covers one figure. *)
+    let profiler = Pdq_engine.Profiler.enable_global () in
+    let run_target (e : Registry.entry) =
+      let name = e.name in
+      Pdq_engine.Profiler.reset profiler;
+      let t0 = Unix.gettimeofday () in
+      match
+        with_target_deadline !timeout (fun () -> e.render ~jobs:!jobs ~quick)
+      with
+      | tables ->
+          List.iter (Common.pp_table ppf) tables;
+          let wall = Unix.gettimeofday () -. t0 in
+          Format.printf "[%s done in %.1fs]@.%a@.@." name wall
+            Pdq_engine.Profiler.pp_report profiler;
+          write_bench_json ~name ~wall
+            ~events:(Pdq_engine.Profiler.events_executed profiler);
+          true
+      | exception e ->
+          (* A deadline surfaces as Sim.Cancelled, possibly wrapped
+             in Sweep_errors by a parallel figure sweep. *)
+          let wall = Unix.gettimeofday () -. t0 in
+          Format.printf "[%s %s after %.1fs: %s]@.@." name
+            (match e with
+            | Pdq_engine.Sim.Cancelled _ | Pdq_exec.Sweep.Sweep_errors _ ->
+                "TIMED OUT"
+            | _ -> "FAILED")
+            wall (Printexc.to_string e);
+          false
+    in
+    let results = List.map run_target selected in
+    if List.mem false results then exit 1
   end

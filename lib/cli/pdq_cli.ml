@@ -461,10 +461,14 @@ let run scenario opts resilience full list_workloads =
   let code =
     if resilience then begin
       match
-        Pdq_experiments.Resilience.run_all ?jobs:opts.jobs
-          ?budget:(budget_opt opts) ~quick:(not full) Format.std_formatter ()
+        Pdq_experiments.Resilience.tables ?jobs:opts.jobs
+          ?budget:(budget_opt opts) ~quick:(not full) ()
       with
-      | () -> 0
+      | tables ->
+          List.iter
+            (Pdq_experiments.Common.pp_table Format.std_formatter)
+            tables;
+          0
       | exception Sweep.Sweep_errors errs ->
           Printf.eprintf "resilience sweep failed:\n%s\n%!"
             (Printexc.to_string (Sweep.Sweep_errors errs));

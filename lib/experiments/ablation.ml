@@ -2,7 +2,7 @@ module Runner = Pdq_transport.Runner
 module Config = Pdq_core.Config
 module Scenario = Pdq_exec.Scenario
 
-let sweep ?jobs ~title ~param_name ~configs ?(quick = true) () =
+let sweep ?jobs ~title ~param_name ~configs ~quick () =
   let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3; 4 ] in
   let flows = 10 in
   (* One config × run × seed grid: a deadline-constrained run for
@@ -34,7 +34,7 @@ let sweep ?jobs ~title ~param_name ~configs ?(quick = true) () =
     rows;
   }
 
-let early_start_k ?jobs ?quick () =
+let early_start_k ?jobs ~quick () =
   sweep ?jobs
     ~title:"Ablation - Early Start budget K (10-flow aggregation)"
     ~param_name:"K"
@@ -42,9 +42,9 @@ let early_start_k ?jobs ?quick () =
       (List.map
          (fun k -> (Common.cell k, Config.with_k Config.full k))
          [ 0.; 1.; 2.; 4. ])
-    ?quick ()
+    ~quick ()
 
-let probing ?jobs ?quick () =
+let probing ?jobs ~quick () =
   sweep ?jobs
     ~title:"Ablation - Suppressed Probing factor X"
     ~param_name:"X"
@@ -60,9 +60,9 @@ let probing ?jobs ?quick () =
                }
              else { Config.full with Config.probe_x = x } ))
          [ 0.; 0.1; 0.2; 0.5; 1. ])
-    ?quick ()
+    ~quick ()
 
-let dampening ?jobs ?quick () =
+let dampening ?jobs ~quick () =
   sweep ?jobs
     ~title:"Ablation - dampening window"
     ~param_name:"window[us]"
@@ -70,4 +70,4 @@ let dampening ?jobs ?quick () =
       (List.map
          (fun d -> (Common.cell (d *. 1e6), { Config.full with Config.dampening = d }))
          [ 0.; 10e-6; 20e-6; 100e-6; 500e-6 ])
-    ?quick ()
+    ~quick ()

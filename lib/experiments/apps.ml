@@ -71,30 +71,6 @@ let table_of ~title ~row_label ~metric ?jobs ~quick scenario_of row_keys =
     rows;
   }
 
-let fanin_table ?jobs ?(quick = true) () =
-  let widths = if quick then [ 2; 4; 8 ] else [ 2; 4; 6; 8; 10 ] in
-  table_of ?jobs ~quick
-    ~title:"Mean JCT [ms] vs partition-aggregate fan-in (2 jobs)"
-    ~row_label:"fan-in" ~metric:mean_jct_ms
-    (fun w proto -> jobs_scenario ~width:w proto)
-    widths
-
-let depth_table ?jobs ?(quick = true) () =
-  let depths = if quick then [ 1; 2; 3 ] else [ 1; 2; 3; 4; 5 ] in
-  table_of ?jobs ~quick
-    ~title:"Mean JCT [ms] vs partition-aggregate stage depth (fan-in 4)"
-    ~row_label:"depth" ~metric:mean_jct_ms
-    (fun d proto -> jobs_scenario ~depth:d proto)
-    depths
-
-let miss_table ?jobs ?(quick = true) () =
-  let widths = if quick then [ 2; 4; 8 ] else [ 2; 4; 6; 8; 10 ] in
-  table_of ?jobs ~quick
-    ~title:"Job deadline misses [%] vs partition-aggregate fan-in (2 jobs)"
-    ~row_label:"fan-in" ~metric:miss_pct
-    (fun w proto -> jobs_scenario ~width:w proto)
-    widths
-
 let straggler_table ?(width = 4) ?(count = 2) ?(seed = 1) () =
   let mem = Trace.memory () in
   let telemetry = { Runner.no_telemetry with Runner.sinks = [ mem ] } in
@@ -126,8 +102,28 @@ let straggler_table ?(width = 4) ?(count = 2) ?(seed = 1) () =
     rows = List.map row stragglers;
   }
 
-let run_all ?jobs ?(quick = true) ppf () =
-  Format.fprintf ppf "%a" Common.pp_table (fanin_table ?jobs ~quick ());
-  Format.fprintf ppf "%a" Common.pp_table (depth_table ?jobs ~quick ());
-  Format.fprintf ppf "%a" Common.pp_table (miss_table ?jobs ~quick ());
-  Format.fprintf ppf "%a" Common.pp_table (straggler_table ())
+let tables ?jobs ~quick () =
+  let widths = if quick then [ 2; 4; 8 ] else [ 2; 4; 6; 8; 10 ] in
+  let depths = if quick then [ 1; 2; 3 ] else [ 1; 2; 3; 4; 5 ] in
+  let by_width ~title ~metric =
+    table_of ?jobs ~quick ~title ~row_label:"fan-in" ~metric
+      (fun w proto -> jobs_scenario ~width:w proto)
+      widths
+  in
+  let fanin =
+    by_width ~title:"Mean JCT [ms] vs partition-aggregate fan-in (2 jobs)"
+      ~metric:mean_jct_ms
+  in
+  let depth =
+    table_of ?jobs ~quick
+      ~title:"Mean JCT [ms] vs partition-aggregate stage depth (fan-in 4)"
+      ~row_label:"depth" ~metric:mean_jct_ms
+      (fun d proto -> jobs_scenario ~depth:d proto)
+      depths
+  in
+  let miss =
+    by_width
+      ~title:"Job deadline misses [%] vs partition-aggregate fan-in (2 jobs)"
+      ~metric:miss_pct
+  in
+  [ fanin; depth; miss; straggler_table () ]

@@ -11,9 +11,9 @@
     grid over that many worker domains. Results are identical for any
     [jobs]. *)
 
-val run_all : ?jobs:int -> ?quick:bool -> Format.formatter -> unit -> unit
-(** Print four tables: mean JCT [ms] of partition-aggregate jobs vs
-    fan-in width and vs stage depth (fan-in fixed), the job
+val tables : ?jobs:int -> quick:bool -> unit -> Common.table list
+(** Four tables, in this order: mean JCT [ms] of partition-aggregate
+    jobs vs fan-in width and vs stage depth (fan-in fixed), the job
     deadline-miss rate [%] vs fan-in width, and, from one PDQ(Full)
     run with an in-memory trace, each job's straggler flow with that
     flow's FCT decomposition ({!Pdq_apps.Job_forensics}). *)

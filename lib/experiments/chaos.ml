@@ -77,7 +77,9 @@ let run_cell sc plan_of =
 (* Generic degradation sweep: rows = condition probabilities (first
    row 0, the normalization base), columns = per-protocol normalized
    p99 FCT and deadline-miss %. *)
-let sweep ?jobs ~title ~axis ~seeds ~rates ~degrade_of () =
+let sweep ?jobs ~quick ~title ~degrade_of () =
+  let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3 ] in
+  let rates = if quick then [ 0.; 0.05 ] else [ 0.; 0.01; 0.05; 0.2 ] in
   let flows = 12 and window = 0.2 and horizon = 3. in
   let rows_cells =
     Common.grid ?jobs ~seeds ~cell:reduce
@@ -104,37 +106,31 @@ let sweep ?jobs ~title ~axis ~seeds ~rates ~degrade_of () =
       rates rows_cells
   in
   let header =
-    axis
+    "p"
     :: List.concat_map
          (fun (name, _) -> [ name ^ " p99"; name ^ " miss%" ])
          Common.baseline_protocols
   in
   { Common.title; header; rows }
 
-let reorder_sweep ?jobs ?(quick = true) () =
-  let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3 ] in
-  let rates = if quick then [ 0.; 0.05 ] else [ 0.; 0.01; 0.05; 0.2 ] in
-  sweep ?jobs
+let reorder_sweep ?jobs ~quick () =
+  sweep ?jobs ~quick
     ~title:
       "Chaos - packet reordering (1 ms hold) vs per-packet probability; p99 \
        FCT normalized to the adversary-free run"
-    ~axis:"p" ~seeds ~rates
     ~degrade_of:(fun ~rate ~links ->
       Adversary_plan.degrade ~links ~reorder:(rate, 1e-3) ())
     ()
 
-let corruption_sweep ?jobs ?(quick = true) () =
-  let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3 ] in
-  let rates = if quick then [ 0.; 0.05 ] else [ 0.; 0.01; 0.05; 0.2 ] in
-  sweep ?jobs
+let corruption_sweep ?jobs ~quick () =
+  sweep ?jobs ~quick
     ~title:
       "Chaos - scheduling-header corruption vs per-packet probability; p99 \
        FCT normalized to the adversary-free run"
-    ~axis:"p" ~seeds ~rates
     ~degrade_of:(fun ~rate ~links ->
       Adversary_plan.degrade ~links ~corrupt:rate ())
     ()
 
-let run_all ?jobs ?(quick = true) ppf () =
-  Common.pp_table ppf (reorder_sweep ?jobs ~quick ());
-  Common.pp_table ppf (corruption_sweep ?jobs ~quick ())
+let tables ?jobs ~quick () =
+  let reorder = reorder_sweep ?jobs ~quick () in
+  [ reorder; corruption_sweep ?jobs ~quick () ]

@@ -8,10 +8,5 @@
     seeds. [jobs] spreads the probability × protocol × seed grid over
     the domain pool. *)
 
-val run_all :
-  ?jobs:int ->
-  ?quick:bool ->
-  Format.formatter ->
-  unit ->
-  unit
-(** Run both sweeps and print their tables. *)
+val tables : ?jobs:int -> quick:bool -> unit -> Common.table list
+(** Run both sweeps, reordering first, and return their tables. *)

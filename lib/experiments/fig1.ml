@@ -68,7 +68,3 @@ let deadline_table () =
     header = ("discipline" :: Array.to_list names) @ [ "#met" ];
     rows;
   }
-
-let run ppf =
-  Common.pp_table ppf (completion_table ());
-  Common.pp_table ppf (deadline_table ())

@@ -7,6 +7,3 @@ val completion_table : unit -> Common.table
 
 val deadline_table : unit -> Common.table
 (** Per-discipline deadline outcomes (met / missed per flow). *)
-
-val run : Format.formatter -> unit
-(** Print both tables. *)

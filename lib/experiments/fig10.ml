@@ -39,7 +39,7 @@ let mean_fct ~dist ~proto ~seed =
      ~seed ~specs:(specs ~dist) proto)
     .Flowsim.mean_fct
 
-let fig10 ?jobs ?(quick = true) () =
+let fig10 ?jobs ~quick () =
   let seeds = if quick then [ 1; 2; 3 ] else [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
   let dists =
     [

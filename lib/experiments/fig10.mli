@@ -6,4 +6,4 @@
     criticality, PDQ with size estimation (criticality refreshed every
     50 KB sent) and RCP, under uniform and Pareto(1.1) flow sizes. *)
 
-val fig10 : ?jobs:int -> ?quick:bool -> unit -> Common.table
+val fig10 : ?jobs:int -> quick:bool -> unit -> Common.table

@@ -53,7 +53,7 @@ let bcube_multipath =
 
 let mpdq subflows = Runner.mpdq ~subflows ~paths:bcube_multipath ()
 
-let fig11a ?jobs ?(quick = true) () =
+let fig11a ?jobs ~quick () =
   let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3; 4 ] in
   let loads = if quick then [ 0.25; 0.5; 1.0 ] else [ 0.125; 0.25; 0.5; 0.75; 1.0 ] in
   let protos = [ Runner.Pdq Pdq_core.Config.full; mpdq 3 ] in
@@ -94,7 +94,7 @@ let capacity_scenario ~flows protocol =
          })
     protocol
 
-let fig11bc ?jobs ?(quick = true) () =
+let fig11bc ?jobs ~quick () =
   let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3; 4 ] in
   let subflow_counts = if quick then [ 1; 2; 4; 8 ] else [ 1; 2; 3; 4; 5; 6; 7; 8 ] in
   let proto k = if k = 1 then Runner.Pdq Pdq_core.Config.full else mpdq k in

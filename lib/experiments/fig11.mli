@@ -6,5 +6,5 @@
     (b) mean FCT vs number of subflows at full load;
     (c) flows at 99% application throughput vs number of subflows. *)
 
-val fig11a : ?jobs:int -> ?quick:bool -> unit -> Common.table
-val fig11bc : ?jobs:int -> ?quick:bool -> unit -> Common.table
+val fig11a : ?jobs:int -> quick:bool -> unit -> Common.table
+val fig11bc : ?jobs:int -> quick:bool -> unit -> Common.table

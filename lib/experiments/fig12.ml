@@ -23,7 +23,7 @@ let run ~servers ~rounds ~seed proto =
         ~sizes ~deadlines:None ~flows:(List.length pairs) pairs)
     proto
 
-let fig12 ?jobs ?(quick = true) () =
+let fig12 ?jobs ~quick () =
   let rates = if quick then [ 0.; 1.; 4.; 10. ] else [ 0.; 0.5; 1.; 2.; 4.; 6.; 8.; 10. ] in
   let seed = 1 in
   let pdq alpha =

@@ -7,7 +7,7 @@
     in the paper) while mean FCT inflates only marginally (≈ +1.7%);
     RCP max/mean shown for reference. *)
 
-val fig12 : ?jobs:int -> ?quick:bool -> unit -> Common.table
+val fig12 : ?jobs:int -> quick:bool -> unit -> Common.table
 
 val run :
   servers:int ->

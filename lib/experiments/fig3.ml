@@ -8,7 +8,7 @@ let at_metric (r : Runner.result) = 100. *. r.Runner.application_throughput
 let fct_metric (r : Runner.result) = r.Runner.mean_fct
 
 (* (a): application throughput vs number of flows. *)
-let fig3a ?jobs ?(quick = true) () =
+let fig3a ?jobs ~quick () =
   let seeds = seeds ~quick in
   let flows_list =
     if quick then [ 2; 5; 10; 15; 20 ] else [ 2; 5; 10; 15; 20; 25 ]
@@ -35,7 +35,7 @@ let fig3a ?jobs ?(quick = true) () =
   }
 
 (* (b): 3 flows, growing mean size. *)
-let fig3b ?jobs ?(quick = true) () =
+let fig3b ?jobs ~quick () =
   let seeds = seeds ~quick in
   let means =
     if quick then [ 100_000; 200_000; 300_000 ]
@@ -74,7 +74,7 @@ let fig3b ?jobs ?(quick = true) () =
    The binary search is inherently sequential (each probe depends on
    the last), so parallelism only enters through the per-probe seed
    sweep. *)
-let fig3c ?jobs ?(quick = true) () =
+let fig3c ?jobs ~quick () =
   let seeds = seeds ~quick in
   let deadline_means =
     if quick then [ 0.02; 0.04; 0.06 ] else [ 0.02; 0.03; 0.04; 0.05; 0.06 ]
@@ -110,7 +110,7 @@ let fig3c ?jobs ?(quick = true) () =
   }
 
 (* (d): mean FCT normalized to optimal (no deadlines). *)
-let fig3d ?jobs ?(quick = true) () =
+let fig3d ?jobs ~quick () =
   let seeds = seeds ~quick in
   let flows_list =
     if quick then [ 1; 5; 10; 20 ] else [ 1; 5; 10; 15; 20; 25 ]
@@ -137,7 +137,7 @@ let fig3d ?jobs ?(quick = true) () =
     rows;
   }
 
-let fig3e ?jobs ?(quick = true) () =
+let fig3e ?jobs ~quick () =
   let seeds = seeds ~quick in
   let means =
     if quick then [ 100_000; 200_000; 300_000 ]

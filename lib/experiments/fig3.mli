@@ -14,11 +14,11 @@
     only each binary-search probe's seed sweep. Results are identical
     for any [jobs]. *)
 
-val fig3a : ?jobs:int -> ?quick:bool -> unit -> Common.table
-val fig3b : ?jobs:int -> ?quick:bool -> unit -> Common.table
-val fig3c : ?jobs:int -> ?quick:bool -> unit -> Common.table
-val fig3d : ?jobs:int -> ?quick:bool -> unit -> Common.table
-val fig3e : ?jobs:int -> ?quick:bool -> unit -> Common.table
+val fig3a : ?jobs:int -> quick:bool -> unit -> Common.table
+val fig3b : ?jobs:int -> quick:bool -> unit -> Common.table
+val fig3c : ?jobs:int -> quick:bool -> unit -> Common.table
+val fig3d : ?jobs:int -> quick:bool -> unit -> Common.table
+val fig3e : ?jobs:int -> quick:bool -> unit -> Common.table
 
 val attribution : unit -> Common.table
 (** Per-flow FCT attribution (via {!Common.attribution_report}) of one

@@ -6,8 +6,6 @@ module Rng = Pdq_engine.Rng
 module Scenario = Pdq_exec.Scenario
 module Sweep = Pdq_exec.Sweep
 
-type pattern_name = string
-
 let patterns =
   [
     "Aggregation";
@@ -57,7 +55,7 @@ let pattern_scenario name ~deadlines ~flows protocol =
          })
     protocol
 
-let fig4a ?jobs ?(quick = true) () =
+let fig4a ?jobs ~quick () =
   let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3; 4 ] in
   let protos =
     if quick then Common.quick_protocols else Common.packet_protocols
@@ -90,7 +88,7 @@ let fig4a ?jobs ?(quick = true) () =
     rows;
   }
 
-let fig4b ?jobs ?(quick = true) () =
+let fig4b ?jobs ~quick () =
   let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3; 4 ] in
   let flows = 12 in
   let rows =

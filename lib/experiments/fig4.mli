@@ -6,9 +6,5 @@
         throughput, normalized to PDQ(Full);
     (b) deadline-unconstrained: mean FCT normalized to PDQ(Full). *)
 
-type pattern_name = string
-
-val patterns : pattern_name list
-
-val fig4a : ?jobs:int -> ?quick:bool -> unit -> Common.table
-val fig4b : ?jobs:int -> ?quick:bool -> unit -> Common.table
+val fig4a : ?jobs:int -> quick:bool -> unit -> Common.table
+val fig4b : ?jobs:int -> quick:bool -> unit -> Common.table

@@ -54,7 +54,7 @@ let mean_ignoring_nan xs =
   | [] -> nan
   | _ -> List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
 
-let fig5a ?jobs ?(quick = true) () =
+let fig5a ?jobs ~quick () =
   let seeds = if quick then [ 1 ] else [ 1; 2; 3 ] in
   let duration = if quick then 0.05 else 0.2 in
   let deadline_means = if quick then [ 0.02; 0.04 ] else [ 0.015; 0.02; 0.03; 0.04 ] in
@@ -113,7 +113,7 @@ let long_fct (r : Runner.result) =
   | [] -> nan
   | _ -> List.fold_left ( +. ) 0. longs /. float_of_int (List.length longs)
 
-let norm_table ?jobs ~title ~dist ~metric ?(quick = true) () =
+let norm_table ?jobs ~title ~dist ~metric ~quick () =
   let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3 ] in
   let duration = if quick then 0.05 else 0.2 in
   let rate = 1500. in
@@ -135,12 +135,12 @@ let norm_table ?jobs ~title ~dist ~metric ?(quick = true) () =
     rows;
   }
 
-let fig5b ?jobs ?(quick = true) () =
+let fig5b ?jobs ~quick () =
   norm_table ?jobs
     ~title:"Fig 5b - FCT of long flows, normalized to PDQ(Full) (VL2-like)"
     ~dist:(Size_dist.vl2 ()) ~metric:long_fct ~quick ()
 
-let fig5c ?jobs ?(quick = true) () =
+let fig5c ?jobs ~quick () =
   norm_table ?jobs
     ~title:"Fig 5c - mean FCT normalized to PDQ(Full) (EDU1-like)"
     ~dist:(Size_dist.edu1 ())

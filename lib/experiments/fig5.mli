@@ -10,6 +10,6 @@
     (c) EDU1-like university-datacenter workload: overall mean FCT
         normalized to PDQ(Full). *)
 
-val fig5a : ?jobs:int -> ?quick:bool -> unit -> Common.table
-val fig5b : ?jobs:int -> ?quick:bool -> unit -> Common.table
-val fig5c : ?jobs:int -> ?quick:bool -> unit -> Common.table
+val fig5a : ?jobs:int -> quick:bool -> unit -> Common.table
+val fig5b : ?jobs:int -> quick:bool -> unit -> Common.table
+val fig5c : ?jobs:int -> quick:bool -> unit -> Common.table

@@ -61,7 +61,7 @@ let flow_run family ~servers ~seed ~specs proto =
    deadline flows; search the count sustaining 99% AT. Each table cell
    is an independent binary search, so the cells fan out over the
    domain pool. *)
-let fig8a ?jobs ?(quick = true) () =
+let fig8a ?jobs ~quick () =
   let sizes_list = if quick then [ 16; 54; 128 ] else [ 16; 54; 128; 250; 432; 1024 ] in
   let pkt_cap = if quick then 54 else 128 in
   let seed = 1 in
@@ -123,7 +123,7 @@ let fig8a ?jobs ?(quick = true) () =
     rows;
   }
 
-let fct_table ?jobs ~title family ?(quick = true) () =
+let fct_table ?jobs ~title family ~quick () =
   let sizes_list =
     if quick then [ 16; 64 ] else [ 16; 64; 256; 1024; 4096 ]
   in
@@ -174,23 +174,23 @@ let fct_table ?jobs ~title family ?(quick = true) () =
     rows;
   }
 
-let fig8b ?jobs ?quick () =
+let fig8b ?jobs ~quick () =
   fct_table ?jobs
     ~title:"Fig 8b - mean FCT vs network size (fat-tree, random perm)"
-    Fat_tree ?quick ()
+    Fat_tree ~quick ()
 
-let fig8c ?jobs ?quick () =
+let fig8c ?jobs ~quick () =
   fct_table ?jobs
     ~title:"Fig 8c - mean FCT vs network size (BCube, dual-port)"
-    Bcube ?quick ()
+    Bcube ~quick ()
 
-let fig8d ?jobs ?quick () =
+let fig8d ?jobs ~quick () =
   fct_table ?jobs
     ~title:"Fig 8d - mean FCT vs network size (Jellyfish 24-port, 2:1)"
-    Jellyfish ?quick ()
+    Jellyfish ~quick ()
 
 (* (e) per-flow FCT ratio CDF at ~128 servers, flow level. *)
-let fig8e ?jobs ?(quick = true) () =
+let fig8e ?jobs ~quick () =
   let seed = 1 in
   let families =
     [ ("Fat-tree", Fat_tree); ("BCube", Bcube); ("Jellyfish", Jellyfish) ]

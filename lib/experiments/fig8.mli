@@ -15,8 +15,8 @@
     (e) CDF of per-flow RCP FCT / PDQ FCT at ~128 servers, flow
         level. *)
 
-val fig8a : ?jobs:int -> ?quick:bool -> unit -> Common.table
-val fig8b : ?jobs:int -> ?quick:bool -> unit -> Common.table
-val fig8c : ?jobs:int -> ?quick:bool -> unit -> Common.table
-val fig8d : ?jobs:int -> ?quick:bool -> unit -> Common.table
-val fig8e : ?jobs:int -> ?quick:bool -> unit -> Common.table
+val fig8a : ?jobs:int -> quick:bool -> unit -> Common.table
+val fig8b : ?jobs:int -> quick:bool -> unit -> Common.table
+val fig8c : ?jobs:int -> quick:bool -> unit -> Common.table
+val fig8d : ?jobs:int -> quick:bool -> unit -> Common.table
+val fig8e : ?jobs:int -> quick:bool -> unit -> Common.table

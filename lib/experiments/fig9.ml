@@ -52,7 +52,7 @@ let losses ~quick = if quick then [ 0.; 0.01; 0.03 ] else [ 0.; 0.005; 0.01; 0.0
 
 let protocols = [ ("PDQ", Runner.Pdq Pdq_core.Config.full); ("TCP", Runner.Tcp) ]
 
-let fig9a ?jobs ?(quick = true) () =
+let fig9a ?jobs ~quick () =
   let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3 ] in
   let rows =
     List.map
@@ -73,7 +73,7 @@ let fig9a ?jobs ?(quick = true) () =
     rows;
   }
 
-let fig9b ?jobs ?(quick = true) () =
+let fig9b ?jobs ~quick () =
   let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3 ] in
   let flows = 6 in
   let per_row =

@@ -20,8 +20,8 @@ val scenario :
     nothing). Deadlines follow the paper's exponential law when
     [deadlines]. *)
 
-val fig9a : ?jobs:int -> ?quick:bool -> unit -> Common.table
-val fig9b : ?jobs:int -> ?quick:bool -> unit -> Common.table
+val fig9a : ?jobs:int -> quick:bool -> unit -> Common.table
+val fig9b : ?jobs:int -> quick:bool -> unit -> Common.table
 
 val attribution : unit -> Common.table
 (** Per-flow FCT attribution of one PDQ run of the lossy-bottleneck

@@ -58,6 +58,23 @@ type row_spec = {
   plan_of : seed:int -> Builder.built -> Fault_plan.t;
 }
 
+(* The fault-free first row of a sweep, its normalization base. *)
+let clean_row label topo =
+  { label; topo; plan_of = (fun ~seed:_ _ -> Fault_plan.empty) }
+
+(* Memoryless fail/repair of a k=4 fat-tree's switch-switch cables. *)
+let flapping_row label mtbf =
+  {
+    label;
+    topo = Scenario.Fat_tree { k = 4 };
+    plan_of =
+      (fun ~seed (b : Builder.built) ->
+        Fault_plan.link_flaps
+          (Rng.create (0x11AB + seed))
+          ~links:(Fault_plan.switch_cables b.Builder.topo)
+          ~mtbf ~mttr:0.03 ~until:0.5);
+  }
+
 let scenario_of_row { label; topo; plan_of } ~flows ~window ~horizon protocol =
   Scenario.make ~name:label ~horizon ~topo
     ~faults:(Scenario.Fault_gen { label; plan = plan_of })
@@ -97,7 +114,8 @@ let reduce_cell results =
    as the normalization base), columns = per-protocol normalized FCT,
    miss%% and aborts. Returns the table plus the per-cause counters of
    the most intense row for each protocol. *)
-let sweep ?jobs ?budget ~title ~axis ~seeds ~flows ~window ~horizon rows_spec =
+let sweep ?jobs ?budget ~quick ~title ~axis ~flows ~window ~horizon rows_spec =
+  let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3 ] in
   let header =
     axis
     :: List.concat_map
@@ -148,8 +166,7 @@ let sweep ?jobs ?budget ~title ~axis ~seeds ~flows ~window ~horizon rows_spec =
 
 (* 1. Bursty loss on the tree's root-side cables: Gilbert-Elliott with
    ~5% stationary loss, sweeping the mean burst length (packets). *)
-let loss_burst_sweep ?jobs ?budget ?(quick = true) () =
-  let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3 ] in
+let loss_burst_sweep ?jobs ?budget ~quick () =
   let burst_lengths = if quick then [ 1.; 20. ] else [ 1.; 5.; 20.; 80. ] in
   let ge_of_burst burst =
     let p_bg = 1. /. burst in
@@ -159,13 +176,6 @@ let loss_burst_sweep ?jobs ?budget ?(quick = true) () =
       p_bg;
       loss_good = 0.;
       loss_bad = 1.;
-    }
-  in
-  let clean =
-    {
-      label = "0";
-      topo = Scenario.default_tree;
-      plan_of = (fun ~seed:_ _ -> Fault_plan.empty);
     }
   in
   let bursty burst =
@@ -183,52 +193,25 @@ let loss_burst_sweep ?jobs ?budget ?(quick = true) () =
                (Fault_plan.switch_cables b.Builder.topo)));
     }
   in
-  let rows_spec = clean :: List.map bursty burst_lengths in
-  sweep ?jobs ?budget
+  sweep ?jobs ?budget ~quick
     ~title:"Resilience - 5% Gilbert-Elliott loss vs mean burst length [pkts]"
-    ~axis:"burst" ~seeds ~flows:12 ~window:0.1 ~horizon:3. rows_spec
+    ~axis:"burst" ~flows:12 ~window:0.1 ~horizon:3.
+    (clean_row "0" Scenario.default_tree :: List.map bursty burst_lengths)
 
 (* 2. Link flapping on a fat-tree: memoryless fail/repair of
    switch-switch cables; ECMP flows are re-pinned around the outage. *)
-let link_failure_sweep ?jobs ?budget ?(quick = true) () =
-  let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3 ] in
+let link_failure_sweep ?jobs ?budget ~quick () =
   let mtbfs = if quick then [ 0.3 ] else [ 1.; 0.3; 0.1 ] in
-  let clean =
-    {
-      label = "inf";
-      topo = Scenario.Fat_tree { k = 4 };
-      plan_of = (fun ~seed:_ _ -> Fault_plan.empty);
-    }
-  in
-  let flapping mtbf =
-    {
-      label = Common.cell mtbf;
-      topo = Scenario.Fat_tree { k = 4 };
-      plan_of =
-        (fun ~seed (b : Builder.built) ->
-          Fault_plan.link_flaps
-            (Rng.create (0x11AB + seed))
-            ~links:(Fault_plan.switch_cables b.Builder.topo)
-            ~mtbf ~mttr:0.03 ~until:0.5);
-    }
-  in
-  let rows_spec = clean :: List.map flapping mtbfs in
-  sweep ?jobs ?budget
+  sweep ?jobs ?budget ~quick
     ~title:"Resilience - fat-tree link flapping vs cable MTBF [s] (MTTR 30ms)"
-    ~axis:"mtbf" ~seeds ~flows:16 ~window:0.2 ~horizon:3. rows_spec
+    ~axis:"mtbf" ~flows:16 ~window:0.2 ~horizon:3.
+    (clean_row "inf" (Scenario.Fat_tree { k = 4 })
+    :: List.map (fun mtbf -> flapping_row (Common.cell mtbf) mtbf) mtbfs)
 
 (* 3. Switch crash-reboots on the tree: per-flow scheduler soft state
    is wiped and must be rebuilt from the headers in flight. *)
-let switch_reboot_sweep ?jobs ?budget ?(quick = true) () =
-  let seeds = if quick then [ 1; 2 ] else [ 1; 2; 3 ] in
+let switch_reboot_sweep ?jobs ?budget ~quick () =
   let mtbfs = if quick then [ 0.05 ] else [ 0.5; 0.1; 0.02 ] in
-  let clean =
-    {
-      label = "inf";
-      topo = Scenario.default_tree;
-      plan_of = (fun ~seed:_ _ -> Fault_plan.empty);
-    }
-  in
   let rebooting mtbf =
     {
       label = Common.cell mtbf;
@@ -240,9 +223,10 @@ let switch_reboot_sweep ?jobs ?budget ?(quick = true) () =
             ~switches:(Fault_plan.switches b.Builder.topo) ~mtbf ~until:0.5);
     }
   in
-  let rows_spec = clean :: List.map rebooting mtbfs in
-  sweep ?jobs ?budget ~title:"Resilience - switch crash-reboots vs switch MTBF [s]"
-    ~axis:"mtbf" ~seeds ~flows:12 ~window:0.2 ~horizon:3. rows_spec
+  sweep ?jobs ?budget ~quick
+    ~title:"Resilience - switch crash-reboots vs switch MTBF [s]"
+    ~axis:"mtbf" ~flows:12 ~window:0.2 ~horizon:3.
+    (clean_row "inf" Scenario.default_tree :: List.map rebooting mtbfs)
 
 (* Forensic view of the link-flapping axis: the [down] column shows
    fault-induced downtime directly instead of inferring it from FCT
@@ -250,16 +234,7 @@ let switch_reboot_sweep ?jobs ?budget ?(quick = true) () =
 let attribution () =
   let mtbf = 0.1 and seed = 1 in
   let row =
-    {
-      label = Printf.sprintf "flaps mtbf=%s" (Common.cell mtbf);
-      topo = Scenario.Fat_tree { k = 4 };
-      plan_of =
-        (fun ~seed (b : Builder.built) ->
-          Fault_plan.link_flaps
-            (Rng.create (0x11AB + seed))
-            ~links:(Fault_plan.switch_cables b.Builder.topo)
-            ~mtbf ~mttr:0.03 ~until:0.5);
-    }
+    flapping_row (Printf.sprintf "flaps mtbf=%s" (Common.cell mtbf)) mtbf
   in
   let s =
     Scenario.with_seed
@@ -295,16 +270,14 @@ let counters_table named_counters =
         named_counters;
   }
 
-let run_all ?jobs ?budget ?(quick = true) ppf () =
+let tables ?jobs ?budget ~quick () =
   let t1, c1 = loss_burst_sweep ?jobs ?budget ~quick () in
-  Common.pp_table ppf t1;
   let t2, c2 = link_failure_sweep ?jobs ?budget ~quick () in
-  Common.pp_table ppf t2;
   let t3, c3 = switch_reboot_sweep ?jobs ?budget ~quick () in
-  Common.pp_table ppf t3;
-  Common.pp_table ppf
-    (counters_table
-       [ ("loss-burst", c1); ("link-flap", c2); ("reboot", c3) ]);
-  (* One forensic drill-down on the harshest axis: per-flow FCT
-     decomposition under switch reboots, downtime made explicit. *)
-  Common.pp_table ppf (attribution ())
+  [
+    t1;
+    t2;
+    t3;
+    counters_table [ ("loss-burst", c1); ("link-flap", c2); ("reboot", c3) ];
+    attribution ();
+  ]

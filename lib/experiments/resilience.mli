@@ -12,15 +12,15 @@
     pathological fault configuration cannot hang the whole driver — a
     tripped budget surfaces as {!Pdq_exec.Sweep.Sweep_errors}. *)
 
-val run_all :
+val tables :
   ?jobs:int ->
   ?budget:Pdq_exec.Exec_opts.budget ->
-  ?quick:bool ->
-  Format.formatter ->
+  quick:bool ->
   unit ->
-  unit
-(** Run all three sweeps and print their tables, the per-cause counter
-    summary, and the {!attribution} drill-down table. *)
+  Common.table list
+(** Run all three sweeps and return, in this order, their tables, the
+    per-cause counter summary, and the {!attribution} drill-down
+    table. *)
 
 val attribution : unit -> Common.table
 (** Per-flow FCT attribution of one PDQ run under link flapping on a

@@ -133,19 +133,19 @@ let test_fig7_burst_shape () =
     (Printf.sprintf "utilization during burst %.3f" mean_util)
     true (mean_util > 0.85)
 
-(* Golden table digests: the rendered text of the quick tables whose
-   workloads the figure drivers build, the resilience sweep, the
-   fidelity dump, and the single-run tables (fig1, fig6, fig7 and the
-   forensics attributions). Each grid table is rendered at one and two
-   worker domains (fig4a, the slowest, at two only) and must hash to the
-   same committed digest,
-   so these tests pin both the values and their independence from the
-   domain count. A table's digest is the md5 of what
-   [bench/main.exe --only T] prints before its "[T done" line. An
-   intended output change refreshes the digest and says which one moved
-   and why. *)
+(* Golden table digests: each {!Pdq_experiments.Registry} entry is
+   pinned by the md5 of the text it prints, which is what
+   [bench/main.exe --only T] prints before its "[T done" line, at each
+   worker-domain count the registry pins it at: one digest for all
+   counts pins the values and their independence from the count. Slow
+   entries run only under PDQ_GOLDEN_SLOW=1:
+   PDQ_GOLDEN_SLOW=1 dune exec test/test_main.exe -- test experiments.golden.slow
+   The fidelity dump (bench --fidelity-dump) is pinned the same way. An
+   intended output change refreshes the digest and says which one
+   moved and why. *)
 
 module E = Pdq_experiments
+module Registry = Pdq_experiments.Registry
 module Scenario = Pdq_exec.Scenario
 
 let text_digest print =
@@ -155,97 +155,39 @@ let text_digest print =
   Format.pp_print_flush ppf ();
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-let table (f : ?jobs:int -> ?quick:bool -> unit -> Common.table) ~jobs ppf =
-  Common.pp_table ppf (f ~jobs ~quick:true ())
-
-let tables fs ~jobs ppf = List.iter (fun f -> table f ~jobs ppf) fs
-
-(* Tables that take no worker count, rendered once. *)
-let untimed fs ~jobs:_ ppf = List.iter (fun f -> Common.pp_table ppf (f ())) fs
-
-let golden_tables =
-  let both = [ 1; 2 ] and one = [ 1 ] in
+let digests =
   [
-    ("fig3a", both, table E.Fig3.fig3a, "27bb7f1f064e44f1a1f46b98299883ad");
-    ("fig3b", both, table E.Fig3.fig3b, "49dd83c8c32517f69649bf791312729f");
-    ("fig3d", both, table E.Fig3.fig3d, "b751f31b0a935d667cbf3c8f07cc0e5f");
-    ("fig3e", both, table E.Fig3.fig3e, "8f063b8aa4365fab0dc56a8c7a569188");
-    ("fig4a", [ 2 ], table E.Fig4.fig4a, "15aed4e698c0eb71dc3b900372378cc3");
-    ("fig4b", both, table E.Fig4.fig4b, "4457c79889f241d36f8c79e1e5acd4c2");
-    ("fig8a", both, table E.Fig8.fig8a, "71e8a70d6739af5f10ce4521eae32032");
-    ("fig8b", both, table E.Fig8.fig8b, "61a21a70bcd7a0b5895e97834cbf253d");
-    ("fig8c", both, table E.Fig8.fig8c, "31b8b0cd5dd45af2c6bd69e153dca2dc");
-    ("fig8d", both, table E.Fig8.fig8d, "963870808f46abbc414823e0a139a3de");
-    ("fig8e", both, table E.Fig8.fig8e, "093598cbf2e6b653e0f175d6e5d79ac1");
-    ( "fig9",
-      both,
-      tables [ E.Fig9.fig9a; E.Fig9.fig9b ],
-      "595ba872b20da2d96319a435ce571b4f" );
-    ("fig10", both, table E.Fig10.fig10, "5638bd64adb5ddbfa63aba10af6cb9a4");
-    ("fig11a", both, table E.Fig11.fig11a, "84e9f7250504a0ca1b8c841522f476cb");
-    ( "fig11bc",
-      both,
-      table E.Fig11.fig11bc,
-      "508d155bc93094426dbe349fc59f66b0" );
-    ("fig12", both, table E.Fig12.fig12, "50a72ab56dede856172efcd94c575e6f");
-    ( "ablation",
-      both,
-      tables E.Ablation.[ early_start_k; probing; dampening ],
-      "c507c3fbad12d6568d82335bbbe74c95" );
-    ( "apps",
-      both,
-      (fun ~jobs ppf -> E.Apps.run_all ~jobs ~quick:true ppf ()),
-      "b1e3a25353a497743e4390029731a851" );
-    ( "resilience",
-      both,
-      (fun ~jobs ppf -> E.Resilience.run_all ~jobs ~quick:true ppf ()),
-      "8efcd54150ae086de3fd9954b9dbef83" );
-    ( "chaos",
-      both,
-      (fun ~jobs ppf -> E.Chaos.run_all ~jobs ~quick:true ppf ()),
-      "6f25533d44d4bb01a63f32b412312f2d" );
-    ( "fidelity dump",
-      both,
-      (fun ~jobs ppf -> E.Fidelity.dump ~jobs ppf),
-      "5d83f2bfbb618e7b9704a46289fccfa0" );
-    ( "fig1",
-      one,
-      untimed [ E.Fig1.completion_table; E.Fig1.deadline_table ],
-      "30b03ed9a4ef3653a429730521e5ba6c" );
-    ( "fig6",
-      one,
-      untimed [ E.Dynamics.fig6_table ],
-      "27ac86c106d5f658c2ca0df38b6cdedc" );
-    ( "fig7",
-      one,
-      untimed [ E.Dynamics.fig7_table ],
-      "1518b4d49de27f8a833d45a51cbe7a0d" );
-    ( "forensics",
-      one,
-      untimed
-        [
-          (fun () -> E.Fig3.attribution ());
-          (fun () -> E.Fig9.attribution ());
-          (fun () -> E.Resilience.attribution ());
-        ],
-      "8cda754236b8f07c844ebac6330c4bd0" );
+    ("fig1", "30b03ed9a4ef3653a429730521e5ba6c");
+    ("fig3a", "27bb7f1f064e44f1a1f46b98299883ad");
+    ("fig3b", "49dd83c8c32517f69649bf791312729f");
+    ("fig3c", "3d4c9db82bf69f883cb76f027927b7c8");
+    ("fig3d", "b751f31b0a935d667cbf3c8f07cc0e5f");
+    ("fig3e", "8f063b8aa4365fab0dc56a8c7a569188");
+    ("fig4a", "15aed4e698c0eb71dc3b900372378cc3");
+    ("fig4b", "4457c79889f241d36f8c79e1e5acd4c2");
+    ("fig5a", "c65ff9d80d7660551a95097edb8baf91");
+    ("fig5b", "c00f6fa1512174894e376e614a96734e");
+    ("fig5c", "27738f00f4acb0270b8c76945b449661");
+    ("fig6", "27ac86c106d5f658c2ca0df38b6cdedc");
+    ("fig7", "1518b4d49de27f8a833d45a51cbe7a0d");
+    ("fig8a", "71e8a70d6739af5f10ce4521eae32032");
+    ("fig8b", "61a21a70bcd7a0b5895e97834cbf253d");
+    ("fig8c", "31b8b0cd5dd45af2c6bd69e153dca2dc");
+    ("fig8d", "963870808f46abbc414823e0a139a3de");
+    ("fig8e", "093598cbf2e6b653e0f175d6e5d79ac1");
+    ("fig9", "595ba872b20da2d96319a435ce571b4f");
+    ("fig10", "5638bd64adb5ddbfa63aba10af6cb9a4");
+    ("fig11a", "84e9f7250504a0ca1b8c841522f476cb");
+    ("fig11bc", "508d155bc93094426dbe349fc59f66b0");
+    ("fig12", "50a72ab56dede856172efcd94c575e6f");
+    ("ablation", "c507c3fbad12d6568d82335bbbe74c95");
+    ("forensics", "8cda754236b8f07c844ebac6330c4bd0");
+    ("apps", "b1e3a25353a497743e4390029731a851");
+    ("chaos", "6f25533d44d4bb01a63f32b412312f2d");
+    ("resilience", "8efcd54150ae086de3fd9954b9dbef83");
   ]
 
-(* The tables that take seconds each (fig3c ~3 s, fig5c ~1 s, fig5b
-   ~7 s and fig5a ~21 s at one domain) would grow [dune runtest] by
-   ~55 s. They run only when
-   PDQ_GOLDEN_SLOW=1 is set, from the same test binary:
-   PDQ_GOLDEN_SLOW=1 dune exec test/test_main.exe -- test experiments.golden.slow *)
-let slow_golden_tables =
-  let both = [ 1; 2 ] in
-  [
-    ("fig3c", both, table E.Fig3.fig3c, "3d4c9db82bf69f883cb76f027927b7c8");
-    ("fig5c", both, table E.Fig5.fig5c, "27738f00f4acb0270b8c76945b449661");
-    ("fig5b", both, table E.Fig5.fig5b, "c00f6fa1512174894e376e614a96734e");
-    ("fig5a", both, table E.Fig5.fig5a, "c65ff9d80d7660551a95097edb8baf91");
-  ]
-
-let test_golden_table (_, jobs_list, print, expect) () =
+let check_digest expect jobs_list print =
   List.iter
     (fun jobs ->
       Alcotest.(check string)
@@ -253,6 +195,32 @@ let test_golden_table (_, jobs_list, print, expect) () =
         expect
         (text_digest (print ~jobs)))
     jobs_list
+
+let test_golden_table (e : Registry.entry) () =
+  check_digest
+    (Option.value (List.assoc_opt e.name digests) ~default:"(no digest)")
+    (Registry.pinned_jobs e)
+    (fun ~jobs ppf ->
+      List.iter (Common.pp_table ppf) (e.render ~jobs:(Some jobs) ~quick:true))
+
+let test_golden_fidelity_dump () =
+  check_digest "5d83f2bfbb618e7b9704a46289fccfa0" [ 1; 2 ] (fun ~jobs ->
+      E.Fidelity.dump ~jobs)
+
+(* Every table is pinned: the registry and the digests name the same
+   tables, each once. *)
+let test_every_table_pinned () =
+  let sorted names = List.sort compare names in
+  Alcotest.(check (list string))
+    "digest names = registry names"
+    (sorted (List.map (fun (e : Registry.entry) -> e.name) Registry.all))
+    (sorted (List.map fst digests))
+
+let golden_table_cases cost speed =
+  List.filter (fun (e : Registry.entry) -> e.cost = cost) Registry.all
+  |> List.map (fun (e : Registry.entry) ->
+         Alcotest.test_case ("golden table: " ^ e.name) speed
+           (test_golden_table e))
 
 (* [Scenario.build]'s specs for a synthetic workload of every pattern:
    30 flows cycle each pattern's pairs on the 12-server tree. *)
@@ -309,11 +277,13 @@ let suites =
         Alcotest.test_case "Fig7 burst shape" `Slow test_fig7_burst_shape;
       ] );
     ( "experiments.golden",
-      List.map
-        (fun ((name, _, _, _) as g) ->
-          Alcotest.test_case ("golden table: " ^ name) `Quick
-            (test_golden_table g))
-        golden_tables
+      golden_table_cases Registry.Quick `Quick
+      @ [
+          Alcotest.test_case "golden table: fidelity dump" `Quick
+            test_golden_fidelity_dump;
+          Alcotest.test_case "every table pinned" `Quick
+            test_every_table_pinned;
+        ]
       @ List.map
           (fun ((name, _, _) as g) ->
             Alcotest.test_case ("golden specs: " ^ name) `Quick
@@ -322,12 +292,5 @@ let suites =
   ]
   @
   if Sys.getenv_opt "PDQ_GOLDEN_SLOW" = Some "1" then
-    [
-      ( "experiments.golden.slow",
-        List.map
-          (fun ((name, _, _, _) as g) ->
-            Alcotest.test_case ("golden table: " ^ name) `Slow
-              (test_golden_table g))
-          slow_golden_tables );
-    ]
+    [ ("experiments.golden.slow", golden_table_cases Registry.Slow `Slow) ]
   else []
