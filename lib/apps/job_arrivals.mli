@@ -1,13 +1,6 @@
 (** Job arrival processes: Poisson job generation over the existing
     {!Pdq_workload.Arrivals} / {!Pdq_workload.Size_dist} machinery. *)
 
-val times :
-  rng:Pdq_engine.Rng.t -> ?rate:float -> count:int -> unit -> float list
-(** Arrival times for [count] jobs: all 0 when [rate] is absent
-    (simultaneous queries), otherwise the first [count] arrivals of a
-    Poisson process of intensity [rate] jobs/second
-    ({!Pdq_workload.Arrivals.poisson_n}), increasing. *)
-
 val plans :
   rng:Pdq_engine.Rng.t ->
   hosts:int array ->

@@ -31,8 +31,3 @@ let pp_outcomes ppf os =
   else
     Format.fprintf ppf "fidelity: %d/%d metrics OUT OF BAND@."
       (List.length failed) (List.length os)
-
-let to_json o =
-  Printf.sprintf
-    {|{"id":"%s","figure":"%s","metric":"%s","value":%.9g,"lo":%.9g,"hi":%.9g,"ok":%b}|}
-    o.band.id o.band.figure o.band.metric o.value o.band.lo o.band.hi o.ok

@@ -23,6 +23,4 @@ val eval : band -> float -> outcome
 (** In-band test; NaN and infinities always fail. *)
 
 val all_ok : outcome list -> bool
-val pp_outcome : Format.formatter -> outcome -> unit
 val pp_outcomes : Format.formatter -> outcome list -> unit
-val to_json : outcome -> string

@@ -20,5 +20,3 @@ let broken_allocator =
     dampening = 0.;
     queue_allowance_bytes = max_int / 2;
   }
-
-let name = "PDQ(broken-allocator)"

@@ -8,6 +8,3 @@ val broken_allocator : Pdq_core.Config.t
     The capacity monitor must report this; a monitor that passes it is
     broken. Used by the test suite and exposed on the CLI as
     [--proto pdq-broken]. *)
-
-val name : string
-(** Display name of the broken variant. *)

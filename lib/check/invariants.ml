@@ -207,15 +207,13 @@ let on_port t ~now (v : Runner.port_view) =
   end
   else Hashtbl.remove t.cap_streak v.Runner.pv_link
 
-let port_probe t = fun ~now v -> on_port t ~now v
-
 let telemetry t ~base =
   {
     base with
     Runner.sinks = sink t :: base.Runner.sinks;
     port_probe =
       (match base.Runner.port_probe with
-      | None -> Some (port_probe t)
+      | None -> Some (on_port t)
       | Some f ->
           Some
             (fun ~now v ->

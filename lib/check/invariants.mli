@@ -1,8 +1,8 @@
 (** Runtime invariant monitors for packet-level runs.
 
     A monitor consumes the run's trace stream (via a {!sink} attached
-    to the telemetry bus) and per-port scheduler snapshots (via
-    {!port_probe}); {!finalize} then replays the collected soft state
+    to the telemetry bus) and per-port scheduler snapshots (the
+    port probe of {!telemetry}); {!finalize} then replays the collected soft state
     against the finished {!Pdq_transport.Runner.result} and returns
     every violated inequality as a {!Report.violation}.
 
@@ -45,11 +45,6 @@ val create : unit -> t
 
 val sink : t -> Pdq_telemetry.Trace.sink
 (** Trace-bus sink feeding the monitor's streaming checks. *)
-
-val port_probe :
-  t -> now:float -> Pdq_transport.Runner.port_view -> unit
-(** Per-port snapshot consumer for
-    {!Pdq_transport.Runner.telemetry.port_probe}. *)
 
 val telemetry :
   t ->

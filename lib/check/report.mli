@@ -23,8 +23,5 @@ val pp : Format.formatter -> violation -> unit
 val pp_list : Format.formatter -> violation list -> unit
 (** Human-readable summary, one violation per line. *)
 
-val to_json : violation -> string
-(** One self-contained JSON object. *)
-
 val write_jsonl : out_channel -> violation list -> unit
 (** One JSON object per line, flushed (CI artifact format). *)

@@ -22,8 +22,6 @@ let all =
   [ Ok; Bad_trace; Fault_aborted; Invariant_violation; Timed_out; Run_failed;
     Violation_found; Usage ]
 
-let of_int n = List.find_opt (fun c -> to_int c = n) all
-
 let describe = function
   | Ok -> "the run(s) completed (deadline misses are results, not errors)"
   | Bad_trace -> "a recorded trace or reproducer file could not be read or parsed"

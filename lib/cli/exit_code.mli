@@ -32,10 +32,6 @@ val to_int : t -> int
 (** [Ok] 0, [Bad_trace] 1, [Fault_aborted] 3, [Invariant_violation] 4,
     [Timed_out] 5, [Run_failed] 6, [Violation_found] 7, [Usage] 124. *)
 
-val of_int : int -> t option
-(** Inverse of {!to_int}; [None] for integers outside the
-    discipline. *)
-
 val describe : t -> string
 (** One-line human description (the man page EXIT STATUS text). *)
 

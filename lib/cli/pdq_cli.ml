@@ -508,8 +508,23 @@ let scenario_term =
       fan_in stage_depth job_rate seed flap_mtbf flap_mttr reboot_mtbf
       fault_until =
     let ( let* ) = Result.bind in
+    (* Reject values the library would raise on, as usage errors. *)
+    let require ok what = if ok then Ok () else Error (`Msg what) in
     let* protocol = msg (Scenario.protocol_of_string ~subflows proto_name) in
+    let* () =
+      match protocol with
+      | Runner.Mpdq _ -> require (subflows >= 1) "--subflows must be >= 1"
+      | _ -> Ok ()
+    in
     let* topo = msg (Scenario.topo_of_string topo_name) in
+    let* () =
+      require (mean_size_kb > 2)
+        "--mean-size must be > 2: sizes are uniform on [2 KB, 2*mean - 2 KB]"
+    in
+    let* () =
+      require (no_deadlines || deadline_mean_ms > 0.) "--deadline-mean must be > 0"
+    in
+    let positive = Option.fold ~none:true ~some:(fun x -> x > 0.) in
     let sizes = Scenario.Uniform_paper { mean_bytes = mean_size_kb * 1000 } in
     let deadlines =
       if no_deadlines then Scenario.No_deadlines
@@ -523,6 +538,9 @@ let scenario_term =
           Ok (Scenario.Synthetic { pattern; flows; sizes; deadlines })
       | "jobs" ->
           let* pattern = msg (Scenario.job_pattern_of_string job_pattern_name) in
+          let* () = require (fan_in >= 1) "--fan-in must be >= 1" in
+          let* () = require (stage_depth >= 1) "--stage-depth must be >= 1" in
+          let* () = require (positive job_rate) "--job-rate must be > 0" in
           Ok
             (Scenario.Jobs
                {
@@ -541,6 +559,11 @@ let scenario_term =
                   other
                   (String.concat ", " workload_names)))
     in
+    let* () = require (positive flap_mtbf) "--flap-mtbf must be > 0" in
+    let* () =
+      require (flap_mtbf = None || flap_mttr > 0.) "--flap-mttr must be > 0"
+    in
+    let* () = require (positive reboot_mtbf) "--reboot-mtbf must be > 0" in
     let faults =
       match (flap_mtbf, reboot_mtbf) with
       | None, None -> Scenario.No_faults

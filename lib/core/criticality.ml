@@ -26,14 +26,3 @@ let aged_tx_time ~aging_rate ~wait ~expected_tx_time =
   (* T_H is divided by 2^(alpha * t) with t in units of 100 ms. *)
   let t = wait /. 0.1 in
   expected_tx_time /. (2. ** (aging_rate *. t))
-
-let compare_aged ~aging_rate ~now (ka, wa) (kb, wb) =
-  let age k since =
-    {
-      k with
-      expected_tx_time =
-        aged_tx_time ~aging_rate ~wait:(max 0. (now -. since))
-          ~expected_tx_time:k.expected_tx_time;
-    }
-  in
-  compare (age ka wa) (age kb wb)

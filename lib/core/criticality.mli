@@ -6,7 +6,7 @@
     are broken by smaller expected transmission time (SJF, to minimize
     mean completion time), then by flow ID.
 
-    The operator can override the discipline; {!compare_aged} implements
+    The operator can override the discipline; {!aged_tx_time} implements
     the flow-aging variant of §7 that inflates a flow's criticality with
     its waiting time to prevent starvation. *)
 
@@ -33,8 +33,3 @@ val aged_tx_time :
   aging_rate:float -> wait:float -> expected_tx_time:float -> float
 (** §7 flow aging: reduce [T_H] by a factor 2^(α·t) where [t] is the
     waiting time in units of 100 ms and α = [aging_rate]. *)
-
-val compare_aged :
-  aging_rate:float -> now:float -> key * float -> key * float -> int
-(** Comparator over [(key, start_of_wait)] pairs applying
-    {!aged_tx_time} to both sides before the standard comparison. *)

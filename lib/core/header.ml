@@ -22,14 +22,3 @@ let make ?deadline ~rate ~expected_tx_time ~rtt () =
   }
 
 let copy t = { t with rate = t.rate }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "{rate=%.3e; pause_by=%s%s; deadline=%s; ttx=%.3e; ip=%.2f; rtt=%.3e}"
-    t.rate
-    (match t.pause_by with None -> "-" | Some id -> string_of_int id)
-    (match t.pause_flow with
-    | None -> ""
-    | Some f -> Printf.sprintf "(flow %d)" f)
-    (match t.deadline with None -> "-" | Some d -> Printf.sprintf "%.4f" d)
-    t.expected_tx_time t.inter_probe_rtts t.rtt

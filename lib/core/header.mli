@@ -53,5 +53,3 @@ val make :
 val copy : t -> t
 (** Independent copy — used when a receiver reflects a data header into
     an ACK. *)
-
-val pp : Format.formatter -> t -> unit

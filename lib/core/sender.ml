@@ -6,7 +6,7 @@ type t = {
   deadline : float option;
   size_info : size_info;
   trace : Pdq_telemetry.Trace.t;
-  mutable max_rate : float;
+  max_rate : float;
   mutable rate : float;
   mutable paused_by : int option;
   mutable expected_tx_time : float;
@@ -59,9 +59,6 @@ let create ?deadline ?(size_info = Known)
   | Estimated q -> t.expected_tx_time <- estimated_ttx t q);
   t
 
-let flow_id t = t.flow_id
-let deadline t = t.deadline
-let size_bytes t = t.size_bytes
 let rate t = t.rate
 let paused_by t = t.paused_by
 let is_paused t = t.rate <= 0.

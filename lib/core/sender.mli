@@ -41,10 +41,6 @@ val create :
     [Flow_resumed] / [Flow_rate_set] events as ACK feedback moves the
     sender between states. *)
 
-val flow_id : t -> int
-val deadline : t -> float option
-val size_bytes : t -> int
-
 val rate : t -> float
 (** Current sending rate [R_S] in bits/s (0 when paused). *)
 

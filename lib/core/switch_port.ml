@@ -58,7 +58,6 @@ let flush t =
   if Pdq_telemetry.Trace.active t.trace then
     Pdq_telemetry.Trace.(emit t.trace (Switch_flushed { switch = t.switch_id }))
 
-let switch_id t = t.switch_id
 let config t = t.config
 let rtt_avg t = t.rtt_avg
 let available_rate t = t.c

@@ -2,7 +2,7 @@
 
     A switch instantiates one [Switch_port] per output queue. The port
     owns the per-link flow list, the flow controller (Algorithms 1–3:
-    pausing/acceptance, Early Start via {!availbw}, dampening,
+    pausing/acceptance, Early Start, dampening,
     Suppressed Probing), the rate controller (C = rPDQ − q/(2·RTT)) and
     the RCP fallback for flows beyond the memory bound [M].
 
@@ -28,7 +28,6 @@ val create :
     [Switch_flushed] on {!flush} and [Switch_rebuilt] when the first
     flow is stored again afterwards. *)
 
-val switch_id : t -> int
 val config : t -> Config.t
 
 val rtt_avg : t -> float
@@ -81,11 +80,6 @@ val process_reverse : t -> Header.t -> flow_id:int -> now:float -> unit
 (** Algorithm 3 — run on every ACK header travelling back: commits the
     global accept/pause decision into the flow list and stretches the
     inter-probe interval (Suppressed Probing). *)
-
-val availbw : t -> int -> now:float -> float
-(** Algorithm 2 — bandwidth available to the flow at the given list
-    index, skipping up to [K] RTTs' worth of nearly-completed more
-    critical flows (Early Start). *)
 
 val update_rate_controller : t -> queue_bytes:int -> now:float -> unit
 (** Rate-controller step (§3.3.3): set [C ← max(0, rPDQ − q/(2·RTT))].

@@ -1,14 +1,10 @@
 type t = {
-  series_name : string;
   mutable times : float array;
   mutable values : float array;
   mutable size : int;
 }
 
-let create ?(name = "") () =
-  { series_name = name; times = [||]; values = [||]; size = 0 }
-
-let name t = t.series_name
+let create () = { times = [||]; values = [||]; size = 0 }
 
 let add t time value =
   if Array.length t.times = t.size then begin
@@ -22,9 +18,6 @@ let add t time value =
   t.times.(t.size) <- time;
   t.values.(t.size) <- value;
   t.size <- t.size + 1
-
-let length t = t.size
-let points t = Array.init t.size (fun i -> (t.times.(i), t.values.(i)))
 
 let bins_of t ~width ~t_end =
   let nbins = max 1 (int_of_float (ceil (t_end /. width))) in

@@ -4,16 +4,11 @@
 type t
 (** A mutable append-only series of [(time, value)] points. *)
 
-val create : ?name:string -> unit -> t
-(** Fresh empty series. [name] labels printed output. *)
+val create : unit -> t
+(** Fresh empty series. *)
 
-val name : t -> string
 val add : t -> float -> float -> unit
 (** [add s t v] appends point [(t, v)]. Times must be nondecreasing. *)
-
-val length : t -> int
-val points : t -> (float * float) array
-(** All recorded points, in order. *)
 
 val bin_mean : t -> width:float -> t_end:float -> (float * float) array
 (** [bin_mean s ~width ~t_end] averages values into consecutive bins

@@ -73,7 +73,7 @@ type t = {
   mutable profiler : Profiler.slot option;
       (* This domain's shard of the attached profiler; recording into
          it is lock-free and domain-private. *)
-  mutable cancel : cancel option;
+  cancel : cancel option;
 }
 
 (* Cooperative cancellation: the hook runs on this simulator's domain

@@ -14,7 +14,7 @@
 
     Beside the heap sit a few FIFO lanes, one per fixed relative delay
     ({!schedule_fixed_k}). Events in a lane are already in (time, seq)
-    order, so a lane is an O(1) ring, and {!step} fires the least of
+    order, so a lane is an O(1) ring, and {!run} fires the least of
     the heap root and the lane heads: the same order as one heap. See
     DESIGN.md, "Event-core internals". *)
 
@@ -98,12 +98,11 @@ val set_profiler : t -> Profiler.t option -> unit
     A supervisor (e.g. {!Pdq_exec.Sweep}) bounds a run by installing a
     cancellation hook: after every [every] executed events the hook is
     asked whether the run is still within budget, and a [Some reason]
-    answer aborts the run by raising {!Cancelled} out of {!step} /
-    {!run}. The check is cooperative — it only fires between events —
-    and costs a single [match] per step when no hook is installed. *)
+    answer aborts the run by raising {!Cancelled} out of {!run}. The
+    check is cooperative — it only fires between events — and costs a single [match] per step when no hook is installed. *)
 
 exception Cancelled of { reason : string; events : int }
-(** Raised out of {!step} / {!run} when a cancellation hook trips.
+(** Raised out of {!run} when a cancellation hook trips.
     [events] is {!events_executed} at that point. The simulator is left
     mid-run and should be discarded. *)
 
@@ -132,10 +131,6 @@ val set_global_cancel : (t -> string option) -> unit
     [--timeout]). It is asked every {!check_every} events. *)
 
 val clear_global_cancel : unit -> unit
-
-val step : t -> bool
-(** Execute the next event, advancing the clock to its timestamp.
-    Returns [false] when the queue is empty. *)
 
 val stop : t -> unit
 (** Make the current (or next) {!run} return after the event being

@@ -2,17 +2,6 @@ let mean xs =
   let n = Array.length xs in
   if n = 0 then 0. else Array.fold_left ( +. ) 0. xs /. float_of_int n
 
-let variance xs =
-  let n = Array.length xs in
-  if n < 2 then 0.
-  else begin
-    let m = mean xs in
-    let acc = Array.fold_left (fun a x -> a +. ((x -. m) *. (x -. m))) 0. xs in
-    acc /. float_of_int n
-  end
-
-let stddev xs = sqrt (variance xs)
-
 let min_max xs =
   if Array.length xs = 0 then invalid_arg "Stats.min_max: empty";
   Array.fold_left
@@ -33,8 +22,6 @@ let percentile xs p =
     let w = rank -. float_of_int lo in
     ((1. -. w) *. sorted.(lo)) +. (w *. sorted.(hi))
   end
-
-let median xs = percentile xs 50.
 
 type cdf = (float * float) array
 
@@ -83,26 +70,4 @@ module Tally = struct
     |> List.sort (fun (a, _) (b, _) -> compare a b)
 
   let total t = Hashtbl.fold (fun _ r acc -> acc + !r) t 0
-end
-
-module Counter = struct
-  type t = {
-    mutable n : int;
-    mutable sum : float;
-    mutable min_v : float;
-    mutable max_v : float;
-  }
-
-  let create () = { n = 0; sum = 0.; min_v = infinity; max_v = neg_infinity }
-
-  let add t x =
-    t.n <- t.n + 1;
-    t.sum <- t.sum +. x;
-    if x < t.min_v then t.min_v <- x;
-    if x > t.max_v then t.max_v <- x
-
-  let n t = t.n
-  let mean t = if t.n = 0 then 0. else t.sum /. float_of_int t.n
-  let min t = t.min_v
-  let max t = t.max_v
 end

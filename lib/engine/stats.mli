@@ -4,21 +4,12 @@
 val mean : float array -> float
 (** Arithmetic mean. 0. on an empty array. *)
 
-val variance : float array -> float
-(** Population variance. 0. when fewer than 2 samples. *)
-
-val stddev : float array -> float
-(** Square root of {!variance}. *)
-
 val min_max : float array -> float * float
 (** Smallest and largest sample. Raises [Invalid_argument] on empty. *)
 
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [\[0,100\]], linear interpolation
     between order statistics. Raises [Invalid_argument] on empty. *)
-
-val median : float array -> float
-(** [percentile xs 50.]. *)
 
 type cdf = (float * float) array
 (** An empirical CDF as [(value, fraction <= value)] pairs, sorted by
@@ -51,17 +42,4 @@ module Tally : sig
   (** All (key, count) pairs, sorted by key. *)
 
   val total : t -> int
-end
-
-module Counter : sig
-  (** Streaming mean/min/max accumulator, O(1) memory. *)
-
-  type t
-
-  val create : unit -> t
-  val add : t -> float -> unit
-  val n : t -> int
-  val mean : t -> float
-  val min : t -> float
-  val max : t -> float
 end

@@ -4,17 +4,11 @@
 val gbps : float -> float
 (** [gbps x] is [x] gigabits/second in bits/second. *)
 
-val mbps : float -> float
-(** [mbps x] is [x] megabits/second in bits/second. *)
-
 val kbyte : float -> int
 (** [kbyte x] is [x] kilobytes (1000 bytes) rounded to bytes. *)
 
 val mbyte : float -> int
 (** [mbyte x] is [x] megabytes (10^6 bytes) rounded to bytes. *)
-
-val ms : float -> float
-(** [ms x] is [x] milliseconds in seconds. *)
 
 val us : float -> float
 (** [us x] is [x] microseconds in seconds. *)

@@ -492,8 +492,3 @@ let result_codec =
     }
   in
   { Task.encode; decode }
-
-let pp ppf t =
-  Format.fprintf ppf "%s: %s on %s, %s, seed %d" t.name
-    (Runner.protocol_name t.protocol)
-    (topo_name t.topo) (workload_desc t.workload) t.seed

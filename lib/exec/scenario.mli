@@ -39,8 +39,6 @@ type topo =
 val default_tree : topo
 (** [Tree {tors = 4; hosts_per_tor = 3}] — the 12-server tree. *)
 
-val topo_name : topo -> string
-
 val topo_of_string : string -> (topo, string) result
 (** Parse a CLI topology name ("tree", "bottleneck", "fat-tree",
     "bcube", "jellyfish") into the evaluation's default parameters for
@@ -297,6 +295,3 @@ val protocol_of_string :
     [subflows], default 3), "rcp", "d3", "tcp" — plus "pdq-broken",
     the {!Pdq_check.Fixtures.broken_allocator} used to validate the
     validators. The error message lists the valid names. *)
-
-val pp : Format.formatter -> t -> unit
-(** One-line human description. *)

@@ -37,17 +37,6 @@ let cause = function
   | Timed_out b -> Some b.budget
   | Skipped -> Some "skipped"
 
-let map f = function
-  | Ok r -> Ok (f r)
-  | Failed e -> Failed e
-  | Timed_out b -> Timed_out b
-  | Skipped -> Skipped
-
-let attempts = function
-  | Ok _ | Skipped -> 0
-  | Failed f -> f.attempts
-  | Timed_out b -> b.attempts
-
 (* Deterministic rendering: no elapsed wall time, so two runs of the
    same sweep print identical slot lines regardless of machine load. *)
 let pp ppf = function

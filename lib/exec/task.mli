@@ -47,9 +47,6 @@ val state : 'a t -> string
 val cause : 'a t -> string option
 (** The failure cause ([None] for [Ok]). *)
 
-val map : ('a -> 'b) -> 'a t -> 'b t
-val attempts : 'a t -> int
-
 val pp : Format.formatter -> 'a t -> unit
 (** Deterministic one-line rendering: cause and attempt count, no
     wall-clock times, so sweep output is reproducible. *)

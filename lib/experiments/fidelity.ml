@@ -21,8 +21,6 @@ type measured = {
   violations : Report.violation list;
 }
 
-type entry = { band : Fid.band; eval : jobs:int option -> measured }
-
 let mean xs = List.fold_left ( +. ) 0. xs /. float_of_int (List.length xs)
 let fct_ms (r : Runner.result) = 1e3 *. r.Runner.mean_fct
 let at_pct (r : Runner.result) = 100. *. r.Runner.application_throughput
@@ -30,28 +28,20 @@ let at_pct (r : Runner.result) = 100. *. r.Runner.application_throughput
 (* Packet-level entries run seed-per-domain through the full validation
    monitor, so the fidelity gate doubles as the CI invariant sweep:
    drift fails the band, a violated invariant fails the run outright. *)
-let checked band scenario metric =
+let checked band scenario metric ~jobs =
+  let runs =
+    Sweep.map ?jobs
+      (fun seed -> Scenario.run_checked (Scenario.with_seed scenario seed))
+      seeds
+  in
   {
-    band;
-    eval =
-      (fun ~jobs ->
-        let runs =
-          Sweep.map ?jobs
-            (fun seed -> Scenario.run_checked (Scenario.with_seed scenario seed))
-            seeds
-        in
-        {
-          outcome =
-            Fid.eval band (mean (List.map (fun c -> metric c.Scenario.result) runs));
-          violations = List.concat_map (fun c -> c.Scenario.violations) runs;
-        });
+    outcome =
+      Fid.eval band (mean (List.map (fun c -> metric c.Scenario.result) runs));
+    violations = List.concat_map (fun c -> c.Scenario.violations) runs;
   }
 
-let unchecked band f =
-  {
-    band;
-    eval = (fun ~jobs:_ -> { outcome = Fid.eval band (f ()); violations = [] });
-  }
+let unchecked band f ~jobs:_ =
+  { outcome = Fid.eval band (f ()); violations = [] }
 
 let uniform100k = Scenario.Uniform_paper { mean_bytes = 100_000 }
 let paper_deadlines = Scenario.Exp_deadlines { mean = 0.02; floor = 3e-3 }
@@ -133,7 +123,7 @@ let entries () =
   ]
 
 let run ?jobs ppf =
-  let measured = List.map (fun e -> e.eval ~jobs) (entries ()) in
+  let measured = List.map (fun eval -> eval ~jobs) (entries ()) in
   let outcomes = List.map (fun m -> m.outcome) measured in
   Fid.pp_outcomes ppf outcomes;
   let violations = List.concat_map (fun m -> m.violations) measured in
@@ -144,8 +134,8 @@ let run ?jobs ppf =
 
 let dump ?jobs ppf =
   List.iter
-    (fun e ->
-      let m = e.eval ~jobs in
+    (fun eval ->
+      let m = eval ~jobs in
       Format.fprintf ppf "%s %s %s measured %.6g (band [%g, %g])@."
         m.outcome.Fid.band.Fid.id m.outcome.Fid.band.Fid.figure
         m.outcome.Fid.band.Fid.metric m.outcome.Fid.value

@@ -160,14 +160,6 @@ let link_flaps rng ~links ~mtbf ~mttr ~until =
       let up = down +. Rng.exponential rng ~mean:mttr in
       ([ (down, Link_down { a; b }); (up, Link_up { a; b }) ], up))
 
-let loss_bursts rng ~links ~mean_interval ~mean_duration ~loss ~until =
-  if mean_interval <= 0. || mean_duration <= 0. then
-    invalid_arg "Fault_plan.loss_bursts: nonpositive interval/duration";
-  renewal rng ~targets:links ~mean_gap:mean_interval ~until
-    (fun rng (a, b) start ->
-      let duration = Rng.exponential rng ~mean:mean_duration in
-      ([ (start, Loss_burst { a; b; loss; duration }) ], start +. duration))
-
 let switch_reboots rng ~switches ~mtbf ~until =
   if mtbf <= 0. then invalid_arg "Fault_plan.switch_reboots: nonpositive mtbf";
   renewal rng ~targets:switches ~mean_gap:mtbf ~until (fun _ n start ->

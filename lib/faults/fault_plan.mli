@@ -60,18 +60,6 @@ val link_flaps :
     failure (mean [mtbf]) alternating with exponential repair time
     (mean [mttr]), truncated at [until]. *)
 
-val loss_bursts :
-  Pdq_engine.Rng.t ->
-  links:(int * int) list ->
-  mean_interval:float ->
-  mean_duration:float ->
-  loss:float ->
-  until:float ->
-  t
-(** Poisson episodes of flat loss [loss] with exponential durations —
-    the scheduled-episode counterpart of a Gilbert–Elliott channel,
-    useful when the experiment wants to sweep burst length directly. *)
-
 val switch_reboots :
   Pdq_engine.Rng.t -> switches:int list -> mtbf:float -> until:float -> t
 (** Exponential crash-reboot process per switch (reboots are modeled

@@ -1,4 +1,3 @@
-module Trace = Pdq_telemetry.Trace
 module Json = Pdq_telemetry.Json
 module Units = Pdq_engine.Units
 

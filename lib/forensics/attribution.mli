@@ -22,14 +22,10 @@ type components = {
   residual : float;
 }
 
-val zero : components
-
 val total : components -> float
 (** [handshake +. serialization +. paused +. recovery +. downtime],
     summed in that order (the order against which [residual] was
     taken), plus [residual] — equals the measured FCT. *)
-
-val add : components -> components -> components
 
 type flow_report = {
   flow : int;

@@ -309,9 +309,3 @@ let reconstruct events =
       ids
   in
   { flows; errors = List.rev !errors }
-
-let pp_outcome fmt = function
-  | Completed { fct } -> Format.fprintf fmt "completed fct=%.6g" fct
-  | Terminated -> Format.pp_print_string fmt "terminated"
-  | Aborted { cause } -> Format.fprintf fmt "aborted(%s)" cause
-  | Unfinished -> Format.pp_print_string fmt "unfinished"

@@ -57,5 +57,3 @@ val reconstruct : (float * Pdq_telemetry.Trace.event) list -> t
     sink) into per-flow spans. Flows that trip the state machine are
     excluded from [flows] and described in [errors]; spans of flows
     the trace left unfinished are closed at the last timestamp. *)
-
-val pp_outcome : Format.formatter -> outcome -> unit

@@ -116,13 +116,6 @@ let kind t i =
   check_node t "kind" i;
   t.nodes.(i).kind
 
-let hosts t =
-  let acc = ref [] in
-  for i = t.node_count - 1 downto 0 do
-    if t.nodes.(i).kind = Host then acc := i :: !acc
-  done;
-  Array.of_list !acc
-
 let rack_of t i =
   check_node t "rack_of" i;
   t.nodes.(i).rack

@@ -47,8 +47,6 @@ val connect : t -> int -> int -> unit
 
 val node_count : t -> int
 val kind : t -> int -> node_kind
-val hosts : t -> int array
-(** Ids of all hosts, in creation order. *)
 
 val rack_of : t -> int -> int
 (** Rack id of a host (0 when unspecified). *)

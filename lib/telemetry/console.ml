@@ -1,12 +1,18 @@
 (* The threshold is read on every potential log call — including from
    worker domains during parallel sweeps — so it lives in an Atomic;
    emission is serialized by a mutex so lines from concurrent domains
-   never interleave mid-line. *)
+   never interleave mid-line. The threshold starts from PDQ_DEBUG:
+   unset keeps runs quiet, "trace" selects Trace, any other value
+   Debug. *)
 
-let current : Trace.severity option Atomic.t = Atomic.make None
+let current : Trace.severity option Atomic.t =
+  Atomic.make
+    (match Sys.getenv_opt "PDQ_DEBUG" with
+    | None -> None
+    | Some "trace" -> Some Trace.Trace
+    | Some _ -> Some Trace.Debug)
 
 let set_threshold th = Atomic.set current th
-let threshold () = Atomic.get current
 
 let enabled sev =
   match Atomic.get current with

@@ -160,6 +160,3 @@ val event_of_json : string -> (float * event, string) result
     unknown event name or drop cause, a missing or mistyped field all
     return [Error] with a description, never a partial event. Fields
     the event does not read are ignored. *)
-
-val pp_event : Format.formatter -> event -> unit
-(** Compact [key=value] rendering used by the console sink. *)

@@ -88,7 +88,6 @@ let create ?(trace = Trace.null) ~sim ~topo ~rng () =
 
 let sim t = t.sim
 let topo t = t.topo
-let router t = t.router
 let rng t = t.rng
 let init_rtt = 2e-4
 let now t = Sim.now t.sim

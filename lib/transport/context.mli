@@ -50,7 +50,6 @@ val create :
 
 val sim : t -> Pdq_engine.Sim.t
 val topo : t -> Pdq_net.Topology.t
-val router : t -> Pdq_net.Router.t
 val rng : t -> Pdq_engine.Rng.t
 
 val init_rtt : float

@@ -2,6 +2,8 @@ module Sim = Pdq_engine.Sim
 module Packet = Pdq_net.Packet
 module Link = Pdq_net.Link
 module Topology = Pdq_net.Topology
+module Console = Pdq_telemetry.Console
+module Trace = Pdq_telemetry.Trace
 
 let k_tick = Sim.Kind.register "d3.tick"
 
@@ -92,8 +94,8 @@ let ops =
     ~grant:(fun s pkt ->
       match pkt.Packet.payload with
       | Payloads.D3_ctrl (ctrl, _) ->
-          if Debug.trace_on () then
-            Debug.tracef "%.6f d3-ack flow=%d desired=%.3e alloc=%.3e"
+          if Console.enabled Trace.Trace then
+            Console.logf Trace.Trace "%.6f d3-ack flow=%d desired=%.3e alloc=%.3e"
               (Endpoint.now s) s.Endpoint.id ctrl.Payloads.d3_desired
               ctrl.Payloads.d3_allocated;
           Some ctrl.Payloads.d3_allocated

@@ -2,6 +2,7 @@ module Sim = Pdq_engine.Sim
 module Units = Pdq_engine.Units
 module Packet = Pdq_net.Packet
 module Topology = Pdq_net.Topology
+module Console = Pdq_telemetry.Console
 
 type 'x sender = {
   ctx : Context.t;
@@ -117,7 +118,8 @@ let finish s =
    free their state. *)
 let stop s cause =
   if not s.closed then begin
-    Debug.debugf "%.6f STOP flow=%d acked=%d/%d" (now s) s.id s.acked s.size;
+    Console.logf Pdq_telemetry.Trace.Debug "%.6f STOP flow=%d acked=%d/%d"
+      (now s) s.id s.acked s.size;
     close s;
     s.terminated <- true;
     send_term s;

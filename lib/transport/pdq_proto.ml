@@ -5,6 +5,8 @@ module Topology = Pdq_net.Topology
 module Header = Pdq_core.Header
 module Sender = Pdq_core.Sender
 module Switch_port = Pdq_core.Switch_port
+module Console = Pdq_telemetry.Console
+module Trace = Pdq_telemetry.Trace
 
 (* PDQ's part of a stream: the §3.1 sender state machine, the probe
    loop of a paused flow, fast-retransmit state and the M-PDQ
@@ -24,7 +26,6 @@ type stream = pdq Endpoint.sender
 
 type t = {
   ctx : Context.t;
-  cfg : Pdq_core.Config.t;
   size_info : Sender.size_info;
   ports : Switch_port.t array; (* per directed link *)
   endpoint : pdq Endpoint.t;
@@ -41,7 +42,6 @@ let k_launch = Sim.Kind.register "pdq.launch"
 
 let probe_backoff_threshold = 4
 
-let config t = t.cfg
 let port t link = t.ports.(link)
 
 let port_flow_counts t ~link =
@@ -54,8 +54,8 @@ let probe_loop (s : stream) () =
   let p = s.ext in
   p.probe_ev <- None;
   if (not s.closed) && Sender.is_paused p.core && s.syn_acked then begin
-    if Debug.on () then
-      Debug.debugf "%.6f probe flow=%d ip=%g rtt=%g" (Endpoint.now s) s.id
+    if Console.enabled Trace.Debug then
+      Console.logf Trace.Debug "%.6f probe flow=%d ip=%g rtt=%g" (Endpoint.now s) s.id
         (Sender.inter_probe_interval p.core)
         (Sender.rtt p.core);
     Endpoint.transmit s (Endpoint.make_pkt s ~kind:Packet.Probe ());
@@ -98,8 +98,8 @@ let on_ack (s : stream) (pkt : Packet.t) (ack : Payloads.ack_info) ~now =
   match pkt.Packet.payload with
   | Payloads.Pdq_sched (hdr, _) ->
       let p = s.ext in
-      if Debug.trace_on () then
-        Debug.tracef "%.6f ack flow=%d rate=%g pause=%s cum=%d" now s.id
+      if Console.enabled Trace.Trace then
+        Console.logf Trace.Trace "%.6f ack flow=%d rate=%g pause=%s cum=%d" now s.id
           hdr.Header.rate
           (match hdr.Header.pause_by with
           | None -> "-"
@@ -197,7 +197,7 @@ let install ?(size_info = Sender.Known) ~config ~ctx ~until () =
           ~init_rtt:Context.init_rtt ())
   in
   let endpoint = Endpoint.create ctx (ops config) in
-  let t = { ctx; cfg = config; size_info; ports; endpoint } in
+  let t = { ctx; size_info; ports; endpoint } in
   (* A crash-rebooted switch loses all per-flow soft state; it is
      rebuilt on the fly from the scheduling headers of packets flowing
      through (§3.4 of the paper — the state is deliberately soft). *)

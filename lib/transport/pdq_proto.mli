@@ -20,7 +20,6 @@ val install :
     [size_info] (default [Known]) selects the §5.6 size-estimation
     mode for all senders. *)
 
-val config : t -> Pdq_core.Config.t
 val port : t -> int -> Pdq_core.Switch_port.t
 (** The PDQ port of a directed link (for inspection/tests). *)
 

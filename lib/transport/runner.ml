@@ -112,7 +112,7 @@ let execute ?(options = default_options) ~topo protocol specs =
      is bit-for-bit identical to an uninstrumented one. *)
   let sinks =
     let sinks = options.telemetry.sinks @ driver_sinks in
-    if Debug.trace_on () then
+    if Pdq_telemetry.Console.enabled Trace.Trace then
       sinks @ [ Trace.console ~min_severity:Trace.Trace stderr ]
     else sinks
   in
@@ -128,22 +128,28 @@ let execute ?(options = default_options) ~topo protocol specs =
       Context.on_abort ctx (fun ~cause ->
           Metrics.incr (Metrics.counter m (Metrics.Name.watchdog_abort cause)) ())
   | None -> ());
-  (* The PDQ-family scheduler state a validation probe may inspect;
-     RCP/D3/TCP ports hold no flow list, so they expose no view. *)
-  let pdq_port_view p ~link =
-    let port = Pdq_proto.port p link in
-    let open Pdq_core in
-    {
-      pv_link = link;
-      stored = Flow_list.length (Switch_port.flow_list port);
-      sending = Switch_port.kappa port;
-      paused = Switch_port.paused_count port;
-      capacity_bound = Switch_port.list_capacity port;
-      max_list = (Switch_port.config port).Config.max_list_size;
-      line_rate = Link.rate (Topology.link topo link);
-      mature_rate_sum = Switch_port.mature_rate_sum port;
-      inconsistencies = Switch_port.invariant_errors port;
-    }
+  (* The PDQ family's flow starter and probes over its scheduler
+     state; RCP/D3/TCP ports hold no flow list, so they expose no
+     view. *)
+  let pdq_family start_flow p =
+    let view ~link =
+      let port = Pdq_proto.port p link in
+      let open Pdq_core in
+      {
+        pv_link = link;
+        stored = Flow_list.length (Switch_port.flow_list port);
+        sending = Switch_port.kappa port;
+        paused = Switch_port.paused_count port;
+        capacity_bound = Switch_port.list_capacity port;
+        max_list = (Switch_port.config port).Config.max_list_size;
+        line_rate = Link.rate (Topology.link topo link);
+        mature_rate_sum = Switch_port.mature_rate_sum port;
+        inconsistencies = Switch_port.invariant_errors port;
+      }
+    in
+    ( start_flow,
+      (fun ~link -> Some (Pdq_proto.port_flow_counts p ~link)),
+      Some view )
   in
   let (start_flow : Context.flow -> unit),
       (port_counts : link:int -> (int * int) option),
@@ -151,27 +157,20 @@ let execute ?(options = default_options) ~topo protocol specs =
     match protocol with
     | Pdq config ->
         let p = Pdq_proto.install ~config ~ctx ~until:options.horizon () in
-        ( Pdq_proto.start_flow p,
-          (fun ~link -> Some (Pdq_proto.port_flow_counts p ~link)),
-          Some (fun ~link -> pdq_port_view p ~link) )
+        pdq_family (Pdq_proto.start_flow p) p
     | Pdq_estimated { config; quantum } ->
         let p =
           Pdq_proto.install
             ~size_info:(Pdq_core.Sender.Estimated quantum)
             ~config ~ctx ~until:options.horizon ()
         in
-        ( Pdq_proto.start_flow p,
-          (fun ~link -> Some (Pdq_proto.port_flow_counts p ~link)),
-          Some (fun ~link -> pdq_port_view p ~link) )
+        pdq_family (Pdq_proto.start_flow p) p
     | Mpdq { config; subflows; paths } ->
         let p =
           Mpdq_proto.install ~config ~ctx ~until:options.horizon ~subflows
             ?paths ()
         in
-        ( Mpdq_proto.start_flow p,
-          (fun ~link ->
-            Some (Pdq_proto.port_flow_counts (Mpdq_proto.pdq p) ~link)),
-          Some (fun ~link -> pdq_port_view (Mpdq_proto.pdq p) ~link) )
+        pdq_family (Mpdq_proto.start_flow p) (Mpdq_proto.pdq p)
     | Rcp ->
         let p = Rcp_proto.install ~ctx ~until:options.horizon in
         ( Rcp_proto.start_flow p,

@@ -39,5 +39,4 @@ let cumulative_ack t =
   match t.intervals with (0, hi) :: _ -> hi | _ -> 0
 
 let received_bytes t = t.received
-let size t = t.size
 let complete t = t.received >= t.size

@@ -28,7 +28,5 @@ val cumulative_ack : t -> int
 val received_bytes : t -> int
 (** Total distinct bytes received (regardless of order). *)
 
-val size : t -> int
-
 val complete : t -> bool
 (** All [size] bytes have arrived. *)

@@ -27,7 +27,6 @@ type sender = {
   mutable backoff : float;
   mutable retries : int; (* consecutive RTOs with no forward progress *)
   mutable syn_acked : bool;
-  mutable last_syn : float;
   mutable timer : Sim.handle option;
   mutable closed : bool;
   (* Allocated once per sender: the RTO timer re-arms on every packet
@@ -61,7 +60,6 @@ let cancel_opt s = function
   | None -> None
 
 let send_syn s =
-  s.last_syn <- now s;
   transmit s (make_pkt s ~kind:Packet.Syn ())
 
 let send_segment s seq =
@@ -300,7 +298,6 @@ let start_flow t (flow : Context.flow) =
       backoff = 1.;
       retries = 0;
       syn_acked = false;
-      last_syn = 0.;
       timer = None;
       closed = false;
       timer_fn = noop;

@@ -5,4 +5,3 @@ let exponential ?(floor = 3e-3) ~mean () =
   { mean; floor }
 
 let sample t rng = max t.floor (Pdq_engine.Rng.exponential rng ~mean:t.mean)
-let mean t = t.mean

@@ -9,4 +9,3 @@ val exponential : ?floor:float -> mean:float -> unit -> t
 (** Deadlines in seconds; [floor] defaults to 3 ms. *)
 
 val sample : t -> Pdq_engine.Rng.t -> float
-val mean : t -> float

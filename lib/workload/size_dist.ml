@@ -1,15 +1,13 @@
 module Rng = Pdq_engine.Rng
 
-type t = { dist_name : string; dist_mean : float; draw : Rng.t -> int }
+type t = { dist_mean : float; draw : Rng.t -> int }
 
 let sample t rng = max 1 (t.draw rng)
-let name t = t.dist_name
 let mean t = t.dist_mean
 
 let uniform ~lo ~hi =
   if lo > hi then invalid_arg "Size_dist.uniform: lo > hi";
   {
-    dist_name = Printf.sprintf "uniform[%d,%d]" lo hi;
     dist_mean = float_of_int (lo + hi) /. 2.;
     draw = (fun rng -> lo + Rng.int rng (hi - lo + 1));
   }
@@ -18,21 +16,16 @@ let uniform_paper ~mean_bytes =
   let lo = 2_000 in
   let hi = (2 * mean_bytes) - lo in
   if hi <= lo then invalid_arg "Size_dist.uniform_paper: mean too small";
-  { (uniform ~lo ~hi) with dist_name = Printf.sprintf "paper-uniform(mean=%d)" mean_bytes }
+  uniform ~lo ~hi
 
 let fixed size =
-  {
-    dist_name = Printf.sprintf "fixed(%d)" size;
-    dist_mean = float_of_int size;
-    draw = (fun _ -> size);
-  }
+  { dist_mean = float_of_int size; draw = (fun _ -> size) }
 
 let pareto ?(tail_index = 1.1) ~mean_bytes () =
   if tail_index <= 1. then invalid_arg "Size_dist.pareto: tail index <= 1";
   (* Mean of Pareto(shape a, scale m) is a*m/(a-1). *)
   let scale = float_of_int mean_bytes *. (tail_index -. 1.) /. tail_index in
   {
-    dist_name = Printf.sprintf "pareto(a=%.2f, mean=%d)" tail_index mean_bytes;
     dist_mean = float_of_int mean_bytes;
     draw =
       (fun rng ->
@@ -44,7 +37,7 @@ let pareto ?(tail_index = 1.1) ~mean_bytes () =
 
 (* Piecewise mixture: a list of (weight, lo, hi) bands sampled
    log-uniformly within each band. *)
-let mixture ~name:dist_name bands =
+let mixture bands =
   let total = List.fold_left (fun acc (w, _, _) -> acc +. w) 0. bands in
   let bands = List.map (fun (w, lo, hi) -> (w /. total, lo, hi)) bands in
   let dist_mean =
@@ -68,14 +61,14 @@ let mixture ~name:dist_name bands =
     let x = lo *. exp (Rng.float rng *. log (hi /. lo)) in
     int_of_float x
   in
-  { dist_name; dist_mean; draw }
+  { dist_mean; draw }
 
 let vl2 () =
   (* Shape from Greenberg et al. (VL2, Fig. 2): most flows are mice,
      >90% of bytes live in flows between 100 MB and 1 GB; we trim the
      elephant ceiling to 100 MB to keep simulations tractable while
      preserving mice-dominate-flows / elephants-dominate-bytes. *)
-  mixture ~name:"vl2-like"
+  mixture
     [
       (0.55, 1e3, 1e4);   (* mice: 1-10 KB *)
       (0.30, 1e4, 1e5);   (* small: 10-100 KB *)
@@ -85,7 +78,7 @@ let vl2 () =
 
 let edu1 () =
   (* Benson et al., EDU1: median ~5 KB, tail to ~10 MB. *)
-  mixture ~name:"edu1-like"
+  mixture
     [
       (0.50, 5e2, 1e4);
       (0.35, 1e4, 1e5);

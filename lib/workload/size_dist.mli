@@ -10,8 +10,6 @@ type t
 val sample : t -> Pdq_engine.Rng.t -> int
 (** Draw a flow size in bytes. *)
 
-val name : t -> string
-
 val mean : t -> float
 (** Analytic (or configured) mean size in bytes. *)
 

@@ -51,10 +51,11 @@ let test_crit_aging () =
   in
   if not (feq 2. aged) then Alcotest.failf "aged ttx %g, expected 2." aged;
   (* An old large flow eventually outranks a young small one. *)
-  let old_big = (key ~ttx:8. ~id:1 (), 0.) in
-  let young_small = (key ~ttx:1. ~id:2 (), 1.) in
+  let old_big =
+    Criticality.aged_tx_time ~aging_rate:1. ~wait:1. ~expected_tx_time:8.
+  in
   Alcotest.(check bool) "aging promotes the old flow" true
-    (Criticality.compare_aged ~aging_rate:1. ~now:1. old_big young_small < 0)
+    (Criticality.more_critical (key ~ttx:old_big ~id:1 ()) (key ~ttx:1. ~id:2 ()))
 
 let test_crit_equal_deadline_tiebreak () =
   (* Equal deadlines fall through to SJF... *)

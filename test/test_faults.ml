@@ -28,17 +28,12 @@ let test_plan_generators_deterministic () =
         ~links:[ (0, 1); (1, 2); (2, 3) ]
         ~mtbf:0.1 ~mttr:0.02 ~until:2.
     in
-    let bursts =
-      Fault_plan.loss_bursts (Rng.split rng)
-        ~links:[ (0, 1) ]
-        ~mean_interval:0.05 ~mean_duration:0.01 ~loss:0.5 ~until:2.
-    in
     let reboots =
       Fault_plan.switch_reboots (Rng.split rng)
         ~switches:[ 1; 2; 3 ]
         ~mtbf:0.2 ~until:2.
     in
-    Fault_plan.merge (Fault_plan.merge flaps bursts) reboots
+    Fault_plan.merge flaps reboots
   in
   let a = build 42 and b = build 42 and c = build 43 in
   Alcotest.(check bool) "nonempty" false (Fault_plan.is_empty a);
