@@ -1,9 +1,9 @@
 (** Runtime invariant monitors for packet-level runs.
 
     A monitor consumes the run's trace stream (via a {!sink} attached
-    to the telemetry bus) and per-port scheduler snapshots (the
-    port probe of {!telemetry}); {!finalize} then replays the collected soft state
-    against the finished {!Pdq_transport.Runner.result} and returns
+    to the telemetry bus) and per-port scheduler snapshots (the port
+    probe of {!telemetry}); {!finalize} then replays the collected soft
+    state against the finished {!Pdq_transport.Runner.result} and returns
     every violated inequality as a {!Report.violation}.
 
     Monitored invariants:

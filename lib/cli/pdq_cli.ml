@@ -522,7 +522,9 @@ let scenario_term =
         "--mean-size must be > 2: sizes are uniform on [2 KB, 2*mean - 2 KB]"
     in
     let* () =
-      require (no_deadlines || deadline_mean_ms > 0.) "--deadline-mean must be > 0"
+      require
+        (no_deadlines || deadline_mean_ms > 0.)
+        "--deadline-mean must be > 0"
     in
     let positive = Option.fold ~none:true ~some:(fun x -> x > 0.) in
     let sizes = Scenario.Uniform_paper { mean_bytes = mean_size_kb * 1000 } in

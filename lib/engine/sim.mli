@@ -99,7 +99,8 @@ val set_profiler : t -> Profiler.t option -> unit
     cancellation hook: after every [every] executed events the hook is
     asked whether the run is still within budget, and a [Some reason]
     answer aborts the run by raising {!Cancelled} out of {!run}. The
-    check is cooperative — it only fires between events — and costs a single [match] per step when no hook is installed. *)
+    check is cooperative — it only fires between events — and costs a
+    single [match] per step when no hook is installed. *)
 
 exception Cancelled of { reason : string; events : int }
 (** Raised out of {!run} when a cancellation hook trips.

@@ -95,8 +95,8 @@ let ops =
       match pkt.Packet.payload with
       | Payloads.D3_ctrl (ctrl, _) ->
           if Console.enabled Trace.Trace then
-            Console.logf Trace.Trace "%.6f d3-ack flow=%d desired=%.3e alloc=%.3e"
-              (Endpoint.now s) s.Endpoint.id ctrl.Payloads.d3_desired
+            Console.logf Trace.Trace
+              "%.6f d3-ack flow=%d desired=%.3e alloc=%.3e" (Endpoint.now s) s.Endpoint.id ctrl.Payloads.d3_desired
               ctrl.Payloads.d3_allocated;
           Some ctrl.Payloads.d3_allocated
       | _ -> None)

@@ -55,7 +55,8 @@ let probe_loop (s : stream) () =
   p.probe_ev <- None;
   if (not s.closed) && Sender.is_paused p.core && s.syn_acked then begin
     if Console.enabled Trace.Debug then
-      Console.logf Trace.Debug "%.6f probe flow=%d ip=%g rtt=%g" (Endpoint.now s) s.id
+      Console.logf Trace.Debug "%.6f probe flow=%d ip=%g rtt=%g"
+        (Endpoint.now s) s.id
         (Sender.inter_probe_interval p.core)
         (Sender.rtt p.core);
     Endpoint.transmit s (Endpoint.make_pkt s ~kind:Packet.Probe ());
@@ -99,8 +100,8 @@ let on_ack (s : stream) (pkt : Packet.t) (ack : Payloads.ack_info) ~now =
   | Payloads.Pdq_sched (hdr, _) ->
       let p = s.ext in
       if Console.enabled Trace.Trace then
-        Console.logf Trace.Trace "%.6f ack flow=%d rate=%g pause=%s cum=%d" now s.id
-          hdr.Header.rate
+        Console.logf Trace.Trace "%.6f ack flow=%d rate=%g pause=%s cum=%d"
+          now s.id hdr.Header.rate
           (match hdr.Header.pause_by with
           | None -> "-"
           | Some i -> string_of_int i)

@@ -22,6 +22,8 @@ import os, re, sys
 
 READER_DIRS = ["lib", "test", "bench", "perfbench", "examples", "bin"]
 PATH = r"[A-Z][\w']*(?:\s*\.\s*[A-Z][\w']*)*"
+QUOTED = re.compile(r"\{([a-z_]*)\|")
+CHAR = re.compile(r"'(?:\\(?:[\\'\"ntbr ]|\d{3}|x[0-9a-fA-F]{2}|o[0-7]{3})|[^\\'\n])'")
 
 
 def strip(src):
@@ -62,12 +64,12 @@ def strip(src):
             if not depth:
                 blank(i, j)
             i = j
-        elif c == "{" and (m := re.compile(r"\{([a-z_]*)\|").match(src, i)):
+        elif c == "{" and (m := QUOTED.match(src, i)):
             j = skip_quoted(i, m)
             if not depth:
                 blank(i, j)
             i = j
-        elif c == "'" and (m := re.compile(r"'(?:\\(?:[\\'\"ntbr ]|\d{3}|x[0-9a-fA-F]{2}|o[0-7]{3})|[^\\'\n])'").match(src, i)) \
+        elif c == "'" and (m := CHAR.match(src, i)) \
                 and not (i and (src[i - 1].isalnum() or src[i - 1] in "_'")):
             if not depth:
                 blank(i, m.end())
@@ -87,12 +89,12 @@ def path_parts(p):
 # A unit is a module or module type that declares vals: a library
 # module, a submodule of its interface, or a `module type`.
 class Unit:
-    def __init__(self, uid, lib, mli, is_type=False):
-        self.uid, self.lib, self.mli, self.is_type = uid, lib, mli, is_type
+    def __init__(self, uid, mli, is_type=False):
+        self.uid, self.mli, self.is_type = uid, mli, is_type
         self.vals = {}          # name -> line of the declaration
         self.children = {}      # submodule / module type name -> Unit or path
         self.includes = []      # paths of included module types, resolved later
-        self.own = {mli, mli[:-1]}
+        self.files = {mli, mli[:-1]}  # the module's own pair
 
 
 libs = {}       # wrapper name (Pdq_core) -> {module name: Unit}
@@ -119,7 +121,7 @@ for d in sorted(lib_of_dir):
             continue
         mli = os.path.join(d, f)
         text = strip(open(mli).read())
-        top = Unit(lib + "." + f[:-4].capitalize(), lib, mli)
+        top = Unit(lib + "." + f[:-4].capitalize(), mli)
         libs[lib][f[:-4].capitalize()] = top
         stack = [top]
         for m in DECL.finditer(text):
@@ -129,7 +131,7 @@ for d in sorted(lib_of_dir):
                 continue
             if m.group(1) or m.group(2):
                 name = m.group(1) or m.group(2)
-                u = Unit(cur.uid + "." + name, lib, mli, is_type=bool(m.group(1)))
+                u = Unit(cur.uid + "." + name, mli, is_type=bool(m.group(1)))
                 cur.children[name] = u
                 stack.append(u)
             elif m.group(3):
@@ -176,8 +178,10 @@ class Scope:
             f.rsplit(".", 1)[0].capitalize() for f in os.listdir(d) if f.endswith(".ml")}
         self.aliases = {}
         for m in re.finditer(r"\bmodule\s+([A-Z][\w']*)\s*=\s*(" + PATH + r")", text):
-            if not text[m.end():].lstrip().startswith("("):  # not a functor application
-                self.aliases.setdefault(m.group(1), path_parts(m.group(2)))
+            target = path_parts(m.group(2))
+            # Skip functor applications and re-exports (`module Kind = Kind`).
+            if target != [m.group(1)] and not text[m.end():].lstrip().startswith("("):
+                self.aliases.setdefault(m.group(1), target)
         for m in re.finditer(r"\(\s*([A-Z][\w']*)\s*:\s*(" + PATH + r")\s*\)", text):
             self.aliases.setdefault(m.group(1), path_parts(m.group(2)))
         self.open_libs = set()
@@ -236,11 +240,10 @@ reads = set()   # (uid, val)
 QUAL = re.compile(r"(?<![\w'.])(" + PATH + r")\s*\.\s*([a-z_][\w']*)")
 LOCAL_OPEN = re.compile(r"(?<![\w'.])(" + PATH + r")\s*\.\s*([(\[{])")
 IDENT = re.compile(r"(?<![\w'.])[a-z_][\w']*")
-CLOSE = {"(": ")", "[": "]", "{": "}"}
 
 
 def read(u, v, path):
-    if path not in u.own or u.is_type:
+    if path not in u.files or u.is_type:
         reads.add((u.uid, v))
 
 
