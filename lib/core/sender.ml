@@ -23,15 +23,22 @@ let efficiency =
   float_of_int (Packet.max_payload ~scheduling_header:Header.wire_bytes)
   /. float_of_int Packet.mtu
 
+(* Stdlib's [min]/[max] on floats without the polymorphic compare: the
+   same results, NaN and signed zeros included. Local to this module:
+   the dev profile compiles libraries [-opaque], so a helper from
+   another module would not be inlined. *)
+let fmin (a : float) b = if a <= b then a else b
+let fmax (a : float) b = if a >= b then a else b
+
 let ttx_of ~remaining ~max_rate =
-  Pdq_engine.Units.bytes_to_bits remaining /. max (max_rate *. efficiency) 1.
+  Pdq_engine.Units.bytes_to_bits remaining /. fmax (max_rate *. efficiency) 1.
 
 (* Without flow-size knowledge (§5.6), the advertised criticality is
    the estimated size — one quantum more than the bytes already sent,
    refreshed only at quantum boundaries so switches are not thrashed. *)
 let estimated_ttx t quantum =
-  let sent = max 0 (t.size_bytes - t.remaining) in
-  let estimate = ((sent / max 1 quantum) + 1) * quantum in
+  let sent = Int.max 0 (t.size_bytes - t.remaining) in
+  let estimate = ((sent / Int.max 1 quantum) + 1) * quantum in
   ttx_of ~remaining:estimate ~max_rate:t.max_rate
 
 let create ?deadline ?(size_info = Known)
@@ -64,7 +71,7 @@ let paused_by t = t.paused_by
 let is_paused t = t.rate <= 0.
 let rtt t = t.rtt
 let expected_tx_time t = t.expected_tx_time
-let inter_probe_interval t = max 1. t.inter_probe_rtts *. t.rtt
+let inter_probe_interval t = fmax 1. t.inter_probe_rtts *. t.rtt
 let remaining_bytes t = t.remaining
 
 let refresh_ttx t =
@@ -79,7 +86,7 @@ let refresh_ttx t =
    on this subflow. *)
 let set_size t ~size ~acked =
   t.size_bytes <- size;
-  t.remaining <- max 0 (size - acked);
+  t.remaining <- Int.max 0 (size - acked);
   refresh_ttx t
 
 let make_header t ~t:_ =
@@ -92,11 +99,12 @@ let on_ack t (h : Header.t) ~acked_bytes ~rtt_sample ~now:_ =
       t.rtt <- (0.875 *. t.rtt) +. (0.125 *. sample);
       if sample < t.rtt_min then t.rtt_min <- sample
   | Some _ | None -> ());
-  t.remaining <- max 0 (t.size_bytes - acked_bytes);
+  t.remaining <- Int.max 0 (t.size_bytes - acked_bytes);
   refresh_ttx t;
   let was_paused = t.paused_by and old_rate = t.rate in
   t.paused_by <- h.pause_by;
-  t.rate <- (if h.pause_by <> None then 0. else min h.rate t.max_rate);
+  t.rate <-
+    (match h.pause_by with Some _ -> 0. | None -> fmin h.rate t.max_rate);
   if h.inter_probe_rtts > 0. then t.inter_probe_rtts <- h.inter_probe_rtts;
   if Pdq_telemetry.Trace.active t.trace then begin
     let open Pdq_telemetry.Trace in

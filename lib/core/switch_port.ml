@@ -1,3 +1,12 @@
+module Int_table = Pdq_engine.Int_table
+
+(* Stdlib's [min]/[max] on floats without the polymorphic compare: the
+   same results, NaN and signed zeros included. Local to this module:
+   the dev profile compiles libraries [-opaque], so a helper from
+   another module would not be inlined. *)
+let fmin (a : float) b = if a <= b then a else b
+let fmax (a : float) b = if a >= b then a else b
+
 type t = {
   config : Config.t;
   switch_id : int;
@@ -13,7 +22,7 @@ type t = {
   mutable last_accept : float;
   mutable last_accepted_flow : int;
   mutable rebuilding : bool;
-  fallback_seen : (int, float) Hashtbl.t;
+  fallback_seen : float Int_table.t;
   mutable fallback_oldest : float;
       (* At or before every last-seen time in [fallback_seen]. *)
 }
@@ -35,7 +44,7 @@ let create ?(trace = Pdq_telemetry.Trace.null) ~config ~switch_id ~link_rate
     last_accept = neg_infinity;
     last_accepted_flow = -1;
     rebuilding = false;
-    fallback_seen = Hashtbl.create 16;
+    fallback_seen = Int_table.create 8;
     fallback_oldest = neg_infinity;
   }
 
@@ -45,10 +54,10 @@ let create ?(trace = Pdq_telemetry.Trace.null) ~config ~switch_id ~link_rate
    the port to its just-created state. rPDQ is configuration, not
    learned state, and survives. *)
 let flush t =
-  while Flow_list.remove_least_critical t.flows <> None do
+  while Option.is_some (Flow_list.remove_least_critical t.flows) do
     ()
   done;
-  Hashtbl.reset t.fallback_seen;
+  Int_table.clear t.fallback_seen;
   t.c <- t.rpdq;
   t.rtt_avg <- t.init_rtt;
   t.rtt_min <- t.init_rtt;
@@ -78,8 +87,8 @@ let observe_rtt t rtt =
    the hard memory bound M (§3.3.1). *)
 let list_capacity t =
   let kappa = Flow_list.sending_count t.flows in
-  min t.config.Config.max_list_size
-    (max t.config.Config.min_list_size (2 * kappa))
+  Int.min t.config.Config.max_list_size
+    (Int.max t.config.Config.min_list_size (2 * kappa))
 
 (* Algorithm 2. Early Start: more critical flows that will finish within
    K RTTs do not count against the available bandwidth, up to an
@@ -90,7 +99,7 @@ let availbw t j ~now:_ =
   (try
      for i = 0 to j - 1 do
        let e = Flow_list.get t.flows i in
-       let rtt = max e.Flow_state.rtt 1e-9 in
+       let rtt = fmax e.Flow_state.rtt 1e-9 in
        let ttx_rtts = e.Flow_state.expected_tx_time /. rtt in
        if ttx_rtts < k_budget && !x < k_budget then x := !x +. ttx_rtts
        else begin
@@ -119,7 +128,7 @@ let blocking_flow t j =
   (try
      for i = 0 to j - 1 do
        let e = Flow_list.get t.flows i in
-       let rtt = max e.Flow_state.rtt 1e-9 in
+       let rtt = fmax e.Flow_state.rtt 1e-9 in
        let ttx_rtts = e.Flow_state.expected_tx_time /. rtt in
        if ttx_rtts < k_budget && !x < k_budget then x := !x +. ttx_rtts
        else if e.Flow_state.rate > 0. then begin
@@ -138,7 +147,7 @@ let blocking_flow t j =
 let spec_early_start_rtts = 4.
 
 let mature_rate_sum t =
-  let rtt = max t.rtt_avg 1e-9 in
+  let rtt = fmax t.rtt_avg 1e-9 in
   let x = ref 0. and sum = ref 0. in
   Flow_list.iteri
     (fun _ (e : Flow_state.t) ->
@@ -176,7 +185,7 @@ let invariant_errors t =
         add
           (Printf.sprintf "flow %d: rate %g > link rate %g"
              e.Flow_state.flow_id e.Flow_state.rate t.link_rate);
-      if Hashtbl.mem t.fallback_seen e.Flow_state.flow_id then
+      if Int_table.mem t.fallback_seen e.Flow_state.flow_id then
         add
           (Printf.sprintf "flow %d: both stored and in RCP fallback"
              e.Flow_state.flow_id))
@@ -198,25 +207,28 @@ let fallback_purge t ~now =
      the scan runs only when one may be. *)
   if now -. t.fallback_oldest > horizon then begin
     let oldest = [| now |] in
-    Hashtbl.filter_map_inplace
-      (fun _ seen ->
-        if now -. seen > horizon then None
-        else begin
-          if seen < oldest.(0) then oldest.(0) <- seen;
-          Some seen
-        end)
-      t.fallback_seen;
+    let stale =
+      Int_table.fold
+        (fun id seen acc ->
+          if now -. seen > horizon then id :: acc
+          else begin
+            if seen < oldest.(0) then oldest.(0) <- seen;
+            acc
+          end)
+        t.fallback_seen []
+    in
+    List.iter (Int_table.remove t.fallback_seen) stale;
     t.fallback_oldest <- oldest.(0)
   end
 
 let fallback_rate t ~flow_id ~now =
-  Hashtbl.replace t.fallback_seen flow_id now;
+  Int_table.replace t.fallback_seen flow_id now;
   fallback_purge t ~now;
-  let n = max 1 (Hashtbl.length t.fallback_seen) in
+  let n = Int.max 1 (Int_table.length t.fallback_seen) in
   let leftover = t.c -. Flow_list.total_rate t.flows in
-  max 0. (leftover /. float_of_int n)
+  fmax 0. (leftover /. float_of_int n)
 
-let fallback_flow_count t = Hashtbl.length t.fallback_seen
+let fallback_flow_count t = Int_table.length t.fallback_seen
 
 (* Store a new flow if the list has room or the flow outranks the least
    critical stored one; returns its index, or -1 when it must use the
@@ -242,7 +254,7 @@ let try_store t (h : Header.t) ~flow_id ~now =
     in
     ignore (Flow_list.insert t.flows entry);
     let removed_self = ref false in
-    while Flow_list.length t.flows > max cap 1 do
+    while Flow_list.length t.flows > Int.max cap 1 do
       match Flow_list.remove_least_critical t.flows with
       | Some dropped when dropped.Flow_state.flow_id = flow_id ->
           removed_self := true
@@ -289,7 +301,7 @@ let process_forward t (h : Header.t) ~flow_id ~now =
     in
     if i < 0 then begin
       (* Memory bound exceeded: degrade to RCP fair sharing. *)
-      h.rate <- min h.rate (fallback_rate t ~flow_id ~now);
+      h.rate <- fmin h.rate (fallback_rate t ~flow_id ~now);
       if h.rate <= 0. then begin
         h.pause_by <- t.paused_here;
         h.pause_flow <- None
@@ -298,9 +310,9 @@ let process_forward t (h : Header.t) ~flow_id ~now =
     else begin
       let e = Flow_list.get t.flows i in
       (* Most ports never fall back: skip hashing the id then. *)
-      if Hashtbl.length t.fallback_seen > 0 then
-        Hashtbl.remove t.fallback_seen flow_id;
-      let w = min (availbw t i ~now) h.rate in
+      if Int_table.length t.fallback_seen > 0 then
+        Int_table.remove t.fallback_seen flow_id;
+      let w = fmin (availbw t i ~now) h.rate in
       if w > 0. then begin
         let sending = Flow_state.is_sending e in
         if (not sending) && dampening_active t ~now ~flow_id then
@@ -335,7 +347,7 @@ let process_reverse t (h : Header.t) ~flow_id ~now:_ =
     e.Flow_state.pause_by <- h.pause_by;
     if t.config.Config.features.Config.suppressed_probing then
       h.inter_probe_rtts <-
-        max h.inter_probe_rtts (t.config.Config.probe_x *. float_of_int i);
+        fmax h.inter_probe_rtts (t.config.Config.probe_x *. float_of_int i);
     e.Flow_state.rate <- h.rate
   end
 
@@ -343,17 +355,29 @@ let process_reverse t (h : Header.t) ~flow_id ~now:_ =
    leave a flow occupying bandwidth in the list forever. Paused flows
    probe at least every [probe_x * index] RTTs, so a generous multiple
    of the average RTT cannot evict a live flow. *)
+let stale_horizon t = fmax (60. *. t.rtt_avg) 0.01
+
+let rec has_stale t ~now i =
+  i < Flow_list.length t.flows
+  && (now -. (Flow_list.get t.flows i).Flow_state.last_seen > stale_horizon t
+     || has_stale t ~now (i + 1))
+
+(* Runs on every rate-controller tick, where the list is mostly empty
+   or fresh: the first pass is a plain loop that boxes no float, and
+   the closure and the list are built only once an entry is stale. *)
 let purge_stale t ~now =
-  let horizon = max (60. *. t.rtt_avg) 0.01 in
-  let stale =
-    Flow_list.fold
-      (fun acc e ->
-        if now -. e.Flow_state.last_seen > horizon then
-          e.Flow_state.flow_id :: acc
-        else acc)
-      [] t.flows
-  in
-  List.iter (fun id -> ignore (Flow_list.remove t.flows id)) stale
+  if has_stale t ~now 0 then begin
+    let horizon = stale_horizon t in
+    let stale =
+      Flow_list.fold
+        (fun acc e ->
+          if now -. e.Flow_state.last_seen > horizon then
+            e.Flow_state.flow_id :: acc
+          else acc)
+        [] t.flows
+    in
+    List.iter (fun id -> ignore (Flow_list.remove t.flows id)) stale
+  end
 
 let update_rate_controller t ~queue_bytes ~now =
   purge_stale t ~now;
@@ -362,16 +386,16 @@ let update_rate_controller t ~queue_bytes ~now =
      permanent margin off every link. *)
   let q_bits =
     Pdq_engine.Units.bytes_to_bits
-      (max 0 (queue_bytes - t.config.Config.queue_allowance_bytes))
+      (Int.max 0 (queue_bytes - t.config.Config.queue_allowance_bytes))
   in
   (* Drain against the min-filtered RTT: the smoothed estimate inflates
      with the very congestion the controller must remove, which would
      weaken the drain exactly when it is needed. *)
-  t.c <- max 0. (t.rpdq -. (q_bits /. (2. *. max t.rtt_min 1e-9)))
+  t.c <- fmax 0. (t.rpdq -. (q_bits /. (2. *. fmax t.rtt_min 1e-9)))
 
 (* The rate controller updates every 2 average RTTs (§3.3.1). *)
 let rate_update_interval t = 2. *. t.rtt_avg
 
 let remove_flow t flow_id ~now:_ =
   ignore (Flow_list.remove t.flows flow_id);
-  Hashtbl.remove t.fallback_seen flow_id
+  Int_table.remove t.fallback_seen flow_id

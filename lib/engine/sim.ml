@@ -131,7 +131,7 @@ let clear_global_cancel () = Atomic.set global_default None
 let cancel_of = function
   | None -> None
   | Some (every, hook) ->
-      let every = max 1 every in
+      let every = Int.max 1 every in
       Some { every; hook; countdown = every }
 
 let noop () = ()

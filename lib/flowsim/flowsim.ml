@@ -656,7 +656,7 @@ let d3_rates ws { fs; avail; demand; count } ~now ~capacity =
 let workspace ~capacity ~goodput_factor specs =
   let n = Array.length specs and nlinks = Array.length capacity in
   let hops = Array.fold_left (fun h s -> h + Array.length s.path) 0 specs in
-  let ids = Hashtbl.create n in
+  let ids = Pdq_engine.Int_table.create n in
   let pstart = Array.make (n + 1) 0 and plink = Array.make hops 0 in
   let nic = Array.make n 0. and remaining = Array.make n 0. in
   let deadline_abs = Array.make n 0. and has_deadline = Array.make n false in
@@ -665,9 +665,9 @@ let workspace ~capacity ~goodput_factor specs =
       if Array.length s.path = 0 then
         invalid_arg
           (Printf.sprintf "Flowsim.run: flow %d has an empty path" s.fs_id);
-      if Hashtbl.mem ids s.fs_id then
+      if Pdq_engine.Int_table.mem ids s.fs_id then
         invalid_arg (Printf.sprintf "Flowsim.run: duplicate flow id %d" s.fs_id);
-      Hashtbl.add ids s.fs_id ();
+      Pdq_engine.Int_table.replace ids s.fs_id ();
       let h = pstart.(i) in
       let m = ref infinity in
       Array.iteri

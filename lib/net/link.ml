@@ -73,7 +73,7 @@ let hold t pkt =
   let cap = Array.length t.buf - 1 in
   if t.held >= cap then begin
     let filler = if cap < 0 then pkt else t.buf.(cap) in
-    let buf = Array.make (max 8 (2 * cap) + 1) filler in
+    let buf = Array.make (Int.max 8 (2 * cap) + 1) filler in
     if cap > 0 then begin
       let first = cap - t.head in
       Array.blit t.buf t.head buf 0 first;

@@ -4,6 +4,7 @@ module Packet = Pdq_net.Packet
 module Topology = Pdq_net.Topology
 module Router = Pdq_net.Router
 module Link = Pdq_net.Link
+module Int_table = Pdq_engine.Int_table
 
 type flow_spec = {
   src : int;
@@ -47,8 +48,8 @@ type t = {
   mutable flows_rev : flow list;
   mutable flow_count : int;
   mutable next_subflow_id : int;
-  routes : (int, route) Hashtbl.t;
-  route_origins : (int, route_origin) Hashtbl.t;
+  routes : route Int_table.t;
+  route_origins : route_origin Int_table.t;
   hooks : hooks;
   mutable reboot_hooks : (int -> unit) list;
   tally : Pdq_engine.Stats.Tally.t;
@@ -71,8 +72,8 @@ let create ?(trace = Trace.null) ~sim ~topo ~rng () =
     flows_rev = [];
     flow_count = 0;
     next_subflow_id = subflow_id_base;
-    routes = Hashtbl.create 256;
-    route_origins = Hashtbl.create 256;
+    routes = Int_table.create 256;
+    route_origins = Int_table.create 256;
     reboot_hooks = [];
     tally = Pdq_engine.Stats.Tally.create ();
     hooks =
@@ -132,8 +133,8 @@ let register_route t ~id ~src ~dst ~choice =
         record_fault t "fault.unroutable";
         [||]
   in
-  Hashtbl.replace t.routes id (resolve t.topo links);
-  Hashtbl.replace t.route_origins id (Ecmp { src; dst; choice })
+  Int_table.replace t.routes id (resolve t.topo links);
+  Int_table.replace t.route_origins id (Ecmp { src; dst; choice })
 
 let register_route_nodes t ~id path =
   if Array.length path < 2 then
@@ -145,9 +146,9 @@ let register_route_nodes t ~id path =
         invalid_arg
           "Context.register_route_nodes: consecutive nodes not adjacent"
   in
-  Hashtbl.replace t.routes id
+  Int_table.replace t.routes id
     (resolve t.topo (Array.init (Array.length path - 1) hop));
-  Hashtbl.replace t.route_origins id Pinned
+  Int_table.replace t.route_origins id Pinned
 
 (* Topology changed (link failed or recovered): recompute every ECMP
    route on the live graph. A flow whose endpoints are partitioned
@@ -158,19 +159,19 @@ let register_route_nodes t ~id path =
 let reroute t =
   Router.invalidate t.router;
   let ids =
-    Hashtbl.fold
+    Int_table.fold
       (fun id origin acc ->
         match origin with Ecmp _ -> id :: acc | Pinned -> acc)
       t.route_origins []
-    |> List.sort compare
+    |> List.sort Int.compare
   in
   List.iter
     (fun id ->
-      match Hashtbl.find t.route_origins id with
+      match Int_table.find t.route_origins id with
       | Pinned -> ()
       | Ecmp { src; dst; choice } -> (
           match Router.path_links t.router ~src ~dst ~choice with
-          | links -> Hashtbl.replace t.routes id (resolve t.topo links)
+          | links -> Int_table.replace t.routes id (resolve t.topo links)
           | exception Not_found -> record_fault t "fault.unroutable"))
     ids
 
@@ -219,7 +220,7 @@ let fresh_subflow_id t =
   id
 
 let find_route t id =
-  match Hashtbl.find t.routes id with
+  match Int_table.find t.routes id with
   | r -> r
   | exception Not_found ->
       failwith (Printf.sprintf "Context.route: unknown flow %d" id)

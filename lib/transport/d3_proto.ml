@@ -4,8 +4,16 @@ module Link = Pdq_net.Link
 module Topology = Pdq_net.Topology
 module Console = Pdq_telemetry.Console
 module Trace = Pdq_telemetry.Trace
+module Int_table = Pdq_engine.Int_table
 
 let k_tick = Sim.Kind.register "d3.tick"
+
+(* Stdlib's [min]/[max] on floats without the polymorphic compare: the
+   same results, NaN and signed zeros included. Local to this module:
+   the dev profile compiles libraries [-opaque], so a helper from
+   another module would not be inlined. *)
+let fmin (a : float) b = if a <= b then a else b
+let fmax (a : float) b = if a >= b then a else b
 
 let min_rate = 1e5
 
@@ -15,50 +23,52 @@ type port = {
   mutable avail : float;        (* unreserved capacity this interval *)
   mutable demand_acc : float;   (* sum of desired rates this interval *)
   mutable n_acc : int;          (* flows that requested this interval *)
-  granted : (int, float) Hashtbl.t; (* flow -> grant this interval *)
+  granted : float Int_table.t; (* flow -> grant this interval *)
   mutable rtt_avg : float;
 }
 
 type t = { ports : port array; inner : Endpoint.explicit Endpoint.t }
 
-let flow_count t ~link = Hashtbl.length t.ports.(link).granted
+let flow_count t ~link = Int_table.length t.ports.(link).granted
 
 (* Interval rollover: compute next interval's fair share from this
    interval's demand, reset reservations. *)
 let rollover p =
   let q_bits = Pdq_engine.Units.bytes_to_bits (Link.queue_bytes p.link) in
   let c_eff =
-    max 0. (Link.rate p.link -. (q_bits /. (2. *. max p.rtt_avg 1e-9)))
+    fmax 0. (Link.rate p.link -. (q_bits /. (2. *. fmax p.rtt_avg 1e-9)))
   in
   (* Non-negative fair share (the fix described in §5.1). *)
-  p.fs <- max 0. ((c_eff -. p.demand_acc) /. float_of_int (max 1 p.n_acc));
+  p.fs <- fmax 0. ((c_eff -. p.demand_acc) /. float_of_int (Int.max 1 p.n_acc));
   if p.n_acc = 0 then p.fs <- c_eff;
   p.avail <- c_eff;
   p.demand_acc <- 0.;
   p.n_acc <- 0;
-  Hashtbl.reset p.granted
+  Int_table.clear p.granted
 
 let on_forward t ~link (pkt : Packet.t) =
   match pkt.Packet.payload with
   | Payloads.D3_ctrl (ctrl, _) -> (
       match pkt.Packet.kind with
-      | Packet.Term -> Hashtbl.remove t.ports.(link).granted pkt.Packet.flow
+      | Packet.Term -> Int_table.remove t.ports.(link).granted pkt.Packet.flow
       | Packet.Syn | Packet.Data | Packet.Probe -> (
           let p = t.ports.(link) in
           if ctrl.Payloads.d3_rtt > 0. then
             p.rtt_avg <- (0.875 *. p.rtt_avg) +. (0.125 *. ctrl.Payloads.d3_rtt);
-          match Hashtbl.find_opt p.granted pkt.Packet.flow with
-          | Some g ->
-              ctrl.Payloads.d3_allocated <- min ctrl.Payloads.d3_allocated g
-          | None ->
+          match Int_table.find p.granted pkt.Packet.flow with
+          | g ->
+              ctrl.Payloads.d3_allocated <- fmin ctrl.Payloads.d3_allocated g
+          | exception Not_found ->
               (* First request of the interval: reserve greedily, in
                  arrival order (first-come first-reserve). *)
               p.demand_acc <- p.demand_acc +. ctrl.Payloads.d3_desired;
               p.n_acc <- p.n_acc + 1;
-              let g = max 0. (min (ctrl.Payloads.d3_desired +. p.fs) p.avail) in
+              let g =
+                fmax 0. (fmin (ctrl.Payloads.d3_desired +. p.fs) p.avail)
+              in
               p.avail <- p.avail -. g;
-              Hashtbl.replace p.granted pkt.Packet.flow g;
-              ctrl.Payloads.d3_allocated <- min ctrl.Payloads.d3_allocated g)
+              Int_table.replace p.granted pkt.Packet.flow g;
+              ctrl.Payloads.d3_allocated <- fmin ctrl.Payloads.d3_allocated g)
       | Packet.Syn_ack | Packet.Ack -> ())
   | _ -> ()
 
@@ -67,7 +77,7 @@ let desired_rate (s : Endpoint.explicit Endpoint.sender) ~now =
   match s.flow with
   | Some { Context.deadline_abs = Some d; _ } ->
       let remaining_bits =
-        Pdq_engine.Units.bytes_to_bits (max 0 (s.size - s.acked))
+        Pdq_engine.Units.bytes_to_bits (Int.max 0 (s.size - s.acked))
       in
       if d <= now then infinity else remaining_bits /. (d -. now)
   | Some _ | None -> 0.
@@ -120,7 +130,7 @@ let install ~ctx ~until =
           avail = Link.rate link;
           demand_acc = 0.;
           n_acc = 0;
-          granted = Hashtbl.create 16;
+          granted = Int_table.create 8;
           rtt_avg = Context.init_rtt;
         })
   in
@@ -132,7 +142,7 @@ let install ~ctx ~until =
       Array.iter
         (fun p ->
           if Link.src p.link = node then begin
-            Hashtbl.reset p.granted;
+            Int_table.clear p.granted;
             p.fs <- Link.rate p.link;
             p.avail <- Link.rate p.link;
             p.demand_acc <- 0.;
@@ -150,7 +160,7 @@ let install ~ctx ~until =
       let rec tick () =
         if Sim.now sim <= until then begin
           rollover p;
-          ignore (Sim.schedule_k sim k_tick ~delay:(max p.rtt_avg 5e-5) tick)
+          ignore (Sim.schedule_k sim k_tick ~delay:(fmax p.rtt_avg 5e-5) tick)
         end
       in
       ignore (Sim.schedule_k sim k_tick ~delay:0. tick))

@@ -3,6 +3,7 @@ module Units = Pdq_engine.Units
 module Packet = Pdq_net.Packet
 module Topology = Pdq_net.Topology
 module Console = Pdq_telemetry.Console
+module Int_table = Pdq_engine.Int_table
 
 type 'x sender = {
   ctx : Context.t;
@@ -52,13 +53,20 @@ and 'x ops = {
 type 'x t = {
   context : Context.t;
   protocol : 'x ops;
-  senders : (int, 'x sender) Hashtbl.t;
+  senders : 'x sender Int_table.t;
 }
 
 let create ctx ops =
-  { context = ctx; protocol = ops; senders = Hashtbl.create 64 }
+  { context = ctx; protocol = ops; senders = Int_table.create 64 }
 
 let noop () = ()
+
+(* Stdlib's [min]/[max] on floats without the polymorphic compare: the
+   same results, NaN and signed zeros included. Local to this module:
+   the dev profile compiles libraries [-opaque], so a helper from
+   another module would not be inlined. *)
+let fmin (a : float) b = if a <= b then a else b
+let fmax (a : float) b = if a >= b then a else b
 
 (* Watchdog hardening: bounded, backed-off retransmission so a flow on
    a dead path reaches a terminal [Aborted] outcome instead of
@@ -74,12 +82,12 @@ let jittered rng d = d *. (0.75 +. (0.5 *. Pdq_engine.Rng.float rng))
 
 let nic_rate topo node =
   List.fold_left
-    (fun acc (_, l) -> max acc (Pdq_net.Link.rate (Topology.link topo l)))
+    (fun acc (_, l) -> fmax acc (Pdq_net.Link.rate (Topology.link topo l)))
     0.
     (Topology.links_from topo node)
 
 let now s = Context.now s.ctx
-let rto s = max (3. *. s.rtt) 1e-3
+let rto s = fmax (3. *. s.rtt) 1e-3
 let max_payload s = Packet.max_payload ~scheduling_header:s.ops.extra_header
 
 let make_pkt s ~kind ?(payload_bytes = 0) ?(seq = 0) () =
@@ -143,14 +151,16 @@ let terminate s = stop s None
 let pacing_interval s ~wire_bytes =
   if s.rate <= 0. then infinity
   else
-    min (Units.tx_time ~bytes:wire_bytes ~rate:s.rate) (max (4. *. s.rtt) 2e-3)
+    fmin
+      (Units.tx_time ~bytes:wire_bytes ~rate:s.rate)
+      (fmax (4. *. s.rtt) 2e-3)
 
 (* Paced data transmission: one packet per event, the next scheduled a
    serialization interval (at the current rate) later. *)
 let send_data s () =
   s.send_ev <- None;
   if (not s.closed) && s.rate > 0. && s.next_seq < s.size then begin
-    let payload = min (max_payload s) (s.size - s.next_seq) in
+    let payload = Int.min (max_payload s) (s.size - s.next_seq) in
     let pkt =
       make_pkt s ~kind:Packet.Data ~payload_bytes:payload ~seq:s.next_seq ()
     in
@@ -170,7 +180,7 @@ let send_data s () =
 let ensure_sending s =
   if
     (not s.closed)
-    && s.send_ev = None
+    && Option.is_none s.send_ev
     && s.rate > 0.
     && s.next_seq < s.size
   then begin
@@ -179,7 +189,7 @@ let ensure_sending s =
     let interval =
       pacing_interval s ~wire_bytes:(max_payload s + Packet.header_bytes)
     in
-    let delay = max 0. (s.last_tx +. interval -. now s) in
+    let delay = fmax 0. (s.last_tx +. interval -. now s) in
     s.send_ev <-
       Some (Sim.schedule_k (Context.sim s.ctx) s.ops.k_send ~delay s.send_fn)
   end
@@ -198,7 +208,7 @@ let watchdog s () =
         if s.syn_retries >= max_syn_retries then stop s (Some "syn")
         else begin
           s.syn_retries <- s.syn_retries + 1;
-          let expo = min s.syn_retries backoff_cap in
+          let expo = Int.min s.syn_retries backoff_cap in
           s.syn_wait <-
             jittered (Context.rng s.ctx) (rto s *. float_of_int (1 lsl expo));
           send_syn s
@@ -290,9 +300,9 @@ let receive s (pkt : Packet.t) =
   | Packet.Term | Packet.Syn_ack | Packet.Ack -> ()
 
 let deliver ep ~node (pkt : Packet.t) =
-  match Hashtbl.find_opt ep.senders pkt.Packet.flow with
-  | None -> ()
-  | Some s -> (
+  match Int_table.find ep.senders pkt.Packet.flow with
+  | exception Not_found -> ()
+  | s -> (
       match pkt.Packet.kind with
       | Packet.Syn | Packet.Data | Packet.Probe | Packet.Term ->
           if node = s.dst then receive s pkt
@@ -333,7 +343,7 @@ let launch ep ~id ~src ~dst ~size ~capacity ~start ~flow ext =
       ext;
     }
   in
-  Hashtbl.replace ep.senders id s;
+  Int_table.replace ep.senders id s;
   s.send_fn <- send_data s;
   s.watchdog_fn <- watchdog s;
   let sim = Context.sim s.ctx in
@@ -373,7 +383,7 @@ let explicit_rate ~extra_header ~min_rate ~payload ~reply ~grant ~quench :
         if sample > 0. then s.rtt <- (0.875 *. s.rtt) +. (0.125 *. sample);
         match grant s pkt with
         | Some r ->
-            let fresh = max min_rate r in
+            let fresh = fmax min_rate r in
             (let trace = Context.trace s.ctx in
              if Pdq_telemetry.Trace.active trace && fresh <> s.rate then
                Pdq_telemetry.Trace.(
@@ -389,7 +399,7 @@ let explicit_rate ~extra_header ~min_rate ~payload ~reply ~grant ~quench :
       (fun s ~now ->
         if s.syn_acked && s.acked < s.size && now -. s.last_tx > s.rtt then
           transmit s (make_pkt s ~kind:Packet.Probe ());
-        max (min s.rtt 5e-4) 1e-4);
+        fmax (fmin s.rtt 5e-4) 1e-4);
     sync = (fun _ -> ());
     on_rx = (fun _ ~bytes:_ -> ());
   }

@@ -42,6 +42,13 @@ let k_launch = Sim.Kind.register "pdq.launch"
 
 let probe_backoff_threshold = 4
 
+(* Stdlib's [min]/[max] on floats without the polymorphic compare: the
+   same results, NaN and signed zeros included. Local to this module:
+   the dev profile compiles libraries [-opaque], so a helper from
+   another module would not be inlined. *)
+let fmin (a : float) b = if a <= b then a else b
+let fmax (a : float) b = if a >= b then a else b
+
 let port t link = t.ports.(link)
 
 let port_flow_counts t ~link =
@@ -61,7 +68,7 @@ let probe_loop (s : stream) () =
         (Sender.rtt p.core);
     Endpoint.transmit s (Endpoint.make_pkt s ~kind:Packet.Probe ());
     p.probes_unanswered <- p.probes_unanswered + 1;
-    let base = max (Sender.inter_probe_interval p.core) 1e-5 in
+    let base = fmax (Sender.inter_probe_interval p.core) 1e-5 in
     (* A healthy paused flow sees each probe answered within ~1 RTT, so
        more than a few unanswered probes means the path is suspect:
        back the probing off exponentially (with jitter) instead of
@@ -70,7 +77,7 @@ let probe_loop (s : stream) () =
       if p.probes_unanswered <= probe_backoff_threshold then base
       else
         let expo =
-          min
+          Int.min
             (p.probes_unanswered - probe_backoff_threshold)
             Endpoint.backoff_cap
         in
@@ -86,8 +93,8 @@ let probe_loop (s : stream) () =
 let sync (s : stream) =
   let p = s.ext in
   if (not s.closed) && Sender.is_paused p.core then begin
-    if p.probe_ev = None && s.syn_acked then begin
-      let delay = max (Sender.inter_probe_interval p.core) 1e-5 in
+    if Option.is_none p.probe_ev && s.syn_acked then begin
+      let delay = fmax (Sender.inter_probe_interval p.core) 1e-5 in
       p.probe_ev <-
         Some (Sim.schedule_k (Context.sim s.ctx) k_probe ~delay p.probe_fn)
     end
@@ -128,7 +135,7 @@ let on_ack (s : stream) (pkt : Packet.t) (ack : Payloads.ack_info) ~now =
            if Pdq_telemetry.Trace.active trace then
              Pdq_telemetry.Trace.(
                emit trace (Flow_retransmit { flow = s.id; kind = "fast" })));
-          let payload = min max_payload (s.size - s.acked) in
+          let payload = Int.min max_payload (s.size - s.acked) in
           Endpoint.transmit s
             (Endpoint.make_pkt s ~kind:Packet.Data ~payload_bytes:payload
                ~seq:s.acked ())
@@ -142,7 +149,7 @@ let reply (s : stream) (pkt : Packet.t) ack =
   match pkt.Packet.payload with
   | Payloads.Pdq_sched (hdr, _) ->
       let echo = Header.copy hdr in
-      echo.Header.rate <- min echo.Header.rate s.ext.rx_max_rate;
+      echo.Header.rate <- fmin echo.Header.rate s.ext.rx_max_rate;
       Payloads.Pdq_sched (echo, ack)
   | _ -> invalid_arg "Pdq_proto.reply: not a PDQ packet"
 
@@ -164,7 +171,7 @@ let ops (cfg : Pdq_core.Config.t) : pdq Endpoint.ops =
       (if cfg.Pdq_core.Config.features.Pdq_core.Config.early_termination then
          fun s ~now -> Sender.should_terminate s.ext.core ~now
        else fun _ ~now:_ -> false);
-    tick = (fun s ~now:_ -> max s.rtt 5e-4);
+    tick = (fun s ~now:_ -> fmax s.rtt 5e-4);
     sync;
     on_rx = (fun s ~bytes -> s.ext.on_rx ~bytes);
   }
@@ -218,10 +225,11 @@ let install ?(size_info = Sender.Known) ~config ~ctx ~until () =
     (fun i port ->
       let link = Topology.link topo i in
       let rec tick () =
-        if Sim.now sim <= until then begin
+        let now = Sim.now sim in
+        if now <= until then begin
           Switch_port.update_rate_controller port
-            ~queue_bytes:(Link.queue_bytes link) ~now:(Sim.now sim);
-          let delay = max (Switch_port.rate_update_interval port) 2e-5 in
+            ~queue_bytes:(Link.queue_bytes link) ~now;
+          let delay = fmax (Switch_port.rate_update_interval port) 2e-5 in
           ignore (Sim.schedule_k sim k_rate_ctl ~delay tick)
         end
       in
@@ -272,7 +280,7 @@ let start_flow t (flow : Context.flow) =
        ~on_event:(fun () -> ())
        ~parent:(Some flow))
 
-let stream_remaining_unsent (s : stream) = max 0 (s.size - s.sent_hi)
+let stream_remaining_unsent (s : stream) = Int.max 0 (s.size - s.sent_hi)
 let stream_assigned (s : stream) = s.size
 let stream_is_paused (s : stream) = Sender.is_paused s.ext.core
 let stream_is_done (s : stream) = s.closed && not s.terminated

@@ -2,8 +2,16 @@ module Sim = Pdq_engine.Sim
 module Packet = Pdq_net.Packet
 module Link = Pdq_net.Link
 module Topology = Pdq_net.Topology
+module Int_table = Pdq_engine.Int_table
 
 let k_tick = Sim.Kind.register "rcp.tick"
+
+(* Stdlib's [min]/[max] on floats without the polymorphic compare: the
+   same results, NaN and signed zeros included. Local to this module:
+   the dev profile compiles libraries [-opaque], so a helper from
+   another module would not be inlined. *)
+let fmin (a : float) b = if a <= b then a else b
+let fmax (a : float) b = if a >= b then a else b
 
 (* A very low floor keeps every flow probing forward progress; real RCP
    hands out a minimum of one packet per RTT. *)
@@ -11,7 +19,7 @@ let min_rate = 1e5
 
 type port = {
   link : Link.t;
-  flows : (int, float) Hashtbl.t; (* flow id -> last seen *)
+  flows : float Int_table.t; (* flow id -> last seen *)
   mutable fair : float;
   mutable rtt_avg : float;
 }
@@ -23,12 +31,12 @@ type t = {
 }
 
 let recompute_fair p ~now:_ =
-  let n = max 1 (Hashtbl.length p.flows) in
+  let n = Int.max 1 (Int_table.length p.flows) in
   let q_bits = Pdq_engine.Units.bytes_to_bits (Link.queue_bytes p.link) in
-  let c_eff = Link.rate p.link -. (q_bits /. (2. *. max p.rtt_avg 1e-9)) in
-  p.fair <- max min_rate (min (Link.rate p.link) (c_eff /. float_of_int n))
+  let c_eff = Link.rate p.link -. (q_bits /. (2. *. fmax p.rtt_avg 1e-9)) in
+  p.fair <- fmax min_rate (fmin (Link.rate p.link) (c_eff /. float_of_int n))
 
-let flow_count t ~link = Hashtbl.length t.ports.(link).flows
+let flow_count t ~link = Int_table.length t.ports.(link).flows
 
 let on_forward t ~link (pkt : Packet.t) =
   match pkt.Packet.payload with
@@ -37,18 +45,18 @@ let on_forward t ~link (pkt : Packet.t) =
       let now = Context.now t.ctx in
       match pkt.Packet.kind with
       | Packet.Term ->
-          Hashtbl.remove p.flows pkt.Packet.flow;
+          Int_table.remove p.flows pkt.Packet.flow;
           recompute_fair p ~now
       | Packet.Syn | Packet.Data | Packet.Probe ->
-          if not (Hashtbl.mem p.flows pkt.Packet.flow) then begin
-            Hashtbl.replace p.flows pkt.Packet.flow now;
+          if not (Int_table.mem p.flows pkt.Packet.flow) then begin
+            Int_table.replace p.flows pkt.Packet.flow now;
             recompute_fair p ~now
           end
-          else Hashtbl.replace p.flows pkt.Packet.flow now;
+          else Int_table.replace p.flows pkt.Packet.flow now;
           if ctrl.Payloads.rcp_rtt > 0. then
             p.rtt_avg <-
               (0.875 *. p.rtt_avg) +. (0.125 *. ctrl.Payloads.rcp_rtt);
-          ctrl.Payloads.rcp_rate <- min ctrl.Payloads.rcp_rate p.fair
+          ctrl.Payloads.rcp_rate <- fmin ctrl.Payloads.rcp_rate p.fair
       | Packet.Syn_ack | Packet.Ack -> ())
   | _ -> ()
 
@@ -74,14 +82,15 @@ let ops =
    generous horizon so slow flows are never evicted spuriously. *)
 let purge p ~now =
   let stale =
-    Hashtbl.fold
+    Int_table.fold
       (fun id seen acc -> if now -. seen > 0.5 then id :: acc else acc)
       p.flows []
   in
-  if stale <> [] then begin
-    List.iter (Hashtbl.remove p.flows) stale;
-    recompute_fair p ~now
-  end
+  match stale with
+  | [] -> ()
+  | _ :: _ ->
+      List.iter (Int_table.remove p.flows) stale;
+      recompute_fair p ~now
 
 let install ~ctx ~until =
   let topo = Context.topo ctx in
@@ -90,7 +99,7 @@ let install ~ctx ~until =
         let link = Topology.link topo i in
         {
           link;
-          flows = Hashtbl.create 16;
+          flows = Int_table.create 8;
           fair = Link.rate link;
           rtt_avg = Context.init_rtt;
         })
@@ -104,7 +113,7 @@ let install ~ctx ~until =
       Array.iter
         (fun p ->
           if Link.src p.link = node then begin
-            Hashtbl.reset p.flows;
+            Int_table.clear p.flows;
             p.fair <- Link.rate p.link;
             p.rtt_avg <- Context.init_rtt
           end)
@@ -121,7 +130,7 @@ let install ~ctx ~until =
           let now = Sim.now sim in
           purge p ~now;
           recompute_fair p ~now;
-          ignore (Sim.schedule_k sim k_tick ~delay:(max p.rtt_avg 5e-5) tick)
+          ignore (Sim.schedule_k sim k_tick ~delay:(fmax p.rtt_avg 5e-5) tick)
         end
       in
       ignore (Sim.schedule_k sim k_tick ~delay:0. tick))

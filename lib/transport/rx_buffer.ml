@@ -11,7 +11,7 @@ type t = {
 
 let create ?capacity ~size ~segment () =
   if segment <= 0 then invalid_arg "Rx_buffer.create: segment <= 0";
-  let capacity = max size (Option.value capacity ~default:size) in
+  let capacity = Int.max size (Option.value capacity ~default:size) in
   { size; capacity; intervals = []; received = 0 }
 
 let set_size t size =
@@ -20,14 +20,14 @@ let set_size t size =
   t.size <- size
 
 let on_data t ~seq ~bytes =
-  let lo = max 0 seq and hi = min t.size (seq + bytes) in
+  let lo = Int.max 0 seq and hi = Int.min t.size (seq + bytes) in
   if hi > lo then begin
     (* Merge [lo, hi) into the interval list. *)
     let rec merge acc lo hi = function
       | [] -> List.rev ((lo, hi) :: acc)
       | (a, b) :: rest when b < lo -> merge ((a, b) :: acc) lo hi rest
       | (a, b) :: rest when a > hi -> List.rev_append acc ((lo, hi) :: (a, b) :: rest)
-      | (a, b) :: rest -> merge acc (min a lo) (max b hi) rest
+      | (a, b) :: rest -> merge acc (Int.min a lo) (Int.max b hi) rest
     in
     let merged = merge [] lo hi t.intervals in
     t.intervals <- merged;

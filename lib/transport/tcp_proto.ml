@@ -1,5 +1,6 @@
 module Sim = Pdq_engine.Sim
 module Packet = Pdq_net.Packet
+module Int_table = Pdq_engine.Int_table
 
 let mss = Packet.max_payload ~scheduling_header:0
 
@@ -7,6 +8,13 @@ let noop () = ()
 
 (* Minimum retransmission timeout, small to mitigate incast. *)
 let rto_min = 1e-3
+
+(* Stdlib's [min]/[max] on floats without the polymorphic compare: the
+   same results, NaN and signed zeros included. Local to this module:
+   the dev profile compiles libraries [-opaque], so a helper from
+   another module would not be inlined. *)
+let fmin (a : float) b = if a <= b then a else b
+let fmax (a : float) b = if a >= b then a else b
 
 let k_timer = Pdq_engine.Sim.Kind.register "tcp.timer"
 let k_launch = Pdq_engine.Sim.Kind.register "tcp.launch"
@@ -37,7 +45,7 @@ type sender = {
 
 and t = {
   ctx : Context.t;
-  senders : (int, sender) Hashtbl.t;
+  senders : sender Int_table.t;
 }
 
 let now s = Context.now s.proto.ctx
@@ -63,7 +71,7 @@ let send_syn s =
   transmit s (make_pkt s ~kind:Packet.Syn ())
 
 let send_segment s seq =
-  let payload = min mss (size s - seq) in
+  let payload = Int.min mss (size s - seq) in
   if payload > 0 then
     transmit s (make_pkt s ~kind:Packet.Data ~payload_bytes:payload ~seq ())
 
@@ -121,7 +129,8 @@ and on_timeout s =
     else begin
       if not s.syn_acked then send_syn s
       else if s.acked < size s then begin
-        s.ssthresh <- max (float_of_int (flight s) /. 2.) (2. *. float_of_int mss);
+        s.ssthresh <-
+          fmax (float_of_int (flight s) /. 2.) (2. *. float_of_int mss);
         s.cwnd <- float_of_int mss;
         s.dup_acks <- 0;
         s.in_recovery <- false;
@@ -132,7 +141,7 @@ and on_timeout s =
         s.next_seq <- s.acked;
         try_send s
       end;
-      s.backoff <- min (s.backoff *. 2.) 64.;
+      s.backoff <- fmin (s.backoff *. 2.) 64.;
       arm_timer s
     end
   end
@@ -143,7 +152,7 @@ and try_send s =
     while !continue do
       if s.next_seq < size s && float_of_int (flight s) < s.cwnd then begin
         send_segment s s.next_seq;
-        s.next_seq <- s.next_seq + min mss (size s - s.next_seq)
+        s.next_seq <- s.next_seq + Int.min mss (size s - s.next_seq)
       end
       else continue := false
     done
@@ -158,7 +167,7 @@ let update_rtt s sample =
     s.rttvar <- (0.75 *. s.rttvar) +. (0.25 *. abs_float (s.srtt -. sample));
     s.srtt <- (0.875 *. s.srtt) +. (0.125 *. sample)
   end;
-  s.rto <- max rto_min (s.srtt +. (4. *. s.rttvar))
+  s.rto <- fmax rto_min (s.srtt +. (4. *. s.rttvar))
 
 let finish s =
   if not s.closed then begin
@@ -190,7 +199,7 @@ let on_ack s (pkt : Packet.t) =
           end
           else if s.cwnd < s.ssthresh then
             (* Slow start: one MSS per MSS acknowledged. *)
-            s.cwnd <- s.cwnd +. float_of_int (min acked_bytes mss)
+            s.cwnd <- s.cwnd +. float_of_int (Int.min acked_bytes mss)
           else
             (* Congestion avoidance. *)
             s.cwnd <- s.cwnd +. (float_of_int (mss * mss) /. s.cwnd);
@@ -206,7 +215,7 @@ let on_ack s (pkt : Packet.t) =
           s.dup_acks <- s.dup_acks + 1;
           if s.dup_acks = 3 && not s.in_recovery then begin
             s.ssthresh <-
-              max (float_of_int (flight s) /. 2.) (2. *. float_of_int mss);
+              fmax (float_of_int (flight s) /. 2.) (2. *. float_of_int mss);
             s.cwnd <- s.ssthresh +. (3. *. float_of_int mss);
             s.in_recovery <- true;
             s.recover_point <- s.next_seq;
@@ -261,9 +270,9 @@ let receiver_handle t s (pkt : Packet.t) =
   | Packet.Probe | Packet.Term | Packet.Syn_ack | Packet.Ack -> ()
 
 let deliver t ~node (pkt : Packet.t) =
-  match Hashtbl.find_opt t.senders pkt.Packet.flow with
-  | None -> ()
-  | Some s -> (
+  match Int_table.find t.senders pkt.Packet.flow with
+  | exception Not_found -> ()
+  | s -> (
       match pkt.Packet.kind with
       | Packet.Syn | Packet.Data | Packet.Probe | Packet.Term ->
           if node = s.flow.Context.spec.Context.dst then receiver_handle t s pkt
@@ -273,7 +282,7 @@ let deliver t ~node (pkt : Packet.t) =
           if node = s.flow.Context.spec.Context.src then on_ack s pkt)
 
 let install ~ctx () =
-  let t = { ctx; senders = Hashtbl.create 64 } in
+  let t = { ctx; senders = Int_table.create 64 } in
   Context.set_hooks ctx
     ~on_forward:(fun ~link:_ _ -> ())
     ~on_reverse:(fun ~fwd_link:_ _ -> ())
@@ -294,7 +303,7 @@ let start_flow t (flow : Context.flow) =
       recover_point = 0;
       srtt = 0.;
       rttvar = 0.;
-      rto = max rto_min (3. *. Context.init_rtt);
+      rto = fmax rto_min (3. *. Context.init_rtt);
       backoff = 1.;
       retries = 0;
       syn_acked = false;
@@ -305,7 +314,7 @@ let start_flow t (flow : Context.flow) =
     }
   in
   s.timer_fn <- (fun () -> on_timeout s);
-  Hashtbl.replace t.senders flow.Context.id s;
+  Int_table.replace t.senders flow.Context.id s;
   let sim = Context.sim t.ctx in
   let launch () =
     (let trace = Context.trace t.ctx in

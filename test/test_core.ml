@@ -328,6 +328,44 @@ let test_port_alloc_per_pair () =
        per_pair)
     true (per_pair <= 16.)
 
+(* The benchmark's isolated switch-port stage at 8 flows, without its
+   clock reads: a fresh PDQ(Full) port, every header forward then
+   reverse once per round. The round times are boxed up front, so the
+   words counted are the port's own boxed float writes (the header's
+   rate and probe spacing, the RTT average): 2.0 a header on OCaml
+   5.1. Calling Stdlib's polymorphic [min]/[max] on the rates made it
+   3.0. *)
+let test_port_words_per_header () =
+  let port = mk_port () in
+  let flows = 8 in
+  let headers =
+    Array.init flows (fun i ->
+        mk_header ~ttx:(float_of_int (i + 1) *. 1e-4) ())
+  in
+  let rounds = 2_000 in
+  let times = List.init rounds (fun r -> float_of_int r *. 1e-5) in
+  let w0 = Gc.minor_words () in
+  List.iter
+    (fun now ->
+      for i = 0 to flows - 1 do
+        let h = headers.(i) in
+        h.Header.rate <- gbps;
+        h.Header.pause_by <- None;
+        Switch_port.process_forward port h ~flow_id:i ~now
+      done;
+      for i = 0 to flows - 1 do
+        Switch_port.process_reverse port headers.(i) ~flow_id:i ~now
+      done)
+    times;
+  let per_header =
+    (Gc.minor_words () -. w0) /. float_of_int (2 * rounds * flows)
+  in
+  Alcotest.(check int) "all stored" flows
+    (Flow_list.length (Switch_port.flow_list port));
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words per header < 2.5 (got %.2f)" per_header)
+    true (per_header < 2.5)
+
 let test_port_reverse_zeroes_paused_rate () =
   let port = mk_port () in
   let h = mk_header () in
@@ -643,6 +681,8 @@ let suites =
           test_port_reverse_commits_rate;
         Alcotest.test_case "allocation per forward+reverse pair" `Quick
           test_port_alloc_per_pair;
+        Alcotest.test_case "minor words per header" `Quick
+          test_port_words_per_header;
         Alcotest.test_case "reverse zeroes paused rate" `Quick
           test_port_reverse_zeroes_paused_rate;
         Alcotest.test_case "early start" `Quick test_port_early_start;

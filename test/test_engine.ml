@@ -5,6 +5,7 @@ module Rng = Pdq_engine.Rng
 module Stats = Pdq_engine.Stats
 module Series = Pdq_engine.Series
 module Units = Pdq_engine.Units
+module Int_table = Pdq_engine.Int_table
 
 let feq ?(eps = 1e-9) a b = abs_float (a -. b) <= eps *. (1. +. abs_float a)
 
@@ -577,6 +578,136 @@ let test_units () =
   (* 1500 bytes at 1 Gbps = 12 microseconds. *)
   check_float "tx_time" 12e-6 (Units.tx_time ~bytes:1500 ~rate:(Units.gbps 1.))
 
+(* ------------------------------------------------------------------ *)
+(* Int_table *)
+
+type table_op =
+  | Put of int * int
+  | Del of int
+  | Get of int
+  | Has of int
+  | Len
+  | Fold
+  | Clear
+
+let show_table_op = function
+  | Put (k, v) -> Printf.sprintf "put %d %d" k v
+  | Del k -> Printf.sprintf "del %d" k
+  | Get k -> Printf.sprintf "get %d" k
+  | Has k -> Printf.sprintf "has %d" k
+  | Len -> "len"
+  | Fold -> "fold"
+  | Clear -> "clear"
+
+(* Keys as the callers make them: dense flow ids, subflow ids from
+   1,000,000 up, and the ints a sentinel-keyed table gets wrong. *)
+let table_key =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, int_bound 40);
+        (2, map (fun i -> 1_000_000 + i) (int_bound 40));
+        (2, map (fun i -> -1 - i) (int_bound 40));
+        (1, oneofl [ min_int; min_int + 1; max_int; max_int - 1; 0 ]);
+      ])
+
+let table_op =
+  QCheck.Gen.(
+    frequency
+      [
+        (120, map2 (fun k v -> Put (k, v)) table_key small_nat);
+        (45, map (fun k -> Del k) table_key);
+        (45, map (fun k -> Get k) table_key);
+        (30, map (fun k -> Has k) table_key);
+        (15, return Len);
+        (15, return Fold);
+        (1, return Clear);
+      ])
+
+(* The table against [Hashtbl] as a reference model, observed after
+   every operation. Puts outnumber removals and a clear is rare, so a
+   table created for no binding holds most of the 127 keys at a time:
+   it doubles from 8 slots to 256 on the way. *)
+let prop_int_table_model =
+  QCheck.Test.make ~name:"int table matches Hashtbl" ~count:500
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_table_op ops))
+        ~shrink:Shrink.list
+        Gen.(list_size (int_range 1 600) table_op))
+    (fun ops ->
+      let t = Int_table.create 0 and model = Hashtbl.create 8 in
+      let bindings fold tbl =
+        List.sort compare (fold (fun k v acc -> (k, v) :: acc) tbl [])
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Put (k, v) ->
+              Int_table.replace t k v;
+              Hashtbl.replace model k v;
+              true
+          | Del k ->
+              Int_table.remove t k;
+              Hashtbl.remove model k;
+              true
+          | Get k ->
+              (match Int_table.find t k with
+              | v -> Some v
+              | exception Not_found -> None)
+              = Hashtbl.find_opt model k
+          | Has k -> Int_table.mem t k = Hashtbl.mem model k
+          | Len -> true
+          | Fold -> bindings Int_table.fold t = bindings Hashtbl.fold model
+          | Clear ->
+              Int_table.clear t;
+              Hashtbl.reset model;
+              true)
+          && Int_table.length t = Hashtbl.length model)
+        ops)
+
+(* Removal moves the rest of a probe run back. At most half full, a
+   thousand keys make many runs longer than two slots, so removing
+   every other key removes from the middle of runs; every key left must
+   still be found, and every key removed must be gone. *)
+let test_int_table_remove_mid_run () =
+  let keys = Array.init 1000 (fun i -> (i * 7919) - 500_000) in
+  let t = Int_table.create 0 in
+  Array.iter (fun k -> Int_table.replace t k (-k)) keys;
+  Array.iteri (fun i k -> if i mod 2 = 0 then Int_table.remove t k) keys;
+  Alcotest.(check int) "length" 500 (Int_table.length t);
+  Array.iteri
+    (fun i k ->
+      if i mod 2 = 0 then
+        Alcotest.(check bool) (Printf.sprintf "%d removed" k) false
+          (Int_table.mem t k)
+      else
+        Alcotest.(check int) (Printf.sprintf "%d found" k) (-k)
+          (Int_table.find t k))
+    keys
+
+(* A lookup, hit or miss, allocates nothing, also on float values: the
+   table keeps each float's box, where [Hashtbl.find_opt] allocates a
+   [Some]. *)
+let test_int_table_find_alloc_free () =
+  let t = Int_table.create 0 in
+  for k = -50 to 50 do
+    Int_table.replace t (1_000_000 * k) (float_of_int k *. 0.5)
+  done;
+  Int_table.replace t min_int 1.5;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100 do
+    for k = -60 to 60 do
+      (match Int_table.find t (1_000_000 * k) with
+      | v -> ignore (Sys.opaque_identity v)
+      | exception Not_found -> ());
+      ignore (Sys.opaque_identity (Int_table.mem t k))
+    done;
+    ignore (Sys.opaque_identity (Int_table.find t min_int))
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check (float 0.)) "minor words for 24,300 lookups" 0. words
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
 
 let suites =
@@ -627,4 +758,12 @@ let suites =
         Alcotest.test_case "integrate rate" `Quick test_series_integrate_rate;
       ] );
     ("engine.units", [ Alcotest.test_case "conversions" `Quick test_units ]);
+    ( "engine.int_table",
+      [
+        Alcotest.test_case "remove from the middle of a run" `Quick
+          test_int_table_remove_mid_run;
+        Alcotest.test_case "allocation-free lookup" `Quick
+          test_int_table_find_alloc_free;
+      ]
+      @ qsuite [ prop_int_table_model ] );
   ]
