@@ -72,8 +72,8 @@ let create ?(trace = Trace.null) ~sim ~topo ~rng () =
     flows_rev = [];
     flow_count = 0;
     next_subflow_id = subflow_id_base;
-    routes = Int_table.create 256;
-    route_origins = Int_table.create 256;
+    routes = Int_table.create 128;
+    route_origins = Int_table.create 128;
     reboot_hooks = [];
     tally = Pdq_engine.Stats.Tally.create ();
     hooks =

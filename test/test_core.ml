@@ -328,13 +328,12 @@ let test_port_alloc_per_pair () =
        per_pair)
     true (per_pair <= 16.)
 
-(* The benchmark's isolated switch-port stage at 8 flows, without its
-   clock reads: a fresh PDQ(Full) port, every header forward then
-   reverse once per round. The round times are boxed up front, so the
-   words counted are the port's own boxed float writes (the header's
-   rate and probe spacing, the RTT average): 2.0 a header on OCaml
-   5.1. Calling Stdlib's polymorphic [min]/[max] on the rates made it
-   3.0. *)
+(* The benchmark's isolated switch-port stage at 8 flows: a fresh
+   PDQ(Full) port, every header forward then reverse once per round.
+   The round times are boxed up front, so the words counted are the
+   port's own boxed float writes (the header's rate and probe spacing,
+   the RTT average): 2.0 a header on OCaml 5.1. The bound catches a
+   polymorphic [min]/[max] on the rates, which costs a word more. *)
 let test_port_words_per_header () =
   let port = mk_port () in
   let flows = 8 in
