@@ -44,7 +44,7 @@ let create ?(trace = Pdq_telemetry.Trace.null) ~config ~switch_id ~link_rate
     last_accept = neg_infinity;
     last_accepted_flow = -1;
     rebuilding = false;
-    fallback_seen = Int_table.create 8;
+    fallback_seen = Int_table.create 0;
     fallback_oldest = neg_infinity;
   }
 

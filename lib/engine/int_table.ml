@@ -1,5 +1,5 @@
 (* Open addressing with linear probing over two parallel arrays, kept
-   at most half full. A slot whose key is [vacant] (= [min_int]) is
+   less than half full. A slot whose key is [vacant] (= [min_int]) is
    empty; the one binding whose key really is [min_int] lives beside
    the arrays. [remove] moves the rest of the probe run back into the
    slot it vacates (Knuth's Algorithm R), so there are no tombstones
@@ -26,11 +26,14 @@ let hole () : 'a = Obj.magic 0
    and strided ids alike. *)
 let home shift k = (k * 0x4F1BBCDCBFA53E0B) lsr shift
 
-let capacity_for n =
-  let rec go c = if c >= 2 * n then c else go (2 * c) in
-  go 8
-
 let rec log2 c = if c <= 1 then 0 else 1 + log2 (c lsr 1)
+
+(* The arrays of every table created for no binding: most per-port
+   tables stay empty, and cost no arrays of their own until the first
+   [replace] grows them. At two slots, less than half full means empty,
+   so nothing ever writes here. *)
+let no_keys = [| vacant; vacant |]
+let no_vals : Obj.t array = [| Obj.repr 0; Obj.repr 0 |]
 
 let alloc t cap =
   t.keys <- Array.make cap vacant;
@@ -39,18 +42,20 @@ let alloc t cap =
   t.count <- 0
 
 let create n =
-  let cap = capacity_for n in
   let t =
     {
-      keys = [||];
-      vals = [||];
-      shift = 0;
+      keys = no_keys;
+      vals = Obj.magic no_vals;
+      shift = 62;
       count = 0;
       min_bound = false;
       min_val = hole ();
     }
   in
-  alloc t cap;
+  if n > 0 then begin
+    let rec fits c = if c > 2 * n then c else fits (2 * c) in
+    alloc t (fits 8)
+  end;
   t
 
 let length t = if t.min_bound then t.count + 1 else t.count
@@ -77,7 +82,7 @@ let find t k =
 
 let grow t =
   let keys = t.keys and vals = t.vals in
-  alloc t (2 * Array.length keys);
+  alloc t (Int.max 8 (2 * Array.length keys));
   Array.iteri
     (fun j k ->
       if k <> vacant then begin
@@ -96,7 +101,7 @@ let rec replace t k v =
   else
     let i = slot t k in
     if t.keys.(i) = k then t.vals.(i) <- v
-    else if 2 * (t.count + 1) > Array.length t.keys then begin
+    else if 2 * (t.count + 1) >= Array.length t.keys then begin
       grow t;
       replace t k v
     end

@@ -12,7 +12,8 @@ type 'a t
 
 val create : int -> 'a t
 (** [create n] is an empty table sized to hold [n] bindings without
-    growing; it grows past that by doubling. *)
+    growing; it grows past that by doubling. [create 0] allocates no
+    arrays until the first {!replace}. *)
 
 val length : 'a t -> int
 (** Number of bindings. *)

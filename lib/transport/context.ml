@@ -72,8 +72,8 @@ let create ?(trace = Trace.null) ~sim ~topo ~rng () =
     flows_rev = [];
     flow_count = 0;
     next_subflow_id = subflow_id_base;
-    routes = Int_table.create 128;
-    route_origins = Int_table.create 128;
+    routes = Int_table.create 32;
+    route_origins = Int_table.create 32;
     reboot_hooks = [];
     tally = Pdq_engine.Stats.Tally.create ();
     hooks =

@@ -130,7 +130,7 @@ let install ~ctx ~until =
           avail = Link.rate link;
           demand_acc = 0.;
           n_acc = 0;
-          granted = Int_table.create 8;
+          granted = Int_table.create 0;
           rtt_avg = Context.init_rtt;
         })
   in

@@ -57,7 +57,7 @@ type 'x t = {
 }
 
 let create ctx ops =
-  { context = ctx; protocol = ops; senders = Int_table.create 64 }
+  { context = ctx; protocol = ops; senders = Int_table.create 32 }
 
 let noop () = ()
 

@@ -99,7 +99,7 @@ let install ~ctx ~until =
         let link = Topology.link topo i in
         {
           link;
-          flows = Int_table.create 8;
+          flows = Int_table.create 0;
           fair = Link.rate link;
           rtt_avg = Context.init_rtt;
         })

@@ -282,7 +282,7 @@ let deliver t ~node (pkt : Packet.t) =
           if node = s.flow.Context.spec.Context.src then on_ack s pkt)
 
 let install ~ctx () =
-  let t = { ctx; senders = Int_table.create 64 } in
+  let t = { ctx; senders = Int_table.create 32 } in
   Context.set_hooks ctx
     ~on_forward:(fun ~link:_ _ -> ())
     ~on_reverse:(fun ~fwd_link:_ _ -> ())

@@ -666,7 +666,7 @@ let prop_int_table_model =
           && Int_table.length t = Hashtbl.length model)
         ops)
 
-(* Removal moves the rest of a probe run back. At most half full, a
+(* Removal moves the rest of a probe run back. Less than half full, a
    thousand keys make many runs longer than two slots, so removing
    every other key removes from the middle of runs; every key left must
    still be found, and every key removed must be gone. *)
