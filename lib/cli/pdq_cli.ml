@@ -537,9 +537,11 @@ let scenario_term =
       match String.lowercase_ascii workload_name with
       | "flows" | "synthetic" ->
           let* pattern = msg (Scenario.pattern_of_string pattern_name) in
+          let* () = require (flows >= 0) "--flows must be >= 0" in
           Ok (Scenario.Synthetic { pattern; flows; sizes; deadlines })
       | "jobs" ->
           let* pattern = msg (Scenario.job_pattern_of_string job_pattern_name) in
+          let* () = require (job_count >= 0) "--job-count must be >= 0" in
           let* () = require (fan_in >= 1) "--fan-in must be >= 1" in
           let* () = require (stage_depth >= 1) "--stage-depth must be >= 1" in
           let* () = require (positive job_rate) "--job-rate must be > 0" in
@@ -675,6 +677,10 @@ let opts_term =
             results carry live monitor state and are not checkpointable \
             (budgets, --retries and --keep-going do work with --check)")
     else if retries < 0 then Error (`Msg "--retries must be >= 0")
+    else if not (Float.is_finite metrics_every && metrics_every > 0.) then
+      Error (`Msg "--metrics-every must be a finite number > 0")
+    else if Option.fold ~none:false ~some:(fun j -> j < 1) jobs then
+      Error (`Msg "--jobs must be >= 1")
     else
       Ok
         {
@@ -1083,6 +1089,11 @@ let chaos_term =
     in
     let* () =
       if shrink_budget < 0 then Error (`Msg "--shrink-budget must be >= 0")
+      else Ok ()
+    in
+    let* () =
+      if Option.fold ~none:false ~some:(fun j -> j < 1) jobs then
+        Error (`Msg "--jobs must be >= 1")
       else Ok ()
     in
     let* protocols =

@@ -1,14 +1,3 @@
-type severity = Trace | Debug | Info | Warn
-
-let severity_rank = function Trace -> 0 | Debug -> 1 | Info -> 2 | Warn -> 3
-let severity_geq a b = severity_rank a >= severity_rank b
-
-let severity_name = function
-  | Trace -> "trace"
-  | Debug -> "debug"
-  | Info -> "info"
-  | Warn -> "warn"
-
 type drop_cause = Loss | Overflow | Link_down | Stale_route
 
 let drop_cause_name = function
@@ -47,20 +36,6 @@ type event =
       elapsed : float;
       detail : string;
     }
-
-let severity_of_event = function
-  | Flow_rx _ | Flow_rate_set _ -> Trace
-  | Flow_started _ | Flow_established _ | Flow_paused _ | Flow_resumed _
-  | Flow_retransmit _ ->
-      Debug
-  | Flow_admitted _ | Flow_completed _ | Flow_terminated _ | Switch_rebuilt _
-    ->
-      Info
-  | Flow_aborted _ | Switch_flushed _ | Packet_dropped _ | Fault _ -> Warn
-  | Sweep_task { state; _ } -> (
-      match state with
-      | "failed" | "timed-out" | "crashed" -> Warn
-      | _ -> Info)
 
 (* Kept as an alias for callers outside the library that render their
    own JSON (perfbench). *)
@@ -122,49 +97,6 @@ let event_to_json ~time ev =
            else Printf.sprintf ",\"detail\":\"%s\"" (Json.escape detail))
   in
   Printf.sprintf "{\"t\":%s,%s}" (Json.j_float time) fields
-
-let pp_event ppf ev =
-  match ev with
-  | Flow_admitted { flow; src; dst; size; deadline } ->
-      Format.fprintf ppf "flow_admitted flow=%d src=%d dst=%d size=%d%s" flow
-        src dst size
-        (match deadline with
-        | Some d -> Printf.sprintf " deadline=%g" d
-        | None -> "")
-  | Flow_started { flow } -> Format.fprintf ppf "flow_started flow=%d" flow
-  | Flow_established { flow } ->
-      Format.fprintf ppf "flow_established flow=%d" flow
-  | Flow_paused { flow; by; preempted_by } ->
-      Format.fprintf ppf "flow_paused flow=%d by=%d%s" flow by
-        (match preempted_by with
-        | Some p -> Printf.sprintf " preempted_by=%d" p
-        | None -> "")
-  | Flow_resumed { flow; rate } ->
-      Format.fprintf ppf "flow_resumed flow=%d rate=%g" flow rate
-  | Flow_rate_set { flow; rate } ->
-      Format.fprintf ppf "flow_rate_set flow=%d rate=%g" flow rate
-  | Flow_completed { flow; fct } ->
-      Format.fprintf ppf "flow_completed flow=%d fct=%g" flow fct
-  | Flow_terminated { flow } ->
-      Format.fprintf ppf "flow_terminated flow=%d" flow
-  | Flow_aborted { flow; cause } ->
-      Format.fprintf ppf "flow_aborted flow=%d cause=%s" flow cause
-  | Flow_rx { flow; bytes } ->
-      Format.fprintf ppf "flow_rx flow=%d bytes=%d" flow bytes
-  | Flow_retransmit { flow; kind } ->
-      Format.fprintf ppf "flow_retransmit flow=%d kind=%s" flow kind
-  | Switch_flushed { switch } ->
-      Format.fprintf ppf "switch_flushed switch=%d" switch
-  | Switch_rebuilt { switch } ->
-      Format.fprintf ppf "switch_rebuilt switch=%d" switch
-  | Packet_dropped { link; cause } ->
-      Format.fprintf ppf "packet_dropped link=%d cause=%s" link
-        (drop_cause_name cause)
-  | Fault { desc } -> Format.fprintf ppf "fault %s" desc
-  | Sweep_task { index; key; state; attempts; detail; _ } ->
-      Format.fprintf ppf "sweep_task slot=%d key=%s state=%s attempts=%d%s"
-        index key state attempts
-        (if detail = "" then "" else Printf.sprintf " detail=%s" detail)
 
 (* ------------------------------------------------------------------ *)
 (* Parsing recorded JSONL back into events (offline replay): strict on
@@ -249,18 +181,16 @@ let event_of_json line =
 type sink =
   | Memory of (float * event) list ref (* newest first *)
   | Jsonl of out_channel
-  | Console of { min_severity : severity; chan : out_channel }
   | Callback of (time:float -> event -> unit)
 
 let memory () = Memory (ref [])
 
 let memory_events = function
   | Memory r -> List.rev !r
-  | Jsonl _ | Console _ | Callback _ ->
+  | Jsonl _ | Callback _ ->
       invalid_arg "Trace.memory_events: not a memory sink"
 
 let jsonl chan = Jsonl chan
-let console ?(min_severity = Debug) chan = Console { min_severity; chan }
 let callback f = Callback f
 
 let sink_emit sink ~time ev =
@@ -270,13 +200,6 @@ let sink_emit sink ~time ev =
       output_string chan (event_to_json ~time ev);
       output_char chan '\n';
       flush chan
-  | Console { min_severity; chan } ->
-      let sev = severity_of_event ev in
-      if severity_geq sev min_severity then begin
-        let ppf = Format.formatter_of_out_channel chan in
-        Format.fprintf ppf "[%s] %.6f %a@." (severity_name sev) time pp_event
-          ev
-      end
   | Callback f -> f ~time ev
 
 (* ------------------------------------------------------------------ *)

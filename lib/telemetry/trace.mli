@@ -12,16 +12,6 @@
     never consumes randomness, so attaching a sink cannot perturb a
     deterministic run either — it only observes it. *)
 
-(** {1 Severity} *)
-
-type severity = Trace | Debug | Info | Warn
-(** Ordered: [Trace < Debug < Info < Warn]. *)
-
-val severity_geq : severity -> severity -> bool
-(** [severity_geq a b] — [a] is at least as severe as [b]. *)
-
-val severity_name : severity -> string
-
 (** {1 Events} *)
 
 type drop_cause = Loss | Overflow | Link_down | Stale_route
@@ -90,8 +80,6 @@ type event =
           the one event family whose timestamps are not simulated
           time. [detail] carries the exception or tripped budget. *)
 
-val severity_of_event : event -> severity
-
 (** {1 Sinks} *)
 
 type sink
@@ -108,10 +96,6 @@ val jsonl : out_channel -> sink
     {!event_to_json}). The channel is flushed on every event so a
     crashed run still leaves a usable trace; closing it is the
     caller's business. *)
-
-val console : ?min_severity:severity -> out_channel -> sink
-(** Human-readable one-line-per-event sink, filtered by severity
-    (default: [Debug] and up). *)
 
 val callback : (time:float -> event -> unit) -> sink
 (** Arbitrary consumer sink (streaming analysis, invariant monitors).

@@ -175,7 +175,25 @@ let reroute t =
           | exception Not_found -> record_fault t "fault.unroutable"))
     ids
 
-let on_switch_reboot t f = t.reboot_hooks <- t.reboot_hooks @ [ f ]
+let run_switch_ports t ports ~kind ~until ~flush ~tick =
+  t.reboot_hooks <-
+    t.reboot_hooks
+    @ [
+        (fun node ->
+          Array.iteri
+            (fun i p -> if Link.src (Topology.link t.topo i) = node then flush p)
+            ports);
+      ];
+  Array.iteri
+    (fun i p ->
+      let link = Topology.link t.topo i in
+      let rec loop () =
+        let now = Sim.now t.sim in
+        if now <= until then
+          ignore (Sim.schedule_k t.sim kind ~delay:(tick p ~link ~now) loop)
+      in
+      ignore (Sim.schedule_k t.sim kind ~delay:0. loop))
+    ports
 
 let reboot_switch t ~node =
   record_fault t "fault.switch_reboot";

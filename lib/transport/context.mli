@@ -140,13 +140,24 @@ val reroute : t -> unit
     left without a path keep their stale route and are tallied under
     ["fault.unroutable"]; their watchdogs abort them eventually. *)
 
-val on_switch_reboot : t -> (int -> unit) -> unit
-(** Register a hook run when a switch reboots; protocols use it to
-    flush the per-port scheduler state of the rebooted node. *)
+val run_switch_ports :
+  t ->
+  'p array ->
+  kind:Pdq_engine.Sim.Kind.t ->
+  until:float ->
+  flush:('p -> unit) ->
+  tick:('p -> link:Pdq_net.Link.t -> now:float -> float) ->
+  unit
+(** Drive a switch-side protocol's per-port state: [ports.(i)] belongs
+    to directed link [i]. A switch reboot ({!reboot_switch}) calls
+    [flush] on every port whose link leaves the rebooted node, in
+    link-id order. Each port also gets a [kind] event at delay 0, in
+    link-id order, that runs [tick] and re-arms itself after the delay
+    [tick] returns, for as long as [now <= until]. *)
 
 val reboot_switch : t -> node:int -> unit
 (** Crash-reboot the switch [node]: tallies ["fault.switch_reboot"]
-    and runs the registered hooks in registration order. *)
+    and flushes the ports registered with {!run_switch_ports}. *)
 
 val tally : t -> Pdq_engine.Stats.Tally.t
 (** Per-cause abort and fault-event counters accumulated during the
@@ -158,5 +169,5 @@ val record_fault : t -> string -> unit
 
 val record_rx : t -> flow_id:int -> bytes:int -> unit
 (** Called by receivers per delivered data packet; emits a [Flow_rx]
-    trace event (Trace severity) from which per-flow goodput series are
-    reconstructed. *)
+    trace event, one per data packet, from which per-flow goodput
+    series are reconstructed. *)

@@ -2,8 +2,6 @@ module Sim = Pdq_engine.Sim
 module Packet = Pdq_net.Packet
 module Link = Pdq_net.Link
 module Topology = Pdq_net.Topology
-module Console = Pdq_telemetry.Console
-module Trace = Pdq_telemetry.Trace
 module Int_table = Pdq_engine.Int_table
 
 let k_tick = Sim.Kind.register "d3.tick"
@@ -101,14 +99,9 @@ let ops =
       | Payloads.D3_ctrl (ctrl, _) ->
           Payloads.D3_ctrl ({ ctrl with Payloads.d3_rtt = 0. }, ack)
       | _ -> invalid_arg "D3_proto: not a D3 packet")
-    ~grant:(fun s pkt ->
+    ~grant:(fun _ pkt ->
       match pkt.Packet.payload with
-      | Payloads.D3_ctrl (ctrl, _) ->
-          if Console.enabled Trace.Trace then
-            Console.logf Trace.Trace
-              "%.6f d3-ack flow=%d desired=%.3e alloc=%.3e" (Endpoint.now s) s.Endpoint.id ctrl.Payloads.d3_desired
-              ctrl.Payloads.d3_allocated;
-          Some ctrl.Payloads.d3_allocated
+      | Payloads.D3_ctrl (ctrl, _) -> Some ctrl.Payloads.d3_allocated
       | _ -> None)
       (* Quenching: kill a deadline flow once the deadline passed or the
          required rate exceeds what the source NIC could ever deliver. *)
@@ -136,35 +129,23 @@ let install ~ctx ~until =
   in
   let inner = Endpoint.create ctx ops in
   let t = { ports; inner } in
-  (* Crash-reboot: reservations and estimators are soft state; the
-     next allocation interval rebuilds them from live requests. *)
-  Context.on_switch_reboot ctx (fun node ->
-      Array.iter
-        (fun p ->
-          if Link.src p.link = node then begin
-            Int_table.clear p.granted;
-            p.fs <- Link.rate p.link;
-            p.avail <- Link.rate p.link;
-            p.demand_acc <- 0.;
-            p.n_acc <- 0;
-            p.rtt_avg <- Context.init_rtt
-          end)
-        ports);
   Context.set_hooks ctx
     ~on_forward:(fun ~link pkt -> on_forward t ~link pkt)
     ~on_reverse:(fun ~fwd_link:_ _ -> ())
     ~deliver:(Endpoint.deliver inner);
-  let sim = Context.sim ctx in
-  Array.iter
-    (fun p ->
-      let rec tick () =
-        if Sim.now sim <= until then begin
-          rollover p;
-          ignore (Sim.schedule_k sim k_tick ~delay:(fmax p.rtt_avg 5e-5) tick)
-        end
-      in
-      ignore (Sim.schedule_k sim k_tick ~delay:0. tick))
-    ports;
+  (* Crash-reboot: reservations and estimators are soft state; the
+     next allocation interval rebuilds them from live requests. *)
+  Context.run_switch_ports ctx ports ~kind:k_tick ~until
+    ~flush:(fun p ->
+      Int_table.clear p.granted;
+      p.fs <- Link.rate p.link;
+      p.avail <- Link.rate p.link;
+      p.demand_acc <- 0.;
+      p.n_acc <- 0;
+      p.rtt_avg <- Context.init_rtt)
+    ~tick:(fun p ~link:_ ~now:_ ->
+      rollover p;
+      fmax p.rtt_avg 5e-5);
   t
 
 let start_flow t flow = Endpoint.start_flow t.inner flow

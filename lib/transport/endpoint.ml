@@ -2,7 +2,6 @@ module Sim = Pdq_engine.Sim
 module Units = Pdq_engine.Units
 module Packet = Pdq_net.Packet
 module Topology = Pdq_net.Topology
-module Console = Pdq_telemetry.Console
 module Int_table = Pdq_engine.Int_table
 
 type 'x sender = {
@@ -126,8 +125,6 @@ let finish s =
    free their state. *)
 let stop s cause =
   if not s.closed then begin
-    Console.logf Pdq_telemetry.Trace.Debug "%.6f STOP flow=%d acked=%d/%d"
-      (now s) s.id s.acked s.size;
     close s;
     s.terminated <- true;
     send_term s;

@@ -5,7 +5,6 @@ module Topology = Pdq_net.Topology
 module Header = Pdq_core.Header
 module Sender = Pdq_core.Sender
 module Switch_port = Pdq_core.Switch_port
-module Console = Pdq_telemetry.Console
 module Trace = Pdq_telemetry.Trace
 
 (* PDQ's part of a stream: the §3.1 sender state machine, the probe
@@ -61,11 +60,6 @@ let probe_loop (s : stream) () =
   let p = s.ext in
   p.probe_ev <- None;
   if (not s.closed) && Sender.is_paused p.core && s.syn_acked then begin
-    if Console.enabled Trace.Debug then
-      Console.logf Trace.Debug "%.6f probe flow=%d ip=%g rtt=%g"
-        (Endpoint.now s) s.id
-        (Sender.inter_probe_interval p.core)
-        (Sender.rtt p.core);
     Endpoint.transmit s (Endpoint.make_pkt s ~kind:Packet.Probe ());
     p.probes_unanswered <- p.probes_unanswered + 1;
     let base = fmax (Sender.inter_probe_interval p.core) 1e-5 in
@@ -106,13 +100,6 @@ let on_ack (s : stream) (pkt : Packet.t) (ack : Payloads.ack_info) ~now =
   match pkt.Packet.payload with
   | Payloads.Pdq_sched (hdr, _) ->
       let p = s.ext in
-      if Console.enabled Trace.Trace then
-        Console.logf Trace.Trace "%.6f ack flow=%d rate=%g pause=%s cum=%d"
-          now s.id hdr.Header.rate
-          (match hdr.Header.pause_by with
-          | None -> "-"
-          | Some i -> string_of_int i)
-          ack.Payloads.cum_ack;
       p.probes_unanswered <- 0;
       Sender.on_ack p.core hdr ~acked_bytes:ack.Payloads.cum_ack
         ~rtt_sample:(Some (now -. ack.Payloads.echo_ts))
@@ -132,8 +119,8 @@ let on_ack (s : stream) (pkt : Packet.t) (ack : Payloads.ack_info) ~now =
         if p.dup_acks = 3 then begin
           p.dup_acks <- 0;
           (let trace = Context.trace s.ctx in
-           if Pdq_telemetry.Trace.active trace then
-             Pdq_telemetry.Trace.(
+           if Trace.active trace then
+             Trace.(
                emit trace (Flow_retransmit { flow = s.id; kind = "fast" })));
           let payload = Int.min max_payload (s.size - s.acked) in
           Endpoint.transmit s
@@ -206,35 +193,20 @@ let install ?(size_info = Sender.Known) ~config ~ctx ~until () =
   in
   let endpoint = Endpoint.create ctx (ops config) in
   let t = { ctx; size_info; ports; endpoint } in
-  (* A crash-rebooted switch loses all per-flow soft state; it is
-     rebuilt on the fly from the scheduling headers of packets flowing
-     through (§3.4 of the paper — the state is deliberately soft). *)
-  Context.on_switch_reboot ctx (fun node ->
-      Array.iteri
-        (fun i port ->
-          if Link.src (Topology.link topo i) = node then Switch_port.flush port)
-        ports);
   Context.set_hooks ctx
     ~on_forward:(fun ~link pkt -> on_forward t ~link pkt)
     ~on_reverse:(fun ~fwd_link pkt -> on_reverse t ~fwd_link pkt)
     ~deliver:(Endpoint.deliver t.endpoint);
-  (* Per-port rate-controller loops (§3.3.3): update C every 2 average
+  (* A crash-rebooted switch loses all per-flow soft state; it is
+     rebuilt on the fly from the scheduling headers of packets flowing
+     through (§3.4 of the paper — the state is deliberately soft).
+     Per-port rate-controller loops (§3.3.3): update C every 2 average
      RTTs from the instantaneous queue. *)
-  let sim = Context.sim ctx in
-  Array.iteri
-    (fun i port ->
-      let link = Topology.link topo i in
-      let rec tick () =
-        let now = Sim.now sim in
-        if now <= until then begin
-          Switch_port.update_rate_controller port
-            ~queue_bytes:(Link.queue_bytes link) ~now;
-          let delay = fmax (Switch_port.rate_update_interval port) 2e-5 in
-          ignore (Sim.schedule_k sim k_rate_ctl ~delay tick)
-        end
-      in
-      ignore (Sim.schedule_k sim k_rate_ctl ~delay:0. tick))
-    ports;
+  Context.run_switch_ports ctx ports ~kind:k_rate_ctl ~until
+    ~flush:Switch_port.flush ~tick:(fun port ~link ~now ->
+      Switch_port.update_rate_controller port
+        ~queue_bytes:(Link.queue_bytes link) ~now;
+      fmax (Switch_port.rate_update_interval port) 2e-5);
   t
 
 let launch_stream ?rx_capacity t ~sid ~src ~dst ~size ~deadline_abs ~start ~on_rx

@@ -106,35 +106,22 @@ let install ~ctx ~until =
   in
   let inner = Endpoint.create ctx ops in
   let t = { ctx; ports; inner } in
-  (* Crash-reboot: the per-port flow table is soft state rebuilt from
-     the next packets through; reset the estimators to their initial
-     values. *)
-  Context.on_switch_reboot ctx (fun node ->
-      Array.iter
-        (fun p ->
-          if Link.src p.link = node then begin
-            Int_table.clear p.flows;
-            p.fair <- Link.rate p.link;
-            p.rtt_avg <- Context.init_rtt
-          end)
-        ports);
   Context.set_hooks ctx
     ~on_forward:(fun ~link pkt -> on_forward t ~link pkt)
     ~on_reverse:(fun ~fwd_link:_ _ -> ())
     ~deliver:(Endpoint.deliver inner);
-  let sim = Context.sim ctx in
-  Array.iter
-    (fun p ->
-      let rec tick () =
-        if Sim.now sim <= until then begin
-          let now = Sim.now sim in
-          purge p ~now;
-          recompute_fair p ~now;
-          ignore (Sim.schedule_k sim k_tick ~delay:(fmax p.rtt_avg 5e-5) tick)
-        end
-      in
-      ignore (Sim.schedule_k sim k_tick ~delay:0. tick))
-    ports;
+  (* Crash-reboot: the per-port flow table is soft state rebuilt from
+     the next packets through; reset the estimators to their initial
+     values. *)
+  Context.run_switch_ports ctx ports ~kind:k_tick ~until
+    ~flush:(fun p ->
+      Int_table.clear p.flows;
+      p.fair <- Link.rate p.link;
+      p.rtt_avg <- Context.init_rtt)
+    ~tick:(fun p ~link:_ ~now ->
+      purge p ~now;
+      recompute_fair p ~now;
+      fmax p.rtt_avg 5e-5);
   t
 
 let start_flow t flow = Endpoint.start_flow t.inner flow

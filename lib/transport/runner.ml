@@ -107,16 +107,13 @@ let execute ?(options = default_options) ~topo protocol specs =
     | Some d -> d ~spawn:(fun spec -> !spawn_ref spec)
     | None -> []
   in
-  (* The trace bus. PDQ_DEBUG=trace additionally echoes every event to
-     stderr; with no sink at all the bus is {!Trace.null} and the run
+  (* The trace bus: with no sink at all it is {!Trace.null} and the run
      is bit-for-bit identical to an uninstrumented one. *)
-  let sinks =
-    let sinks = options.telemetry.sinks @ driver_sinks in
-    if Pdq_telemetry.Console.enabled Trace.Trace then
-      sinks @ [ Trace.console ~min_severity:Trace.Trace stderr ]
-    else sinks
+  let trace =
+    Trace.create
+      ~clock:(fun () -> Sim.now sim)
+      ~sinks:(options.telemetry.sinks @ driver_sinks)
   in
-  let trace = Trace.create ~clock:(fun () -> Sim.now sim) ~sinks in
   if Trace.active trace then
     Topology.iter_links (fun l -> Link.set_trace l trace) topo;
   let ctx = Context.create ~trace ~sim ~topo ~rng () in

@@ -41,7 +41,7 @@ let test_usage_error () =
   Alcotest.(check int) "unknown topology" (code Exit_code.Usage) (eval [ "--topo"; "moebius" ]);
   Alcotest.(check int) "--checkpoint with --check" (code Exit_code.Usage)
     (eval [ "--check"; "--checkpoint"; "x.jsonl" ]);
-  Alcotest.(check int) "negative --retries" (code Exit_code.Usage) (eval [ "--retries"; "-1" ]);
+  Alcotest.(check int) "negative --retries" (code Exit_code.Usage) (eval [ "--retries=-1" ]);
   Alcotest.(check int) "unknown workload" (code Exit_code.Usage)
     (eval [ "--workload"; "sorcery" ]);
   Alcotest.(check int) "unknown job pattern" (code Exit_code.Usage)
@@ -63,6 +63,15 @@ let test_usage_error () =
       [ "--flap-mtbf"; "0" ];
       [ "--flap-mtbf"; "0.1"; "--flap-mttr"; "0" ];
       [ "--reboot-mtbf"; "0" ];
+      [ "--flows=-1" ];
+      [ "--workload"; "jobs"; "--job-count=-1" ];
+      [ "--metrics-every"; "0" ];
+      [ "--metrics-every=-1" ];
+      [ "--metrics-every"; "nan" ];
+      [ "--metrics-every"; "inf" ];
+      [ "--jobs"; "0" ];
+      [ "--jobs=-2" ];
+      [ "chaos"; "--jobs"; "0" ];
     ]
 
 let test_list_workloads () =

@@ -14,6 +14,8 @@ module Switch_port = Pdq_core.Switch_port
 module Flow_list = Pdq_core.Flow_list
 module Context = Pdq_transport.Context
 module Runner = Pdq_transport.Runner
+module Rcp_proto = Pdq_transport.Rcp_proto
+module D3_proto = Pdq_transport.D3_proto
 
 let feq ?(eps = 1e-9) a b = abs_float (a -. b) <= eps *. (1. +. abs_float a)
 
@@ -288,35 +290,91 @@ let test_dead_path_aborts () =
 (* Switch crash-reboots mid-transfer: every switch loses its scheduler
    state twice, yet all flows finish — the state is rebuilt from the
    scheduling headers of packets in flight (the paper's soft-state
-   argument), not by any explicit resynchronization. *)
+   argument), not by any explicit resynchronization. Run for every
+   protocol: PDQ, RCP and D3 flush per-port state; TCP keeps none. *)
 let test_switch_reboot_flows_resume () =
-  let sim = Sim.create () in
-  let built = Builder.single_rooted_tree ~sim () in
-  let specs = specs_cross_rack built ~flows:6 ~size:500_000 in
-  let reboot_all t =
-    List.map
-      (fun n -> (t, Fault_plan.Switch_reboot n))
-      (Fault_plan.switches built.Builder.topo)
+  let check_proto protocol =
+    let sim = Sim.create () in
+    let built = Builder.single_rooted_tree ~sim () in
+    let specs = specs_cross_rack built ~flows:6 ~size:500_000 in
+    let reboot_all t =
+      List.map
+        (fun n -> (t, Fault_plan.Switch_reboot n))
+        (Fault_plan.switches built.Builder.topo)
+    in
+    let faults = Fault_plan.of_events (reboot_all 0.002 @ reboot_all 0.006) in
+    let options =
+      {
+        Runner.default_options with
+        Runner.seed = 1;
+        horizon = 5.;
+        faults = Some faults;
+      }
+    in
+    let r = Runner.execute ~options ~topo:built.Builder.topo protocol specs in
+    let name = Runner.protocol_name protocol in
+    Alcotest.(check int) (name ^ " all flows complete") 6 r.Runner.completed;
+    Alcotest.(check int) (name ^ " no aborts") 0 r.Runner.aborted;
+    Alcotest.(check bool)
+      (name ^ " no hang (ends before horizon)")
+      true (r.Runner.sim_end < 5.);
+    Alcotest.(check int) (name ^ " reboots counted") 10
+      (try List.assoc "fault.switch_reboot" r.Runner.counters
+       with Not_found -> 0)
   in
-  let faults = Fault_plan.of_events (reboot_all 0.002 @ reboot_all 0.006) in
-  let options =
-    {
-      Runner.default_options with
-      Runner.seed = 1;
-      horizon = 5.;
-      faults = Some faults;
-    }
+  List.iter check_proto
+    [ Runner.Pdq Config.full; Runner.Rcp; Runner.D3; Runner.Tcp ]
+
+(* A reboot resets exactly the rebooted switch's ports: mid-transfer,
+   RCP's and D3's per-port flow tables empty on the node's outgoing
+   links and keep their size on every other link. *)
+let test_reboot_flushes_own_ports () =
+  let check_proto name install start count =
+    let sim = Sim.create () in
+    let built = Builder.single_rooted_tree ~sim () in
+    let topo = built.Builder.topo in
+    let ctx = Context.create ~sim ~topo ~rng:(Rng.create 1) () in
+    let p = install ctx in
+    List.iter
+      (fun spec -> start p (Context.add_flow ctx spec))
+      (specs_cross_rack built ~flows:6 ~size:500_000);
+    Sim.run ~until:0.002 sim;
+    let counts () =
+      Array.init (Topology.link_count topo) (fun link -> count p ~link)
+    in
+    let before = counts () in
+    let outgoing node link = Link.src (Topology.link topo link) = node in
+    (* The switch holding the most flow state on its outgoing links. *)
+    let held node =
+      let n = ref 0 in
+      Array.iteri (fun l c -> if outgoing node l then n := !n + c) before;
+      !n
+    in
+    let node =
+      List.fold_left
+        (fun best n -> if held n > held best then n else best)
+        (List.hd (Fault_plan.switches topo))
+        (Fault_plan.switches topo)
+    in
+    Alcotest.(check bool) (name ^ " state before the reboot") true
+      (held node > 0
+      && Array.exists (fun c -> c > 0)
+           (Array.mapi (fun l c -> if outgoing node l then 0 else c) before));
+    Context.reboot_switch ctx ~node;
+    Array.iteri
+      (fun link c ->
+        Alcotest.(check int)
+          (Printf.sprintf "%s link %d" name link)
+          (if outgoing node link then 0 else before.(link))
+          c)
+      (counts ())
   in
-  let r =
-    Runner.execute ~options ~topo:built.Builder.topo (Runner.Pdq Config.full) specs
-  in
-  Alcotest.(check int) "all flows complete" 6 r.Runner.completed;
-  Alcotest.(check int) "no aborts" 0 r.Runner.aborted;
-  Alcotest.(check bool) "no hang (ends before horizon)" true
-    (r.Runner.sim_end < 5.);
-  Alcotest.(check int) "reboots counted" 10
-    (try List.assoc "fault.switch_reboot" r.Runner.counters
-     with Not_found -> 0)
+  check_proto "rcp"
+    (fun ctx -> Rcp_proto.install ~ctx ~until:1.)
+    Rcp_proto.start_flow Rcp_proto.flow_count;
+  check_proto "d3"
+    (fun ctx -> D3_proto.install ~ctx ~until:1.)
+    D3_proto.start_flow D3_proto.flow_count
 
 (* Loss episode on the bottleneck: a 5 ms 100% black-out delays the
    transfer but retransmission machinery completes it. *)
@@ -424,6 +482,8 @@ let suites =
       [
         Alcotest.test_case "flush and header rebuild" `Quick
           test_port_flush_and_rebuild;
+        Alcotest.test_case "reboot flushes only its own ports" `Quick
+          test_reboot_flushes_own_ports;
       ] );
     ( "faults.endtoend",
       [

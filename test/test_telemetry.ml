@@ -8,7 +8,6 @@ module Profiler = Pdq_engine.Profiler
 module Units = Pdq_engine.Units
 module Trace = Pdq_telemetry.Trace
 module Metrics = Pdq_telemetry.Metrics
-module Console = Pdq_telemetry.Console
 module Runner = Pdq_transport.Runner
 module Context = Pdq_transport.Context
 module Builder = Pdq_topo.Builder
@@ -21,22 +20,6 @@ let check_float msg expected actual =
 
 (* ------------------------------------------------------------------ *)
 (* Trace bus and sinks *)
-
-let test_severity () =
-  Alcotest.(check bool) "warn >= debug" true
-    (Trace.severity_geq Trace.Warn Trace.Debug);
-  Alcotest.(check bool) "trace < debug" false
-    (Trace.severity_geq Trace.Trace Trace.Debug);
-  Alcotest.(check bool) "reflexive" true
-    (Trace.severity_geq Trace.Info Trace.Info);
-  Alcotest.(check string) "name" "debug" (Trace.severity_name Trace.Debug);
-  Alcotest.(check string) "rx is trace-level" "trace"
-    (Trace.severity_name
-       (Trace.severity_of_event (Trace.Flow_rx { flow = 0; bytes = 1 })));
-  Alcotest.(check string) "drop is warn-level" "warn"
-    (Trace.severity_name
-       (Trace.severity_of_event
-          (Trace.Packet_dropped { link = 0; cause = Trace.Loss })))
 
 let test_event_json () =
   Alcotest.(check string) "flow_paused"
@@ -122,34 +105,6 @@ let test_jsonl_sink () =
           Alcotest.(check bool) "looks like a JSON object" true
             (String.length l > 2 && l.[0] = '{' && l.[String.length l - 1] = '}'))
         lines)
-
-let test_console_sink_filters () =
-  with_temp_file (fun path ->
-      let oc = open_out path in
-      let bus =
-        Trace.create
-          ~clock:(fun () -> 0.)
-          ~sinks:[ Trace.console ~min_severity:Trace.Info oc ]
-      in
-      (* Below threshold: dropped. At/above: printed. *)
-      Trace.emit bus (Trace.Flow_rx { flow = 1; bytes = 100 });
-      Trace.emit bus (Trace.Flow_paused { flow = 1; by = 2; preempted_by = None });
-      Trace.emit bus (Trace.Flow_completed { flow = 1; fct = 0.1 });
-      Trace.emit bus (Trace.Fault { desc = "fault.unroutable" });
-      close_out oc;
-      let lines = read_lines path in
-      Alcotest.(check int) "only info and warn printed" 2 (List.length lines);
-      Alcotest.(check bool) "severity prefix" true
-        (String.length (List.hd lines) > 6
-        && String.sub (List.hd lines) 0 6 = "[info]"))
-
-let test_console_threshold () =
-  Console.set_threshold (Some Trace.Debug);
-  Alcotest.(check bool) "warn enabled" true (Console.enabled Trace.Warn);
-  Alcotest.(check bool) "debug enabled" true (Console.enabled Trace.Debug);
-  Alcotest.(check bool) "trace filtered" false (Console.enabled Trace.Trace);
-  Console.set_threshold None;
-  Alcotest.(check bool) "disabled" false (Console.enabled Trace.Warn)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics registry *)
@@ -528,14 +483,10 @@ let suites =
   [
     ( "telemetry.trace",
       [
-        Alcotest.test_case "severity order" `Quick test_severity;
         Alcotest.test_case "event json" `Quick test_event_json;
         Alcotest.test_case "null bus" `Quick test_null_bus;
         Alcotest.test_case "memory ring" `Quick test_memory_ring;
         Alcotest.test_case "jsonl sink" `Quick test_jsonl_sink;
-        Alcotest.test_case "console severity filter" `Quick
-          test_console_sink_filters;
-        Alcotest.test_case "console threshold" `Quick test_console_threshold;
       ] );
     ( "telemetry.metrics",
       [
