@@ -24,27 +24,31 @@ type case = {
   seed : int;
   horizon : float;
   faults : Fault_plan.t;
-  adversary : Adversary_plan.t;
 }
 
 let case_to_json c =
   Printf.sprintf
-    "{\"protocol\":\"%s\",\"topo\":\"%s\",\"pattern\":\"%s\",\"flows\":%d,\"mean_bytes\":%d,\"deadlines\":%b,\"seed\":%d,\"horizon\":%s,\"faults\":%s,\"adversary\":%s}"
+    "{\"protocol\":\"%s\",\"topo\":\"%s\",\"pattern\":\"%s\",\"flows\":%d,\"mean_bytes\":%d,\"deadlines\":%b,\"seed\":%d,\"horizon\":%s,\"faults\":%s}"
     (Json.escape c.protocol)
     (Json.escape c.topo)
     (Json.escape c.pattern)
     c.flows c.mean_bytes c.deadlines c.seed
     (Json.j_float c.horizon)
     (Fault_plan.to_json c.faults)
-    (Adversary_plan.to_json c.adversary)
 
 let case_of_json s =
   match
     let fields = Json.(obj (parse s)) in
-    let plan k of_json_value =
-      match of_json_value (Json.field fields k) with
+    let plan v =
+      match Fault_plan.of_json_value v with
       | Ok p -> p
       | Error e -> raise (Json.Parse_error e)
+    in
+    (* Reproducers written before adversarial events joined the fault
+       plan carry them in a separate "adversary" array. *)
+    let adversary =
+      Option.fold ~none:Fault_plan.empty ~some:plan
+        (List.assoc_opt "adversary" fields)
     in
     {
       protocol = Json.str fields "protocol";
@@ -55,8 +59,7 @@ let case_of_json s =
       deadlines = Json.bool fields "deadlines";
       seed = Json.int fields "seed";
       horizon = Json.float fields "horizon";
-      faults = plan "faults" Fault_plan.of_json_value;
-      adversary = plan "adversary" Adversary_plan.of_json_value;
+      faults = Fault_plan.merge (plan (Json.field fields "faults")) adversary;
     }
   with
   | c -> Ok c
@@ -95,10 +98,9 @@ let scenario_of_case c =
        ~topo ~seed:c.seed ~horizon:c.horizon ~faults ~workload protocol)
 
 let pp_case ppf c =
-  Format.fprintf ppf
-    "%s on %s (%s, %d flows, seed %d, %d fault ev, %d adversary ev)"
-    c.protocol c.topo c.pattern c.flows c.seed (Fault_plan.length c.faults)
-    (Adversary_plan.length c.adversary)
+  Format.fprintf ppf "%s on %s (%s, %d flows, seed %d, %d plan ev)" c.protocol
+    c.topo c.pattern c.flows c.seed
+    (Fault_plan.length c.faults)
 
 (* ------------------------------------------------------------------ *)
 (* Target enumeration: the plans name cables and switches of the
@@ -149,41 +151,29 @@ let generate rng ~protocols ~intensity =
       seed;
       horizon;
       faults = Fault_plan.empty;
-      adversary = Adversary_plan.empty;
     }
   in
   let cables, switch_cables, switches = targets_of_case base in
-  let faults =
+  let flaps =
     if switch_cables <> [] && Rng.bool rng 0.3 then
       Fault_plan.link_flaps rng ~links:switch_cables ~mtbf:(4. *. horizon)
         ~mttr:(horizon /. 8.) ~until:horizon
     else Fault_plan.empty
   in
   let adversary =
-    Adversary_plan.random rng ~cables ~switches ~until:horizon ~intensity
+    Fault_plan.random rng ~cables ~switches ~until:horizon ~intensity
       ~count:(1 + Rng.int rng 8)
   in
-  { base with faults; adversary }
+  { base with faults = Fault_plan.merge flaps adversary }
 
 (* ------------------------------------------------------------------ *)
 (* Running one case through the full validation stack. *)
-
-let adversary_rng_of c = Rng.create (c.seed lxor 0x5EED_CAFE)
-
-let prepare_of c built =
-  if not (Adversary_plan.is_empty c.adversary) then
-    let topo = built.Builder.topo in
-    Adversary.install ~sim:(Topology.sim topo) ~topo ~rng:(adversary_rng_of c)
-      c.adversary
 
 (* A reproducer may name cables its topology lacks: reject it before
    the run, on a probe instance, rather than mid-run. *)
 let check_cables c =
   let topo = probe_topo c in
-  match
-    Fault_plan.check_cables topo c.faults;
-    Adversary_plan.check_cables topo c.adversary
-  with
+  match Fault_plan.check_cables topo c.faults with
   | () -> Ok ()
   | exception Invalid_argument msg -> Error msg
 
@@ -191,7 +181,7 @@ let run_case ?budget c =
   let ( let* ) = Result.bind in
   let* sc = scenario_of_case c in
   let* () = check_cables c in
-  Ok (Scenario.run_checked ?budget ~prepare:(prepare_of c) sc)
+  Ok (Scenario.run_checked ?budget sc)
 
 let signature (checked : Scenario.checked) =
   match checked.Scenario.violations with
@@ -292,34 +282,22 @@ let remove_at l i = List.filteri (fun j _ -> j <> i) l
    even with a generous [max_runs]. *)
 let halve p = if p > 1e-4 then [ p /. 2. ] else []
 
-let halve_adversary_event : Adversary_plan.event -> _ = function
+let halve_event : Fault_plan.event -> _ = function
   | Reorder { a; b; p; hold } ->
-      List.map (fun p -> Adversary_plan.Reorder { a; b; p; hold }) (halve p)
-      @ List.map
-          (fun hold -> Adversary_plan.Reorder { a; b; p; hold })
-          (halve hold)
+      List.map (fun p -> Fault_plan.Reorder { a; b; p; hold }) (halve p)
+      @ List.map (fun hold -> Fault_plan.Reorder { a; b; p; hold }) (halve hold)
   | Duplicate { a; b; p } ->
-      List.map (fun p -> Adversary_plan.Duplicate { a; b; p }) (halve p)
+      List.map (fun p -> Fault_plan.Duplicate { a; b; p }) (halve p)
   | Corrupt { a; b; p } ->
-      List.map (fun p -> Adversary_plan.Corrupt { a; b; p }) (halve p)
+      List.map (fun p -> Fault_plan.Corrupt { a; b; p }) (halve p)
   | Jitter { a; b; max_delay } ->
       List.map
-        (fun max_delay -> Adversary_plan.Jitter { a; b; max_delay })
+        (fun max_delay -> Fault_plan.Jitter { a; b; max_delay })
         (halve max_delay)
-  | Clear _ -> []
   | Clock_skew { switch; skew } ->
       if Float.abs skew > 1e-5 then
-        [ Adversary_plan.Clock_skew { switch; skew = skew /. 2. } ]
+        [ Fault_plan.Clock_skew { switch; skew = skew /. 2. } ]
       else []
-
-let halve_fault_event : Fault_plan.event -> _ = function
-  | Loss_burst { a; b; loss; duration } ->
-      List.map
-        (fun loss -> Fault_plan.Loss_burst { a; b; loss; duration })
-        (halve loss)
-      @ List.map
-          (fun duration -> Fault_plan.Loss_burst { a; b; loss; duration })
-          (halve duration)
   | Set_loss { a; b; model = Link.Bernoulli p } ->
       List.map
         (fun p -> Fault_plan.Set_loss { a; b; model = Link.Bernoulli p })
@@ -331,7 +309,7 @@ let halve_fault_event : Fault_plan.event -> _ = function
             { a; b; model = Link.Gilbert { ge with Link.loss_bad } })
         (halve ge.Link.loss_bad)
   | Set_loss { model = Link.No_loss; _ }
-  | Link_down _ | Link_up _ | Switch_reboot _ ->
+  | Link_down _ | Link_up _ | Switch_reboot _ | Clear _ ->
       []
 
 type shrunk = {
@@ -341,42 +319,24 @@ type shrunk = {
   runs_used : int;  (** Re-executions the shrinker spent. *)
 }
 
-(* One plan of a case as the shrinker edits it. *)
-type 'e plan = {
-  get : case -> (float * 'e) list;
-  set : case -> (float * 'e) list -> case;
-  halve : 'e -> 'e list;
-}
-
-let adversary_plan =
-  {
-    get = (fun c -> Adversary_plan.events c.adversary);
-    set = (fun c evs -> { c with adversary = Adversary_plan.of_events evs });
-    halve = halve_adversary_event;
-  }
-
-let fault_plan =
-  {
-    get = (fun c -> Fault_plan.events c.faults);
-    set = (fun c evs -> { c with faults = Fault_plan.of_events evs });
-    halve = halve_fault_event;
-  }
+let with_events c evs = { c with faults = Fault_plan.of_events evs }
 
 (* Every case one event removal away from [c], first event first. *)
-let removals p c =
-  let evs = p.get c in
-  List.mapi (fun i _ -> p.set c (remove_at evs i)) evs
+let removals c =
+  let evs = Fault_plan.events c.faults in
+  List.mapi (fun i _ -> with_events c (remove_at evs i)) evs
 
 (* Every case one parameter halving away from [c], event by event. *)
-let halvings p c =
-  let evs = p.get c in
+let halvings c =
+  let evs = Fault_plan.events c.faults in
   List.concat
     (List.mapi
        (fun i (t, ev) ->
          List.map
            (fun ev' ->
-             p.set c (List.mapi (fun j e -> if j = i then (t, ev') else e) evs))
-           (p.halve ev))
+             with_events c
+               (List.mapi (fun j e -> if j = i then (t, ev') else e) evs))
+           (halve_event ev))
        evs)
 
 let shrink ?budget ?(max_runs = 150) c0 ~invariant =
@@ -400,11 +360,7 @@ let shrink ?budget ?(max_runs = 150) c0 ~invariant =
     | Some c' -> fixpoint candidates c'
     | None -> c
   in
-  (* Phase 1: greedy single-event removal; phase 2: parameter halving.
-     Adversary events are tried before faults. *)
-  let minimal =
-    c0
-    |> fixpoint (fun c -> removals adversary_plan c @ removals fault_plan c)
-    |> fixpoint (fun c -> halvings adversary_plan c @ halvings fault_plan c)
-  in
+  (* Phase 1: greedy single-event removal; phase 2: parameter
+     halving. *)
+  let minimal = c0 |> fixpoint removals |> fixpoint halvings in
   { original = c0; minimal; invariant; runs_used = !used }

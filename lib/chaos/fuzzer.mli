@@ -1,11 +1,12 @@
 (** Invariant fuzzing with counterexample shrinking.
 
     The fuzzer expands a master seed into a campaign of random {!case}s
-    — (scenario, fault plan, adversary plan) triples as pure data —
-    runs each through {!Pdq_exec.Scenario.run_checked} so every
-    [Pdq_check] monitor fires, and, when a run violates an invariant,
-    shrinks its plans to a minimal reproducer (greedy element removal,
-    then parameter halving). A case's JSON form is the replayable
+    — (scenario, fault plan) pairs as pure data, the plan mixing link
+    flaps with adversarial packet conditions — runs each through
+    {!Pdq_exec.Scenario.run_checked} so every [Pdq_check] monitor
+    fires, and, when a run violates an invariant, shrinks its plan to
+    a minimal reproducer (greedy event removal, then parameter
+    halving). A case's JSON form is the replayable
     counterexample artifact: [pdq_sim chaos --replay] feeds it back
     through the same pipeline.
 
@@ -25,14 +26,17 @@ type case = {
   seed : int;
   horizon : float;
   faults : Pdq_faults.Fault_plan.t;
-  adversary : Adversary_plan.t;
+      (** Network and adversarial events alike. *)
 }
 
 val case_to_json : case -> string
-(** One self-contained JSON object; exact round-trip. *)
+(** One self-contained JSON object, every plan event under
+    ["faults"]; exact round-trip. *)
 
 val case_of_json : string -> (case, string) result
-(** Exact inverse of {!case_to_json}; strict. *)
+(** Exact inverse of {!case_to_json}; strict. Also reads an optional
+    ["adversary"] event array and merges it into the plan, so
+    reproducers that kept adversarial events apart still replay. *)
 
 val key : case -> string
 (** Content hash of the JSON form — the checkpoint key (stable across
@@ -53,12 +57,11 @@ val run_case :
   ?budget:Pdq_exec.Exec_opts.budget ->
   case ->
   (Pdq_exec.Scenario.checked, string) result
-(** Run the case under the full validation stack: faults install via
-    the scenario, the adversary via the [?prepare] hook with an rng
-    derived from the case seed. [Error] on unresolvable names, and
-    on a plan naming a cable the case's topology lacks (checked on a
-    probe instance before the run starts). A tripped [budget] raises
-    [Sim.Cancelled]. *)
+(** Run the case under the full validation stack, its plan installed
+    by the runner as the scenario's faults. [Error] on unresolvable
+    names, and on a plan naming a cable the case's topology lacks
+    (checked on a probe instance before the run starts). A tripped
+    [budget] raises [Sim.Cancelled]. *)
 
 val signature : Pdq_exec.Scenario.checked -> string option
 (** The first violation's invariant id, or [None] for a clean run. *)
@@ -86,8 +89,8 @@ val cases :
   case list
 (** The campaign's case list (deterministic in [seed]). Each case
     draws protocol, topo, pattern, workload shape and seed first, then
-    a fault plan (30% of cases, link flaps) and an adversary plan of
-    1–8 events at [intensity] (default [0.35]). *)
+    link flaps (30% of cases) and 1–8 adversarial events at
+    [intensity] (default [0.35]), merged into one plan. *)
 
 val fuzz :
   ?jobs:int ->
@@ -127,8 +130,8 @@ val shrink :
 (** Greedy minimization holding the violation fixed: first remove plan
     events one at a time (restarting after every successful deletion)
     until no single deletion still reproduces [invariant], then halve
-    event parameters (probabilities, holds, delays, skews, loss rates
-    and durations) to a fixpoint. At most [max_runs] (default 150)
+    event parameters (probabilities, holds, delays, skews and loss
+    rates) to a fixpoint. At most [max_runs] (default 150)
     re-executions, each bounded by [budget]; a re-run that trips the
     budget counts as not reproducing. When the runs are spent the best
     case so far is returned.

@@ -43,10 +43,20 @@ let exit_invariant_violation = Exit_code.(to_int Invariant_violation)
 let exit_timed_out = Exit_code.(to_int Timed_out)
 let exit_run_failed = Exit_code.(to_int Run_failed)
 
+(* The supervision flags the main command and [chaos] share: worker
+   domains, the per-run budget, and the sweep's checkpoint, resume and
+   report files. *)
+type supervision = {
+  jobs : int option;
+  budget : Exec_opts.budget option;
+  checkpoint : string option;
+  resume : string option;
+  report_out : string option;
+}
+
 (* Flags that are about this invocation, not about the experiment:
-   telemetry sinks, the validation monitors, the profiler, the
-   worker-domain count and the supervision (budget / retry /
-   checkpoint) knobs. *)
+   telemetry sinks, the validation monitors, the profiler, retries
+   and the supervision flags. *)
 type cli_opts = {
   trace_out : string option;
   metrics_out : string option;
@@ -54,28 +64,13 @@ type cli_opts = {
   job_metrics_out : string option;
   metrics_every : float;
   profile : bool;
-  jobs : int option;
   seeds : int list;
   check : bool;
   check_out : string option;
-  timeout : float option;
-  max_events : int option;
   retries : int;
   keep_going : bool;
-  checkpoint : string option;
-  resume : string option;
-  report_out : string option;
+  sup : supervision;
 }
-
-(* The per-attempt budget implied by --timeout/--max-events, or [None]
-   when neither is set. *)
-let budget_of ~timeout ~max_events =
-  match (timeout, max_events) with
-  | None, None -> None
-  | wall, events -> Some (Exec_opts.budget ?wall ?events ())
-
-let budget_opt opts =
-  budget_of ~timeout:opts.timeout ~max_events:opts.max_events
 
 let print_result ~(scenario : Scenario.t) (r : Runner.result) =
   Printf.printf "%s: %d flows (seed %d)\n" scenario.Scenario.name
@@ -249,7 +244,7 @@ let run_single scenario opts =
   let checking = opts.check || opts.check_out <> None in
   match
     with_sinks opts ~path:Fun.id (fun ~telemetry ->
-        execute ?budget:(budget_opt opts) ~checking ~telemetry scenario)
+        execute ?budget:opts.sup.budget ~checking ~telemetry scenario)
   with
   | exception Pdq_engine.Sim.Cancelled { reason; events } ->
       Printf.printf "%s: TIMED OUT (%s) after %d events\n"
@@ -355,22 +350,21 @@ let run_sweep scenario opts =
   (* --resume keeps appending new completions to the same file unless
      a distinct --checkpoint is given. *)
   let checkpoint =
-    match (opts.checkpoint, opts.resume) with
+    match (opts.sup.checkpoint, opts.sup.resume) with
     | None, Some p -> Some p
     | c, _ -> c
   in
   let trace_chan = Option.map open_out opts.trace_out in
-  let on_event =
+  let trace =
     Option.map
       (fun oc ->
-        Sweep.emit_trace
-          (Trace.create ~clock:Unix.gettimeofday ~sinks:[ Trace.jsonl oc ]))
+        Trace.create ~clock:Unix.gettimeofday ~sinks:[ Trace.jsonl oc ])
       trace_chan
   in
   let sup =
-    Sweep.supervise ?jobs:opts.jobs ?budget:(budget_opt opts)
+    Sweep.supervise ?jobs:opts.sup.jobs ?budget:opts.sup.budget
       ~attempts:(opts.retries + 1) ~keep_going:opts.keep_going ?checkpoint
-      ?resume:opts.resume ~codec:Scenario.result_codec ?on_event
+      ?resume:opts.sup.resume ~codec:Scenario.result_codec ?trace
       ~key:(fun i -> Scenario.digest scenarios.(i))
       run_slot (List.init n Fun.id)
   in
@@ -418,7 +412,7 @@ let run_sweep scenario opts =
       output_char oc '\n';
       close_out oc;
       Printf.eprintf "sweep report written to %s\n%!" path)
-    opts.report_out;
+    opts.sup.report_out;
   let aborted =
     List.exists (fun (r : Runner.result) -> r.Runner.aborted > 0) oks
   in
@@ -461,8 +455,8 @@ let run scenario opts resilience full list_workloads =
   let code =
     if resilience then begin
       match
-        Pdq_experiments.Resilience.tables ?jobs:opts.jobs
-          ?budget:(budget_opt opts) ~quick:(not full) ()
+        Pdq_experiments.Resilience.tables ?jobs:opts.sup.jobs
+          ?budget:opts.sup.budget ~quick:(not full) ()
       with
       | tables ->
           List.iter
@@ -665,12 +659,82 @@ let scenario_term =
       $ fan_in $ stage_depth $ job_rate $ seed $ flap_mtbf $ flap_mttr
       $ reboot_mtbf $ fault_until)
 
+let supervision_term =
+  let make jobs timeout max_events checkpoint resume report_out =
+    let fails p = Option.fold ~none:false ~some:p in
+    if fails (fun j -> j < 1) jobs then Error (`Msg "--jobs must be >= 1")
+    else if fails (fun t -> not (Float.is_finite t && t > 0.)) timeout then
+      Error (`Msg "--timeout must be a finite number > 0")
+    else if fails (fun n -> n < 1) max_events then
+      Error (`Msg "--max-events must be >= 1")
+    else
+      let budget =
+        match (timeout, max_events) with
+        | None, None -> None
+        | wall, events -> Some (Exec_opts.budget ?wall ?events ())
+      in
+      Ok { jobs; budget; checkpoint; resume; report_out }
+  in
+  let jobs =
+    Arg.(value & opt (some int) None
+         & info [ "jobs" ]
+             ~doc:"Worker domains for --seeds sweeps, --resilience and chaos \
+                   campaigns (default: the recommended domain count, or the \
+                   PDQ_JOBS environment variable); results are identical for \
+                   any value" ~docv:"N")
+  in
+  let timeout =
+    Arg.(value & opt (some float) None
+         & info [ "timeout" ]
+             ~doc:"Per-run (per-attempt, per-case) wall-clock budget in \
+                   seconds, a finite number > 0, enforced cooperatively \
+                   inside the simulator; a run that blows it is reported \
+                   TIMED OUT (exit 5)"
+             ~docv:"SEC")
+  in
+  let max_events =
+    Arg.(value & opt (some int) None
+         & info [ "max-events" ]
+             ~doc:"Per-run (per-attempt, per-case) simulator event budget, \
+                   at least 1; a run that blows it is reported TIMED OUT \
+                   (exit 5)"
+             ~docv:"N")
+  in
+  let checkpoint =
+    Arg.(value & opt (some string) None
+         & info [ "checkpoint" ]
+             ~doc:"With --seeds or chaos: stream each completed run to \
+                   $(docv) as JSONL keyed by content hash, flushed per line, \
+                   so a killed sweep loses at most the in-flight runs"
+             ~docv:"FILE")
+  in
+  let resume =
+    Arg.(value & opt (some string) None
+         & info [ "resume" ]
+             ~doc:"With --seeds or chaos: preload completed runs from \
+                   checkpoint $(docv) and re-execute only the missing ones \
+                   (bit-identical to an uninterrupted sweep); with --seeds, \
+                   new completions keep being appended to the same file"
+             ~docv:"FILE")
+  in
+  let report_out =
+    Arg.(value & opt (some string) None
+         & info [ "report-out" ]
+             ~doc:"With --seeds or chaos: write the sweep report \
+                   (ok/resumed/failed/timed-out counts, attempts, per-slot \
+                   causes, wall time) as JSON to $(docv)"
+             ~docv:"FILE")
+  in
+  Term.term_result
+    Term.(
+      const make $ jobs $ timeout $ max_events $ checkpoint $ resume
+      $ report_out)
+
 let opts_term =
   let make trace_out metrics_out forensics_out job_metrics_out metrics_every
-      profile jobs seeds check check_out timeout max_events retries keep_going
-      checkpoint resume report_out =
+      profile seeds check check_out retries keep_going sup =
     let checking = check || check_out <> None in
-    if checking && (checkpoint <> None || resume <> None) then
+    if checking && (sup.checkpoint <> None || sup.resume <> None) then
       Error
         (`Msg
            "--checkpoint/--resume cannot be combined with --check: checked \
@@ -679,8 +743,6 @@ let opts_term =
     else if retries < 0 then Error (`Msg "--retries must be >= 0")
     else if not (Float.is_finite metrics_every && metrics_every > 0.) then
       Error (`Msg "--metrics-every must be a finite number > 0")
-    else if Option.fold ~none:false ~some:(fun j -> j < 1) jobs then
-      Error (`Msg "--jobs must be >= 1")
     else
       Ok
         {
@@ -690,17 +752,12 @@ let opts_term =
           job_metrics_out;
           metrics_every;
           profile;
-          jobs;
           seeds;
           check;
           check_out;
-          timeout;
-          max_events;
           retries;
           keep_going;
-          checkpoint;
-          resume;
-          report_out;
+          sup;
         }
   in
   let trace_out =
@@ -753,14 +810,6 @@ let opts_term =
                    queue high-water mark, CPU per simulated second, per \
                    event kind timing)")
   in
-  let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "jobs" ]
-             ~doc:"Worker domains for --seeds sweeps and --resilience \
-                   (default: the recommended domain count, or the PDQ_JOBS \
-                   environment variable); \
-                   results are identical for any value" ~docv:"N")
-  in
   let seeds =
     Arg.(value & opt (list int) []
          & info [ "seeds" ]
@@ -783,21 +832,6 @@ let opts_term =
                    JSONL to $(docv)"
              ~docv:"FILE")
   in
-  let timeout =
-    Arg.(value & opt (some float) None
-         & info [ "timeout" ]
-             ~doc:"Per-run (per-attempt) wall-clock budget in seconds, \
-                   enforced cooperatively inside the simulator; a run that \
-                   blows it is reported TIMED OUT (exit 5)"
-             ~docv:"SEC")
-  in
-  let max_events =
-    Arg.(value & opt (some int) None
-         & info [ "max-events" ]
-             ~doc:"Per-run (per-attempt) simulator event budget; a run that \
-                   blows it is reported TIMED OUT (exit 5)"
-             ~docv:"N")
-  in
   let retries =
     Arg.(value & opt int 0
          & info [ "retries" ]
@@ -813,36 +847,11 @@ let opts_term =
                    structured failure slot and the sweep continues instead \
                    of stopping at the first casualty")
   in
-  let checkpoint =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint" ]
-             ~doc:"With --seeds: stream each completed run to $(docv) as \
-                   JSONL keyed by scenario content hash, flushed per line, \
-                   so a killed sweep loses at most the in-flight runs"
-             ~docv:"FILE")
-  in
-  let resume =
-    Arg.(value & opt (some string) None
-         & info [ "resume" ]
-             ~doc:"With --seeds: preload completed runs from checkpoint \
-                   $(docv), re-execute only the missing seeds (bit-identical \
-                   to an uninterrupted sweep) and keep appending new \
-                   completions to the same file"
-             ~docv:"FILE")
-  in
-  let report_out =
-    Arg.(value & opt (some string) None
-         & info [ "report-out" ]
-             ~doc:"With --seeds: write the sweep resilience \
-                   report (ok/resumed/failed/timed-out counts, attempts, \
-                   per-slot causes, wall time) as JSON to $(docv)"
-             ~docv:"FILE")
-  in
   Term.term_result
     Term.(
       const make $ trace_out $ metrics_out $ forensics_out $ job_metrics_out
-      $ metrics_every $ profile $ jobs $ seeds $ check $ check_out $ timeout
-      $ max_events $ retries $ keep_going $ checkpoint $ resume $ report_out)
+      $ metrics_every $ profile $ seeds $ check $ check_out $ retries
+      $ keep_going $ supervision_term)
 
 (* ------------------------------------------------------------------ *)
 (* pdq_sim forensics: offline span reconstruction, FCT attribution and
@@ -967,9 +976,10 @@ let forensics_cmd =
 
 (* ------------------------------------------------------------------ *)
 (* pdq_sim chaos: adversarial fuzzing of the invariant monitors.
-   Random (scenario, fault plan, adversary plan) cases run through the
-   full validation stack on the supervised executor; a violating case
-   is shrunk to a minimal reproducer and written as replayable JSON.
+   Random (scenario, fault plan) cases, the plan mixing link flaps
+   with adversarial packet conditions, run through the full validation
+   stack on the supervised executor; a violating case is shrunk to a
+   minimal reproducer and written as replayable JSON.
    Stdout is built entirely from the returned campaign, so it is
    bit-identical for any --jobs value. *)
 
@@ -1062,12 +1072,9 @@ let run_chaos_fuzz ?jobs ?budget ~runs ~seed ~intensity ~protocols
         Fuzzer.shrink ?budget ~max_runs:shrink_budget case ~invariant
       in
       let minimal = shrunk.Fuzzer.minimal in
-      Printf.printf
-        "shrunk %d fault + %d adversary events to %d + %d (%d re-runs)\n"
+      Printf.printf "shrunk %d plan events to %d (%d re-runs)\n"
         (Pdq_faults.Fault_plan.length case.Fuzzer.faults)
-        (Pdq_chaos.Adversary_plan.length case.Fuzzer.adversary)
         (Pdq_faults.Fault_plan.length minimal.Fuzzer.faults)
-        (Pdq_chaos.Adversary_plan.length minimal.Fuzzer.adversary)
         shrunk.Fuzzer.runs_used;
       let json = Fuzzer.case_to_json minimal in
       (match repro_out with
@@ -1078,8 +1085,8 @@ let run_chaos_fuzz ?jobs ?budget ~runs ~seed ~intensity ~protocols
       exit_violation_found
 
 let chaos_term =
-  let make runs seed intensity protocols shrink_budget repro_out replay jobs
-      timeout max_events checkpoint resume report_out =
+  let make runs seed intensity protocols shrink_budget repro_out replay
+      { jobs; budget; checkpoint; resume; report_out } =
     let ( let* ) = Result.bind in
     let* () = if runs <= 0 then Error (`Msg "--runs must be > 0") else Ok () in
     let* () =
@@ -1091,11 +1098,6 @@ let chaos_term =
       if shrink_budget < 0 then Error (`Msg "--shrink-budget must be >= 0")
       else Ok ()
     in
-    let* () =
-      if Option.fold ~none:false ~some:(fun j -> j < 1) jobs then
-        Error (`Msg "--jobs must be >= 1")
-      else Ok ()
-    in
     let* protocols =
       List.fold_left
         (fun acc p ->
@@ -1105,7 +1107,6 @@ let chaos_term =
           | Error e -> Error (`Msg e))
         (Ok []) protocols
     in
-    let budget = budget_of ~timeout ~max_events in
     Ok
       (match replay with
       | Some path -> run_chaos_replay ?budget ~path ()
@@ -1160,50 +1161,10 @@ let chaos_term =
                    it still violates"
              ~docv:"FILE")
   in
-  let jobs =
-    Arg.(value & opt (some int) None
-         & info [ "jobs" ]
-             ~doc:"Worker domains for the campaign (results and output are \
-                   identical for any value)"
-             ~docv:"N")
-  in
-  let timeout =
-    Arg.(value & opt (some float) None
-         & info [ "timeout" ]
-             ~doc:"Per-case wall-clock budget in seconds (cooperative; a \
-                   blown case settles as timed out)"
-             ~docv:"SEC")
-  in
-  let max_events =
-    Arg.(value & opt (some int) None
-         & info [ "max-events" ]
-             ~doc:"Per-case simulator event budget" ~docv:"N")
-  in
-  let checkpoint =
-    Arg.(value & opt (some string) None
-         & info [ "checkpoint" ]
-             ~doc:"Stream each completed case verdict to $(docv) as JSONL \
-                   keyed by case content hash"
-             ~docv:"FILE")
-  in
-  let resume =
-    Arg.(value & opt (some string) None
-         & info [ "resume" ]
-             ~doc:"Preload case verdicts from checkpoint $(docv) and \
-                   re-execute only the missing cases"
-             ~docv:"FILE")
-  in
-  let report_out =
-    Arg.(value & opt (some string) None
-         & info [ "report-out" ]
-             ~doc:"Write the campaign's sweep report as JSON to $(docv)"
-             ~docv:"FILE")
-  in
   Term.term_result
     Term.(
       const make $ runs $ seed $ intensity $ protocols $ shrink_budget
-      $ repro_out $ replay $ jobs $ timeout $ max_events $ checkpoint $ resume
-      $ report_out)
+      $ repro_out $ replay $ supervision_term)
 
 let chaos_cmd =
   Cmd.v

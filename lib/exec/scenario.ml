@@ -319,17 +319,13 @@ let build t =
   let built, specs, options, _ = build_ext t in
   (built, specs, options)
 
-(* The one run path. It builds the scenario, applies [prepare],
-   attaches [monitor]'s sinks when checking, and executes, everything
-   under [budget]: the simulator reads its cancel hook when the build
-   creates it, so the budget must already be installed there. [prepare]
-   runs between topology construction and execution — the sanctioned
-   hole where the chaos adversary interposes on the freshly built links
-   before any packet moves. *)
-let execute ?(telemetry = Runner.no_telemetry) ?budget ?prepare ?monitor t =
+(* The one run path. It builds the scenario, attaches [monitor]'s
+   sinks when checking, and executes, everything under [budget]: the
+   simulator reads its cancel hook when the build creates it, so the
+   budget must already be installed there. *)
+let execute ?(telemetry = Runner.no_telemetry) ?budget ?monitor t =
   let go () =
     let built, specs, options, tracker = build_ext t in
-    Option.iter (fun f -> f built) prepare;
     let telemetry =
       match monitor with
       | Some m -> Pdq_check.Invariants.telemetry m ~base:telemetry
@@ -341,8 +337,8 @@ let execute ?(telemetry = Runner.no_telemetry) ?budget ?prepare ?monitor t =
   in
   match budget with None -> go () | Some b -> Exec_opts.with_budget b go
 
-let run ?telemetry ?budget ?prepare t =
-  let result, _, _ = execute ?telemetry ?budget ?prepare t in
+let run ?telemetry ?budget t =
+  let result, _, _ = execute ?telemetry ?budget t in
   result
 
 let run_jobs ?telemetry ?budget t =
@@ -361,9 +357,9 @@ type checked = {
   job_report : Job_metrics.report option;
 }
 
-let run_checked ?telemetry ?budget ?prepare t =
+let run_checked ?telemetry ?budget t =
   let monitor = Pdq_check.Invariants.create () in
-  let result, topo, tracker = execute ?telemetry ?budget ?prepare ~monitor t in
+  let result, topo, tracker = execute ?telemetry ?budget ~monitor t in
   let job_report = Option.map Job_tracker.report !tracker in
   let violations = Pdq_check.Invariants.finalize monitor ~result ~topo in
   (* M-PDQ stripes a flow over several paths, so no single path's

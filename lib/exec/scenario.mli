@@ -179,9 +179,12 @@ type faults =
       label : string;
       plan : seed:int -> Pdq_topo.Builder.built -> Pdq_faults.Fault_plan.t;
     }
-      (** Bespoke pure plan generator; packet loss (Fig. 9's standing
-          Bernoulli drops included) is a {!Pdq_faults.Fault_plan.Set_loss}
-          event of such a plan. *)
+      (** Bespoke pure plan generator, called on the built topology.
+          Packet loss (Fig. 9's standing Bernoulli drops included) is a
+          {!Pdq_faults.Fault_plan.Set_loss} event of such a plan, and
+          adversarial packet conditions (the chaos degradation sweeps,
+          the fuzzer's cases) are its adversarial events; an empty plan
+          is no plan at all. *)
 
 (** {1 Scenarios} *)
 
@@ -227,7 +230,6 @@ val build :
 val run :
   ?telemetry:Pdq_transport.Runner.telemetry ->
   ?budget:Exec_opts.budget ->
-  ?prepare:(Pdq_topo.Builder.built -> unit) ->
   t ->
   Pdq_transport.Runner.result
 (** Build and simulate. Deterministic: same scenario (and telemetry
@@ -235,10 +237,10 @@ val run :
     on any domain. [telemetry] is passed here, not stored in the
     scenario, because sinks (channels, memory rings) are per-run
     mutable state. A [budget] bounds the whole run, build included
-    ([Sim.Cancelled] on a trip). [prepare] runs after the topology is
-    built and before execution — the sanctioned hook for layers that
-    interpose on the fresh links (the chaos adversary); like telemetry
-    it is per-run state and not part of the scenario's digest. *)
+    ([Sim.Cancelled] on a trip). Everything that acts on the run —
+    faults and adversarial conditions alike — is in the scenario's
+    {!faults}; post-run inspection goes through the result's
+    [ctx] ({!Pdq_transport.Context.topo}). *)
 
 val run_jobs :
   ?telemetry:Pdq_transport.Runner.telemetry ->
@@ -266,7 +268,6 @@ type checked = {
 val run_checked :
   ?telemetry:Pdq_transport.Runner.telemetry ->
   ?budget:Exec_opts.budget ->
-  ?prepare:(Pdq_topo.Builder.built -> unit) ->
   t ->
   checked
 (** {!run} with the validation subsystem attached: a

@@ -38,94 +38,6 @@ let backoff_delay ~index ~attempt =
   capped *. (0.5 +. Rng.float rng)
 
 (* ------------------------------------------------------------------ *)
-(* Supervisor telemetry *)
-
-type event =
-  | Slot_ok of {
-      index : int;
-      key : string;
-      attempts : int;
-      elapsed : float;
-      resumed : bool;
-    }
-  | Slot_failed of { index : int; key : string; failure : Task.failure }
-  | Slot_timed_out of { index : int; key : string; timeout : Task.timeout }
-  | Slot_retry of {
-      index : int;
-      key : string;
-      attempt : int;
-      delay : float;
-      exn : string;
-    }
-  | Worker_crashed of { worker : int; index : int option; exn : string }
-  | Worker_respawned of { worker : int }
-
-let emit_trace bus ev =
-  if Trace.active bus then
-    Trace.emit bus
-      (match ev with
-      | Slot_ok { index; key; attempts; elapsed; resumed } ->
-          Trace.Sweep_task
-            {
-              index;
-              key;
-              state = (if resumed then "resumed" else "ok");
-              attempts;
-              elapsed;
-              detail = "";
-            }
-      | Slot_failed { index; key; failure } ->
-          Trace.Sweep_task
-            {
-              index;
-              key;
-              state = "failed";
-              attempts = failure.Task.attempts;
-              elapsed = failure.Task.elapsed;
-              detail = failure.Task.exn;
-            }
-      | Slot_timed_out { index; key; timeout } ->
-          Trace.Sweep_task
-            {
-              index;
-              key;
-              state = "timed-out";
-              attempts = timeout.Task.attempts;
-              elapsed = timeout.Task.elapsed;
-              detail = timeout.Task.budget;
-            }
-      | Slot_retry { index; key; attempt; delay; exn } ->
-          Trace.Sweep_task
-            {
-              index;
-              key;
-              state = "retry";
-              attempts = attempt;
-              elapsed = delay;
-              detail = exn;
-            }
-      | Worker_crashed { worker; index; exn } ->
-          Trace.Sweep_task
-            {
-              index = Option.value ~default:(-1) index;
-              key = Printf.sprintf "worker:%d" worker;
-              state = "crashed";
-              attempts = 0;
-              elapsed = 0.;
-              detail = exn;
-            }
-      | Worker_respawned { worker } ->
-          Trace.Sweep_task
-            {
-              index = -1;
-              key = Printf.sprintf "worker:%d" worker;
-              state = "respawned";
-              attempts = 0;
-              elapsed = 0.;
-              detail = "";
-            })
-
-(* ------------------------------------------------------------------ *)
 (* Resilience report *)
 
 type report = {
@@ -258,7 +170,7 @@ let load_checkpoint path =
 type 'b supervised = { tasks : 'b Task.t list; report : report }
 
 let supervise ?jobs ?budget ?(attempts = 1) ?(keep_going = true)
-    ?checkpoint ?resume ?codec ?on_event ~key f xs =
+    ?checkpoint ?resume ?codec ?trace ~key f xs =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let run_attempt x ~start =
     match budget with
@@ -273,15 +185,26 @@ let supervise ?jobs ?budget ?(attempts = 1) ?(keep_going = true)
   let next = Atomic.make 0 in
   let attempts_run = Atomic.make 0 in
   let sweep_start = Unix.gettimeofday () in
-  (* Serializes event callbacks and checkpoint appends across worker
+  (* Serializes trace emission and checkpoint appends across worker
      domains. *)
   let io_lock = Mutex.create () in
   let locked fn =
     Mutex.lock io_lock;
     Fun.protect ~finally:(fun () -> Mutex.unlock io_lock) fn
   in
-  let emit ev =
-    match on_event with Some g -> locked (fun () -> g ev) | None -> ()
+  (* One [Trace.Sweep_task] per slot lifecycle step. *)
+  let emit ~index ~key ~state ~attempts ~elapsed ~detail =
+    match trace with
+    | Some bus ->
+        locked (fun () ->
+            Trace.emit bus
+              (Trace.Sweep_task
+                 { index; key; state; attempts; elapsed; detail }))
+    | None -> ()
+  in
+  let emit_failed i (f : Task.failure) =
+    emit ~index:i ~key:keys.(i) ~state:"failed" ~attempts:f.Task.attempts
+      ~elapsed:f.Task.elapsed ~detail:f.Task.exn
   in
   let codec_or_fail what =
     match codec with
@@ -305,10 +228,8 @@ let supervise ?jobs ?budget ?(attempts = 1) ?(keep_going = true)
               | r ->
                   slots.(i) <- Some (Task.Ok r);
                   incr resumed;
-                  emit
-                    (Slot_ok
-                       { index = i; key = k; attempts = 0; elapsed = 0.;
-                         resumed = true })
+                  emit ~index:i ~key:k ~state:"resumed" ~attempts:0
+                    ~elapsed:0. ~detail:""
               | exception _ -> ()))
         keys;
       (* Checkpoint entries whose digest matches no slot: the inputs
@@ -365,15 +286,9 @@ let supervise ?jobs ?budget ?(attempts = 1) ?(keep_going = true)
       | r ->
           settle i (Task.Ok r);
           write_checkpoint i r;
-          emit
-            (Slot_ok
-               {
-                 index = i;
-                 key = keys.(i);
-                 attempts = attempt;
-                 elapsed = Unix.gettimeofday () -. t0;
-                 resumed = false;
-               })
+          emit ~index:i ~key:keys.(i) ~state:"ok" ~attempts:attempt
+            ~elapsed:(Unix.gettimeofday () -. t0)
+            ~detail:""
       | exception Sim.Cancelled { reason; _ } ->
           (* Budgets trip deterministically for a given input; retrying
              a timed-out slot would just burn the budget again. *)
@@ -385,20 +300,14 @@ let supervise ?jobs ?budget ?(attempts = 1) ?(keep_going = true)
             }
           in
           settle i (Task.Timed_out timeout);
-          emit (Slot_timed_out { index = i; key = keys.(i); timeout })
+          emit ~index:i ~key:keys.(i) ~state:"timed-out" ~attempts:attempt
+            ~elapsed:timeout.Task.elapsed ~detail:reason
       | exception e ->
           let backtrace = Printexc.get_backtrace () in
           if attempt < attempts then begin
             let delay = backoff_delay ~index:i ~attempt in
-            emit
-              (Slot_retry
-                 {
-                   index = i;
-                   key = keys.(i);
-                   attempt;
-                   delay;
-                   exn = Printexc.to_string e;
-                 });
+            emit ~index:i ~key:keys.(i) ~state:"retry" ~attempts:attempt
+              ~elapsed:delay ~detail:(Printexc.to_string e);
             Unix.sleepf delay;
             go (attempt + 1)
           end
@@ -412,7 +321,7 @@ let supervise ?jobs ?budget ?(attempts = 1) ?(keep_going = true)
               }
             in
             settle i (Task.Failed failure);
-            emit (Slot_failed { index = i; key = keys.(i); failure })
+            emit_failed i failure
           end
     in
     go 1
@@ -436,12 +345,14 @@ let supervise ?jobs ?budget ?(attempts = 1) ?(keep_going = true)
     loop ()
   in
   (* A worker that died outside the per-attempt catch (an I/O error in
-     a sink or checkpoint, an [on_event] that raised) has its claimed
+     a sink or checkpoint, a trace sink that raised) has its claimed
      slot settled as Failed. Returns whether unclaimed work remains, in
      which case the caller restarts the worker. *)
   let crashed w e =
     let i = match Atomic.get claimed.(w) with -1 -> None | i -> Some i in
-    emit (Worker_crashed { worker = w; index = i; exn = Printexc.to_string e });
+    let worker = Printf.sprintf "worker:%d" w in
+    emit ~index:(Option.value ~default:(-1) i) ~key:worker ~state:"crashed"
+      ~attempts:0 ~elapsed:0. ~detail:(Printexc.to_string e);
     (match i with
     | Some i when Option.is_none slots.(i) ->
         let failure =
@@ -449,11 +360,13 @@ let supervise ?jobs ?budget ?(attempts = 1) ?(keep_going = true)
             elapsed = 0. }
         in
         settle i (Task.Failed failure);
-        emit (Slot_failed { index = i; key = keys.(i); failure })
+        emit_failed i failure
     | _ -> ());
     Atomic.set claimed.(w) (-1);
     let restart = Atomic.get next < n && not (Atomic.get stop) in
-    if restart then emit (Worker_respawned { worker = w });
+    if restart then
+      emit ~index:(-1) ~key:worker ~state:"respawned" ~attempts:0 ~elapsed:0.
+        ~detail:"";
     restart
   in
   (* The calling domain is worker 0; only the other [workers - 1] are

@@ -23,8 +23,8 @@
     metrics registries — sinks are per-run mutable state and channels
     would interleave across domains. Attach telemetry to a single
     {!Scenario.run} instead (or open per-run sinks inside [f], as the
-    CLI does); the supervisor has its own wall-clock event stream
-    ({!event}, bridged to a trace bus by {!emit_trace}). The global
+    CLI does); the supervisor emits its own wall-clock lifecycle
+    events on the bus [supervise] is given ([?trace]). The global
     profiler may stay enabled during a sweep (shards merge in its
     report); call {!Pdq_engine.Profiler.reset} only between sweeps. *)
 
@@ -37,38 +37,6 @@ val default_jobs : unit -> int
 (** [Domain.recommended_domain_count ()], unless the [PDQ_JOBS]
     environment variable names a positive integer — the process-wide
     parallelism pin for CI and bench (clamped to [>= 1]). *)
-
-(** {1 Supervisor telemetry} *)
-
-type event =
-  | Slot_ok of {
-      index : int;
-      key : string;
-      attempts : int;
-      elapsed : float;
-      resumed : bool;  (** Loaded from the checkpoint, not executed. *)
-    }
-  | Slot_failed of { index : int; key : string; failure : Task.failure }
-  | Slot_timed_out of { index : int; key : string; timeout : Task.timeout }
-  | Slot_retry of {
-      index : int;
-      key : string;
-      attempt : int;  (** The attempt that just failed. *)
-      delay : float;  (** Backoff before the next one. *)
-      exn : string;
-    }
-  | Worker_crashed of { worker : int; index : int option; exn : string }
-      (** A worker died outside the per-attempt catch; [index] is the
-          slot it had claimed (settled as [Failed]). Worker 0 is the
-          calling domain. *)
-  | Worker_respawned of { worker : int }
-      (** The crashed worker restarted (a fresh domain, or the calling
-          domain re-entering its loop). *)
-
-val emit_trace : Pdq_telemetry.Trace.t -> event -> unit
-(** Forward a supervisor event to a trace bus as a
-    [Trace.Sweep_task] — pair with a wall-clock bus, e.g.
-    [Trace.create ~clock:Unix.gettimeofday ~sinks]. *)
 
 (** {1 Resilience report} *)
 
@@ -122,7 +90,7 @@ val supervise :
   ?checkpoint:string ->
   ?resume:string ->
   ?codec:'b Task.codec ->
-  ?on_event:(event -> unit) ->
+  ?trace:Pdq_telemetry.Trace.t ->
   key:('a -> string) ->
   ('a -> 'b) ->
   'a list ->
@@ -156,8 +124,19 @@ val supervise :
       [codec]; torn or malformed lines (a kill mid-write) are ignored,
       and appending to a file whose last line is torn starts a new line
       first, so the next entry stays readable.
-    - [on_event] observes the slot lifecycle (calls are serialized
-      across workers).
+    - [trace] receives one [Trace.Sweep_task] per slot lifecycle step
+      (emission is serialized across workers), pair it with a
+      wall-clock bus, e.g.
+      [Trace.create ~clock:Unix.gettimeofday ~sinks]. Its [state] is
+      ["ok"] or ["resumed"] (loaded from the checkpoint, not
+      executed), ["failed"], ["timed-out"] (detail: the tripped
+      budget), ["retry"] ([attempts] is the attempt that just failed,
+      [elapsed] the backoff before the next one), ["crashed"] (a
+      worker died outside the per-attempt catch; key
+      ["worker:<n>"], worker 0 being the calling domain, index the
+      slot it had claimed or [-1]) and ["respawned"] (the crashed
+      worker restarted). A sink that raises crashes its worker like
+      any error outside an attempt.
 
     [key] must be injective over the sweep inputs (a content hash —
     see {!Scenario.digest}); [f] must be deterministic for resume to

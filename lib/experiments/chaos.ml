@@ -3,7 +3,7 @@
    in-network adversary reorders or corrupts scheduling traffic?
 
    Two sweeps, each over a condition-probability axis applied as a
-   standing condition on every cable ({!Pdq_chaos.Adversary_plan.degrade}):
+   standing condition on every cable ({!Pdq_faults.Fault_plan.degrade}):
    - reordering: each forward packet held for 1 ms with probability p,
      letting later packets overtake (plus the jitter this implies);
    - header corruption: with probability p a forward scheduling header
@@ -19,10 +19,8 @@
 module Runner = Pdq_transport.Runner
 module Builder = Pdq_topo.Builder
 module Topology = Pdq_net.Topology
-module Rng = Pdq_engine.Rng
 module Scenario = Pdq_exec.Scenario
-module Adversary = Pdq_chaos.Adversary
-module Adversary_plan = Pdq_chaos.Adversary_plan
+module Fault_plan = Pdq_faults.Fault_plan
 
 (* The resilience harness's staggered-aggregation scenario shape:
    traffic spread across [window] so it overlaps the standing
@@ -61,18 +59,23 @@ let reduce results =
     miss_pct = avg (fun r -> 100. *. (1. -. r.Runner.application_throughput));
   }
 
-(* One run: build the scenario, install the standing conditions on
-   every cable via the prepare hook, run. The adversary rng derives
-   from the run's seed, so runs are independent and shippable. *)
+(* One run: the standing conditions on every cable of the built
+   topology are the scenario's fault plan. The runner draws the
+   adversary's randomness from the run's seed, so runs are independent
+   and shippable. *)
 let run_cell sc plan_of =
   Scenario.run
-    ~prepare:(fun (built : Builder.built) ->
-      let topo = built.Builder.topo in
-      let plan = plan_of topo in
-      if not (Adversary_plan.is_empty plan) then
-        Adversary.install ~sim:(Topology.sim topo) ~topo
-          ~rng:(Rng.create (sc.Scenario.seed lxor 0x0C4A05)) plan)
-    sc
+    {
+      sc with
+      Scenario.faults =
+        Scenario.Fault_gen
+          {
+            label = "chaos";
+            plan =
+              (fun ~seed:_ (built : Builder.built) ->
+                plan_of built.Builder.topo);
+          };
+    }
 
 (* Generic degradation sweep: rows = condition probabilities (first
    row 0, the normalization base), columns = per-protocol normalized
@@ -119,7 +122,7 @@ let reorder_sweep ?jobs ~quick () =
       "Chaos - packet reordering (1 ms hold) vs per-packet probability; p99 \
        FCT normalized to the adversary-free run"
     ~degrade_of:(fun ~rate ~links ->
-      Adversary_plan.degrade ~links ~reorder:(rate, 1e-3) ())
+      Fault_plan.degrade ~links ~reorder:(rate, 1e-3) ())
     ()
 
 let corruption_sweep ?jobs ~quick () =
@@ -128,7 +131,7 @@ let corruption_sweep ?jobs ~quick () =
       "Chaos - scheduling-header corruption vs per-packet probability; p99 \
        FCT normalized to the adversary-free run"
     ~degrade_of:(fun ~rate ~links ->
-      Adversary_plan.degrade ~links ~corrupt:rate ())
+      Fault_plan.degrade ~links ~corrupt:rate ())
     ()
 
 let tables ?jobs ~quick () =

@@ -1,6 +1,5 @@
 module Runner = Pdq_transport.Runner
 module Context = Pdq_transport.Context
-module Builder = Pdq_topo.Builder
 module Series = Pdq_engine.Series
 module Trace = Pdq_telemetry.Trace
 module Metrics = Pdq_telemetry.Metrics
@@ -16,8 +15,8 @@ type trace = {
 (* All three time series come out of the generic telemetry: per-flow
    goodput from the [Flow_rx] events of a memory sink, utilization and
    queue depth from the metrics probe of the bottleneck link, whose id
-   [prepare] reads off the freshly built topology. Every series is
-   binned at [bin]. *)
+   is read off the run's topology afterwards. Every series is binned
+   at [bin]. *)
 let bin = 1e-3
 
 let run_traced ~senders ~specs_of ~t_end =
@@ -34,14 +33,6 @@ let run_traced ~senders ~specs_of ~t_end =
            })
       (Runner.Pdq Pdq_core.Config.full)
   in
-  let bottleneck = ref 0 in
-  let prepare (built : Builder.built) =
-    let hosts = built.Builder.hosts in
-    let rx = hosts.(Array.length hosts - 1) in
-    bottleneck :=
-      Pdq_net.Link.id
-        (List.hd (Pdq_net.Topology.cable built.Builder.topo ~a:0 ~b:rx))
-  in
   let mem = Trace.memory () in
   let metrics = Metrics.create () in
   let telemetry =
@@ -52,8 +43,13 @@ let run_traced ~senders ~specs_of ~t_end =
       metrics_every = bin /. 4.;
     }
   in
-  let r = Scenario.run ~telemetry ~prepare scenario in
-  let bottleneck = !bottleneck in
+  let r = Scenario.run ~telemetry scenario in
+  (* The receiver is the last node the builder adds, behind switch 0. *)
+  let topo = Context.topo r.Runner.ctx in
+  let rx = Pdq_net.Topology.node_count topo - 1 in
+  let bottleneck =
+    Pdq_net.Link.id (List.hd (Pdq_net.Topology.cable topo ~a:0 ~b:rx))
+  in
   let per_flow_tbl : (int, Series.t) Hashtbl.t = Hashtbl.create 16 in
   List.iter
     (fun (time, ev) ->

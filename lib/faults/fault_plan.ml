@@ -4,21 +4,28 @@ module Link = Pdq_net.Link
 module Topology = Pdq_net.Topology
 module Json = Pdq_telemetry.Json
 
-let k_clear = Sim.Kind.register "fault.clear"
 let k_apply = Sim.Kind.register "fault.apply"
 
 type event =
   | Link_down of { a : int; b : int }
   | Link_up of { a : int; b : int }
-  | Loss_burst of { a : int; b : int; loss : float; duration : float }
   | Set_loss of { a : int; b : int; model : Link.loss_model }
   | Switch_reboot of int
+  | Reorder of { a : int; b : int; p : float; hold : float }
+  | Duplicate of { a : int; b : int; p : float }
+  | Corrupt of { a : int; b : int; p : float }
+  | Jitter of { a : int; b : int; max_delay : float }
+  | Clear of { a : int; b : int }
+  | Clock_skew of { switch : int; skew : float }
+
+let is_adversarial = function
+  | Link_down _ | Link_up _ | Set_loss _ | Switch_reboot _ -> false
+  | Reorder _ | Duplicate _ | Corrupt _ | Jitter _ | Clear _ | Clock_skew _ ->
+      true
 
 let pp_event ppf = function
   | Link_down { a; b } -> Format.fprintf ppf "link-down %d<->%d" a b
   | Link_up { a; b } -> Format.fprintf ppf "link-up %d<->%d" a b
-  | Loss_burst { a; b; loss; duration } ->
-      Format.fprintf ppf "loss-burst %d<->%d p=%g for %gs" a b loss duration
   | Set_loss { a; b; model = Link.Bernoulli p } ->
       Format.fprintf ppf "loss %d<->%d p=%g" a b p
   | Set_loss { a; b; model = Link.Gilbert _ } ->
@@ -26,38 +33,95 @@ let pp_event ppf = function
   | Set_loss { a; b; model = Link.No_loss } ->
       Format.fprintf ppf "clear-loss %d<->%d" a b
   | Switch_reboot n -> Format.fprintf ppf "switch-reboot %d" n
+  | Reorder { a; b; p; hold } ->
+      Format.fprintf ppf "reorder %d<->%d p=%g hold=%gs" a b p hold
+  | Duplicate { a; b; p } -> Format.fprintf ppf "duplicate %d<->%d p=%g" a b p
+  | Corrupt { a; b; p } -> Format.fprintf ppf "corrupt %d<->%d p=%g" a b p
+  | Jitter { a; b; max_delay } ->
+      Format.fprintf ppf "jitter %d<->%d max=%gs" a b max_delay
+  | Clear { a; b } -> Format.fprintf ppf "clear %d<->%d" a b
+  | Clock_skew { switch; skew } ->
+      Format.fprintf ppf "clock-skew switch=%d skew=%gs" switch skew
 
-let check_prob = Timed_plan.check_prob "Fault_plan"
-let check_nonneg = Timed_plan.check_nonneg "Fault_plan"
+let check_prob what p =
+  if (not (Float.is_finite p)) || p < 0. || p > 1. then
+    invalid_arg (Printf.sprintf "Fault_plan: %s probability %g" what p)
+
+let check_nonneg what x =
+  if (not (Float.is_finite x)) || x < 0. then
+    invalid_arg (Printf.sprintf "Fault_plan: %s %g" what x)
 
 let validate = function
-  | Loss_burst { loss; duration; _ } ->
-      check_prob "loss-burst" loss;
-      check_nonneg "loss-burst duration" duration
   | Set_loss { model = Link.Bernoulli p; _ } -> check_prob "loss" p
   | Set_loss { model = Link.Gilbert ge; _ } ->
       check_prob "gilbert p_gb" ge.Link.p_gb;
       check_prob "gilbert p_bg" ge.Link.p_bg;
       check_prob "gilbert loss_good" ge.Link.loss_good;
       check_prob "gilbert loss_bad" ge.Link.loss_bad
+  | Reorder { p; hold; _ } ->
+      check_prob "reorder" p;
+      check_nonneg "reorder hold" hold
+  | Duplicate { p; _ } -> check_prob "duplicate" p
+  | Corrupt { p; _ } -> check_prob "corrupt" p
+  | Jitter { max_delay; _ } -> check_nonneg "jitter max_delay" max_delay
+  | Clock_skew { skew; _ } ->
+      if not (Float.is_finite skew) then
+        invalid_arg "Fault_plan: non-finite clock skew"
   | Set_loss { model = Link.No_loss; _ }
-  | Link_down _ | Link_up _ | Switch_reboot _ ->
+  | Link_down _ | Link_up _ | Switch_reboot _ | Clear _ ->
       ()
 
 let cable = function
-  | Link_down { a; b } | Link_up { a; b } | Loss_burst { a; b; _ }
-  | Set_loss { a; b; _ } ->
+  | Link_down { a; b }
+  | Link_up { a; b }
+  | Set_loss { a; b; _ }
+  | Reorder { a; b; _ }
+  | Duplicate { a; b; _ }
+  | Corrupt { a; b; _ }
+  | Jitter { a; b; _ }
+  | Clear { a; b } ->
       Some (a, b)
-  | Switch_reboot _ -> None
+  | Switch_reboot _ | Clock_skew _ -> None
+
+(* ------------------------------------------------------------------ *)
+(* The plan: a list sorted stably by time. *)
+
+type t = (float * event) list
+
+let empty = []
+let is_empty t = t = []
+let sort l = List.stable_sort (fun (a, _) (b, _) -> Float.compare a b) l
+
+let of_events l =
+  List.iter
+    (fun (time, event) ->
+      if time < 0. then invalid_arg "Fault_plan.of_events: negative event time";
+      if not (Float.is_finite time) then
+        invalid_arg "Fault_plan.of_events: non-finite event time";
+      validate event)
+    l;
+  sort l
+
+let events t = t
+let merge a b = sort (a @ b)
+let length = List.length
+
+let check_cables topo t =
+  List.iter
+    (fun (_, event) ->
+      Option.iter
+        (fun (a, b) -> ignore (Topology.cable topo ~a ~b))
+        (cable event))
+    t
+
+(* ------------------------------------------------------------------ *)
+(* JSON codec: one object per event, ["t"] then ["ev"] first.
+   [Json.j_float] makes the round trip exact, which the chaos fuzzer's
+   replayable reproducers rely on. *)
 
 let to_fields = function
   | Link_down { a; b } -> Printf.sprintf "\"ev\":\"link-down\",\"a\":%d,\"b\":%d" a b
   | Link_up { a; b } -> Printf.sprintf "\"ev\":\"link-up\",\"a\":%d,\"b\":%d" a b
-  | Loss_burst { a; b; loss; duration } ->
-      Printf.sprintf
-        "\"ev\":\"loss-burst\",\"a\":%d,\"b\":%d,\"loss\":%s,\"duration\":%s" a b
-        (Json.j_float loss)
-        (Json.j_float duration)
   | Set_loss { a; b; model = Link.Bernoulli p } ->
       Printf.sprintf "\"ev\":\"loss\",\"a\":%d,\"b\":%d,\"loss\":%s" a b
         (Json.j_float p)
@@ -73,6 +137,22 @@ let to_fields = function
   | Set_loss { a; b; model = Link.No_loss } ->
       Printf.sprintf "\"ev\":\"clear-loss\",\"a\":%d,\"b\":%d" a b
   | Switch_reboot n -> Printf.sprintf "\"ev\":\"switch-reboot\",\"switch\":%d" n
+  | Reorder { a; b; p; hold } ->
+      Printf.sprintf "\"ev\":\"reorder\",\"a\":%d,\"b\":%d,\"p\":%s,\"hold\":%s"
+        a b (Json.j_float p) (Json.j_float hold)
+  | Duplicate { a; b; p } ->
+      Printf.sprintf "\"ev\":\"duplicate\",\"a\":%d,\"b\":%d,\"p\":%s" a b
+        (Json.j_float p)
+  | Corrupt { a; b; p } ->
+      Printf.sprintf "\"ev\":\"corrupt\",\"a\":%d,\"b\":%d,\"p\":%s" a b
+        (Json.j_float p)
+  | Jitter { a; b; max_delay } ->
+      Printf.sprintf "\"ev\":\"jitter\",\"a\":%d,\"b\":%d,\"max_delay\":%s" a b
+        (Json.j_float max_delay)
+  | Clear { a; b } -> Printf.sprintf "\"ev\":\"clear\",\"a\":%d,\"b\":%d" a b
+  | Clock_skew { switch; skew } ->
+      Printf.sprintf "\"ev\":\"clock-skew\",\"switch\":%d,\"skew\":%s" switch
+        (Json.j_float skew)
 
 let of_fields fields =
   let int k = Json.int fields k in
@@ -80,9 +160,6 @@ let of_fields fields =
   match Json.str fields "ev" with
   | "link-down" -> Link_down { a = int "a"; b = int "b" }
   | "link-up" -> Link_up { a = int "a"; b = int "b" }
-  | "loss-burst" ->
-      Loss_burst
-        { a = int "a"; b = int "b"; loss = flt "loss"; duration = flt "duration" }
   | "loss" ->
       Set_loss { a = int "a"; b = int "b"; model = Link.Bernoulli (flt "loss") }
   | "gilbert-loss" ->
@@ -101,19 +178,39 @@ let of_fields fields =
         }
   | "clear-loss" -> Set_loss { a = int "a"; b = int "b"; model = Link.No_loss }
   | "switch-reboot" -> Switch_reboot (int "switch")
+  | "reorder" ->
+      Reorder { a = int "a"; b = int "b"; p = flt "p"; hold = flt "hold" }
+  | "duplicate" -> Duplicate { a = int "a"; b = int "b"; p = flt "p" }
+  | "corrupt" -> Corrupt { a = int "a"; b = int "b"; p = flt "p" }
+  | "jitter" ->
+      Jitter { a = int "a"; b = int "b"; max_delay = flt "max_delay" }
+  | "clear" -> Clear { a = int "a"; b = int "b" }
+  | "clock-skew" -> Clock_skew { switch = int "switch"; skew = flt "skew" }
   | other -> raise (Json.Parse_error ("unknown fault event " ^ other))
 
-include (
-  Timed_plan.Make (struct
-    type nonrec event = event
+let to_json t =
+  let item (time, event) =
+    Printf.sprintf "{\"t\":%s,%s}" (Json.j_float time) (to_fields event)
+  in
+  "[" ^ String.concat "," (List.map item t) ^ "]"
 
-    let name = "Fault_plan"
-    let validate = validate
-    let cable = cable
-    let to_fields = to_fields
-    let of_fields = of_fields
-  end) :
-    Timed_plan.S with type event := event)
+let of_json_value v =
+  match
+    of_events
+      (List.map
+         (fun item ->
+           let fields = Json.obj item in
+           (Json.float fields "t", of_fields fields))
+         (Json.arr v))
+  with
+  | t -> Ok t
+  | exception Json.Parse_error msg -> Error ("fault plan: " ^ msg)
+  | exception Invalid_argument msg -> Error msg
+
+let of_json s =
+  match Json.parse s with
+  | v -> of_json_value v
+  | exception Json.Parse_error msg -> Error ("fault plan: " ^ msg)
 
 (* ------------------------------------------------------------------ *)
 (* Topology fault targets: generators take explicit node lists, these
@@ -165,18 +262,87 @@ let switch_reboots rng ~switches ~mtbf ~until =
   renewal rng ~targets:switches ~mean_gap:mtbf ~until (fun _ n start ->
       ([ (start, Switch_reboot n) ], start))
 
+(* Standing conditions from t=0 on every given cable — the experiment
+   sweeps' workhorse (one knob per condition, no timing dimension). *)
+let degrade ~links ?reorder ?corrupt () =
+  let per_link (a, b) =
+    List.concat
+      [
+        (match reorder with
+        | Some (p, hold) when p > 0. -> [ (0., Reorder { a; b; p; hold }) ]
+        | _ -> []);
+        (match corrupt with
+        | Some p when p > 0. -> [ (0., Corrupt { a; b; p }) ]
+        | _ -> []);
+      ]
+  in
+  of_events (List.concat_map per_link links)
+
+(* Random adversarial plan for the fuzzer: [count] events drawn over
+   the given targets within [0, until), each event type and its
+   parameters uniform within bounded "plausible adversary" ranges
+   scaled by [intensity] in (0, 1]. Cables and switches are indexed in
+   list order, so the same rng stream and targets expand
+   identically. *)
+let random rng ~cables ~switches ~until ~intensity ~count =
+  if cables = [] then invalid_arg "Fault_plan.random: no cables";
+  if count < 0 then invalid_arg "Fault_plan.random: negative count";
+  let intensity = Float.min 1. (Float.max 0.01 intensity) in
+  let cables = Array.of_list cables in
+  let switches = Array.of_list switches in
+  let cable () = cables.(Rng.int rng (Array.length cables)) in
+  let prob () = intensity *. Rng.float rng in
+  let ev () =
+    let kinds = if Array.length switches = 0 then 5 else 6 in
+    match Rng.int rng kinds with
+    | 0 ->
+        let a, b = cable () in
+        let hold = Rng.uniform rng 1e-4 2e-3 in
+        let p = prob () in
+        Reorder { a; b; p; hold }
+    | 1 ->
+        let a, b = cable () in
+        Duplicate { a; b; p = prob () }
+    | 2 ->
+        let a, b = cable () in
+        Corrupt { a; b; p = prob () }
+    | 3 ->
+        let a, b = cable () in
+        Jitter { a; b; max_delay = intensity *. Rng.uniform rng 1e-5 1e-3 }
+    | 4 ->
+        let a, b = cable () in
+        Clear { a; b }
+    | _ ->
+        (* |skew| stays under the invariant monitor's 2 ms Early
+           Termination grace ([rtt_slack] in invariants.ml): a skewed
+           switch may kill a deadline flow up to |skew| early, which
+           must read as clock error, not as an allocator bug. *)
+        let skew = intensity *. Rng.uniform rng (-1e-3) 1e-3 in
+        let switch = switches.(Rng.int rng (Array.length switches)) in
+        Clock_skew { switch; skew }
+  in
+  of_events
+    (List.init count (fun _ ->
+         let time = Rng.uniform rng 0. until in
+         let event = ev () in
+         (time, event)))
+
 (* ------------------------------------------------------------------ *)
-(* Installation: turn the plan into scheduled simulator events acting
-   on the live topology. *)
+(* Installation: turn the plan's network events into scheduled
+   simulator events acting on the live topology. *)
 
 let null_trace ~time:_ _ = ()
 
 let install ~sim ~topo ~rng ?(trace = null_trace) ~on_change ~on_reboot t =
   check_cables topo t;
-  (* Split per event eagerly, in plan order, so link-level loss draws
-     are independent of execution interleaving. *)
+  (* Split per network event eagerly, in plan order, so link-level
+     loss draws are independent of execution interleaving. *)
   let prepared =
-    List.map (fun (time, event) -> (time, event, Rng.split rng)) (events t)
+    List.filter_map
+      (fun (time, event) ->
+        if is_adversarial event then None
+        else Some (time, event, Rng.split rng))
+      t
   in
   let apply time event ev_rng =
     trace ~time event;
@@ -187,22 +353,14 @@ let install ~sim ~topo ~rng ?(trace = null_trace) ~on_change ~on_reboot t =
     | Link_up { a; b } ->
         Topology.set_link_up topo ~a ~b true;
         on_change ()
-    | Loss_burst { a; b; loss; duration } ->
-        let links = Topology.cable topo ~a ~b in
-        let saved = List.map Link.loss_model links in
-        List.iter
-          (fun l -> Link.set_loss_model l (Link.Bernoulli loss) ~rng:(Rng.split ev_rng))
-          links;
-        ignore
-          (Sim.schedule_k sim k_clear ~delay:duration (fun () ->
-               List.iter2
-                 (fun l m -> Link.set_loss_model l m ~rng:(Rng.split ev_rng))
-                 links saved))
     | Set_loss { a; b; model } ->
         List.iter
           (fun l -> Link.set_loss_model l model ~rng:(Rng.split ev_rng))
           (Topology.cable topo ~a ~b)
     | Switch_reboot n -> on_reboot n
+    | Reorder _ | Duplicate _ | Corrupt _ | Jitter _ | Clear _ | Clock_skew _
+      ->
+        ()
   in
   List.iter
     (fun (time, event, ev_rng) ->

@@ -1,14 +1,18 @@
-(** Deterministic fault-schedule DSL.
+(** Deterministic fault-schedule DSL: the one plan a run carries.
 
-    A fault plan is a time-ordered list of injection events — duplex
-    link failures and recoveries, loss episodes (flat Bernoulli bursts),
-    standing loss processes (Bernoulli or Gilbert–Elliott), and switch
-    reboots that wipe per-flow scheduler soft state. Plans are pure data:
-    generators expand a seeded {!Pdq_engine.Rng.t} into an event trace
-    (same seed + parameters ⇒ identical trace, bit for bit), and
-    {!install} turns a plan into scheduled simulator events against a
-    live topology. The plan core (ordering, validation, JSON codec) is
-    {!Timed_plan}'s.
+    A fault plan is a time-ordered list of injection events of two
+    families. Network events change the substrate: duplex link
+    failures and recoveries, standing loss processes (Bernoulli or
+    Gilbert–Elliott) and switch reboots that wipe per-flow scheduler
+    soft state. Adversarial events ({!is_adversarial}) set packet
+    conditions on a cable — reordering, duplication,
+    scheduling-header corruption, delay jitter — or a switch's clock
+    skew. Plans are pure data with an exact JSON codec: generators
+    expand a seeded {!Pdq_engine.Rng.t} into an event trace (same
+    seed + parameters ⇒ identical trace, bit for bit). {!install}
+    schedules the network events against a live topology;
+    [Pdq_transport.Adversary] interposes the adversarial ones on its
+    links, and [Pdq_transport.Runner] installs both.
 
     Layering: this library only knows the network substrate
     ([pdq_engine] + [pdq_net]). Reactions that live above it — route
@@ -20,27 +24,80 @@ type event =
       (** Fail the duplex cable between adjacent nodes [a] and [b]
           (both directions). *)
   | Link_up of { a : int; b : int }  (** Restore the cable. *)
-  | Loss_burst of { a : int; b : int; loss : float; duration : float }
-      (** Drop packets on both directions with probability [loss] for
-          [duration] seconds, then restore the previous loss model. *)
   | Set_loss of { a : int; b : int; model : Pdq_net.Link.loss_model }
       (** Install a standing loss process on both directions of the
           cable until the next [Set_loss] on it: independent
           [Bernoulli] drops (Fig. 9), a bursty [Gilbert] channel, or
-          [No_loss] to clear it. The only way a run gets standing
-          loss. Its JSON and printed names follow the model:
-          ["loss"] (field ["loss"] = p), ["gilbert-loss"] and
-          ["clear-loss"]. *)
+          [No_loss] to clear it. The only way a run gets packet loss;
+          a timed loss burst is a [Set_loss] pair. Its JSON and
+          printed names follow the model: ["loss"] (field ["loss"] =
+          p), ["gilbert-loss"] and ["clear-loss"]. *)
   | Switch_reboot of int
       (** Crash-reboot a switch node: all its per-flow scheduling soft
           state is lost and must be rebuilt from traversing headers. *)
+  | Reorder of { a : int; b : int; p : float; hold : float }
+      (** Hold each packet on the cable with probability [p] for [hold]
+          seconds before delivery, letting later packets overtake it. *)
+  | Duplicate of { a : int; b : int; p : float }
+      (** Deliver each packet twice with probability [p] (the copy's
+          mutable scheduling payload is deep-copied; duplicates bypass
+          link bandwidth — a pure receiver-side model). *)
+  | Corrupt of { a : int; b : int; p : float }
+      (** With probability [p], corrupt one scheduling field of the
+          traversing header (PDQ rate request / pause attribution, RCP
+          rate, D3 allocation — fields a correct switch re-derives).
+          Packets without a scheduling payload pass unharmed. *)
+  | Jitter of { a : int; b : int; max_delay : float }
+      (** Delay every packet by an extra uniform [0, max_delay)
+          seconds — differential delay, so it also reorders. *)
+  | Clear of { a : int; b : int }
+      (** Remove all packet conditions from the cable. *)
+  | Clock_skew of { switch : int; skew : float }
+      (** Set the switch's clock offset: deadlines in PDQ headers
+          entering the switch appear [skew] seconds more urgent
+          (negative skew: less urgent). [skew = 0.] clears it. *)
+
+val is_adversarial : event -> bool
+(** [Reorder], [Duplicate], [Corrupt], [Jitter], [Clear] and
+    [Clock_skew]: the events {!install} leaves to the adversary. *)
 
 val pp_event : Format.formatter -> event -> unit
 
-include Timed_plan.S with type event := event
-(** {!of_events} rejects (and {!of_json} reports) loss and
-    Gilbert–Elliott probabilities outside [0, 1] and negative burst
-    durations, besides bad times. *)
+type t
+(** An immutable plan: events sorted by time (stable for ties). *)
+
+val empty : t
+val is_empty : t -> bool
+
+val of_events : (float * event) list -> t
+(** Explicit plan from (time, event) pairs; sorted stably by time.
+    Raises [Invalid_argument] on a negative or non-finite time, on a
+    probability outside [0, 1], on a negative hold or delay and on a
+    non-finite skew. *)
+
+val events : t -> (float * event) list
+(** The time-ordered event trace. *)
+
+val merge : t -> t -> t
+val length : t -> int
+
+val check_cables : Pdq_net.Topology.t -> t -> unit
+(** Raises [Invalid_argument] naming the first cable the plan acts on
+    that the topology lacks ({!Pdq_net.Topology.cable}). *)
+
+val to_json : t -> string
+(** Compact JSON array, one object per event, floats in exact
+    round-trip form: [of_json (to_json t)] rebuilds the plan bit for
+    bit. *)
+
+val of_json : string -> (t, string) result
+(** Exact inverse of {!to_json}. Strict: malformed JSON, unknown event
+    names, wrong field types and anything {!of_events} rejects are
+    all [Error]. *)
+
+val of_json_value : Pdq_telemetry.Json.t -> (t, string) result
+(** {!of_json} on an already-parsed document, for codecs that embed a
+    plan inside a larger object (the chaos reproducer). *)
 
 val switch_cables : Pdq_net.Topology.t -> (int * int) list
 (** The switch-switch subset of {!Pdq_net.Topology.cables}, in the same
@@ -65,6 +122,31 @@ val switch_reboots :
 (** Exponential crash-reboot process per switch (reboots are modeled
     as instantaneous state wipes). *)
 
+val degrade :
+  links:(int * int) list ->
+  ?reorder:float * float ->
+  ?corrupt:float ->
+  unit ->
+  t
+(** Standing adversarial conditions from t=0 on every given cable:
+    [reorder] is (probability, hold); [corrupt] is a probability.
+    Zero-valued knobs emit nothing, so [degrade ~links ()] is
+    {!empty}. The degradation-curve experiments use this. *)
+
+val random :
+  Pdq_engine.Rng.t ->
+  cables:(int * int) list ->
+  switches:int list ->
+  until:float ->
+  intensity:float ->
+  count:int ->
+  t
+(** [count] random adversarial events over the given targets within
+    [0, until), parameters uniform within bounded adversary ranges
+    scaled by [intensity] (clamped to [0.01, 1]). Deterministic in the
+    rng stream and target list order — the chaos fuzzer's plan
+    source. *)
+
 val install :
   sim:Pdq_engine.Sim.t ->
   topo:Pdq_net.Topology.t ->
@@ -74,13 +156,14 @@ val install :
   on_reboot:(int -> unit) ->
   t ->
   unit
-(** Schedule every event of the plan on the simulator. Link events
-    mutate {!Pdq_net.Link.t} status/loss models directly, then call
+(** Schedule every network event of the plan on the simulator;
+    adversarial events are skipped. Link events mutate
+    {!Pdq_net.Link.t} status/loss models directly, then call
     [on_change] (the transport layer recomputes routes there);
     [Switch_reboot n] only calls [on_reboot n] (the transport layer
     flushes the scheduler state of node [n]'s ports). [rng] feeds the
-    injected loss processes; it is split per event at install time so
-    traces stay deterministic. [trace] observes every applied event
-    (tests, experiment logs). Raises [Invalid_argument] before
+    injected loss processes; it is split per network event at install
+    time so traces stay deterministic. [trace] observes every applied
+    event (tests, experiment logs). Raises [Invalid_argument] before
     scheduling anything if the plan names a cable the topology lacks
     ({!check_cables}). *)

@@ -181,7 +181,6 @@ let set_loss_model t model ~rng =
   t.ge_bad <- false;
   t.loss_rng <- Some rng
 
-let loss_model t = t.loss_model
 let is_up t = t.up
 let set_up t up = t.up <- up
 let delivered t = t.delivered

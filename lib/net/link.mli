@@ -77,10 +77,6 @@ val set_loss_model : t -> loss_model -> rng:Pdq_engine.Rng.t -> unit
 (** Install a loss process; resets the Gilbert–Elliott channel to the
     Good state. *)
 
-val loss_model : t -> loss_model
-(** Currently installed loss process (for save/restore of loss
-    episodes). *)
-
 val is_up : t -> bool
 val set_up : t -> bool -> unit
 (** Administrative status. A down link drops every offered packet

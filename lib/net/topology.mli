@@ -83,8 +83,8 @@ val cables : t -> (int * int) list
 val cable : t -> a:int -> b:int -> Link.t list
 (** The two directed links of the duplex cable between [a] and [b],
     [a -> b] first: the one lookup from a node pair to links, for
-    fault and adversary plans and source routes, which name cables by
-    their endpoints. Of parallel cables it finds the newest. Raises
+    fault plans and source routes, which name cables by their
+    endpoints. Of parallel cables it finds the newest. Raises
     [Invalid_argument] naming the cable if [a] and [b] are not
     adjacent nodes. *)
 

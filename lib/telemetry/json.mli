@@ -1,7 +1,7 @@
 (** Minimal JSON reader + escaper + exact float format shared by every
     artifact the simulator writes and reads back: JSONL traces
-    ({!Trace}), metrics, reports, sweep checkpoints, fault and
-    adversary plans, chaos reproducers. Number literals are kept raw so
+    ({!Trace}), metrics, reports, sweep checkpoints, fault plans,
+    chaos reproducers. Number literals are kept raw so
     parsing returns the identical double that was printed — every codec
     is an exact inverse of its printer. Internal support module, not a
     general-purpose JSON library: no streaming, integers bounded by

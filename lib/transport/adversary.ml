@@ -3,8 +3,9 @@ module Rng = Pdq_engine.Rng
 module Link = Pdq_net.Link
 module Packet = Pdq_net.Packet
 module Topology = Pdq_net.Topology
-module Payloads = Pdq_transport.Payloads
 module Header = Pdq_core.Header
+module Fault_plan = Pdq_faults.Fault_plan
+module Int_table = Pdq_engine.Int_table
 
 let k_deliver = Sim.Kind.register "chaos.deliver"
 let k_apply = Sim.Kind.register "chaos.apply"
@@ -132,35 +133,45 @@ let wrap ~sim ~state ~skew ~corruptible ~rng orig pkt =
   end
 
 let install ~sim ~topo ~rng plan =
-  if not (Adversary_plan.is_empty plan) then begin
-    let events = Adversary_plan.events plan in
+  let events =
+    List.filter
+      (fun (_, ev) -> Fault_plan.is_adversarial ev)
+      (Fault_plan.events plan)
+  in
+  if events <> [] then begin
     (* Wrap every link the plan can touch, in link-id order, one rng
        split per wrapped link — the same stream layout for any event
        timing. *)
-    let states : (int, state) Hashtbl.t = Hashtbl.create 16 in
-    let skews : (int, float ref) Hashtbl.t = Hashtbl.create 4 in
+    let states : state Int_table.t = Int_table.create 16 in
+    let skews : float ref Int_table.t = Int_table.create 4 in
+    let add tbl k fresh =
+      if not (Int_table.mem tbl k) then Int_table.replace tbl k (fresh ())
+    in
+    let find_opt tbl k =
+      if Int_table.mem tbl k then Some (Int_table.find tbl k) else None
+    in
+    let cable_states ~a ~b f =
+      List.iter (fun l -> f (Link.id l)) (Topology.cable topo ~a ~b)
+    in
     List.iter
       (fun (_, ev) ->
         match ev with
-        | Adversary_plan.Reorder { a; b; _ }
-        | Adversary_plan.Duplicate { a; b; _ }
-        | Adversary_plan.Corrupt { a; b; _ }
-        | Adversary_plan.Jitter { a; b; _ }
-        | Adversary_plan.Clear { a; b } ->
-            List.iter
-              (fun l ->
-                let id = Link.id l in
-                if not (Hashtbl.mem states id) then
-                  Hashtbl.add states id (fresh_state ()))
-              (Topology.cable topo ~a ~b)
-        | Adversary_plan.Clock_skew { switch; _ } ->
-            if not (Hashtbl.mem skews switch) then
-              Hashtbl.add skews switch (ref 0.))
+        | Fault_plan.Reorder { a; b; _ }
+        | Fault_plan.Duplicate { a; b; _ }
+        | Fault_plan.Corrupt { a; b; _ }
+        | Fault_plan.Jitter { a; b; _ }
+        | Fault_plan.Clear { a; b } ->
+            cable_states ~a ~b (fun id -> add states id fresh_state)
+        | Fault_plan.Clock_skew { switch; _ } ->
+            add skews switch (fun () -> ref 0.)
+        | Fault_plan.Link_down _ | Fault_plan.Link_up _
+        | Fault_plan.Set_loss _ | Fault_plan.Switch_reboot _ ->
+            ())
       events;
     for id = 0 to Topology.link_count topo - 1 do
       let l = Topology.link topo id in
-      let state = Hashtbl.find_opt states id in
-      let skew = Hashtbl.find_opt skews (Link.dst l) in
+      let state = find_opt states id in
+      let skew = find_opt skews (Link.dst l) in
       match (state, skew) with
       | None, None -> ()
       | state, skew ->
@@ -171,31 +182,30 @@ let install ~sim ~topo ~rng plan =
           Link.set_receiver l
             (wrap ~sim ~state ~skew ~corruptible ~rng:link_rng orig)
     done;
-    let state_of ~a ~b =
-      List.map
-        (fun l -> Hashtbl.find states (Link.id l))
-        (Topology.cable topo ~a ~b)
+    let set ~a ~b f =
+      cable_states ~a ~b (fun id -> f (Int_table.find states id))
     in
     let apply ev =
       match ev with
-      | Adversary_plan.Reorder { a; b; p; hold } ->
-          List.iter (fun s -> s.reorder <- Some (p, hold)) (state_of ~a ~b)
-      | Adversary_plan.Duplicate { a; b; p } ->
-          List.iter (fun s -> s.duplicate <- Some p) (state_of ~a ~b)
-      | Adversary_plan.Corrupt { a; b; p } ->
-          List.iter (fun s -> s.corrupt <- Some p) (state_of ~a ~b)
-      | Adversary_plan.Jitter { a; b; max_delay } ->
-          List.iter (fun s -> s.jitter <- Some max_delay) (state_of ~a ~b)
-      | Adversary_plan.Clear { a; b } ->
-          List.iter
-            (fun s ->
+      | Fault_plan.Reorder { a; b; p; hold } ->
+          set ~a ~b (fun s -> s.reorder <- Some (p, hold))
+      | Fault_plan.Duplicate { a; b; p } ->
+          set ~a ~b (fun s -> s.duplicate <- Some p)
+      | Fault_plan.Corrupt { a; b; p } ->
+          set ~a ~b (fun s -> s.corrupt <- Some p)
+      | Fault_plan.Jitter { a; b; max_delay } ->
+          set ~a ~b (fun s -> s.jitter <- Some max_delay)
+      | Fault_plan.Clear { a; b } ->
+          set ~a ~b (fun s ->
               s.reorder <- None;
               s.duplicate <- None;
               s.corrupt <- None;
               s.jitter <- None)
-            (state_of ~a ~b)
-      | Adversary_plan.Clock_skew { switch; skew } ->
-          Hashtbl.find skews switch := skew
+      | Fault_plan.Clock_skew { switch; skew } ->
+          Int_table.find skews switch := skew
+      | Fault_plan.Link_down _ | Fault_plan.Link_up _ | Fault_plan.Set_loss _
+      | Fault_plan.Switch_reboot _ ->
+          ()
     in
     List.iter
       (fun (time, ev) ->

@@ -1,4 +1,5 @@
-(** Live interposition of an {!Adversary_plan} on a built topology.
+(** Live interposition of a plan's adversarial events
+    ({!Pdq_faults.Fault_plan.is_adversarial}) on a built topology.
 
     {!install} wraps the delivery callback of every directed link the
     plan can touch (via {!Pdq_net.Link.receiver} /
@@ -13,20 +14,21 @@
     from a broken one under adversarial input (see the model notes in
     DESIGN.md §9).
 
-    Determinism: the empty plan installs nothing and draws nothing; a
-    non-empty plan splits one per-link rng per wrapped link in link-id
-    order at install time, and per-packet draws then follow the
-    simulator's deterministic packet arrival order — the same seed is
-    bit-identical on any worker domain. *)
+    Determinism: a plan without adversarial events installs nothing
+    and draws nothing; otherwise one per-link rng is split per wrapped
+    link in link-id order at install time, and per-packet draws then
+    follow the simulator's deterministic packet arrival order — the
+    same seed is bit-identical on any worker domain. *)
 
 val install :
   sim:Pdq_engine.Sim.t ->
   topo:Pdq_net.Topology.t ->
   rng:Pdq_engine.Rng.t ->
-  Adversary_plan.t ->
+  Pdq_faults.Fault_plan.t ->
   unit
-(** Wrap the targeted links and schedule the plan's condition changes.
-    Call after the topology is built and before the run starts — the
-    {!Pdq_exec.Scenario.run} [?prepare] hook is the sanctioned site.
-    Raises [Invalid_argument] if the plan names a cable absent from
-    this topology ({!Pdq_net.Topology.cable}). *)
+(** Wrap the targeted links and schedule the plan's condition changes;
+    network events are left to {!Pdq_faults.Fault_plan.install}.
+    {!Runner.execute} calls it after the context is created and before
+    the protocol is installed. Raises [Invalid_argument] if the plan
+    names a cable absent from this topology
+    ({!Pdq_net.Topology.cable}). *)

@@ -4,6 +4,7 @@ module Topology = Pdq_net.Topology
 module Link = Pdq_net.Link
 module Trace = Pdq_telemetry.Trace
 module Metrics = Pdq_telemetry.Metrics
+module Fault_plan = Pdq_faults.Fault_plan
 
 let k_telemetry = Sim.Kind.register "telemetry.sample"
 
@@ -57,7 +58,7 @@ type driver =
 type options = {
   seed : int;
   horizon : float;
-  faults : Pdq_faults.Fault_plan.t option;
+  faults : Fault_plan.t option;
   telemetry : telemetry;
   driver : driver option;
 }
@@ -117,6 +118,17 @@ let execute ?(options = default_options) ~topo protocol specs =
   if Trace.active trace then
     Topology.iter_links (fun l -> Link.set_trace l trace) topo;
   let ctx = Context.create ~trace ~sim ~topo ~rng () in
+  (* Each event family is installed, and draws, only when the plan
+     holds one of its events, so [faults = Some Fault_plan.empty] is
+     bit-for-bit [faults = None]. *)
+  let plan = Option.value options.faults ~default:Fault_plan.empty in
+  let holds p = List.exists (fun (_, ev) -> p ev) (Fault_plan.events plan) in
+  (* Adversarial conditions interpose on the fresh links before the
+     protocol installs, on their own rng, so they leave the run's
+     stream untouched. *)
+  if holds Fault_plan.is_adversarial then
+    Adversary.install ~sim ~topo ~rng:(Rng.create (options.seed lxor 0x0C4A05))
+      plan;
   (* Live per-cause watchdog-abort counters: incremented the moment a
      sender gives up, not just folded from the tally at the end, so a
      chaos run can assert on them mid-flight by stable name. *)
@@ -191,28 +203,21 @@ let execute ?(options = default_options) ~topo protocol specs =
       let f = Context.add_flow ctx spec in
       start_flow f;
       f);
-  (* Fault injection. The empty plan is skipped entirely — not even an
-     [Rng.split] — so a run with [faults = Some Fault_plan.empty] is
-     bit-for-bit identical to one with [faults = None]. Installed after
-     the protocol so its reboot hooks are registered. *)
-  (match options.faults with
-  | Some plan when not (Pdq_faults.Fault_plan.is_empty plan) ->
-      Pdq_faults.Fault_plan.install ~sim ~topo ~rng:(Rng.split rng)
-        ?trace:
-          (if Trace.active trace then
-             Some
-               (fun ~time:_ ev ->
-                 Trace.emit trace
-                   (Trace.Fault
-                      {
-                        desc =
-                          Format.asprintf "%a" Pdq_faults.Fault_plan.pp_event ev;
-                      }))
-           else None)
-        ~on_change:(fun () -> Context.reroute ctx)
-        ~on_reboot:(fun node -> Context.reboot_switch ctx ~node)
-        plan
-  | Some _ | None -> ());
+  (* Link, loss and reboot events, after the protocol so its reboot
+     hooks are registered. *)
+  if holds (fun ev -> not (Fault_plan.is_adversarial ev)) then
+    Fault_plan.install ~sim ~topo ~rng:(Rng.split rng)
+      ?trace:
+        (if Trace.active trace then
+           Some
+             (fun ~time:_ ev ->
+               Trace.emit trace
+                 (Trace.Fault
+                    { desc = Format.asprintf "%a" Fault_plan.pp_event ev }))
+         else None)
+      ~on_change:(fun () -> Context.reroute ctx)
+      ~on_reboot:(fun node -> Context.reboot_switch ctx ~node)
+      plan;
   (* One probe grid for every observer: per-link utilization and queue
      depth plus per-port active/paused flow counts into the metrics
      registry, and every PDQ port's scheduler state to the validation

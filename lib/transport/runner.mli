@@ -90,10 +90,16 @@ type options = {
           runs). The run stops earlier, as soon as every flow completed
           or terminated. *)
   faults : Pdq_faults.Fault_plan.t option;
-      (** Timed fault injections (link failures, loss episodes and
-          standing loss processes, switch reboots); the only source of
-          packet loss in a run. [None] or an empty plan leaves the run
-          bit-for-bit identical to a fault-free one. *)
+      (** Timed fault injections: link failures, standing loss
+          processes (the only source of packet loss in a run) and
+          switch reboots, plus adversarial packet conditions. The
+          adversarial events ({!Adversary}, on
+          [Rng.create (seed lxor 0x0C4A05)]) are installed before the
+          protocol, the others after it on a split of the run's rng
+          (they alone emit [Trace.Fault]). Neither family draws
+          anything when the plan holds none of its events, so [None]
+          or an empty plan leaves the run bit-for-bit identical to a
+          fault-free one. *)
   telemetry : telemetry;
       (** Structured tracing and metrics for the run. Replaces the old
           single-link [trace] option: bottleneck time series (Fig. 6/7)
@@ -151,7 +157,7 @@ val execute :
     experiment as a {!Pdq_exec.Scenario.t} and call [Scenario.run]
     (or [Sweep.map Scenario.run] for a batch across domains):
     scenarios are pure data, so they can be stored, printed and fanned
-    out to worker domains. Per-run telemetry and a hook on the built
-    topology go to [Scenario.run] as [?telemetry] and [?prepare]. Call
+    out to worker domains. Per-run telemetry goes to [Scenario.run]
+    as [?telemetry]. Call
     [execute] directly only to hand-build the topology (see
     [Scenario.build]). *)

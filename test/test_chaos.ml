@@ -12,8 +12,8 @@ module Fault_plan = Pdq_faults.Fault_plan
 module Runner = Pdq_transport.Runner
 module Scenario = Pdq_exec.Scenario
 module Task = Pdq_exec.Task
-module Adversary_plan = Pdq_chaos.Adversary_plan
-module Adversary = Pdq_chaos.Adversary
+module Topology = Pdq_net.Topology
+module Builder = Pdq_topo.Builder
 module Fuzzer = Pdq_chaos.Fuzzer
 
 (* ------------------------------------------------------------------ *)
@@ -28,18 +28,18 @@ let gen_adversary_event =
   oneof
     [
       map3
-        (fun a b (p, hold) -> Adversary_plan.Reorder { a; b; p; hold })
+        (fun a b (p, hold) -> Fault_plan.Reorder { a; b; p; hold })
         gen_node gen_node (pair gen_prob gen_span);
-      map3 (fun a b p -> Adversary_plan.Duplicate { a; b; p }) gen_node gen_node
+      map3 (fun a b p -> Fault_plan.Duplicate { a; b; p }) gen_node gen_node
         gen_prob;
-      map3 (fun a b p -> Adversary_plan.Corrupt { a; b; p }) gen_node gen_node
+      map3 (fun a b p -> Fault_plan.Corrupt { a; b; p }) gen_node gen_node
         gen_prob;
       map3
-        (fun a b max_delay -> Adversary_plan.Jitter { a; b; max_delay })
+        (fun a b max_delay -> Fault_plan.Jitter { a; b; max_delay })
         gen_node gen_node gen_span;
-      map2 (fun a b -> Adversary_plan.Clear { a; b }) gen_node gen_node;
+      map2 (fun a b -> Fault_plan.Clear { a; b }) gen_node gen_node;
       map2
-        (fun switch skew -> Adversary_plan.Clock_skew { switch; skew })
+        (fun switch skew -> Fault_plan.Clock_skew { switch; skew })
         gen_node
         (map (fun x -> x -. 2e-3) (float_bound_inclusive 4e-3));
     ]
@@ -50,9 +50,6 @@ let gen_fault_event =
     [
       map2 (fun a b -> Fault_plan.Link_down { a; b }) gen_node gen_node;
       map2 (fun a b -> Fault_plan.Link_up { a; b }) gen_node gen_node;
-      map3
-        (fun a b (loss, duration) -> Fault_plan.Loss_burst { a; b; loss; duration })
-        gen_node gen_node (pair gen_prob gen_span);
       map3
         (fun a b model -> Fault_plan.Set_loss { a; b; model })
         gen_node gen_node
@@ -72,8 +69,8 @@ let timed ev_gen = QCheck.Gen.(pair (float_bound_inclusive 5.) ev_gen)
 
 let arb_adversary_plan =
   QCheck.make
-    ~print:(fun p -> Adversary_plan.to_json p)
-    QCheck.Gen.(map Adversary_plan.of_events
+    ~print:(fun p -> Fault_plan.to_json p)
+    QCheck.Gen.(map Fault_plan.of_events
                   (list_size (0 -- 12) (timed gen_adversary_event)))
 
 let arb_fault_plan =
@@ -85,8 +82,8 @@ let arb_fault_plan =
 let qcheck_adversary_roundtrip =
   QCheck.Test.make ~name:"adversary plan JSON round-trips exactly" ~count:300
     arb_adversary_plan (fun p ->
-      match Adversary_plan.of_json (Adversary_plan.to_json p) with
-      | Ok p' -> Adversary_plan.events p' = Adversary_plan.events p
+      match Fault_plan.of_json (Fault_plan.to_json p) with
+      | Ok p' -> Fault_plan.events p' = Fault_plan.events p
       | Error _ -> false)
 
 let qcheck_fault_roundtrip =
@@ -116,7 +113,7 @@ let test_legacy_loss_events () =
            (fun (_, ev) -> Format.asprintf "%a" Fault_plan.pp_event ev)
            (Fault_plan.events plan))
 
-(* Adversary reproducers stay valid: every adversary event encodes,
+(* Adversary reproducers stay valid: every adversarial event encodes,
    parses, prints and re-serializes byte for byte. *)
 let test_adversary_json_bytes () =
   let json =
@@ -128,23 +125,23 @@ let test_adversary_json_bytes () =
      {\"t\":1,\"ev\":\"clock-skew\",\"switch\":5,\"skew\":-0.0005}]"
   in
   let plan =
-    Adversary_plan.of_events
+    Fault_plan.of_events
       [
-        (0.5, Adversary_plan.Reorder { a = 0; b = 1; p = 0.25; hold = 1e-3 });
-        (0., Adversary_plan.Duplicate { a = 1; b = 2; p = 0.5 });
-        (0.125, Adversary_plan.Corrupt { a = 2; b = 3; p = 0.1 });
-        (0.25, Adversary_plan.Jitter { a = 3; b = 4; max_delay = 2e-4 });
-        (0.25, Adversary_plan.Clear { a = 0; b = 1 });
-        (1., Adversary_plan.Clock_skew { switch = 5; skew = -5e-4 });
+        (0.5, Fault_plan.Reorder { a = 0; b = 1; p = 0.25; hold = 1e-3 });
+        (0., Fault_plan.Duplicate { a = 1; b = 2; p = 0.5 });
+        (0.125, Fault_plan.Corrupt { a = 2; b = 3; p = 0.1 });
+        (0.25, Fault_plan.Jitter { a = 3; b = 4; max_delay = 2e-4 });
+        (0.25, Fault_plan.Clear { a = 0; b = 1 });
+        (1., Fault_plan.Clock_skew { switch = 5; skew = -5e-4 });
       ]
   in
   Alcotest.(check string) "encodes to the pinned bytes" json
-    (Adversary_plan.to_json plan);
-  match Adversary_plan.of_json json with
+    (Fault_plan.to_json plan);
+  match Fault_plan.of_json json with
   | Error e -> Alcotest.failf "of_json: %s" e
   | Ok parsed ->
       Alcotest.(check string) "re-serializes identically" json
-        (Adversary_plan.to_json parsed);
+        (Fault_plan.to_json parsed);
       Alcotest.(check (list string))
         "printed names"
         [
@@ -156,8 +153,8 @@ let test_adversary_json_bytes () =
           "clock-skew switch=5 skew=-0.0005s";
         ]
         (List.map
-           (fun (_, ev) -> Format.asprintf "%a" Adversary_plan.pp_event ev)
-           (Adversary_plan.events parsed))
+           (fun (_, ev) -> Format.asprintf "%a" Fault_plan.pp_event ev)
+           (Fault_plan.events parsed))
 
 (* Cases as the fuzzer itself draws them — nested plans included —
    must survive the counterexample-artifact round trip, and the
@@ -182,6 +179,28 @@ let test_case_of_json_strict () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "accepted a truncated case"
 
+(* Reproducers written while adversarial events had a plan of their
+   own carry them in an "adversary" array: it merges into the plan by
+   time, and the case re-serializes with every event under "faults". *)
+let test_legacy_adversary_array () =
+  let case faults adversary =
+    Printf.sprintf
+      "{\"protocol\":\"pdq\",\"topo\":\"tree\",\"pattern\":\"pairs\",\
+       \"flows\":4,\"mean_bytes\":30000,\"deadlines\":false,\"seed\":7,\
+       \"horizon\":0.25,\"faults\":[%s]%s}"
+      faults adversary
+  in
+  let down = "{\"t\":0.1,\"ev\":\"link-down\",\"a\":0,\"b\":1}"
+  and dup = "{\"t\":0,\"ev\":\"duplicate\",\"a\":0,\"b\":1,\"p\":0.5}" in
+  match
+    Fuzzer.case_of_json (case down (Printf.sprintf ",\"adversary\":[%s]" dup))
+  with
+  | Error e -> Alcotest.failf "case_of_json: %s" e
+  | Ok c ->
+      Alcotest.(check string) "one plan, sorted by time"
+        (case (dup ^ "," ^ down) "")
+        (Fuzzer.case_to_json c)
+
 (* ------------------------------------------------------------------ *)
 (* Adversary semantics *)
 
@@ -196,7 +215,6 @@ let base_case =
     seed = 11;
     horizon = 0.4;
     faults = Fault_plan.empty;
-    adversary = Adversary_plan.empty;
   }
 
 let run_ok c =
@@ -235,10 +253,10 @@ let test_duplicate_storm_clean () =
   let c =
     {
       base_case with
-      Fuzzer.adversary =
-        Adversary_plan.of_events
+      Fuzzer.faults =
+        Fault_plan.of_events
           (List.map
-             (fun (a, b) -> (0., Adversary_plan.Duplicate { a; b; p = 0.5 }))
+             (fun (a, b) -> (0., Fault_plan.Duplicate { a; b; p = 0.5 }))
              cables);
     }
   in
@@ -252,11 +270,11 @@ let test_duplicate_storm_clean () =
    0<->2) fails [run_case] with an error naming it. *)
 let test_bad_plans_rejected () =
   Alcotest.check_raises "non-finite time rejected"
-    (Invalid_argument "Adversary_plan.of_events: non-finite event time")
+    (Invalid_argument "Fault_plan.of_events: non-finite event time")
     (fun () ->
       ignore
-        (Adversary_plan.of_events
-           [ (infinity, Adversary_plan.Clear { a = 0; b = 1 }) ]));
+        (Fault_plan.of_events
+           [ (infinity, Fault_plan.Clear { a = 0; b = 1 }) ]));
   let rejects what c =
     match Fuzzer.run_case c with
     | Ok _ -> Alcotest.failf "%s: ran a plan on a missing cable" what
@@ -269,30 +287,79 @@ let test_bad_plans_rejected () =
       Fuzzer.faults =
         Fault_plan.of_events [ (0., Fault_plan.Link_down { a = 0; b = 2 }) ];
     };
-  rejects "adversary plan"
+  rejects "adversarial event"
     {
       base_case with
-      Fuzzer.adversary =
-        Adversary_plan.of_events
-          [ (0., Adversary_plan.Duplicate { a = 0; b = 2; p = 0.5 }) ];
+      Fuzzer.faults =
+        Fault_plan.of_events
+          [ (0., Fault_plan.Duplicate { a = 0; b = 2; p = 0.5 }) ];
     }
 
-(* A wrapped link whose conditions are all inactive must be
-   bit-transparent: a plan holding only a [Clear] event gives the same
-   run as no adversary at all (and consumes no randomness). *)
-let test_inactive_wrapper_transparent () =
-  let cables, _, _ = Fuzzer.targets_of_case base_case in
-  let a, b = List.hd cables in
-  let cleared =
-    {
-      base_case with
-      Fuzzer.adversary =
-        Adversary_plan.of_events [ (0., Adversary_plan.Clear { a; b }) ];
-    }
+(* An empty or inactive plan leaves a run unchanged. Over cases the
+   fuzzer draws (their own plans set aside), four runs must agree bit
+   for bit: no plan, a generator returning the empty plan, [Clear] on
+   every cable and [Clear] on one cable. A [Clear] plan wraps links
+   but activates no condition, and being adversarial it must not split
+   the run's rng. Healthy fuzzer cases never draw from that rng, so a
+   16-flow PDQ incast of 3 MB flows, whose probe backoff draws from it,
+   joins them. *)
+let test_inactive_plans_transparent () =
+  let ok = function Ok x -> x | Error e -> Alcotest.fail e in
+  let clears cables =
+    Fault_plan.of_events
+      (List.map (fun (a, b) -> (0., Fault_plan.Clear { a; b })) cables)
   in
-  let r0 = (run_ok base_case).Scenario.result in
-  let r1 = (run_ok cleared).Scenario.result in
-  Alcotest.(check bool) "bit-identical run" true (same_result r0 r1)
+  List.iter
+    (fun (c : Fuzzer.case) ->
+      let run faults =
+        Scenario.run
+          (Scenario.make ~topo:(ok (Scenario.topo_of_string c.topo))
+             ~seed:c.seed ~horizon:c.horizon ~faults
+             ~workload:
+               (Scenario.Synthetic
+                  {
+                    pattern = ok (Scenario.pattern_of_string c.pattern);
+                    flows = c.flows;
+                    sizes =
+                      Scenario.Uniform_paper { mean_bytes = c.mean_bytes };
+                    deadlines =
+                      (if c.deadlines then
+                         Scenario.Exp_deadlines { mean = 0.02; floor = 0.003 }
+                       else Scenario.No_deadlines);
+                  })
+             (ok (Scenario.protocol_of_string c.protocol)))
+      in
+      let plan label f =
+        run
+          (Scenario.Fault_gen
+             {
+               label;
+               plan = (fun ~seed:_ b -> f (Topology.cables b.Builder.topo));
+             })
+      in
+      let base = run Scenario.No_faults in
+      List.iter
+        (fun (what, r) ->
+          Alcotest.(check bool)
+            (Format.asprintf "%a: %s" Fuzzer.pp_case c what)
+            true (same_result base r))
+        [
+          ("empty plan", plan "empty" (fun _ -> Fault_plan.empty));
+          ("clear on every cable", plan "clear all" clears);
+          ( "clear on one cable",
+            plan "clear one" (fun cs -> clears [ List.hd cs ]) );
+        ])
+    ({
+       base_case with
+       Fuzzer.protocol = "pdq";
+       topo = "bottleneck";
+       pattern = "aggregation";
+       flows = 16;
+       mean_bytes = 3_000_000;
+       deadlines = false;
+       horizon = 0.2;
+     }
+    :: Fuzzer.cases ~runs:8 ~seed:17 ())
 
 let test_case_run_deterministic () =
   let cables, _, switches = Fuzzer.targets_of_case base_case in
@@ -300,8 +367,8 @@ let test_case_run_deterministic () =
   let c =
     {
       base_case with
-      Fuzzer.adversary =
-        Adversary_plan.random rng ~cables ~switches ~until:base_case.Fuzzer.horizon
+      Fuzzer.faults =
+        Fault_plan.random rng ~cables ~switches ~until:base_case.Fuzzer.horizon
           ~intensity:0.5 ~count:6;
     }
   in
@@ -342,10 +409,7 @@ let test_canary_found_shrunk_replayed () =
         s.Fuzzer.invariant;
       Alcotest.(check bool) "shrinker stayed in budget" true
         (s.Fuzzer.runs_used <= 60);
-      let plan_size c =
-        Fault_plan.length c.Fuzzer.faults
-        + Adversary_plan.length c.Fuzzer.adversary
-      in
+      let plan_size c = Fault_plan.length c.Fuzzer.faults in
       Alcotest.(check bool) "minimal is no larger" true
         (plan_size s.Fuzzer.minimal <= plan_size s.Fuzzer.original);
       (* The shrunk case must replay to the same violation from its
@@ -373,6 +437,8 @@ let suites =
             test_case_roundtrip;
           Alcotest.test_case "case_of_json is strict" `Quick
             test_case_of_json_strict;
+          Alcotest.test_case "adversary array merges into the plan" `Quick
+            test_legacy_adversary_array;
         ] );
     ( "chaos.adversary",
       [
@@ -380,8 +446,8 @@ let suites =
           test_dup_syn_single_entry;
         Alcotest.test_case "duplicate storm stays clean" `Quick
           test_duplicate_storm_clean;
-        Alcotest.test_case "inactive wrapper is transparent" `Quick
-          test_inactive_wrapper_transparent;
+        Alcotest.test_case "empty or inactive plans are transparent" `Quick
+          test_inactive_plans_transparent;
         Alcotest.test_case "case runs are deterministic" `Quick
           test_case_run_deterministic;
         Alcotest.test_case "bad plans rejected before the run" `Quick

@@ -72,6 +72,11 @@ let test_usage_error () =
       [ "--jobs"; "0" ];
       [ "--jobs=-2" ];
       [ "chaos"; "--jobs"; "0" ];
+      [ "--timeout=-1" ];
+      [ "--timeout"; "nan" ];
+      [ "--max-events=-1" ];
+      [ "--max-events"; "0" ];
+      [ "chaos"; "--runs"; "1"; "--timeout=-1" ];
     ]
 
 let test_list_workloads () =
@@ -214,8 +219,10 @@ let test_sweep_trace_out () =
     (List.map (fun l -> List.nth (String.split_on_char ',' l) 1) lifecycle)
 
 (* A reproducer the simulator cannot replay is a bad trace (exit 1),
-   whether its plan fails validation on load (a negative burst) or
-   names a cable the case's topology lacks (the tree has no 0<->2). *)
+   whether its plan fails validation on load (a loss probability above
+   1) or names a cable the case's topology lacks (the tree has no
+   0<->2), in its "faults" array or in the "adversary" array older
+   reproducers carry. *)
 let test_chaos_replay_bad_plan () =
   let replay ~faults ~adversary =
     let path = Filename.temp_file "pdq_repro" ".json" in
@@ -230,10 +237,8 @@ let test_chaos_replay_bad_plan () =
     rc
   in
   let bad_trace = code Exit_code.Bad_trace in
-  Alcotest.(check int) "negative burst duration exits 1" bad_trace
-    (replay
-       ~faults:
-         {|{"t":0,"ev":"loss-burst","a":0,"b":1,"loss":0.5,"duration":-1}|}
+  Alcotest.(check int) "out-of-range loss probability exits 1" bad_trace
+    (replay ~faults:{|{"t":0,"ev":"loss","a":0,"b":1,"loss":1.5}|}
        ~adversary:"");
   Alcotest.(check int) "fault on a missing cable exits 1" bad_trace
     (replay ~faults:{|{"t":0,"ev":"link-down","a":0,"b":2}|} ~adversary:"");

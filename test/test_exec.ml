@@ -13,6 +13,7 @@ module Scenario = Pdq_exec.Scenario
 module Exec_opts = Pdq_exec.Exec_opts
 module Sweep = Pdq_exec.Sweep
 module Task = Pdq_exec.Task
+module Trace = Pdq_telemetry.Trace
 
 (* Everything in a result except the live context, for structural
    comparison across independently built simulations. *)
@@ -361,17 +362,26 @@ let test_supervise_retry () =
     sup.Sweep.report.Sweep.attempts
 
 let test_supervise_caller_crash () =
-  (* The first event emitted on the calling domain (worker 0) raises,
-     killing the caller's claim loop outside any attempt: the crash is
-     settled like a spawned worker's, every slot still settles, and the
-     exception does not escape. *)
+  (* The first event emitted on the calling domain (worker 0) raises in
+     its trace sink, killing the caller's claim loop outside any
+     attempt: the crash is settled like a spawned worker's, every slot
+     still settles, and the exception does not escape. *)
   let caller = Domain.self () in
   let raised = Atomic.make false and caller_crashed = Atomic.make false in
-  let on_event = function
-    | Sweep.Worker_crashed { worker = 0; _ } -> Atomic.set caller_crashed true
-    | _ ->
-        if Domain.self () = caller && not (Atomic.exchange raised true) then
-          failwith "observer"
+  let trace =
+    Trace.create ~clock:Unix.gettimeofday
+      ~sinks:
+        [
+          Trace.callback (fun ~time:_ ev ->
+              match ev with
+              | Trace.Sweep_task { state = "crashed"; key = "worker:0"; _ } ->
+                  Atomic.set caller_crashed true
+              | _ ->
+                  if
+                    Domain.self () = caller
+                    && not (Atomic.exchange raised true)
+                  then failwith "observer");
+        ]
   in
   (* A spawned worker's slot waits for the caller's crash, so the
      spawned worker cannot drain the sweep before the caller claims. *)
@@ -382,7 +392,7 @@ let test_supervise_caller_crash () =
     x * 10
   in
   let sup =
-    Sweep.supervise ~jobs:2 ~on_event ~key:string_of_int f
+    Sweep.supervise ~jobs:2 ~trace ~key:string_of_int f
       (List.init 8 Fun.id)
   in
   Alcotest.(check bool) "observer raised once" true (Atomic.get raised);

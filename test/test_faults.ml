@@ -64,12 +64,9 @@ let test_plan_of_events () =
       ignore (Fault_plan.of_events [ (-1., Fault_plan.Switch_reboot 0) ]))
 
 (* Out-of-range parameters are rejected by [of_events] and reported
-   by [of_json], so a reproducer cannot carry a burst the simulator
-   cannot schedule or a loss rate no link can draw. *)
+   by [of_json], so a reproducer cannot carry a loss rate no link can
+   draw or a condition the adversary cannot apply. *)
 let test_plan_validation () =
-  let burst loss duration =
-    Fault_plan.Loss_burst { a = 0; b = 1; loss; duration }
-  in
   let set model = Fault_plan.Set_loss { a = 0; b = 1; model } in
   let ge ?(p_gb = 0.1) ?(p_bg = 0.3) ?(loss_good = 0.) ?(loss_bad = 0.5) () =
     set (Link.Gilbert { Link.p_gb; p_bg; loss_good; loss_bad })
@@ -78,11 +75,6 @@ let test_plan_validation () =
     Alcotest.check_raises msg (Invalid_argument msg) (fun () ->
         ignore (Fault_plan.of_events [ (0., ev) ]))
   in
-  rejects "Fault_plan: loss-burst probability 2.5" (burst 2.5 0.01);
-  rejects "Fault_plan: loss-burst probability -0.1" (burst (-0.1) 0.01);
-  rejects "Fault_plan: loss-burst probability nan" (burst nan 0.01);
-  rejects "Fault_plan: loss-burst duration -1" (burst 0.5 (-1.));
-  rejects "Fault_plan: loss-burst duration inf" (burst 0.5 infinity);
   rejects "Fault_plan: loss probability 1.5" (set (Link.Bernoulli 1.5));
   rejects "Fault_plan: gilbert p_gb probability 2" (ge ~p_gb:2. ());
   rejects "Fault_plan: gilbert p_bg probability -1" (ge ~p_bg:(-1.) ());
@@ -90,12 +82,17 @@ let test_plan_validation () =
     (ge ~loss_good:infinity ());
   rejects "Fault_plan: gilbert loss_bad probability 1.01"
     (ge ~loss_bad:1.01 ());
-  Alcotest.(check int) "boundary values accepted" 4
+  rejects "Fault_plan: reorder probability -0.5"
+    (Fault_plan.Reorder { a = 0; b = 1; p = -0.5; hold = 1e-3 });
+  rejects "Fault_plan: jitter max_delay -1"
+    (Fault_plan.Jitter { a = 0; b = 1; max_delay = -1. });
+  rejects "Fault_plan: non-finite clock skew"
+    (Fault_plan.Clock_skew { switch = 0; skew = nan });
+  Alcotest.(check int) "boundary values accepted" 3
     (Fault_plan.length
        (Fault_plan.of_events
           [
-            (0., burst 0. 0.);
-            (0., burst 1. 0.5);
+            (0., set (Link.Bernoulli 0.));
             (0., set (Link.Bernoulli 1.));
             (0., ge ~p_gb:0. ~p_bg:1. ~loss_good:0. ~loss_bad:1. ());
           ]));
@@ -104,10 +101,6 @@ let test_plan_validation () =
     | Ok _ -> Alcotest.failf "of_json accepted %s" what
     | Error _ -> ()
   in
-  of_json_error "loss 2.5"
-    {|[{"t":0,"ev":"loss-burst","a":0,"b":1,"loss":2.5,"duration":0.01}]|};
-  of_json_error "duration -1"
-    {|[{"t":0,"ev":"loss-burst","a":0,"b":1,"loss":0.5,"duration":-1}]|};
   of_json_error "loss 1.5" {|[{"t":0,"ev":"loss","a":0,"b":1,"loss":1.5}]|}
 
 (* [to_json] writes [inf] and [nan] as tokens [of_json] cannot read
@@ -376,8 +369,9 @@ let test_reboot_flushes_own_ports () =
     (fun ctx -> D3_proto.install ~ctx ~until:1.)
     D3_proto.start_flow D3_proto.flow_count
 
-(* Loss episode on the bottleneck: a 5 ms 100% black-out delays the
-   transfer but retransmission machinery completes it. *)
+(* Loss episode on the bottleneck: a 5 ms 100% black-out, a [Set_loss]
+   pair, delays the transfer but retransmission machinery completes
+   it. *)
 let test_loss_burst_recovers () =
   let run faults =
     let sim = Sim.create () in
@@ -405,8 +399,10 @@ let test_loss_burst_recovers () =
          (Fault_plan.of_events
             [
               ( 0.001,
-                Fault_plan.Loss_burst
-                  { a = 0; b = 1; loss = 1.0; duration = 0.005 } );
+                Fault_plan.Set_loss { a = 0; b = 1; model = Link.Bernoulli 1.0 }
+              );
+              ( 0.006,
+                Fault_plan.Set_loss { a = 0; b = 1; model = Link.No_loss } );
             ]))
   in
   Alcotest.(check int) "clean completes" 1 clean.Runner.completed;

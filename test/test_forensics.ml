@@ -369,7 +369,7 @@ let test_sweep_task_through_jsonl () =
     Trace.create ~clock:Unix.gettimeofday ~sinks:[ Trace.jsonl oc ]
   in
   let sup =
-    Sweep.supervise ~jobs:2 ~on_event:(Sweep.emit_trace bus)
+    Sweep.supervise ~jobs:2 ~trace:bus
       ~key:Scenario.digest Scenario.run scenarios
   in
   close_out oc;

@@ -11,7 +11,7 @@
 # alias or an opened library. A `val` of a `module type T` is read
 # wherever a module of type T has it read: through a functor parameter
 # `(E : T)` (also in T's own file) or a module whose interface includes
-# T (`Fault_plan.merge` reads `Timed_plan.S.merge`).
+# T (`M.merge` reads `T.merge` when M's interface includes T).
 #
 # Prints one line per dead export and exits 1 if there is any, 0
 # otherwise. Run from anywhere: tools/dead_exports.sh
